@@ -13,6 +13,7 @@ from .bitops import (
 )
 from .engine import (
     ExactTruncationOracle,
+    MaskedMatrix,
     Session,
     Transcript,
     batch_bit_mul,
@@ -71,6 +72,7 @@ from .training import (
     Dataset,
     TrainingConfig,
     count_multiplications,
+    count_traffic,
     predict_and_score,
     train_plain_fixed,
     train_plain_float,

@@ -26,6 +26,7 @@ from .errors import (
     FormatError,
     IngestionError,
     MpcError,
+    ProtocolError,
     RandomnessUnderflowError,
     TransportError,
 )
@@ -63,6 +64,7 @@ EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 EXIT_FORMAT = 4
 EXIT_RANDOMNESS = 5
+EXIT_PROTOCOL = 6
 
 
 def _load_config(ctx, param, value):
@@ -413,19 +415,15 @@ def _parse_dims(value):
 @click.option("--lr", default=0.001, show_default=True, type=float, help="Learning rate.")
 @click.option("--iterations", default=10, show_default=True, type=int)
 @click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--threads", default=None, type=int,
-              help="Worker pool size; defaults to hardware parallelism.")
 @click.option("--randomness", default=None,
               help="'file:PATH' (standard deployment) or 'online' (TI streams "
                    "over TCP). Local mode provisions in-process.")
 @click.option("--dims", default=None, help="file-mode TI: ROWSxCOLS of the share matrix.")
 @_params_options
 def cmd_train(role, listen, peer, data, weights_out, shares_out, lr, iterations, seed,
-              threads, randomness, dims, frac_bits, int_bits, ring_bits):
+              randomness, dims, frac_bits, int_bits, ring_bits):
     """Run one training-session role (or the whole session in local mode)."""
     params = _make_params(frac_bits, int_bits, ring_bits)
-    if threads is not None and threads < 1:
-        raise click.UsageError("--threads must be >= 1")
     try:
         cfg = TrainingConfig(eta=lr, n_iter=iterations, params=params, seed=seed)
     except ValueError as exc:
@@ -584,6 +582,12 @@ def main(argv=None):
     except TransportError as exc:
         click.echo(f"error: transport: {exc}", err=True)
         return EXIT_TRANSPORT
+    except ProtocolError as exc:
+        click.echo(f"error: protocol: {exc}", err=True)
+        return EXIT_PROTOCOL
+    except MpcError as exc:
+        click.echo(f"error: {exc}", err=True)
+        return EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import ProtocolError
 from .fixedpoint import FixedPointParams, exact_truncate, truncate_share_local
-from .randomness import TAG_CONVERSION, TAG_SCALAR, RandomnessSource
+from .randomness import (
+    MATMUL_MASK,
+    MATMUL_REUSE,
+    MATMUL_REUSE_T,
+    TAG_CONVERSION,
+    TAG_SCALAR,
+    MatmulDims,
+    RandomnessSource,
+)
 from .sharing import Role, pack_bits_to_words, random_ring_array, unpack_words_to_bits
 from .transport import (
     MSG_OPEN_BITS,
@@ -156,8 +164,62 @@ class Session:
 # ---------------------------------------------------------------------------
 
 
-def batch_mul(sess: Session, xs: np.ndarray, ys: np.ndarray, tag: int = TAG_SCALAR) -> np.ndarray:
-    """Elementwise product of two shared vectors; one round for any length."""
+class MaskedMatrix:
+    """A shared n x m matrix X that is masked once and multiplied many times.
+
+    The dealer deals one fixed mask U for X.  The first product over X opens
+    D = X - U in the same round as that product's own operand; every later
+    product opens only its vector operand, masked by a fresh V whose record
+    carries W = U·V or Uᵀ·V.  This is the reuse of masked data of SecureML
+    (Mohassel and Zhang, IEEE S&P 2017).  After the opening a party keeps D
+    and `left`, its share of U plus D on Alice's side, so each product costs
+    two local matrix-vector products.
+    """
+
+    def __init__(self, share: np.ndarray):
+        if np.ndim(share) != 2:
+            raise ProtocolError(f"masked operand must be a matrix, got shape {np.shape(share)}")
+        self.share = share
+        self.shape = share.shape
+        self.d = None
+        self.left = None
+
+
+def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bool):
+    """X·y, or Xᵀ·y with `transpose`, for a shared column y; one round."""
+    n, m = x.shape
+    y = np.asarray(y, dtype=sess.params.dtype)
+    rows = n if transpose else m
+    if y.shape != (rows, 1):
+        raise ProtocolError(f"masked product dimension mismatch: X {x.shape}, operand {y.shape}")
+    first = x.d is None
+    if first:
+        u, _, _ = sess.randomness.take_matmul_triple(MatmulDims(n, m, 0, MATMUL_MASK))
+    kind = MATMUL_REUSE_T if transpose else MATMUL_REUSE
+    _, v, w = sess.randomness.take_matmul_triple(MatmulDims(n, m, 1, kind))
+    if first:
+        d, e = sess.open_ring(np.asarray(x.share, dtype=sess.params.dtype) - u, y - v)
+        x.d, x.left, x.share = d, (u + d if sess.is_alice else u), None
+    else:
+        e = sess.open_ring(y - v)
+    if transpose:
+        # for integer dtypes numpy runs this einsum several times faster than x.left.T @ e
+        z = w[:, 0] + np.einsum("ij,i->j", x.left, e[:, 0]) + np.einsum("ij,i->j", x.d, v[:, 0])
+    else:
+        z = w + x.left @ e + x.d @ v
+    sess.transcript.ring_mults += n * m
+    return z
+
+
+def batch_mul(sess: Session, xs, ys: np.ndarray, tag: int = TAG_SCALAR) -> np.ndarray:
+    """Elementwise product of two shared vectors; one round for any length.
+
+    Against a MaskedMatrix X (n x m) and a shared n-vector ys, it computes the
+    n·m products X[i, j]·ys[i] and returns them summed over the samples i:
+    the m-vector Xᵀ·ys, still in one round.
+    """
+    if isinstance(xs, MaskedMatrix):
+        return _masked_product(sess, xs, np.reshape(ys, (-1, 1)), transpose=True)
     xs = np.asarray(xs, dtype=sess.params.dtype)
     ys = np.asarray(ys, dtype=sess.params.dtype)
     if xs.shape != ys.shape:
@@ -181,11 +243,15 @@ def mul(sess: Session, x: int, y: int) -> int:
     return int(out[0])
 
 
-def matmul(sess: Session, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def matmul(sess: Session, x, y: np.ndarray) -> np.ndarray:
     """Matrix product of shared matrices in one round.
 
-    Aborts before touching randomness when the operand dimensions disagree.
+    `x` may be a MaskedMatrix, with `y` one column; its first product also
+    opens X - U.  Aborts before touching randomness when the operand
+    dimensions disagree.
     """
+    if isinstance(x, MaskedMatrix):
+        return _masked_product(sess, x, y, transpose=False)
     x = np.asarray(x, dtype=sess.params.dtype)
     y = np.asarray(y, dtype=sess.params.dtype)
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,15 +38,49 @@ _TAG_NAMES = {
     TAG_PREFIXNET: "prefix-network",
 }
 
+# Kinds of TAG_MATMUL record; a CRN1 record keeps its kind in the high bits
+# of the tag byte.
+MATMUL_TRIPLE = 0   # U, V and W = U·V
+MATMUL_MASK = 1     # U alone: the fixed mask of a matrix X that is opened once as X - U
+MATMUL_REUSE = 2    # V and W = U·V, against the last mask of the same shape
+MATMUL_REUSE_T = 3  # V and W = Uᵀ·V, against the last mask of the same shape
+
+_KIND_SHIFT = 4
+
 _DOMAIN = 0x6D70636C  # derivation label separating dealer output from other rng users
+
+
+class MatmulDims(NamedTuple):
+    """Shape and kind of one TAG_MATMUL record; a plain (i, j, k) is a triple.
+
+    U is always i x j.  The mask record carries U alone (k = 0); the records
+    that reuse it carry only a fresh V and its product W with U or Uᵀ.
+    """
+
+    i: int
+    j: int
+    k: int
+    kind: int = MATMUL_TRIPLE
+
+    def shapes(self) -> tuple:
+        """Shapes of (U, V, W) in the record, None for a part it lacks."""
+        i, j, k, kind = self
+        return {
+            MATMUL_TRIPLE: ((i, j), (j, k), (i, k)),
+            MATMUL_MASK: ((i, j), None, None),
+            MATMUL_REUSE: (None, (j, k), (i, k)),
+            MATMUL_REUSE_T: (None, (i, k), (j, k)),
+        }[kind]
 
 
 @dataclass
 class MatmulBlock:
-    dims: tuple
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
+    """One party's part of a TAG_MATMUL record; absent parts are None."""
+
+    dims: MatmulDims
+    u: np.ndarray | None
+    v: np.ndarray | None
+    w: np.ndarray | None
 
 
 @dataclass
@@ -96,13 +131,16 @@ def make_ring_triple(u_vals: np.ndarray, v_vals: np.ndarray, params: FixedPointP
         w_vals = u_vals @ v_vals
     else:
         w_vals = u_vals * v_vals
-    parts = []
-    for vals in (u_vals, v_vals, w_vals):
-        ra = random_ring_array(rng, params, vals.shape)
-        parts.append((ra, vals - ra))
+    parts = [_share_ring(vals, params, rng) for vals in (u_vals, v_vals, w_vals)]
     a = tuple(p[0] for p in parts)
     b = tuple(p[1] for p in parts)
     return a, b
+
+
+def _share_ring(vals: np.ndarray, params: FixedPointParams, rng: np.random.Generator):
+    """Split ring values into Alice's uniform share and Bob's remainder."""
+    ra = random_ring_array(rng, params, vals.shape)
+    return ra, vals - ra
 
 
 def make_bit_triple(nbits: int, rng: np.random.Generator, u_vals=None, v_vals=None):
@@ -125,6 +163,7 @@ class TrustedDealer:
         self.master_seed = int(master_seed)
         self.session_id = session_id_from_seed(master_seed)
         self._counters = {}
+        self._masks = {}  # (i, j) -> the plaintext mask U last dealt at that shape
 
     def _rng(self, tag: int) -> np.random.Generator:
         ctr = self._counters.get(tag, 0)
@@ -139,12 +178,28 @@ class TrustedDealer:
         return make_ring_triple(u, v, self.params, rng)
 
     def matmul_block(self, dims):
-        i, j, k = dims
+        """Both parties' parts of one TAG_MATMUL record (see MatmulDims)."""
+        dims = MatmulDims(*dims)
+        i, j, k, kind = dims
         rng = self._rng(TAG_MATMUL)
-        u = random_ring_array(rng, self.params, (i, j))
-        v = random_ring_array(rng, self.params, (j, k))
-        (ua, va, wa), (ub, vb, wb) = make_ring_triple(u, v, self.params, rng)
-        return MatmulBlock(dims, ua, va, wa), MatmulBlock(dims, ub, vb, wb)
+        if kind == MATMUL_TRIPLE:
+            u = random_ring_array(rng, self.params, (i, j))
+            v = random_ring_array(rng, self.params, (j, k))
+            (ua, va, wa), (ub, vb, wb) = make_ring_triple(u, v, self.params, rng)
+            return MatmulBlock(dims, ua, va, wa), MatmulBlock(dims, ub, vb, wb)
+        if kind == MATMUL_MASK:
+            u = random_ring_array(rng, self.params, (i, j))
+            self._masks[(i, j)] = u
+            ua, ub = _share_ring(u, self.params, rng)
+            return MatmulBlock(dims, ua, None, None), MatmulBlock(dims, ub, None, None)
+        u = self._masks.get((i, j))
+        if u is None:
+            raise ProtocolError(f"no {i}x{j} mask dealt before the record {dims}")
+        _, v_shape, _ = dims.shapes()
+        v = random_ring_array(rng, self.params, v_shape)
+        w = u @ v if kind == MATMUL_REUSE else np.einsum("ij,ik->jk", u, v)
+        (va, vb), (wa, wb) = _share_ring(v, self.params, rng), _share_ring(w, self.params, rng)
+        return MatmulBlock(dims, None, va, wa), MatmulBlock(dims, None, vb, wb)
 
     def bit_pool_block(self, nbits: int):
         rng = self._rng(TAG_BIT)
@@ -194,8 +249,8 @@ class TrustedDealer:
     def generate(self, requests):
         """Materialize both parties' streams for an explicit request list.
 
-        Each request is (tag, meta): n for pools, (i, j, k) for matmul,
-        (width, batch) for prefix-network blocks.
+        Each request is (tag, meta): n for pools, MatmulDims or a plain
+        (i, j, k) for matmul, (width, batch) for prefix-network blocks.
         """
         sa = MaterializedSource(self.params, self.session_id)
         sb = MaterializedSource(self.params, self.session_id)
@@ -205,7 +260,8 @@ class TrustedDealer:
                 sa._append_ring(tag, int(meta), a)
                 sb._append_ring(tag, int(meta), b)
             elif tag == TAG_MATMUL:
-                a, b = self.matmul_block(tuple(meta))
+                meta = MatmulDims(*meta)
+                a, b = self.matmul_block(meta)
                 sa._append_matmul(a)
                 sb._append_matmul(b)
             elif tag == TAG_BIT:
@@ -235,6 +291,8 @@ class RandomnessSource:
         raise NotImplementedError
 
     def take_matmul_triple(self, dims):
+        """(U, V, W) parts of the next TAG_MATMUL record, None where the
+        record's kind lacks a part; raises ProtocolError if its dims differ."""
         raise NotImplementedError
 
     def take_bit_triples(self, nbits: int):
@@ -311,9 +369,10 @@ class MaterializedSource(RandomnessSource):
         if not self._matmul:
             raise RandomnessUnderflowError("matmul triple stream exhausted")
         block = self._matmul.popleft()
-        if block.dims != tuple(dims):
+        dims = MatmulDims(*dims)
+        if block.dims != dims:
             raise ProtocolError(
-                f"matmul triple dims mismatch: stream has {block.dims}, requested {tuple(dims)}"
+                f"matmul triple dims mismatch: stream has {block.dims}, requested {dims}"
             )
         return block.u, block.v, block.w
 
@@ -364,7 +423,7 @@ class OnDemandSource(RandomnessSource):
         return self._half(self._dealer.ring_pool_block(n, tag))
 
     def take_matmul_triple(self, dims):
-        block = self._half(self._dealer.matmul_block(tuple(dims)))
+        block = self._half(self._dealer.matmul_block(dims))
         return block.u, block.v, block.w
 
     def take_bit_triples(self, nbits):
@@ -431,11 +490,12 @@ def serialize_stream(source: MaterializedSource) -> bytes:
         elif tag == TAG_MATMUL:
             block = matmul[mi]
             mi += 1
-            i, j, k = block.dims
+            i, j, k, kind = block.dims
             payload = b"".join(
-                arr.astype(np.uint64).tobytes() for arr in (block.u, block.v, block.w)
+                arr.astype(np.uint64).tobytes()
+                for arr in (block.u, block.v, block.w) if arr is not None
             )
-            chunks.append(_RECORD_HEADER.pack(tag, i, j, k) + payload)
+            chunks.append(_RECORD_HEADER.pack(tag | kind << _KIND_SHIFT, i, j, k) + payload)
         elif tag == TAG_PREFIXNET:
             block = prefix[pi]
             pi += 1
@@ -476,6 +536,9 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
     for _ in range(nrecords):
         raw = take(_RECORD_HEADER.size)
         tag, m0, m1, m2 = _RECORD_HEADER.unpack(raw)
+        tag, kind = tag & ((1 << _KIND_SHIFT) - 1), tag >> _KIND_SHIFT
+        if kind and (tag != TAG_MATMUL or kind > MATMUL_REUSE_T):
+            raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
         if tag in (TAG_SCALAR, TAG_CONVERSION):
             n = m0
             words = np.frombuffer(take(3 * n * word), dtype=np.uint64)
@@ -492,12 +555,15 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
             source._append_bits(n, tuple(vals))
             source._records.append((tag, n))
         elif tag == TAG_MATMUL:
-            i, j, k = m0, m1, m2
-            u = np.frombuffer(take(i * j * word), dtype=np.uint64).reshape(i, j).astype(params.dtype)
-            v = np.frombuffer(take(j * k * word), dtype=np.uint64).reshape(j, k).astype(params.dtype)
-            w = np.frombuffer(take(i * k * word), dtype=np.uint64).reshape(i, k).astype(params.dtype)
-            source._append_matmul(MatmulBlock((i, j, k), u, v, w))
-            source._records.append((tag, (i, j, k)))
+            dims = MatmulDims(m0, m1, m2, kind)
+            parts = [
+                None if shape is None else
+                np.frombuffer(take(shape[0] * shape[1] * word), dtype=np.uint64)
+                .reshape(shape).astype(params.dtype)
+                for shape in dims.shapes()
+            ]
+            source._append_matmul(MatmulBlock(dims, *parts))
+            source._records.append((tag, dims))
         elif tag == TAG_PREFIXNET:
             width, batch = m0, m1
             plan = cached_plan(width)

@@ -1,11 +1,13 @@
 """Secure logistic regression training and its plaintext reference trainers.
 
 One secure iteration runs three strictly separated phases, everything inside
-a phase batched into single rounds: (1) one shared matrix product computes
-every example's weighted sum, truncated locally; (2) one batched activation;
-(3) one batched elementwise multiplication forms the per-example gradients,
-which are accumulated, truncated, scaled by the public learning rate and
-truncated once more, all locally.  The learning rate is applied at the weight
+a phase batched into single rounds: (1) one matrix product X·w computes every
+example's weighted sum, truncated locally; (2) one batched activation; (3) one
+matrix product Xᵀ·(t - o) forms the gradient summed over the examples, which
+is truncated, scaled by the public learning rate and truncated once more, all
+locally.  Both products run against one mask of X that the dealer deals once:
+X - U is opened in the first round of the run, so each later product opens
+only its vector operand.  The learning rate is applied at the weight
 update as a public fixed-point constant, so its quantized value (for example
 encode(0.001) with 12 fractional bits is 4, an effective rate of about
 0.00098) is what the model actually trains with.
@@ -25,17 +27,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import batch_activate, clipped_relu, clipped_relu_fixed
-from .engine import Session, batch_mul, matmul
+from .engine import MaskedMatrix, Session, batch_mul, matmul
 from .errors import ProtocolError
 from .fixedpoint import FixedPointParams, decode_array, encode, encode_array, exact_truncate
 from .prefixnet import cached_plan
 from .randomness import (
+    MATMUL_MASK,
+    MATMUL_REUSE,
+    MATMUL_REUSE_T,
     TAG_BIT,
     TAG_CONVERSION,
     TAG_MATMUL,
     TAG_PREFIXNET,
     TAG_SCALAR,
+    MatmulDims,
 )
+from .transport import FRAME_HEADER
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,13 @@ def train_plain_fixed(X: np.ndarray, t: np.ndarray, cfg: TrainingConfig) -> np.n
 
 def train_secure(sess: Session, x_share: np.ndarray, t_share: np.ndarray,
                  cfg: TrainingConfig) -> np.ndarray:
-    """Run the secure training protocol; returns this party's weight shares."""
+    """Run the secure training protocol; returns this party's weight shares.
+
+    X is wrapped once as a MaskedMatrix: the first iteration's forward
+    product also opens X - U, and afterwards each iteration sends m1 words
+    for X·w and n words for the gradient Xᵀ·(t - o), plus the activation.
+    Every iteration costs the same number of rounds.
+    """
     params = sess.params
     x_share = np.asarray(x_share, dtype=params.dtype)
     t_share = np.asarray(t_share, dtype=params.dtype)
@@ -138,16 +151,14 @@ def train_secure(sess: Session, x_share: np.ndarray, t_share: np.ndarray,
         raise ProtocolError(
             f"share dimension mismatch: X {x_share.shape}, labels {t_share.shape}"
         )
-    n, m1 = x_share.shape
+    x = MaskedMatrix(x_share)
     eta_enc = params.dtype(encode(cfg.eta, params))
-    w = np.zeros(m1, dtype=params.dtype)
+    w = np.zeros(x.shape[1], dtype=params.dtype)
     for _ in range(cfg.n_iter):
-        z = matmul(sess, x_share, w.reshape(-1, 1)).ravel()
+        z = matmul(sess, x, w.reshape(-1, 1)).ravel()
         z = sess.truncate(z)
         o = batch_activate(sess, z)
-        diff = t_share - o
-        grad = batch_mul(sess, np.repeat(diff, m1), x_share.ravel())
-        delta = grad.reshape(n, m1).sum(axis=0, dtype=params.dtype)
+        delta = batch_mul(sess, x, t_share - o)
         delta = sess.truncate(delta)
         w = w + sess.truncate(eta_enc * delta)
     return w
@@ -179,29 +190,71 @@ def count_multiplications(n_samples: int, n_features: int, n_iter: int,
     }
 
 
+def count_traffic(n_samples: int, n_features: int, n_iter: int,
+                  params: FixedPointParams) -> dict:
+    """Closed-form rounds and bytes that each party sends in one training run.
+
+    `n_features` excludes the dummy column.  Every round sends one frame, a
+    header plus 64-bit words; bit strings are packed into whole words each.
+    `open_x_bytes` is the one-off opening of X - U, which rides in the first
+    iteration's forward round; `iter_bytes` is what every iteration sends
+    besides it, O(n + m1) words.
+    """
+    n, m1 = n_samples, n_features + 1
+    width = params.frac_bits + params.int_bits + 2
+    plan = cached_plan(width)
+
+    def packed(nbits):
+        return max(1, -(-nbits // 64))
+
+    words = [m1, 2 * packed(width * n)]          # forward product, decomposition setup
+    for layer in range(1, plan.depth + 1):
+        published = len(plan.publish_at.get(layer, []))
+        if published or plan.layers[layer - 1]:
+            words.append(packed(2 * n * published))
+    slices = params.int_bits
+    while slices > 1:                            # OR tree, one level per round
+        words.append(2 * packed(slices // 2 * n))
+        slices -= slices // 2
+    # re-share, conversion product, two activation products, gradient
+    words += [2 * n, 4 * n, 2 * n, 2 * n, n]
+
+    iter_bytes = len(words) * FRAME_HEADER.size + 8 * sum(words)
+    open_x_bytes = 8 * n * m1 if n_iter else 0
+    return {
+        "rounds": n_iter * len(words),
+        "bytes": n_iter * iter_bytes + open_x_bytes,
+        "open_x_bytes": open_x_bytes,
+        "iter_bytes": iter_bytes,
+    }
+
+
 def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingConfig,
                                  slack: float = 0.05) -> list:
     """Request plan the trusted initializer uses to provision one training run.
 
-    Mirrors the consumption order of :func:`train_secure` exactly; pooled tags
-    get a slack tail so statistical paths never starve mid-run.
+    Mirrors the consumption order of :func:`train_secure` exactly: one mask
+    record for X, then per iteration a record that reuses it for X·w, the
+    activation's records and a record that reuses it for Xᵀ·(t - o).  The
+    mask is n x m1 words once; each reuse record is only n + m1 words.
+    Pooled tags get a slack tail so statistical paths never starve mid-run.
     """
     params = cfg.params
     m1 = n_features + 1
     width = params.frac_bits + params.int_bits + 2
-    requests = []
+    requests = [(TAG_MATMUL, MatmulDims(n_samples, m1, 0, MATMUL_MASK))] if cfg.n_iter else []
     for _ in range(cfg.n_iter):
-        requests.append((TAG_MATMUL, (n_samples, m1, 1)))
+        requests.append((TAG_MATMUL, MatmulDims(n_samples, m1, 1, MATMUL_REUSE)))
         requests.append((TAG_PREFIXNET, (width, n_samples)))
         if params.int_bits > 1:
             requests.append((TAG_BIT, (params.int_bits - 1) * n_samples))
         requests.append((TAG_CONVERSION, 2 * n_samples))
         requests.append((TAG_SCALAR, n_samples))
         requests.append((TAG_SCALAR, n_samples))
-        requests.append((TAG_SCALAR, n_samples * m1))
+        requests.append((TAG_MATMUL, MatmulDims(n_samples, m1, 1, MATMUL_REUSE_T)))
     if cfg.n_iter and slack > 0:
         bit_total = (params.int_bits - 1) * n_samples * cfg.n_iter
-        scalar_total = (2 * n_samples + n_samples * m1) * cfg.n_iter
+        scalar_total = 2 * n_samples * cfg.n_iter
         conv_total = 2 * n_samples * cfg.n_iter
         if bit_total:
             requests.append((TAG_BIT, int(np.ceil(bit_total * slack))))

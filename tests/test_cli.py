@@ -1,5 +1,8 @@
 import csv
 import json
+import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +172,38 @@ class TestNetworkErrors:
         assert rc == 0
         rc = main(["train", "--role", "ti", "--randomness", "badmode"])
         assert rc == 2
+
+
+class TestProtocolErrors:
+    def test_randomness_for_other_dims_exits_6(self, toy_csv, tmp_path):
+        path, *_ = toy_csv  # 20 samples: the share matrix is 20 x 10
+        assert main(["split", "--data", str(path), "--shares-out", str(tmp_path / "t"),
+                     "--seed", "1"]) == 0
+        common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
+        assert main(["train", "--role", "ti", "--randomness", f"file:{tmp_path / 'crn'}",
+                     "--dims", "21x10", *common]) == 0
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        module = [sys.executable, "-m", "mpclr.cli", "train"]
+        procs = [
+            subprocess.Popen(module + ["--role", "alice", "--listen", f"127.0.0.1:{port}",
+                                       "--data", str(tmp_path / "t.alice.shr"),
+                                       "--randomness", f"file:{tmp_path / 'crn.alice.crn'}",
+                                       "--weights-out", str(tmp_path / "w.alice.shr"), *common],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True),
+            subprocess.Popen(module + ["--role", "bob", "--peer", f"127.0.0.1:{port}",
+                                       "--data", str(tmp_path / "t.bob.shr"),
+                                       "--randomness", f"file:{tmp_path / 'crn.bob.crn'}",
+                                       "--weights-out", str(tmp_path / "w.bob.shr"), *common],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True),
+        ]
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 6, err
+            assert err.strip().splitlines() == [err.strip()]
+            assert err.startswith("error: protocol:") and "mismatch" in err
 
 
 class TestBench:

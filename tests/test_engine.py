@@ -8,9 +8,10 @@ from mpclr import (
     RandomnessUnderflowError,
     Role,
 )
-from mpclr.engine import batch_bit_mul, batch_mul, inner_product, matmul, mul
+from mpclr.engine import MaskedMatrix, batch_bit_mul, batch_mul, inner_product, matmul, mul
 from mpclr.fixedpoint import exact_truncate
 from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
+from mpclr.transport import FRAME_HEADER
 from mpclr.sharing import split, split_array
 
 from helpers import forced_scalar_source, protocol_pair
@@ -120,6 +121,55 @@ class TestMatmul:
         )
         assert np.array_equal(ra + rb, x @ y)
         assert sa.transcript.ring_mults == 3 * 4 * 2
+
+
+class TestMaskedMatrix:
+    @pytest.mark.parametrize("params", [P8, P64], ids=["ring8", "ring64"])
+    def test_products_reuse_one_opening(self, params):
+        """X·y1, Xᵀ·g and X·y2 against one mask: exact products, one round
+        each, and only the first round carries X - U."""
+        rng = np.random.default_rng(17)
+        n, m = 4, 3
+
+        def ring(*shape):
+            raw = np.frombuffer(rng.bytes(8 * int(np.prod(shape))), dtype=np.uint64)
+            return raw.astype(params.dtype).reshape(shape)
+
+        x, y1, g, y2 = ring(n, m), ring(m, 1), ring(n), ring(m, 1)
+        shares = [split_array(v, params, rng) for v in (x, y1, g, y2)]
+
+        def side(idx):
+            def body(sess):
+                xs, a, b, c = (pair[idx].values for pair in shares)
+                mx = MaskedMatrix(xs)
+                out, sent = [], []
+                for op, operand in ((matmul, a), (batch_mul, b), (matmul, c)):
+                    before = sess.transcript.bytes_sent
+                    out.append(op(sess, mx, operand))
+                    sent.append(sess.transcript.bytes_sent - before)
+                return out, sent
+            return body
+
+        (oa, sent_a), (ob, sent_b), sa, sb = protocol_pair(params, side(0), side(1), seed=5)
+        assert np.array_equal(oa[0] + ob[0], x @ y1)
+        assert np.array_equal(oa[1] + ob[1], x.T @ g)
+        assert np.array_equal(oa[2] + ob[2], x @ y2)
+        word, head = 8, FRAME_HEADER.size
+        assert sent_a == sent_b == [head + word * (n * m + m), head + word * n, head + word * m]
+        assert sa.transcript.rounds == sb.transcript.rounds == 3
+        assert sa.transcript.ring_mults == 3 * n * m
+
+    def test_dimension_mismatch_aborts_before_randomness(self):
+        empty = (MaterializedSource(P8), MaterializedSource(P8))
+        x = np.zeros((4, 3), dtype=P8.dtype)
+        with pytest.raises(ProtocolError, match="dimension"):
+            protocol_pair(P8, lambda s: matmul(s, MaskedMatrix(x), np.zeros((4, 1), P8.dtype)),
+                          lambda s: matmul(s, MaskedMatrix(x), np.zeros((4, 1), P8.dtype)),
+                          sources=empty)
+        with pytest.raises(ProtocolError, match="dimension"):
+            protocol_pair(P8, lambda s: batch_mul(s, MaskedMatrix(x), np.zeros(3, P8.dtype)),
+                          lambda s: batch_mul(s, MaskedMatrix(x), np.zeros(3, P8.dtype)),
+                          sources=empty)
 
 
 class TestInnerProduct:

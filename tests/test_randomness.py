@@ -1,15 +1,26 @@
 import numpy as np
 import pytest
 
-from mpclr import FixedPointParams, ProtocolError, RandomnessUnderflowError, Role
+from mpclr import (
+    FixedPointParams,
+    ProtocolError,
+    RandomnessUnderflowError,
+    Role,
+    TrainingConfig,
+    training_randomness_requests,
+)
 from mpclr.errors import FormatError
 from mpclr.prefixnet import cached_plan, closed_form_mask_bits
 from mpclr.randomness import (
+    MATMUL_MASK,
+    MATMUL_REUSE,
+    MATMUL_REUSE_T,
     TAG_BIT,
     TAG_CONVERSION,
     TAG_MATMUL,
     TAG_PREFIXNET,
     TAG_SCALAR,
+    MatmulDims,
     OnDemandSource,
     TrustedDealer,
     deserialize_stream,
@@ -151,6 +162,114 @@ class TestStreams:
         od_b = OnDemandSource(77, Role.BOB, P64)
         assert np.array_equal(od_a.take_ring_triples(6)[0], src_a.take_ring_triples(6)[0])
         assert od_b.take_bit_triples(40) == src_b.take_bit_triples(40)
+
+
+def take(source, tag, meta):
+    """Consume one request's worth of randomness, whatever its tag."""
+    if tag in (TAG_SCALAR, TAG_CONVERSION):
+        return source.take_ring_triples(meta, tag)
+    if tag == TAG_BIT:
+        return source.take_bit_triples(meta)
+    if tag == TAG_MATMUL:
+        return source.take_matmul_triple(meta)
+    block = source.take_prefix_block(*meta)
+    return (block.setup_u, block.setup_v, block.setup_w,
+            block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)
+
+
+def same_parts(a, b):
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+               for x, y in zip(a, b, strict=True))
+
+
+def crn1_bytes(requests, params):
+    """Size of one party's CRN1 stream, from the request metadata alone."""
+    def packed(nbits):
+        return max(1, -(-nbits // 64))
+
+    words = 0
+    for tag, meta in requests:
+        if tag in (TAG_SCALAR, TAG_CONVERSION):
+            words += 3 * meta
+        elif tag == TAG_BIT:
+            words += 3 * packed(meta)
+        elif tag == TAG_MATMUL:
+            words += sum(r * c for r, c in filter(None, MatmulDims(*meta).shapes()))
+        else:
+            width, batch = meta
+            plan = cached_plan(width)
+            nodes = 2 * len(plan.masked_nodes) + 2 * len(plan.compositions)
+            words += 3 * packed(width * batch) + nodes * packed(batch)
+    return 18 + 25 * len(requests) + 8 * words  # file header, record headers, words
+
+
+class TestMaskedRecords:
+    N, M = 5, 3
+    MASK = (TAG_MATMUL, MatmulDims(N, M, 0, MATMUL_MASK))
+    FORWARD = (TAG_MATMUL, MatmulDims(N, M, 1, MATMUL_REUSE))
+    GRADIENT = (TAG_MATMUL, MatmulDims(N, M, 1, MATMUL_REUSE_T))
+    REQUESTS = [MASK, FORWARD, (TAG_SCALAR, 4), GRADIENT, (TAG_MATMUL, (2, 3, 1)), FORWARD]
+
+    def test_reuse_records_carry_products_with_the_mask(self):
+        src_a, src_b = TrustedDealer(8, P64).generate(self.REQUESTS)
+        parts = [(take(src_a, *r), take(src_b, *r)) for r in self.REQUESTS]
+        (ua, va, wa), (ub, vb, wb) = parts[0]
+        assert va is wa is vb is wb is None
+        u = ua + ub
+        for (a, b), transpose in ((parts[1], False), (parts[3], True), (parts[5], False)):
+            assert a[0] is None and b[0] is None
+            v, w = a[1] + b[1], a[2] + b[2]
+            assert np.array_equal(w, (u.T if transpose else u) @ v)
+        assert parts[1][0][1].shape == (self.M, 1) and parts[3][0][1].shape == (self.N, 1)
+
+    def test_round_trip(self):
+        src_a, _ = TrustedDealer(8, P64).generate(self.REQUESTS)
+        data = serialize_stream(src_a)
+        back = deserialize_stream(data, P64)
+        assert serialize_stream(back) == data
+        for request in self.REQUESTS:
+            assert same_parts(take(back, *request), take(src_a, *request))
+
+    def test_unknown_kind_rejected(self):
+        src_a, _ = TrustedDealer(8, P64).generate([self.MASK])
+        raw = bytearray(serialize_stream(src_a))
+        raw[18] = TAG_MATMUL | 7 << 4  # first record's tag byte
+        with pytest.raises(FormatError, match="kind"):
+            deserialize_stream(bytes(raw), P64)
+
+    def test_on_demand_matches_materialized_training_plan(self):
+        cfg = TrainingConfig(eta=0.05, n_iter=3, params=P64, seed=21)
+        requests = training_randomness_requests(6, 4, cfg)
+        streams = TrustedDealer(21, P64).generate(requests)
+        for role, stream in zip((Role.ALICE, Role.BOB), streams):
+            on_demand = OnDemandSource(21, role, P64)
+            for request in requests:
+                assert same_parts(take(on_demand, *request), take(stream, *request)), request
+
+    def test_stream_for_other_dims_is_a_protocol_error(self):
+        src_a, src_b = TrustedDealer(8, P64).generate(self.REQUESTS)
+        with pytest.raises(ProtocolError, match="mismatch"):
+            src_a.take_matmul_triple(MatmulDims(self.N + 1, self.M, 0, MATMUL_MASK))
+        take(src_b, *self.MASK)
+        with pytest.raises(ProtocolError, match="mismatch"):
+            src_b.take_matmul_triple(MatmulDims(self.N, self.M, 1, MATMUL_REUSE_T))
+
+    def test_reuse_before_mask_is_refused(self):
+        with pytest.raises(ProtocolError, match="mask"):
+            TrustedDealer(8, P64).generate([self.FORWARD])
+
+    def test_size_from_metadata_matches_serialized_stream(self):
+        cfg = TrainingConfig(eta=0.05, n_iter=2, params=P64, seed=3)
+        requests = training_randomness_requests(7, 5, cfg) + [(TAG_MATMUL, (2, 3, 4))]
+        src_a, _ = TrustedDealer(3, P64).generate(requests)
+        assert len(serialize_stream(src_a)) == crn1_bytes(requests, P64)
+
+    def test_paper_run_provisions_under_100_mb_per_party(self):
+        # 225 x 12,634 features, 223 iterations: about 21 GB per party when
+        # every iteration re-masked X
+        cfg = TrainingConfig(eta=0.001, n_iter=223, params=P64, seed=0)
+        requests = training_randomness_requests(225, 12_634, cfg)
+        assert crn1_bytes(requests, P64) < 100e6
 
 
 class TestMaskCountFormula:

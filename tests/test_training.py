@@ -8,6 +8,7 @@ from mpclr import (
     RandomnessUnderflowError,
     TrainingConfig,
     count_multiplications,
+    count_traffic,
     predict_and_score,
     train_plain_fixed,
     train_plain_float,
@@ -239,3 +240,33 @@ class TestCostAccounting:
     def test_genome_scale_order_of_magnitude(self):
         counts = count_multiplications(225, 12_634, 223, P64)
         assert 1e9 <= counts["total"] <= 1e10
+
+
+class TestTrafficModel:
+    def test_matches_both_transcripts_on_criterion_9_shapes(self):
+        for n, m, iters in [(5, 3, 2), (8, 1, 3), (4, 6, 5)]:
+            feats, labels = separable_toy(n, m, seed=n + m)
+            cfg = TrainingConfig(eta=0.05, n_iter=iters, params=P64, seed=17)
+            _, _, (sa, sb), _ = secure_run(feats, labels, cfg)
+            traffic = count_traffic(n, m, iters, P64)
+            for tr in (sa.transcript, sb.transcript):
+                assert (tr.rounds, tr.bytes_sent) == (traffic["rounds"], traffic["bytes"])
+            assert traffic["rounds"] == 16 * iters
+            assert traffic["open_x_bytes"] == 8 * n * (m + 1)
+
+    def test_iterations_after_the_first_send_only_the_linear_term(self):
+        feats, labels = separable_toy(6, 3)
+        sent = []
+        for iters in (1, 4):
+            cfg = TrainingConfig(eta=0.05, n_iter=iters, params=P64, seed=2)
+            _, _, (sa, _), _ = secure_run(feats, labels, cfg)
+            sent.append(sa.transcript.bytes_sent)
+        traffic = count_traffic(6, 3, 4, P64)
+        assert sent[1] - sent[0] == 3 * traffic["iter_bytes"]
+        assert sent[0] == traffic["iter_bytes"] + traffic["open_x_bytes"]
+
+    def test_genome_scale(self):
+        traffic = count_traffic(225, 12_634, 223, P64)
+        assert traffic["iter_bytes"] < 1e6
+        assert traffic["open_x_bytes"] == 8 * 225 * 12_635
+        assert count_traffic(225, 12_634, 0, P64)["bytes"] == 0
