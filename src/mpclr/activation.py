@@ -17,6 +17,7 @@ import numpy as np
 from .bitops import decompose_batch_slices, or_tree_slices
 from .engine import Session, batch_mul, convert_bits_to_ring
 from .fixedpoint import FixedPointParams
+from .sharing import ones_row
 
 
 def clipped_relu(v):
@@ -49,14 +50,12 @@ def batch_activate(sess: Session, zs: np.ndarray) -> np.ndarray:
 
     slices = decompose_batch_slices(sess, masked, width)
 
-    ones = (1 << batch) - 1
     sign_slice = slices[a + b]  # bit a+b+1, LSB-first
-    pos_slice = sign_slice ^ ones if sess.is_alice else sign_slice
+    pos_slice = sign_slice ^ ones_row(batch) if sess.is_alice else sign_slice
     geq1_slice = or_tree_slices(sess, slices[a:a + b], batch)
 
     # both conversions share the re-share round and the multiplication round
-    cat = (pos_slice & ones) | ((geq1_slice & ones) << batch)
-    converted = convert_bits_to_ring(sess, cat, 2 * batch)
+    converted = convert_bits_to_ring(sess, np.stack([pos_slice, geq1_slice]), batch)
     pos_vec = converted[:batch]
     geq_vec = converted[batch:]
 

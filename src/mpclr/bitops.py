@@ -2,10 +2,13 @@
 
 Two decomposition routes are kept deliberately: a ripple-carry reference with
 linear round count, and the optimized route that evaluates the carry-prefix
-network in ceil(log2(p-1)) + 1 rounds.  The optimized route works internally
-on vertical bit slices, one packed integer per bit position holding that bit
-of every batched element, so each network layer is a single exchange no
-matter how many values are being decomposed at once.
+network in ceil(log2(p-1)) + 1 rounds.  The optimized route works on vertical
+bit slices: a matrix with one packed row per bit position or network node,
+each row holding that bit of every batched element, so each network layer is
+a single exchange and a few whole-matrix operations no matter how many values
+are being decomposed at once.  The single-value routes (`decompose_ripple`,
+`compose_carry`, `decompose_opt`, `or_tree`, `convert_bit_to_ring`) are test
+references on Python integers.
 """
 
 from __future__ import annotations
@@ -16,7 +19,16 @@ import numpy as np
 
 from .engine import Session, batch_bit_mul, convert_bits_to_ring
 from .prefixnet import cached_plan
-from .sharing import BitShare, BitVectorShare, RingShare
+from .sharing import (
+    BitShare,
+    BitVectorShare,
+    RingShare,
+    int_to_words,
+    ones_row,
+    pack_rows,
+    unpack_rows,
+    words_to_int,
+)
 
 
 @dataclass(frozen=True)
@@ -37,11 +49,15 @@ def _own_operand_bits(sess: Session, value: int, width: int):
     return 0, own
 
 
-def _const_flip(sess: Session, bits: int, width: int) -> int:
-    """Add the public constant 1 in Z_2 (logical NOT): role A flips."""
-    if sess.is_alice:
-        return bits ^ ((1 << width) - 1)
-    return bits
+def _const_flip(sess: Session, bits, ones):
+    """Add the public constant 1 in Z_2 (logical NOT): role A XORs `ones`."""
+    return bits ^ ones if sess.is_alice else bits
+
+
+def _int_bit_mul(sess: Session, xs: int, ys: int, nbits: int) -> int:
+    """`batch_bit_mul` on `nbits`-bit Python integers, for the references."""
+    z = batch_bit_mul(sess, int_to_words(xs, nbits), int_to_words(ys, nbits), nbits)
+    return words_to_int(z[0], nbits)
 
 
 def decompose_ripple(sess: Session, x_share: int) -> BitVectorShare:
@@ -53,18 +69,18 @@ def decompose_ripple(sess: Session, x_share: int) -> BitVectorShare:
     a_sh, b_sh = _own_operand_bits(sess, x_share, lam)
     y = (x_share & sess.params.mask)  # own share IS this party's share of every y_i
 
-    carry = batch_bit_mul(sess, a_sh & 1, b_sh & 1, 1)
+    carry = _int_bit_mul(sess, a_sh & 1, b_sh & 1, 1)
     out = y & 1
     for i in range(2, lam + 1):
         ai = (a_sh >> (i - 1)) & 1
         bi = (b_sh >> (i - 1)) & 1
         yi = (y >> (i - 1)) & 1
         # d_i = NOT(a_i b_i) and e_i = NOT(y_i c_{i-1}) ride one batched call
-        prods = batch_bit_mul(sess, ai | (yi << 1), bi | (carry << 1), 2)
+        prods = _int_bit_mul(sess, ai | (yi << 1), bi | (carry << 1), 2)
         d = _const_flip(sess, prods & 1, 1)
         e = _const_flip(sess, (prods >> 1) & 1, 1)
         out |= (yi ^ carry) << (i - 1)
-        carry = _const_flip(sess, batch_bit_mul(sess, e, d, 1), 1)
+        carry = _const_flip(sess, _int_bit_mul(sess, e, d, 1), 1)
     return BitVectorShare(out, lam, sess.role)
 
 
@@ -76,7 +92,7 @@ def compose_carry(sess: Session, left: CarrySignalPair, right: CarrySignalPair) 
     """
     xs = left.p.bit | (left.p.bit << 1)
     ys = right.p.bit | (right.g.bit << 1)
-    prods = batch_bit_mul(sess, xs, ys, 2)
+    prods = _int_bit_mul(sess, xs, ys, 2)
     p_out = prods & 1
     g_out = ((prods >> 1) & 1) ^ left.g.bit
     return CarrySignalPair(BitShare(p_out, sess.role), BitShare(g_out, sess.role))
@@ -87,46 +103,32 @@ def compose_carry(sess: Session, left: CarrySignalPair, right: CarrySignalPair) 
 # ---------------------------------------------------------------------------
 
 
-def _to_slices(values: np.ndarray, width: int) -> list:
-    """Transpose a batch of ring shares into per-bit-position slices."""
-    u = np.ascontiguousarray(values).astype(np.uint64)
-    out = []
-    for j in range(width):
-        bits = ((u >> np.uint64(j)) & np.uint64(1)).astype(np.uint8)
-        out.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
-    return out
+def _to_slices(values: np.ndarray, width: int) -> np.ndarray:
+    """Transpose a batch of ring shares into one packed row per bit position."""
+    values = np.ascontiguousarray(values)
+    raw = values.view(np.uint8).reshape(values.size, values.itemsize)[:, :(width + 7) // 8]
+    # byte k of every value in one row; unpacking along the rows puts bit
+    # 8k + j of every value in row 8k + j
+    bits = np.unpackbits(np.ascontiguousarray(raw.T), axis=0, count=width, bitorder="little")
+    return pack_rows(bits)
 
 
-def _from_slices(slices: list, batch: int) -> np.ndarray:
-    acc = np.zeros(batch, dtype=np.uint64)
-    nbytes = (batch + 7) // 8
-    for j, s in enumerate(slices):
-        raw = (s & ((1 << batch) - 1)).to_bytes(nbytes, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=batch, bitorder="little")
-        acc |= bits.astype(np.uint64) << np.uint64(j)
-    return acc
-
-
-def _concat_slices(slices: list, batch: int) -> int:
-    acc = 0
-    for i, s in enumerate(slices):
-        acc |= (s & ((1 << batch) - 1)) << (i * batch)
-    return acc
-
-
-def _split_slices(cat: int, count: int, batch: int) -> list:
-    mask = (1 << batch) - 1
-    return [(cat >> (i * batch)) & mask for i in range(count)]
+def _from_slices(slices, batch: int) -> np.ndarray:
+    """Inverse of `_to_slices`: rows of bit positions (LSB first) -> values."""
+    bits = unpack_rows(np.asarray(slices, dtype=np.uint64), batch)
+    per_value = np.zeros((batch, 64), dtype=np.uint8)
+    per_value[:, :len(bits)] = bits.T
+    return np.packbits(per_value, axis=1, bitorder="little").view(np.uint64).reshape(batch)
 
 
 def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
-                           collect_nodes: dict | None = None) -> list:
+                           collect_nodes: dict | None = None) -> np.ndarray:
     """Decompose the low `width` bits of a batch of shared values.
 
-    Returns `width` sum-bit slices (LSB first), each a packed integer with one
-    bit per batch element.  `collect_nodes`, when given, receives this party's
-    (p, g) slice shares for every network node, keyed by node, for oracle-mode
-    inspection.
+    Returns this party's shares of the `width` sum bits as a matrix of
+    packed rows, LSB first, one bit per batch element.  `collect_nodes`,
+    when given, receives this party's (p, g) row shares for every network
+    node, keyed by node, for oracle-mode inspection.
     """
     if width > sess.params.ring_bits:
         raise ValueError(f"cannot decompose {width} bits of a {sess.params.ring_bits}-bit ring")
@@ -137,87 +139,70 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     plan = cached_plan(width)
     block = sess.randomness.take_prefix_block(width, batch)
 
-    own_slices = _to_slices(shares, width)
-    total = width * batch
-    a_cat = _concat_slices(own_slices, batch) if sess.is_alice else 0
-    b_cat = 0 if sess.is_alice else _concat_slices(own_slices, batch)
+    own = _to_slices(shares, width)
+    zero = np.zeros_like(own)
+    a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
 
     # Setup round: every position's generate bit in one batched multiplication.
-    d = a_cat ^ block.setup_u
-    e = b_cat ^ block.setup_v
-    d_open, e_open = sess.open_bit_strings([(d, total), (e, total)])
-    g_cat = block.setup_w ^ (e_open & block.setup_u) ^ (d_open & block.setup_v)
+    d_open, e_open = sess.open_bit_strings(
+        [a_rows ^ block.setup_u, b_rows ^ block.setup_v], batch)
+    g_setup = block.setup_w ^ (e_open & block.setup_u) ^ (d_open & block.setup_v)
     if sess.is_alice:
-        g_cat ^= d_open & e_open
-    sess.transcript.bit_mults += total
-    sess.transcript.mask_bits_sent += 2 * total
-    g_slices = _split_slices(g_cat, width, batch)
+        g_setup ^= d_open & e_open
+    sess.transcript.bit_mults += width * batch
+    sess.transcript.mask_bits_sent += 2 * width * batch
 
-    nodes = {}
-    for s in range(1, width + 1):
-        nodes[(s, s)] = (own_slices[s - 1], g_slices[s - 1])
+    # Node rows: the setup positions, then one per composition in plan order.
+    nodes = len(plan.node_rows)
+    p_rows = np.empty((nodes, own.shape[1]), dtype=np.uint64)
+    g_rows = np.empty_like(p_rows)
+    p_rows[:width], g_rows[:width] = own, g_setup
+    # opened masked signals, by mask row
+    dp = np.empty_like(block.mask_p)
+    dg = np.empty_like(block.mask_g)
 
-    published = {}
-    comp_index = 0
-    ones = (1 << batch) - 1
-    for layer_no in range(1, plan.depth + 1):
-        pubs = plan.publish_at.get(layer_no, [])
-        comps = plan.layers[layer_no - 1]
-        if not pubs and not comps:
-            continue
-        cat = 0
-        for i, node in enumerate(pubs):
-            idx = plan.mask_index(node)
-            p_sl, g_sl = nodes[node]
-            cat |= ((p_sl ^ block.mask_p[idx]) & ones) << (2 * i * batch)
-            cat |= ((g_sl ^ block.mask_g[idx]) & ones) << ((2 * i + 1) * batch)
-        (opened,) = sess.open_bit_strings([(cat, 2 * batch * len(pubs))])
-        sess.transcript.mask_bits_sent += 2 * batch * len(pubs)
-        for i, node in enumerate(pubs):
-            published[node] = (
-                (opened >> (2 * i * batch)) & ones,
-                (opened >> ((2 * i + 1) * batch)) & ones,
-            )
-        for comp in comps:
-            # comp.left covers the lower positions, comp.right the higher;
-            # the higher run is the left factor of the matrix composition
-            dp_lo, dg_lo = published[comp.left]
-            dp_hi, _ = published[comp.right]
-            lo = plan.mask_index(comp.left)
-            hi = plan.mask_index(comp.right)
-            p_out = (block.prod_pp[comp_index]
-                     ^ (dp_hi & block.mask_p[lo])
-                     ^ (dp_lo & block.mask_p[hi]))
-            g_out = (block.prod_pg[comp_index]
-                     ^ (dp_hi & block.mask_g[lo])
-                     ^ (dg_lo & block.mask_p[hi]))
-            if sess.is_alice:
-                p_out ^= dp_hi & dp_lo
-                g_out ^= dp_hi & dg_lo
-            g_out ^= nodes[comp.right][1]
-            nodes[comp.out] = (p_out, g_out)
-            comp_index += 1
-        sess.transcript.bit_mults += 2 * batch * len(comps)
+    for layer in plan.rounds:
+        masks = layer.pub_masks
+        masked = np.empty((2 * len(masks), own.shape[1]), dtype=np.uint64)
+        masked[0::2] = p_rows[layer.pub_rows] ^ block.mask_p[masks]
+        masked[1::2] = g_rows[layer.pub_rows] ^ block.mask_g[masks]
+        (opened,) = sess.open_bit_strings([masked], batch)
+        sess.transcript.mask_bits_sent += 2 * batch * len(masks)
+        dp[masks], dg[masks] = opened[0::2], opened[1::2]
+
+        # comp.left covers the lower positions, comp.right the higher; the
+        # higher run is the left factor of the matrix composition
+        lo, hi = plan.comp_lo[layer.comps], plan.comp_hi[layer.comps]
+        dp_lo, dg_lo, dp_hi = dp[lo], dg[lo], dp[hi]
+        p_out = (block.prod_pp[layer.comps]
+                 ^ (dp_hi & block.mask_p[lo])
+                 ^ (dp_lo & block.mask_p[hi]))
+        g_out = (block.prod_pg[layer.comps]
+                 ^ (dp_hi & block.mask_g[lo])
+                 ^ (dg_lo & block.mask_p[hi]))
+        if sess.is_alice:
+            p_out ^= dp_hi & dp_lo
+            g_out ^= dp_hi & dg_lo
+        g_out ^= g_rows[layer.hi_rows]
+        out = slice(width + layer.comps.start, width + layer.comps.stop)
+        p_rows[out], g_rows[out] = p_out, g_out
+        sess.transcript.bit_mults += 2 * batch * len(lo)
 
     if collect_nodes is not None:
-        collect_nodes.update(nodes)
+        collect_nodes.update({node: (p_rows[row], g_rows[row])
+                              for node, row in plan.node_rows.items()})
         collect_nodes["__plan__"] = plan
 
-    sum_slices = [own_slices[0]]
-    for j in range(2, width + 1):
-        carry = nodes[(1, j - 1)][1]
-        sum_slices.append(own_slices[j - 1] ^ carry)
-    return sum_slices
+    sums = own.copy()
+    sums[1:] ^= g_rows[plan.carry_rows]
+    return sums
 
 
 def decompose_opt(sess: Session, x_share: int, width: int | None = None) -> BitVectorShare:
     """Optimized decomposition of one shared value (low `width` bits)."""
     width = sess.params.ring_bits if width is None else width
     slices = decompose_batch_slices(sess, np.array([x_share], dtype=sess.params.dtype), width)
-    bits = 0
-    for j, s in enumerate(slices):
-        bits |= (s & 1) << j
-    return BitVectorShare(bits, width, sess.role)
+    return BitVectorShare(int(_from_slices(slices, 1)[0]), width, sess.role)
 
 
 def batch_decompose(sess: Session, shares: np.ndarray, width: int | None = None) -> list:
@@ -235,31 +220,28 @@ def batch_decompose(sess: Session, shares: np.ndarray, width: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-def or_tree_slices(sess: Session, slices: list, batch: int) -> int:
-    """OR over the slice list, elementwise across the batch.
+def or_tree_slices(sess: Session, slices, batch: int) -> np.ndarray:
+    """OR over the rows of a packed bit matrix, elementwise across the batch.
 
     NOT(AND(NOT ...)) evaluated as a balanced tree; one batched Z_2
-    multiplication per level, ceil(log2(k)) rounds in total.
+    multiplication per level, ceil(log2(k)) rounds in total.  Returns one
+    packed row.
     """
-    if not slices:
+    if len(slices) == 0:
         raise ValueError("or_tree needs at least one bit")
-    cur = [_const_flip(sess, s, batch) for s in slices]
+    ones = ones_row(batch)
+    cur = _const_flip(sess, np.asarray(slices, dtype=np.uint64), ones)
     while len(cur) > 1:
         pairs = len(cur) // 2
-        xs = _concat_slices(cur[0::2][:pairs], batch)
-        ys = _concat_slices(cur[1::2][:pairs], batch)
-        prod = batch_bit_mul(sess, xs, ys, pairs * batch)
-        nxt = _split_slices(prod, pairs, batch)
-        if len(cur) % 2:
-            nxt.append(cur[-1])
-        cur = nxt
-    return _const_flip(sess, cur[0], batch)
+        prod = batch_bit_mul(sess, cur[0:2 * pairs:2], cur[1:2 * pairs:2], batch)
+        cur = np.concatenate([prod, cur[2 * pairs:]])
+    return _const_flip(sess, cur[0], ones)
 
 
 def or_tree(sess: Session, bits: BitVectorShare) -> BitShare:
     """OR of the k secret bits inside one bit-vector share."""
-    slices = [(bits.bits >> i) & 1 for i in range(bits.n)]
-    return BitShare(or_tree_slices(sess, slices, 1), sess.role)
+    slices = [[(bits.bits >> i) & 1] for i in range(bits.n)]
+    return BitShare(int(or_tree_slices(sess, slices, 1)[0]), sess.role)
 
 
 def convert_bit_to_ring(sess: Session, x: BitShare) -> RingShare:

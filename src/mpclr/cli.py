@@ -30,7 +30,7 @@ from .errors import (
     RandomnessUnderflowError,
     TransportError,
 )
-from .fixedpoint import FixedPointParams, decode_array, encode_array
+from .fixedpoint import FixedPointParams, decode_array, encode, encode_array
 from .local import local_session_pair, party_rng, run_pair
 from .randomness import (
     MaterializedSource,
@@ -263,15 +263,20 @@ def _recv_randomness(channel, cfg) -> MaterializedSource:
     return source
 
 
+def _handshake_info(role: str, cfg, rows: int = 0, cols: int = 0) -> HandshakeInfo:
+    params = cfg.params
+    return HandshakeInfo(
+        role=role, ring_bits=params.ring_bits, frac_bits=params.frac_bits,
+        int_bits=params.int_bits, lr_encoded=encode(cfg.eta, params), n_iter=cfg.n_iter,
+        rows=rows, cols=cols, seed_commitment=session_id_from_seed(cfg.seed),
+    )
+
+
 def _train_party(role_name, listen, peers, data, weights_out, cfg, randomness):
     role = Role.ALICE if role_name == "alice" else Role.BOB
     x_share, t_share = _load_party_shares(data, cfg.params)
     n, m1 = x_share.shape
-    own = HandshakeInfo(
-        role=role.value, ring_bits=cfg.params.ring_bits, frac_bits=cfg.params.frac_bits,
-        int_bits=cfg.params.int_bits, rows=n, cols=m1 + 1,
-        seed_commitment=session_id_from_seed(cfg.seed),
-    )
+    own = _handshake_info(role.value, cfg, rows=n, cols=m1 + 1)
     online = randomness == "online"
     ti_channel = None
     peer_channel = None
@@ -348,11 +353,7 @@ def _train_ti(peers, cfg, randomness, dims):
         raise click.UsageError("--randomness must be 'online' or 'file:PATH'")
     if len(peers) != 2:
         raise click.UsageError("online TI needs --peer alice_host:port --peer bob_host:port")
-    own = HandshakeInfo(
-        role="TI", ring_bits=cfg.params.ring_bits, frac_bits=cfg.params.frac_bits,
-        int_bits=cfg.params.int_bits, rows=0, cols=0,
-        seed_commitment=session_id_from_seed(cfg.seed),
-    )
+    own = _handshake_info("TI", cfg)
     channels = []
     infos = []
     try:
@@ -485,7 +486,7 @@ def cmd_reconstruct(share_a, share_b, weights_out):
 
 def _bench_once(kind, batch, params, seed):
     from .activation import batch_activate
-    from .bitops import batch_decompose
+    from .bitops import decompose_batch_slices
 
     rng = np.random.default_rng(seed)
     if kind == "activation":
@@ -503,7 +504,7 @@ def _bench_once(kind, batch, params, seed):
     if kind == "activation":
         fn = lambda s, v: batch_activate(s, v)
     elif kind == "decompose":
-        fn = lambda s, v: batch_decompose(s, v)
+        fn = lambda s, v: decompose_batch_slices(s, v, params.ring_bits)
     else:
         fn = lambda s, v: batch_mul(s, v, v)
 

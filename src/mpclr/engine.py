@@ -27,7 +27,14 @@ from .randomness import (
     MatmulDims,
     RandomnessSource,
 )
-from .sharing import Role, pack_bits_to_words, random_ring_array, unpack_words_to_bits
+from .sharing import (
+    Role,
+    random_ring_array,
+    rows_to_string,
+    string_to_rows,
+    unpack_rows,
+    word_count,
+)
 from .transport import (
     MSG_OPEN_BITS,
     MSG_OPEN_RING,
@@ -110,7 +117,7 @@ class Session:
 
     def _to_words(self, *arrays) -> bytes:
         return b"".join(np.ascontiguousarray(a, dtype=self.params.dtype)
-                        .astype(np.uint64).tobytes() for a in arrays)
+                        .astype(np.uint64, copy=False).tobytes() for a in arrays)
 
     def _from_words(self, payload: bytes, *shapes):
         words = np.frombuffer(payload, dtype=np.uint64)
@@ -118,7 +125,7 @@ class Session:
         off = 0
         for shape in shapes:
             n = int(np.prod(shape)) if shape else 1
-            out.append(words[off:off + n].reshape(shape).astype(self.params.dtype))
+            out.append(words[off:off + n].reshape(shape).astype(self.params.dtype, copy=False))
             off += n
         if off != len(words):
             raise ProtocolError(f"ring payload has {len(words)} words, expected {off}")
@@ -135,21 +142,23 @@ class Session:
                 self.transcript.opened_words.extend(int(x) for x in np.ravel(arr))
         return opened if len(opened) > 1 else opened[0]
 
-    def open_bit_strings(self, strings_and_lengths) -> list:
-        """Open masked bit strings (packed LSB-first) in a single round."""
-        payload = b"".join(
-            pack_bits_to_words(bits, n).tobytes() for bits, n in strings_and_lengths
-        )
+    def open_bit_strings(self, matrices, batch: int) -> list:
+        """Open masked matrices of packed `batch`-bit rows in a single round.
+
+        Each matrix travels as one contiguous LSB-first string of its rows,
+        padded to a whole word.
+        """
+        payload = b"".join(rows_to_string(m, batch).tobytes() for m in matrices)
         reply = self.exchange(MSG_OPEN_BITS, payload)
+        words = np.frombuffer(reply, dtype=np.uint64, count=len(reply) // 8)
         out = []
         off = 0
-        for bits, n in strings_and_lengths:
-            nwords = max(1, (n + 63) // 64)
-            words = np.frombuffer(reply[off * 8:(off + nwords) * 8], dtype=np.uint64)
-            if len(words) != nwords:
+        for m in matrices:
+            count = word_count(len(m) * batch)
+            if off + count > len(words):
                 raise ProtocolError("bit payload shorter than expected")
-            out.append(bits ^ unpack_words_to_bits(words, n))
-            off += nwords
+            out.append(m ^ string_to_rows(words[off:off + count], len(m), batch))
+            off += count
         return out
 
     def truncate(self, values: np.ndarray) -> np.ndarray:
@@ -277,12 +286,22 @@ def inner_product(sess: Session, ws: np.ndarray, xs: np.ndarray) -> int:
     return int(out[0, 0])
 
 
-def batch_bit_mul(sess: Session, xs: int, ys: int, nbits: int) -> int:
-    """Bitwise AND of two packed Z_2 share strings; one round per call."""
-    u, v, w = sess.randomness.take_bit_triples(nbits)
-    d = xs ^ u
-    e = ys ^ v
-    d_open, e_open = sess.open_bit_strings([(d, nbits), (e, nbits)])
+def _bit_rows(rows) -> np.ndarray:
+    """A matrix of packed bit rows; a 1-d row or a small integer is one row."""
+    return np.atleast_2d(np.asarray(rows, dtype=np.uint64))
+
+
+def batch_bit_mul(sess: Session, xs, ys, batch: int) -> np.ndarray:
+    """Bitwise AND of two Z_2-shared matrices of packed `batch`-bit rows.
+
+    One round per call; the bit triples come from the pool as one string
+    and are split into rows like the operands.
+    """
+    xs, ys = _bit_rows(xs), _bit_rows(ys)
+    nbits = len(xs) * batch
+    u, v, w = (string_to_rows(s, len(xs), batch)
+               for s in sess.randomness.take_bit_triples(nbits))
+    d_open, e_open = sess.open_bit_strings([xs ^ u, ys ^ v], batch)
     z = w ^ (e_open & u) ^ (d_open & v)
     if sess.is_alice:
         z ^= d_open & e_open
@@ -290,15 +309,15 @@ def batch_bit_mul(sess: Session, xs: int, ys: int, nbits: int) -> int:
     return z
 
 
-def reshare_bits_to_ring(sess: Session, bits: int, n: int):
-    """Re-share each of this party's n bits as additive ring sharings.
+def reshare_bits_to_ring(sess: Session, rows, batch: int):
+    """Re-share each of this party's bits as additive ring sharings.
 
-    Returns (alice_bit_shares, bob_bit_shares): this party's share of the
-    ring sharing of Alice's bit vector and of Bob's bit vector.
+    `rows` holds packed `batch`-bit rows; the n = rows x batch bits are taken
+    row after row.  Returns (alice_bit_shares, bob_bit_shares): this party's
+    share of the ring sharing of Alice's bit vector and of Bob's bit vector.
     """
-    raw = (bits & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
-    own = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n,
-                        bitorder="little").astype(sess.params.dtype)
+    own = unpack_rows(_bit_rows(rows), batch).reshape(-1).astype(sess.params.dtype)
+    n = own.size
     keep = random_ring_array(sess.rng, sess.params, (n,))
     send = own - keep
     reply = sess.exchange(MSG_RESHARE, sess._to_words(send))
@@ -308,9 +327,10 @@ def reshare_bits_to_ring(sess: Session, bits: int, n: int):
     return recv, keep
 
 
-def convert_bits_to_ring(sess: Session, bits: int, n: int) -> np.ndarray:
-    """Z_2 -> Z_{2^ring} share conversion for n packed bits (two rounds)."""
-    a_sh, b_sh = reshare_bits_to_ring(sess, bits, n)
+def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
+    """Z_2 -> Z_{2^ring} share conversion of packed `batch`-bit rows (two
+    rounds); returns the ring shares row after row."""
+    a_sh, b_sh = reshare_bits_to_ring(sess, rows, batch)
     y = batch_mul(sess, a_sh, b_sh, tag=TAG_CONVERSION)
     two = sess.params.dtype(2)
     return a_sh + b_sh - two * y

@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 Node = tuple  # (start, end) run of positions, 1-based inclusive
 
 
@@ -34,6 +36,20 @@ class Composition:
     out: Node
     left: Node
     right: Node
+
+
+@dataclass(frozen=True)
+class LayerIndex:
+    """Index arrays that run one network round as whole-matrix operations.
+
+    Node rows number the setup positions 0..width-1 and then one row per
+    composition, in plan order; mask rows follow `masked_nodes`.
+    """
+
+    pub_rows: np.ndarray    # node rows whose masked signals are opened this round
+    pub_masks: np.ndarray   # their mask rows
+    comps: slice            # this round's compositions; their outputs are node rows width + comps
+    hi_rows: np.ndarray     # node row of each composition's higher run
 
 
 @dataclass
@@ -71,7 +87,33 @@ class PrefixNetworkPlan:
 
     def finalize(self):
         self._mask_lookup = {n: i for i, n in enumerate(self.masked_nodes)}
+        comps = self.compositions
+        self.node_rows = {(s, s): s - 1 for s in range(1, self.width + 1)}
+        self.node_rows.update({c.out: self.width + i for i, c in enumerate(comps)})
+        # mask rows of each composition's lower and higher run
+        self.comp_lo = self._mask_rows(c.left for c in comps)
+        self.comp_hi = self._mask_rows(c.right for c in comps)
+        # carry into position j + 1 is the generate signal of the run (1, j)
+        self.carry_rows = np.array([self.node_rows[(1, j)] for j in range(1, self.width)],
+                                   dtype=np.intp)
+        self.rounds = []  # one LayerIndex per layer that opens or composes anything
+        start = 0
+        for layer_no in range(1, self.depth + 1):
+            pubs = self.publish_at.get(layer_no, [])
+            stop = start + len(self.layers[layer_no - 1])
+            if pubs or stop > start:
+                self.rounds.append(LayerIndex(
+                    pub_rows=np.array([self.node_rows[n] for n in pubs], dtype=np.intp),
+                    pub_masks=self._mask_rows(pubs),
+                    comps=slice(start, stop),
+                    hi_rows=np.array([self.node_rows[c.right] for c in comps[start:stop]],
+                                     dtype=np.intp),
+                ))
+            start = stop
         return self
+
+    def _mask_rows(self, nodes) -> np.ndarray:
+        return np.array([self._mask_lookup[n] for n in nodes], dtype=np.intp)
 
 
 def closed_form_mask_bits(p: int) -> int:

@@ -20,7 +20,15 @@ import numpy as np
 from .errors import FormatError, ProtocolError, RandomnessUnderflowError
 from .fixedpoint import FixedPointParams
 from .prefixnet import cached_plan
-from .sharing import Role, random_bits, random_ring_array
+from .sharing import (
+    Role,
+    random_bits,
+    random_ring_array,
+    rows_to_string,
+    string_to_rows,
+    tail_mask,
+    word_count,
+)
 
 RANDOMNESS_MAGIC = b"CRN1"
 
@@ -87,19 +95,20 @@ class MatmulBlock:
 class PrefixBlock:
     """One party's masks for a single batched bit decomposition.
 
-    Bit strings are LSB-first integers: setup strings are width*batch bits,
-    node masks and composition products are batch bits each.
+    Every field is a matrix of packed `batch`-bit rows: the setup triple has
+    one row per bit position, the node masks one row per masked node and
+    the composition products one row per composition, in plan order.
     """
 
     width: int
     batch: int
-    setup_u: int
-    setup_v: int
-    setup_w: int
-    mask_p: list
-    mask_g: list
-    prod_pp: list
-    prod_pg: list
+    setup_u: np.ndarray
+    setup_v: np.ndarray
+    setup_w: np.ndarray
+    mask_p: np.ndarray
+    mask_g: np.ndarray
+    prod_pp: np.ndarray
+    prod_pg: np.ndarray
 
 
 @dataclass
@@ -110,12 +119,71 @@ class _RingPool:
     available: int = 0
 
 
-@dataclass
+def _read_bits(words: np.ndarray, start: int, nbits: int) -> np.ndarray:
+    """Copy of the `nbits` bits from bit `start` on of every packed string
+    in the rows of `words`.
+
+    A start inside a word funnel-shifts each output word from two input
+    words; `words` must hold one word past the last bit read.
+    """
+    first, shift = divmod(start, 64)
+    count = word_count(nbits)
+    out = words[:, first:first + count].copy()
+    if shift:
+        out >>= np.uint64(shift)
+        out |= words[:, first + 1:first + count + 1] << np.uint64(64 - shift)
+    out[:, -1] &= tail_mask(nbits)
+    return out
+
+
+def _write_bits(words: np.ndarray, start: int, src: np.ndarray):
+    """OR the packed strings in the rows of `src` into those of `words`,
+    from bit `start` on."""
+    first, shift = divmod(start, 64)
+    stop = first + src.shape[1]
+    if shift:
+        words[:, first:stop] |= src << np.uint64(shift)
+        words[:, first + 1:stop + 1] |= src >> np.uint64(64 - shift)
+    else:
+        words[:, first:stop] |= src
+
+
 class _BitPool:
-    u: int = 0
-    v: int = 0
-    w: int = 0
-    nbits: int = 0
+    """Bit triples as the rows u, v, w of one packed-string matrix, plus a
+    read cursor.
+
+    Appended records queue up and are joined onto the strings at the next
+    read, so loading a stream copies every bit once.
+    """
+
+    def __init__(self):
+        self.strings = np.zeros((3, 1), dtype=np.uint64)
+        self.joined = 0
+        self.cursor = 0
+        self._queue = []
+
+    @property
+    def nbits(self) -> int:
+        return self.joined + sum(n for n, _ in self._queue)
+
+    def append(self, nbits: int, parts):
+        self._queue.append((nbits, np.array(parts, dtype=np.uint64)))
+
+    def read(self, start: int, nbits: int) -> np.ndarray:
+        """The (u, v, w) strings of `nbits` triples from bit `start` on."""
+        if self._queue:
+            self._join()
+        return _read_bits(self.strings, start, nbits)
+
+    def _join(self):
+        total = self.nbits
+        strings = np.zeros((3, word_count(total) + 1), dtype=np.uint64)
+        strings[:, :self.strings.shape[1]] = self.strings
+        start = self.joined
+        for nbits, parts in self._queue:
+            _write_bits(strings, start, parts)
+            start += nbits
+        self.strings, self.joined, self._queue = strings, total, []
 
 
 def make_ring_triple(u_vals: np.ndarray, v_vals: np.ndarray, params: FixedPointParams,
@@ -144,7 +212,8 @@ def _share_ring(vals: np.ndarray, params: FixedPointParams, rng: np.random.Gener
 
 
 def make_bit_triple(nbits: int, rng: np.random.Generator, u_vals=None, v_vals=None):
-    """Share a batched Z_2 triple of `nbits` bitwise products."""
+    """Share a batched Z_2 triple of `nbits` bitwise products, as packed
+    strings: ((uA, vA, wA), (uB, vB, wB))."""
     u = random_bits(rng, nbits) if u_vals is None else u_vals
     v = random_bits(rng, nbits) if v_vals is None else v_vals
     w = u & v
@@ -208,42 +277,28 @@ class TrustedDealer:
     def prefix_block(self, width: int, batch: int):
         plan = cached_plan(width)
         rng = self._rng(TAG_PREFIXNET)
-        nsetup = width * batch
+        setup_a, setup_b = (
+            [string_to_rows(s, width, batch) for s in half]
+            for half in make_bit_triple(width * batch, rng)
+        )
 
-        setup_a, setup_b = make_bit_triple(nsetup, rng)
+        def draw_rows(per_row: int, nrows: int):
+            draws = [random_bits(rng, batch) for _ in range(per_row * nrows)]
+            rows = np.array(draws, dtype=np.uint64).reshape(nrows, per_row, -1)
+            return [np.ascontiguousarray(rows[:, i]) for i in range(per_row)]
 
-        mask_p_vals, mask_g_vals = [], []
-        mask_p_a, mask_g_a, mask_p_b, mask_g_b = [], [], [], []
-        for _ in plan.masked_nodes:
-            pv = random_bits(rng, batch)
-            gv = random_bits(rng, batch)
-            pa = random_bits(rng, batch)
-            ga = random_bits(rng, batch)
-            mask_p_vals.append(pv)
-            mask_g_vals.append(gv)
-            mask_p_a.append(pa)
-            mask_g_a.append(ga)
-            mask_p_b.append(pv ^ pa)
-            mask_g_b.append(gv ^ ga)
-
+        # each masked node draws its p and g masks, then Alice's shares of them
+        p_val, g_val, p_a, g_a = draw_rows(4, len(plan.masked_nodes))
         # The higher-position run is the left factor of the matrix product, so
         # the cross product couples its propagate mask with the lower run's
         # generate mask.
-        pp_a, pg_a, pp_b, pg_b = [], [], [], []
-        for comp in plan.compositions:
-            lo = plan.mask_index(comp.left)
-            hi = plan.mask_index(comp.right)
-            pp_val = mask_p_vals[hi] & mask_p_vals[lo]
-            pg_val = mask_p_vals[hi] & mask_g_vals[lo]
-            a1 = random_bits(rng, batch)
-            a2 = random_bits(rng, batch)
-            pp_a.append(a1)
-            pg_a.append(a2)
-            pp_b.append(pp_val ^ a1)
-            pg_b.append(pg_val ^ a2)
+        pp_a, pg_a = draw_rows(2, len(plan.compositions))
+        lo, hi = plan.comp_lo, plan.comp_hi
+        pp_b = p_val[hi] & p_val[lo] ^ pp_a
+        pg_b = p_val[hi] & g_val[lo] ^ pg_a
 
-        block_a = PrefixBlock(width, batch, *setup_a, mask_p_a, mask_g_a, pp_a, pg_a)
-        block_b = PrefixBlock(width, batch, *setup_b, mask_p_b, mask_g_b, pp_b, pg_b)
+        block_a = PrefixBlock(width, batch, *setup_a, p_a, g_a, pp_a, pg_a)
+        block_b = PrefixBlock(width, batch, *setup_b, p_val ^ p_a, g_val ^ g_a, pp_b, pg_b)
         return block_a, block_b
 
     def generate(self, requests):
@@ -325,11 +380,7 @@ class MaterializedSource(RandomnessSource):
         pool.available += n
 
     def _append_bits(self, nbits, parts):
-        u, v, w = parts
-        self._bits.u |= u << self._bits.nbits
-        self._bits.v |= v << self._bits.nbits
-        self._bits.w |= w << self._bits.nbits
-        self._bits.nbits += nbits
+        self._bits.append(nbits, parts)
 
     def _append_matmul(self, block):
         self._matmul.append(block)
@@ -377,17 +428,16 @@ class MaterializedSource(RandomnessSource):
         return block.u, block.v, block.w
 
     def take_bit_triples(self, nbits):
-        if self._bits.nbits < nbits:
+        """Next `nbits` bit triples as three packed strings (u, v, w)."""
+        pool = self._bits
+        have = pool.nbits - pool.cursor
+        if have < nbits:
             raise RandomnessUnderflowError(
-                f"bit-triple pool exhausted: requested {nbits}, have {self._bits.nbits}"
+                f"bit-triple pool exhausted: requested {nbits}, have {have}"
             )
-        mask = (1 << nbits) - 1
-        out = (self._bits.u & mask, self._bits.v & mask, self._bits.w & mask)
-        self._bits.u >>= nbits
-        self._bits.v >>= nbits
-        self._bits.w >>= nbits
-        self._bits.nbits -= nbits
-        return out
+        u, v, w = pool.read(pool.cursor, nbits)
+        pool.cursor += nbits
+        return u, v, w
 
     def take_prefix_block(self, width, batch):
         if not self._prefix:
@@ -441,15 +491,6 @@ _FILE_HEADER = struct.Struct("<4sHQI")
 _RECORD_HEADER = struct.Struct("<BQQQ")
 
 
-def _bits_to_words(value: int, nbits: int) -> np.ndarray:
-    nwords = (max(nbits, 1) + 63) // 64
-    return np.frombuffer(value.to_bytes(nwords * 8, "little"), dtype=np.uint64)
-
-
-def _words_to_bits(words: np.ndarray, nbits: int) -> int:
-    return int.from_bytes(np.asarray(words, dtype=np.uint64).tobytes(), "little") & ((1 << nbits) - 1)
-
-
 def serialize_stream(source: MaterializedSource) -> bytes:
     """Serialize one party's stream; records keep generation order."""
     chunks = [
@@ -480,11 +521,7 @@ def serialize_stream(source: MaterializedSource) -> bytes:
             chunks.append(_RECORD_HEADER.pack(tag, n, 0, 0) + payload)
         elif tag == TAG_BIT:
             n = int(meta)
-            mask = (1 << n) - 1
-            body = b"".join(
-                _bits_to_words((val >> bit_cursor) & mask, n).tobytes()
-                for val in (source._bits.u, source._bits.v, source._bits.w)
-            )
+            body = source._bits.read(bit_cursor, n).tobytes()
             bit_cursor += n
             chunks.append(_RECORD_HEADER.pack(tag, n, 0, 0) + body)
         elif tag == TAG_MATMUL:
@@ -500,11 +537,11 @@ def serialize_stream(source: MaterializedSource) -> bytes:
             block = prefix[pi]
             pi += 1
             body = [
-                _bits_to_words(val, block.width * block.batch).tobytes()
-                for val in (block.setup_u, block.setup_v, block.setup_w)
+                rows_to_string(rows, block.batch).tobytes()
+                for rows in (block.setup_u, block.setup_v, block.setup_w)
             ]
-            for seq in (block.mask_p, block.mask_g, block.prod_pp, block.prod_pg):
-                body.extend(_bits_to_words(v, block.batch).tobytes() for v in seq)
+            body += [rows.tobytes() for rows in
+                     (block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)]
             chunks.append(_RECORD_HEADER.pack(tag, block.width, block.batch, 0) + b"".join(body))
         else:
             raise ValueError(f"unknown tag {tag}")
@@ -533,6 +570,9 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
         off += nbytes
         return out
 
+    def take_words(count):
+        return np.frombuffer(take(count * word), dtype=np.uint64)
+
     for _ in range(nrecords):
         raw = take(_RECORD_HEADER.size)
         tag, m0, m1, m2 = _RECORD_HEADER.unpack(raw)
@@ -541,25 +581,19 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
             raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
         if tag in (TAG_SCALAR, TAG_CONVERSION):
             n = m0
-            words = np.frombuffer(take(3 * n * word), dtype=np.uint64)
+            words = take_words(3 * n)
             u, v, w = (words[i * n:(i + 1) * n].astype(params.dtype) for i in range(3))
             source._append_ring(tag, n, (u, v, w))
             source._records.append((tag, n))
         elif tag == TAG_BIT:
             n = m0
-            nw = (max(n, 1) + 63) // 64
-            vals = [
-                _words_to_bits(np.frombuffer(take(nw * word), dtype=np.uint64), n)
-                for _ in range(3)
-            ]
-            source._append_bits(n, tuple(vals))
+            source._append_bits(n, take_words(3 * word_count(n)).reshape(3, -1))
             source._records.append((tag, n))
         elif tag == TAG_MATMUL:
             dims = MatmulDims(m0, m1, m2, kind)
             parts = [
                 None if shape is None else
-                np.frombuffer(take(shape[0] * shape[1] * word), dtype=np.uint64)
-                .reshape(shape).astype(params.dtype)
+                take_words(shape[0] * shape[1]).reshape(shape).astype(params.dtype)
                 for shape in dims.shapes()
             ]
             source._append_matmul(MatmulBlock(dims, *parts))
@@ -567,20 +601,12 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
         elif tag == TAG_PREFIXNET:
             width, batch = m0, m1
             plan = cached_plan(width)
-            nw_setup = (max(width * batch, 1) + 63) // 64
-            nw_node = (max(batch, 1) + 63) // 64
-            setup = [
-                _words_to_bits(np.frombuffer(take(nw_setup * word), dtype=np.uint64), width * batch)
-                for _ in range(3)
-            ]
-            seqs = []
-            for count in (len(plan.masked_nodes), len(plan.masked_nodes),
-                          len(plan.compositions), len(plan.compositions)):
-                seqs.append([
-                    _words_to_bits(np.frombuffer(take(nw_node * word), dtype=np.uint64), batch)
-                    for _ in range(count)
-                ])
-            source._append_prefix(PrefixBlock(width, batch, *setup, *seqs))
+            setup = [string_to_rows(take_words(word_count(width * batch)), width, batch).copy()
+                     for _ in range(3)]
+            rows = [take_words(count * word_count(batch)).reshape(count, -1).copy()
+                    for count in (len(plan.masked_nodes), len(plan.masked_nodes),
+                                  len(plan.compositions), len(plan.compositions))]
+            source._append_prefix(PrefixBlock(width, batch, *setup, *rows))
             source._records.append((tag, (width, batch)))
         else:
             raise FormatError(f"randomness stream: unknown record tag {tag}")

@@ -75,13 +75,18 @@ def random_ring_array(rng: np.random.Generator, params: FixedPointParams, shape)
     return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
 
 
-def random_bits(rng: np.random.Generator, nbits: int) -> int:
-    """Uniform `nbits`-bit integer (LSB-first packing convention)."""
+def random_bits(rng: np.random.Generator, nbits: int) -> np.ndarray:
+    """Uniform `nbits`-bit string as LSB-first uint64 words, tail bits zero.
+
+    Draws ceil(nbits / 8) bytes in one `rng.bytes` call.
+    """
     if nbits <= 0:
-        return 0
+        return np.zeros(1, dtype=np.uint64)
     nbytes = (nbits + 7) // 8
-    v = int.from_bytes(rng.bytes(nbytes), "little")
-    return v & ((1 << nbits) - 1)
+    raw = rng.bytes(nbytes) + bytes(8 * word_count(nbits) - nbytes)
+    out = np.frombuffer(raw, dtype=np.uint64).copy()
+    out[-1] &= tail_mask(nbits)
+    return out
 
 
 def split(x: int, params: FixedPointParams, rng: np.random.Generator):
@@ -103,7 +108,7 @@ def split_array(values: np.ndarray, params: FixedPointParams, rng: np.random.Gen
 
 
 def split_bits(bits: int, n: int, rng: np.random.Generator):
-    r = random_bits(rng, n)
+    r = words_to_int(random_bits(rng, n), n)
     return (
         BitVectorShare(r, n, Role.ALICE),
         BitVectorShare(bits ^ r, n, Role.BOB),
@@ -168,16 +173,82 @@ def affine_combine_arrays(c0: int, terms, params: FixedPointParams, role: Role |
     return VectorShare(acc, role)
 
 
-def pack_bits_to_words(bits: int, n: int) -> np.ndarray:
-    """LSB-first packing of an n-bit integer into little-endian 64-bit words."""
-    nwords = max(1, (n + 63) // 64)
-    raw = bits.to_bytes(nwords * 8, "little")
-    return np.frombuffer(raw, dtype=np.uint64).copy()
+# ---------------------------------------------------------------------------
+# Packed bit strings
+#
+# A bit string is a 1-d array of uint64 words, LSB first, padded with zero
+# bits to a whole word.  A batch of bit strings of one length, such as every
+# bit position of a batch of shared values, is a matrix with one such row per
+# string.  The wire and CRN1 files carry the rows of a matrix as one
+# contiguous string; when the batch is a multiple of 64 that is a reshape.
+# ---------------------------------------------------------------------------
 
 
-def unpack_words_to_bits(words: np.ndarray, n: int) -> int:
-    v = int.from_bytes(np.asarray(words, dtype=np.uint64).tobytes(), "little")
-    return v & ((1 << n) - 1) if n > 0 else 0
+def word_count(nbits: int) -> int:
+    """Words holding an `nbits`-bit string; an empty string still takes one."""
+    return (nbits + 63) // 64 or 1
+
+
+def tail_mask(nbits: int) -> np.uint64:
+    """Mask of the bits an `nbits`-bit string uses in its last word."""
+    return np.uint64((1 << (nbits - 1) % 64 + 1) - 1 if nbits else 0)
+
+
+def ones_row(batch: int) -> np.ndarray:
+    """The all-ones string of `batch` bits."""
+    return pack_rows(np.ones((1, batch), dtype=np.uint8))[0]
+
+
+def pack_rows(bits: np.ndarray) -> np.ndarray:
+    """(rows, batch) array of 0/1 bytes -> (rows, word_count(batch)) words."""
+    rows, batch = bits.shape
+    out = np.zeros((rows, 8 * word_count(batch)), dtype=np.uint8)
+    out[:, :(batch + 7) // 8] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def unpack_rows(rows: np.ndarray, batch: int) -> np.ndarray:
+    """Inverse of `pack_rows`: the low `batch` bits of every row as 0/1 bytes."""
+    raw = np.ascontiguousarray(rows, dtype=np.uint64).view(np.uint8)
+    return np.unpackbits(raw, axis=-1, count=batch, bitorder="little")
+
+
+def _rows_are_string(nrows: int, batch: int) -> bool:
+    """Whether `nrows` packed rows of `batch` bits, laid end to end, already
+    are their contiguous string: one row, or rows of whole words."""
+    return nrows == 1 or (nrows > 1 and batch > 0 and batch % 64 == 0)
+
+
+def rows_to_string(rows: np.ndarray, batch: int) -> np.ndarray:
+    """Concatenate the `batch`-bit rows into one contiguous bit string."""
+    rows = np.asarray(rows, dtype=np.uint64)
+    if _rows_are_string(len(rows), batch):
+        return rows.reshape(-1)
+    out = np.zeros(word_count(len(rows) * batch), dtype=np.uint64)
+    packed = np.packbits(unpack_rows(rows, batch), bitorder="little")
+    out.view(np.uint8)[:packed.size] = packed
+    return out
+
+
+def string_to_rows(words: np.ndarray, nrows: int, batch: int) -> np.ndarray:
+    """Split a contiguous string of `nrows` x `batch` bits into rows."""
+    words = np.asarray(words, dtype=np.uint64)
+    if _rows_are_string(nrows, batch):
+        return words[:nrows * word_count(batch)].reshape(nrows, -1)
+    bits = np.unpackbits(words.view(np.uint8), count=nrows * batch, bitorder="little")
+    return pack_rows(bits.reshape(nrows, batch))
+
+
+def int_to_words(value: int, nbits: int) -> np.ndarray:
+    """An `nbits`-bit Python integer as a packed bit string."""
+    value &= (1 << nbits) - 1
+    return np.frombuffer(value.to_bytes(8 * word_count(nbits), "little"), dtype=np.uint64).copy()
+
+
+def words_to_int(words: np.ndarray, nbits: int) -> int:
+    """Inverse of `int_to_words`."""
+    value = int.from_bytes(np.asarray(words, dtype=np.uint64).tobytes(), "little")
+    return value & ((1 << nbits) - 1)
 
 
 def write_share_file(path, values: np.ndarray, params: FixedPointParams):

@@ -29,7 +29,7 @@ MSG_RANDOMNESS = 5
 
 _VALID_TYPES = {MSG_OPEN_RING, MSG_OPEN_BITS, MSG_RESHARE, MSG_CONTROL, MSG_RANDOMNESS}
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def tcp_connect(host: str, port: int, timeout: float = 120.0,
 # Session handshake
 # ---------------------------------------------------------------------------
 
-_HANDSHAKE = struct.Struct("<BBHHHQQQ")
+_HANDSHAKE = struct.Struct("<BBHHHQQQQQ")
 _ROLE_CODES = {"TI": 0, "A": 1, "B": 2}
 _ROLE_NAMES = {v: k for k, v in _ROLE_CODES.items()}
 
@@ -221,6 +221,8 @@ class HandshakeInfo:
     ring_bits: int
     frac_bits: int
     int_bits: int
+    lr_encoded: int            # the learning rate as its fixed-point ring element
+    n_iter: int                # training iterations; 0 is a valid count
     rows: int = 0
     cols: int = 0
     seed_commitment: int = 0   # randomness session id; 0 = not yet known
@@ -229,23 +231,26 @@ class HandshakeInfo:
     def pack(self) -> bytes:
         return _HANDSHAKE.pack(
             self.version, _ROLE_CODES[self.role], self.ring_bits, self.frac_bits,
-            self.int_bits, self.rows, self.cols, self.seed_commitment,
+            self.int_bits, self.lr_encoded, self.n_iter, self.rows, self.cols,
+            self.seed_commitment,
         )
 
     @classmethod
     def unpack(cls, data: bytes) -> "HandshakeInfo":
         if len(data) != _HANDSHAKE.size:
             raise FrameError(f"handshake payload has {len(data)} bytes, expected {_HANDSHAKE.size}")
-        version, role, ring, frac, intb, rows, cols, commit = _HANDSHAKE.unpack(data)
-        return cls(_ROLE_NAMES.get(role, "?"), ring, frac, intb, rows, cols, commit, version)
+        version, role, ring, frac, intb, lr, n_iter, rows, cols, commit = _HANDSHAKE.unpack(data)
+        return cls(_ROLE_NAMES.get(role, "?"), ring, frac, intb, lr, n_iter, rows, cols, commit,
+                   version)
 
 
 def perform_handshake(channel: Channel, own: HandshakeInfo) -> HandshakeInfo:
     """Exchange handshakes and abort on any parameter disagreement.
 
-    Dataset dims and seed commitment are compared only when both sides claim
-    them (zero means "not known yet", e.g. a trusted initializer that learns
-    the dataset shape from the data processors).
+    Precision, learning rate and iteration count are always compared: every
+    role knows them.  Dataset dims and seed commitment are compared only when
+    both sides claim them (zero means "not known yet", e.g. a trusted
+    initializer that learns the dataset shape from the data processors).
     """
     channel.send_frame(Frame(MSG_CONTROL, own.pack()))
     reply = channel.recv_frame()
@@ -253,7 +258,7 @@ def perform_handshake(channel: Channel, own: HandshakeInfo) -> HandshakeInfo:
         raise TransportError(f"expected a handshake frame, got message type {reply.msg_type}")
     peer = HandshakeInfo.unpack(reply.payload)
     mismatches = []
-    for name in ("version", "ring_bits", "frac_bits", "int_bits"):
+    for name in ("version", "ring_bits", "frac_bits", "int_bits", "lr_encoded", "n_iter"):
         if getattr(own, name) != getattr(peer, name):
             mismatches.append(f"{name}: ours {getattr(own, name)}, peer {getattr(peer, name)}")
     for name in ("rows", "cols", "seed_commitment"):

@@ -172,7 +172,7 @@ class TestOptimizedDecomposition:
         for node, (pa, ga) in na.items():
             p = pa ^ nb[node][0]
             g = ga ^ nb[node][1]
-            assert p & g == 0, f"propagate and generate both set at {node}"
+            assert not np.any(p & g), f"propagate and generate both set at {node}"
 
 
 class TestBatchDecompose:

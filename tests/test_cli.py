@@ -174,36 +174,56 @@ class TestNetworkErrors:
         assert rc == 2
 
 
+def run_tcp_pair(toy_csv, tmp_path, dims, alice_args, bob_args):
+    """Split the toy data, deal file randomness for `dims`, and train alice
+    and bob as two TCP processes; returns [(exit code, stderr)] per party."""
+    path, *_ = toy_csv  # 20 samples: the share matrix is 20 x 10
+    assert main(["split", "--data", str(path), "--shares-out", str(tmp_path / "t"),
+                 "--seed", "1"]) == 0
+    assert main(["train", "--role", "ti", "--randomness", f"file:{tmp_path / 'crn'}",
+                 "--dims", dims, *alice_args]) == 0
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    module = [sys.executable, "-m", "mpclr.cli", "train"]
+    procs = [
+        subprocess.Popen(module + ["--role", "alice", "--listen", f"127.0.0.1:{port}",
+                                   "--data", str(tmp_path / "t.alice.shr"),
+                                   "--randomness", f"file:{tmp_path / 'crn.alice.crn'}",
+                                   "--weights-out", str(tmp_path / "w.alice.shr"), *alice_args],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True),
+        subprocess.Popen(module + ["--role", "bob", "--peer", f"127.0.0.1:{port}",
+                                   "--data", str(tmp_path / "t.bob.shr"),
+                                   "--randomness", f"file:{tmp_path / 'crn.bob.crn'}",
+                                   "--weights-out", str(tmp_path / "w.bob.shr"), *bob_args],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True),
+    ]
+    out = []
+    for proc in procs:
+        _, err = proc.communicate(timeout=60)
+        out.append((proc.returncode, err))
+    return out
+
+
 class TestProtocolErrors:
     def test_randomness_for_other_dims_exits_6(self, toy_csv, tmp_path):
-        path, *_ = toy_csv  # 20 samples: the share matrix is 20 x 10
-        assert main(["split", "--data", str(path), "--shares-out", str(tmp_path / "t"),
-                     "--seed", "1"]) == 0
         common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
-        assert main(["train", "--role", "ti", "--randomness", f"file:{tmp_path / 'crn'}",
-                     "--dims", "21x10", *common]) == 0
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-        module = [sys.executable, "-m", "mpclr.cli", "train"]
-        procs = [
-            subprocess.Popen(module + ["--role", "alice", "--listen", f"127.0.0.1:{port}",
-                                       "--data", str(tmp_path / "t.alice.shr"),
-                                       "--randomness", f"file:{tmp_path / 'crn.alice.crn'}",
-                                       "--weights-out", str(tmp_path / "w.alice.shr"), *common],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True),
-            subprocess.Popen(module + ["--role", "bob", "--peer", f"127.0.0.1:{port}",
-                                       "--data", str(tmp_path / "t.bob.shr"),
-                                       "--randomness", f"file:{tmp_path / 'crn.bob.crn'}",
-                                       "--weights-out", str(tmp_path / "w.bob.shr"), *common],
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True),
-        ]
-        for proc in procs:
-            _, err = proc.communicate(timeout=60)
-            assert proc.returncode == 6, err
+        for rc, err in run_tcp_pair(toy_csv, tmp_path, "21x10", common, common):
+            assert rc == 6, err
             assert err.strip().splitlines() == [err.strip()]
             assert err.startswith("error: protocol:") and "mismatch" in err
+
+    def test_mismatched_learning_rate_exits_3_at_the_handshake(self, toy_csv, tmp_path):
+        # before the handshake pinned it, this trained to weights around -3.9e10
+        common = ["--iterations", "2", "--seed", "3"]
+        results = run_tcp_pair(toy_csv, tmp_path, "20x10", ["--lr", "0.05", *common],
+                               ["--lr", "0.5", *common])
+        for rc, err in results:
+            assert rc == 3, err
+            assert err.startswith("error: transport: handshake") and "lr_encoded" in err
+        assert not (tmp_path / "w.alice.shr").exists()
+        assert not (tmp_path / "w.bob.shr").exists()
 
 
 class TestBench:

@@ -241,13 +241,16 @@ class TestBatching:
         assert open_ints(ra[0], rb[0], P8) == 63
 
     def test_bit_batch_is_bitwise_and(self):
-        # secrets 1010 and 1100 -> 1000
+        # secrets 1010 and 1100 -> 1000, one packed row of a 4-bit batch
+        def row(bits):
+            return np.array([[bits]], dtype=np.uint64)
+
         ra, rb, sa, _ = protocol_pair(
             P8,
-            lambda s: batch_bit_mul(s, 0b1010, 0b1100, 4),
-            lambda s: batch_bit_mul(s, 0b0000, 0b0000, 4),
+            lambda s: batch_bit_mul(s, row(0b1010), row(0b1100), 4),
+            lambda s: batch_bit_mul(s, row(0b0000), row(0b0000), 4),
         )
-        assert (ra ^ rb) == 0b1000
+        assert np.array_equal(ra ^ rb, row(0b1000))
         assert sa.transcript.bit_mults == 4
 
     def test_rounds_independent_of_batch_size(self):

@@ -43,8 +43,9 @@ class TestTripleGeneration:
         assert (int(a[1][0]) + int(b[1][0])) % P16.modulus == 7
 
     def test_bit_triple_ones(self):
-        a, b = make_bit_triple(1, np.random.default_rng(0), u_vals=1, v_vals=1)
-        assert (a[2] ^ b[2]) == 1
+        one = np.array([1], dtype=np.uint64)
+        a, b = make_bit_triple(1, np.random.default_rng(0), u_vals=one, v_vals=one)
+        assert np.array_equal(a[2] ^ b[2], one)
 
     def test_identity_matrix_triple(self):
         rng = np.random.default_rng(1)
@@ -57,8 +58,10 @@ class TestTripleGeneration:
         rng = np.random.default_rng(2)
         for u in (0, 1):
             for v in (0, 1):
-                a, b = make_bit_triple(1, rng, u_vals=u, v_vals=v)
-                assert ((a[0] ^ b[0]), (a[1] ^ b[1]), (a[2] ^ b[2])) == (u, v, u & v)
+                uw, vw = np.array([u], dtype=np.uint64), np.array([v], dtype=np.uint64)
+                a, b = make_bit_triple(1, rng, u_vals=uw, v_vals=vw)
+                opened = [x ^ y for x, y in zip(a, b)]
+                assert [int(x[0]) for x in opened] == [u, v, u & v]
 
     def test_random_ring_triples_reconstruct(self):
         dealer = TrustedDealer(31337, P64)
@@ -84,13 +87,14 @@ class TestTripleGeneration:
         su = blk_a.setup_u ^ blk_b.setup_u
         sv = blk_a.setup_v ^ blk_b.setup_v
         sw = blk_a.setup_w ^ blk_b.setup_w
-        assert sw == su & sv
-        mp = [x ^ y for x, y in zip(blk_a.mask_p, blk_b.mask_p)]
-        mg = [x ^ y for x, y in zip(blk_a.mask_g, blk_b.mask_g)]
+        assert su.shape == (width, 1)
+        assert np.array_equal(sw, su & sv)
+        mp = blk_a.mask_p ^ blk_b.mask_p
+        mg = blk_a.mask_g ^ blk_b.mask_g
         for idx, comp in enumerate(plan.compositions):
             lo, hi = plan.mask_index(comp.left), plan.mask_index(comp.right)
-            assert (blk_a.prod_pp[idx] ^ blk_b.prod_pp[idx]) == (mp[hi] & mp[lo])
-            assert (blk_a.prod_pg[idx] ^ blk_b.prod_pg[idx]) == (mp[hi] & mg[lo])
+            assert np.array_equal(blk_a.prod_pp[idx] ^ blk_b.prod_pp[idx], mp[hi] & mp[lo])
+            assert np.array_equal(blk_a.prod_pg[idx] ^ blk_b.prod_pg[idx], mp[hi] & mg[lo])
 
 
 class TestStreams:
@@ -118,7 +122,7 @@ class TestStreams:
         u, v, w = back.take_ring_triples(10)
         ou, ov, ow = src_a.take_ring_triples(10)
         assert np.array_equal(u, ou) and np.array_equal(v, ov) and np.array_equal(w, ow)
-        assert back.take_bit_triples(130) == src_a.take_bit_triples(130)
+        assert same_parts(back.take_bit_triples(130), src_a.take_bit_triples(130))
 
     def test_tampered_magic(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
@@ -161,7 +165,7 @@ class TestStreams:
         od_a = OnDemandSource(77, Role.ALICE, P64)
         od_b = OnDemandSource(77, Role.BOB, P64)
         assert np.array_equal(od_a.take_ring_triples(6)[0], src_a.take_ring_triples(6)[0])
-        assert od_b.take_bit_triples(40) == src_b.take_bit_triples(40)
+        assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
 def take(source, tag, meta):

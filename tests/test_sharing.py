@@ -8,14 +8,14 @@ from mpclr.errors import FormatError
 from mpclr.sharing import (
     BitVectorShare,
     affine_combine,
+    int_to_words,
     open_bits,
     open_shares,
-    pack_bits_to_words,
     read_share_file,
     split,
     split_array,
     split_bits,
-    unpack_words_to_bits,
+    words_to_int,
     write_share_file,
 )
 
@@ -123,8 +123,9 @@ class TestBits:
     def test_word_packing_round_trip(self):
         for n in (1, 63, 64, 65, 130):
             bits = (0xDEADBEEFCAFEF00D * 0x9E3779B9) & ((1 << n) - 1)
-            words = pack_bits_to_words(bits, n)
-            assert unpack_words_to_bits(words, n) == bits
+            words = int_to_words(bits, n)
+            assert words.dtype == np.uint64 and len(words) == -(-n // 64)
+            assert words_to_int(words, n) == bits
 
     def test_length_mismatch(self):
         with pytest.raises(ProtocolError):

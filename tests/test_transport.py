@@ -121,8 +121,8 @@ class TestTcpChannel:
 
 class TestHandshake:
     def _info(self, **kw):
-        base = dict(role="A", ring_bits=64, frac_bits=12, int_bits=15,
-                    rows=10, cols=5, seed_commitment=77)
+        base = dict(role="A", ring_bits=64, frac_bits=12, int_bits=15, lr_encoded=4,
+                    n_iter=10, rows=10, cols=5, seed_commitment=77)
         base.update(kw)
         return HandshakeInfo(**base)
 
@@ -161,6 +161,29 @@ class TestHandshake:
         perform_handshake(b, self._info(role="B"))
         t.join()
         assert out["peer"].rows == 10
+
+    @pytest.mark.parametrize("field,value", [("lr_encoded", 40), ("n_iter", 0)])
+    def test_learning_rate_and_iterations_always_compared(self, field, value):
+        # zero iterations is a count like any other, not a wildcard
+        a, b = memory_channel_pair()
+        errors = []
+
+        def ti():
+            try:
+                perform_handshake(a, self._info(role="TI", rows=0, cols=0))
+            except TransportError as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=ti)
+        t.start()
+        with pytest.raises(TransportError, match=field):
+            perform_handshake(b, self._info(role="B", **{field: value}))
+        t.join()
+        assert len(errors) == 1 and field in str(errors[0])
+
+    def test_round_trip_of_every_field(self):
+        info = self._info(lr_encoded=(1 << 64) - 5, n_iter=223, seed_commitment=(1 << 63) + 1)
+        assert HandshakeInfo.unpack(info.pack()) == info
 
 
 class TestTranscriptCounters:

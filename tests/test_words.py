@@ -1,0 +1,164 @@
+"""Packed bit strings: uint64 word rows against per-bit and big-integer
+references."""
+
+import numpy as np
+import pytest
+
+from mpclr import FixedPointParams
+from mpclr.activation import batch_activate
+from mpclr.bitops import _from_slices, _to_slices
+from mpclr.randomness import (
+    TAG_BIT,
+    MaterializedSource,
+    TrustedDealer,
+    deserialize_stream,
+    serialize_stream,
+)
+from mpclr.sharing import (
+    ones_row,
+    random_bits,
+    rows_to_string,
+    string_to_rows,
+    word_count,
+    words_to_int,
+)
+
+from helpers import protocol_pair
+
+P64 = FixedPointParams()
+
+BATCHES = [1, 63, 64, 65, 225, 16_000]
+
+
+def per_bit_rows(values, width):
+    """Row j as the integer whose bit i is bit j of values[i]."""
+    rows = []
+    for j in range(width):
+        bits = "".join(str((v >> j) & 1) for v in reversed(values))
+        rows.append(int(bits, 2))
+    return rows
+
+
+def random_values(batch, seed):
+    rng = np.random.default_rng(seed)
+    return np.frombuffer(rng.bytes(8 * batch), dtype=np.uint64)
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("width", [2, 29, 64])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_rows_match_per_bit_loop_and_round_trip(self, batch, width):
+        values = random_values(batch, batch * width)
+        rows = _to_slices(values, width)
+        assert rows.dtype == np.uint64 and rows.shape == (width, -(-batch // 64))
+        expected = per_bit_rows([int(v) for v in values], width)
+        for row, want in zip(rows, expected, strict=True):
+            # tail bits past the batch are zero
+            assert int.from_bytes(row.tobytes(), "little") == want
+        low = values if width == 64 else values & np.uint64((1 << width) - 1)
+        assert np.array_equal(_from_slices(rows, batch), low)
+        assert np.array_equal(_from_slices(list(rows), batch), low)
+
+    def test_narrow_ring(self):
+        values = np.arange(256, dtype=np.uint8)
+        rows = _to_slices(values, 8)
+        assert per_bit_rows(list(range(256)), 8) == [words_to_int(r, 256) for r in rows]
+        assert np.array_equal(_from_slices(rows, 256), values)
+
+
+class TestWireLayout:
+    @pytest.mark.parametrize("nrows", [0, 1, 3, 58])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_rows_travel_as_one_contiguous_string(self, nrows, batch):
+        rng = np.random.default_rng(nrows * 7 + batch)
+        rows = np.array([random_bits(rng, batch) for _ in range(nrows)],
+                        dtype=np.uint64).reshape(nrows, word_count(batch))
+        # the layout before word rows: one integer, row i at bit i * batch
+        cat = 0
+        for i, row in enumerate(rows):
+            cat |= words_to_int(row, batch) << (i * batch)
+        expected = cat.to_bytes(8 * word_count(nrows * batch), "little")
+        string = rows_to_string(rows, batch)
+        assert string.tobytes() == expected
+        assert np.array_equal(string_to_rows(string, nrows, batch), rows)
+
+    def test_ones_row(self):
+        for batch in BATCHES:
+            assert words_to_int(ones_row(batch), 64 * word_count(batch)) == (1 << batch) - 1
+
+    @pytest.mark.parametrize("nbits", [1, 7, 8, 63, 64, 65, 1000])
+    def test_random_bits_draws_the_same_bytes(self, nbits):
+        ours, theirs = np.random.default_rng(nbits), np.random.default_rng(nbits)
+        words = random_bits(ours, nbits)
+        expected = int.from_bytes(theirs.bytes((nbits + 7) // 8), "little") & ((1 << nbits) - 1)
+        assert len(words) == word_count(nbits)
+        assert int.from_bytes(words.tobytes(), "little") == expected
+        assert ours.bytes(16) == theirs.bytes(16)
+
+
+class BigIntPool:
+    """The bit pool before word rows: three integers shifted on every take."""
+
+    def __init__(self):
+        self.parts = [0, 0, 0]
+        self.nbits = 0
+
+    def append(self, nbits, parts):
+        for i, words in enumerate(parts):
+            self.parts[i] |= words_to_int(words, nbits) << self.nbits
+        self.nbits += nbits
+
+    def take(self, nbits):
+        out = tuple(p & ((1 << nbits) - 1) for p in self.parts)
+        self.parts = [p >> nbits for p in self.parts]
+        self.nbits -= nbits
+        return out
+
+
+class TestBitPool:
+    RECORDS = [130, 7, 64, 1000, 77, 1]
+    TAKES = [5, 64, 59, 3, 200, 1, 128, 63, 700, 48, 8]
+
+    def reference(self, seed):
+        ref = BigIntPool()
+        dealer = TrustedDealer(seed, P64)
+        for n in self.RECORDS:
+            ref.append(n, dealer.bit_pool_block(n)[0])
+        return ref
+
+    def check_takes(self, source, ref, takes):
+        for n in takes:
+            got = source.take_bit_triples(n)
+            assert all(len(w) == word_count(n) for w in got)
+            assert tuple(int.from_bytes(w.tobytes(), "little") for w in got) == ref.take(n)
+
+    @pytest.mark.parametrize("through_file", [False, True])
+    def test_takes_at_unaligned_cursors(self, through_file):
+        assert sum(self.TAKES) == sum(self.RECORDS)
+        src_a, _ = TrustedDealer(4, P64).generate([(TAG_BIT, n) for n in self.RECORDS])
+        if through_file:
+            src_a = deserialize_stream(serialize_stream(src_a), P64)
+        self.check_takes(src_a, self.reference(4), self.TAKES)
+
+    def test_appends_after_takes(self):
+        source = MaterializedSource(P64)
+        ref = BigIntPool()
+        dealer = TrustedDealer(6, P64)
+        for n in (70, 33):
+            part = dealer.bit_pool_block(n)[0]
+            source._append_bits(n, part)
+            ref.append(n, part)
+            self.check_takes(source, ref, [n - 9])
+        self.check_takes(source, ref, [18])
+
+
+def test_empty_batch_sends_the_same_frames():
+    # sent-frame digest of an activation over no values, computed with the
+    # big-integer bit strings: every opened string is one zero word
+    empty = np.zeros(0, dtype=np.uint64)
+    ra, _, sa, sb = protocol_pair(P64, lambda s: batch_activate(s, empty),
+                                  lambda s: batch_activate(s, empty))
+    assert ra.shape == (0,)
+    assert sa.transcript.bytes_sent == 302
+    expected = "5b066f95fe467eaa725262a754628883a781469ab5feb901fc312df277c2a173"
+    assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
