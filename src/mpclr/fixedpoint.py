@@ -113,13 +113,6 @@ def to_signed(v, params: FixedPointParams):
     return v
 
 
-def from_signed(s, params: FixedPointParams):
-    """Inverse of :func:`to_signed`: reduce signed integer(s) into the ring."""
-    if isinstance(s, np.ndarray):
-        return s.astype(params.signed_dtype).view(params.dtype)
-    return s & params.mask
-
-
 def decode(v: int, params: FixedPointParams) -> float:
     """Decode a ring element back to a real; the top bit carries the sign."""
     return to_signed(int(v), params) / params.scale

@@ -8,6 +8,7 @@ with networked runs.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 
@@ -57,8 +58,9 @@ def run_pair(fn_a, fn_b, timeout: float = 120.0):
     tb = threading.Thread(target=runner, args=("B", fn_b), daemon=True)
     ta.start()
     tb.start()
-    ta.join(timeout)
-    tb.join(timeout)
+    deadline = time.monotonic() + timeout
+    for thread in (ta, tb):
+        thread.join(max(0.0, deadline - time.monotonic()))
     if ta.is_alive() or tb.is_alive():
         raise TimeoutError("party thread did not finish; protocol deadlock?")
     for name in ("A", "B"):

@@ -11,8 +11,7 @@ their shares aligned without negotiation.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from collections import deque
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +23,6 @@ from .sharing import (
     Role,
     random_bits,
     random_ring_array,
-    rows_to_string,
     string_to_rows,
     tail_mask,
     word_count,
@@ -82,16 +80,6 @@ class MatmulDims(NamedTuple):
 
 
 @dataclass
-class MatmulBlock:
-    """One party's part of a TAG_MATMUL record; absent parts are None."""
-
-    dims: MatmulDims
-    u: np.ndarray | None
-    v: np.ndarray | None
-    w: np.ndarray | None
-
-
-@dataclass
 class PrefixBlock:
     """One party's masks for a single batched bit decomposition.
 
@@ -111,12 +99,23 @@ class PrefixBlock:
     prod_pg: np.ndarray
 
 
+_POOLED = (TAG_SCALAR, TAG_CONVERSION, TAG_BIT)
+
+
+def _units(tag: int, meta) -> int:
+    """Units a record holds: n for a pool of n triples, one block otherwise."""
+    return meta if tag in _POOLED else 1
+
+
 @dataclass
-class _RingPool:
-    u: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-    w: list = field(default_factory=list)
-    available: int = 0
+class _Cursor:
+    """Read position over the records of one tag: the index in `records` of
+    the record being read, the units of it already taken, and the units
+    left in all of this tag's records."""
+
+    index: int = 0
+    offset: int = 0
+    left: int = 0
 
 
 def _read_bits(words: np.ndarray, start: int, nbits: int) -> np.ndarray:
@@ -124,14 +123,15 @@ def _read_bits(words: np.ndarray, start: int, nbits: int) -> np.ndarray:
     in the rows of `words`.
 
     A start inside a word funnel-shifts each output word from two input
-    words; `words` must hold one word past the last bit read.
+    words; the word past the last one holding a bit read may be absent.
     """
     first, shift = divmod(start, 64)
     count = word_count(nbits)
     out = words[:, first:first + count].copy()
     if shift:
         out >>= np.uint64(shift)
-        out |= words[:, first + 1:first + count + 1] << np.uint64(64 - shift)
+        high = words[:, first + 1:first + count + 1] << np.uint64(64 - shift)
+        out[:, :high.shape[1]] |= high
     out[:, -1] &= tail_mask(nbits)
     return out
 
@@ -148,42 +148,11 @@ def _write_bits(words: np.ndarray, start: int, src: np.ndarray):
         words[:, first:stop] |= src
 
 
-class _BitPool:
-    """Bit triples as the rows u, v, w of one packed-string matrix, plus a
-    read cursor.
-
-    Appended records queue up and are joined onto the strings at the next
-    read, so loading a stream copies every bit once.
-    """
-
-    def __init__(self):
-        self.strings = np.zeros((3, 1), dtype=np.uint64)
-        self.joined = 0
-        self.cursor = 0
-        self._queue = []
-
-    @property
-    def nbits(self) -> int:
-        return self.joined + sum(n for n, _ in self._queue)
-
-    def append(self, nbits: int, parts):
-        self._queue.append((nbits, np.array(parts, dtype=np.uint64)))
-
-    def read(self, start: int, nbits: int) -> np.ndarray:
-        """The (u, v, w) strings of `nbits` triples from bit `start` on."""
-        if self._queue:
-            self._join()
-        return _read_bits(self.strings, start, nbits)
-
-    def _join(self):
-        total = self.nbits
-        strings = np.zeros((3, word_count(total) + 1), dtype=np.uint64)
-        strings[:, :self.strings.shape[1]] = self.strings
-        start = self.joined
-        for nbits, parts in self._queue:
-            _write_bits(strings, start, parts)
-            start += nbits
-        self.strings, self.joined, self._queue = strings, total, []
+def _prefix_block(meta, parts) -> PrefixBlock:
+    """The PrefixBlock of a TAG_PREFIXNET record's parts."""
+    width, batch = meta
+    setup = (string_to_rows(s, width, batch) for s in parts[:3])
+    return PrefixBlock(width, batch, *setup, *parts[3:])
 
 
 def make_ring_triple(u_vals: np.ndarray, v_vals: np.ndarray, params: FixedPointParams,
@@ -247,7 +216,8 @@ class TrustedDealer:
         return make_ring_triple(u, v, self.params, rng)
 
     def matmul_block(self, dims):
-        """Both parties' parts of one TAG_MATMUL record (see MatmulDims)."""
+        """Both parties' (U, V, W) parts of one TAG_MATMUL record, None for a
+        part its kind lacks (see MatmulDims)."""
         dims = MatmulDims(*dims)
         i, j, k, kind = dims
         rng = self._rng(TAG_MATMUL)
@@ -255,12 +225,12 @@ class TrustedDealer:
             u = random_ring_array(rng, self.params, (i, j))
             v = random_ring_array(rng, self.params, (j, k))
             (ua, va, wa), (ub, vb, wb) = make_ring_triple(u, v, self.params, rng)
-            return MatmulBlock(dims, ua, va, wa), MatmulBlock(dims, ub, vb, wb)
+            return (ua, va, wa), (ub, vb, wb)
         if kind == MATMUL_MASK:
             u = random_ring_array(rng, self.params, (i, j))
             self._masks[(i, j)] = u
             ua, ub = _share_ring(u, self.params, rng)
-            return MatmulBlock(dims, ua, None, None), MatmulBlock(dims, ub, None, None)
+            return (ua, None, None), (ub, None, None)
         u = self._masks.get((i, j))
         if u is None:
             raise ProtocolError(f"no {i}x{j} mask dealt before the record {dims}")
@@ -268,19 +238,24 @@ class TrustedDealer:
         v = random_ring_array(rng, self.params, v_shape)
         w = u @ v if kind == MATMUL_REUSE else np.einsum("ij,ik->jk", u, v)
         (va, vb), (wa, wb) = _share_ring(v, self.params, rng), _share_ring(w, self.params, rng)
-        return MatmulBlock(dims, None, va, wa), MatmulBlock(dims, None, vb, wb)
+        return (None, va, wa), (None, vb, wb)
 
     def bit_pool_block(self, nbits: int):
         rng = self._rng(TAG_BIT)
         return make_bit_triple(nbits, rng)
 
     def prefix_block(self, width: int, batch: int):
+        """Both parties' PrefixBlocks for one batched decomposition."""
+        return tuple(_prefix_block((width, batch), half)
+                     for half in self._prefix_parts(width, batch))
+
+    def _prefix_parts(self, width: int, batch: int):
+        """Both parties' parts of one TAG_PREFIXNET record: the setup triple
+        as three strings of width x batch bits, then the node masks and the
+        composition products as matrices of packed `batch`-bit rows."""
         plan = cached_plan(width)
         rng = self._rng(TAG_PREFIXNET)
-        setup_a, setup_b = (
-            [string_to_rows(s, width, batch) for s in half]
-            for half in make_bit_triple(width * batch, rng)
-        )
+        setup_a, setup_b = make_bit_triple(width * batch, rng)
 
         def draw_rows(per_row: int, nrows: int):
             draws = [random_bits(rng, batch) for _ in range(per_row * nrows)]
@@ -296,10 +271,21 @@ class TrustedDealer:
         lo, hi = plan.comp_lo, plan.comp_hi
         pp_b = p_val[hi] & p_val[lo] ^ pp_a
         pg_b = p_val[hi] & g_val[lo] ^ pg_a
+        return ((*setup_a, p_a, g_a, pp_a, pg_a),
+                (*setup_b, p_val ^ p_a, g_val ^ g_a, pp_b, pg_b))
 
-        block_a = PrefixBlock(width, batch, *setup_a, p_a, g_a, pp_a, pg_a)
-        block_b = PrefixBlock(width, batch, *setup_b, p_val ^ p_a, g_val ^ g_a, pp_b, pg_b)
-        return block_a, block_b
+    def block(self, tag: int, meta):
+        """Both parties' parts of one CRN1 record, in the layout they are
+        written in (see MaterializedSource)."""
+        if tag in (TAG_SCALAR, TAG_CONVERSION):
+            return tuple(np.array(half) for half in self.ring_pool_block(meta, tag))
+        if tag == TAG_BIT:
+            return tuple(np.array(half) for half in self.bit_pool_block(meta))
+        if tag == TAG_MATMUL:
+            return self.matmul_block(meta)
+        if tag == TAG_PREFIXNET:
+            return self._prefix_parts(*meta)
+        raise ValueError(f"unknown randomness tag {tag}")
 
     def generate(self, requests):
         """Materialize both parties' streams for an explicit request list.
@@ -310,27 +296,13 @@ class TrustedDealer:
         sa = MaterializedSource(self.params, self.session_id)
         sb = MaterializedSource(self.params, self.session_id)
         for tag, meta in requests:
-            if tag in (TAG_SCALAR, TAG_CONVERSION):
-                a, b = self.ring_pool_block(int(meta), tag)
-                sa._append_ring(tag, int(meta), a)
-                sb._append_ring(tag, int(meta), b)
-            elif tag == TAG_MATMUL:
+            if tag == TAG_MATMUL:
                 meta = MatmulDims(*meta)
-                a, b = self.matmul_block(meta)
-                sa._append_matmul(a)
-                sb._append_matmul(b)
-            elif tag == TAG_BIT:
-                a, b = self.bit_pool_block(int(meta))
-                sa._append_bits(int(meta), a)
-                sb._append_bits(int(meta), b)
             elif tag == TAG_PREFIXNET:
-                a, b = self.prefix_block(*meta)
-                sa._append_prefix(a)
-                sb._append_prefix(b)
-            else:
-                raise ValueError(f"unknown randomness tag {tag}")
-            sa._records.append((tag, meta))
-            sb._records.append((tag, meta))
+                meta = tuple(meta)
+            a, b = self.block(tag, meta)
+            sa.append(tag, meta, a)
+            sb.append(tag, meta, b)
         return sa, sb
 
 
@@ -358,97 +330,82 @@ class RandomnessSource:
 
 
 class MaterializedSource(RandomnessSource):
-    """Finite pre-generated stream: dealer output, file contents, or TI bytes."""
+    """Finite pre-generated stream: dealer output, file contents, or TI bytes.
+
+    The stream is `records`, its CRN1 records in order, each (tag, meta,
+    parts) with `parts` in the layout they are written in: a (3, n) matrix
+    of u, v, w for a pool of n ring triples, a (3, words) matrix of u, v, w
+    packed strings for a pool of n bit triples, the (U, V, W) parts of a
+    matmul record with None for a part its kind lacks, and the seven
+    matrices of a prefix-network record.  A take only moves a cursor over
+    its tag's records; pooled takes may cross records.
+    """
 
     def __init__(self, params: FixedPointParams, session_id: int = 0):
         self.params = params
         self.session_id = session_id
-        self._ring = {TAG_SCALAR: _RingPool(), TAG_CONVERSION: _RingPool()}
-        self._bits = _BitPool()
-        self._matmul = deque()
-        self._prefix = deque()
-        self._records = []
+        self.records = []
+        self._cursors = {tag: _Cursor() for tag in _TAG_NAMES}
 
-    # -- dealer-side appends ------------------------------------------------
+    def append(self, tag: int, meta, parts):
+        """Add one record; `meta` is n for a pool, a MatmulDims for matmul
+        and (width, batch) for prefix-network."""
+        self.records.append((tag, meta, parts))
+        self._cursors[tag].left += _units(tag, meta)
 
-    def _append_ring(self, tag, n, parts):
-        pool = self._ring[tag]
-        u, v, w = parts
-        pool.u.append(np.asarray(u))
-        pool.v.append(np.asarray(v))
-        pool.w.append(np.asarray(w))
-        pool.available += n
-
-    def _append_bits(self, nbits, parts):
-        self._bits.append(nbits, parts)
-
-    def _append_matmul(self, block):
-        self._matmul.append(block)
-
-    def _append_prefix(self, block):
-        self._prefix.append(block)
-
-    # -- consumption ---------------------------------------------------------
-
-    def _pool_take(self, pool, n, tag):
-        if pool.available < n:
+    def _take(self, tag: int, n: int) -> list:
+        """(meta, parts, start, count) of every record that the next `n`
+        units of `tag` come from, in order."""
+        cur = self._cursors[tag]
+        if cur.left < n:
             raise RandomnessUnderflowError(
-                f"{_TAG_NAMES[tag]} pool exhausted: requested {n}, have {pool.available}"
+                f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have {cur.left}"
             )
-        out = []
-        for lst in (pool.u, pool.v, pool.w):
-            got = []
-            need = n
-            while need:
-                head = lst[0]
-                if len(head) <= need:
-                    got.append(head)
-                    lst.pop(0)
-                    need -= len(head)
-                else:
-                    got.append(head[:need])
-                    lst[0] = head[need:]
-                    need = 0
-            out.append(np.concatenate(got) if len(got) != 1 else got[0])
-        pool.available -= n
-        return tuple(out)
+        cur.left -= n
+        segments = []
+        while n:
+            rtag, meta, parts = self.records[cur.index]
+            count = min(n, _units(tag, meta) - cur.offset) if rtag == tag else 0
+            if count > 0:
+                segments.append((meta, parts, cur.offset, count))
+                cur.offset += count
+                n -= count
+            else:
+                cur.index += 1
+                cur.offset = 0
+        return segments
 
     def take_ring_triples(self, n, tag=TAG_SCALAR):
-        return self._pool_take(self._ring[tag], n, tag)
+        pieces = [parts[:, start:start + count] for _, parts, start, count in self._take(tag, n)]
+        if len(pieces) == 1:  # views, as most takes lie within one record
+            return tuple(pieces[0])
+        return tuple(np.concatenate([np.empty((3, 0), self.params.dtype), *pieces], axis=1))
 
     def take_matmul_triple(self, dims):
-        if not self._matmul:
-            raise RandomnessUnderflowError("matmul triple stream exhausted")
-        block = self._matmul.popleft()
+        [(meta, parts, _, _)] = self._take(TAG_MATMUL, 1)
         dims = MatmulDims(*dims)
-        if block.dims != dims:
+        if meta != dims:
             raise ProtocolError(
-                f"matmul triple dims mismatch: stream has {block.dims}, requested {dims}"
+                f"matmul triple dims mismatch: stream has {meta}, requested {dims}"
             )
-        return block.u, block.v, block.w
+        return parts
 
     def take_bit_triples(self, nbits):
         """Next `nbits` bit triples as three packed strings (u, v, w)."""
-        pool = self._bits
-        have = pool.nbits - pool.cursor
-        if have < nbits:
-            raise RandomnessUnderflowError(
-                f"bit-triple pool exhausted: requested {nbits}, have {have}"
-            )
-        u, v, w = pool.read(pool.cursor, nbits)
-        pool.cursor += nbits
-        return u, v, w
+        out = np.zeros((3, word_count(nbits) + 1), dtype=np.uint64)
+        pos = 0
+        for _, parts, start, count in self._take(TAG_BIT, nbits):
+            _write_bits(out, pos, _read_bits(parts, start, count))
+            pos += count
+        return tuple(out[:, :-1])
 
     def take_prefix_block(self, width, batch):
-        if not self._prefix:
-            raise RandomnessUnderflowError("prefix-network mask stream exhausted")
-        block = self._prefix.popleft()
-        if (block.width, block.batch) != (width, batch):
+        [(meta, parts, _, _)] = self._take(TAG_PREFIXNET, 1)
+        if meta != (width, batch):
             raise ProtocolError(
-                f"prefix block mismatch: stream has {(block.width, block.batch)}, "
-                f"requested {(width, batch)}"
+                f"prefix block mismatch: stream has {meta}, requested {(width, batch)}"
             )
-        return block
+        return _prefix_block(meta, parts)
 
 
 class OnDemandSource(RandomnessSource):
@@ -473,8 +430,7 @@ class OnDemandSource(RandomnessSource):
         return self._half(self._dealer.ring_pool_block(n, tag))
 
     def take_matmul_triple(self, dims):
-        block = self._half(self._dealer.matmul_block(dims))
-        return block.u, block.v, block.w
+        return self._half(self._dealer.matmul_block(dims))
 
     def take_bit_triples(self, nbits):
         return self._half(self._dealer.bit_pool_block(nbits))
@@ -491,60 +447,25 @@ _FILE_HEADER = struct.Struct("<4sHQI")
 _RECORD_HEADER = struct.Struct("<BQQQ")
 
 
+def _record_header(tag: int, meta) -> bytes:
+    if tag == TAG_MATMUL:
+        i, j, k, kind = meta
+        return _RECORD_HEADER.pack(tag | kind << _KIND_SHIFT, i, j, k)
+    if tag == TAG_PREFIXNET:
+        return _RECORD_HEADER.pack(tag, *meta, 0)
+    return _RECORD_HEADER.pack(tag, meta, 0, 0)
+
+
 def serialize_stream(source: MaterializedSource) -> bytes:
-    """Serialize one party's stream; records keep generation order."""
+    """Serialize one party's stream, every record in order, taken or not."""
     chunks = [
         _FILE_HEADER.pack(RANDOMNESS_MAGIC, source.params.ring_bits,
-                          source.session_id, len(source._records))
+                          source.session_id, len(source.records))
     ]
-    ring_cursors = {TAG_SCALAR: 0, TAG_CONVERSION: 0}
-    ring_concat = {
-        tag: (
-            np.concatenate(pool.u) if pool.u else np.empty(0, source.params.dtype),
-            np.concatenate(pool.v) if pool.v else np.empty(0, source.params.dtype),
-            np.concatenate(pool.w) if pool.w else np.empty(0, source.params.dtype),
-        )
-        for tag, pool in source._ring.items()
-    }
-    bit_cursor = 0
-    matmul = list(source._matmul)
-    prefix = list(source._prefix)
-    mi = pi = 0
-
-    for tag, meta in source._records:
-        if tag in (TAG_SCALAR, TAG_CONVERSION):
-            n = int(meta)
-            cur = ring_cursors[tag]
-            u, v, w = (arr[cur:cur + n] for arr in ring_concat[tag])
-            ring_cursors[tag] = cur + n
-            payload = np.concatenate([u, v, w]).astype(np.uint64).tobytes()
-            chunks.append(_RECORD_HEADER.pack(tag, n, 0, 0) + payload)
-        elif tag == TAG_BIT:
-            n = int(meta)
-            body = source._bits.read(bit_cursor, n).tobytes()
-            bit_cursor += n
-            chunks.append(_RECORD_HEADER.pack(tag, n, 0, 0) + body)
-        elif tag == TAG_MATMUL:
-            block = matmul[mi]
-            mi += 1
-            i, j, k, kind = block.dims
-            payload = b"".join(
-                arr.astype(np.uint64).tobytes()
-                for arr in (block.u, block.v, block.w) if arr is not None
-            )
-            chunks.append(_RECORD_HEADER.pack(tag | kind << _KIND_SHIFT, i, j, k) + payload)
-        elif tag == TAG_PREFIXNET:
-            block = prefix[pi]
-            pi += 1
-            body = [
-                rows_to_string(rows, block.batch).tobytes()
-                for rows in (block.setup_u, block.setup_v, block.setup_w)
-            ]
-            body += [rows.tobytes() for rows in
-                     (block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)]
-            chunks.append(_RECORD_HEADER.pack(tag, block.width, block.batch, 0) + b"".join(body))
-        else:
-            raise ValueError(f"unknown tag {tag}")
+    for tag, meta, parts in source.records:
+        chunks.append(_record_header(tag, meta))
+        chunks += [part.astype(np.uint64, copy=False).tobytes()
+                   for part in parts if part is not None]
     return b"".join(chunks)
 
 
@@ -570,44 +491,32 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
         off += nbytes
         return out
 
-    def take_words(count):
-        return np.frombuffer(take(count * word), dtype=np.uint64)
+    def take_words(rows, cols):
+        return np.frombuffer(take(rows * cols * word), dtype=np.uint64).reshape(rows, cols)
+
+    def take_ring(rows, cols):
+        return take_words(rows, cols).astype(params.dtype, copy=False)
 
     for _ in range(nrecords):
-        raw = take(_RECORD_HEADER.size)
-        tag, m0, m1, m2 = _RECORD_HEADER.unpack(raw)
+        tag, m0, m1, m2 = _RECORD_HEADER.unpack(take(_RECORD_HEADER.size))
         tag, kind = tag & ((1 << _KIND_SHIFT) - 1), tag >> _KIND_SHIFT
         if kind and (tag != TAG_MATMUL or kind > MATMUL_REUSE_T):
             raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
         if tag in (TAG_SCALAR, TAG_CONVERSION):
-            n = m0
-            words = take_words(3 * n)
-            u, v, w = (words[i * n:(i + 1) * n].astype(params.dtype) for i in range(3))
-            source._append_ring(tag, n, (u, v, w))
-            source._records.append((tag, n))
+            source.append(tag, m0, take_ring(3, m0))
         elif tag == TAG_BIT:
-            n = m0
-            source._append_bits(n, take_words(3 * word_count(n)).reshape(3, -1))
-            source._records.append((tag, n))
+            source.append(tag, m0, take_words(3, word_count(m0)))
         elif tag == TAG_MATMUL:
             dims = MatmulDims(m0, m1, m2, kind)
-            parts = [
-                None if shape is None else
-                take_words(shape[0] * shape[1]).reshape(shape).astype(params.dtype)
-                for shape in dims.shapes()
-            ]
-            source._append_matmul(MatmulBlock(dims, *parts))
-            source._records.append((tag, dims))
+            source.append(tag, dims, tuple(None if shape is None else take_ring(*shape)
+                                           for shape in dims.shapes()))
         elif tag == TAG_PREFIXNET:
-            width, batch = m0, m1
-            plan = cached_plan(width)
-            setup = [string_to_rows(take_words(word_count(width * batch)), width, batch).copy()
-                     for _ in range(3)]
-            rows = [take_words(count * word_count(batch)).reshape(count, -1).copy()
+            plan = cached_plan(m0)
+            setup = [take_words(1, word_count(m0 * m1))[0] for _ in range(3)]
+            rows = [take_words(count, word_count(m1))
                     for count in (len(plan.masked_nodes), len(plan.masked_nodes),
                                   len(plan.compositions), len(plan.compositions))]
-            source._append_prefix(PrefixBlock(width, batch, *setup, *rows))
-            source._records.append((tag, (width, batch)))
+            source.append(tag, (m0, m1), (*setup, *rows))
         else:
             raise FormatError(f"randomness stream: unknown record tag {tag}")
     return source

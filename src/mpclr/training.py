@@ -44,6 +44,10 @@ from .randomness import (
 )
 from .transport import FRAME_HEADER
 
+# Share of each pooled tag's planned use that the dealer adds as a tail, so
+# statistical paths never starve mid-run.
+POOL_SLACK = 0.05
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -229,15 +233,14 @@ def count_traffic(n_samples: int, n_features: int, n_iter: int,
     }
 
 
-def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingConfig,
-                                 slack: float = 0.05) -> list:
+def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingConfig) -> list:
     """Request plan the trusted initializer uses to provision one training run.
 
     Mirrors the consumption order of :func:`train_secure` exactly: one mask
     record for X, then per iteration a record that reuses it for X·w, the
     activation's records and a record that reuses it for Xᵀ·(t - o).  The
     mask is n x m1 words once; each reuse record is only n + m1 words.
-    Pooled tags get a slack tail so statistical paths never starve mid-run.
+    Pooled tags get a POOL_SLACK tail.
     """
     params = cfg.params
     m1 = n_features + 1
@@ -252,12 +255,12 @@ def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingC
         requests.append((TAG_SCALAR, n_samples))
         requests.append((TAG_SCALAR, n_samples))
         requests.append((TAG_MATMUL, MatmulDims(n_samples, m1, 1, MATMUL_REUSE_T)))
-    if cfg.n_iter and slack > 0:
+    if cfg.n_iter:
         bit_total = (params.int_bits - 1) * n_samples * cfg.n_iter
         scalar_total = 2 * n_samples * cfg.n_iter
         conv_total = 2 * n_samples * cfg.n_iter
         if bit_total:
-            requests.append((TAG_BIT, int(np.ceil(bit_total * slack))))
-        requests.append((TAG_SCALAR, int(np.ceil(scalar_total * slack))))
-        requests.append((TAG_CONVERSION, int(np.ceil(conv_total * slack))))
+            requests.append((TAG_BIT, int(np.ceil(bit_total * POOL_SLACK))))
+        requests.append((TAG_SCALAR, int(np.ceil(scalar_total * POOL_SLACK))))
+        requests.append((TAG_CONVERSION, int(np.ceil(conv_total * POOL_SLACK))))
     return requests

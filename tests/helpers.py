@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from mpclr import FixedPointParams, Role, local_session_pair, run_pair
-from mpclr.randomness import MaterializedSource, OnDemandSource
+from mpclr.randomness import TAG_SCALAR, MaterializedSource, OnDemandSource
 
 
 def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
@@ -35,8 +35,8 @@ def forced_scalar_source(params: FixedPointParams, u: int, v: int, w: int):
     dt = params.dtype
     src_a = MaterializedSource(params)
     src_b = MaterializedSource(params)
-    src_a._append_ring(1, 1, (np.array([u], dt), np.array([v], dt), np.array([w], dt)))
-    src_b._append_ring(1, 1, (np.zeros(1, dt), np.zeros(1, dt), np.zeros(1, dt)))
+    src_a.append(TAG_SCALAR, 1, np.array([[u], [v], [w]], dt))
+    src_b.append(TAG_SCALAR, 1, np.zeros((3, 1), dt))
     return src_a, src_b
 
 

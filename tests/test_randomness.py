@@ -73,10 +73,10 @@ class TestTripleGeneration:
 
     def test_matmul_block_reconstructs(self):
         dealer = TrustedDealer(5, P64)
-        blk_a, blk_b = dealer.matmul_block((3, 4, 2))
-        u = blk_a.u + blk_b.u
-        v = blk_a.v + blk_b.v
-        w = blk_a.w + blk_b.w
+        (ua, va, wa), (ub, vb, wb) = dealer.matmul_block((3, 4, 2))
+        u = ua + ub
+        v = va + vb
+        w = wa + wb
         assert np.array_equal(u @ v, w)
 
     def test_prefix_block_consistency(self):
@@ -124,6 +124,15 @@ class TestStreams:
         assert np.array_equal(u, ou) and np.array_equal(v, ov) and np.array_equal(w, ow)
         assert same_parts(back.take_bit_triples(130), src_a.take_bit_triples(130))
 
+    def test_serializing_ignores_takes(self):
+        src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
+        data = serialize_stream(src_a)
+        for tag, meta in self.REQUESTS:
+            take(src_a, tag, meta // 2 if tag in (TAG_SCALAR, TAG_BIT) else meta)
+        assert serialize_stream(src_a) == data
+        back = deserialize_stream(serialize_stream(src_a), P64)
+        assert serialize_stream(back) == data
+
     def test_tampered_magic(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
@@ -160,10 +169,13 @@ class TestStreams:
             src_a.take_matmul_triple((1, 1, 1))
 
     def test_on_demand_matches_dealer(self):
-        requests = [(TAG_SCALAR, 6), (TAG_BIT, 40)]
+        requests = [(TAG_SCALAR, 0), (TAG_SCALAR, 6), (TAG_BIT, 40)]
         src_a, src_b = TrustedDealer(77, P64).generate(requests)
         od_a = OnDemandSource(77, Role.ALICE, P64)
         od_b = OnDemandSource(77, Role.BOB, P64)
+        empty = src_a.take_ring_triples(0)
+        assert [part.shape for part in empty] == [(0,)] * 3
+        assert same_parts(od_a.take_ring_triples(0), empty)
         assert np.array_equal(od_a.take_ring_triples(6)[0], src_a.take_ring_triples(6)[0])
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 

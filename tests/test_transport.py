@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -184,6 +185,20 @@ class TestHandshake:
     def test_round_trip_of_every_field(self):
         info = self._info(lr_encoded=(1 << 64) - 5, n_iter=223, seed_commitment=(1 << 63) + 1)
         assert HandshakeInfo.unpack(info.pack()) == info
+
+
+class TestRunPair:
+    def test_one_deadline_for_both_threads(self):
+        from mpclr.local import run_pair
+
+        release = threading.Event()
+        start = time.monotonic()
+        try:
+            with pytest.raises(TimeoutError):
+                run_pair(release.wait, release.wait, timeout=0.5)
+            assert time.monotonic() - start < 0.8
+        finally:
+            release.set()
 
 
 class TestTranscriptCounters:

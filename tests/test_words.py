@@ -146,7 +146,7 @@ class TestBitPool:
         dealer = TrustedDealer(6, P64)
         for n in (70, 33):
             part = dealer.bit_pool_block(n)[0]
-            source._append_bits(n, part)
+            source.append(TAG_BIT, n, np.array(part))
             ref.append(n, part)
             self.check_takes(source, ref, [n - 9])
         self.check_takes(source, ref, [18])
