@@ -46,7 +46,6 @@ from .prefixnet import PrefixNetworkPlan, closed_form_mask_bits, plan_prefix_net
 from .randomness import (
     MaterializedSource,
     OnDemandSource,
-    RandomnessSource,
     TrustedDealer,
     deserialize_stream,
     read_randomness_file,

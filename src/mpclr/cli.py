@@ -34,7 +34,6 @@ from .fixedpoint import FixedPointParams, decode_array, encode, encode_array
 from .local import local_session_pair, party_rng, run_pair
 from .randomness import (
     MaterializedSource,
-    OnDemandSource,
     TrustedDealer,
     deserialize_stream,
     read_randomness_file,
@@ -315,8 +314,6 @@ def _train_party(role_name, listen, peers, data, weights_out, cfg, randomness):
             source = _recv_randomness(ti_channel, cfg)
             ti_channel.close()
         else:
-            if not randomness.startswith("file:"):
-                raise click.UsageError("--randomness must be 'online' or 'file:PATH'")
             source = read_randomness_file(randomness[5:], cfg.params)
             if source.session_id != session_id_from_seed(cfg.seed):
                 raise FormatError("randomness file session id does not match --seed")
@@ -349,8 +346,6 @@ def _train_ti(peers, cfg, randomness, dims):
         write_randomness_file(f"{prefix}.bob.crn", src_b)
         click.echo(f"randomness -> {prefix}.alice.crn, {prefix}.bob.crn")
         return
-    if randomness != "online":
-        raise click.UsageError("--randomness must be 'online' or 'file:PATH'")
     if len(peers) != 2:
         raise click.UsageError("online TI needs --peer alice_host:port --peer bob_host:port")
     own = _handshake_info("TI", cfg)
@@ -495,11 +490,7 @@ def _bench_once(kind, batch, params, seed):
     else:
         secrets = np.frombuffer(rng.bytes(batch * 8), dtype=np.uint64).astype(params.dtype)
     share_a, share_b = split_array(secrets, params, rng)
-    sess_a, sess_b = local_session_pair(
-        params, seed=seed,
-        randomness_a=OnDemandSource(seed, Role.ALICE, params),
-        randomness_b=OnDemandSource(seed, Role.BOB, params),
-    )
+    sess_a, sess_b = local_session_pair(params, seed=seed)
 
     if kind == "activation":
         fn = lambda s, v: batch_activate(s, v)

@@ -25,7 +25,7 @@ from .randomness import (
     TAG_CONVERSION,
     TAG_SCALAR,
     MatmulDims,
-    RandomnessSource,
+    MaterializedSource,
 )
 from .sharing import (
     Role,
@@ -79,14 +79,13 @@ class Transcript:
 class Session:
     """One party's live protocol state: role, channel, randomness, counters."""
 
-    def __init__(self, role: Role, channel: Channel, randomness: RandomnessSource,
-                 params: FixedPointParams, rng: np.random.Generator | None = None,
-                 trunc_oracle=None):
+    def __init__(self, role: Role, channel: Channel, randomness: MaterializedSource,
+                 params: FixedPointParams, rng: np.random.Generator, trunc_oracle=None):
         self.role = role
         self.channel = channel
         self.randomness = randomness
         self.params = params
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         self.transcript = Transcript()
         self.trunc_oracle = trunc_oracle
 

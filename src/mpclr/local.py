@@ -14,7 +14,7 @@ import numpy as np
 
 from .engine import Session
 from .fixedpoint import FixedPointParams
-from .randomness import OnDemandSource, RandomnessSource
+from .randomness import MaterializedSource, OnDemandSource
 from .sharing import Role
 from .transport import memory_channel_pair
 
@@ -27,11 +27,11 @@ def party_rng(master_seed: int, role: Role) -> np.random.Generator:
 
 
 def local_session_pair(params: FixedPointParams, seed: int = 0,
-                       randomness_a: RandomnessSource | None = None,
-                       randomness_b: RandomnessSource | None = None,
-                       trunc_oracle=None, timeout: float = 120.0):
+                       randomness_a: MaterializedSource | None = None,
+                       randomness_b: MaterializedSource | None = None,
+                       trunc_oracle=None):
     """Two sessions joined by an in-memory channel, dealer derived from seed."""
-    ch_a, ch_b = memory_channel_pair(timeout=timeout)
+    ch_a, ch_b = memory_channel_pair()
     if randomness_a is None:
         randomness_a = OnDemandSource(seed, Role.ALICE, params)
     if randomness_b is None:

@@ -6,6 +6,10 @@ seeds, one counter per consumer tag, so a dealer run is reproducible and the
 two parties' files are always consistent.  Consumption is strict FIFO per tag:
 both parties issue identical requests in identical order, which is what keeps
 their shares aligned without negotiation.
+
+Every party stream is a MaterializedSource, a list of CRN1 records: dealt up
+front into a file or a TI frame, or, for an OnDemandSource, the same records
+dealt one at a time as they are taken.
 """
 
 from __future__ import annotations
@@ -100,6 +104,17 @@ class PrefixBlock:
 
 
 _POOLED = (TAG_SCALAR, TAG_CONVERSION, TAG_BIT)
+
+
+def _meta(tag: int, meta):
+    """A request's meta as records keep it: n for a pool, a MatmulDims for
+    matmul (a plain (i, j, k) is a triple), (width, batch) for
+    prefix-network."""
+    if tag == TAG_MATMUL:
+        return MatmulDims(*meta)
+    if tag == TAG_PREFIXNET:
+        return tuple(meta)
+    return meta
 
 
 def _units(tag: int, meta) -> int:
@@ -209,23 +224,15 @@ class TrustedDealer:
         seq = np.random.SeedSequence([_DOMAIN, self.master_seed & (2 ** 64 - 1), tag, ctr])
         return np.random.default_rng(seq)
 
-    def ring_pool_block(self, n: int, tag: int):
-        rng = self._rng(tag)
-        u = random_ring_array(rng, self.params, (n,))
-        v = random_ring_array(rng, self.params, (n,))
-        return make_ring_triple(u, v, self.params, rng)
-
-    def matmul_block(self, dims):
+    def _matmul_parts(self, dims, rng):
         """Both parties' (U, V, W) parts of one TAG_MATMUL record, None for a
         part its kind lacks (see MatmulDims)."""
         dims = MatmulDims(*dims)
         i, j, k, kind = dims
-        rng = self._rng(TAG_MATMUL)
         if kind == MATMUL_TRIPLE:
             u = random_ring_array(rng, self.params, (i, j))
             v = random_ring_array(rng, self.params, (j, k))
-            (ua, va, wa), (ub, vb, wb) = make_ring_triple(u, v, self.params, rng)
-            return (ua, va, wa), (ub, vb, wb)
+            return make_ring_triple(u, v, self.params, rng)
         if kind == MATMUL_MASK:
             u = random_ring_array(rng, self.params, (i, j))
             self._masks[(i, j)] = u
@@ -240,21 +247,11 @@ class TrustedDealer:
         (va, vb), (wa, wb) = _share_ring(v, self.params, rng), _share_ring(w, self.params, rng)
         return (None, va, wa), (None, vb, wb)
 
-    def bit_pool_block(self, nbits: int):
-        rng = self._rng(TAG_BIT)
-        return make_bit_triple(nbits, rng)
-
-    def prefix_block(self, width: int, batch: int):
-        """Both parties' PrefixBlocks for one batched decomposition."""
-        return tuple(_prefix_block((width, batch), half)
-                     for half in self._prefix_parts(width, batch))
-
-    def _prefix_parts(self, width: int, batch: int):
+    def _prefix_parts(self, width: int, batch: int, rng):
         """Both parties' parts of one TAG_PREFIXNET record: the setup triple
         as three strings of width x batch bits, then the node masks and the
         composition products as matrices of packed `batch`-bit rows."""
         plan = cached_plan(width)
-        rng = self._rng(TAG_PREFIXNET)
         setup_a, setup_b = make_bit_triple(width * batch, rng)
 
         def draw_rows(per_row: int, nrows: int):
@@ -275,16 +272,22 @@ class TrustedDealer:
                 (*setup_b, p_val ^ p_a, g_val ^ g_a, pp_b, pg_b))
 
     def block(self, tag: int, meta):
-        """Both parties' parts of one CRN1 record, in the layout they are
-        written in (see MaterializedSource)."""
+        """Both parties' parts of the next CRN1 record of `tag`, in the layout
+        they are written in (see MaterializedSource); `meta` is as in
+        `generate`."""
+        rng = self._rng(tag)
         if tag in (TAG_SCALAR, TAG_CONVERSION):
-            return tuple(np.array(half) for half in self.ring_pool_block(meta, tag))
+            # no names for u and v, so they are freed before the halves are copied
+            halves = make_ring_triple(random_ring_array(rng, self.params, (meta,)),
+                                      random_ring_array(rng, self.params, (meta,)),
+                                      self.params, rng)
+            return tuple(np.array(half) for half in halves)
         if tag == TAG_BIT:
-            return tuple(np.array(half) for half in self.bit_pool_block(meta))
+            return tuple(np.array(half) for half in make_bit_triple(meta, rng))
         if tag == TAG_MATMUL:
-            return self.matmul_block(meta)
+            return self._matmul_parts(meta, rng)
         if tag == TAG_PREFIXNET:
-            return self._prefix_parts(*meta)
+            return self._prefix_parts(*meta, rng)
         raise ValueError(f"unknown randomness tag {tag}")
 
     def generate(self, requests):
@@ -296,10 +299,7 @@ class TrustedDealer:
         sa = MaterializedSource(self.params, self.session_id)
         sb = MaterializedSource(self.params, self.session_id)
         for tag, meta in requests:
-            if tag == TAG_MATMUL:
-                meta = MatmulDims(*meta)
-            elif tag == TAG_PREFIXNET:
-                meta = tuple(meta)
+            meta = _meta(tag, meta)
             a, b = self.block(tag, meta)
             sa.append(tag, meta, a)
             sb.append(tag, meta, b)
@@ -311,26 +311,9 @@ def session_id_from_seed(master_seed: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-class RandomnessSource:
-    """Consumption interface shared by file-backed and on-demand streams."""
-
-    def take_ring_triples(self, n: int, tag: int = TAG_SCALAR):
-        raise NotImplementedError
-
-    def take_matmul_triple(self, dims):
-        """(U, V, W) parts of the next TAG_MATMUL record, None where the
-        record's kind lacks a part; raises ProtocolError if its dims differ."""
-        raise NotImplementedError
-
-    def take_bit_triples(self, nbits: int):
-        raise NotImplementedError
-
-    def take_prefix_block(self, width: int, batch: int) -> PrefixBlock:
-        raise NotImplementedError
-
-
-class MaterializedSource(RandomnessSource):
-    """Finite pre-generated stream: dealer output, file contents, or TI bytes.
+class MaterializedSource:
+    """A party's stream of correlated randomness: dealer output, file
+    contents, TI bytes, or records dealt as they are taken (OnDemandSource).
 
     The stream is `records`, its CRN1 records in order, each (tag, meta,
     parts) with `parts` in the layout they are written in: a (3, n) matrix
@@ -353,9 +336,11 @@ class MaterializedSource(RandomnessSource):
         self.records.append((tag, meta, parts))
         self._cursors[tag].left += _units(tag, meta)
 
-    def _take(self, tag: int, n: int) -> list:
-        """(meta, parts, start, count) of every record that the next `n`
-        units of `tag` come from, in order."""
+    def _take(self, tag: int, meta) -> list:
+        """(meta, parts, start, count) of every record that the units a
+        request of `tag` needs come from, in order: the next `meta` units of
+        a pool, or the next record, which must have this meta."""
+        n = _units(tag, meta)
         cur = self._cursors[tag]
         if cur.left < n:
             raise RandomnessUnderflowError(
@@ -364,15 +349,19 @@ class MaterializedSource(RandomnessSource):
         cur.left -= n
         segments = []
         while n:
-            rtag, meta, parts = self.records[cur.index]
-            count = min(n, _units(tag, meta) - cur.offset) if rtag == tag else 0
+            rtag, rmeta, parts = self.records[cur.index]
+            count = min(n, _units(tag, rmeta) - cur.offset) if rtag == tag else 0
             if count > 0:
-                segments.append((meta, parts, cur.offset, count))
+                segments.append((rmeta, parts, cur.offset, count))
                 cur.offset += count
                 n -= count
             else:
                 cur.index += 1
                 cur.offset = 0
+        if tag not in _POOLED and segments[0][0] != meta:
+            raise ProtocolError(
+                f"{_TAG_NAMES[tag]} record mismatch: stream has {segments[0][0]}, requested {meta}"
+            )
         return segments
 
     def take_ring_triples(self, n, tag=TAG_SCALAR):
@@ -382,12 +371,9 @@ class MaterializedSource(RandomnessSource):
         return tuple(np.concatenate([np.empty((3, 0), self.params.dtype), *pieces], axis=1))
 
     def take_matmul_triple(self, dims):
-        [(meta, parts, _, _)] = self._take(TAG_MATMUL, 1)
-        dims = MatmulDims(*dims)
-        if meta != dims:
-            raise ProtocolError(
-                f"matmul triple dims mismatch: stream has {meta}, requested {dims}"
-            )
+        """(U, V, W) parts of the next TAG_MATMUL record, None where the
+        record's kind lacks a part; raises ProtocolError if its dims differ."""
+        [(_, parts, _, _)] = self._take(TAG_MATMUL, _meta(TAG_MATMUL, dims))
         return parts
 
     def take_bit_triples(self, nbits):
@@ -399,44 +385,30 @@ class MaterializedSource(RandomnessSource):
             pos += count
         return tuple(out[:, :-1])
 
-    def take_prefix_block(self, width, batch):
-        [(meta, parts, _, _)] = self._take(TAG_PREFIXNET, 1)
-        if meta != (width, batch):
-            raise ProtocolError(
-                f"prefix block mismatch: stream has {meta}, requested {(width, batch)}"
-            )
+    def take_prefix_block(self, width, batch) -> PrefixBlock:
+        [(meta, parts, _, _)] = self._take(TAG_PREFIXNET, (width, batch))
         return _prefix_block(meta, parts)
 
 
-class OnDemandSource(RandomnessSource):
-    """Derives this party's half of each request lazily from the master seed.
+class OnDemandSource(MaterializedSource):
+    """A stream dealt as it is taken, from the master seed.
 
-    Both parties construct one of these with the same seed; because each
-    request regenerates the full dealer block and keeps only one half, the two
-    views stay consistent without any communication.  Intended for tests,
-    local mode and benchmarks; networked runs use files or TI streaming.
+    Before each take, the record that a TrustedDealer deals for exactly that
+    request is appended, and the take then reads it like any other.  Both
+    parties build one with the same seed and keep their own half of each
+    record, so the two streams stay consistent without any communication.
+    The records stay in memory; meant for tests and `mpclr bench`.
     """
 
     def __init__(self, master_seed: int, role: Role, params: FixedPointParams):
-        self.params = params
-        self.role = role
-        self.session_id = session_id_from_seed(master_seed)
         self._dealer = TrustedDealer(master_seed, params)
+        super().__init__(params, self._dealer.session_id)
+        self.role = role
 
-    def _half(self, pair):
-        return pair[0] if self.role is Role.ALICE else pair[1]
-
-    def take_ring_triples(self, n, tag=TAG_SCALAR):
-        return self._half(self._dealer.ring_pool_block(n, tag))
-
-    def take_matmul_triple(self, dims):
-        return self._half(self._dealer.matmul_block(dims))
-
-    def take_bit_triples(self, nbits):
-        return self._half(self._dealer.bit_pool_block(nbits))
-
-    def take_prefix_block(self, width, batch):
-        return self._half(self._dealer.prefix_block(width, batch))
+    def _take(self, tag, meta):
+        a, b = self._dealer.block(tag, meta)
+        self.append(tag, meta, a if self.role is Role.ALICE else b)
+        return super()._take(tag, meta)
 
 
 # ---------------------------------------------------------------------------

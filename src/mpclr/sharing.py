@@ -155,24 +155,6 @@ def affine_combine(c0: int, terms, params: FixedPointParams) -> RingShare:
     return RingShare(acc, role)
 
 
-def affine_combine_arrays(c0: int, terms, params: FixedPointParams, role: Role | None = None) -> VectorShare:
-    """Vector form of :func:`affine_combine`."""
-    roles = {share.role for _, share in terms}
-    if len(roles) > 1:
-        raise ProtocolError("affine_combine over mixed roles")
-    if roles:
-        role = roles.pop()
-    if role is None:
-        raise ProtocolError("role required when combining an empty term list")
-    shape = terms[0][1].values.shape if terms else ()
-    acc = np.zeros(shape, dtype=params.dtype)
-    if role is Role.ALICE:
-        acc += params.dtype(c0 & params.mask)
-    for c, share in terms:
-        acc += params.dtype(c & params.mask) * share.values.astype(params.dtype)
-    return VectorShare(acc, role)
-
-
 # ---------------------------------------------------------------------------
 # Packed bit strings
 #

@@ -49,7 +49,8 @@ def encode_frame(frame: Frame) -> bytes:
     return FRAME_HEADER.pack(FRAME_MAGIC, frame.msg_type, len(frame.payload)) + frame.payload
 
 
-def decode_frame(data: bytes) -> Frame:
+def _parse_header(data: bytes) -> tuple:
+    """(message type, payload length) of the frame header that `data` starts with."""
     if len(data) < FRAME_HEADER.size:
         raise FrameError("truncated frame header")
     magic, msg_type, length = FRAME_HEADER.unpack_from(data)
@@ -59,6 +60,11 @@ def decode_frame(data: bytes) -> Frame:
         raise FrameError(f"unknown message type {msg_type}")
     if length > MAX_PAYLOAD:
         raise FrameError(f"advertised payload length {length} exceeds limit")
+    return msg_type, length
+
+
+def decode_frame(data: bytes) -> Frame:
+    msg_type, length = _parse_header(data)
     payload = data[FRAME_HEADER.size:FRAME_HEADER.size + length]
     if len(payload) != length:
         raise FrameError(f"frame payload truncated: expected {length}, got {len(payload)}")
@@ -146,14 +152,7 @@ class TcpChannel(Channel):
         return bytes(buf)
 
     def recv_frame(self) -> Frame:
-        header = self._recv_exact(FRAME_HEADER.size)
-        magic, msg_type, length = FRAME_HEADER.unpack(header)
-        if magic != FRAME_MAGIC:
-            raise FrameError(f"bad frame magic {magic!r}")
-        if msg_type not in _VALID_TYPES:
-            raise FrameError(f"unknown message type {msg_type}")
-        if length > MAX_PAYLOAD:
-            raise FrameError(f"advertised payload length {length} exceeds limit")
+        msg_type, length = _parse_header(self._recv_exact(FRAME_HEADER.size))
         return Frame(msg_type, self._recv_exact(length))
 
     def close(self):

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from mpclr import FixedPointParams, Role, local_session_pair, run_pair
-from mpclr.randomness import TAG_SCALAR, MaterializedSource, OnDemandSource
+from mpclr import FixedPointParams, local_session_pair, run_pair
+from mpclr.randomness import TAG_SCALAR, MaterializedSource
 
 
 def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
@@ -13,13 +13,10 @@ def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
     """Run a two-party closure pair over an in-memory channel.
 
     Returns (result_a, result_b, session_a, session_b); closures receive the
-    session as their only argument.
+    session as their only argument.  Without `sources`, randomness is dealt
+    on demand from `seed`.
     """
-    if sources is None:
-        src_a = OnDemandSource(seed, Role.ALICE, params)
-        src_b = OnDemandSource(seed, Role.BOB, params)
-    else:
-        src_a, src_b = sources
+    src_a, src_b = sources or (None, None)
     sess_a, sess_b = local_session_pair(params, seed=seed, randomness_a=src_a,
                                         randomness_b=src_b, trunc_oracle=trunc_oracle)
     if capture_opens:

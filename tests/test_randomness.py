@@ -65,7 +65,7 @@ class TestTripleGeneration:
 
     def test_random_ring_triples_reconstruct(self):
         dealer = TrustedDealer(31337, P64)
-        a, b = dealer.ring_pool_block(10_000, TAG_SCALAR)
+        a, b = dealer.block(TAG_SCALAR, 10_000)
         u = a[0] + b[0]
         v = a[1] + b[1]
         w = a[2] + b[2]
@@ -73,7 +73,7 @@ class TestTripleGeneration:
 
     def test_matmul_block_reconstructs(self):
         dealer = TrustedDealer(5, P64)
-        (ua, va, wa), (ub, vb, wb) = dealer.matmul_block((3, 4, 2))
+        (ua, va, wa), (ub, vb, wb) = dealer.block(TAG_MATMUL, (3, 4, 2))
         u = ua + ub
         v = va + vb
         w = wa + wb
@@ -81,8 +81,8 @@ class TestTripleGeneration:
 
     def test_prefix_block_consistency(self):
         width, batch = 8, 5
-        dealer = TrustedDealer(7, P16)
-        blk_a, blk_b = dealer.prefix_block(width, batch)
+        src_a, src_b = TrustedDealer(7, P16).generate([(TAG_PREFIXNET, (width, batch))])
+        blk_a, blk_b = src_a.take_prefix_block(width, batch), src_b.take_prefix_block(width, batch)
         plan = cached_plan(width)
         su = blk_a.setup_u ^ blk_b.setup_u
         sv = blk_a.setup_v ^ blk_b.setup_v
@@ -296,6 +296,7 @@ class TestMaskCountFormula:
     def test_block_sizes_follow_schedule(self):
         width, batch = 16, 4
         plan = cached_plan(width)
-        blk_a, _ = TrustedDealer(3, P16).prefix_block(width, batch)
+        src_a, _ = TrustedDealer(3, P16).generate([(TAG_PREFIXNET, (width, batch))])
+        blk_a = src_a.take_prefix_block(width, batch)
         assert len(blk_a.mask_p) == len(plan.masked_nodes)
         assert len(blk_a.prod_pp) == len(plan.compositions)

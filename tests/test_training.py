@@ -16,7 +16,7 @@ from mpclr import (
     training_randomness_requests,
 )
 from mpclr.fixedpoint import decode_array, encode_array
-from mpclr.randomness import TrustedDealer
+from mpclr.randomness import TrustedDealer, deserialize_stream, serialize_stream
 from mpclr.sharing import split_array
 
 from helpers import protocol_pair, separable_toy
@@ -126,6 +126,33 @@ class TestSecureTraining:
         assert np.array_equal(shares1[0], shares2[0])
         assert np.array_equal(shares1[1], shares2[1])
         assert np.array_equal(w1, w2)
+
+    def test_on_demand_streams_replay_from_their_crn1_bytes(self):
+        # an on-demand stream is the list of records its takes dealt, so
+        # reloading its CRN1 bytes replays the run frame for frame
+        feats, labels = separable_toy(77, 4, seed=5)
+        cfg = TrainingConfig(eta=0.05, n_iter=3, params=P64, seed=13)
+        ds = Dataset.from_features(feats, labels)
+        assert ds.X.shape == (77, 5)
+        xa, xb = split_array(encode_array(ds.X, P64), P64, np.random.default_rng(1))
+        t_enc = encode_array(ds.t.astype(np.float64), P64)
+        ta, tb = split_array(t_enc, P64, np.random.default_rng(2))
+
+        def run(sources):
+            wa, wb, sa, sb = protocol_pair(
+                P64,
+                lambda s: train_secure(s, xa.values, ta.values, cfg),
+                lambda s: train_secure(s, xb.values, tb.values, cfg),
+                seed=cfg.seed,
+                sources=sources,
+            )
+            return (wa, wb), [s.transcript.sent_digest() for s in (sa, sb)], (sa, sb)
+
+        shares, digests, sessions = run(None)
+        reloaded = [deserialize_stream(serialize_stream(s.randomness), P64) for s in sessions]
+        replay_shares, replay_digests, _ = run(reloaded)
+        assert all(np.array_equal(a, b) for a, b in zip(shares, replay_shares, strict=True))
+        assert replay_digests == digests
 
     def test_exact_truncation_hook_matches_plain_fixed_bitwise(self):
         feats, labels = separable_toy()

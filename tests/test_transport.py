@@ -12,6 +12,8 @@ from mpclr.randomness import OnDemandSource
 from mpclr.sharing import Role
 from mpclr.transport import (
     FRAME_HEADER,
+    FRAME_MAGIC,
+    MAX_PAYLOAD,
     Frame,
     HandshakeInfo,
     MSG_CONTROL,
@@ -110,6 +112,24 @@ class TestTcpChannel:
         with pytest.raises(TransportError):
             b.recv_frame()
         b.close()
+
+    @pytest.mark.parametrize("header, match", [
+        (FRAME_HEADER.pack(b"XXXX", MSG_CONTROL, 0), "magic"),
+        (FRAME_HEADER.pack(FRAME_MAGIC, 99, 0), "message type"),
+        (FRAME_HEADER.pack(FRAME_MAGIC, MSG_OPEN_RING, MAX_PAYLOAD + 1), "exceeds limit"),
+    ])
+    def test_bad_header_from_a_raw_socket(self, header, match):
+        server = tcp_listen("127.0.0.1", 0)
+        raw = socket.create_connection(server.getsockname(), timeout=10.0)
+        channel = tcp_accept(server, timeout=10.0)
+        try:
+            raw.sendall(header)
+            with pytest.raises(FrameError, match=match):
+                channel.recv_frame()
+        finally:
+            channel.close()
+            raw.close()
+            server.close()
 
     def test_connect_refused(self):
         probe = socket.socket()

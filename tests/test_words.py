@@ -123,7 +123,7 @@ class TestBitPool:
         ref = BigIntPool()
         dealer = TrustedDealer(seed, P64)
         for n in self.RECORDS:
-            ref.append(n, dealer.bit_pool_block(n)[0])
+            ref.append(n, dealer.block(TAG_BIT, n)[0])
         return ref
 
     def check_takes(self, source, ref, takes):
@@ -145,8 +145,8 @@ class TestBitPool:
         ref = BigIntPool()
         dealer = TrustedDealer(6, P64)
         for n in (70, 33):
-            part = dealer.bit_pool_block(n)[0]
-            source.append(TAG_BIT, n, np.array(part))
+            part = dealer.block(TAG_BIT, n)[0]
+            source.append(TAG_BIT, n, part)
             ref.append(n, part)
             self.check_takes(source, ref, [n - 9])
         self.check_takes(source, ref, [18])
