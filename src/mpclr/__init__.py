@@ -41,7 +41,7 @@ from .fixedpoint import (
     exact_truncate,
     truncate_share_local,
 )
-from .local import local_session_pair, party_rng, run_pair
+from .local import local_session_pair, party_rng, run_pair, run_sessions
 from .prefixnet import PrefixNetworkPlan, closed_form_mask_bits, plan_prefix_network
 from .randomness import (
     MaterializedSource,
@@ -59,7 +59,6 @@ from .sharing import (
     Role,
     VectorShare,
     affine_combine,
-    open_arrays,
     open_bits,
     open_shares,
     read_share_file,

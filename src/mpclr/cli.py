@@ -31,7 +31,7 @@ from .errors import (
     TransportError,
 )
 from .fixedpoint import FixedPointParams, decode_array, encode, encode_array
-from .local import local_session_pair, party_rng, run_pair
+from .local import local_session_pair, party_rng, run_sessions
 from .randomness import (
     MaterializedSource,
     TrustedDealer,
@@ -237,8 +237,8 @@ def _train_local(data, weights_out, shares_out, cfg):
     sess_a, sess_b = local_session_pair(cfg.params, seed=cfg.seed,
                                         randomness_a=src_a, randomness_b=src_b)
     t0 = time.perf_counter()
-    wa, wb = run_pair(lambda: train_secure(sess_a, xa, ta, cfg),
-                      lambda: train_secure(sess_b, xb, tb, cfg))
+    wa, wb = run_sessions(sess_a, sess_b, lambda s: train_secure(s, xa, ta, cfg),
+                          lambda s: train_secure(s, xb, tb, cfg))
     wall = time.perf_counter() - t0
     weights = decode_array(wa + wb, cfg.params)
     _weights_csv(weights_out, weights)
@@ -500,7 +500,7 @@ def _bench_once(kind, batch, params, seed):
         fn = lambda s, v: batch_mul(s, v, v)
 
     t0 = time.perf_counter()
-    run_pair(lambda: fn(sess_a, share_a.values), lambda: fn(sess_b, share_b.values))
+    run_sessions(sess_a, sess_b, lambda s: fn(s, share_a.values), lambda s: fn(s, share_b.values))
     wall = time.perf_counter() - t0
     return wall, sess_a.transcript
 

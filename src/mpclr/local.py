@@ -44,26 +44,35 @@ def local_session_pair(params: FixedPointParams, seed: int = 0,
 
 
 def run_pair(fn_a, fn_b, timeout: float = 120.0):
-    """Run the two party closures on two threads; re-raise the first failure."""
-    results = {}
-    errors = {}
+    """Run the two party closures on two threads; re-raise the earliest failure."""
+    return run_sessions(None, None, lambda _: fn_a(), lambda _: fn_b(), timeout)
 
-    def runner(name, fn):
+
+def run_sessions(sess_a: Session | None, sess_b: Session | None, fn_a, fn_b,
+                 timeout: float = 120.0):
+    """Run fn_a(sess_a) and fn_b(sess_b) on two threads; re-raise the earliest
+    failure.  A failing party closes its channel once its failure is recorded,
+    so its peer fails next, at its next receive, not at the channel's timeout."""
+    results = [None, None]
+    failures = []  # in the order the parties failed
+
+    def runner(index, sess, fn):
         try:
-            results[name] = fn()
+            results[index] = fn(sess)
         except BaseException as exc:  # noqa: BLE001 - surfaced to the caller below
-            errors[name] = exc
+            failures.append(exc)
+            if sess is not None:
+                sess.channel.close()
 
-    ta = threading.Thread(target=runner, args=("A", fn_a), daemon=True)
-    tb = threading.Thread(target=runner, args=("B", fn_b), daemon=True)
-    ta.start()
-    tb.start()
+    threads = [threading.Thread(target=runner, args=(0, sess_a, fn_a), daemon=True),
+               threading.Thread(target=runner, args=(1, sess_b, fn_b), daemon=True)]
+    for thread in threads:
+        thread.start()
     deadline = time.monotonic() + timeout
-    for thread in (ta, tb):
+    for thread in threads:
         thread.join(max(0.0, deadline - time.monotonic()))
-    if ta.is_alive() or tb.is_alive():
+    if any(thread.is_alive() for thread in threads):
         raise TimeoutError("party thread did not finish; protocol deadlock?")
-    for name in ("A", "B"):
-        if name in errors:
-            raise errors[name]
-    return results["A"], results["B"]
+    if failures:
+        raise failures[0]
+    return tuple(results)

@@ -25,10 +25,6 @@ class Role(Enum):
     ALICE = "A"
     BOB = "B"
 
-    @property
-    def peer(self) -> "Role":
-        return Role.BOB if self is Role.ALICE else Role.ALICE
-
 
 @dataclass(frozen=True)
 class RingShare:
@@ -61,10 +57,6 @@ class VectorShare:
 
     values: np.ndarray
     role: Role
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 def random_ring_array(rng: np.random.Generator, params: FixedPointParams, shape) -> np.ndarray:
@@ -123,13 +115,6 @@ def _check_pair(a_role: Role, b_role: Role):
 def open_shares(sa: RingShare, sb: RingShare, params: FixedPointParams) -> int:
     _check_pair(sa.role, sb.role)
     return (sa.value + sb.value) & params.mask
-
-
-def open_arrays(sa: VectorShare, sb: VectorShare, params: FixedPointParams) -> np.ndarray:
-    _check_pair(sa.role, sb.role)
-    if sa.values.shape != sb.values.shape:
-        raise ProtocolError(f"share shape mismatch: {sa.values.shape} vs {sb.values.shape}")
-    return (sa.values.astype(params.dtype) + sb.values.astype(params.dtype))
 
 
 def open_bits(sa: BitVectorShare, sb: BitVectorShare) -> int:

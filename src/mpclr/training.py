@@ -12,6 +12,10 @@ update as a public fixed-point constant, so its quantized value (for example
 encode(0.001) with 12 fractional bits is 4, an effective rate of about
 0.00098) is what the model actually trains with.
 
+`iteration_steps` lists the rounds of one iteration once; the trusted
+initializer's request plan, `count_multiplications` and `count_traffic` are
+all sums and filters over that list.
+
 The two plaintext trainers bracket the secure one: `train_plain_float` is
 textbook full gradient descent on reals, while `train_plain_fixed` replays
 the secure schedule on plaintext ring integers with exact truncation,
@@ -42,6 +46,7 @@ from .randomness import (
     TAG_SCALAR,
     MatmulDims,
 )
+from .sharing import word_count
 from .transport import FRAME_HEADER
 
 # Share of each pooled tag's planned use that the dealer adds as a tail, so
@@ -143,10 +148,9 @@ def train_secure(sess: Session, x_share: np.ndarray, t_share: np.ndarray,
                  cfg: TrainingConfig) -> np.ndarray:
     """Run the secure training protocol; returns this party's weight shares.
 
-    X is wrapped once as a MaskedMatrix: the first iteration's forward
-    product also opens X - U, and afterwards each iteration sends m1 words
-    for X·w and n words for the gradient Xᵀ·(t - o), plus the activation.
-    Every iteration costs the same number of rounds.
+    X is wrapped once as a MaskedMatrix, so the first iteration's forward
+    product also opens X - U; every iteration runs the rounds that
+    :func:`iteration_steps` lists.
     """
     params = sess.params
     x_share = np.asarray(x_share, dtype=params.dtype)
@@ -175,6 +179,52 @@ def predict_and_score(weights: np.ndarray, X: np.ndarray, t: np.ndarray) -> floa
     return float(np.mean(predicted == np.asarray(t, dtype=np.int64)))
 
 
+@dataclass(frozen=True)
+class Step:
+    """One round of a training iteration: its phase (the tracer's span name),
+    the randomness record it starts to take or None, the 64-bit words each
+    party sends in its frame, and its ring and Z_2 multiplications."""
+
+    phase: str
+    request: tuple | None
+    words: int
+    ring: int = 0
+    bit: int = 0
+
+
+def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
+    """The rounds of one :func:`train_secure` iteration over n samples and m1
+    weights, in order; every iteration runs the same rounds."""
+    width = params.frac_bits + params.int_bits + 2
+    steps = [
+        Step("engine.matmul", (TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE)), m1, ring=n * m1),
+        # setup round: every bit position's generate signal, two operands opened
+        Step("bitops.decompose", (TAG_PREFIXNET, (width, n)), 2 * word_count(width * n),
+             bit=width * n),
+    ]
+    steps += [Step("bitops.decompose", None, word_count(2 * n * len(layer.pub_masks)),
+                   bit=2 * n * (layer.comps.stop - layer.comps.start))
+              for layer in cached_plan(width).rounds]
+    # OR of the integer slices, one tree level per round; the bit triples of
+    # the whole tree are one record
+    request = (TAG_BIT, (params.int_bits - 1) * n)
+    slices = params.int_bits
+    while slices > 1:
+        pairs = slices // 2
+        steps.append(Step("bitops.or_tree", request, 2 * word_count(pairs * n), bit=pairs * n))
+        request = None
+        slices -= pairs
+    return steps + [
+        # both bits are re-shared as ring words, then multiplied
+        Step("activation.convert", None, 2 * n),
+        Step("activation.convert", (TAG_CONVERSION, 2 * n), 4 * n, ring=2 * n),
+        Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),
+        Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),
+        Step("engine.gradient", (TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE_T)), n,
+             ring=n * m1),
+    ]
+
+
 def count_multiplications(n_samples: int, n_features: int, n_iter: int,
                           params: FixedPointParams) -> dict:
     """Closed-form tally of the secure multiplications one training run costs.
@@ -182,51 +232,27 @@ def count_multiplications(n_samples: int, n_features: int, n_iter: int,
     `n_features` excludes the dummy column.  Returned per ring: plain ring
     multiplications and Z_2 bit multiplications.
     """
-    m1 = n_features + 1
-    width = params.frac_bits + params.int_bits + 2
-    comps = len(cached_plan(width).compositions)
-    ring_per_iter = n_samples * m1 * 2 + 4 * n_samples
-    bit_per_iter = n_samples * (width + 2 * comps + (params.int_bits - 1))
-    return {
-        "ring": n_iter * ring_per_iter,
-        "bit": n_iter * bit_per_iter,
-        "total": n_iter * (ring_per_iter + bit_per_iter),
-    }
+    steps = iteration_steps(n_samples, n_features + 1, params)
+    ring = n_iter * sum(step.ring for step in steps)
+    bit = n_iter * sum(step.bit for step in steps)
+    return {"ring": ring, "bit": bit, "total": ring + bit}
 
 
 def count_traffic(n_samples: int, n_features: int, n_iter: int,
                   params: FixedPointParams) -> dict:
     """Closed-form rounds and bytes that each party sends in one training run.
 
-    `n_features` excludes the dummy column.  Every round sends one frame, a
-    header plus 64-bit words; bit strings are packed into whole words each.
+    `n_features` excludes the dummy column.  Every round sends one frame.
     `open_x_bytes` is the one-off opening of X - U, which rides in the first
     iteration's forward round; `iter_bytes` is what every iteration sends
     besides it, O(n + m1) words.
     """
     n, m1 = n_samples, n_features + 1
-    width = params.frac_bits + params.int_bits + 2
-    plan = cached_plan(width)
-
-    def packed(nbits):
-        return max(1, -(-nbits // 64))
-
-    words = [m1, 2 * packed(width * n)]          # forward product, decomposition setup
-    for layer in range(1, plan.depth + 1):
-        published = len(plan.publish_at.get(layer, []))
-        if published or plan.layers[layer - 1]:
-            words.append(packed(2 * n * published))
-    slices = params.int_bits
-    while slices > 1:                            # OR tree, one level per round
-        words.append(2 * packed(slices // 2 * n))
-        slices -= slices // 2
-    # re-share, conversion product, two activation products, gradient
-    words += [2 * n, 4 * n, 2 * n, 2 * n, n]
-
-    iter_bytes = len(words) * FRAME_HEADER.size + 8 * sum(words)
+    steps = iteration_steps(n, m1, params)
+    iter_bytes = sum(FRAME_HEADER.size + 8 * step.words for step in steps)
     open_x_bytes = 8 * n * m1 if n_iter else 0
     return {
-        "rounds": n_iter * len(words),
+        "rounds": n_iter * len(steps),
         "bytes": n_iter * iter_bytes + open_x_bytes,
         "open_x_bytes": open_x_bytes,
         "iter_bytes": iter_bytes,
@@ -236,31 +262,17 @@ def count_traffic(n_samples: int, n_features: int, n_iter: int,
 def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingConfig) -> list:
     """Request plan the trusted initializer uses to provision one training run.
 
-    Mirrors the consumption order of :func:`train_secure` exactly: one mask
-    record for X, then per iteration a record that reuses it for X·w, the
-    activation's records and a record that reuses it for Xᵀ·(t - o).  The
-    mask is n x m1 words once; each reuse record is only n + m1 words.
-    Pooled tags get a POOL_SLACK tail.
+    One mask record for X, n x m1 words, then every iteration's records in
+    the order its rounds take them; the two that reuse the mask, for X·w and
+    Xᵀ·(t - o), are n + m1 words each.  Pooled tags get a POOL_SLACK tail.
     """
-    params = cfg.params
-    m1 = n_features + 1
-    width = params.frac_bits + params.int_bits + 2
-    requests = [(TAG_MATMUL, MatmulDims(n_samples, m1, 0, MATMUL_MASK))] if cfg.n_iter else []
-    for _ in range(cfg.n_iter):
-        requests.append((TAG_MATMUL, MatmulDims(n_samples, m1, 1, MATMUL_REUSE)))
-        requests.append((TAG_PREFIXNET, (width, n_samples)))
-        if params.int_bits > 1:
-            requests.append((TAG_BIT, (params.int_bits - 1) * n_samples))
-        requests.append((TAG_CONVERSION, 2 * n_samples))
-        requests.append((TAG_SCALAR, n_samples))
-        requests.append((TAG_SCALAR, n_samples))
-        requests.append((TAG_MATMUL, MatmulDims(n_samples, m1, 1, MATMUL_REUSE_T)))
-    if cfg.n_iter:
-        bit_total = (params.int_bits - 1) * n_samples * cfg.n_iter
-        scalar_total = 2 * n_samples * cfg.n_iter
-        conv_total = 2 * n_samples * cfg.n_iter
-        if bit_total:
-            requests.append((TAG_BIT, int(np.ceil(bit_total * POOL_SLACK))))
-        requests.append((TAG_SCALAR, int(np.ceil(scalar_total * POOL_SLACK))))
-        requests.append((TAG_CONVERSION, int(np.ceil(conv_total * POOL_SLACK))))
+    if not cfg.n_iter:
+        return []
+    n, m1 = n_samples, n_features + 1
+    per_iter = [step.request for step in iteration_steps(n, m1, cfg.params) if step.request]
+    requests = [(TAG_MATMUL, MatmulDims(n, m1, 0, MATMUL_MASK))] + per_iter * cfg.n_iter
+    for tag in (TAG_BIT, TAG_SCALAR, TAG_CONVERSION):
+        total = cfg.n_iter * sum(units for rtag, units in per_iter if rtag == tag)
+        if total or tag != TAG_BIT:  # an empty bit tail is left out of the stream
+            requests.append((tag, int(np.ceil(total * POOL_SLACK))))
     return requests

@@ -37,9 +37,6 @@ class Frame:
     msg_type: int
     payload: bytes
 
-    def __len__(self):
-        return FRAME_HEADER.size + len(self.payload)
-
 
 def encode_frame(frame: Frame) -> bytes:
     if frame.msg_type not in _VALID_TYPES:

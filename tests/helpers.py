@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mpclr import FixedPointParams, local_session_pair, run_pair
+from mpclr import FixedPointParams, local_session_pair, run_sessions
 from mpclr.randomness import TAG_SCALAR, MaterializedSource
 
 
@@ -22,7 +22,7 @@ def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
     if capture_opens:
         sess_a.transcript.capture_opens = True
         sess_b.transcript.capture_opens = True
-    ra, rb = run_pair(lambda: fn_a(sess_a), lambda: fn_b(sess_b))
+    ra, rb = run_sessions(sess_a, sess_b, fn_a, fn_b)
     return ra, rb, sess_a, sess_b
 
 

@@ -1,3 +1,7 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,18 @@ from mpclr import (
     training_randomness_requests,
 )
 from mpclr.fixedpoint import decode_array, encode_array
-from mpclr.randomness import TrustedDealer, deserialize_stream, serialize_stream
+from mpclr.randomness import (
+    TAG_BIT,
+    TAG_CONVERSION,
+    TAG_MATMUL,
+    TAG_PREFIXNET,
+    TAG_SCALAR,
+    TrustedDealer,
+    deserialize_stream,
+    serialize_stream,
+)
+from mpclr.training import POOL_SLACK, iteration_steps
+from mpclr.transport import FRAME_HEADER
 from mpclr.sharing import split_array
 
 from helpers import protocol_pair, separable_toy
@@ -204,14 +219,44 @@ class TestSecureTraining:
         sources = dealer.generate(
             training_randomness_requests(ds.n_samples, ds.n_weights - 1, short)
         )
-        with pytest.raises((RandomnessUnderflowError, Exception)) as err:
+        with pytest.raises(RandomnessUnderflowError,
+                           match=r"^matmul randomness exhausted: requested 1, have 0$"):
             protocol_pair(
                 cfg.params,
                 lambda s: train_secure(s, xa.values, ta.values, cfg),
                 lambda s: train_secure(s, xb.values, tb.values, cfg),
                 sources=sources,
             )
-        assert "exhausted" in str(err.value) or "mismatch" in str(err.value)
+
+    @pytest.mark.parametrize("params", [
+        P64,
+        FixedPointParams(frac_bits=8, int_bits=6, ring_bits=32),
+        FixedPointParams(frac_bits=8, int_bits=1, ring_bits=64),  # no OR tree
+    ])
+    def test_plan_provisions_exactly_what_training_takes(self, params):
+        # on-demand sources deal one record per take, so their records are
+        # exactly what a run takes, with no slack that could hide a shortfall
+        feats, labels = separable_toy(9, 3, seed=4)
+        cfg = TrainingConfig(eta=0.05, n_iter=2, params=params, seed=5)
+        ds = Dataset.from_features(0.25 * feats, labels)
+        xa, xb = split_array(encode_array(ds.X, params), params, np.random.default_rng(1))
+        t_enc = encode_array(ds.t.astype(np.float64), params)
+        ta, tb = split_array(t_enc, params, np.random.default_rng(2))
+        _, _, sa, sb = protocol_pair(
+            params,
+            lambda s: train_secure(s, xa.values, ta.values, cfg),
+            lambda s: train_secure(s, xb.values, tb.values, cfg),
+            seed=cfg.seed,
+        )
+        plan = training_randomness_requests(ds.n_samples, ds.n_weights - 1, cfg)
+        for sess in (sa, sb):
+            taken = [(tag, meta) for tag, meta, _ in sess.randomness.records]
+            blocks = (TAG_MATMUL, TAG_PREFIXNET)
+            assert [r for r in taken if r[0] in blocks] == [r for r in plan if r[0] in blocks]
+            for tag in (TAG_SCALAR, TAG_BIT, TAG_CONVERSION):
+                used = sum(meta for rtag, meta in taken if rtag == tag)
+                *body, tail = [meta for rtag, meta in plan if rtag == tag] or [0]
+                assert (sum(body), tail) == (used, math.ceil(used * POOL_SLACK)), tag
 
     def test_dimension_mismatch_aborts(self):
         from mpclr.errors import ProtocolError
@@ -270,6 +315,50 @@ class TestCostAccounting:
 
 
 class TestTrafficModel:
+    def test_steps_match_every_phase_of_a_run(self, monkeypatch):
+        # a step's phase names the function that runs its round, wrapped
+        # where its caller looks it up; the six phases cover every round
+        import mpclr.activation
+        import mpclr.training
+
+        calls = []
+
+        def traced(fn, phase):
+            def run(sess, *args, **kwargs):
+                rounds, sent = sess.transcript.rounds, sess.transcript.bytes_sent
+                out = fn(sess, *args, **kwargs)
+                if sess.is_alice:
+                    calls.append((phase, sess.transcript.rounds - rounds,
+                                  sess.transcript.bytes_sent - sent))
+                return out
+            return run
+
+        for module, name, phase in [
+            (mpclr.training, "matmul", "engine.matmul"),
+            (mpclr.training, "batch_mul", "engine.gradient"),
+            (mpclr.activation, "decompose_batch_slices", "bitops.decompose"),
+            (mpclr.activation, "or_tree_slices", "bitops.or_tree"),
+            (mpclr.activation, "convert_bits_to_ring", "activation.convert"),
+            (mpclr.activation, "batch_mul", "activation.mul"),
+        ]:
+            monkeypatch.setattr(module, name, traced(getattr(module, name), phase))
+        n, m, iters = 70, 3, 2
+        feats, labels = separable_toy(n, m, seed=3)
+        _, _, (sa, _), _ = secure_run(feats, labels, TrainingConfig(0.05, iters, P64, seed=6))
+        steps = iteration_steps(n, m + 1, P64)
+        rounds, sent = Counter(), Counter()
+        for step in steps:
+            rounds[step.phase] += iters
+            sent[step.phase] += iters * (FRAME_HEADER.size + 8 * step.words)
+        sent["engine.matmul"] += 8 * n * (m + 1)  # X - U rides the first product
+        for phase, call_rounds, call_sent in calls:
+            rounds[phase] -= call_rounds
+            sent[phase] -= call_sent
+        assert set(rounds.values()) == set(sent.values()) == {0}
+        order = [phase for phase, _ in itertools.groupby(step.phase for step in steps)]
+        assert [phase for phase, _ in itertools.groupby(c[0] for c in calls)] == order * iters
+        assert sum(call[1] for call in calls) == sa.transcript.rounds
+
     def test_matches_both_transcripts_on_criterion_9_shapes(self):
         for n, m, iters in [(5, 3, 2), (8, 1, 3), (4, 6, 5)]:
             feats, labels = separable_toy(n, m, seed=n + m)

@@ -220,6 +220,42 @@ class TestRunPair:
         finally:
             release.set()
 
+    @staticmethod
+    def _fail(message):
+        def party(_sess):
+            raise ValueError(message)
+        return party
+
+    def test_failure_before_the_first_exchange_fails_the_peer_fast(self):
+        from mpclr.local import local_session_pair, run_sessions
+
+        sess_a, sess_b = local_session_pair(P64)
+        start = time.monotonic()
+        # Bob receives first, so he is blocked on Alice's first frame
+        with pytest.raises(ValueError, match="alice failed"):
+            run_sessions(sess_a, sess_b, self._fail("alice failed"),
+                         lambda s: s.open_ring(np.zeros(3, P64.dtype)), timeout=10.0)
+        assert time.monotonic() - start < 2.0
+
+    def test_the_earliest_failure_is_raised_not_the_peers_closed_channel(self):
+        from mpclr.local import local_session_pair, run_sessions
+
+        sess_a, sess_b = local_session_pair(P64)
+        peer_errors = []
+
+        def alice(sess):
+            try:
+                sess.open_ring(np.zeros(3, P64.dtype))
+            except TransportError as exc:
+                peer_errors.append(exc)
+                raise
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="bob failed"):
+            run_sessions(sess_a, sess_b, alice, self._fail("bob failed"), timeout=10.0)
+        assert time.monotonic() - start < 2.0
+        assert [str(e) for e in peer_errors] == ["peer closed the channel"]
+
 
 class TestTranscriptCounters:
     def test_exchange_counts_bytes_and_rounds(self):
