@@ -1,16 +1,8 @@
 """Two-party secure logistic regression training over additively secret-shared
 fixed-point data, with a trusted initializer supplying correlated randomness."""
 
-from .activation import activate, batch_activate, clipped_relu, clipped_relu_fixed
-from .bitops import (
-    CarrySignalPair,
-    batch_decompose,
-    compose_carry,
-    convert_bit_to_ring,
-    decompose_opt,
-    decompose_ripple,
-    or_tree,
-)
+from .activation import batch_activate, clipped_relu, clipped_relu_fixed
+from .bitops import decompose_opt, decompose_ripple
 from .engine import (
     ExactTruncationOracle,
     MaskedMatrix,
@@ -18,7 +10,6 @@ from .engine import (
     Transcript,
     batch_bit_mul,
     batch_mul,
-    inner_product,
     matmul,
     mul,
 )
@@ -53,14 +44,10 @@ from .randomness import (
     write_randomness_file,
 )
 from .sharing import (
-    BitShare,
     BitVectorShare,
     RingShare,
     Role,
     VectorShare,
-    affine_combine,
-    open_bits,
-    open_shares,
     read_share_file,
     split,
     split_array,

@@ -7,7 +7,8 @@ z' went negative, and the OR of the integer-field bits tells whether z' >= 1.
 Everything else is local arithmetic plus two ring multiplications.  The two
 bit-to-ring conversions are independent of each other and ride the same two
 rounds.  Inputs must satisfy |decode(z)| < 2^(int_bits - 1) so the shifted
-value never spills past the masked field.
+value never spills past the masked field.  `batch_activate` is the only
+secure entry point; a single value is a batch of one.
 """
 
 from __future__ import annotations
@@ -63,8 +64,3 @@ def batch_activate(sess: Session, zs: np.ndarray) -> np.ndarray:
     r = (geq_vec * params.dtype(params.scale)) + batch_mul(sess, one_minus_geq, shifted)
     return batch_mul(sess, pos_vec, r)
 
-
-def activate(sess: Session, z: int) -> int:
-    """Single-value activation (batch of one)."""
-    out = batch_activate(sess, np.array([z], dtype=sess.params.dtype))
-    return int(out[0])

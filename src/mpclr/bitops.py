@@ -1,4 +1,4 @@
-"""Bit decomposition, logarithmic OR, and Z_2 -> ring share conversion.
+"""Bit decomposition and logarithmic OR over packed bit rows.
 
 Two decomposition routes are kept deliberately: a ripple-carry reference with
 linear round count, and the optimized route that evaluates the carry-prefix
@@ -6,37 +6,20 @@ network in ceil(log2(p-1)) + 1 rounds.  The optimized route works on vertical
 bit slices: a matrix with one packed row per bit position or network node,
 each row holding that bit of every batched element, so each network layer is
 a single exchange and a few whole-matrix operations no matter how many values
-are being decomposed at once.  The single-value routes (`decompose_ripple`,
-`compose_carry`, `decompose_opt`, `or_tree`, `convert_bit_to_ring`) are test
-references on Python integers.
+are being decomposed at once.  `decompose_ripple` and `decompose_opt` take one
+shared value and return its bits as a `BitVectorShare`; they are test
+references, and the ripple route sends each round's ANDs through
+`batch_bit_mul` as one packed row.  Z_2 -> ring conversion is
+`engine.convert_bits_to_ring`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .engine import Session, batch_bit_mul, convert_bits_to_ring
+from .engine import Session, batch_bit_mul
 from .prefixnet import cached_plan
-from .sharing import (
-    BitShare,
-    BitVectorShare,
-    RingShare,
-    int_to_words,
-    ones_row,
-    pack_rows,
-    unpack_rows,
-    words_to_int,
-)
-
-
-@dataclass(frozen=True)
-class CarrySignalPair:
-    """Shares of one position's (propagate, generate) carry signals."""
-
-    p: BitShare
-    g: BitShare
+from .sharing import BitVectorShare, ones_row, pack_rows, unpack_rows
 
 
 def _own_operand_bits(sess: Session, value: int, width: int):
@@ -54,10 +37,11 @@ def _const_flip(sess: Session, bits, ones):
     return bits ^ ones if sess.is_alice else bits
 
 
-def _int_bit_mul(sess: Session, xs: int, ys: int, nbits: int) -> int:
-    """`batch_bit_mul` on `nbits`-bit Python integers, for the references."""
-    z = batch_bit_mul(sess, int_to_words(xs, nbits), int_to_words(ys, nbits), nbits)
-    return words_to_int(z[0], nbits)
+def _and_bits(sess: Session, xs: list, ys: list) -> list:
+    """ANDs of shared single bits in one round; pair j is bit j of one packed row."""
+    x, y = (np.array([[sum(b << j for j, b in enumerate(bits))]], np.uint64) for bits in (xs, ys))
+    z = int(batch_bit_mul(sess, x, y, len(xs))[0, 0])
+    return [(z >> j) & 1 for j in range(len(xs))]
 
 
 def decompose_ripple(sess: Session, x_share: int) -> BitVectorShare:
@@ -69,33 +53,19 @@ def decompose_ripple(sess: Session, x_share: int) -> BitVectorShare:
     a_sh, b_sh = _own_operand_bits(sess, x_share, lam)
     y = (x_share & sess.params.mask)  # own share IS this party's share of every y_i
 
-    carry = _int_bit_mul(sess, a_sh & 1, b_sh & 1, 1)
+    carry = _and_bits(sess, [a_sh & 1], [b_sh & 1])[0]
     out = y & 1
     for i in range(2, lam + 1):
         ai = (a_sh >> (i - 1)) & 1
         bi = (b_sh >> (i - 1)) & 1
         yi = (y >> (i - 1)) & 1
         # d_i = NOT(a_i b_i) and e_i = NOT(y_i c_{i-1}) ride one batched call
-        prods = _int_bit_mul(sess, ai | (yi << 1), bi | (carry << 1), 2)
-        d = _const_flip(sess, prods & 1, 1)
-        e = _const_flip(sess, (prods >> 1) & 1, 1)
+        prods = _and_bits(sess, [ai, yi], [bi, carry])
+        d = _const_flip(sess, prods[0], 1)
+        e = _const_flip(sess, prods[1], 1)
         out |= (yi ^ carry) << (i - 1)
-        carry = _const_flip(sess, _int_bit_mul(sess, e, d, 1), 1)
+        carry = _const_flip(sess, _and_bits(sess, [e], [d])[0], 1)
     return BitVectorShare(out, lam, sess.role)
-
-
-def compose_carry(sess: Session, left: CarrySignalPair, right: CarrySignalPair) -> CarrySignalPair:
-    """Compose two carry-signal matrices; both products share one round.
-
-    Output propagate is p_L*p_R; output generate is (p_L*g_R) XOR g_L, the OR
-    collapsing to XOR because propagate and generate are never both set.
-    """
-    xs = left.p.bit | (left.p.bit << 1)
-    ys = right.p.bit | (right.g.bit << 1)
-    prods = _int_bit_mul(sess, xs, ys, 2)
-    p_out = prods & 1
-    g_out = ((prods >> 1) & 1) ^ left.g.bit
-    return CarrySignalPair(BitShare(p_out, sess.role), BitShare(g_out, sess.role))
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +175,8 @@ def decompose_opt(sess: Session, x_share: int, width: int | None = None) -> BitV
     return BitVectorShare(int(_from_slices(slices, 1)[0]), width, sess.role)
 
 
-def batch_decompose(sess: Session, shares: np.ndarray, width: int | None = None) -> list:
-    """Decompose a whole vector of shared values; rounds do not grow with the
-    batch size, data transfer does."""
-    width = sess.params.ring_bits if width is None else width
-    shares = np.atleast_1d(np.asarray(shares, dtype=sess.params.dtype))
-    slices = decompose_batch_slices(sess, shares, width)
-    packed = _from_slices(slices, shares.size)
-    return [BitVectorShare(int(v), width, sess.role) for v in packed]
-
-
 # ---------------------------------------------------------------------------
-# Logarithmic OR and share conversion
+# Logarithmic OR
 # ---------------------------------------------------------------------------
 
 
@@ -228,7 +188,7 @@ def or_tree_slices(sess: Session, slices, batch: int) -> np.ndarray:
     packed row.
     """
     if len(slices) == 0:
-        raise ValueError("or_tree needs at least one bit")
+        raise ValueError("or_tree_slices needs at least one row")
     ones = ones_row(batch)
     cur = _const_flip(sess, np.asarray(slices, dtype=np.uint64), ones)
     while len(cur) > 1:
@@ -236,15 +196,3 @@ def or_tree_slices(sess: Session, slices, batch: int) -> np.ndarray:
         prod = batch_bit_mul(sess, cur[0:2 * pairs:2], cur[1:2 * pairs:2], batch)
         cur = np.concatenate([prod, cur[2 * pairs:]])
     return _const_flip(sess, cur[0], ones)
-
-
-def or_tree(sess: Session, bits: BitVectorShare) -> BitShare:
-    """OR of the k secret bits inside one bit-vector share."""
-    slices = [[(bits.bits >> i) & 1] for i in range(bits.n)]
-    return BitShare(int(or_tree_slices(sess, slices, 1)[0]), sess.role)
-
-
-def convert_bit_to_ring(sess: Session, x: BitShare) -> RingShare:
-    """Z_2 share to Z_{2^ring} share: re-share both bits, one multiplication."""
-    vec = convert_bits_to_ring(sess, x.bit & 1, 1)
-    return RingShare(int(vec[0]), sess.role)

@@ -168,7 +168,7 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
-# Beaver multiplication: scalar, elementwise batch, matrix, inner product
+# Beaver multiplication: scalar, elementwise batch, matrix
 # ---------------------------------------------------------------------------
 
 
@@ -272,17 +272,6 @@ def matmul(sess: Session, x, y: np.ndarray) -> np.ndarray:
         z = z + d @ e
     sess.transcript.ring_mults += dims[0] * dims[1] * dims[2]
     return z
-
-
-def inner_product(sess: Session, ws: np.ndarray, xs: np.ndarray) -> int:
-    """Dot product of two shared vectors; the result keeps doubled fractional
-    bits, truncation is the caller's decision."""
-    ws = np.asarray(ws, dtype=sess.params.dtype)
-    xs = np.asarray(xs, dtype=sess.params.dtype)
-    if ws.shape != xs.shape or ws.ndim != 1:
-        raise ProtocolError(f"inner product length mismatch: {ws.shape} vs {xs.shape}")
-    out = matmul(sess, ws.reshape(1, -1), xs.reshape(-1, 1))
-    return int(out[0, 0])
 
 
 def _bit_rows(rows) -> np.ndarray:

@@ -1,9 +1,13 @@
 """Additive secret sharing over Z_{2^lambda} and Z_2, plus the share-file format.
 
 A secret x is held as two shares with x_A + x_B = x (mod 2^ring_bits); a bit
-secret is the XOR of two bit shares.  Addition, subtraction, scaling by a
-public constant and adding a public constant are all local; by convention
-role A is the party that absorbs public constants.
+secret is the XOR of two bit shares.  Ring shares are numpy arrays of the
+ring's unsigned dtype, whose arithmetic wraps modulo 2^ring_bits; bit shares
+are packed uint64 word rows (see "Packed bit strings" below).  Addition,
+subtraction, scaling by a public constant and adding a public constant are all
+local; by convention role A is the party that absorbs public constants.
+`RingShare` and `BitVectorShare` hold one value, for `split` and the `bitops`
+single-value references.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import FormatError, ProtocolError
+from .errors import FormatError
 from .fixedpoint import FixedPointParams, RING_DTYPES
 
 SHARE_MAGIC = b"SHR1"
@@ -33,22 +37,12 @@ class RingShare:
 
 
 @dataclass(frozen=True)
-class BitShare:
-    bit: int
-    role: Role
-
-
-@dataclass(frozen=True)
 class BitVectorShare:
     """`n` bit shares packed LSB-first into one arbitrary-precision integer."""
 
     bits: int
     n: int
     role: Role
-
-    def bit_at(self, i: int) -> int:
-        """Bit share at position i (1-based, LSB first)."""
-        return (self.bits >> (i - 1)) & 1
 
 
 @dataclass
@@ -97,47 +91,6 @@ def split_array(values: np.ndarray, params: FixedPointParams, rng: np.random.Gen
         VectorShare(r, Role.ALICE),
         VectorShare(values - r, Role.BOB),
     )
-
-
-def split_bits(bits: int, n: int, rng: np.random.Generator):
-    r = words_to_int(random_bits(rng, n), n)
-    return (
-        BitVectorShare(r, n, Role.ALICE),
-        BitVectorShare(bits ^ r, n, Role.BOB),
-    )
-
-
-def _check_pair(a_role: Role, b_role: Role):
-    if a_role == b_role:
-        raise ProtocolError(f"cannot open two shares held by the same role {a_role.value}")
-
-
-def open_shares(sa: RingShare, sb: RingShare, params: FixedPointParams) -> int:
-    _check_pair(sa.role, sb.role)
-    return (sa.value + sb.value) & params.mask
-
-
-def open_bits(sa: BitVectorShare, sb: BitVectorShare) -> int:
-    _check_pair(sa.role, sb.role)
-    if sa.n != sb.n:
-        raise ProtocolError(f"bit-share length mismatch: {sa.n} vs {sb.n}")
-    return sa.bits ^ sb.bits
-
-
-def affine_combine(c0: int, terms, params: FixedPointParams) -> RingShare:
-    """Local affine map c0 + sum(c_i * x_i) over shares of one role.
-
-    Opening the result of both parties' combines yields the same affine map
-    applied to the secrets; the public constant c0 is added by role A only.
-    """
-    roles = {share.role for _, share in terms}
-    if len(roles) > 1:
-        raise ProtocolError("affine_combine over mixed roles")
-    role = roles.pop() if roles else Role.ALICE
-    acc = c0 & params.mask if role is Role.ALICE else 0
-    for c, share in terms:
-        acc = (acc + (c & params.mask) * share.value) & params.mask
-    return RingShare(acc, role)
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +157,6 @@ def string_to_rows(words: np.ndarray, nrows: int, batch: int) -> np.ndarray:
         return words[:nrows * word_count(batch)].reshape(nrows, -1)
     bits = np.unpackbits(words.view(np.uint8), count=nrows * batch, bitorder="little")
     return pack_rows(bits.reshape(nrows, batch))
-
-
-def int_to_words(value: int, nbits: int) -> np.ndarray:
-    """An `nbits`-bit Python integer as a packed bit string."""
-    value &= (1 << nbits) - 1
-    return np.frombuffer(value.to_bytes(8 * word_count(nbits), "little"), dtype=np.uint64).copy()
-
-
-def words_to_int(words: np.ndarray, nbits: int) -> int:
-    """Inverse of `int_to_words`."""
-    value = int.from_bytes(np.asarray(words, dtype=np.uint64).tobytes(), "little")
-    return value & ((1 << nbits) - 1)
 
 
 def write_share_file(path, values: np.ndarray, params: FixedPointParams):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mpclr import FixedPointParams
-from mpclr.activation import activate, batch_activate, clipped_relu, clipped_relu_fixed
+from mpclr.activation import batch_activate, clipped_relu, clipped_relu_fixed
 from mpclr.fixedpoint import decode, decode_array, encode, encode_array
 from mpclr.sharing import split, split_array
 
@@ -27,9 +27,12 @@ def reference_rho(z: int, params) -> int:
 def run_single(z: int, params, seed=0):
     za, zb = split(z, params, np.random.default_rng(seed + 1000))
     ra, rb, sa, sb = protocol_pair(
-        params, lambda s: activate(s, za.value), lambda s: activate(s, zb.value), seed=seed
+        params,
+        lambda s: batch_activate(s, np.array([za.value], dtype=params.dtype)),
+        lambda s: batch_activate(s, np.array([zb.value], dtype=params.dtype)),
+        seed=seed,
     )
-    return (int(ra) + int(rb)) % params.modulus, sa
+    return (int(ra[0]) + int(rb[0])) % params.modulus, sa
 
 
 class TestSingleActivation:
@@ -146,8 +149,8 @@ class TestOpenedValuesLookUniform:
         for seed in range(1000):
             _, _, sa, sb = protocol_pair(
                 P8,
-                lambda s: activate(s, za.value),
-                lambda s: activate(s, zb.value),
+                lambda s: batch_activate(s, np.array([za.value], dtype=P8.dtype)),
+                lambda s: batch_activate(s, np.array([zb.value], dtype=P8.dtype)),
                 seed=seed,
                 capture_opens=True,
             )

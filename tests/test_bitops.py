@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
-from mpclr import FixedPointParams, Role
+from mpclr import FixedPointParams
 from mpclr.bitops import (
-    CarrySignalPair,
-    batch_decompose,
-    compose_carry,
-    convert_bit_to_ring,
+    _from_slices,
     decompose_batch_slices,
     decompose_opt,
     decompose_ripple,
-    or_tree,
     or_tree_slices,
 )
+from mpclr.engine import convert_bits_to_ring
 from mpclr.prefixnet import cached_plan
 from mpclr.randomness import TAG_BIT, TrustedDealer
-from mpclr.sharing import BitShare, BitVectorShare, split_array
+from mpclr.sharing import split_array
 
 from helpers import protocol_pair
 
@@ -27,6 +24,11 @@ P64 = FixedPointParams()
 def bit_sources(params, nbits, seed=0):
     dealer = TrustedDealer(seed, params)
     return dealer.generate([(TAG_BIT, nbits)])
+
+
+def bit_rows(value: int, k: int) -> np.ndarray:
+    """The k low bits of `value`, LSB first, as k one-bit rows of batch 1."""
+    return np.array([[(value >> i) & 1] for i in range(k)], dtype=np.uint64)
 
 
 class TestRipple:
@@ -65,33 +67,36 @@ class TestRipple:
 
 
 class TestComposeCarry:
+    # (p, g) of the higher position 2 ("left") and the lower position 1
+    # ("right"), composed by the network into node (1, 2):
+    # p = p_L p_R and g = (p_L g_R) XOR g_L.  A position's signals come from
+    # the operand bits, p = a XOR b and g = a AND b, so (1, 1) never occurs.
     @pytest.mark.parametrize("left,right,expect", [
         ((1, 0), (0, 1), (0, 1)),   # propagate-left forwards the right generate
         ((0, 1), (1, 0), (0, 1)),   # generate dominates whatever is right
         ((0, 1), (0, 0), (0, 1)),
-        ((0, 1), (1, 1), (0, 1)),
+        ((0, 0), (0, 1), (0, 0)),   # neither set: the right generate is killed
         ((1, 0), (1, 0), (1, 0)),   # identity-like pass-through
         ((0, 0), (1, 0), (0, 0)),
     ])
     def test_truth_table(self, left, right, expect):
         rng = np.random.default_rng(left[0] * 8 + left[1] * 4 + right[0] * 2 + right[1])
-        shares = {}
-        for name, (p, g) in (("l", left), ("r", right)):
-            pa = int(rng.integers(0, 2))
-            ga = int(rng.integers(0, 2))
-            shares[name] = (
-                CarrySignalPair(BitShare(pa, Role.ALICE), BitShare(ga, Role.ALICE)),
-                CarrySignalPair(BitShare(p ^ pa, Role.BOB), BitShare(g ^ ga, Role.BOB)),
-            )
-        ra, rb, sa, _ = protocol_pair(
+        shares = [0, 0]
+        for bit, (p, g) in ((1, right), (2, left)):
+            if g:
+                shares = [v | bit for v in shares]
+            elif p:
+                shares[int(rng.integers(0, 2))] |= bit
+        na, nb = {}, {}
+        _, _, sa, _ = protocol_pair(
             P8,
-            lambda s: compose_carry(s, shares["l"][0], shares["r"][0]),
-            lambda s: compose_carry(s, shares["l"][1], shares["r"][1]),
+            lambda s: decompose_batch_slices(s, np.array([shares[0]], P8.dtype), 3, na),
+            lambda s: decompose_batch_slices(s, np.array([shares[1]], P8.dtype), 3, nb),
         )
-        got = (ra.p.bit ^ rb.p.bit, ra.g.bit ^ rb.g.bit)
-        assert got == expect
-        assert sa.transcript.rounds == 1  # both products ride one call
-        assert sa.transcript.bit_mults == 2
+        (pa, ga), (pb, gb) = na[(1, 2)], nb[(1, 2)]
+        assert (int(pa[0] ^ pb[0]), int(ga[0] ^ gb[0])) == expect
+        # the setup generates, then two bit products per composition
+        assert sa.transcript.bit_mults == 3 + 2 * len(cached_plan(3).compositions)
 
 
 class TestOptimizedDecomposition:
@@ -185,9 +190,11 @@ class TestBatchDecompose:
         arr_a = np.array([a], dtype=P64.dtype)
         arr_b = np.array([b], dtype=P64.dtype)
         batch_a, batch_b, *_ = protocol_pair(
-            P64, lambda s: batch_decompose(s, arr_a, 16), lambda s: batch_decompose(s, arr_b, 16)
+            P64,
+            lambda s: decompose_batch_slices(s, arr_a, 16),
+            lambda s: decompose_batch_slices(s, arr_b, 16),
         )
-        assert batch_a[0].bits ^ batch_b[0].bits == single_a.bits ^ single_b.bits
+        assert int(_from_slices(batch_a ^ batch_b, 1)[0]) == single_a.bits ^ single_b.bits
 
     @pytest.mark.parametrize("batch", [1, 256, 2048])
     def test_rounds_do_not_depend_on_batch(self, batch):
@@ -195,7 +202,9 @@ class TestBatchDecompose:
         vals = np.frombuffer(rng.bytes(8 * batch), dtype=np.uint64)
         va, vb = split_array(vals, P64, rng)
         _, _, sa, _ = protocol_pair(
-            P64, lambda s: batch_decompose(s, va.values), lambda s: batch_decompose(s, vb.values)
+            P64,
+            lambda s: decompose_batch_slices(s, va.values, 64),
+            lambda s: decompose_batch_slices(s, vb.values, 64),
         )
         assert sa.transcript.rounds == 7
 
@@ -204,52 +213,44 @@ class TestBatchDecompose:
         vals = np.frombuffer(rng.bytes(8 * 256), dtype=np.uint64)
         va, vb = split_array(vals, P64, rng)
         la, lb, *_ = protocol_pair(
-            P64, lambda s: batch_decompose(s, va.values), lambda s: batch_decompose(s, vb.values)
+            P64,
+            lambda s: decompose_batch_slices(s, va.values, 64),
+            lambda s: decompose_batch_slices(s, vb.values, 64),
         )
-        for x, y, v in zip(la, lb, vals):
-            assert x.bits ^ y.bits == int(v)
+        assert _from_slices(la ^ lb, 256).tolist() == [int(v) for v in vals]
 
 
 class TestOrTree:
-    def test_all_zero(self):
-        ra, rb, *_ = protocol_pair(
+    @staticmethod
+    def run(value_a, value_b, k, seed=0):
+        """OR over the k bits of the secret value_a XOR value_b."""
+        ra, rb, sa, _ = protocol_pair(
             P8,
-            lambda s: or_tree(s, BitVectorShare(0b00000000, 8, Role.ALICE)),
-            lambda s: or_tree(s, BitVectorShare(0b00000000, 8, Role.BOB)),
+            lambda s: or_tree_slices(s, bit_rows(value_a, k), 1),
+            lambda s: or_tree_slices(s, bit_rows(value_b, k), 1),
+            seed=seed,
         )
-        assert ra.bit ^ rb.bit == 0
+        return int(ra[0] ^ rb[0]), sa
+
+    def test_all_zero(self):
+        assert self.run(0b00000000, 0b00000000, 8)[0] == 0
 
     def test_one_hot(self):
         for hot in range(8):
-            ra, rb, *_ = protocol_pair(
-                P8,
-                lambda s: or_tree(s, BitVectorShare(1 << hot, 8, Role.ALICE)),
-                lambda s: or_tree(s, BitVectorShare(0, 8, Role.BOB)),
-                seed=hot,
-            )
-            assert ra.bit ^ rb.bit == 1
+            assert self.run(1 << hot, 0, 8, seed=hot)[0] == 1
 
     def test_exhaustive_four_bits(self):
         rng = np.random.default_rng(30)
         for pattern in range(16):
             mask_a = int(rng.integers(0, 16))
-            ra, rb, sa, _ = protocol_pair(
-                P8,
-                lambda s: or_tree(s, BitVectorShare(pattern ^ mask_a, 4, Role.ALICE)),
-                lambda s: or_tree(s, BitVectorShare(mask_a, 4, Role.BOB)),
-                seed=pattern,
-            )
-            assert ra.bit ^ rb.bit == (1 if pattern else 0)
+            opened, sa = self.run(pattern ^ mask_a, mask_a, 4, seed=pattern)
+            assert opened == (1 if pattern else 0)
             assert sa.transcript.rounds == 2  # ceil(log2 4)
             assert sa.transcript.bit_mults == 3
 
     def test_single_bit_is_free(self):
-        ra, rb, sa, _ = protocol_pair(
-            P8,
-            lambda s: or_tree(s, BitVectorShare(1, 1, Role.ALICE)),
-            lambda s: or_tree(s, BitVectorShare(0, 1, Role.BOB)),
-        )
-        assert ra.bit ^ rb.bit == 1
+        opened, sa = self.run(1, 0, 1)
+        assert opened == 1
         assert sa.transcript.rounds == 0
 
     def test_empty_rejected(self):
@@ -258,35 +259,30 @@ class TestOrTree:
 
     @pytest.mark.parametrize("k,rounds", [(2, 1), (3, 2), (8, 3), (15, 4)])
     def test_round_count(self, k, rounds):
-        _, _, sa, _ = protocol_pair(
-            P8,
-            lambda s: or_tree(s, BitVectorShare(0, k, Role.ALICE)),
-            lambda s: or_tree(s, BitVectorShare(0, k, Role.BOB)),
-        )
+        _, sa = self.run(0, 0, k)
         assert sa.transcript.rounds == rounds
         assert sa.transcript.bit_mults == k - 1
 
 
 class TestConversion:
+    @staticmethod
+    def run(params, bit_a, bit_b, seed):
+        ra, rb, sa, _ = protocol_pair(
+            params,
+            lambda s: convert_bits_to_ring(s, np.array([[bit_a]], dtype=np.uint64), 1),
+            lambda s: convert_bits_to_ring(s, np.array([[bit_b]], dtype=np.uint64), 1),
+            seed=seed,
+        )
+        return (int(ra[0]) + int(rb[0])) % params.modulus, sa
+
     @pytest.mark.parametrize("bit_a,bit_b", [(0, 0), (0, 1), (1, 0), (1, 1)])
     def test_exhaustive_cases(self, bit_a, bit_b):
         for trial in range(10):
-            ra, rb, sa, _ = protocol_pair(
-                P16,
-                lambda s: convert_bit_to_ring(s, BitShare(bit_a, Role.ALICE)),
-                lambda s: convert_bit_to_ring(s, BitShare(bit_b, Role.BOB)),
-                seed=trial * 4 + bit_a * 2 + bit_b,
-            )
-            assert (ra.value + rb.value) % P16.modulus == bit_a ^ bit_b
+            opened, sa = self.run(P16, bit_a, bit_b, seed=trial * 4 + bit_a * 2 + bit_b)
+            assert opened == bit_a ^ bit_b
             assert sa.transcript.rounds == 2  # re-share, then one multiplication
             assert sa.transcript.ring_mults == 1
 
     def test_wide_ring(self):
         for trial in range(25):
-            ra, rb, *_ = protocol_pair(
-                P64,
-                lambda s: convert_bit_to_ring(s, BitShare(1, Role.ALICE)),
-                lambda s: convert_bit_to_ring(s, BitShare(0, Role.BOB)),
-                seed=trial,
-            )
-            assert (ra.value + rb.value) % P64.modulus == 1
+            assert self.run(P64, 1, 0, seed=trial)[0] == 1

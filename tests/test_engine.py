@@ -8,7 +8,7 @@ from mpclr import (
     RandomnessUnderflowError,
     Role,
 )
-from mpclr.engine import MaskedMatrix, batch_bit_mul, batch_mul, inner_product, matmul, mul
+from mpclr.engine import MaskedMatrix, batch_bit_mul, batch_mul, matmul, mul
 from mpclr.fixedpoint import exact_truncate
 from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
 from mpclr.transport import FRAME_HEADER
@@ -173,57 +173,42 @@ class TestMaskedMatrix:
 
 
 class TestInnerProduct:
-    def test_known_vectors(self):
-        rng = np.random.default_rng(9)
-        w = np.array([1, 2, 3], dtype=P64.dtype)
-        x = np.array([4, 5, 6], dtype=P64.dtype)
-        wa, wb = split_array(w, P64, rng)
-        xa, xb = split_array(x, P64, rng)
+    """Inner products are matmul of a (1, k) row by a (k, 1) column."""
+
+    @staticmethod
+    def dot(w, x, seed=0):
+        rng = np.random.default_rng(seed)
+        wa, wb = split_array(np.reshape(w, (1, -1)), P64, rng)
+        xa, xb = split_array(np.reshape(x, (-1, 1)), P64, rng)
         ra, rb, sa, _ = protocol_pair(
             P64,
-            lambda s: inner_product(s, wa.values, xa.values),
-            lambda s: inner_product(s, wb.values, xb.values),
+            lambda s: matmul(s, wa.values, xa.values),
+            lambda s: matmul(s, wb.values, xb.values),
         )
-        assert open_ints(ra, rb, P64) == 32
+        return open_ints(ra[0, 0], rb[0, 0], P64), sa
+
+    def test_known_vectors(self):
+        got, sa = self.dot([1, 2, 3], [4, 5, 6], seed=9)
+        assert got == 32
         assert sa.transcript.rounds == 1
         assert sa.transcript.ring_mults == 3
 
     def test_zero_vector(self):
-        rng = np.random.default_rng(10)
-        w = np.zeros(5, dtype=P64.dtype)
-        x = np.arange(5, dtype=P64.dtype)
-        wa, wb = split_array(w, P64, rng)
-        xa, xb = split_array(x, P64, rng)
-        ra, rb, *_ = protocol_pair(
-            P64,
-            lambda s: inner_product(s, wa.values, xa.values),
-            lambda s: inner_product(s, wb.values, xb.values),
-        )
-        assert open_ints(ra, rb, P64) == 0
+        assert self.dot(np.zeros(5), np.arange(5), seed=10)[0] == 0
 
     def test_length_one_equals_mul(self):
         rng = np.random.default_rng(12)
         xa, xb = split(9, P64, rng)
         ya, yb = split(31, P64, rng)
-        ip_a, ip_b, *_ = protocol_pair(
-            P64,
-            lambda s: inner_product(s, np.array([xa.value], dtype=P64.dtype),
-                                    np.array([ya.value], dtype=P64.dtype)),
-            lambda s: inner_product(s, np.array([xb.value], dtype=P64.dtype),
-                                    np.array([yb.value], dtype=P64.dtype)),
-        )
         m_a, m_b, *_ = protocol_pair(
             P64, lambda s: mul(s, xa.value, ya.value), lambda s: mul(s, xb.value, yb.value)
         )
-        assert open_ints(ip_a, ip_b, P64) == open_ints(m_a, m_b, P64) == 9 * 31
+        assert self.dot([9], [31], seed=12)[0] == open_ints(m_a, m_b, P64) == 9 * 31
 
     def test_length_mismatch(self):
+        row, col = np.zeros((1, 2), dtype=P64.dtype), np.zeros((3, 1), dtype=P64.dtype)
         with pytest.raises(ProtocolError):
-            protocol_pair(
-                P64,
-                lambda s: inner_product(s, np.zeros(2, dtype=P64.dtype), np.zeros(3, dtype=P64.dtype)),
-                lambda s: inner_product(s, np.zeros(2, dtype=P64.dtype), np.zeros(3, dtype=P64.dtype)),
-            )
+            protocol_pair(P64, lambda s: matmul(s, row, col), lambda s: matmul(s, row, col))
 
 
 class TestBatching:

@@ -3,26 +3,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpclr import FixedPointParams, ProtocolError, RingShare, Role
+from mpclr import FixedPointParams, ProtocolError, Role
 from mpclr.errors import FormatError
 from mpclr.sharing import (
-    BitVectorShare,
-    affine_combine,
-    int_to_words,
-    open_bits,
-    open_shares,
+    pack_rows,
+    random_bits,
     read_share_file,
     split,
     split_array,
-    split_bits,
-    words_to_int,
+    unpack_rows,
     write_share_file,
 )
 
-from helpers import ForcedBytesRng
+from helpers import ForcedBytesRng, protocol_pair
 
 P8 = FixedPointParams(frac_bits=2, int_bits=2, ring_bits=8)
 P64 = FixedPointParams(frac_bits=12, int_bits=15, ring_bits=64)
+
+
+def open_ring(a, b, params=P8):
+    """Open the ring shares a and b through one `Session.open_ring` round."""
+    ra, rb, *_ = protocol_pair(
+        params,
+        lambda s: s.open_ring(np.atleast_1d(np.asarray(a, dtype=params.dtype))),
+        lambda s: s.open_ring(np.atleast_1d(np.asarray(b, dtype=params.dtype))),
+    )
+    assert ra == rb
+    return int(ra[0])
 
 
 class TestSplitOpen:
@@ -36,17 +43,13 @@ class TestSplitOpen:
         assert (sa.value, sb.value) == (0, 0)
 
     def test_open(self):
-        assert open_shares(RingShare(3, Role.ALICE), RingShare(2, Role.BOB), P8) == 5
+        assert open_ring(3, 2) == 5
 
     def test_open_wraparound(self):
-        assert open_shares(RingShare(255, Role.ALICE), RingShare(1, Role.BOB), P8) == 0
+        assert open_ring(255, 1) == 0
 
     def test_open_zero_share(self):
-        assert open_shares(RingShare(0, Role.ALICE), RingShare(77, Role.BOB), P8) == 77
-
-    def test_open_role_mismatch(self):
-        with pytest.raises(ProtocolError):
-            open_shares(RingShare(1, Role.ALICE), RingShare(2, Role.ALICE), P8)
+        assert open_ring(0, 77) == 77
 
     def test_share_marginal_is_uniform(self):
         """Splitting a fixed secret 10^4 times leaves one share uniform."""
@@ -63,35 +66,26 @@ class TestSplitOpen:
 
 
 class TestAffine:
-    def _shared(self, x, rng):
-        return split(x, P8, rng)
+    """Local affine maps on ring-array shares open to the same map of the
+    secrets: the ring dtype wraps modulo 2^ring_bits, and only role A adds a
+    public constant."""
 
     def test_addition(self):
         rng = np.random.default_rng(1)
-        xa, xb = self._shared(3, rng)
-        ya, yb = self._shared(4, rng)
-        ra = affine_combine(0, [(1, xa), (1, ya)], P8)
-        rb = affine_combine(0, [(1, xb), (1, yb)], P8)
-        assert open_shares(ra, rb, P8) == 7
+        xa, xb = split_array([3], P8, rng)
+        ya, yb = split_array([4], P8, rng)
+        assert open_ring(xa.values + ya.values, xb.values + yb.values) == 7
 
     def test_subtraction(self):
         rng = np.random.default_rng(2)
-        xa, xb = self._shared(3, rng)
-        ya, yb = self._shared(4, rng)
-        minus_one = P8.modulus - 1
-        ra = affine_combine(0, [(1, xa), (minus_one, ya)], P8)
-        rb = affine_combine(0, [(1, xb), (minus_one, yb)], P8)
-        assert open_shares(ra, rb, P8) == P8.modulus - 1
+        xa, xb = split_array([3], P8, rng)
+        ya, yb = split_array([4], P8, rng)
+        assert open_ring(xa.values - ya.values, xb.values - yb.values) == P8.modulus - 1
 
     def test_constant_add_only_alice(self):
-        ra = affine_combine(5, [(1, RingShare(0, Role.ALICE))], P8)
-        rb = affine_combine(5, [(1, RingShare(0, Role.BOB))], P8)
-        assert ra.value == 5 and rb.value == 0
-        assert open_shares(ra, rb, P8) == 5
-
-    def test_mixed_roles_rejected(self):
-        with pytest.raises(ProtocolError):
-            affine_combine(0, [(1, RingShare(1, Role.ALICE)), (1, RingShare(2, Role.BOB))], P8)
+        rng = np.random.default_rng(3)
+        xa, xb = split_array([0], P8, rng)
+        assert open_ring(xa.values + P8.dtype(5), xb.values) == 5
 
     @given(
         st.integers(min_value=0, max_value=2 ** 64 - 1),
@@ -102,34 +96,48 @@ class TestAffine:
     @settings(max_examples=200)
     def test_affine_homomorphism(self, x, y, c, c0):
         rng = np.random.default_rng(x % 7919)
-        xa, xb = split(x, P64, rng)
-        ya, yb = split(y, P64, rng)
-        ra = affine_combine(c0, [(c, xa), (1, ya)], P64)
-        rb = affine_combine(c0, [(c, xb), (1, yb)], P64)
-        assert open_shares(ra, rb, P64) == (c0 + c * x + y) % P64.modulus
+        xa, xb = split_array([x], P64, rng)
+        ya, yb = split_array([y], P64, rng)
+        ring_c, ring_c0 = P64.dtype(c), P64.dtype(c0)
+        ra = ring_c0 + ring_c * xa.values + ya.values
+        rb = ring_c * xb.values + yb.values
+        assert int((ra + rb)[0]) == (c0 + c * x + y) % P64.modulus
 
 
 class TestBits:
     def test_split_open_bits(self):
         rng = np.random.default_rng(0)
         for bits in (0b0, 0b1011, (1 << 64) - 1, 0b1 << 127):
-            ba, bb = split_bits(bits, 128, rng)
-            assert open_bits(ba, bb) == bits
+            row = np.frombuffer(bits.to_bytes(16, "little"), dtype=np.uint64).reshape(1, 2)
+            mask = random_bits(rng, 128).reshape(1, 2)
+            ra, rb, *_ = protocol_pair(
+                P8,
+                lambda s: s.open_bit_strings([mask], 128)[0],
+                lambda s: s.open_bit_strings([row ^ mask], 128)[0],
+            )
+            assert np.array_equal(ra, row) and np.array_equal(rb, row)
 
     def test_bit_at_is_lsb_first(self):
-        share = BitVectorShare(0b1010, 4, Role.ALICE)
-        assert [share.bit_at(i) for i in (1, 2, 3, 4)] == [0, 1, 0, 1]
+        rows = np.array([[0b1010]], dtype=np.uint64)
+        assert unpack_rows(rows, 4).tolist() == [[0, 1, 0, 1]]
 
     def test_word_packing_round_trip(self):
+        rng = np.random.default_rng(4)
         for n in (1, 63, 64, 65, 130):
-            bits = (0xDEADBEEFCAFEF00D * 0x9E3779B9) & ((1 << n) - 1)
-            words = int_to_words(bits, n)
-            assert words.dtype == np.uint64 and len(words) == -(-n // 64)
-            assert words_to_int(words, n) == bits
+            bits = rng.integers(0, 2, (1, n), dtype=np.uint8)
+            words = pack_rows(bits)
+            assert words.dtype == np.uint64 and words.shape == (1, -(-n // 64))
+            assert np.array_equal(unpack_rows(words, n), bits)
 
     def test_length_mismatch(self):
+        # a 64-bit row is one word and a 65-bit row two, so each side's
+        # reply has the wrong length
         with pytest.raises(ProtocolError):
-            open_bits(BitVectorShare(0, 4, Role.ALICE), BitVectorShare(0, 5, Role.BOB))
+            protocol_pair(
+                P8,
+                lambda s: s.open_bit_strings([np.zeros((1, 1), dtype=np.uint64)], 64),
+                lambda s: s.open_bit_strings([np.zeros((1, 2), dtype=np.uint64)], 65),
+            )
 
 
 class TestShareFiles:

@@ -20,7 +20,6 @@ from mpclr.sharing import (
     rows_to_string,
     string_to_rows,
     word_count,
-    words_to_int,
 )
 
 from helpers import protocol_pair
@@ -28,6 +27,11 @@ from helpers import protocol_pair
 P64 = FixedPointParams()
 
 BATCHES = [1, 63, 64, 65, 225, 16_000]
+
+
+def words_to_int(words, nbits):
+    """The low `nbits` bits of a packed string as one Python integer."""
+    return int.from_bytes(np.asarray(words, dtype=np.uint64).tobytes(), "little") % (1 << nbits)
 
 
 def per_bit_rows(values, width):
