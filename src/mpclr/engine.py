@@ -158,6 +158,8 @@ class Session:
                 raise ProtocolError("bit payload shorter than expected")
             out.append(m ^ string_to_rows(words[off:off + count], len(m), batch))
             off += count
+        if off != len(words):
+            raise ProtocolError(f"bit payload has {len(words)} words, expected {off}")
         return out
 
     def truncate(self, values: np.ndarray) -> np.ndarray:

@@ -491,6 +491,8 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
             source.append(tag, (m0, m1), (*setup, *rows))
         else:
             raise FormatError(f"randomness stream: unknown record tag {tag}")
+    if off != len(data):
+        raise FormatError(f"randomness stream: {len(data) - off} bytes after the last record")
     return source
 
 

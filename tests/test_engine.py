@@ -11,7 +11,7 @@ from mpclr import (
 from mpclr.engine import MaskedMatrix, batch_bit_mul, batch_mul, matmul, mul
 from mpclr.fixedpoint import exact_truncate
 from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
-from mpclr.transport import FRAME_HEADER
+from mpclr.transport import FRAME_HEADER, MSG_OPEN_BITS
 from mpclr.sharing import split, split_array
 
 from helpers import forced_scalar_source, protocol_pair
@@ -249,6 +249,15 @@ class TestBatching:
                 lambda s: batch_mul(s, xb.values, xb.values),
             )
             assert sa.transcript.rounds == sb.transcript.rounds == 1
+
+
+class TestBitOpenings:
+    def test_longer_reply_rejected(self):
+        # the peer answers a one-word opening with four words
+        row = np.zeros((1, 1), dtype=np.uint64)
+        with pytest.raises(ProtocolError, match="bit payload has 4 words, expected 1"):
+            protocol_pair(P8, lambda s: s.open_bit_strings([row], 64),
+                          lambda s: s.exchange(MSG_OPEN_BITS, bytes(32)))
 
 
 class TestRandomnessDiscipline:

@@ -146,6 +146,11 @@ class TestStreams:
         with pytest.raises(FormatError):
             deserialize_stream(raw[:-4], P64)
 
+    def test_bytes_after_the_last_record(self):
+        src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
+        with pytest.raises(FormatError, match="24 bytes after the last record"):
+            deserialize_stream(serialize_stream(src_a) + bytes(24), P64)
+
     def test_cross_party_reconstruction(self):
         src_a, src_b = TrustedDealer(9, P64).generate([(TAG_SCALAR, 64)])
         ua, va, wa = src_a.take_ring_triples(64)
