@@ -32,7 +32,7 @@ from .fixedpoint import (
     exact_truncate,
     truncate_share_local,
 )
-from .local import local_session_pair, party_rng, run_pair, run_sessions
+from .local import local_session_pair, run_pair, run_sessions
 from .prefixnet import PrefixNetworkPlan, closed_form_mask_bits, plan_prefix_network
 from .randomness import (
     MaterializedSource,

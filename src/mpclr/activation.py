@@ -5,10 +5,10 @@ Rather than running comparison protocols, the shifted value z' = z + 1/2 is
 partially bit-decomposed: the bit just above the integer field tells whether
 z' went negative, and the OR of the integer-field bits tells whether z' >= 1.
 Everything else is local arithmetic plus two ring multiplications.  The two
-bit-to-ring conversions are independent of each other and ride the same two
-rounds.  Inputs must satisfy |decode(z)| < 2^(int_bits - 1) so the shifted
-value never spills past the masked field.  `batch_activate` is the only
-secure entry point; a single value is a batch of one.
+bit-to-ring conversions are independent of each other and ride one round.
+Inputs must satisfy |decode(z)| < 2^(int_bits - 1) so the shifted value
+never spills past the masked field.  `batch_activate` is the only secure
+entry point; a single value is a batch of one.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def batch_activate(sess: Session, zs: np.ndarray) -> np.ndarray:
     pos_slice = sign_slice ^ ones_row(batch) if sess.is_alice else sign_slice
     geq1_slice = or_tree_slices(sess, slices[a:a + b], batch)
 
-    # both conversions share the re-share round and the multiplication round
+    # both conversions share one multiplication round
     converted = convert_bits_to_ring(sess, np.stack([pos_slice, geq1_slice]), batch)
     pos_vec = converted[:batch]
     geq_vec = converted[batch:]

@@ -31,7 +31,7 @@ from .errors import (
     TransportError,
 )
 from .fixedpoint import FixedPointParams, decode_array, encode, encode_array
-from .local import local_session_pair, party_rng, run_sessions
+from .local import local_session_pair, run_sessions
 from .randomness import (
     MaterializedSource,
     TrustedDealer,
@@ -318,7 +318,7 @@ def _train_party(role_name, listen, peers, data, weights_out, cfg, randomness):
             if source.session_id != session_id_from_seed(cfg.seed):
                 raise FormatError("randomness file session id does not match --seed")
 
-        sess = Session(role, peer_channel, source, cfg.params, rng=party_rng(cfg.seed, role))
+        sess = Session(role, peer_channel, source, cfg.params)
         t0 = time.perf_counter()
         w_share = train_secure(sess, x_share, t_share, cfg)
         wall = time.perf_counter() - t0

@@ -38,7 +38,6 @@ from .sharing import (
 from .transport import (
     MSG_OPEN_BITS,
     MSG_OPEN_RING,
-    MSG_RESHARE,
     Channel,
     Frame,
     encode_frame,
@@ -80,12 +79,11 @@ class Session:
     """One party's live protocol state: role, channel, randomness, counters."""
 
     def __init__(self, role: Role, channel: Channel, randomness: MaterializedSource,
-                 params: FixedPointParams, rng: np.random.Generator, trunc_oracle=None):
+                 params: FixedPointParams, trunc_oracle=None):
         self.role = role
         self.channel = channel
         self.randomness = randomness
         self.params = params
-        self.rng = rng
         self.transcript = Transcript()
         self.trunc_oracle = trunc_oracle
 
@@ -299,31 +297,18 @@ def batch_bit_mul(sess: Session, xs, ys, batch: int) -> np.ndarray:
     return z
 
 
-def reshare_bits_to_ring(sess: Session, rows, batch: int):
-    """Re-share each of this party's bits as additive ring sharings.
+def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
+    """Z_2 -> Z_{2^ring} share conversion of packed `batch`-bit rows in one
+    round; returns the ring shares row after row.
 
-    `rows` holds packed `batch`-bit rows; the n = rows x batch bits are taken
-    row after row.  Returns (alice_bit_shares, bob_bit_shares): this party's
-    share of the ring sharing of Alice's bit vector and of Bob's bit vector.
+    Each party's bit share is its own trivial ring sharing, (b_A, 0) and
+    (0, b_B); one Beaver product of the two gives b = b_A + b_B - 2·b_A·b_B.
     """
     own = unpack_rows(_bit_rows(rows), batch).reshape(-1).astype(sess.params.dtype)
-    n = own.size
-    keep = random_ring_array(sess.rng, sess.params, (n,))
-    send = own - keep
-    reply = sess.exchange(MSG_RESHARE, sess._to_words(send))
-    (recv,) = sess._from_words(reply, (n,))
-    if sess.is_alice:
-        return keep, recv
-    return recv, keep
-
-
-def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
-    """Z_2 -> Z_{2^ring} share conversion of packed `batch`-bit rows (two
-    rounds); returns the ring shares row after row."""
-    a_sh, b_sh = reshare_bits_to_ring(sess, rows, batch)
-    y = batch_mul(sess, a_sh, b_sh, tag=TAG_CONVERSION)
-    two = sess.params.dtype(2)
-    return a_sh + b_sh - two * y
+    zero = np.zeros_like(own)
+    xs, ys = (own, zero) if sess.is_alice else (zero, own)
+    y = batch_mul(sess, xs, ys, tag=TAG_CONVERSION)
+    return own - sess.params.dtype(2) * y
 
 
 # ---------------------------------------------------------------------------

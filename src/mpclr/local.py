@@ -10,20 +10,11 @@ from __future__ import annotations
 import threading
 import time
 
-import numpy as np
-
 from .engine import Session
 from .fixedpoint import FixedPointParams
 from .randomness import MaterializedSource, OnDemandSource
 from .sharing import Role
 from .transport import memory_channel_pair
-
-
-def party_rng(master_seed: int, role: Role) -> np.random.Generator:
-    """Per-party generator for protocol-local randomness (re-sharing)."""
-    seq = np.random.SeedSequence([0x7061727479, int(master_seed) & (2 ** 64 - 1),
-                                  0 if role is Role.ALICE else 1])
-    return np.random.default_rng(seq)
 
 
 def local_session_pair(params: FixedPointParams, seed: int = 0,
@@ -36,10 +27,8 @@ def local_session_pair(params: FixedPointParams, seed: int = 0,
         randomness_a = OnDemandSource(seed, Role.ALICE, params)
     if randomness_b is None:
         randomness_b = OnDemandSource(seed, Role.BOB, params)
-    sess_a = Session(Role.ALICE, ch_a, randomness_a, params,
-                     rng=party_rng(seed, Role.ALICE), trunc_oracle=trunc_oracle)
-    sess_b = Session(Role.BOB, ch_b, randomness_b, params,
-                     rng=party_rng(seed, Role.BOB), trunc_oracle=trunc_oracle)
+    sess_a = Session(Role.ALICE, ch_a, randomness_a, params, trunc_oracle=trunc_oracle)
+    sess_b = Session(Role.BOB, ch_b, randomness_b, params, trunc_oracle=trunc_oracle)
     return sess_a, sess_b
 
 

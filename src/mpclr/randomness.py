@@ -483,6 +483,9 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
             source.append(tag, dims, tuple(None if shape is None else take_ring(*shape)
                                            for shape in dims.shapes()))
         elif tag == TAG_PREFIXNET:
+            if not 2 <= m0 <= params.ring_bits:
+                raise FormatError(f"randomness stream: prefix-network width {m0} outside "
+                                  f"2..{params.ring_bits}")
             plan = cached_plan(m0)
             setup = [take_words(1, word_count(m0 * m1))[0] for _ in range(3)]
             rows = [take_words(count, word_count(m1))

@@ -186,6 +186,9 @@ def read_share_file(path):
     expected = rows * cols * 8
     if len(body) != expected:
         raise FormatError(f"{path}: payload is {len(body)} bytes, expected {expected}")
-    params = FixedPointParams(frac_bits=frac_bits, int_bits=int_bits, ring_bits=ring_bits)
+    try:
+        params = FixedPointParams(frac_bits=frac_bits, int_bits=int_bits, ring_bits=ring_bits)
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid precision: {exc}") from None
     words = np.frombuffer(body, dtype=np.uint64).reshape(rows, cols)
     return words.astype(params.dtype), params

@@ -215,8 +215,7 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
         request = None
         slices -= pairs
     return steps + [
-        # both bits are re-shared as ring words, then multiplied
-        Step("activation.convert", None, 2 * n),
+        # both bits are converted to ring shares by one product
         Step("activation.convert", (TAG_CONVERSION, 2 * n), 4 * n, ring=2 * n),
         Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),
         Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),

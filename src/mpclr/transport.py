@@ -23,13 +23,13 @@ MAX_PAYLOAD = 1 << 30
 
 MSG_OPEN_RING = 1
 MSG_OPEN_BITS = 2
-MSG_RESHARE = 3
+# type 3 is unassigned: a frame of that type is rejected like any unknown one
 MSG_CONTROL = 4
 MSG_RANDOMNESS = 5
 
-_VALID_TYPES = {MSG_OPEN_RING, MSG_OPEN_BITS, MSG_RESHARE, MSG_CONTROL, MSG_RANDOMNESS}
+_VALID_TYPES = {MSG_OPEN_RING, MSG_OPEN_BITS, MSG_CONTROL, MSG_RANDOMNESS}
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 
 @dataclass(frozen=True)

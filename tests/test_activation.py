@@ -116,8 +116,8 @@ class TestBatchActivation:
             lambda s: batch_activate(s, za.values),
             lambda s: batch_activate(s, zb.values),
         )
-        # decomposition 6 + or-tree 4 + conversion 2 + two products
-        assert sa.transcript.rounds == 14
+        # decomposition 6 + or-tree 4 + conversion 1 + two products
+        assert sa.transcript.rounds == 13
 
     def test_ring_mult_budget(self):
         batch = 32

@@ -145,7 +145,7 @@ class TestTrainLocalAndReconstruct:
         lines = [json.loads(l.split(" ", 1)[1]) for l in out.splitlines()
                  if l.startswith("TRANSCRIPT")]
         assert len(lines) == 2
-        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 16
+        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 15
         assert lines[0]["ring_mults"] == lines[0]["counted_ring_mults"]
 
 
@@ -245,7 +245,7 @@ class TestBench:
         assert rc == 0
         payload = [l for l in capsys.readouterr().out.splitlines() if l.startswith("BENCH")][0]
         results = json.loads(payload[6:])["results"]
-        assert results[0]["rounds"] == results[1]["rounds"] == 14
+        assert results[0]["rounds"] == results[1]["rounds"] == 13
 
     def test_rep_validation(self):
         assert main(["bench", "--kind", "mul", "--reps", "1"]) == 2

@@ -24,8 +24,8 @@ GOLDEN = {
     64: {
         "crn1": ("476b9116ae60f750367933871bcb0cdd07181f1d57473c9c1518ace11d61654f",
                  "41c11686e4f252ed9b5145ed1fa537fb2941f9036ddc509ff0eb8942e8711613"),
-        "sent": ("46d151b9e59301b6cdd04cace9f84fcd141a4f36ab911bce2977e8a80fb10210",
-                 "fddd2a23bc7f94772e3e991cab522ceaa47ff616029964fc62e8fd79df942761"),
+        "sent": ("9774a2869220682e6778cfaa5170c01a476996cb3068a024be15b6b245fbfb4e",
+                 "6a23fece15cc649e5b94b6d335c1d8832191c8053e5c3fe32c28f32bbcfd1ffe"),
         "weights": ([28974219521733, 32862988747754, 26978605660032, 17389233348734,
                      28549017062738],
                     [18446715099490029812, 18446711210720804777, 18446717095103891915,
@@ -34,8 +34,8 @@ GOLDEN = {
     77: {
         "crn1": ("146fffab7c0887cbb2cfe1c271049921c95d066b7c4dfd26917c5bc4d1fdb021",
                  "3b46cec24a6b15e719ea220a11f82503b7ab4fdd610b60716c1ad2190caf079e"),
-        "sent": ("3a85da8fc7fc626778d0d9d2582d581bc845efed344f555b8ab20f7745c2722c",
-                 "226b71cc4d4e2c1b718b34cb8f01c6065dc4be8e0f60bafc12dda8c340e8b240"),
+        "sent": ("0b7278ae2e69156f4b2e7075464b275d56a2ae242ca63fb0e4852434ece01750",
+                 "ad7183aac193b2c5f3224603d656a0c955ba4030ed1e31ecf60688773d62a542"),
         "weights": ([37109802231382, 17307203006669, 13562539591937, 36318760248600,
                      19894510230177],
                     [18446706963907320185, 18446726766506545925, 18446730511169960164,

@@ -151,6 +151,16 @@ class TestStreams:
         with pytest.raises(FormatError, match="24 bytes after the last record"):
             deserialize_stream(serialize_stream(src_a) + bytes(24), P64)
 
+    @pytest.mark.parametrize("width", [0, 1, 65])
+    def test_prefix_network_width_outside_the_ring(self, width):
+        src_a, _ = TrustedDealer(42, P64).generate([(TAG_PREFIXNET, (8, 3))])
+        raw = bytearray(serialize_stream(src_a))
+        # the record's width is the first meta word, after the file header and tag byte
+        at = len(serialize_stream(TrustedDealer(42, P64).generate([])[0])) + 1
+        raw[at:at + 8] = width.to_bytes(8, "little")
+        with pytest.raises(FormatError, match=f"width {width} outside 2..64"):
+            deserialize_stream(bytes(raw), P64)
+
     def test_cross_party_reconstruction(self):
         src_a, src_b = TrustedDealer(9, P64).generate([(TAG_SCALAR, 64)])
         ua, va, wa = src_a.take_ring_triples(64)

@@ -158,6 +158,15 @@ class TestShareFiles:
         with pytest.raises(FormatError, match="magic"):
             read_share_file(path)
 
+    def test_invalid_precision(self, tmp_path):
+        path = tmp_path / "m.shr"
+        write_share_file(path, np.zeros((1, 2), dtype=P64.dtype), P64)
+        raw = bytearray(path.read_bytes())
+        raw[6:8] = (0).to_bytes(2, "little")  # frac_bits, after magic and ring width
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="m.shr: invalid precision"):
+            read_share_file(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m.shr"
         write_share_file(path, np.zeros((2, 2), dtype=P64.dtype), P64)

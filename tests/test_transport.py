@@ -116,6 +116,7 @@ class TestTcpChannel:
     @pytest.mark.parametrize("header, match", [
         (FRAME_HEADER.pack(b"XXXX", MSG_CONTROL, 0), "magic"),
         (FRAME_HEADER.pack(FRAME_MAGIC, 99, 0), "message type"),
+        (FRAME_HEADER.pack(FRAME_MAGIC, 3, 0), "message type 3"),
         (FRAME_HEADER.pack(FRAME_MAGIC, MSG_OPEN_RING, MAX_PAYLOAD + 1), "exceeds limit"),
     ])
     def test_bad_header_from_a_raw_socket(self, header, match):
@@ -168,6 +169,15 @@ class TestHandshake:
         t.start()
         with pytest.raises(TransportError, match="ring_bits"):
             perform_handshake(b, self._info(role="B", ring_bits=32))
+        t.join()
+
+    def test_protocol_version_mismatch_aborts(self):
+        a, b = memory_channel_pair()
+        t = threading.Thread(target=lambda: pytest.raises(TransportError,
+                                                          perform_handshake, a, self._info()))
+        t.start()
+        with pytest.raises(TransportError, match="version: ours 2, peer 3"):
+            perform_handshake(b, self._info(role="B", version=2))
         t.join()
 
     def test_wildcard_dims_allowed(self):
@@ -276,14 +286,12 @@ class TestTranscriptCounters:
         """Identical seeds over either channel flavor give identical frame
         streams, hence identical digests."""
         from mpclr.engine import batch_mul
-        from mpclr.local import party_rng, run_pair
+        from mpclr.local import run_pair
 
         def drive(channels):
             ch_a, ch_b = channels
-            sess_a = Session(Role.ALICE, ch_a, OnDemandSource(4, Role.ALICE, P64), P64,
-                             rng=party_rng(4, Role.ALICE))
-            sess_b = Session(Role.BOB, ch_b, OnDemandSource(4, Role.BOB, P64), P64,
-                             rng=party_rng(4, Role.BOB))
+            sess_a = Session(Role.ALICE, ch_a, OnDemandSource(4, Role.ALICE, P64), P64)
+            sess_b = Session(Role.BOB, ch_b, OnDemandSource(4, Role.BOB, P64), P64)
             xs = np.arange(9, dtype=P64.dtype)
 
             def party(sess):
