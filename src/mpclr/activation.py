@@ -2,10 +2,10 @@
 
 The activation rho(v) is 0 below -1/2, v + 1/2 in between, and 1 from 1/2 up.
 Rather than running comparison protocols, the shifted value z' = z + 1/2 is
-partially bit-decomposed: the bit just above the integer field tells whether
-z' went negative, and the OR of the integer-field bits tells whether z' >= 1.
-Everything else is local arithmetic plus two ring multiplications.  The two
-bit-to-ring conversions are independent of each other and ride one round.
+partially bit-decomposed.  Two bits follow from its sign and integer-field
+bits: d = 1 iff 0 <= z' < 1 (none of them set) and e = 1 iff z' >= 1.  Then
+rho = e * 2^a + d * z', which costs one ring multiplication; both bits are
+converted to ring shares in one round.
 Inputs must satisfy |decode(z)| < 2^(int_bits - 1) so the shifted value
 never spills past the masked field.  `batch_activate` is the only secure
 entry point; a single value is a batch of one.
@@ -51,16 +51,12 @@ def batch_activate(sess: Session, zs: np.ndarray) -> np.ndarray:
 
     slices = decompose_batch_slices(sess, masked, width)
 
-    sign_slice = slices[a + b]  # bit a+b+1, LSB-first
-    pos_slice = sign_slice ^ ones_row(batch) if sess.is_alice else sign_slice
-    geq1_slice = or_tree_slices(sess, slices[a:a + b], batch)
+    # OR of the sign and integer bits: 1 unless 0 <= z' < 1
+    outside = or_tree_slices(sess, slices[a:a + b + 1], batch)
+    d_slice = outside ^ ones_row(batch) if sess.is_alice else outside
+    # e = pos AND NOT d = pos XOR d, since d = 1 implies pos = 1; the flips cancel
+    e_slice = slices[a + b] ^ outside
 
-    # both conversions share one multiplication round
-    converted = convert_bits_to_ring(sess, np.stack([pos_slice, geq1_slice]), batch)
-    pos_vec = converted[:batch]
-    geq_vec = converted[batch:]
-
-    one_minus_geq = (params.dtype(1) - geq_vec) if sess.is_alice else np.negative(geq_vec)
-    r = (geq_vec * params.dtype(params.scale)) + batch_mul(sess, one_minus_geq, shifted)
-    return batch_mul(sess, pos_vec, r)
-
+    converted = convert_bits_to_ring(sess, np.stack([d_slice, e_slice]), batch)
+    d_vec, e_vec = converted[:batch], converted[batch:]
+    return e_vec * params.dtype(params.scale) + batch_mul(sess, d_vec, shifted)

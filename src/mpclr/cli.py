@@ -522,6 +522,8 @@ def cmd_bench(kind, batch_sizes, reps, seed, frac_bits, int_bits, ring_bits):
         sizes = [int(s) for s in batch_sizes.split(",") if s.strip()]
     except ValueError:
         raise click.UsageError(f"bad --batch-sizes {batch_sizes!r}") from None
+    if min(sizes, default=1) < 1:
+        raise click.UsageError("--batch-sizes must each be at least 1")
     results = []
     for batch in sizes:
         walls = []

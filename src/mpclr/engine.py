@@ -106,6 +106,8 @@ class Session:
             raise ProtocolError(
                 f"round desync: sent message type {msg_type}, peer sent {reply.msg_type}"
             )
+        if len(reply.payload) % 8:
+            raise ProtocolError(f"payload of {len(reply.payload)} bytes is not whole 64-bit words")
         self.transcript.rounds += 1
         self.transcript.record_send(data)
         return reply.payload
@@ -118,15 +120,12 @@ class Session:
 
     def _from_words(self, payload: bytes, *shapes):
         words = np.frombuffer(payload, dtype=np.uint64)
-        out = []
-        off = 0
-        for shape in shapes:
-            n = int(np.prod(shape)) if shape else 1
-            out.append(words[off:off + n].reshape(shape).astype(self.params.dtype, copy=False))
-            off += n
-        if off != len(words):
-            raise ProtocolError(f"ring payload has {len(words)} words, expected {off}")
-        return out
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        if len(words) != sum(sizes):
+            raise ProtocolError(f"ring payload has {len(words)} words, expected {sum(sizes)}")
+        parts = np.split(words, np.cumsum(sizes)[:-1])
+        return [part.reshape(shape).astype(self.params.dtype, copy=False)
+                for part, shape in zip(parts, shapes)]
 
     def open_ring(self, *arrays):
         """Open one or more masked ring tensors in a single round."""
@@ -147,7 +146,7 @@ class Session:
         """
         payload = b"".join(rows_to_string(m, batch).tobytes() for m in matrices)
         reply = self.exchange(MSG_OPEN_BITS, payload)
-        words = np.frombuffer(reply, dtype=np.uint64, count=len(reply) // 8)
+        words = np.frombuffer(reply, dtype=np.uint64)
         out = []
         off = 0
         for m in matrices:

@@ -92,7 +92,7 @@ def encode(x: float, params: FixedPointParams) -> int:
 def encode_array(xs, params: FixedPointParams) -> np.ndarray:
     """Vector form of :func:`encode`; returns the ring's unsigned dtype."""
     xs = np.asarray(xs, dtype=np.float64)
-    bad = np.abs(xs) >= (1 << params.int_bits)
+    bad = ~(np.abs(xs) < (1 << params.int_bits))
     if bad.any():
         idx = int(np.argmax(bad))
         raise RangeError(

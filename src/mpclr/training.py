@@ -205,10 +205,10 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     steps += [Step("bitops.decompose", None, word_count(2 * n * len(layer.pub_masks)),
                    bit=2 * n * (layer.comps.stop - layer.comps.start))
               for layer in cached_plan(width).rounds]
-    # OR of the integer slices, one tree level per round; the bit triples of
-    # the whole tree are one record
-    request = (TAG_BIT, (params.int_bits - 1) * n)
-    slices = params.int_bits
+    # OR of the sign and integer slices, one tree level per round; the bit
+    # triples of the whole tree are one record
+    request = (TAG_BIT, params.int_bits * n)
+    slices = params.int_bits + 1
     while slices > 1:
         pairs = slices // 2
         steps.append(Step("bitops.or_tree", request, 2 * word_count(pairs * n), bit=pairs * n))
@@ -217,7 +217,6 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     return steps + [
         # both bits are converted to ring shares by one product
         Step("activation.convert", (TAG_CONVERSION, 2 * n), 4 * n, ring=2 * n),
-        Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),
         Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),
         Step("engine.gradient", (TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE_T)), n,
              ring=n * m1),

@@ -73,10 +73,11 @@ class TestSplit:
 
     def test_out_of_range_value(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        with open(path, "w", newline="") as fh:
-            fh.write("f0,label\n99999.0,1\n")
-        rc = main(["split", "--data", str(path), "--shares-out", str(tmp_path / "x")])
-        assert rc == 4
+        for cell in ("99999.0", "nan"):
+            with open(path, "w", newline="") as fh:
+                fh.write(f"f0,label\n{cell},1\n")
+            rc = main(["split", "--data", str(path), "--shares-out", str(tmp_path / "x")])
+            assert rc == 4, cell
 
     def test_usage_error(self):
         assert main(["split"]) == 2
@@ -145,7 +146,7 @@ class TestTrainLocalAndReconstruct:
         lines = [json.loads(l.split(" ", 1)[1]) for l in out.splitlines()
                  if l.startswith("TRANSCRIPT")]
         assert len(lines) == 2
-        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 15
+        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 14
         assert lines[0]["ring_mults"] == lines[0]["counted_ring_mults"]
 
 
@@ -245,10 +246,11 @@ class TestBench:
         assert rc == 0
         payload = [l for l in capsys.readouterr().out.splitlines() if l.startswith("BENCH")][0]
         results = json.loads(payload[6:])["results"]
-        assert results[0]["rounds"] == results[1]["rounds"] == 13
+        assert results[0]["rounds"] == results[1]["rounds"] == 12
 
     def test_rep_validation(self):
         assert main(["bench", "--kind", "mul", "--reps", "1"]) == 2
+        assert main(["bench", "--kind", "mul", "--batch-sizes", "0"]) == 2
 
 
 class TestConfigFile:

@@ -11,7 +11,7 @@ from mpclr import (
 from mpclr.engine import MaskedMatrix, batch_bit_mul, batch_mul, matmul, mul
 from mpclr.fixedpoint import exact_truncate
 from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
-from mpclr.transport import FRAME_HEADER, MSG_OPEN_BITS
+from mpclr.transport import FRAME_HEADER, MSG_OPEN_BITS, MSG_OPEN_RING
 from mpclr.sharing import split, split_array
 
 from helpers import forced_scalar_source, protocol_pair
@@ -253,11 +253,18 @@ class TestBatching:
 
 class TestBitOpenings:
     def test_longer_reply_rejected(self):
-        # the peer answers a one-word opening with four words
-        row = np.zeros((1, 1), dtype=np.uint64)
-        with pytest.raises(ProtocolError, match="bit payload has 4 words, expected 1"):
-            protocol_pair(P8, lambda s: s.open_bit_strings([row], 64),
-                          lambda s: s.exchange(MSG_OPEN_BITS, bytes(32)))
+        # the peer answers a one-word opening with four words, with one word
+        # and three bytes, or with nothing
+        ring = lambda s: s.open_ring(np.zeros(1, dtype=P8.dtype))
+        bits = lambda s: s.open_bit_strings([np.zeros((1, 1), dtype=np.uint64)], 64)
+        for opening, msg_type, reply, error in [
+            (bits, MSG_OPEN_BITS, bytes(32), "bit payload has 4 words, expected 1"),
+            (bits, MSG_OPEN_BITS, bytes(11), "11 bytes is not whole 64-bit words"),
+            (ring, MSG_OPEN_RING, bytes(11), "11 bytes is not whole 64-bit words"),
+            (ring, MSG_OPEN_RING, b"", "ring payload has 0 words, expected 1"),
+        ]:
+            with pytest.raises(ProtocolError, match=error):
+                protocol_pair(P8, opening, lambda s: s.exchange(msg_type, reply))
 
 
 class TestRandomnessDiscipline:

@@ -58,6 +58,8 @@ class TestEncodeDecode:
             encode(40000.0, P64)
         with pytest.raises(RangeError):
             encode(-8.0, P16)
+        with pytest.raises(RangeError, match="nan"):
+            encode_array([0.0, float("nan")], P16)
 
     def test_array_matches_scalar(self):
         xs = [0.0, 1.0, -0.5, 3.25, -2.75]

@@ -22,20 +22,20 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("476b9116ae60f750367933871bcb0cdd07181f1d57473c9c1518ace11d61654f",
-                 "41c11686e4f252ed9b5145ed1fa537fb2941f9036ddc509ff0eb8942e8711613"),
-        "sent": ("9774a2869220682e6778cfaa5170c01a476996cb3068a024be15b6b245fbfb4e",
-                 "6a23fece15cc649e5b94b6d335c1d8832191c8053e5c3fe32c28f32bbcfd1ffe"),
+        "crn1": ("7c317270ee7e8d87577d36cbeac76b1890058b6f5a557662a621f18eaaa5913e",
+                 "d6400b0edf8cf4530505f40ccddda5d742984c1f5c8e92aef9cef40c89c2b10a"),
+        "sent": ("c1565489844aa96b93be94f0da27d52d54bde5f28d46dc8842c3b97bea97f84d",
+                 "dd85c05180df68c852ed56ea46ced361a3f9e8ee62a31a4dfa2426fb284fd3e1"),
         "weights": ([28974219521733, 32862988747754, 26978605660032, 17389233348734,
                      28549017062738],
                     [18446715099490029812, 18446711210720804777, 18446717095103891915,
                      18446726684476202852, 18446715524692488985]),
     },
     77: {
-        "crn1": ("146fffab7c0887cbb2cfe1c271049921c95d066b7c4dfd26917c5bc4d1fdb021",
-                 "3b46cec24a6b15e719ea220a11f82503b7ab4fdd610b60716c1ad2190caf079e"),
-        "sent": ("0b7278ae2e69156f4b2e7075464b275d56a2ae242ca63fb0e4852434ece01750",
-                 "ad7183aac193b2c5f3224603d656a0c955ba4030ed1e31ecf60688773d62a542"),
+        "crn1": ("d76598875b716759536610e15953b840bdbdbdfdd7f6cb6714658f784b0335a2",
+                 "537218ba07d87700f94e133bde2da20f4036d0168a2bf997beb73989862dec84"),
+        "sent": ("6a7eb9bbd8026e4e756e9c7887b6403d5f396d6f73459fee534a3a24b2caff3b",
+                 "f4ef8fa2fa7b990ed87a1dc20a0dce919a513e32aa59d30bca543212be78d674"),
         "weights": ([37109802231382, 17307203006669, 13562539591937, 36318760248600,
                      19894510230177],
                     [18446706963907320185, 18446726766506545925, 18446730511169960164,

@@ -254,7 +254,7 @@ class TestSecureTraining:
     @pytest.mark.parametrize("params", [
         P64,
         FixedPointParams(frac_bits=8, int_bits=6, ring_bits=32),
-        FixedPointParams(frac_bits=8, int_bits=1, ring_bits=64),  # no OR tree
+        FixedPointParams(frac_bits=8, int_bits=1, ring_bits=64),  # one OR-tree level
     ])
     def test_plan_provisions_exactly_what_training_takes(self, params):
         # on-demand sources deal one record per take, so their records are
@@ -390,7 +390,7 @@ class TestTrafficModel:
             traffic = count_traffic(n, m, iters, P64)
             for tr in (sa.transcript, sb.transcript):
                 assert (tr.rounds, tr.bytes_sent) == (traffic["rounds"], traffic["bytes"])
-            assert traffic["rounds"] == 15 * iters
+            assert traffic["rounds"] == 14 * iters
             assert traffic["open_x_bytes"] == 8 * n * (m + 1)
 
     def test_iterations_after_the_first_send_only_the_linear_term(self):

@@ -176,8 +176,8 @@ class TestHandshake:
         t = threading.Thread(target=lambda: pytest.raises(TransportError,
                                                           perform_handshake, a, self._info()))
         t.start()
-        with pytest.raises(TransportError, match="version: ours 2, peer 3"):
-            perform_handshake(b, self._info(role="B", version=2))
+        with pytest.raises(TransportError, match="version: ours 3, peer 4"):
+            perform_handshake(b, self._info(role="B", version=3))
         t.join()
 
     def test_wildcard_dims_allowed(self):

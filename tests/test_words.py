@@ -163,6 +163,6 @@ def test_empty_batch_sends_the_same_frames():
     ra, _, sa, sb = protocol_pair(P64, lambda s: batch_activate(s, empty),
                                   lambda s: batch_activate(s, empty))
     assert ra.shape == (0,)
-    assert sa.transcript.bytes_sent == 289
-    expected = "686d207a8d9d096334ea06c1412223c744f3fa56e070e6729770509eefb2e3d9"
+    assert sa.transcript.bytes_sent == 276
+    expected = "f182821862cebdfc78383ebca64f4763bfdc1122caf3eda13ee8e2f66a6a3d20"
     assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
