@@ -10,7 +10,8 @@ are being decomposed at once.  `decompose_ripple` and `decompose_opt` take one
 shared value and return its bits as a `BitVectorShare`; they are test
 references, and the ripple route sends each round's ANDs through
 `batch_bit_mul` as one packed row.  Z_2 -> ring conversion is
-`engine.convert_bits_to_ring`.
+`engine.convert_bits_to_ring`, which opens the bits masked by daBits as one
+packed string.
 """
 
 from __future__ import annotations

@@ -22,8 +22,6 @@ from .randomness import (
     MATMUL_MASK,
     MATMUL_REUSE,
     MATMUL_REUSE_T,
-    TAG_CONVERSION,
-    TAG_SCALAR,
     MatmulDims,
     MaterializedSource,
 )
@@ -55,6 +53,7 @@ class Transcript:
     mask_bits_sent: int = 0
     capture_opens: bool = False
     opened_words: list = field(default_factory=list)
+    opened_bits: list = field(default_factory=list)
     _digest: "hashlib._Hash" = field(default_factory=lambda: hashlib.sha256(), repr=False)
 
     def record_send(self, frame_bytes: bytes):
@@ -157,6 +156,8 @@ class Session:
             off += count
         if off != len(words):
             raise ProtocolError(f"bit payload has {len(words)} words, expected {off}")
+        if self.transcript.capture_opens:
+            self.transcript.opened_bits.extend(unpack_rows(m, batch) for m in out)
         return out
 
     def truncate(self, values: np.ndarray) -> np.ndarray:
@@ -218,7 +219,7 @@ def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bo
     return z
 
 
-def batch_mul(sess: Session, xs, ys: np.ndarray, tag: int = TAG_SCALAR) -> np.ndarray:
+def batch_mul(sess: Session, xs, ys: np.ndarray) -> np.ndarray:
     """Elementwise product of two shared vectors; one round for any length.
 
     Against a MaskedMatrix X (n x m) and a shared n-vector ys, it computes the
@@ -232,7 +233,7 @@ def batch_mul(sess: Session, xs, ys: np.ndarray, tag: int = TAG_SCALAR) -> np.nd
     if xs.shape != ys.shape:
         raise ProtocolError(f"batch length mismatch: {xs.shape} vs {ys.shape}")
     n = xs.size
-    u, v, w = sess.randomness.take_ring_triples(n, tag)
+    u, v, w = sess.randomness.take_ring_triples(n)
     u = u.reshape(xs.shape)
     v = v.reshape(xs.shape)
     w = w.reshape(xs.shape)
@@ -300,14 +301,18 @@ def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
     """Z_2 -> Z_{2^ring} share conversion of packed `batch`-bit rows in one
     round; returns the ring shares row after row.
 
-    Each party's bit share is its own trivial ring sharing, (b_A, 0) and
-    (0, b_B); one Beaver product of the two gives b = b_A + b_B - 2·b_A·b_B.
+    Each bit b takes one daBit, a random bit r that the dealer shares both
+    in Z_2 and in the ring.  The parties open c = b XOR r as one packed
+    string, and b = c + r - 2·c·r is local, with the public c added on
+    Alice's side.
     """
-    own = unpack_rows(_bit_rows(rows), batch).reshape(-1).astype(sess.params.dtype)
-    zero = np.zeros_like(own)
-    xs, ys = (own, zero) if sess.is_alice else (zero, own)
-    y = batch_mul(sess, xs, ys, tag=TAG_CONVERSION)
-    return own - sess.params.dtype(2) * y
+    rows = _bit_rows(rows)
+    nbits = len(rows) * batch
+    r_ring, r_bits = sess.randomness.take_dabits(nbits)
+    [c] = sess.open_bit_strings([(rows_to_string(rows, batch) ^ r_bits)[None]], nbits)
+    c = unpack_rows(c[0], nbits).astype(sess.params.dtype)
+    out = r_ring - sess.params.dtype(2) * c * r_ring
+    return out + c if sess.is_alice else out
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .sharing import (
     random_ring_array,
     string_to_rows,
     tail_mask,
+    unpack_rows,
     word_count,
 )
 
@@ -37,8 +38,10 @@ RANDOMNESS_MAGIC = b"CRN1"
 TAG_SCALAR = 1      # pooled ring triples for elementwise multiplication
 TAG_MATMUL = 2      # matrix triples, one block per multiplication
 TAG_BIT = 3         # pooled bit triples for Z_2 multiplication
-TAG_CONVERSION = 4  # pooled ring triples reserved for bit-to-ring conversion
 TAG_PREFIXNET = 5   # per-decomposition mask schedule blocks
+TAG_CONVERSION = 6  # pooled daBits for bit-to-ring conversion
+# Tag 4 held the conversion's ring triples up to protocol version 4.  It stays
+# unassigned, so a stream dealt for that conversion fails at load.
 
 _TAG_NAMES = {
     TAG_SCALAR: "scalar-mul",
@@ -134,33 +137,45 @@ class _Cursor:
 
 
 def _read_bits(words: np.ndarray, start: int, nbits: int) -> np.ndarray:
-    """Copy of the `nbits` bits from bit `start` on of every packed string
-    in the rows of `words`.
+    """Copy of the `nbits` bits from bit `start` on of the packed string
+    `words`, or of every string in its rows.
 
     A start inside a word funnel-shifts each output word from two input
     words; the word past the last one holding a bit read may be absent.
     """
     first, shift = divmod(start, 64)
     count = word_count(nbits)
-    out = words[:, first:first + count].copy()
+    out = words[..., first:first + count].copy()
     if shift:
         out >>= np.uint64(shift)
-        high = words[:, first + 1:first + count + 1] << np.uint64(64 - shift)
-        out[:, :high.shape[1]] |= high
-    out[:, -1] &= tail_mask(nbits)
+        high = words[..., first + 1:first + count + 1] << np.uint64(64 - shift)
+        out[..., :high.shape[-1]] |= high
+    out[..., -1] &= tail_mask(nbits)
     return out
 
 
 def _write_bits(words: np.ndarray, start: int, src: np.ndarray):
-    """OR the packed strings in the rows of `src` into those of `words`,
-    from bit `start` on."""
+    """OR the packed string `src`, or the strings in its rows, into those of
+    `words`, from bit `start` on."""
     first, shift = divmod(start, 64)
-    stop = first + src.shape[1]
+    stop = first + src.shape[-1]
     if shift:
-        words[:, first:stop] |= src << np.uint64(shift)
-        words[:, first + 1:stop + 1] |= src >> np.uint64(64 - shift)
+        words[..., first:stop] |= src << np.uint64(shift)
+        words[..., first + 1:stop + 1] |= src >> np.uint64(64 - shift)
     else:
-        words[:, first:stop] |= src
+        words[..., first:stop] |= src
+
+
+def _gather_bits(segments, nbits: int, rows: tuple, part) -> np.ndarray:
+    """The `nbits` bits that `segments` (see MaterializedSource._take) cover
+    of the packed strings `parts[part]` of their records, as one string per
+    row; `rows` is the shape of those rows, () for a single string."""
+    out = np.zeros(rows + (word_count(nbits) + 1,), dtype=np.uint64)
+    pos = 0
+    for _, parts, start, count in segments:
+        _write_bits(out, pos, _read_bits(parts[part], start, count))
+        pos += count
+    return out[..., :-1]
 
 
 def _prefix_block(meta, parts) -> PrefixBlock:
@@ -276,7 +291,7 @@ class TrustedDealer:
         they are written in (see MaterializedSource); `meta` is as in
         `generate`."""
         rng = self._rng(tag)
-        if tag in (TAG_SCALAR, TAG_CONVERSION):
+        if tag == TAG_SCALAR:
             # no names for u and v, so they are freed before the halves are copied
             halves = make_ring_triple(random_ring_array(rng, self.params, (meta,)),
                                       random_ring_array(rng, self.params, (meta,)),
@@ -284,6 +299,13 @@ class TrustedDealer:
             return tuple(np.array(half) for half in halves)
         if tag == TAG_BIT:
             return tuple(np.array(half) for half in make_bit_triple(meta, rng))
+        if tag == TAG_CONVERSION:
+            # random bits r, shared in the ring one word each and in Z_2 as one string
+            r = random_bits(rng, meta)
+            ring = _share_ring(unpack_rows(r[None], meta)[0].astype(self.params.dtype),
+                               self.params, rng)
+            bits_a = random_bits(rng, meta)
+            return (ring[0], bits_a), (ring[1], r ^ bits_a)
         if tag == TAG_MATMUL:
             return self._matmul_parts(meta, rng)
         if tag == TAG_PREFIXNET:
@@ -318,8 +340,9 @@ class MaterializedSource:
     The stream is `records`, its CRN1 records in order, each (tag, meta,
     parts) with `parts` in the layout they are written in: a (3, n) matrix
     of u, v, w for a pool of n ring triples, a (3, words) matrix of u, v, w
-    packed strings for a pool of n bit triples, the (U, V, W) parts of a
-    matmul record with None for a part its kind lacks, and the seven
+    packed strings for a pool of n bit triples, the n ring shares and the
+    n-bit string of Z_2 shares of a pool of n daBits, the (U, V, W) parts
+    of a matmul record with None for a part its kind lacks, and the seven
     matrices of a prefix-network record.  A take only moves a cursor over
     its tag's records; pooled takes may cross records.
     """
@@ -364,8 +387,9 @@ class MaterializedSource:
             )
         return segments
 
-    def take_ring_triples(self, n, tag=TAG_SCALAR):
-        pieces = [parts[:, start:start + count] for _, parts, start, count in self._take(tag, n)]
+    def take_ring_triples(self, n):
+        pieces = [parts[:, start:start + count]
+                  for _, parts, start, count in self._take(TAG_SCALAR, n)]
         if len(pieces) == 1:  # views, as most takes lie within one record
             return tuple(pieces[0])
         return tuple(np.concatenate([np.empty((3, 0), self.params.dtype), *pieces], axis=1))
@@ -378,12 +402,15 @@ class MaterializedSource:
 
     def take_bit_triples(self, nbits):
         """Next `nbits` bit triples as three packed strings (u, v, w)."""
-        out = np.zeros((3, word_count(nbits) + 1), dtype=np.uint64)
-        pos = 0
-        for _, parts, start, count in self._take(TAG_BIT, nbits):
-            _write_bits(out, pos, _read_bits(parts, start, count))
-            pos += count
-        return tuple(out[:, :-1])
+        return tuple(_gather_bits(self._take(TAG_BIT, nbits), nbits, (3,), slice(None)))
+
+    def take_dabits(self, nbits):
+        """Next `nbits` daBits: the ring shares, one word per bit, and the
+        Z_2 shares as one packed string."""
+        segments = self._take(TAG_CONVERSION, nbits)
+        ring = [parts[0][start:start + count] for _, parts, start, count in segments]
+        return (np.concatenate([np.empty(0, self.params.dtype), *ring]),
+                _gather_bits(segments, nbits, (), 1))
 
     def take_prefix_block(self, width, batch) -> PrefixBlock:
         [(meta, parts, _, _)] = self._take(TAG_PREFIXNET, (width, batch))
@@ -474,10 +501,12 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
         tag, kind = tag & ((1 << _KIND_SHIFT) - 1), tag >> _KIND_SHIFT
         if kind and (tag != TAG_MATMUL or kind > MATMUL_REUSE_T):
             raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
-        if tag in (TAG_SCALAR, TAG_CONVERSION):
+        if tag == TAG_SCALAR:
             source.append(tag, m0, take_ring(3, m0))
         elif tag == TAG_BIT:
             source.append(tag, m0, take_words(3, word_count(m0)))
+        elif tag == TAG_CONVERSION:
+            source.append(tag, m0, (take_ring(1, m0)[0], take_words(1, word_count(m0))[0]))
         elif tag == TAG_MATMUL:
             dims = MatmulDims(m0, m1, m2, kind)
             source.append(tag, dims, tuple(None if shape is None else take_ring(*shape)

@@ -215,8 +215,8 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
         request = None
         slices -= pairs
     return steps + [
-        # both bits are converted to ring shares by one product
-        Step("activation.convert", (TAG_CONVERSION, 2 * n), 4 * n, ring=2 * n),
+        # both bits are converted to ring shares against daBits, opened as one string
+        Step("activation.convert", (TAG_CONVERSION, 2 * n), word_count(2 * n)),
         Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),
         Step("engine.gradient", (TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE_T)), n,
              ring=n * m1),

@@ -29,7 +29,7 @@ MSG_RANDOMNESS = 5
 
 _VALID_TYPES = {MSG_OPEN_RING, MSG_OPEN_BITS, MSG_CONTROL, MSG_RANDOMNESS}
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,8 @@ class TestBatchActivation:
             lambda s: batch_activate(s, za.values),
             lambda s: batch_activate(s, zb.values),
         )
-        # two conversions plus the output product, per element
-        assert sa.transcript.ring_mults == 3 * batch
+        # the output product, per element; the conversion opens daBit-masked bits
+        assert sa.transcript.ring_mults == batch
         width = P64.frac_bits + P64.int_bits + 2
         from mpclr.prefixnet import cached_plan
 
@@ -145,11 +145,14 @@ class TestOpenedValuesLookUniform:
     def test_masked_openings_carry_no_signal(self):
         """Across many sessions on one fixed input, the ring words that ever
         get opened are indistinguishable from uniform (chi-squared check at
-        the eight-bit ring)."""
+        the eight-bit ring), and so are the two bits c = b XOR r that the
+        conversion opens, although d = 0 and e = 1 on every run."""
         z = encode(0.5, P8)
         za, zb = split(z, P8, np.random.default_rng(77))
         counts = np.zeros(256, dtype=np.int64)
-        for seed in range(1000):
+        c_ones = np.zeros(2, dtype=np.int64)
+        runs = 1000
+        for seed in range(runs):
             _, _, sa, sb = protocol_pair(
                 P8,
                 lambda s: batch_activate(s, np.array([za.value], dtype=P8.dtype)),
@@ -159,8 +162,14 @@ class TestOpenedValuesLookUniform:
             )
             for word in sa.transcript.opened_words:
                 counts[word & 0xFF] += 1
+            # the conversion's opening is the last bit string, c_d then c_e
+            c = sa.transcript.opened_bits[-1]
+            assert c.shape == (1, 2)
+            c_ones += c[0]
         total = counts.sum()
-        assert total >= 6000  # six masked openings per run
+        assert total == 2000  # the output product's two masked openings per run
         expected = total / 256
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 330, chi2
+        # binomial(1000, 1/2) per position: mean 500, standard deviation 15.8
+        assert np.all(np.abs(c_ones - runs / 2) < 5 * np.sqrt(runs) / 2), c_ones

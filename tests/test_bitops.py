@@ -280,8 +280,8 @@ class TestConversion:
         for trial in range(10):
             opened, sa = self.run(P16, bit_a, bit_b, seed=trial * 4 + bit_a * 2 + bit_b)
             assert opened == bit_a ^ bit_b
-            assert sa.transcript.rounds == 1  # one multiplication
-            assert sa.transcript.ring_mults == 1
+            assert sa.transcript.rounds == 1  # one opening of b XOR r
+            assert sa.transcript.ring_mults == 0
 
     def test_wide_ring(self):
         for trial in range(25):

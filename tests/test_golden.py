@@ -4,7 +4,10 @@ shares of two small training runs, pinned as digests.
 Any change to how bit strings are held in memory must leave every byte on the
 wire and in files, and every dealt value, exactly as it is.  The batch of 64
 fills whole 64-bit words; the batch of 77 leaves a partial word in every bit
-row.
+row.  The weight shares depend only on the matrix records and the opened
+values, so a change of protocol that computes the same values, such as the
+daBit conversion of protocol version 5, moves the stream and frame digests
+but not them.
 """
 
 import hashlib
@@ -22,20 +25,20 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("7c317270ee7e8d87577d36cbeac76b1890058b6f5a557662a621f18eaaa5913e",
-                 "d6400b0edf8cf4530505f40ccddda5d742984c1f5c8e92aef9cef40c89c2b10a"),
-        "sent": ("c1565489844aa96b93be94f0da27d52d54bde5f28d46dc8842c3b97bea97f84d",
-                 "dd85c05180df68c852ed56ea46ced361a3f9e8ee62a31a4dfa2426fb284fd3e1"),
+        "crn1": ("81ab308fdd5c3bcc9833ca1b986703d56ccd6726b69cc296ff5efdc40b838c1f",
+                 "d7552b52a0a1aa76495fd4036f3d58b2f41889e3c6dc5a7c21638d4b73e65789"),
+        "sent": ("3ad2038cfe7a02dac0704fd686a7e67905ad57571eadafb242b5c1543e966b91",
+                 "6a06730a5f57251b7d863ad30ae6f30e422b75f07b431775e307db5735a8e6c4"),
         "weights": ([28974219521733, 32862988747754, 26978605660032, 17389233348734,
                      28549017062738],
                     [18446715099490029812, 18446711210720804777, 18446717095103891915,
                      18446726684476202852, 18446715524692488985]),
     },
     77: {
-        "crn1": ("d76598875b716759536610e15953b840bdbdbdfdd7f6cb6714658f784b0335a2",
-                 "537218ba07d87700f94e133bde2da20f4036d0168a2bf997beb73989862dec84"),
-        "sent": ("6a7eb9bbd8026e4e756e9c7887b6403d5f396d6f73459fee534a3a24b2caff3b",
-                 "f4ef8fa2fa7b990ed87a1dc20a0dce919a513e32aa59d30bca543212be78d674"),
+        "crn1": ("7e770aaded52e488ec95f0794986ab2b66ce3b395beb01edb58374c0ba2d17a3",
+                 "882fff6f1cc8e2affa8840db2bd3f27942e93fb5328f9df9582262129b8011e4"),
+        "sent": ("5ebfac62896e947bab62542cc7a73b7f8b6753f070d19eab86be499c4e114b76",
+                 "a2754a3fee0522c0c96240abd6fbd48ae4437630c25092a9d658a18e2da5c608"),
         "weights": ([37109802231382, 17307203006669, 13562539591937, 36318760248600,
                      19894510230177],
                     [18446706963907320185, 18446726766506545925, 18446730511169960164,

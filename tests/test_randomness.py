@@ -151,6 +151,15 @@ class TestStreams:
         with pytest.raises(FormatError, match="24 bytes after the last record"):
             deserialize_stream(serialize_stream(src_a) + bytes(24), P64)
 
+    def test_stream_of_the_old_conversion_is_refused(self):
+        # tag 4 held the conversion's ring triples, laid out like a scalar
+        # record, up to protocol version 4
+        src_a, _ = TrustedDealer(42, P64).generate([(TAG_SCALAR, 4)])
+        raw = bytearray(serialize_stream(src_a))
+        raw[18] = 4  # first record's tag byte
+        with pytest.raises(FormatError, match="unknown record tag 4"):
+            deserialize_stream(bytes(raw), P64)
+
     @pytest.mark.parametrize("width", [0, 1, 65])
     def test_prefix_network_width_outside_the_ring(self, width):
         src_a, _ = TrustedDealer(42, P64).generate([(TAG_PREFIXNET, (8, 3))])
@@ -197,8 +206,10 @@ class TestStreams:
 
 def take(source, tag, meta):
     """Consume one request's worth of randomness, whatever its tag."""
-    if tag in (TAG_SCALAR, TAG_CONVERSION):
-        return source.take_ring_triples(meta, tag)
+    if tag == TAG_SCALAR:
+        return source.take_ring_triples(meta)
+    if tag == TAG_CONVERSION:
+        return source.take_dabits(meta)
     if tag == TAG_BIT:
         return source.take_bit_triples(meta)
     if tag == TAG_MATMUL:
@@ -220,8 +231,10 @@ def crn1_bytes(requests, params):
 
     words = 0
     for tag, meta in requests:
-        if tag in (TAG_SCALAR, TAG_CONVERSION):
+        if tag == TAG_SCALAR:
             words += 3 * meta
+        elif tag == TAG_CONVERSION:
+            words += meta + packed(meta)
         elif tag == TAG_BIT:
             words += 3 * packed(meta)
         elif tag == TAG_MATMUL:

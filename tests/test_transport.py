@@ -176,8 +176,9 @@ class TestHandshake:
         t = threading.Thread(target=lambda: pytest.raises(TransportError,
                                                           perform_handshake, a, self._info()))
         t.start()
-        with pytest.raises(TransportError, match="version: ours 3, peer 4"):
-            perform_handshake(b, self._info(role="B", version=3))
+        # a peer of the previous protocol version is refused
+        with pytest.raises(TransportError, match="version: ours 4, peer 5"):
+            perform_handshake(b, self._info(role="B", version=4))
         t.join()
 
     def test_wildcard_dims_allowed(self):

@@ -4,12 +4,14 @@ references."""
 import numpy as np
 import pytest
 
-from mpclr import FixedPointParams
+from mpclr import FixedPointParams, Role, TrainingConfig, training_randomness_requests
 from mpclr.activation import batch_activate
 from mpclr.bitops import _from_slices, _to_slices
 from mpclr.randomness import (
     TAG_BIT,
+    TAG_CONVERSION,
     MaterializedSource,
+    OnDemandSource,
     TrustedDealer,
     deserialize_stream,
     serialize_stream,
@@ -156,13 +158,86 @@ class TestBitPool:
         self.check_takes(source, ref, [18])
 
 
+def bit_list(words, nbits):
+    """Bits 0 .. nbits - 1 of a packed string, one at a time."""
+    return [int(words[i // 64]) >> (i % 64) & 1 for i in range(nbits)]
+
+
+class PerBitDabits:
+    """The daBit pool as a list of (ring share, bit share) pairs, one per
+    daBit, cut off the front on every take."""
+
+    def __init__(self):
+        self.pairs = []
+
+    def append(self, nbits, parts):
+        ring, bits = parts
+        self.pairs += zip((int(v) for v in ring), bit_list(bits, nbits), strict=True)
+
+    def take(self, nbits):
+        out, self.pairs = self.pairs[:nbits], self.pairs[nbits:]
+        return out
+
+
+class TestDabitPool:
+    # 77 samples for 3 iterations: three records of 154 daBits, then a
+    # POOL_SLACK tail of 24
+    CFG = TrainingConfig(eta=0.05, n_iter=3, params=P64, seed=8)
+    TAKES = [5, 64, 90, 1, 63, 130, 65, 2, 42, 24]
+
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65, 225])
+    def test_ring_shares_sum_to_the_xor_of_bit_shares(self, batch):
+        (ring_a, bits_a), (ring_b, bits_b) = TrustedDealer(batch, P64).block(TAG_CONVERSION, batch)
+        assert ring_a.shape == (batch,) and bits_a.shape == (word_count(batch),)
+        r = bits_a ^ bits_b
+        assert words_to_int(r, 64 * len(r)) < 1 << batch  # tail bits are zero
+        assert [int(v) for v in ring_a + ring_b] == bit_list(r, batch)
+
+    def plan_records(self):
+        requests = training_randomness_requests(77, 4, self.CFG)
+        sizes = [meta for tag, meta in requests if tag == TAG_CONVERSION]
+        assert sizes == [154, 154, 154, 24] and sum(self.TAKES) == sum(sizes)
+        return requests, sizes
+
+    def check_takes(self, source, ref, takes):
+        for n in takes:
+            ring, bits = source.take_dabits(n)
+            assert ring.shape == (n,) and bits.shape == (word_count(n),)
+            want = ref.take(n)
+            assert [int(v) for v in ring] == [r for r, _ in want]
+            # equal as integers, so the tail bits are zero
+            assert words_to_int(bits, 64 * len(bits)) == sum(b << i for i, (_, b) in enumerate(want))
+
+    @pytest.mark.parametrize("through_file", [False, True])
+    def test_takes_cross_the_plan_records(self, through_file):
+        requests, sizes = self.plan_records()
+        src_a, _ = TrustedDealer(8, P64).generate(requests)
+        if through_file:
+            src_a = deserialize_stream(serialize_stream(src_a), P64)
+        ref = PerBitDabits()
+        dealer = TrustedDealer(8, P64)
+        for n in sizes:
+            ref.append(n, dealer.block(TAG_CONVERSION, n)[0])
+        self.check_takes(src_a, ref, self.TAKES)
+
+    @pytest.mark.parametrize("role", [Role.ALICE, Role.BOB])
+    def test_on_demand_takes(self, role):
+        source = OnDemandSource(9, role, P64)
+        ref = PerBitDabits()
+        dealer = TrustedDealer(9, P64)
+        for n in self.TAKES:
+            ref.append(n, dealer.block(TAG_CONVERSION, n)[role is Role.BOB])
+            self.check_takes(source, ref, [n])
+
+
 def test_empty_batch_sends_the_same_frames():
     # sent-frame digest of an activation over no values: every opened bit
-    # string is one zero word, as the big-integer bit strings sent it
+    # string is one zero word, as the big-integer bit strings sent it, and so
+    # is the conversion's opening of the daBit-masked bits
     empty = np.zeros(0, dtype=np.uint64)
     ra, _, sa, sb = protocol_pair(P64, lambda s: batch_activate(s, empty),
                                   lambda s: batch_activate(s, empty))
     assert ra.shape == (0,)
-    assert sa.transcript.bytes_sent == 276
-    expected = "f182821862cebdfc78383ebca64f4763bfdc1122caf3eda13ee8e2f66a6a3d20"
+    assert sa.transcript.bytes_sent == 284
+    expected = "f9efddb8695d96bb8005a980805b52fcc09ad13ee1daa3e450f595920ecb3da1"
     assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
