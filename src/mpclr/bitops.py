@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Session, batch_bit_mul
+from .engine import Session, and_with_triple, batch_bit_mul
 from .prefixnet import cached_plan
 from .sharing import BitVectorShare, ones_row, pack_rows, unpack_rows
 
@@ -115,12 +115,8 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
 
     # Setup round: every position's generate bit in one batched multiplication.
-    d_open, e_open = sess.open_bit_strings(
-        [a_rows ^ block.setup_u, b_rows ^ block.setup_v], batch)
-    g_setup = block.setup_w ^ (e_open & block.setup_u) ^ (d_open & block.setup_v)
-    if sess.is_alice:
-        g_setup ^= d_open & e_open
-    sess.transcript.bit_mults += width * batch
+    g_setup = and_with_triple(sess, a_rows, b_rows,
+                              (block.setup_u, block.setup_v, block.setup_w), batch)
     sess.transcript.mask_bits_sent += 2 * width * batch
 
     # Node rows: the setup positions, then one per composition in plan order.
@@ -137,7 +133,7 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
         masked = np.empty((2 * len(masks), own.shape[1]), dtype=np.uint64)
         masked[0::2] = p_rows[layer.pub_rows] ^ block.mask_p[masks]
         masked[1::2] = g_rows[layer.pub_rows] ^ block.mask_g[masks]
-        (opened,) = sess.open_bit_strings([masked], batch)
+        [opened] = sess.open(bits=[masked], batch=batch)
         sess.transcript.mask_bits_sent += 2 * batch * len(masks)
         dp[masks], dg[masks] = opened[0::2], opened[1::2]
 

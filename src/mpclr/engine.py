@@ -2,7 +2,9 @@
 
 Each secure operation is one synchronized exchange: both parties mask their
 operands with pre-distributed triple components, swap the masked differences
-in a single frame per direction, and finish locally.  Role A sends first and
+in a single frame per direction, and finish locally.  `Session.open` is the
+one opening: ring words and packed bit strings travel in the same frame
+type, and one call may carry both.  Role A sends first and
 role B receives first, which keeps TCP deadlock-free without a writer thread;
 the transcript counters and frame bytes are identical on both sides either
 way.  All ring arithmetic wraps on the machine word matching the ring width.
@@ -31,15 +33,8 @@ from .sharing import (
     rows_to_string,
     string_to_rows,
     unpack_rows,
-    word_count,
 )
-from .transport import (
-    MSG_OPEN_BITS,
-    MSG_OPEN_RING,
-    Channel,
-    Frame,
-    encode_frame,
-)
+from .transport import MSG_OPEN, Channel, Frame, encode_frame
 
 
 @dataclass
@@ -111,53 +106,34 @@ class Session:
         self.transcript.record_send(data)
         return reply.payload
 
-    # -- ring helpers ----------------------------------------------------------
+    # -- openings ---------------------------------------------------------------
 
-    def _to_words(self, *arrays) -> bytes:
-        return b"".join(np.ascontiguousarray(a, dtype=self.params.dtype)
-                        .astype(np.uint64, copy=False).tobytes() for a in arrays)
+    def open(self, ring=(), bits=(), batch: int = 0) -> list:
+        """Open masked ring tensors and masked matrices of packed `batch`-bit
+        rows in a single round; returns the opened tensors, then the matrices.
 
-    def _from_words(self, payload: bytes, *shapes):
-        words = np.frombuffer(payload, dtype=np.uint64)
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        if len(words) != sum(sizes):
-            raise ProtocolError(f"ring payload has {len(words)} words, expected {sum(sizes)}")
-        parts = np.split(words, np.cumsum(sizes)[:-1])
-        return [part.reshape(shape).astype(self.params.dtype, copy=False)
-                for part, shape in zip(parts, shapes)]
-
-    def open_ring(self, *arrays):
-        """Open one or more masked ring tensors in a single round."""
-        payload = self._to_words(*arrays)
-        reply = self.exchange(MSG_OPEN_RING, payload)
-        peers = self._from_words(reply, *(a.shape for a in arrays))
-        opened = [a + p for a, p in zip(arrays, peers)]
-        if self.transcript.capture_opens:
-            for arr in opened:
-                self.transcript.opened_words.extend(int(x) for x in np.ravel(arr))
-        return opened if len(opened) > 1 else opened[0]
-
-    def open_bit_strings(self, matrices, batch: int) -> list:
-        """Open masked matrices of packed `batch`-bit rows in a single round.
-
-        Each matrix travels as one contiguous LSB-first string of its rows,
-        padded to a whole word.
+        The frame carries each tensor as 64-bit words, then each matrix as
+        one contiguous LSB-first string of its rows, padded to a whole word.
         """
-        payload = b"".join(rows_to_string(m, batch).tobytes() for m in matrices)
-        reply = self.exchange(MSG_OPEN_BITS, payload)
-        words = np.frombuffer(reply, dtype=np.uint64)
+        ring = [np.asarray(a, dtype=self.params.dtype) for a in ring]
+        strings = [rows_to_string(m, batch) for m in bits]
+        payload = b"".join([a.astype(np.uint64, copy=False).tobytes() for a in ring]
+                           + [s.tobytes() for s in strings])
+        words = np.frombuffer(self.exchange(MSG_OPEN, payload), dtype=np.uint64)
+        expected = len(payload) // 8
+        if len(words) != expected:
+            raise ProtocolError(f"opening has {len(words)} words, expected {expected}")
         out = []
         off = 0
-        for m in matrices:
-            count = word_count(len(m) * batch)
-            if off + count > len(words):
-                raise ProtocolError("bit payload shorter than expected")
-            out.append(m ^ string_to_rows(words[off:off + count], len(m), batch))
-            off += count
-        if off != len(words):
-            raise ProtocolError(f"bit payload has {len(words)} words, expected {off}")
+        for a in ring:
+            out.append(a + words[off:off + a.size].reshape(a.shape).astype(a.dtype, copy=False))
+            off += a.size
+        for m, s in zip(bits, strings):
+            out.append(m ^ string_to_rows(words[off:off + s.size], len(m), batch))
+            off += s.size
         if self.transcript.capture_opens:
-            self.transcript.opened_bits.extend(unpack_rows(m, batch) for m in out)
+            self.transcript.opened_words.extend(int(x) for a in out[:len(ring)] for x in a.ravel())
+            self.transcript.opened_bits.extend(unpack_rows(m, batch) for m in out[len(ring):])
         return out
 
     def truncate(self, values: np.ndarray) -> np.ndarray:
@@ -168,7 +144,7 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
-# Beaver multiplication: scalar, elementwise batch, matrix
+# Beaver multiplication: scalar, elementwise batch, masked matrix
 # ---------------------------------------------------------------------------
 
 
@@ -206,10 +182,10 @@ def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bo
     kind = MATMUL_REUSE_T if transpose else MATMUL_REUSE
     _, v, w = sess.randomness.take_matmul_triple(MatmulDims(n, m, 1, kind))
     if first:
-        d, e = sess.open_ring(np.asarray(x.share, dtype=sess.params.dtype) - u, y - v)
+        d, e = sess.open(ring=[np.asarray(x.share, dtype=sess.params.dtype) - u, y - v])
         x.d, x.left, x.share = d, (u + d if sess.is_alice else u), None
     else:
-        e = sess.open_ring(y - v)
+        [e] = sess.open(ring=[y - v])
     if transpose:
         # for integer dtypes numpy runs this einsum several times faster than x.left.T @ e
         z = w[:, 0] + np.einsum("ij,i->j", x.left, e[:, 0]) + np.einsum("ij,i->j", x.d, v[:, 0])
@@ -237,7 +213,7 @@ def batch_mul(sess: Session, xs, ys: np.ndarray) -> np.ndarray:
     u = u.reshape(xs.shape)
     v = v.reshape(xs.shape)
     w = w.reshape(xs.shape)
-    d, e = sess.open_ring(xs - u, ys - v)
+    d, e = sess.open(ring=[xs - u, ys - v])
     z = w + e * u + d * v
     if sess.is_alice:
         z = z + d * e
@@ -251,32 +227,30 @@ def mul(sess: Session, x: int, y: int) -> int:
     return int(out[0])
 
 
-def matmul(sess: Session, x, y: np.ndarray) -> np.ndarray:
-    """Matrix product of shared matrices in one round.
-
-    `x` may be a MaskedMatrix, with `y` one column; its first product also
-    opens X - U.  Aborts before touching randomness when the operand
-    dimensions disagree.
-    """
-    if isinstance(x, MaskedMatrix):
-        return _masked_product(sess, x, y, transpose=False)
-    x = np.asarray(x, dtype=sess.params.dtype)
-    y = np.asarray(y, dtype=sess.params.dtype)
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[0]:
-        raise ProtocolError(f"matmul dimension mismatch: {x.shape} x {y.shape}")
-    dims = (x.shape[0], x.shape[1], y.shape[1])
-    u, v, w = sess.randomness.take_matmul_triple(dims)
-    d, e = sess.open_ring(x - u, y - v)
-    z = w + u @ e + d @ v
-    if sess.is_alice:
-        z = z + d @ e
-    sess.transcript.ring_mults += dims[0] * dims[1] * dims[2]
-    return z
+def matmul(sess: Session, x: MaskedMatrix, y: np.ndarray) -> np.ndarray:
+    """X·y for a MaskedMatrix X and a shared column y in one round; the first
+    product over X also opens X - U.  Any other operand, or operand
+    dimensions that disagree, abort before any randomness is taken."""
+    if not isinstance(x, MaskedMatrix):
+        raise ProtocolError(f"matmul takes a MaskedMatrix, got {type(x).__name__}")
+    return _masked_product(sess, x, y, transpose=False)
 
 
 def _bit_rows(rows) -> np.ndarray:
     """A matrix of packed bit rows; a 1-d row or a small integer is one row."""
     return np.atleast_2d(np.asarray(rows, dtype=np.uint64))
+
+
+def and_with_triple(sess: Session, xs, ys, triple, batch: int) -> np.ndarray:
+    """Bitwise AND of two Z_2-shared matrices of packed `batch`-bit rows in
+    one round, against the bit triple (u, v, w) of the same shape."""
+    u, v, w = triple
+    d, e = sess.open(bits=[xs ^ u, ys ^ v], batch=batch)
+    z = w ^ (e & u) ^ (d & v)
+    if sess.is_alice:
+        z ^= d & e
+    sess.transcript.bit_mults += len(xs) * batch
+    return z
 
 
 def batch_bit_mul(sess: Session, xs, ys, batch: int) -> np.ndarray:
@@ -286,15 +260,9 @@ def batch_bit_mul(sess: Session, xs, ys, batch: int) -> np.ndarray:
     and are split into rows like the operands.
     """
     xs, ys = _bit_rows(xs), _bit_rows(ys)
-    nbits = len(xs) * batch
-    u, v, w = (string_to_rows(s, len(xs), batch)
-               for s in sess.randomness.take_bit_triples(nbits))
-    d_open, e_open = sess.open_bit_strings([xs ^ u, ys ^ v], batch)
-    z = w ^ (e_open & u) ^ (d_open & v)
-    if sess.is_alice:
-        z ^= d_open & e_open
-    sess.transcript.bit_mults += nbits
-    return z
+    triple = (string_to_rows(s, len(xs), batch)
+              for s in sess.randomness.take_bit_triples(len(xs) * batch))
+    return and_with_triple(sess, xs, ys, triple, batch)
 
 
 def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
@@ -309,7 +277,7 @@ def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
     rows = _bit_rows(rows)
     nbits = len(rows) * batch
     r_ring, r_bits = sess.randomness.take_dabits(nbits)
-    [c] = sess.open_bit_strings([(rows_to_string(rows, batch) ^ r_bits)[None]], nbits)
+    [c] = sess.open(bits=[(rows_to_string(rows, batch) ^ r_bits)[None]], batch=nbits)
     c = unpack_rows(c[0], nbits).astype(sess.params.dtype)
     out = r_ring - sess.params.dtype(2) * c * r_ring
     return out + c if sess.is_alice else out

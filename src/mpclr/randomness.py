@@ -36,7 +36,7 @@ from .sharing import (
 RANDOMNESS_MAGIC = b"CRN1"
 
 TAG_SCALAR = 1      # pooled ring triples for elementwise multiplication
-TAG_MATMUL = 2      # matrix triples, one block per multiplication
+TAG_MATMUL = 2      # matrix masks and their products, one block per record
 TAG_BIT = 3         # pooled bit triples for Z_2 multiplication
 TAG_PREFIXNET = 5   # per-decomposition mask schedule blocks
 TAG_CONVERSION = 6  # pooled daBits for bit-to-ring conversion
@@ -52,19 +52,20 @@ _TAG_NAMES = {
 }
 
 # Kinds of TAG_MATMUL record; a CRN1 record keeps its kind in the high bits
-# of the tag byte.
-MATMUL_TRIPLE = 0   # U, V and W = U·V
+# of the tag byte.  Kind 0 held a full matrix triple up to protocol version
+# 5.  It stays unassigned, so a stream that holds one fails at load.
 MATMUL_MASK = 1     # U alone: the fixed mask of a matrix X that is opened once as X - U
 MATMUL_REUSE = 2    # V and W = U·V, against the last mask of the same shape
 MATMUL_REUSE_T = 3  # V and W = Uᵀ·V, against the last mask of the same shape
 
+_MATMUL_KINDS = (MATMUL_MASK, MATMUL_REUSE, MATMUL_REUSE_T)
 _KIND_SHIFT = 4
 
 _DOMAIN = 0x6D70636C  # derivation label separating dealer output from other rng users
 
 
 class MatmulDims(NamedTuple):
-    """Shape and kind of one TAG_MATMUL record; a plain (i, j, k) is a triple.
+    """Shape and kind of one TAG_MATMUL record.
 
     U is always i x j.  The mask record carries U alone (k = 0); the records
     that reuse it carry only a fresh V and its product W with U or Uᵀ.
@@ -73,13 +74,12 @@ class MatmulDims(NamedTuple):
     i: int
     j: int
     k: int
-    kind: int = MATMUL_TRIPLE
+    kind: int
 
     def shapes(self) -> tuple:
         """Shapes of (U, V, W) in the record, None for a part it lacks."""
         i, j, k, kind = self
         return {
-            MATMUL_TRIPLE: ((i, j), (j, k), (i, k)),
             MATMUL_MASK: ((i, j), None, None),
             MATMUL_REUSE: (None, (j, k), (i, k)),
             MATMUL_REUSE_T: (None, (i, k), (j, k)),
@@ -111,8 +111,7 @@ _POOLED = (TAG_SCALAR, TAG_CONVERSION, TAG_BIT)
 
 def _meta(tag: int, meta):
     """A request's meta as records keep it: n for a pool, a MatmulDims for
-    matmul (a plain (i, j, k) is a triple), (width, batch) for
-    prefix-network."""
+    matmul, (width, batch) for prefix-network."""
     if tag == TAG_MATMUL:
         return MatmulDims(*meta)
     if tag == TAG_PREFIXNET:
@@ -187,17 +186,11 @@ def _prefix_block(meta, parts) -> PrefixBlock:
 
 def make_ring_triple(u_vals: np.ndarray, v_vals: np.ndarray, params: FixedPointParams,
                      rng: np.random.Generator):
-    """Share a multiplication triple with the given operand values.
-
-    u_vals has shape (i, j) and v_vals (j, k) for matrices, or matching 1-d
-    shapes for elementwise pools.  Returns ((uA, vA, wA), (uB, vB, wB)).
-    """
+    """Share elementwise multiplication triples with the given operand
+    values.  Returns ((uA, vA, wA), (uB, vB, wB))."""
     u_vals = np.asarray(u_vals, dtype=params.dtype)
     v_vals = np.asarray(v_vals, dtype=params.dtype)
-    if u_vals.ndim == 2:
-        w_vals = u_vals @ v_vals
-    else:
-        w_vals = u_vals * v_vals
+    w_vals = u_vals * v_vals
     parts = [_share_ring(vals, params, rng) for vals in (u_vals, v_vals, w_vals)]
     a = tuple(p[0] for p in parts)
     b = tuple(p[1] for p in parts)
@@ -244,10 +237,6 @@ class TrustedDealer:
         part its kind lacks (see MatmulDims)."""
         dims = MatmulDims(*dims)
         i, j, k, kind = dims
-        if kind == MATMUL_TRIPLE:
-            u = random_ring_array(rng, self.params, (i, j))
-            v = random_ring_array(rng, self.params, (j, k))
-            return make_ring_triple(u, v, self.params, rng)
         if kind == MATMUL_MASK:
             u = random_ring_array(rng, self.params, (i, j))
             self._masks[(i, j)] = u
@@ -315,8 +304,8 @@ class TrustedDealer:
     def generate(self, requests):
         """Materialize both parties' streams for an explicit request list.
 
-        Each request is (tag, meta): n for pools, MatmulDims or a plain
-        (i, j, k) for matmul, (width, batch) for prefix-network blocks.
+        Each request is (tag, meta): n for pools, MatmulDims for matmul,
+        (width, batch) for prefix-network blocks.
         """
         sa = MaterializedSource(self.params, self.session_id)
         sb = MaterializedSource(self.params, self.session_id)
@@ -499,7 +488,7 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
     for _ in range(nrecords):
         tag, m0, m1, m2 = _RECORD_HEADER.unpack(take(_RECORD_HEADER.size))
         tag, kind = tag & ((1 << _KIND_SHIFT) - 1), tag >> _KIND_SHIFT
-        if kind and (tag != TAG_MATMUL or kind > MATMUL_REUSE_T):
+        if kind not in (_MATMUL_KINDS if tag == TAG_MATMUL else (0,)):
             raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
         if tag == TAG_SCALAR:
             source.append(tag, m0, take_ring(3, m0))

@@ -1,11 +1,11 @@
 """Bit-exact message framing and the two channel flavors.
 
 Every message is one frame: 4-byte magic, 1-byte message type, 8-byte
-little-endian payload length, payload.  Ring payloads are unsigned 64-bit
-little-endian words and bit payloads are LSB-first packed words, so the same
-byte stream is produced whether the parties talk over TCP or over the
-in-process channel used by local mode and tests.  A dead peer kills the
-session; there is no retry logic.
+little-endian payload length, payload.  An opening (type MSG_OPEN) carries
+its ring values as unsigned 64-bit little-endian words, then its bit strings
+as LSB-first packed words.  The same byte stream is produced whether the
+parties talk over TCP or over the in-process channel used by local mode and
+tests.  A dead peer kills the session; there is no retry logic.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ FRAME_MAGIC = b"MPC1"
 FRAME_HEADER = struct.Struct("<4sBQ")
 MAX_PAYLOAD = 1 << 30
 
-MSG_OPEN_RING = 1
-MSG_OPEN_BITS = 2
-# type 3 is unassigned: a frame of that type is rejected like any unknown one
+MSG_OPEN = 1
+# types 2 and 3 are unassigned: a frame of either type is rejected like any
+# unknown one
 MSG_CONTROL = 4
 MSG_RANDOMNESS = 5
 
-_VALID_TYPES = {MSG_OPEN_RING, MSG_OPEN_BITS, MSG_CONTROL, MSG_RANDOMNESS}
+_VALID_TYPES = {MSG_OPEN, MSG_CONTROL, MSG_RANDOMNESS}
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 
 @dataclass(frozen=True)

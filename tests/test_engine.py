@@ -11,8 +11,8 @@ from mpclr import (
 from mpclr.engine import MaskedMatrix, batch_bit_mul, batch_mul, matmul, mul
 from mpclr.fixedpoint import exact_truncate
 from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
-from mpclr.transport import FRAME_HEADER, MSG_OPEN_BITS, MSG_OPEN_RING
-from mpclr.sharing import split, split_array
+from mpclr.transport import FRAME_HEADER, MSG_OPEN
+from mpclr.sharing import pack_rows, split, split_array, unpack_rows
 
 from helpers import forced_scalar_source, protocol_pair
 
@@ -81,45 +81,59 @@ class TestScalarMul:
 
 
 class TestMatmul:
+    """Products against a MaskedMatrix; a many-column operand runs as one
+    product per column, all against the one mask."""
+
+    @staticmethod
+    def columns(params, x, y, seed=0):
+        rng = np.random.default_rng(seed)
+        xa, xb = split_array(x, params, rng)
+        ya, yb = split_array(y, params, rng)
+
+        def side(xs, ys):
+            def body(sess):
+                mx = MaskedMatrix(xs.values)
+                return np.hstack([matmul(sess, mx, ys.values[:, [k]])
+                                  for k in range(ys.values.shape[1])])
+            return body
+
+        ra, rb, sa, _ = protocol_pair(params, side(xa, ya), side(xb, yb), seed=seed)
+        return ra + rb, sa
+
     def test_identity(self):
         rng = np.random.default_rng(5)
         y = np.frombuffer(rng.bytes(32), dtype=np.uint64).reshape(2, 2).astype(P8.dtype)
-        eye = np.eye(2, dtype=P8.dtype)
-        xa, xb = split_array(eye, P8, rng)
-        ya, yb = split_array(y, P8, rng)
-        ra, rb, *_ = protocol_pair(
-            P8, lambda s: matmul(s, xa.values, ya.values), lambda s: matmul(s, xb.values, yb.values)
-        )
-        assert np.array_equal(ra + rb, y)
+        out, _ = self.columns(P8, np.eye(2, dtype=P8.dtype), y, seed=5)
+        assert np.array_equal(out, y)
 
     def test_row_times_column(self):
-        rng = np.random.default_rng(6)
         x = np.array([[1, 2]], dtype=P8.dtype)
         y = np.array([[4], [5]], dtype=P8.dtype)
-        xa, xb = split_array(x, P8, rng)
-        ya, yb = split_array(y, P8, rng)
-        ra, rb, sa, _ = protocol_pair(
-            P8, lambda s: matmul(s, xa.values, ya.values), lambda s: matmul(s, xb.values, yb.values)
-        )
-        assert open_ints(ra[0, 0], rb[0, 0], P8) == 14
+        out, sa = self.columns(P8, x, y, seed=6)
+        assert int(out[0, 0]) == 14
         assert sa.transcript.rounds == 1
 
     def test_dimension_mismatch_aborts(self):
         x = np.zeros((2, 2), dtype=P8.dtype)
         y = np.zeros((3, 1), dtype=P8.dtype)
         with pytest.raises(ProtocolError, match="dimension"):
-            protocol_pair(P8, lambda s: matmul(s, x, y), lambda s: matmul(s, x, y))
+            protocol_pair(P8, lambda s: matmul(s, MaskedMatrix(x), y),
+                          lambda s: matmul(s, MaskedMatrix(x), y))
+
+    def test_plain_operand_refused_before_randomness(self):
+        empty = (MaterializedSource(P8), MaterializedSource(P8))
+        x = np.zeros((1, 2), dtype=P8.dtype)
+        y = np.zeros((2, 1), dtype=P8.dtype)
+        with pytest.raises(ProtocolError, match="MaskedMatrix"):
+            protocol_pair(P8, lambda s: matmul(s, x, y), lambda s: matmul(s, x, y),
+                          sources=empty)
 
     def test_random_against_plain(self):
         rng = np.random.default_rng(8)
         x = np.frombuffer(rng.bytes(8 * 12), dtype=np.uint64).reshape(3, 4)
         y = np.frombuffer(rng.bytes(8 * 8), dtype=np.uint64).reshape(4, 2)
-        xa, xb = split_array(x, P64, rng)
-        ya, yb = split_array(y, P64, rng)
-        ra, rb, sa, _ = protocol_pair(
-            P64, lambda s: matmul(s, xa.values, ya.values), lambda s: matmul(s, xb.values, yb.values)
-        )
-        assert np.array_equal(ra + rb, x @ y)
+        out, sa = self.columns(P64, x, y, seed=8)
+        assert np.array_equal(out, x @ y)
         assert sa.transcript.ring_mults == 3 * 4 * 2
 
 
@@ -173,19 +187,13 @@ class TestMaskedMatrix:
 
 
 class TestInnerProduct:
-    """Inner products are matmul of a (1, k) row by a (k, 1) column."""
+    """Inner products are the product of a masked (1, k) row by a (k, 1) column."""
 
     @staticmethod
     def dot(w, x, seed=0):
-        rng = np.random.default_rng(seed)
-        wa, wb = split_array(np.reshape(w, (1, -1)), P64, rng)
-        xa, xb = split_array(np.reshape(x, (-1, 1)), P64, rng)
-        ra, rb, sa, _ = protocol_pair(
-            P64,
-            lambda s: matmul(s, wa.values, xa.values),
-            lambda s: matmul(s, wb.values, xb.values),
-        )
-        return open_ints(ra[0, 0], rb[0, 0], P64), sa
+        out, sa = TestMatmul.columns(P64, np.reshape(w, (1, -1)).astype(P64.dtype),
+                                     np.reshape(x, (-1, 1)).astype(P64.dtype), seed=seed)
+        return int(out[0, 0]), sa
 
     def test_known_vectors(self):
         got, sa = self.dot([1, 2, 3], [4, 5, 6], seed=9)
@@ -208,7 +216,8 @@ class TestInnerProduct:
     def test_length_mismatch(self):
         row, col = np.zeros((1, 2), dtype=P64.dtype), np.zeros((3, 1), dtype=P64.dtype)
         with pytest.raises(ProtocolError):
-            protocol_pair(P64, lambda s: matmul(s, row, col), lambda s: matmul(s, row, col))
+            protocol_pair(P64, lambda s: matmul(s, MaskedMatrix(row), col),
+                          lambda s: matmul(s, MaskedMatrix(row), col))
 
 
 class TestBatching:
@@ -254,17 +263,53 @@ class TestBatching:
 class TestBitOpenings:
     def test_longer_reply_rejected(self):
         # the peer answers a one-word opening with four words, with one word
-        # and three bytes, or with nothing
-        ring = lambda s: s.open_ring(np.zeros(1, dtype=P8.dtype))
-        bits = lambda s: s.open_bit_strings([np.zeros((1, 1), dtype=np.uint64)], 64)
-        for opening, msg_type, reply, error in [
-            (bits, MSG_OPEN_BITS, bytes(32), "bit payload has 4 words, expected 1"),
-            (bits, MSG_OPEN_BITS, bytes(11), "11 bytes is not whole 64-bit words"),
-            (ring, MSG_OPEN_RING, bytes(11), "11 bytes is not whole 64-bit words"),
-            (ring, MSG_OPEN_RING, b"", "ring payload has 0 words, expected 1"),
+        # and three bytes, or with nothing; a mixed opening of two ring words
+        # and a 65-bit row (two words) with three words, five, or four and a half
+        ring = lambda s: s.open(ring=[np.zeros(1, dtype=P8.dtype)])
+        bits = lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)], batch=64)
+        mixed = lambda s: s.open(ring=[np.zeros(2, dtype=P8.dtype)],
+                                 bits=[np.zeros((1, 2), dtype=np.uint64)], batch=65)
+        for opening, reply, error in [
+            (bits, bytes(32), "opening has 4 words, expected 1"),
+            (bits, bytes(11), "11 bytes is not whole 64-bit words"),
+            (ring, bytes(11), "11 bytes is not whole 64-bit words"),
+            (ring, b"", "opening has 0 words, expected 1"),
+            (mixed, bytes(24), "opening has 3 words, expected 4"),
+            (mixed, bytes(40), "opening has 5 words, expected 4"),
+            (mixed, bytes(36), "36 bytes is not whole 64-bit words"),
         ]:
             with pytest.raises(ProtocolError, match=error):
-                protocol_pair(P8, opening, lambda s: s.exchange(msg_type, reply))
+                protocol_pair(P8, opening, lambda s: s.exchange(MSG_OPEN, reply))
+
+    def test_one_round_carries_ring_words_and_bit_rows(self):
+        # ring tensors of two shapes and two bit matrices at batch 65, where
+        # neither matrix's rows are a contiguous string by themselves
+        rng = np.random.default_rng(19)
+        batch = 65
+        vec = np.frombuffer(rng.bytes(8 * 3), dtype=np.uint64)
+        mat = np.frombuffer(rng.bytes(8 * 6), dtype=np.uint64).reshape(2, 3)
+        bit_a = pack_rows(rng.integers(0, 2, (3, batch), dtype=np.uint8))
+        bit_b = pack_rows(rng.integers(0, 2, (1, batch), dtype=np.uint8))
+        ring_shares = [split_array(v, P64, rng) for v in (vec, mat)]
+        bit_masks = [pack_rows(rng.integers(0, 2, (len(m), batch), dtype=np.uint8))
+                     for m in (bit_a, bit_b)]
+
+        def side(idx):
+            ring = [pair[idx].values for pair in ring_shares]
+            bits = bit_masks if idx else [m ^ r for m, r in zip((bit_a, bit_b), bit_masks)]
+            return lambda s: s.open(ring=ring, bits=bits, batch=batch)
+
+        ra, rb, sa, _ = protocol_pair(P64, side(0), side(1), capture_opens=True)
+        for got in (ra, rb):
+            assert len(got) == 4
+            assert np.array_equal(got[0], vec) and np.array_equal(got[1], mat)
+            assert np.array_equal(got[2], bit_a) and np.array_equal(got[3], bit_b)
+        assert sa.transcript.rounds == 1
+        # 3 + 6 ring words, then 3 x 65 bits in 4 words and 65 bits in 2
+        assert sa.transcript.bytes_sent == FRAME_HEADER.size + 8 * (9 + 4 + 2)
+        assert sa.transcript.opened_words == [int(v) for v in (*vec, *mat.ravel())]
+        assert [b.tolist() for b in sa.transcript.opened_bits] == [
+            unpack_rows(bit_a, batch).tolist(), unpack_rows(bit_b, batch).tolist()]
 
 
 class TestRandomnessDiscipline:

@@ -7,7 +7,9 @@ fills whole 64-bit words; the batch of 77 leaves a partial word in every bit
 row.  The weight shares depend only on the matrix records and the opened
 values, so a change of protocol that computes the same values, such as the
 daBit conversion of protocol version 5, moves the stream and frame digests
-but not them.
+but not them.  Protocol version 6 sends every opening under one message
+type, so only the frame digests moved: a bit opening's frame differs from
+before in its type byte alone.
 """
 
 import hashlib
@@ -27,8 +29,8 @@ GOLDEN = {
     64: {
         "crn1": ("81ab308fdd5c3bcc9833ca1b986703d56ccd6726b69cc296ff5efdc40b838c1f",
                  "d7552b52a0a1aa76495fd4036f3d58b2f41889e3c6dc5a7c21638d4b73e65789"),
-        "sent": ("3ad2038cfe7a02dac0704fd686a7e67905ad57571eadafb242b5c1543e966b91",
-                 "6a06730a5f57251b7d863ad30ae6f30e422b75f07b431775e307db5735a8e6c4"),
+        "sent": ("616fbb86fafa67f682bfd2dbd13c551b809ae7f5da7fb62994396346adca72bb",
+                 "375ae83230c9b93078686c41b8af9c6035366fa33a1152ea13b81190dfcf6639"),
         "weights": ([28974219521733, 32862988747754, 26978605660032, 17389233348734,
                      28549017062738],
                     [18446715099490029812, 18446711210720804777, 18446717095103891915,
@@ -37,8 +39,8 @@ GOLDEN = {
     77: {
         "crn1": ("7e770aaded52e488ec95f0794986ab2b66ce3b395beb01edb58374c0ba2d17a3",
                  "882fff6f1cc8e2affa8840db2bd3f27942e93fb5328f9df9582262129b8011e4"),
-        "sent": ("5ebfac62896e947bab62542cc7a73b7f8b6753f070d19eab86be499c4e114b76",
-                 "a2754a3fee0522c0c96240abd6fbd48ae4437630c25092a9d658a18e2da5c608"),
+        "sent": ("12863f81c3b456263e7e5697cc8b11bdebe5d390969f45f55558eebb2a2ed697",
+                 "5afd6e714ef922b1be4c0820a99bdce58d8048a38dc80706549370fd596ebf59"),
         "weights": ([37109802231382, 17307203006669, 13562539591937, 36318760248600,
                      19894510230177],
                     [18446706963907320185, 18446726766506545925, 18446730511169960164,

@@ -47,13 +47,6 @@ class TestTripleGeneration:
         a, b = make_bit_triple(1, np.random.default_rng(0), u_vals=one, v_vals=one)
         assert np.array_equal(a[2] ^ b[2], one)
 
-    def test_identity_matrix_triple(self):
-        rng = np.random.default_rng(1)
-        eye = np.eye(2, dtype=P16.dtype)
-        a, b = make_ring_triple(eye, eye, P16, rng)
-        w = (a[2].astype(P16.dtype) + b[2].astype(P16.dtype))
-        assert np.array_equal(w, eye)
-
     def test_exhaustive_bit_triples(self):
         rng = np.random.default_rng(2)
         for u in (0, 1):
@@ -73,7 +66,8 @@ class TestTripleGeneration:
 
     def test_matmul_block_reconstructs(self):
         dealer = TrustedDealer(5, P64)
-        (ua, va, wa), (ub, vb, wb) = dealer.block(TAG_MATMUL, (3, 4, 2))
+        (ua, _, _), (ub, _, _) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 0, MATMUL_MASK))
+        (_, va, wa), (_, vb, wb) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 2, MATMUL_REUSE))
         u = ua + ub
         v = va + vb
         w = wa + wb
@@ -100,7 +94,8 @@ class TestTripleGeneration:
 class TestStreams:
     REQUESTS = [
         (TAG_SCALAR, 10),
-        (TAG_MATMUL, (2, 3, 1)),
+        (TAG_MATMUL, MatmulDims(2, 3, 0, MATMUL_MASK)),
+        (TAG_MATMUL, MatmulDims(2, 3, 1, MATMUL_REUSE)),
         (TAG_BIT, 130),
         (TAG_CONVERSION, 4),
         (TAG_PREFIXNET, (8, 3)),
@@ -183,14 +178,14 @@ class TestStreams:
             src_a.take_ring_triples(2)
 
     def test_matmul_dims_checked(self):
-        src_a, _ = TrustedDealer(1, P64).generate([(TAG_MATMUL, (2, 2, 2))])
+        src_a, _ = TrustedDealer(1, P64).generate([(TAG_MATMUL, MatmulDims(2, 2, 0, MATMUL_MASK))])
         with pytest.raises(ProtocolError):
-            src_a.take_matmul_triple((3, 1, 1))
+            src_a.take_matmul_triple(MatmulDims(3, 1, 0, MATMUL_MASK))
 
     def test_matmul_exhaustion(self):
         src_a, _ = TrustedDealer(1, P64).generate([])
         with pytest.raises(RandomnessUnderflowError):
-            src_a.take_matmul_triple((1, 1, 1))
+            src_a.take_matmul_triple(MatmulDims(1, 1, 0, MATMUL_MASK))
 
     def test_on_demand_matches_dealer(self):
         requests = [(TAG_SCALAR, 0), (TAG_SCALAR, 6), (TAG_BIT, 40)]
@@ -252,7 +247,9 @@ class TestMaskedRecords:
     MASK = (TAG_MATMUL, MatmulDims(N, M, 0, MATMUL_MASK))
     FORWARD = (TAG_MATMUL, MatmulDims(N, M, 1, MATMUL_REUSE))
     GRADIENT = (TAG_MATMUL, MatmulDims(N, M, 1, MATMUL_REUSE_T))
-    REQUESTS = [MASK, FORWARD, (TAG_SCALAR, 4), GRADIENT, (TAG_MATMUL, (2, 3, 1)), FORWARD]
+    OTHER_MASK = (TAG_MATMUL, MatmulDims(2, 3, 0, MATMUL_MASK))
+    OTHER_FORWARD = (TAG_MATMUL, MatmulDims(2, 3, 1, MATMUL_REUSE))
+    REQUESTS = [MASK, FORWARD, (TAG_SCALAR, 4), GRADIENT, OTHER_MASK, OTHER_FORWARD, FORWARD]
 
     def test_reuse_records_carry_products_with_the_mask(self):
         src_a, src_b = TrustedDealer(8, P64).generate(self.REQUESTS)
@@ -260,7 +257,7 @@ class TestMaskedRecords:
         (ua, va, wa), (ub, vb, wb) = parts[0]
         assert va is wa is vb is wb is None
         u = ua + ub
-        for (a, b), transpose in ((parts[1], False), (parts[3], True), (parts[5], False)):
+        for (a, b), transpose in ((parts[1], False), (parts[3], True), (parts[6], False)):
             assert a[0] is None and b[0] is None
             v, w = a[1] + b[1], a[2] + b[2]
             assert np.array_equal(w, (u.T if transpose else u) @ v)
@@ -275,10 +272,18 @@ class TestMaskedRecords:
             assert same_parts(take(back, *request), take(src_a, *request))
 
     def test_unknown_kind_rejected(self):
+        # kind 7 was never assigned; kind 0 held a full matrix triple up to
+        # protocol version 5, laid out as U, V and W
         src_a, _ = TrustedDealer(8, P64).generate([self.MASK])
         raw = bytearray(serialize_stream(src_a))
         raw[18] = TAG_MATMUL | 7 << 4  # first record's tag byte
         with pytest.raises(FormatError, match="kind"):
+            deserialize_stream(bytes(raw), P64)
+        src_a, _ = TrustedDealer(8, P64).generate([self.OTHER_MASK, self.OTHER_FORWARD])
+        raw = bytearray(serialize_stream(src_a))
+        # the mask's header and its 2 x 3 words, then the product's tag byte
+        raw[18 + 25 + 8 * 6] = TAG_MATMUL
+        with pytest.raises(FormatError, match="unknown record kind 0 of tag 2"):
             deserialize_stream(bytes(raw), P64)
 
     def test_on_demand_matches_materialized_training_plan(self):
@@ -304,7 +309,9 @@ class TestMaskedRecords:
 
     def test_size_from_metadata_matches_serialized_stream(self):
         cfg = TrainingConfig(eta=0.05, n_iter=2, params=P64, seed=3)
-        requests = training_randomness_requests(7, 5, cfg) + [(TAG_MATMUL, (2, 3, 4))]
+        requests = training_randomness_requests(7, 5, cfg) + [
+            (TAG_MATMUL, MatmulDims(2, 3, 0, MATMUL_MASK)),
+            (TAG_MATMUL, MatmulDims(2, 3, 4, MATMUL_REUSE_T))]
         src_a, _ = TrustedDealer(3, P64).generate(requests)
         assert len(serialize_stream(src_a)) == crn1_bytes(requests, P64)
 

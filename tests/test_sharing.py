@@ -22,11 +22,11 @@ P64 = FixedPointParams(frac_bits=12, int_bits=15, ring_bits=64)
 
 
 def open_ring(a, b, params=P8):
-    """Open the ring shares a and b through one `Session.open_ring` round."""
-    ra, rb, *_ = protocol_pair(
+    """Open the ring shares a and b through one `Session.open` round."""
+    [ra], [rb], *_ = protocol_pair(
         params,
-        lambda s: s.open_ring(np.atleast_1d(np.asarray(a, dtype=params.dtype))),
-        lambda s: s.open_ring(np.atleast_1d(np.asarray(b, dtype=params.dtype))),
+        lambda s: s.open(ring=[np.atleast_1d(np.asarray(a, dtype=params.dtype))]),
+        lambda s: s.open(ring=[np.atleast_1d(np.asarray(b, dtype=params.dtype))]),
     )
     assert ra == rb
     return int(ra[0])
@@ -112,8 +112,8 @@ class TestBits:
             mask = random_bits(rng, 128).reshape(1, 2)
             ra, rb, *_ = protocol_pair(
                 P8,
-                lambda s: s.open_bit_strings([mask], 128)[0],
-                lambda s: s.open_bit_strings([row ^ mask], 128)[0],
+                lambda s: s.open(bits=[mask], batch=128)[0],
+                lambda s: s.open(bits=[row ^ mask], batch=128)[0],
             )
             assert np.array_equal(ra, row) and np.array_equal(rb, row)
 
@@ -135,8 +135,8 @@ class TestBits:
         with pytest.raises(ProtocolError):
             protocol_pair(
                 P8,
-                lambda s: s.open_bit_strings([np.zeros((1, 1), dtype=np.uint64)], 64),
-                lambda s: s.open_bit_strings([np.zeros((1, 2), dtype=np.uint64)], 65),
+                lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)], batch=64),
+                lambda s: s.open(bits=[np.zeros((1, 2), dtype=np.uint64)], batch=65),
             )
 
 

@@ -17,7 +17,7 @@ from mpclr.transport import (
     Frame,
     HandshakeInfo,
     MSG_CONTROL,
-    MSG_OPEN_RING,
+    MSG_OPEN,
     decode_frame,
     encode_frame,
     memory_channel_pair,
@@ -33,12 +33,12 @@ P64 = FixedPointParams()
 class TestFrames:
     def test_round_trip_three_words(self):
         payload = np.arange(3, dtype=np.uint64).tobytes()
-        frame = Frame(MSG_OPEN_RING, payload)
+        frame = Frame(MSG_OPEN, payload)
         assert decode_frame(encode_frame(frame)) == frame
 
     def test_header_is_thirteen_bytes(self):
         assert FRAME_HEADER.size == 13
-        frame = Frame(MSG_OPEN_RING, np.zeros(1024, dtype=np.uint64).tobytes())
+        frame = Frame(MSG_OPEN, np.zeros(1024, dtype=np.uint64).tobytes())
         assert len(encode_frame(frame)) == 13 + 8192 == 8205
 
     def test_bad_magic(self):
@@ -55,7 +55,7 @@ class TestFrames:
             encode_frame(Frame(99, b""))
 
     def test_truncated_payload_rejected(self):
-        data = encode_frame(Frame(MSG_OPEN_RING, b"abcdefgh"))
+        data = encode_frame(Frame(MSG_OPEN, b"abcdefgh"))
         with pytest.raises(FrameError):
             decode_frame(data[:-1])
 
@@ -100,7 +100,7 @@ class TestTcpChannel:
     def test_echo(self):
         a, b = _tcp_pair()
         try:
-            a.send_frame(Frame(MSG_OPEN_RING, b"12345678"))
+            a.send_frame(Frame(MSG_OPEN, b"12345678"))
             assert b.recv_frame().payload == b"12345678"
         finally:
             a.close()
@@ -117,7 +117,8 @@ class TestTcpChannel:
         (FRAME_HEADER.pack(b"XXXX", MSG_CONTROL, 0), "magic"),
         (FRAME_HEADER.pack(FRAME_MAGIC, 99, 0), "message type"),
         (FRAME_HEADER.pack(FRAME_MAGIC, 3, 0), "message type 3"),
-        (FRAME_HEADER.pack(FRAME_MAGIC, MSG_OPEN_RING, MAX_PAYLOAD + 1), "exceeds limit"),
+        (FRAME_HEADER.pack(FRAME_MAGIC, 2, 0), "message type 2"),
+        (FRAME_HEADER.pack(FRAME_MAGIC, MSG_OPEN, MAX_PAYLOAD + 1), "exceeds limit"),
     ])
     def test_bad_header_from_a_raw_socket(self, header, match):
         server = tcp_listen("127.0.0.1", 0)
@@ -177,8 +178,8 @@ class TestHandshake:
                                                           perform_handshake, a, self._info()))
         t.start()
         # a peer of the previous protocol version is refused
-        with pytest.raises(TransportError, match="version: ours 4, peer 5"):
-            perform_handshake(b, self._info(role="B", version=4))
+        with pytest.raises(TransportError, match="version: ours 5, peer 6"):
+            perform_handshake(b, self._info(role="B", version=5))
         t.join()
 
     def test_wildcard_dims_allowed(self):
@@ -245,7 +246,7 @@ class TestRunPair:
         # Bob receives first, so he is blocked on Alice's first frame
         with pytest.raises(ValueError, match="alice failed"):
             run_sessions(sess_a, sess_b, self._fail("alice failed"),
-                         lambda s: s.open_ring(np.zeros(3, P64.dtype)), timeout=10.0)
+                         lambda s: s.open(ring=[np.zeros(3, P64.dtype)]), timeout=10.0)
         assert time.monotonic() - start < 2.0
 
     def test_the_earliest_failure_is_raised_not_the_peers_closed_channel(self):
@@ -256,7 +257,7 @@ class TestRunPair:
 
         def alice(sess):
             try:
-                sess.open_ring(np.zeros(3, P64.dtype))
+                sess.open(ring=[np.zeros(3, P64.dtype)])
             except TransportError as exc:
                 peer_errors.append(exc)
                 raise
@@ -276,7 +277,7 @@ class TestTranscriptCounters:
         payload = np.arange(1024, dtype=np.uint64)
 
         def party(sess):
-            sess.open_ring(payload.astype(P64.dtype))
+            sess.open(ring=[payload.astype(P64.dtype)])
             return sess.transcript
 
         ta, tb = run_pair(lambda: party(sess_a), lambda: party(sess_b))

@@ -239,5 +239,5 @@ def test_empty_batch_sends_the_same_frames():
                                   lambda s: batch_activate(s, empty))
     assert ra.shape == (0,)
     assert sa.transcript.bytes_sent == 284
-    expected = "f9efddb8695d96bb8005a980805b52fcc09ad13ee1daa3e450f595920ecb3da1"
+    expected = "64a9d64953221b5312a5cd7df2e157767eae3561c8ef59bbc395a7d20634c2ed"
     assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
