@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import statistics
 import sys
 import time
 
@@ -514,7 +515,11 @@ def _bench_once(kind, batch, params, seed):
 @click.option("--seed", default=0, show_default=True, type=int)
 @_params_options
 def cmd_bench(kind, batch_sizes, reps, seed, frac_bits, int_bits, ring_bits):
-    """Time one protocol kind over a local session at several batch sizes."""
+    """Time one protocol kind over a local session at several batch sizes.
+
+    Each size runs one untimed warm-up rep, then --reps timed ones; it
+    reports their mean and minimum and, from their median, the time per
+    evaluation.  The timed reps take the sizes in turn."""
     params = _make_params(frac_bits, int_bits, ring_bits)
     if reps < 3:
         raise click.UsageError("--reps must be at least 3")
@@ -524,19 +529,25 @@ def cmd_bench(kind, batch_sizes, reps, seed, frac_bits, int_bits, ring_bits):
         raise click.UsageError(f"bad --batch-sizes {batch_sizes!r}") from None
     if min(sizes, default=1) < 1:
         raise click.UsageError("--batch-sizes must each be at least 1")
-    results = []
+    # The warm-up keeps one-off costs of a first run, such as lazy imports,
+    # out of the timings; taking the sizes in turn spreads a slow stretch of
+    # a shared host over all of them instead of one.
     for batch in sizes:
-        walls = []
-        transcript = None
-        for rep in range(reps):
-            wall, transcript = _bench_once(kind, batch, params, seed + rep)
-            walls.append(wall)
-        avg = sum(walls) / len(walls)
+        _bench_once(kind, batch, params, seed)
+    walls = [[] for _ in sizes]
+    transcripts = [None] * len(sizes)
+    for rep in range(reps):
+        for i, batch in enumerate(sizes):
+            wall, transcripts[i] = _bench_once(kind, batch, params, seed + rep)
+            walls[i].append(wall)
+    results = []
+    for batch, times, transcript in zip(sizes, walls, transcripts):
+        avg = sum(times) / len(times)
         results.append({
             "batch": batch,
             "avg_ms": round(avg * 1e3, 4),
-            "min_ms": round(min(walls) * 1e3, 4),
-            "per_eval_ms": round(avg * 1e3 / batch, 6),
+            "min_ms": round(min(times) * 1e3, 4),
+            "per_eval_ms": round(statistics.median(times) * 1e3 / batch, 6),
             "rounds": transcript.rounds,
             "bytes_sent": transcript.bytes_sent,
             "ring_mults": transcript.ring_mults,

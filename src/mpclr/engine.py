@@ -4,7 +4,9 @@ Each secure operation is one synchronized exchange: both parties mask their
 operands with pre-distributed triple components, swap the masked differences
 in a single frame per direction, and finish locally.  `Session.open` is the
 one opening: ring words and packed bit strings travel in the same frame
-type, and one call may carry both.  Role A sends first and
+type, and one call may carry both; its operands are copied once, into the
+frame, and the peer's words are read where they arrived (`Frame.payload`
+of a received frame is a read-only memoryview).  Role A sends first and
 role B receives first, which keeps TCP deadlock-free without a writer thread;
 the transcript counters and frame bytes are identical on both sides either
 way.  All ring arithmetic wraps on the machine word matching the ring width.
@@ -51,7 +53,7 @@ class Transcript:
     opened_bits: list = field(default_factory=list)
     _digest: "hashlib._Hash" = field(default_factory=lambda: hashlib.sha256(), repr=False)
 
-    def record_send(self, frame_bytes: bytes):
+    def record_send(self, frame_bytes):
         self.bytes_sent += len(frame_bytes)
         self._digest.update(frame_bytes)
 
@@ -87,8 +89,11 @@ class Session:
 
     # -- round primitive -----------------------------------------------------
 
-    def exchange(self, msg_type: int, payload: bytes) -> bytes:
-        """One protocol round: both parties send one frame and receive one."""
+    def exchange(self, msg_type: int, payload) -> memoryview:
+        """One protocol round: both parties send one frame and receive one.
+
+        `payload` is as in `Frame`; the reply's payload is a read-only view
+        into the peer's frame."""
         data = encode_frame(Frame(msg_type, payload))
         if self.is_alice:
             self.channel.send_bytes(data)
@@ -117,10 +122,8 @@ class Session:
         """
         ring = [np.asarray(a, dtype=self.params.dtype) for a in ring]
         strings = [rows_to_string(m, batch) for m in bits]
-        payload = b"".join([a.astype(np.uint64, copy=False).tobytes() for a in ring]
-                           + [s.tobytes() for s in strings])
-        words = np.frombuffer(self.exchange(MSG_OPEN, payload), dtype=np.uint64)
-        expected = len(payload) // 8
+        words = np.frombuffer(self.exchange(MSG_OPEN, ring + strings), dtype=np.uint64)
+        expected = sum(a.size for a in ring + strings)
         if len(words) != expected:
             raise ProtocolError(f"opening has {len(words)} words, expected {expected}")
         out = []

@@ -25,6 +25,7 @@ from .fixedpoint import FixedPointParams
 from .prefixnet import cached_plan
 from .sharing import (
     Role,
+    random_bit_rows,
     random_bits,
     random_ring_array,
     string_to_rows,
@@ -204,16 +205,12 @@ def _share_ring(vals: np.ndarray, params: FixedPointParams, rng: np.random.Gener
 
 
 def make_bit_triple(nbits: int, rng: np.random.Generator, u_vals=None, v_vals=None):
-    """Share a batched Z_2 triple of `nbits` bitwise products, as packed
-    strings: ((uA, vA, wA), (uB, vB, wB))."""
+    """Share a batched Z_2 triple of `nbits` bitwise products: Alice's and
+    Bob's (3, words) matrices of the packed strings u, v, w."""
     u = random_bits(rng, nbits) if u_vals is None else u_vals
     v = random_bits(rng, nbits) if v_vals is None else v_vals
-    w = u & v
-    halves = []
-    for vals in (u, v, w):
-        ra = random_bits(rng, nbits)
-        halves.append((ra, vals ^ ra))
-    return tuple(h[0] for h in halves), tuple(h[1] for h in halves)
+    alice = random_bit_rows(rng, 3, nbits)
+    return alice, np.stack([u, v, u & v]) ^ alice
 
 
 class TrustedDealer:
@@ -259,8 +256,7 @@ class TrustedDealer:
         setup_a, setup_b = make_bit_triple(width * batch, rng)
 
         def draw_rows(per_row: int, nrows: int):
-            draws = [random_bits(rng, batch) for _ in range(per_row * nrows)]
-            rows = np.array(draws, dtype=np.uint64).reshape(nrows, per_row, -1)
+            rows = random_bit_rows(rng, per_row * nrows, batch).reshape(nrows, per_row, -1)
             return [np.ascontiguousarray(rows[:, i]) for i in range(per_row)]
 
         # each masked node draws its p and g masks, then Alice's shares of them
@@ -287,7 +283,7 @@ class TrustedDealer:
                                       self.params, rng)
             return tuple(np.array(half) for half in halves)
         if tag == TAG_BIT:
-            return tuple(np.array(half) for half in make_bit_triple(meta, rng))
+            return make_bit_triple(meta, rng)
         if tag == TAG_CONVERSION:
             # random bits r, shared in the ring one word each and in Z_2 as one string
             r = random_bits(rng, meta)
@@ -444,20 +440,28 @@ def _record_header(tag: int, meta) -> bytes:
     return _RECORD_HEADER.pack(tag, meta, 0, 0)
 
 
-def serialize_stream(source: MaterializedSource) -> bytes:
-    """Serialize one party's stream, every record in order, taken or not."""
-    chunks = [
-        _FILE_HEADER.pack(RANDOMNESS_MAGIC, source.params.ring_bits,
-                          source.session_id, len(source.records))
-    ]
-    for tag, meta, parts in source.records:
-        chunks.append(_record_header(tag, meta))
-        chunks += [part.astype(np.uint64, copy=False).tobytes()
-                   for part in parts if part is not None]
-    return b"".join(chunks)
+def serialize_stream(source: MaterializedSource) -> bytearray:
+    """Serialize one party's stream, every record in order, taken or not,
+    into one bytearray that each part is copied into once."""
+    records = [(_record_header(tag, meta), [part for part in parts if part is not None])
+               for tag, meta, parts in source.records]
+    out = bytearray(_FILE_HEADER.size + sum(len(header) + sum(8 * part.size for part in parts)
+                                            for header, parts in records))
+    _FILE_HEADER.pack_into(out, 0, RANDOMNESS_MAGIC, source.params.ring_bits,
+                           source.session_id, len(records))
+    off = _FILE_HEADER.size
+    for header, parts in records:
+        out[off:off + len(header)] = header
+        off += len(header)
+        for part in parts:
+            np.frombuffer(out, np.uint64, part.size, off).reshape(part.shape)[...] = part
+            off += 8 * part.size
+    return out
 
 
-def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSource:
+def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
+    """Load a stream from any bytes-like `data`; every part is copied out of
+    it into an aligned array of its own, wherever in `data` it lies."""
     if len(data) < _FILE_HEADER.size:
         raise FormatError("randomness stream: truncated header")
     magic, ring_bits, session_id, nrecords = _FILE_HEADER.unpack_from(data)
@@ -469,24 +473,24 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
         )
     source = MaterializedSource(params, session_id)
     off = _FILE_HEADER.size
-    word = np.dtype(np.uint64).itemsize
+    size = len(data)
 
-    def take(nbytes):
+    def take(nbytes) -> int:
         nonlocal off
-        if off + nbytes > len(data):
+        if off + nbytes > size:
             raise FormatError("randomness stream: truncated record payload")
-        out = data[off:off + nbytes]
         off += nbytes
-        return out
+        return off - nbytes
 
-    def take_words(rows, cols):
-        return np.frombuffer(take(rows * cols * word), dtype=np.uint64).reshape(rows, cols)
+    def take_words(rows, cols, dtype=np.uint64):
+        words = np.frombuffer(data, np.uint64, rows * cols, take(8 * rows * cols))
+        return words.reshape(rows, cols).astype(dtype)
 
     def take_ring(rows, cols):
-        return take_words(rows, cols).astype(params.dtype, copy=False)
+        return take_words(rows, cols, params.dtype)
 
     for _ in range(nrecords):
-        tag, m0, m1, m2 = _RECORD_HEADER.unpack(take(_RECORD_HEADER.size))
+        tag, m0, m1, m2 = _RECORD_HEADER.unpack_from(data, take(_RECORD_HEADER.size))
         tag, kind = tag & ((1 << _KIND_SHIFT) - 1), tag >> _KIND_SHIFT
         if kind not in (_MATMUL_KINDS if tag == TAG_MATMUL else (0,)):
             raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
@@ -512,8 +516,8 @@ def deserialize_stream(data: bytes, params: FixedPointParams) -> MaterializedSou
             source.append(tag, (m0, m1), (*setup, *rows))
         else:
             raise FormatError(f"randomness stream: unknown record tag {tag}")
-    if off != len(data):
-        raise FormatError(f"randomness stream: {len(data) - off} bytes after the last record")
+    if off != size:
+        raise FormatError(f"randomness stream: {size - off} bytes after the last record")
     return source
 
 

@@ -15,6 +15,8 @@ import socket
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import FrameError, TransportError
 
 FRAME_MAGIC = b"MPC1"
@@ -34,19 +36,40 @@ PROTOCOL_VERSION = 6
 
 @dataclass(frozen=True)
 class Frame:
+    """One message.  The payload is any bytes-like object, or, for an
+    opening being sent, a list of numpy arrays of unsigned integers, which
+    go out as their elements in order, one 64-bit word each.  A received
+    frame's payload is a read-only memoryview."""
+
     msg_type: int
-    payload: bytes
+    payload: bytes | memoryview | list
 
 
-def encode_frame(frame: Frame) -> bytes:
+def encode_frame(frame: Frame) -> memoryview:
+    """The frame's bytes, header then payload, as one buffer that the
+    payload is copied into once.  The header takes the last 13 bytes of two
+    leading words, so the payload starts 64-bit aligned."""
     if frame.msg_type not in _VALID_TYPES:
         raise FrameError(f"unknown message type {frame.msg_type}")
-    if len(frame.payload) > MAX_PAYLOAD:
-        raise FrameError(f"payload of {len(frame.payload)} bytes exceeds limit {MAX_PAYLOAD}")
-    return FRAME_HEADER.pack(FRAME_MAGIC, frame.msg_type, len(frame.payload)) + frame.payload
+    payload = frame.payload
+    arrays = isinstance(payload, list)
+    length = 8 * sum(a.size for a in payload) if arrays else memoryview(payload).nbytes
+    if length > MAX_PAYLOAD:
+        raise FrameError(f"payload of {length} bytes exceeds limit {MAX_PAYLOAD}")
+    buf = np.empty(2 + -(-length // 8), dtype=np.uint64)
+    data = buf.view(np.uint8)[16 - FRAME_HEADER.size:16 + length]
+    FRAME_HEADER.pack_into(data, 0, FRAME_MAGIC, frame.msg_type, length)
+    if arrays:
+        off = 2
+        for a in payload:
+            buf[off:off + a.size] = a.reshape(-1)
+            off += a.size
+    else:
+        data[FRAME_HEADER.size:] = np.frombuffer(payload, dtype=np.uint8)
+    return memoryview(data)
 
 
-def _parse_header(data: bytes) -> tuple:
+def _parse_header(data) -> tuple:
     """(message type, payload length) of the frame header that `data` starts with."""
     if len(data) < FRAME_HEADER.size:
         raise FrameError("truncated frame header")
@@ -60,9 +83,10 @@ def _parse_header(data: bytes) -> tuple:
     return msg_type, length
 
 
-def decode_frame(data: bytes) -> Frame:
+def decode_frame(data) -> Frame:
+    """The frame that the bytes-like `data` holds; its payload is a view into `data`."""
     msg_type, length = _parse_header(data)
-    payload = data[FRAME_HEADER.size:FRAME_HEADER.size + length]
+    payload = memoryview(data).toreadonly()[FRAME_HEADER.size:FRAME_HEADER.size + length]
     if len(payload) != length:
         raise FrameError(f"frame payload truncated: expected {length}, got {len(payload)}")
     return Frame(msg_type, payload)
@@ -77,8 +101,8 @@ class Channel:
         self.send_bytes(data)
         return len(data)
 
-    def send_bytes(self, data: bytes):
-        """Send pre-encoded frame bytes."""
+    def send_bytes(self, data):
+        """Send pre-encoded frame bytes (see encode_frame)."""
         raise NotImplementedError
 
     def recv_frame(self) -> Frame:
@@ -136,7 +160,7 @@ class TcpChannel(Channel):
         except OSError as exc:
             raise TransportError(f"send failed: {exc}") from exc
 
-    def _recv_exact(self, n: int) -> bytes:
+    def _recv_exact(self, n: int) -> memoryview:
         buf = bytearray()
         while len(buf) < n:
             try:
@@ -146,7 +170,7 @@ class TcpChannel(Channel):
             if not chunk:
                 raise TransportError("peer closed the connection mid-frame")
             buf.extend(chunk)
-        return bytes(buf)
+        return memoryview(buf).toreadonly()
 
     def recv_frame(self) -> Frame:
         msg_type, length = _parse_header(self._recv_exact(FRAME_HEADER.size))

@@ -47,6 +47,12 @@ class ForcedBytesRng:
         v = self._values.pop(0) if self._values else 0
         return int(v).to_bytes(n, "little")
 
+    def integers(self, low, high, size, dtype):
+        """uint32 words, the draw `Generator.bytes` cuts its bytes from,
+        whose little-endian bytes are the next preset value."""
+        assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+        return np.frombuffer(self.bytes(4 * int(np.prod(size))), dtype=np.uint32).reshape(size)
+
 
 def separable_toy(n_samples: int = 20, n_features: int = 4, seed: int = 123):
     """Linearly separable toy data with a comfortable margin."""

@@ -248,6 +248,28 @@ class TestBench:
         results = json.loads(payload[6:])["results"]
         assert results[0]["rounds"] == results[1]["rounds"] == 12
 
+    def test_warm_up_rep_is_dropped_and_median_reported(self, capsys, monkeypatch):
+        import mpclr.cli
+        from mpclr.engine import Transcript
+
+        # a slow warm-up per batch size, then three timed reps of each in turn
+        walls = iter([9.0, 9.0, 0.010, 0.040, 0.030, 0.050, 0.020, 0.090])
+        calls = []
+
+        def fake(kind, batch, params, seed):
+            calls.append((batch, seed))
+            return next(walls), Transcript()
+
+        monkeypatch.setattr(mpclr.cli, "_bench_once", fake)
+        rc = main(["bench", "--kind", "mul", "--batch-sizes", "2,5", "--reps", "3",
+                   "--seed", "7"])
+        assert rc == 0
+        assert calls == [(2, 7), (5, 7), (2, 7), (5, 7), (2, 8), (5, 8), (2, 9), (5, 9)]
+        payload = [l for l in capsys.readouterr().out.splitlines() if l.startswith("BENCH")][0]
+        results = json.loads(payload[6:])["results"]
+        assert [(r["avg_ms"], r["min_ms"], r["per_eval_ms"]) for r in results] == [
+            (20.0, 10.0, 10.0), (60.0, 40.0, 10.0)]
+
     def test_rep_validation(self):
         assert main(["bench", "--kind", "mul", "--reps", "1"]) == 2
         assert main(["bench", "--kind", "mul", "--batch-sizes", "0"]) == 2

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from mpclr import (
     ProtocolError,
     RandomnessUnderflowError,
     Role,
+    local_session_pair,
+    run_sessions,
 )
 from mpclr.engine import MaskedMatrix, batch_bit_mul, batch_mul, matmul, mul
 from mpclr.fixedpoint import exact_truncate
@@ -310,6 +314,27 @@ class TestBitOpenings:
         assert sa.transcript.opened_words == [int(v) for v in (*vec, *mat.ravel())]
         assert [b.tolist() for b in sa.transcript.opened_bits] == [
             unpack_rows(bit_a, batch).tolist(), unpack_rows(bit_b, batch).tolist()]
+
+
+class TestOpeningMemory:
+    def test_each_party_copies_its_payload_once(self):
+        # each party allocates its frame and its opened matrix and reads the
+        # peer's words where they arrived, so the two peak at four payloads
+        shape = (1024, 2048)
+        payload = 8 * shape[0] * shape[1]  # 16 MB
+        rng = np.random.default_rng(3)
+        xa, xb = (np.frombuffer(rng.bytes(payload), dtype=np.uint64).reshape(shape)
+                  for _ in range(2))
+        sess_a, sess_b = local_session_pair(P64, seed=0)
+        tracemalloc.start()
+        try:
+            ra, rb = run_sessions(sess_a, sess_b, lambda s: s.open(ring=[xa])[0],
+                                  lambda s: s.open(ring=[xb])[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ra, xa + xb) and np.array_equal(rb, ra)
+        assert peak <= 4.1 * payload, f"allocations peaked at {peak / payload:.2f}x the payload"
 
 
 class TestRandomnessDiscipline:

@@ -119,6 +119,23 @@ class TestStreams:
         assert np.array_equal(u, ou) and np.array_equal(v, ov) and np.array_equal(w, ow)
         assert same_parts(back.take_bit_triples(130), src_a.take_bit_triples(130))
 
+    @pytest.mark.parametrize("params", [P16, P64])
+    def test_load_copies_parts_out_of_any_buffer(self, params):
+        # a TI frame's payload starts 13 bytes into the frame, so every word
+        # of the stream lies off its alignment there
+        src_a, _ = TrustedDealer(42, params).generate(self.REQUESTS)
+        data = serialize_stream(src_a)
+        for given in (bytes(data), bytearray(data), memoryview(bytes(13) + data)[13:]):
+            back = deserialize_stream(given, params)
+            for (tag, meta, parts), (btag, bmeta, bparts) in zip(src_a.records, back.records,
+                                                                  strict=True):
+                assert (btag, bmeta) == (tag, meta)
+                assert same_parts(bparts, parts)
+                loaded = [p for p in bparts if p is not None]
+                assert [p.dtype for p in loaded] == [p.dtype for p in parts if p is not None]
+                assert all(p.flags.aligned for p in loaded)
+            assert serialize_stream(back) == data
+
     def test_serializing_ignores_takes(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         data = serialize_stream(src_a)

@@ -7,11 +7,15 @@ from mpclr import FixedPointParams, ProtocolError, Role
 from mpclr.errors import FormatError
 from mpclr.sharing import (
     pack_rows,
+    random_bit_rows,
     random_bits,
+    random_ring_array,
     read_share_file,
     split,
     split_array,
+    tail_mask,
     unpack_rows,
+    word_count,
     write_share_file,
 )
 
@@ -138,6 +142,39 @@ class TestBits:
                 lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)], batch=64),
                 lambda s: s.open(bits=[np.zeros((1, 2), dtype=np.uint64)], batch=65),
             )
+
+
+def bytes_bits(rng, nbits):
+    """Reference for random_bits: one `rng.bytes` call per string."""
+    nbytes = (nbits + 7) // 8
+    raw = rng.bytes(nbytes) + bytes(8 * word_count(nbits) - nbytes)
+    out = np.frombuffer(raw, dtype=np.uint64).copy()
+    out[-1] &= tail_mask(nbits)
+    return out
+
+
+class TestDraws:
+    @pytest.mark.parametrize("nbits", [1, 29, 225, 8, 16_000])
+    def test_batched_bits_equal_successive_draws(self, nbits):
+        # a single string before and after the batch, so a draw that ends
+        # inside a 64-bit generator output hands its other half on
+        rng, ref = np.random.default_rng(nbits), np.random.default_rng(nbits)
+        got = [random_bits(rng, nbits)[None], random_bit_rows(rng, 7, nbits),
+               random_bits(rng, 3)[None]]
+        want = [bytes_bits(ref, nbits) for _ in range(8)] + [bytes_bits(ref, 3)]
+        assert np.array_equal(np.vstack(got[:2]), np.array(want[:8]))
+        assert np.array_equal(got[2][0], want[8])
+
+    @pytest.mark.parametrize("ring_bits", [8, 16, 32, 64])
+    def test_ring_array_equals_bytes_draw(self, ring_bits):
+        params = FixedPointParams(frac_bits=2, int_bits=2, ring_bits=ring_bits)
+        rng, ref = np.random.default_rng(ring_bits), np.random.default_rng(ring_bits)
+        for shape in [(3,), (), (2, 5), (7,)]:
+            n = int(np.prod(shape))
+            want = np.frombuffer(ref.bytes(n * params.dtype().itemsize), dtype=params.dtype)
+            got = random_ring_array(rng, params, shape)
+            assert got.dtype == params.dtype and got.shape == shape
+            assert np.array_equal(got.reshape(-1), want)
 
 
 class TestShareFiles:
