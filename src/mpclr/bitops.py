@@ -10,8 +10,7 @@ are being decomposed at once.  `decompose_ripple` and `decompose_opt` take one
 shared value and return its bits as a `BitVectorShare`; they are test
 references, and the ripple route sends each round's ANDs through
 `batch_bit_mul` as one packed row.  Z_2 -> ring conversion is
-`engine.convert_bits_to_ring`, which opens the bits masked by daBits as one
-packed string.
+`engine.convert_bits_to_ring`, which opens the bit rows masked by daBits.
 """
 
 from __future__ import annotations
@@ -133,7 +132,7 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
         masked = np.empty((2 * len(masks), own.shape[1]), dtype=np.uint64)
         masked[0::2] = p_rows[layer.pub_rows] ^ block.mask_p[masks]
         masked[1::2] = g_rows[layer.pub_rows] ^ block.mask_g[masks]
-        [opened] = sess.open(bits=[masked], batch=batch)
+        [opened] = sess.open(bits=[masked])
         sess.transcript.mask_bits_sent += 2 * batch * len(masks)
         dp[masks], dg[masks] = opened[0::2], opened[1::2]
 

@@ -527,8 +527,8 @@ def cmd_bench(kind, batch_sizes, reps, seed, frac_bits, int_bits, ring_bits):
         sizes = [int(s) for s in batch_sizes.split(",") if s.strip()]
     except ValueError:
         raise click.UsageError(f"bad --batch-sizes {batch_sizes!r}") from None
-    if min(sizes, default=1) < 1:
-        raise click.UsageError("--batch-sizes must each be at least 1")
+    if not sizes or min(sizes) < 1:
+        raise click.UsageError("--batch-sizes must list sizes of at least 1")
     # The warm-up keeps one-off costs of a first run, such as lazy imports,
     # out of the timings; taking the sizes in turn spreads a slow stretch of
     # a shared host over all of them instead of one.

@@ -3,13 +3,14 @@
 Each secure operation is one synchronized exchange: both parties mask their
 operands with pre-distributed triple components, swap the masked differences
 in a single frame per direction, and finish locally.  `Session.open` is the
-one opening: ring words and packed bit strings travel in the same frame
-type, and one call may carry both; its operands are copied once, into the
-frame, and the peer's words are read where they arrived (`Frame.payload`
-of a received frame is a read-only memoryview).  Role A sends first and
-role B receives first, which keeps TCP deadlock-free without a writer thread;
-the transcript counters and frame bytes are identical on both sides either
-way.  All ring arithmetic wraps on the machine word matching the ring width.
+one opening: ring words and bit matrices, as the padded word rows they are
+held in, travel in the same frame type, and one call may carry both; its
+operands are copied once, into the frame, and the peer's words are read
+where they arrived (`Frame.payload` of a received frame is a read-only
+memoryview).  Role A sends first and role B receives first, which keeps TCP
+deadlock-free without a writer thread; the transcript counters and frame
+bytes are identical on both sides either way.  All ring arithmetic wraps on
+the machine word matching the ring width.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .randomness import (
 from .sharing import (
     Role,
     random_ring_array,
-    rows_to_string,
     string_to_rows,
     unpack_rows,
 )
@@ -113,17 +113,18 @@ class Session:
 
     # -- openings ---------------------------------------------------------------
 
-    def open(self, ring=(), bits=(), batch: int = 0) -> list:
-        """Open masked ring tensors and masked matrices of packed `batch`-bit
-        rows in a single round; returns the opened tensors, then the matrices.
+    def open(self, ring=(), bits=()) -> list:
+        """Open masked ring tensors and masked matrices of packed bit rows in
+        a single round; returns the opened tensors, then the matrices.
 
-        The frame carries each tensor as 64-bit words, then each matrix as
-        one contiguous LSB-first string of its rows, padded to a whole word.
+        The frame carries each tensor, then each matrix, as its elements in
+        order, one 64-bit word each: a bit matrix goes out as the padded
+        word rows it is held in.
         """
         ring = [np.asarray(a, dtype=self.params.dtype) for a in ring]
-        strings = [rows_to_string(m, batch) for m in bits]
-        words = np.frombuffer(self.exchange(MSG_OPEN, ring + strings), dtype=np.uint64)
-        expected = sum(a.size for a in ring + strings)
+        bits = [np.asarray(m, dtype=np.uint64) for m in bits]
+        words = np.frombuffer(self.exchange(MSG_OPEN, ring + bits), dtype=np.uint64)
+        expected = sum(a.size for a in ring + bits)
         if len(words) != expected:
             raise ProtocolError(f"opening has {len(words)} words, expected {expected}")
         out = []
@@ -131,12 +132,12 @@ class Session:
         for a in ring:
             out.append(a + words[off:off + a.size].reshape(a.shape).astype(a.dtype, copy=False))
             off += a.size
-        for m, s in zip(bits, strings):
-            out.append(m ^ string_to_rows(words[off:off + s.size], len(m), batch))
-            off += s.size
+        for m in bits:
+            out.append(m ^ words[off:off + m.size].reshape(m.shape))
+            off += m.size
         if self.transcript.capture_opens:
             self.transcript.opened_words.extend(int(x) for a in out[:len(ring)] for x in a.ravel())
-            self.transcript.opened_bits.extend(unpack_rows(m, batch) for m in out[len(ring):])
+            self.transcript.opened_bits.extend(out[len(ring):])
         return out
 
     def truncate(self, values: np.ndarray) -> np.ndarray:
@@ -248,7 +249,7 @@ def and_with_triple(sess: Session, xs, ys, triple, batch: int) -> np.ndarray:
     """Bitwise AND of two Z_2-shared matrices of packed `batch`-bit rows in
     one round, against the bit triple (u, v, w) of the same shape."""
     u, v, w = triple
-    d, e = sess.open(bits=[xs ^ u, ys ^ v], batch=batch)
+    d, e = sess.open(bits=[xs ^ u, ys ^ v])
     z = w ^ (e & u) ^ (d & v)
     if sess.is_alice:
         z ^= d & e
@@ -273,15 +274,13 @@ def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
     round; returns the ring shares row after row.
 
     Each bit b takes one daBit, a random bit r that the dealer shares both
-    in Z_2 and in the ring.  The parties open c = b XOR r as one packed
-    string, and b = c + r - 2·c·r is local, with the public c added on
-    Alice's side.
+    in Z_2 and in the ring.  The parties open the rows c = b XOR r, and
+    b = c + r - 2·c·r is local, with the public c added on Alice's side.
     """
     rows = _bit_rows(rows)
-    nbits = len(rows) * batch
-    r_ring, r_bits = sess.randomness.take_dabits(nbits)
-    [c] = sess.open(bits=[(rows_to_string(rows, batch) ^ r_bits)[None]], batch=nbits)
-    c = unpack_rows(c[0], nbits).astype(sess.params.dtype)
+    r_ring, r_bits = sess.randomness.take_dabits(len(rows) * batch)
+    [c] = sess.open(bits=[rows ^ string_to_rows(r_bits, len(rows), batch)])
+    c = unpack_rows(c, batch).reshape(-1).astype(sess.params.dtype)
     out = r_ring - sess.params.dtype(2) * c * r_ring
     return out + c if sess.is_alice else out
 

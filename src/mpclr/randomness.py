@@ -28,7 +28,6 @@ from .sharing import (
     random_bit_rows,
     random_bits,
     random_ring_array,
-    string_to_rows,
     tail_mask,
     unpack_rows,
     word_count,
@@ -178,13 +177,6 @@ def _gather_bits(segments, nbits: int, rows: tuple, part) -> np.ndarray:
     return out[..., :-1]
 
 
-def _prefix_block(meta, parts) -> PrefixBlock:
-    """The PrefixBlock of a TAG_PREFIXNET record's parts."""
-    width, batch = meta
-    setup = (string_to_rows(s, width, batch) for s in parts[:3])
-    return PrefixBlock(width, batch, *setup, *parts[3:])
-
-
 def make_ring_triple(u_vals: np.ndarray, v_vals: np.ndarray, params: FixedPointParams,
                      rng: np.random.Generator):
     """Share elementwise multiplication triples with the given operand
@@ -204,12 +196,13 @@ def _share_ring(vals: np.ndarray, params: FixedPointParams, rng: np.random.Gener
     return ra, vals - ra
 
 
-def make_bit_triple(nbits: int, rng: np.random.Generator, u_vals=None, v_vals=None):
-    """Share a batched Z_2 triple of `nbits` bitwise products: Alice's and
-    Bob's (3, words) matrices of the packed strings u, v, w."""
-    u = random_bits(rng, nbits) if u_vals is None else u_vals
-    v = random_bits(rng, nbits) if v_vals is None else v_vals
-    alice = random_bit_rows(rng, 3, nbits)
+def make_bit_triple(nrows: int, nbits: int, rng: np.random.Generator, u_vals=None, v_vals=None):
+    """Share `nrows` rows of `nbits` Z_2 triples: Alice's and Bob's
+    (3, nrows, words) arrays of the packed rows u, v, w = u AND v.  Every u
+    row is drawn, then every v row, then Alice's shares of all three."""
+    u = random_bit_rows(rng, nrows, nbits) if u_vals is None else u_vals
+    v = random_bit_rows(rng, nrows, nbits) if v_vals is None else v_vals
+    alice = random_bit_rows(rng, 3 * nrows, nbits).reshape(3, nrows, -1)
     return alice, np.stack([u, v, u & v]) ^ alice
 
 
@@ -249,11 +242,11 @@ class TrustedDealer:
         return (None, va, wa), (None, vb, wb)
 
     def _prefix_parts(self, width: int, batch: int, rng):
-        """Both parties' parts of one TAG_PREFIXNET record: the setup triple
-        as three strings of width x batch bits, then the node masks and the
-        composition products as matrices of packed `batch`-bit rows."""
+        """Both parties' parts of one TAG_PREFIXNET record, seven matrices of
+        packed `batch`-bit rows: the setup triple, one row per bit position,
+        then the node masks and the composition products."""
         plan = cached_plan(width)
-        setup_a, setup_b = make_bit_triple(width * batch, rng)
+        setup_a, setup_b = make_bit_triple(width, batch, rng)
 
         def draw_rows(per_row: int, nrows: int):
             rows = random_bit_rows(rng, per_row * nrows, batch).reshape(nrows, per_row, -1)
@@ -283,7 +276,7 @@ class TrustedDealer:
                                       self.params, rng)
             return tuple(np.array(half) for half in halves)
         if tag == TAG_BIT:
-            return make_bit_triple(meta, rng)
+            return tuple(half[:, 0] for half in make_bit_triple(1, meta, rng))
         if tag == TAG_CONVERSION:
             # random bits r, shared in the ring one word each and in Z_2 as one string
             r = random_bits(rng, meta)
@@ -328,8 +321,9 @@ class MaterializedSource:
     packed strings for a pool of n bit triples, the n ring shares and the
     n-bit string of Z_2 shares of a pool of n daBits, the (U, V, W) parts
     of a matmul record with None for a part its kind lacks, and the seven
-    matrices of a prefix-network record.  A take only moves a cursor over
-    its tag's records; pooled takes may cross records.
+    matrices of packed `batch`-bit rows of a prefix-network record, those
+    of its PrefixBlock.  A take only moves a cursor over its tag's records;
+    pooled takes may cross records.
     """
 
     def __init__(self, params: FixedPointParams, session_id: int = 0):
@@ -398,8 +392,8 @@ class MaterializedSource:
                 _gather_bits(segments, nbits, (), 1))
 
     def take_prefix_block(self, width, batch) -> PrefixBlock:
-        [(meta, parts, _, _)] = self._take(TAG_PREFIXNET, (width, batch))
-        return _prefix_block(meta, parts)
+        [(_, parts, _, _)] = self._take(TAG_PREFIXNET, (width, batch))
+        return PrefixBlock(width, batch, *parts)
 
 
 class OnDemandSource(MaterializedSource):
@@ -509,11 +503,9 @@ def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
                 raise FormatError(f"randomness stream: prefix-network width {m0} outside "
                                   f"2..{params.ring_bits}")
             plan = cached_plan(m0)
-            setup = [take_words(1, word_count(m0 * m1))[0] for _ in range(3)]
-            rows = [take_words(count, word_count(m1))
-                    for count in (len(plan.masked_nodes), len(plan.masked_nodes),
-                                  len(plan.compositions), len(plan.compositions))]
-            source.append(tag, (m0, m1), (*setup, *rows))
+            nodes, comps = len(plan.masked_nodes), len(plan.compositions)
+            counts = (m0, m0, m0, nodes, nodes, comps, comps)  # the PrefixBlock's rows
+            source.append(tag, (m0, m1), tuple(take_words(c, word_count(m1)) for c in counts))
         else:
             raise FormatError(f"randomness stream: unknown record tag {tag}")
     if off != size:

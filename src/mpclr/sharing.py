@@ -113,8 +113,9 @@ def split_array(values: np.ndarray, params: FixedPointParams, rng: np.random.Gen
 # A bit string is a 1-d array of uint64 words, LSB first, padded with zero
 # bits to a whole word.  A batch of bit strings of one length, such as every
 # bit position of a batch of shared values, is a matrix with one such row per
-# string.  The wire and CRN1 files carry the rows of a matrix as one
-# contiguous string; when the batch is a multiple of 64 that is a reshape.
+# string, and frames and CRN1 files carry it as those word rows.  Only the
+# pooled bit triples and daBits are one contiguous string, taken by bit
+# count; `string_to_rows` splits a take into rows.
 # ---------------------------------------------------------------------------
 
 
@@ -147,27 +148,11 @@ def unpack_rows(rows: np.ndarray, batch: int) -> np.ndarray:
     return np.unpackbits(raw, axis=-1, count=batch, bitorder="little")
 
 
-def _rows_are_string(nrows: int, batch: int) -> bool:
-    """Whether `nrows` packed rows of `batch` bits, laid end to end, already
-    are their contiguous string: one row, or rows of whole words."""
-    return nrows == 1 or (nrows > 1 and batch > 0 and batch % 64 == 0)
-
-
-def rows_to_string(rows: np.ndarray, batch: int) -> np.ndarray:
-    """Concatenate the `batch`-bit rows into one contiguous bit string."""
-    rows = np.asarray(rows, dtype=np.uint64)
-    if _rows_are_string(len(rows), batch):
-        return rows.reshape(-1)
-    out = np.zeros(word_count(len(rows) * batch), dtype=np.uint64)
-    packed = np.packbits(unpack_rows(rows, batch), bitorder="little")
-    out.view(np.uint8)[:packed.size] = packed
-    return out
-
-
 def string_to_rows(words: np.ndarray, nrows: int, batch: int) -> np.ndarray:
-    """Split a contiguous string of `nrows` x `batch` bits into rows."""
+    """Split a contiguous string of `nrows` x `batch` bits into rows; one row,
+    or rows of whole words, already are their string laid end to end."""
     words = np.asarray(words, dtype=np.uint64)
-    if _rows_are_string(nrows, batch):
+    if nrows == 1 or (nrows > 1 and batch > 0 and batch % 64 == 0):
         return words[:nrows * word_count(batch)].reshape(nrows, -1)
     bits = np.unpackbits(words.view(np.uint8), count=nrows * batch, bitorder="little")
     return pack_rows(bits.reshape(nrows, batch))

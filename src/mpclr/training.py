@@ -196,13 +196,13 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     """The rounds of one :func:`train_secure` iteration over n samples and m1
     weights, in order; every iteration runs the same rounds."""
     width = params.frac_bits + params.int_bits + 2
+    row = word_count(n)  # words of one opened bit row, one bit per sample
     steps = [
         Step("engine.matmul", (TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE)), m1, ring=n * m1),
         # setup round: every bit position's generate signal, two operands opened
-        Step("bitops.decompose", (TAG_PREFIXNET, (width, n)), 2 * word_count(width * n),
-             bit=width * n),
+        Step("bitops.decompose", (TAG_PREFIXNET, (width, n)), 2 * width * row, bit=width * n),
     ]
-    steps += [Step("bitops.decompose", None, word_count(2 * n * len(layer.pub_masks)),
+    steps += [Step("bitops.decompose", None, 2 * len(layer.pub_masks) * row,
                    bit=2 * n * (layer.comps.stop - layer.comps.start))
               for layer in cached_plan(width).rounds]
     # OR of the sign and integer slices, one tree level per round; the bit
@@ -211,12 +211,12 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     slices = params.int_bits + 1
     while slices > 1:
         pairs = slices // 2
-        steps.append(Step("bitops.or_tree", request, 2 * word_count(pairs * n), bit=pairs * n))
+        steps.append(Step("bitops.or_tree", request, 2 * pairs * row, bit=pairs * n))
         request = None
         slices -= pairs
     return steps + [
-        # both bits are converted to ring shares against daBits, opened as one string
-        Step("activation.convert", (TAG_CONVERSION, 2 * n), word_count(2 * n)),
+        # both bits are converted to ring shares against daBits, opened as two rows
+        Step("activation.convert", (TAG_CONVERSION, 2 * n), 2 * row),
         Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),
         Step("engine.gradient", (TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE_T)), n,
              ring=n * m1),

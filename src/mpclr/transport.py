@@ -2,10 +2,10 @@
 
 Every message is one frame: 4-byte magic, 1-byte message type, 8-byte
 little-endian payload length, payload.  An opening (type MSG_OPEN) carries
-its ring values as unsigned 64-bit little-endian words, then its bit strings
-as LSB-first packed words.  The same byte stream is produced whether the
-parties talk over TCP or over the in-process channel used by local mode and
-tests.  A dead peer kills the session; there is no retry logic.
+its ring values as unsigned 64-bit little-endian words, then each bit matrix
+as its rows of LSB-first packed words, each row padded to a whole word.  The
+same byte stream is produced whether the parties talk over TCP or over the
+in-process channel used by local mode and tests.  A dead peer kills the session; there is no retry logic.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ MSG_RANDOMNESS = 5
 
 _VALID_TYPES = {MSG_OPEN, MSG_CONTROL, MSG_RANDOMNESS}
 
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import pytest
 from mpclr import FixedPointParams
 from mpclr.activation import batch_activate, clipped_relu, clipped_relu_fixed
 from mpclr.fixedpoint import decode, decode_array, encode, encode_array
-from mpclr.sharing import split, split_array
+from mpclr.sharing import split, split_array, unpack_rows
 
 from helpers import protocol_pair
 
@@ -162,10 +162,10 @@ class TestOpenedValuesLookUniform:
             )
             for word in sa.transcript.opened_words:
                 counts[word & 0xFF] += 1
-            # the conversion's opening is the last bit string, c_d then c_e
+            # the conversion's opening is the last bit matrix, rows c_d and c_e
             c = sa.transcript.opened_bits[-1]
-            assert c.shape == (1, 2)
-            c_ones += c[0]
+            assert c.shape == (2, 1)
+            c_ones += unpack_rows(c, 1)[:, 0]
         total = counts.sum()
         assert total == 2000  # the output product's two masked openings per run
         expected = total / 256

@@ -273,6 +273,8 @@ class TestBench:
     def test_rep_validation(self):
         assert main(["bench", "--kind", "mul", "--reps", "1"]) == 2
         assert main(["bench", "--kind", "mul", "--batch-sizes", "0"]) == 2
+        # a list of no sizes would print an empty table
+        assert main(["bench", "--kind", "mul", "--batch-sizes", ","]) == 2
 
 
 class TestConfigFile:

@@ -270,9 +270,9 @@ class TestBitOpenings:
         # and three bytes, or with nothing; a mixed opening of two ring words
         # and a 65-bit row (two words) with three words, five, or four and a half
         ring = lambda s: s.open(ring=[np.zeros(1, dtype=P8.dtype)])
-        bits = lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)], batch=64)
+        bits = lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)])
         mixed = lambda s: s.open(ring=[np.zeros(2, dtype=P8.dtype)],
-                                 bits=[np.zeros((1, 2), dtype=np.uint64)], batch=65)
+                                 bits=[np.zeros((1, 2), dtype=np.uint64)])
         for opening, reply, error in [
             (bits, bytes(32), "opening has 4 words, expected 1"),
             (bits, bytes(11), "11 bytes is not whole 64-bit words"),
@@ -286,8 +286,8 @@ class TestBitOpenings:
                 protocol_pair(P8, opening, lambda s: s.exchange(MSG_OPEN, reply))
 
     def test_one_round_carries_ring_words_and_bit_rows(self):
-        # ring tensors of two shapes and two bit matrices at batch 65, where
-        # neither matrix's rows are a contiguous string by themselves
+        # ring tensors of two shapes and two bit matrices at batch 65, whose
+        # rows each end in a partial word
         rng = np.random.default_rng(19)
         batch = 65
         vec = np.frombuffer(rng.bytes(8 * 3), dtype=np.uint64)
@@ -301,7 +301,7 @@ class TestBitOpenings:
         def side(idx):
             ring = [pair[idx].values for pair in ring_shares]
             bits = bit_masks if idx else [m ^ r for m, r in zip((bit_a, bit_b), bit_masks)]
-            return lambda s: s.open(ring=ring, bits=bits, batch=batch)
+            return lambda s: s.open(ring=ring, bits=bits)
 
         ra, rb, sa, _ = protocol_pair(P64, side(0), side(1), capture_opens=True)
         for got in (ra, rb):
@@ -309,10 +309,10 @@ class TestBitOpenings:
             assert np.array_equal(got[0], vec) and np.array_equal(got[1], mat)
             assert np.array_equal(got[2], bit_a) and np.array_equal(got[3], bit_b)
         assert sa.transcript.rounds == 1
-        # 3 + 6 ring words, then 3 x 65 bits in 4 words and 65 bits in 2
-        assert sa.transcript.bytes_sent == FRAME_HEADER.size + 8 * (9 + 4 + 2)
+        # 3 + 6 ring words, then 3 rows of 65 bits in 2 words each and one in 2
+        assert sa.transcript.bytes_sent == FRAME_HEADER.size + 8 * (9 + 6 + 2)
         assert sa.transcript.opened_words == [int(v) for v in (*vec, *mat.ravel())]
-        assert [b.tolist() for b in sa.transcript.opened_bits] == [
+        assert [unpack_rows(b, batch).tolist() for b in sa.transcript.opened_bits] == [
             unpack_rows(bit_a, batch).tolist(), unpack_rows(bit_b, batch).tolist()]
 
 

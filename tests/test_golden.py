@@ -9,7 +9,11 @@ values, so a change of protocol that computes the same values, such as the
 daBit conversion of protocol version 5, moves the stream and frame digests
 but not them.  Protocol version 6 sends every opening under one message
 type, so only the frame digests moved: a bit opening's frame differs from
-before in its type byte alone.
+before in its type byte alone.  Protocol version 7 sends each opened bit
+matrix, and keeps each prefix-network setup triple, as the word rows it is
+held in instead of one contiguous string of all rows.  At the batch of 64
+the two layouts are the same bytes and nothing moved; at the batch of 77
+the stream and frame digests moved and the weight shares did not.
 """
 
 import hashlib
@@ -37,10 +41,10 @@ GOLDEN = {
                      18446726684476202852, 18446715524692488985]),
     },
     77: {
-        "crn1": ("7e770aaded52e488ec95f0794986ab2b66ce3b395beb01edb58374c0ba2d17a3",
-                 "882fff6f1cc8e2affa8840db2bd3f27942e93fb5328f9df9582262129b8011e4"),
-        "sent": ("12863f81c3b456263e7e5697cc8b11bdebe5d390969f45f55558eebb2a2ed697",
-                 "5afd6e714ef922b1be4c0820a99bdce58d8048a38dc80706549370fd596ebf59"),
+        "crn1": ("5364baa70c273fc6778afd77de7462a136bf69bf1cb53a1abab24cbf0afd7312",
+                 "40f61b74bb59e0b0fde5db218904e57feda4999c9792bac33f3146ba13f6a00b"),
+        "sent": ("815396d2cc1dea24ba52745cfc57482a43011c20f383257bb7623a36b37fc1ba",
+                 "4d68281f4e939490ae1563360eb80657feaef8bb35de58fb2a7c970271838e84"),
         "weights": ([37109802231382, 17307203006669, 13562539591937, 36318760248600,
                      19894510230177],
                     [18446706963907320185, 18446726766506545925, 18446730511169960164,

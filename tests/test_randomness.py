@@ -43,18 +43,18 @@ class TestTripleGeneration:
         assert (int(a[1][0]) + int(b[1][0])) % P16.modulus == 7
 
     def test_bit_triple_ones(self):
-        one = np.array([1], dtype=np.uint64)
-        a, b = make_bit_triple(1, np.random.default_rng(0), u_vals=one, v_vals=one)
+        one = np.array([[1]], dtype=np.uint64)
+        a, b = make_bit_triple(1, 1, np.random.default_rng(0), u_vals=one, v_vals=one)
         assert np.array_equal(a[2] ^ b[2], one)
 
     def test_exhaustive_bit_triples(self):
         rng = np.random.default_rng(2)
         for u in (0, 1):
             for v in (0, 1):
-                uw, vw = np.array([u], dtype=np.uint64), np.array([v], dtype=np.uint64)
-                a, b = make_bit_triple(1, rng, u_vals=uw, v_vals=vw)
+                uw, vw = np.array([[u]], dtype=np.uint64), np.array([[v]], dtype=np.uint64)
+                a, b = make_bit_triple(1, 1, rng, u_vals=uw, v_vals=vw)
                 opened = [x ^ y for x, y in zip(a, b)]
-                assert [int(x[0]) for x in opened] == [u, v, u & v]
+                assert [int(x[0, 0]) for x in opened] == [u, v, u & v]
 
     def test_random_ring_triples_reconstruct(self):
         dealer = TrustedDealer(31337, P64)
@@ -255,7 +255,7 @@ def crn1_bytes(requests, params):
             width, batch = meta
             plan = cached_plan(width)
             nodes = 2 * len(plan.masked_nodes) + 2 * len(plan.compositions)
-            words += 3 * packed(width * batch) + nodes * packed(batch)
+            words += (3 * width + nodes) * packed(batch)
     return 18 + 25 * len(requests) + 8 * words  # file header, record headers, words
 
 

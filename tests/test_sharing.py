@@ -116,8 +116,8 @@ class TestBits:
             mask = random_bits(rng, 128).reshape(1, 2)
             ra, rb, *_ = protocol_pair(
                 P8,
-                lambda s: s.open(bits=[mask], batch=128)[0],
-                lambda s: s.open(bits=[row ^ mask], batch=128)[0],
+                lambda s: s.open(bits=[mask])[0],
+                lambda s: s.open(bits=[row ^ mask])[0],
             )
             assert np.array_equal(ra, row) and np.array_equal(rb, row)
 
@@ -139,8 +139,8 @@ class TestBits:
         with pytest.raises(ProtocolError):
             protocol_pair(
                 P8,
-                lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)], batch=64),
-                lambda s: s.open(bits=[np.zeros((1, 2), dtype=np.uint64)], batch=65),
+                lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)]),
+                lambda s: s.open(bits=[np.zeros((1, 2), dtype=np.uint64)]),
             )
 
 

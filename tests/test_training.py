@@ -383,7 +383,8 @@ class TestTrafficModel:
         assert sum(call[1] for call in calls) == sa.transcript.rounds
 
     def test_matches_both_transcripts_on_criterion_9_shapes(self):
-        for n, m, iters in [(5, 3, 2), (8, 1, 3), (4, 6, 5)]:
+        # 64 and 65 samples put the opened bit rows on each side of a word boundary
+        for n, m, iters in [(5, 3, 2), (8, 1, 3), (4, 6, 5), (64, 2, 1), (65, 2, 1)]:
             feats, labels = separable_toy(n, m, seed=n + m)
             cfg = TrainingConfig(eta=0.05, n_iter=iters, params=P64, seed=17)
             _, _, (sa, sb), _ = secure_run(feats, labels, cfg)

@@ -178,8 +178,8 @@ class TestHandshake:
                                                           perform_handshake, a, self._info()))
         t.start()
         # a peer of the previous protocol version is refused
-        with pytest.raises(TransportError, match="version: ours 5, peer 6"):
-            perform_handshake(b, self._info(role="B", version=5))
+        with pytest.raises(TransportError, match="version: ours 6, peer 7"):
+            perform_handshake(b, self._info(role="B", version=6))
         t.join()
 
     def test_wildcard_dims_allowed(self):

@@ -4,7 +4,14 @@ references."""
 import numpy as np
 import pytest
 
-from mpclr import FixedPointParams, Role, TrainingConfig, training_randomness_requests
+from mpclr import (
+    FixedPointParams,
+    Role,
+    TrainingConfig,
+    local_session_pair,
+    run_sessions,
+    training_randomness_requests,
+)
 from mpclr.activation import batch_activate
 from mpclr.bitops import _from_slices, _to_slices
 from mpclr.randomness import (
@@ -16,13 +23,8 @@ from mpclr.randomness import (
     deserialize_stream,
     serialize_stream,
 )
-from mpclr.sharing import (
-    ones_row,
-    random_bits,
-    rows_to_string,
-    string_to_rows,
-    word_count,
-)
+from mpclr.sharing import ones_row, random_bit_rows, random_bits, word_count
+from mpclr.transport import FRAME_HEADER
 
 from helpers import protocol_pair
 
@@ -75,18 +77,22 @@ class TestTranspose:
 class TestWireLayout:
     @pytest.mark.parametrize("nrows", [0, 1, 3, 58])
     @pytest.mark.parametrize("batch", BATCHES)
-    def test_rows_travel_as_one_contiguous_string(self, nrows, batch):
+    def test_rows_travel_as_their_padded_words(self, nrows, batch):
+        # after the opening's ring words, a bit matrix's frame bytes are the
+        # word rows it is held in, each padded with zero bits to a whole word
         rng = np.random.default_rng(nrows * 7 + batch)
-        rows = np.array([random_bits(rng, batch) for _ in range(nrows)],
-                        dtype=np.uint64).reshape(nrows, word_count(batch))
-        # the layout before word rows: one integer, row i at bit i * batch
-        cat = 0
-        for i, row in enumerate(rows):
-            cat |= words_to_int(row, batch) << (i * batch)
-        expected = cat.to_bytes(8 * word_count(nrows * batch), "little")
-        string = rows_to_string(rows, batch)
-        assert string.tobytes() == expected
-        assert np.array_equal(string_to_rows(string, nrows, batch), rows)
+        ring = np.frombuffer(rng.bytes(8 * 3), dtype=np.uint64)
+        rows, mask = random_bit_rows(rng, nrows, batch), random_bit_rows(rng, nrows, batch)
+        sess_a, sess_b = local_session_pair(P64)
+        sent = []
+        send = sess_a.channel.send_bytes
+        sess_a.channel.send_bytes = lambda data: send(data) or sent.append(bytes(data))
+        opened = run_sessions(sess_a, sess_b, lambda s: s.open(ring=[ring], bits=[rows]),
+                              lambda s: s.open(ring=[ring], bits=[mask]))
+        [frame] = sent
+        assert frame[FRAME_HEADER.size:] == ring.tobytes() + rows.tobytes()
+        for _, bits in opened:
+            assert np.array_equal(bits, rows ^ mask)
 
     def test_ones_row(self):
         for batch in BATCHES:
@@ -232,12 +238,11 @@ class TestDabitPool:
 
 def test_empty_batch_sends_the_same_frames():
     # sent-frame digest of an activation over no values: every opened bit
-    # string is one zero word, as the big-integer bit strings sent it, and so
-    # is the conversion's opening of the daBit-masked bits
+    # row, the conversion's two daBit-masked rows among them, is one zero word
     empty = np.zeros(0, dtype=np.uint64)
     ra, _, sa, sb = protocol_pair(P64, lambda s: batch_activate(s, empty),
                                   lambda s: batch_activate(s, empty))
     assert ra.shape == (0,)
-    assert sa.transcript.bytes_sent == 284
-    expected = "64a9d64953221b5312a5cd7df2e157767eae3561c8ef59bbc395a7d20634c2ed"
+    assert sa.transcript.bytes_sent == 2028
+    expected = "c8b9cc8546afbaecbb58d8729cb5c305f3302815e57b4c64f5f30497b0e48718"
     assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
