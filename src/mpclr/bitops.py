@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Session, and_with_triple, batch_bit_mul
+from .engine import Session, and_gates, batch_bit_mul
 from .prefixnet import cached_plan
-from .sharing import BitVectorShare, ones_row, pack_rows, unpack_rows
+from .sharing import BitVectorShare, ones_row, pack_rows, string_to_rows, unpack_rows
 
 
 def _own_operand_bits(sess: Session, value: int, width: int):
@@ -114,8 +114,8 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
 
     # Setup round: every position's generate bit in one batched multiplication.
-    g_setup = and_with_triple(sess, a_rows, b_rows,
-                              (block.setup_u, block.setup_v, block.setup_w), batch)
+    [g_setup] = and_gates(sess, [((a_rows, b_rows),
+                                  (block.setup_u, block.setup_v, block.setup_w))], batch)
     sess.transcript.mask_bits_sent += 2 * width * batch
 
     # Node rows: the setup positions, then one per composition in plan order.
@@ -176,19 +176,41 @@ def decompose_opt(sess: Session, x_share: int, width: int | None = None) -> BitV
 # ---------------------------------------------------------------------------
 
 
+def or_tree_levels(k: int) -> list:
+    """The AND gates of each level of the OR tree over k rows, as (inputs,
+    gates) pairs: the rows in order, in groups of four, and the rows left
+    over as one smaller group.  A group of one row passes to the next level
+    as it is, so there are ceil(log4(k)) levels and k - 1 ANDs in all."""
+    levels = []
+    while k > 1:
+        full, rest = divmod(k, 4)
+        level = [(4, full)] if full else []
+        if rest > 1:
+            level.append((rest, 1))
+        levels.append(level)
+        k = full + (rest > 0)
+    return levels
+
+
 def or_tree_slices(sess: Session, slices, batch: int) -> np.ndarray:
     """OR over the rows of a packed bit matrix, elementwise across the batch.
 
-    NOT(AND(NOT ...)) evaluated as a balanced tree; one batched Z_2
-    multiplication per level, ceil(log2(k)) rounds in total.  Returns one
+    NOT(AND(NOT ...)) evaluated as a tree of AND gates of up to four inputs
+    (see `or_tree_levels`); each level is one round, whatever its gates'
+    inputs, and each gate takes one dealt tuple per element.  Returns one
     packed row.
     """
     if len(slices) == 0:
         raise ValueError("or_tree_slices needs at least one row")
     ones = ones_row(batch)
     cur = _const_flip(sess, np.asarray(slices, dtype=np.uint64), ones)
-    while len(cur) > 1:
-        pairs = len(cur) // 2
-        prod = batch_bit_mul(sess, cur[0:2 * pairs:2], cur[1:2 * pairs:2], batch)
-        cur = np.concatenate([prod, cur[2 * pairs:]])
+    for level in or_tree_levels(len(cur)):
+        gates, start = [], 0
+        for k, count in level:
+            # input i of gate j is row start + k·j + i
+            xs = cur[start:start + k * count].reshape(count, k, -1).swapaxes(0, 1)
+            rs = sess.randomness.take_bit_triples(count * batch, k)
+            gates.append((xs, string_to_rows(rs, count, batch)))
+            start += k * count
+        cur = np.concatenate([*and_gates(sess, gates, batch), cur[start:]])
     return _const_flip(sess, cur[0], ones)

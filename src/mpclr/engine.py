@@ -2,7 +2,9 @@
 
 Each secure operation is one synchronized exchange: both parties mask their
 operands with pre-distributed triple components, swap the masked differences
-in a single frame per direction, and finish locally.  `Session.open` is the
+in a single frame per direction, and finish locally.  In Z_2 one exchange
+also ANDs up to four inputs at once (`and_gates`), against dealt shares of
+every subset product of the input masks.  `Session.open` is the
 one opening: ring words and bit matrices, as the padded word rows they are
 held in, travel in the same frame type, and one call may carry both; its
 operands are copied once, into the frame, and the peer's words are read
@@ -245,28 +247,47 @@ def _bit_rows(rows) -> np.ndarray:
     return np.atleast_2d(np.asarray(rows, dtype=np.uint64))
 
 
-def and_with_triple(sess: Session, xs, ys, triple, batch: int) -> np.ndarray:
-    """Bitwise AND of two Z_2-shared matrices of packed `batch`-bit rows in
-    one round, against the bit triple (u, v, w) of the same shape."""
-    u, v, w = triple
-    d, e = sess.open(bits=[xs ^ u, ys ^ v])
-    z = w ^ (e & u) ^ (d & v)
-    if sess.is_alice:
-        z ^= d & e
-    sess.transcript.bit_mults += len(xs) * batch
-    return z
+def and_gates(sess: Session, gates, batch: int) -> list:
+    """Bitwise ANDs of Z_2-shared matrices of packed `batch`-bit rows, every
+    gate in one round; returns each gate's output matrix.
+
+    A gate (xs, rs) ANDs its k input matrices xs against the dealt matrices
+    rs of the same shape, row S - 1 the shares of r_S, the AND of the masks
+    r_i with bit i set in S (see `randomness.make_bit_triple`).  The parties
+    open every m_i = x_i XOR r_i, and then x_0 ... x_{k-1} is local: the XOR
+    over all S of r_S AND the m_i outside S, where r_0 is 1 on Alice's side
+    and 0 on Bob's (Ohata and Nuida, FC 2020).  The frame carries each
+    gate's masked inputs in order; k = 2 is the Beaver triple u, v, w.
+    """
+    opened = iter(sess.open(bits=[x ^ rs[(1 << i) - 1]
+                                  for xs, rs in gates for i, x in enumerate(xs)]))
+    out = []
+    for xs, rs in gates:
+        m = [next(opened) for _ in xs]
+        # Input by input from the last, g[U] sums the terms of every S that
+        # agrees with U on the inputs still to go: g[U] = g[U + {j}] XOR m_j g[U].
+        half = 1 << (len(m) - 1)
+        g = np.array(rs[half - 1:], dtype=np.uint64)
+        g[1:] ^= m[-1] & np.asarray(rs[:half - 1], dtype=np.uint64)
+        if sess.is_alice:
+            g[0] ^= m[-1]
+        for j in reversed(range(len(m) - 1)):
+            g = g[1 << j:] ^ (m[j] & g[:1 << j])
+        sess.transcript.bit_mults += (len(m) - 1) * len(g[0]) * batch
+        out.append(g[0])
+    return out
 
 
 def batch_bit_mul(sess: Session, xs, ys, batch: int) -> np.ndarray:
     """Bitwise AND of two Z_2-shared matrices of packed `batch`-bit rows.
 
-    One round per call; the bit triples come from the pool as one string
-    and are split into rows like the operands.
+    One round per call; each AND takes one tuple from the pool, of which
+    the triple u, v, w is split into rows like the operands.
     """
     xs, ys = _bit_rows(xs), _bit_rows(ys)
-    triple = (string_to_rows(s, len(xs), batch)
-              for s in sess.randomness.take_bit_triples(len(xs) * batch))
-    return and_with_triple(sess, xs, ys, triple, batch)
+    triple = string_to_rows(sess.randomness.take_bit_triples(len(xs) * batch), len(xs), batch)
+    [z] = and_gates(sess, [((xs, ys), triple)], batch)
+    return z
 
 
 def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:

@@ -32,12 +32,13 @@ from .sharing import (
     unpack_rows,
     word_count,
 )
+from .transport import PROTOCOL_VERSION
 
 RANDOMNESS_MAGIC = b"CRN1"
 
 TAG_SCALAR = 1      # pooled ring triples for elementwise multiplication
 TAG_MATMUL = 2      # matrix masks and their products, one block per record
-TAG_BIT = 3         # pooled bit triples for Z_2 multiplication
+TAG_BIT = 3         # pooled AND tuples: dealt subset products of 4 random bits
 TAG_PREFIXNET = 5   # per-decomposition mask schedule blocks
 TAG_CONVERSION = 6  # pooled daBits for bit-to-ring conversion
 # Tag 4 held the conversion's ring triples up to protocol version 4.  It stays
@@ -108,6 +109,9 @@ class PrefixBlock:
 
 _POOLED = (TAG_SCALAR, TAG_CONVERSION, TAG_BIT)
 
+# Inputs of a TAG_BIT tuple; a gate of fewer inputs reads its first strings.
+BIT_TUPLE_INPUTS = 4
+
 
 def _meta(tag: int, meta):
     """A request's meta as records keep it: n for a pool, a MatmulDims for
@@ -169,6 +173,9 @@ def _gather_bits(segments, nbits: int, rows: tuple, part) -> np.ndarray:
     """The `nbits` bits that `segments` (see MaterializedSource._take) cover
     of the packed strings `parts[part]` of their records, as one string per
     row; `rows` is the shape of those rows, () for a single string."""
+    if len(segments) == 1:  # most takes lie within one record
+        _, parts, start, count = segments[0]
+        return _read_bits(parts[part], start, count)
     out = np.zeros(rows + (word_count(nbits) + 1,), dtype=np.uint64)
     pos = 0
     for _, parts, start, count in segments:
@@ -196,14 +203,22 @@ def _share_ring(vals: np.ndarray, params: FixedPointParams, rng: np.random.Gener
     return ra, vals - ra
 
 
-def make_bit_triple(nrows: int, nbits: int, rng: np.random.Generator, u_vals=None, v_vals=None):
-    """Share `nrows` rows of `nbits` Z_2 triples: Alice's and Bob's
-    (3, nrows, words) arrays of the packed rows u, v, w = u AND v.  Every u
-    row is drawn, then every v row, then Alice's shares of all three."""
-    u = random_bit_rows(rng, nrows, nbits) if u_vals is None else u_vals
-    v = random_bit_rows(rng, nrows, nbits) if v_vals is None else v_vals
-    alice = random_bit_rows(rng, 3 * nrows, nbits).reshape(3, nrows, -1)
-    return alice, np.stack([u, v, u & v]) ^ alice
+def make_bit_triple(nrows: int, nbits: int, rng: np.random.Generator, k: int = 2, masks=None):
+    """Share `nrows` rows of `nbits` tuples for k-input Z_2 AND gates:
+    Alice's and Bob's (2^k - 1, nrows, words) arrays of packed rows, row
+    S - 1 holding r_S, the AND of the masks r_i with bit i set in S.  The
+    k = 2 tuple is the triple u, v, w = u AND v.  Every row of the first
+    mask is drawn, then of the next, then Alice's shares of all 2^k - 1
+    products; `masks`, a (k, nrows, words) array, replaces the drawn ones."""
+    if masks is None:
+        masks = random_bit_rows(rng, k * nrows, nbits).reshape(k, nrows, -1)
+    prods = np.empty(((1 << len(masks)) - 1,) + masks.shape[1:], dtype=np.uint64)
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        prods[bit - 1] = mask
+        prods[bit:2 * bit - 1] = prods[:bit - 1] & mask
+    alice = random_bit_rows(rng, len(prods) * nrows, nbits).reshape(prods.shape)
+    return alice, prods ^ alice
 
 
 class TrustedDealer:
@@ -276,7 +291,7 @@ class TrustedDealer:
                                       self.params, rng)
             return tuple(np.array(half) for half in halves)
         if tag == TAG_BIT:
-            return tuple(half[:, 0] for half in make_bit_triple(1, meta, rng))
+            return tuple(half[:, 0] for half in make_bit_triple(1, meta, rng, BIT_TUPLE_INPUTS))
         if tag == TAG_CONVERSION:
             # random bits r, shared in the ring one word each and in Z_2 as one string
             r = random_bits(rng, meta)
@@ -317,8 +332,9 @@ class MaterializedSource:
 
     The stream is `records`, its CRN1 records in order, each (tag, meta,
     parts) with `parts` in the layout they are written in: a (3, n) matrix
-    of u, v, w for a pool of n ring triples, a (3, words) matrix of u, v, w
-    packed strings for a pool of n bit triples, the n ring shares and the
+    of u, v, w for a pool of n ring triples, a (15, words) matrix of packed
+    n-bit strings for a pool of n AND tuples (string S - 1 holding the
+    subset product r_S, see `make_bit_triple`), the n ring shares and the
     n-bit string of Z_2 shares of a pool of n daBits, the (U, V, W) parts
     of a matmul record with None for a part its kind lacks, and the seven
     matrices of packed `batch`-bit rows of a prefix-network record, those
@@ -379,9 +395,14 @@ class MaterializedSource:
         [(_, parts, _, _)] = self._take(TAG_MATMUL, _meta(TAG_MATMUL, dims))
         return parts
 
-    def take_bit_triples(self, nbits):
-        """Next `nbits` bit triples as three packed strings (u, v, w)."""
-        return tuple(_gather_bits(self._take(TAG_BIT, nbits), nbits, (3,), slice(None)))
+    def take_bit_triples(self, n, k=2):
+        """Next `n` AND tuples, for gates of k inputs: the first 2^k - 1
+        strings of each, as a (2^k - 1, words) matrix of packed n-bit
+        strings.  At k = 2 they are the triples u, v, w.  The name is that
+        of the triple pool before it held tuples, kept because the
+        benchmark's tracer wraps the method by name."""
+        strings = (1 << k) - 1
+        return _gather_bits(self._take(TAG_BIT, n), n, (strings,), slice(strings))
 
     def take_dabits(self, nbits):
         """Next `nbits` daBits: the ring shares, one word per bit, and the
@@ -421,7 +442,7 @@ class OnDemandSource(MaterializedSource):
 # Serialization: CRN1 randomness files
 # ---------------------------------------------------------------------------
 
-_FILE_HEADER = struct.Struct("<4sHQI")
+_FILE_HEADER = struct.Struct("<4sHHQI")  # magic, protocol version, ring width, session id, records
 _RECORD_HEADER = struct.Struct("<BQQQ")
 
 
@@ -441,7 +462,7 @@ def serialize_stream(source: MaterializedSource) -> bytearray:
                for tag, meta, parts in source.records]
     out = bytearray(_FILE_HEADER.size + sum(len(header) + sum(8 * part.size for part in parts)
                                             for header, parts in records))
-    _FILE_HEADER.pack_into(out, 0, RANDOMNESS_MAGIC, source.params.ring_bits,
+    _FILE_HEADER.pack_into(out, 0, RANDOMNESS_MAGIC, PROTOCOL_VERSION, source.params.ring_bits,
                            source.session_id, len(records))
     off = _FILE_HEADER.size
     for header, parts in records:
@@ -458,9 +479,12 @@ def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
     it into an aligned array of its own, wherever in `data` it lies."""
     if len(data) < _FILE_HEADER.size:
         raise FormatError("randomness stream: truncated header")
-    magic, ring_bits, session_id, nrecords = _FILE_HEADER.unpack_from(data)
+    magic, version, ring_bits, session_id, nrecords = _FILE_HEADER.unpack_from(data)
     if magic != RANDOMNESS_MAGIC:
         raise FormatError(f"randomness stream: bad magic {magic!r}")
+    if version != PROTOCOL_VERSION:
+        raise FormatError(f"randomness stream of protocol version {version}, "
+                          f"this build reads version {PROTOCOL_VERSION}")
     if ring_bits != params.ring_bits:
         raise FormatError(
             f"randomness stream generated for ring width {ring_bits}, session uses {params.ring_bits}"
@@ -491,7 +515,7 @@ def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
         if tag == TAG_SCALAR:
             source.append(tag, m0, take_ring(3, m0))
         elif tag == TAG_BIT:
-            source.append(tag, m0, take_words(3, word_count(m0)))
+            source.append(tag, m0, take_words((1 << BIT_TUPLE_INPUTS) - 1, word_count(m0)))
         elif tag == TAG_CONVERSION:
             source.append(tag, m0, (take_ring(1, m0)[0], take_words(1, word_count(m0))[0]))
         elif tag == TAG_MATMUL:

@@ -12,6 +12,7 @@ single-value references.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -114,8 +115,8 @@ def split_array(values: np.ndarray, params: FixedPointParams, rng: np.random.Gen
 # bits to a whole word.  A batch of bit strings of one length, such as every
 # bit position of a batch of shared values, is a matrix with one such row per
 # string, and frames and CRN1 files carry it as those word rows.  Only the
-# pooled bit triples and daBits are one contiguous string, taken by bit
-# count; `string_to_rows` splits a take into rows.
+# pooled AND tuples and daBits are contiguous strings, taken by count;
+# `string_to_rows` splits a take into rows.
 # ---------------------------------------------------------------------------
 
 
@@ -149,13 +150,15 @@ def unpack_rows(rows: np.ndarray, batch: int) -> np.ndarray:
 
 
 def string_to_rows(words: np.ndarray, nrows: int, batch: int) -> np.ndarray:
-    """Split a contiguous string of `nrows` x `batch` bits into rows; one row,
-    or rows of whole words, already are their string laid end to end."""
-    words = np.asarray(words, dtype=np.uint64)
+    """Split a contiguous string of `nrows` x `batch` bits into rows, or each
+    string in the last axis of `words` into a matrix of rows; one row, or
+    rows of whole words, already are their string laid end to end."""
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    lead = words.shape[:-1]
     if nrows == 1 or (nrows > 1 and batch > 0 and batch % 64 == 0):
-        return words[:nrows * word_count(batch)].reshape(nrows, -1)
-    bits = np.unpackbits(words.view(np.uint8), count=nrows * batch, bitorder="little")
-    return pack_rows(bits.reshape(nrows, batch))
+        return words[..., :nrows * word_count(batch)].reshape(*lead, nrows, -1)
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=nrows * batch, bitorder="little")
+    return pack_rows(bits.reshape(math.prod(lead) * nrows, batch)).reshape(*lead, nrows, -1)
 
 
 def write_share_file(path, values: np.ndarray, params: FixedPointParams):

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import batch_activate, clipped_relu, clipped_relu_fixed
+from .bitops import or_tree_levels
 from .engine import MaskedMatrix, Session, batch_mul, matmul
 from .errors import ProtocolError
 from .fixedpoint import FixedPointParams, decode_array, encode, encode_array, exact_truncate
@@ -205,15 +206,16 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     steps += [Step("bitops.decompose", None, 2 * len(layer.pub_masks) * row,
                    bit=2 * n * (layer.comps.stop - layer.comps.start))
               for layer in cached_plan(width).rounds]
-    # OR of the sign and integer slices, one tree level per round; the bit
-    # triples of the whole tree are one record
-    request = (TAG_BIT, params.int_bits * n)
-    slices = params.int_bits + 1
-    while slices > 1:
-        pairs = slices // 2
-        steps.append(Step("bitops.or_tree", request, 2 * pairs * row, bit=pairs * n))
+    # OR of the sign and integer slices, one tree level per round; each gate
+    # takes one AND tuple per sample, and the tuples of the whole tree are
+    # one record
+    levels = or_tree_levels(params.int_bits + 1)
+    request = (TAG_BIT, n * sum(count for level in levels for _, count in level))
+    for level in levels:
+        steps.append(Step("bitops.or_tree", request,
+                          sum(k * count for k, count in level) * row,
+                          bit=sum((k - 1) * count for k, count in level) * n))
         request = None
-        slices -= pairs
     return steps + [
         # both bits are converted to ring shares against daBits, opened as two rows
         Step("activation.convert", (TAG_CONVERSION, 2 * n), 2 * row),

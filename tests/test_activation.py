@@ -119,8 +119,8 @@ class TestBatchActivation:
             lambda s: batch_activate(s, za.values),
             lambda s: batch_activate(s, zb.values),
         )
-        # decomposition 6 + or-tree 4 + conversion 1 + one product
-        assert sa.transcript.rounds == 12
+        # decomposition 6 + or-tree 2 + conversion 1 + one product
+        assert sa.transcript.rounds == 10
 
     def test_ring_mult_budget(self):
         batch = 32

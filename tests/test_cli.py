@@ -146,7 +146,7 @@ class TestTrainLocalAndReconstruct:
         lines = [json.loads(l.split(" ", 1)[1]) for l in out.splitlines()
                  if l.startswith("TRANSCRIPT")]
         assert len(lines) == 2
-        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 14
+        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 12
         assert lines[0]["ring_mults"] == lines[0]["counted_ring_mults"]
 
 
@@ -175,14 +175,18 @@ class TestNetworkErrors:
         assert rc == 2
 
 
-def run_tcp_pair(toy_csv, tmp_path, dims, alice_args, bob_args):
-    """Split the toy data, deal file randomness for `dims`, and train alice
-    and bob as two TCP processes; returns [(exit code, stderr)] per party."""
+def run_tcp_pair(toy_csv, tmp_path, dims, alice_args, bob_args, tamper=None):
+    """Split the toy data, deal file randomness for `dims`, pass each party's
+    file path to `tamper` if given, and train alice and bob as two TCP
+    processes; returns [(exit code, stderr)] per party."""
     path, *_ = toy_csv  # 20 samples: the share matrix is 20 x 10
     assert main(["split", "--data", str(path), "--shares-out", str(tmp_path / "t"),
                  "--seed", "1"]) == 0
     assert main(["train", "--role", "ti", "--randomness", f"file:{tmp_path / 'crn'}",
                  "--dims", dims, *alice_args]) == 0
+    if tamper is not None:
+        for party in ("alice", "bob"):
+            tamper(tmp_path / f"crn.{party}.crn")
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
@@ -215,6 +219,17 @@ class TestProtocolErrors:
             assert err.strip().splitlines() == [err.strip()]
             assert err.startswith("error: protocol:") and "mismatch" in err
 
+    def test_randomness_of_another_protocol_version_exits_4(self, toy_csv, tmp_path):
+        def version_7(path):
+            raw = bytearray(path.read_bytes())
+            raw[4:6] = (7).to_bytes(2, "little")  # the version, after the magic
+            path.write_bytes(raw)
+
+        common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
+        for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_7):
+            assert rc == 4, err
+            assert "protocol version 7, this build reads version 8" in err
+
     def test_mismatched_learning_rate_exits_3_at_the_handshake(self, toy_csv, tmp_path):
         # before the handshake pinned it, this trained to weights around -3.9e10
         common = ["--iterations", "2", "--seed", "3"]
@@ -246,7 +261,7 @@ class TestBench:
         assert rc == 0
         payload = [l for l in capsys.readouterr().out.splitlines() if l.startswith("BENCH")][0]
         results = json.loads(payload[6:])["results"]
-        assert results[0]["rounds"] == results[1]["rounds"] == 12
+        assert results[0]["rounds"] == results[1]["rounds"] == 10
 
     def test_warm_up_rep_is_dropped_and_median_reported(self, capsys, monkeypatch):
         import mpclr.cli

@@ -12,11 +12,11 @@ from mpclr import (
     local_session_pair,
     run_sessions,
 )
-from mpclr.engine import MaskedMatrix, batch_bit_mul, batch_mul, matmul, mul
+from mpclr.engine import MaskedMatrix, and_gates, batch_bit_mul, batch_mul, matmul, mul
 from mpclr.fixedpoint import exact_truncate
 from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
 from mpclr.transport import FRAME_HEADER, MSG_OPEN
-from mpclr.sharing import pack_rows, split, split_array, unpack_rows
+from mpclr.sharing import pack_rows, split, split_array, string_to_rows, unpack_rows, word_count
 
 from helpers import forced_scalar_source, protocol_pair
 
@@ -262,6 +262,54 @@ class TestBatching:
                 lambda s: batch_mul(s, xb.values, xb.values),
             )
             assert sa.transcript.rounds == sb.transcript.rounds == 1
+
+
+class TestAndGate:
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_exhaustive_inputs(self, k, batch):
+        """Element j of run p holds input pattern p + j (mod 2^k), so every
+        pattern meets every bit position; the shares are split at random."""
+        rng = np.random.default_rng(100 * k + batch)
+        for p in range(1 << k):
+            patterns = (p + np.arange(batch)) % (1 << k)
+            secret = pack_rows((patterns >> np.arange(k)[:, None] & 1).astype(np.uint8))
+            share_b = pack_rows(rng.integers(0, 2, (k, batch), dtype=np.uint8))
+
+            def gate(xs):
+                def body(s):
+                    rs = string_to_rows(s.randomness.take_bit_triples(batch, k), 1, batch)
+                    return and_gates(s, [(xs[:, None], rs)], batch)[0]
+                return body
+
+            ra, rb, sa, _ = protocol_pair(P8, gate(secret ^ share_b), gate(share_b), seed=p)
+            expect = (patterns == (1 << k) - 1).astype(np.uint8)
+            assert unpack_rows(ra ^ rb, batch)[0].tolist() == expect.tolist()
+            assert sa.transcript.rounds == 1
+            assert sa.transcript.bytes_sent == FRAME_HEADER.size + 8 * k * word_count(batch)
+            assert sa.transcript.bit_mults == (k - 1) * batch
+
+    def test_gates_of_mixed_inputs_share_one_round(self):
+        # a 4-input gate over two rows and a 2-input gate over one row
+        batch = 5
+        rng = np.random.default_rng(8)
+        xs4 = pack_rows(rng.integers(0, 2, (8, batch), dtype=np.uint8)).reshape(4, 2, 1)
+        xs2 = pack_rows(rng.integers(0, 2, (2, batch), dtype=np.uint8)).reshape(2, 1, 1)
+
+        def side(alice):
+            def body(s):
+                rs4 = string_to_rows(s.randomness.take_bit_triples(2 * batch, 4), 2, batch)
+                rs2 = string_to_rows(s.randomness.take_bit_triples(batch, 2), 1, batch)
+                zero = np.zeros_like
+                return and_gates(s, [(xs4 if alice else zero(xs4), rs4),
+                                     (xs2 if alice else zero(xs2), rs2)], batch)
+            return body
+
+        ra, rb, sa, _ = protocol_pair(P8, side(True), side(False))
+        assert np.array_equal(ra[0] ^ rb[0], np.bitwise_and.reduce(xs4, axis=0))
+        assert np.array_equal(ra[1] ^ rb[1], xs2[0] & xs2[1])
+        assert sa.transcript.rounds == 1
+        assert sa.transcript.bit_mults == (3 * 2 + 1) * batch
 
 
 class TestBitOpenings:

@@ -28,9 +28,14 @@ from mpclr.randomness import (
     make_ring_triple,
     serialize_stream,
 )
+from mpclr.sharing import random_bit_rows, word_count
+from mpclr.transport import PROTOCOL_VERSION
 
 P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
 P64 = FixedPointParams(frac_bits=12, int_bits=15, ring_bits=64)
+# bytes of a CRN1 file header (magic, protocol version, ring width, session
+# id, record count): the first record starts here
+HEADER = 20
 
 
 class TestTripleGeneration:
@@ -43,18 +48,51 @@ class TestTripleGeneration:
         assert (int(a[1][0]) + int(b[1][0])) % P16.modulus == 7
 
     def test_bit_triple_ones(self):
-        one = np.array([[1]], dtype=np.uint64)
-        a, b = make_bit_triple(1, 1, np.random.default_rng(0), u_vals=one, v_vals=one)
-        assert np.array_equal(a[2] ^ b[2], one)
+        one = np.array([[[1]], [[1]]], dtype=np.uint64)
+        a, b = make_bit_triple(1, 1, np.random.default_rng(0), masks=one)
+        assert np.array_equal(a[2] ^ b[2], one[0])
 
     def test_exhaustive_bit_triples(self):
         rng = np.random.default_rng(2)
         for u in (0, 1):
             for v in (0, 1):
-                uw, vw = np.array([[u]], dtype=np.uint64), np.array([[v]], dtype=np.uint64)
-                a, b = make_bit_triple(1, 1, rng, u_vals=uw, v_vals=vw)
+                masks = np.array([[[u]], [[v]]], dtype=np.uint64)
+                a, b = make_bit_triple(1, 1, rng, masks=masks)
                 opened = [x ^ y for x, y in zip(a, b)]
                 assert [int(x[0, 0]) for x in opened] == [u, v, u & v]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_exhaustive_subset_products(self, k):
+        # one row per mask pattern: row S - 1 of a tuple is the AND of the
+        # masks with bit i set in S
+        rng = np.random.default_rng(k)
+        patterns = np.arange(1 << k)
+        masks = (patterns >> np.arange(k)[:, None] & 1).astype(np.uint64)[:, :, None]
+        a, b = make_bit_triple(1 << k, 1, rng, k, masks)
+        opened = (a ^ b)[:, :, 0]
+        for s in range(1, 1 << k):
+            expect = np.all(masks[[i for i in range(k) if s >> i & 1], :, 0] == 1, axis=0)
+            assert opened[s - 1].tolist() == expect.astype(int).tolist()
+
+    def test_two_input_draws_are_the_triple_draws(self):
+        # every u row, then every v row, then Alice's shares of u, v, w: the
+        # draws of the prefix network's setup triple since protocol version 5
+        nrows, nbits = 3, 77
+        a, b = make_bit_triple(nrows, nbits, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        u, v = random_bit_rows(rng, nrows, nbits), random_bit_rows(rng, nrows, nbits)
+        alice = random_bit_rows(rng, 3 * nrows, nbits).reshape(3, nrows, -1)
+        assert np.array_equal(a, alice)
+        assert np.array_equal(b, np.stack([u, v, u & v]) ^ alice)
+
+    def test_dealt_tuples_hold_the_subset_products(self):
+        for n in (1, 64, 77):
+            a, b = TrustedDealer(n, P64).block(TAG_BIT, n)
+            opened = a ^ b
+            assert opened.shape == (15, word_count(n))
+            for s in range(1, 16):
+                singles = [opened[(1 << i) - 1] for i in range(4) if s >> i & 1]
+                assert np.array_equal(opened[s - 1], np.bitwise_and.reduce(singles))
 
     def test_random_ring_triples_reconstruct(self):
         dealer = TrustedDealer(31337, P64)
@@ -163,12 +201,22 @@ class TestStreams:
         with pytest.raises(FormatError, match="24 bytes after the last record"):
             deserialize_stream(serialize_stream(src_a) + bytes(24), P64)
 
+    def test_stream_of_another_protocol_version_is_refused(self):
+        # the version follows the magic; a version-7 stream laid its bit
+        # pool out as triples, which would read as tuples
+        src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
+        raw = bytearray(serialize_stream(src_a))
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (8).to_bytes(2, "little")
+        raw[4:6] = (7).to_bytes(2, "little")
+        with pytest.raises(FormatError, match="protocol version 7, this build reads version 8"):
+            deserialize_stream(bytes(raw), P64)
+
     def test_stream_of_the_old_conversion_is_refused(self):
         # tag 4 held the conversion's ring triples, laid out like a scalar
         # record, up to protocol version 4
         src_a, _ = TrustedDealer(42, P64).generate([(TAG_SCALAR, 4)])
         raw = bytearray(serialize_stream(src_a))
-        raw[18] = 4  # first record's tag byte
+        raw[HEADER] = 4  # first record's tag byte
         with pytest.raises(FormatError, match="unknown record tag 4"):
             deserialize_stream(bytes(raw), P64)
 
@@ -177,7 +225,7 @@ class TestStreams:
         src_a, _ = TrustedDealer(42, P64).generate([(TAG_PREFIXNET, (8, 3))])
         raw = bytearray(serialize_stream(src_a))
         # the record's width is the first meta word, after the file header and tag byte
-        at = len(serialize_stream(TrustedDealer(42, P64).generate([])[0])) + 1
+        at = HEADER + 1
         raw[at:at + 8] = width.to_bytes(8, "little")
         with pytest.raises(FormatError, match=f"width {width} outside 2..64"):
             deserialize_stream(bytes(raw), P64)
@@ -248,7 +296,7 @@ def crn1_bytes(requests, params):
         elif tag == TAG_CONVERSION:
             words += meta + packed(meta)
         elif tag == TAG_BIT:
-            words += 3 * packed(meta)
+            words += 15 * packed(meta)
         elif tag == TAG_MATMUL:
             words += sum(r * c for r, c in filter(None, MatmulDims(*meta).shapes()))
         else:
@@ -256,7 +304,7 @@ def crn1_bytes(requests, params):
             plan = cached_plan(width)
             nodes = 2 * len(plan.masked_nodes) + 2 * len(plan.compositions)
             words += (3 * width + nodes) * packed(batch)
-    return 18 + 25 * len(requests) + 8 * words  # file header, record headers, words
+    return HEADER + 25 * len(requests) + 8 * words  # file header, record headers, words
 
 
 class TestMaskedRecords:
@@ -293,13 +341,13 @@ class TestMaskedRecords:
         # protocol version 5, laid out as U, V and W
         src_a, _ = TrustedDealer(8, P64).generate([self.MASK])
         raw = bytearray(serialize_stream(src_a))
-        raw[18] = TAG_MATMUL | 7 << 4  # first record's tag byte
+        raw[HEADER] = TAG_MATMUL | 7 << 4  # first record's tag byte
         with pytest.raises(FormatError, match="kind"):
             deserialize_stream(bytes(raw), P64)
         src_a, _ = TrustedDealer(8, P64).generate([self.OTHER_MASK, self.OTHER_FORWARD])
         raw = bytearray(serialize_stream(src_a))
         # the mask's header and its 2 x 3 words, then the product's tag byte
-        raw[18 + 25 + 8 * 6] = TAG_MATMUL
+        raw[HEADER + 25 + 8 * 6] = TAG_MATMUL
         with pytest.raises(FormatError, match="unknown record kind 0 of tag 2"):
             deserialize_stream(bytes(raw), P64)
 

@@ -178,8 +178,8 @@ class TestHandshake:
                                                           perform_handshake, a, self._info()))
         t.start()
         # a peer of the previous protocol version is refused
-        with pytest.raises(TransportError, match="version: ours 6, peer 7"):
-            perform_handshake(b, self._info(role="B", version=6))
+        with pytest.raises(TransportError, match="version: ours 7, peer 8"):
+            perform_handshake(b, self._info(role="B", version=7))
         t.join()
 
     def test_wildcard_dims_allowed(self):
