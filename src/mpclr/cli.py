@@ -318,6 +318,7 @@ def _train_party(role_name, listen, peers, data, weights_out, cfg, randomness):
             source = read_randomness_file(randomness[5:], cfg.params)
             if source.session_id != session_id_from_seed(cfg.seed):
                 raise FormatError("randomness file session id does not match --seed")
+        source.check_plan(training_randomness_requests(n, m1 - 1, cfg))
 
         sess = Session(role, peer_channel, source, cfg.params)
         t0 = time.perf_counter()

@@ -7,13 +7,18 @@ two parties' files are always consistent.  Consumption is strict FIFO per tag:
 both parties issue identical requests in identical order, which is what keeps
 their shares aligned without negotiation.
 
-Every party stream is a MaterializedSource, a list of CRN1 records: dealt up
-front into a file or a TI frame, or, for an OnDemandSource, the same records
-dealt one at a time as they are taken.
+Every party stream is a MaterializedSource, a list of CRN1 records.  A dealt
+or loaded stream lives in one CRN1 buffer: the dealer lays both parties'
+buffers out from the request plan and deals each record straight into its
+slots, `serialize_stream` returns that buffer as it is, and
+`deserialize_stream` keeps every part as a read-only view into the bytes it
+is given.  An OnDemandSource holds the same records, dealt one at a time as
+they are taken.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -169,17 +174,17 @@ def _write_bits(words: np.ndarray, start: int, src: np.ndarray):
         words[..., first:stop] |= src
 
 
-def _gather_bits(segments, nbits: int, rows: tuple, part) -> np.ndarray:
+def _gather_bits(segments, nbits: int, rows: tuple, pick) -> np.ndarray:
     """The `nbits` bits that `segments` (see MaterializedSource._take) cover
-    of the packed strings `parts[part]` of their records, as one string per
+    of the packed strings `pick(parts)` of their records, as one string per
     row; `rows` is the shape of those rows, () for a single string."""
     if len(segments) == 1:  # most takes lie within one record
         _, parts, start, count = segments[0]
-        return _read_bits(parts[part], start, count)
+        return _read_bits(pick(parts), start, count)
     out = np.zeros(rows + (word_count(nbits) + 1,), dtype=np.uint64)
     pos = 0
     for _, parts, start, count in segments:
-        _write_bits(out, pos, _read_bits(parts[part], start, count))
+        _write_bits(out, pos, _read_bits(pick(parts), start, count))
         pos += count
     return out[..., :-1]
 
@@ -265,7 +270,7 @@ class TrustedDealer:
 
         def draw_rows(per_row: int, nrows: int):
             rows = random_bit_rows(rng, per_row * nrows, batch).reshape(nrows, per_row, -1)
-            return [np.ascontiguousarray(rows[:, i]) for i in range(per_row)]
+            return rows.transpose(1, 0, 2)
 
         # each masked node draws its p and g masks, then Alice's shares of them
         p_val, g_val, p_a, g_a = draw_rows(4, len(plan.masked_nodes))
@@ -280,18 +285,16 @@ class TrustedDealer:
                 (*setup_b, p_val ^ p_a, g_val ^ g_a, pp_b, pg_b))
 
     def block(self, tag: int, meta):
-        """Both parties' parts of the next CRN1 record of `tag`, in the layout
-        they are written in (see MaterializedSource); `meta` is as in
-        `generate`."""
+        """Both parties' parts of the next CRN1 record of `tag`, one array
+        per entry of `part_shapes`, None for a part its kind lacks; `meta`
+        is as in `generate`."""
         rng = self._rng(tag)
         if tag == TAG_SCALAR:
-            # no names for u and v, so they are freed before the halves are copied
-            halves = make_ring_triple(random_ring_array(rng, self.params, (meta,)),
-                                      random_ring_array(rng, self.params, (meta,)),
-                                      self.params, rng)
-            return tuple(np.array(half) for half in halves)
+            return make_ring_triple(random_ring_array(rng, self.params, (meta,)),
+                                    random_ring_array(rng, self.params, (meta,)),
+                                    self.params, rng)
         if tag == TAG_BIT:
-            return tuple(half[:, 0] for half in make_bit_triple(1, meta, rng, BIT_TUPLE_INPUTS))
+            return tuple((half[:, 0],) for half in make_bit_triple(1, meta, rng, BIT_TUPLE_INPUTS))
         if tag == TAG_CONVERSION:
             # random bits r, shared in the ring one word each and in Z_2 as one string
             r = random_bits(rng, meta)
@@ -306,19 +309,19 @@ class TrustedDealer:
         raise ValueError(f"unknown randomness tag {tag}")
 
     def generate(self, requests):
-        """Materialize both parties' streams for an explicit request list.
+        """Deal both parties' streams for an explicit request list, each
+        record straight into its slots of the two CRN1 buffers; every part
+        of the streams returned is a view into its party's buffer.
 
         Each request is (tag, meta): n for pools, MatmulDims for matmul,
         (width, batch) for prefix-network blocks.
         """
-        sa = MaterializedSource(self.params, self.session_id)
-        sb = MaterializedSource(self.params, self.session_id)
-        for tag, meta in requests:
-            meta = _meta(tag, meta)
-            a, b = self.block(tag, meta)
-            sa.append(tag, meta, a)
-            sb.append(tag, meta, b)
-        return sa, sb
+        plan = [(tag, _meta(tag, meta)) for tag, meta in requests]
+        streams = [_new_stream(self.params, self.session_id, plan) for _ in range(2)]
+        for index, (tag, meta) in enumerate(plan):
+            for (_, slots), parts in zip(streams, self.block(tag, meta)):
+                _fill(slots[index], parts)
+        return tuple(deserialize_stream(words, self.params) for words, _ in streams)
 
 
 def session_id_from_seed(master_seed: int) -> int:
@@ -331,28 +334,47 @@ class MaterializedSource:
     contents, TI bytes, or records dealt as they are taken (OnDemandSource).
 
     The stream is `records`, its CRN1 records in order, each (tag, meta,
-    parts) with `parts` in the layout they are written in: a (3, n) matrix
-    of u, v, w for a pool of n ring triples, a (15, words) matrix of packed
-    n-bit strings for a pool of n AND tuples (string S - 1 holding the
-    subset product r_S, see `make_bit_triple`), the n ring shares and the
-    n-bit string of Z_2 shares of a pool of n daBits, the (U, V, W) parts
-    of a matmul record with None for a part its kind lacks, and the seven
-    matrices of packed `batch`-bit rows of a prefix-network record, those
-    of its PrefixBlock.  A take only moves a cursor over its tag's records;
-    pooled takes may cross records.
+    parts) with `parts` the arrays of `part_shapes` in the order they are
+    written in: u, v and w of a pool of n ring triples, n words each, a
+    (15, words) matrix of packed n-bit strings for a pool of n AND tuples
+    (string S - 1 holding the subset product r_S, see `make_bit_triple`),
+    the n ring shares and the n-bit string of Z_2 shares of a pool of n
+    daBits, the (U, V, W) parts of a matmul record with None for a part its
+    kind lacks, and the seven matrices of packed `batch`-bit rows of a
+    prefix-network record, those of its PrefixBlock.  `buffer` is the CRN1
+    bytes that a dealt or loaded stream's parts are read-only views into,
+    None once a record is appended.  A take only moves a cursor over its
+    tag's records; pooled takes may cross records.
     """
 
     def __init__(self, params: FixedPointParams, session_id: int = 0):
         self.params = params
         self.session_id = session_id
         self.records = []
+        self.buffer = None
         self._cursors = {tag: _Cursor() for tag in _TAG_NAMES}
 
     def append(self, tag: int, meta, parts):
         """Add one record; `meta` is n for a pool, a MatmulDims for matmul
         and (width, batch) for prefix-network."""
         self.records.append((tag, meta, parts))
+        self.buffer = None
         self._cursors[tag].left += _units(tag, meta)
+
+    def check_plan(self, requests):
+        """Raise FormatError, naming the first record that differs, unless
+        the stream holds exactly the records of the request plan `requests`."""
+        have = [(tag, meta) for tag, meta, _ in self.records]
+        need = [(tag, _meta(tag, meta)) for tag, meta in requests]
+        for index, (ours, needed) in enumerate(zip(have, need)):
+            if ours != needed:
+                raise FormatError(
+                    f"randomness stream does not fit this run: record {index} is "
+                    f"{_TAG_NAMES[ours[0]]} {ours[1]}, the run needs "
+                    f"{_TAG_NAMES[needed[0]]} {needed[1]}")
+        if len(have) != len(need):
+            raise FormatError(f"randomness stream does not fit this run: it holds "
+                              f"{len(have)} records, the run needs {len(need)}")
 
     def _take(self, tag: int, meta) -> list:
         """(meta, parts, start, count) of every record that the units a
@@ -383,11 +405,12 @@ class MaterializedSource:
         return segments
 
     def take_ring_triples(self, n):
-        pieces = [parts[:, start:start + count]
+        pieces = [[part[start:start + count] for part in parts]
                   for _, parts, start, count in self._take(TAG_SCALAR, n)]
         if len(pieces) == 1:  # views, as most takes lie within one record
             return tuple(pieces[0])
-        return tuple(np.concatenate([np.empty((3, 0), self.params.dtype), *pieces], axis=1))
+        return tuple(np.concatenate([np.empty(0, self.params.dtype)] + [p[i] for p in pieces])
+                     for i in range(3))
 
     def take_matmul_triple(self, dims):
         """(U, V, W) parts of the next TAG_MATMUL record, None where the
@@ -402,7 +425,8 @@ class MaterializedSource:
         of the triple pool before it held tuples, kept because the
         benchmark's tracer wraps the method by name."""
         strings = (1 << k) - 1
-        return _gather_bits(self._take(TAG_BIT, n), n, (strings,), slice(strings))
+        return _gather_bits(self._take(TAG_BIT, n), n, (strings,),
+                            lambda parts: parts[0][:strings])
 
     def take_dabits(self, nbits):
         """Next `nbits` daBits: the ring shares, one word per bit, and the
@@ -410,7 +434,7 @@ class MaterializedSource:
         segments = self._take(TAG_CONVERSION, nbits)
         ring = [parts[0][start:start + count] for _, parts, start, count in segments]
         return (np.concatenate([np.empty(0, self.params.dtype), *ring]),
-                _gather_bits(segments, nbits, (), 1))
+                _gather_bits(segments, nbits, (), lambda parts: parts[1]))
 
     def take_prefix_block(self, width, batch) -> PrefixBlock:
         [(_, parts, _, _)] = self._take(TAG_PREFIXNET, (width, batch))
@@ -442,98 +466,189 @@ class OnDemandSource(MaterializedSource):
 # Serialization: CRN1 randomness files
 # ---------------------------------------------------------------------------
 
-_FILE_HEADER = struct.Struct("<4sHHQI")  # magic, protocol version, ring width, session id, records
-_RECORD_HEADER = struct.Struct("<BQQQ")
+# A stream is a file header, then per record a header of three words and
+# its parts, each a run of little-endian u64 words, so every part starts on a
+# word boundary.  A record header's first word holds the tag byte (tag, and
+# a matmul record's kind above _KIND_SHIFT) in its top 8 bits, above m0.
+_FILE_HEADER = struct.Struct("<4sHHQQ")  # magic, protocol version, ring width, session id, records
+_VERSION = struct.Struct("<4sH")         # the fields that identify a stream of any version
+_HEADER_WORDS = 3                        # tag byte << _TAG_SHIFT | m0, m1, m2
+_TAG_SHIFT = 56
 
 
-def _record_header(tag: int, meta) -> bytes:
+def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
+    """(shape, dtype) of each part of a record of `tag` and `meta`, in the
+    order the record holds and writes them, None for a part a matmul kind
+    lacks; every part is written as one u64 word per element.  Dealing lays
+    a stream out by it and loading parses one by it."""
+    ring, words = params.dtype, np.uint64
+    if tag == TAG_SCALAR:
+        return (((meta,), ring),) * 3
+    if tag == TAG_BIT:
+        return ((((1 << BIT_TUPLE_INPUTS) - 1, word_count(meta)), words),)
+    if tag == TAG_CONVERSION:
+        return ((meta,), ring), ((word_count(meta),), words)
     if tag == TAG_MATMUL:
-        i, j, k, kind = meta
-        return _RECORD_HEADER.pack(tag | kind << _KIND_SHIFT, i, j, k)
+        return tuple(None if shape is None else (shape, ring) for shape in meta.shapes())
     if tag == TAG_PREFIXNET:
-        return _RECORD_HEADER.pack(tag, *meta, 0)
-    return _RECORD_HEADER.pack(tag, meta, 0, 0)
+        width, batch = meta
+        plan = cached_plan(width)
+        nodes, comps = len(plan.masked_nodes), len(plan.compositions)
+        return tuple(((rows, word_count(batch)), words)  # the PrefixBlock's fields
+                     for rows in (width, width, width, nodes, nodes, comps, comps))
+    raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 
-def serialize_stream(source: MaterializedSource) -> bytearray:
-    """Serialize one party's stream, every record in order, taken or not,
-    into one bytearray that each part is copied into once."""
-    records = [(_record_header(tag, meta), [part for part in parts if part is not None])
-               for tag, meta, parts in source.records]
-    out = bytearray(_FILE_HEADER.size + sum(len(header) + sum(8 * part.size for part in parts)
-                                            for header, parts in records))
-    _FILE_HEADER.pack_into(out, 0, RANDOMNESS_MAGIC, PROTOCOL_VERSION, source.params.ring_bits,
-                           source.session_id, len(records))
-    off = _FILE_HEADER.size
-    for header, parts in records:
-        out[off:off + len(header)] = header
-        off += len(header)
-        for part in parts:
-            np.frombuffer(out, np.uint64, part.size, off).reshape(part.shape)[...] = part
-            off += 8 * part.size
-    return out
+def _size(shapes) -> int:
+    """Words of a record's parts, from their `part_shapes`."""
+    return sum(math.prod(part[0]) for part in shapes if part is not None)
+
+
+def _word_views(words: np.ndarray, pos: int, shapes) -> tuple:
+    """Views of `words` from word `pos` on in the `shapes` of `part_shapes`,
+    None for a part that is None, and the position after them."""
+    if pos + _size(shapes) > len(words):
+        raise FormatError("randomness stream: truncated record payload")
+    views = []
+    for part in shapes:
+        if part is None:
+            views.append(None)
+            continue
+        size = math.prod(part[0])
+        views.append(words[pos:pos + size].reshape(part[0]))
+        pos += size
+    return views, pos
+
+
+def _record_header(tag: int, meta) -> tuple:
+    """The three header words of a record of `tag` and `meta`."""
+    tag_byte, m = tag, (meta, 0, 0)
+    if tag == TAG_MATMUL:
+        tag_byte, m = tag | meta.kind << _KIND_SHIFT, meta[:3]
+    elif tag == TAG_PREFIXNET:
+        m = (*meta, 0)
+    if not 0 <= m[0] < 1 << _TAG_SHIFT:
+        raise ValueError(f"{_TAG_NAMES[tag]} record meta {m[0]} does not fit in "
+                         f"{_TAG_SHIFT} bits")
+    return (tag_byte << _TAG_SHIFT | m[0], *m[1:])
+
+
+def _record_meta(header, params: FixedPointParams) -> tuple:
+    """(tag, meta) of a record from its three header words."""
+    first, m1, m2 = header
+    tag_byte, m0 = first >> _TAG_SHIFT, first & ((1 << _TAG_SHIFT) - 1)
+    tag, kind = tag_byte & ((1 << _KIND_SHIFT) - 1), tag_byte >> _KIND_SHIFT
+    if kind not in (_MATMUL_KINDS if tag == TAG_MATMUL else (0,)):
+        raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
+    if tag == TAG_MATMUL:
+        return tag, MatmulDims(m0, m1, m2, kind)
+    if tag == TAG_PREFIXNET:
+        if not 2 <= m0 <= params.ring_bits:
+            raise FormatError(f"randomness stream: prefix-network width {m0} outside "
+                              f"2..{params.ring_bits}")
+        return tag, (m0, m1)
+    return tag, m0
+
+
+def _new_stream(params: FixedPointParams, session_id: int, plan) -> tuple:
+    """An unfilled CRN1 stream of the records that `plan` lists as (tag,
+    meta): its buffer of words, allocated once with every header written,
+    and the writable slots of each record's parts (see `_word_views`)."""
+    headers = [_record_header(tag, meta) for tag, meta in plan]
+    shapes = [part_shapes(tag, meta, params) for tag, meta in plan]
+    pos = _FILE_HEADER.size // 8
+    words = np.empty(pos + _HEADER_WORDS * len(plan) + sum(map(_size, shapes)), np.uint64)
+    _FILE_HEADER.pack_into(words.view(np.uint8), 0, RANDOMNESS_MAGIC, PROTOCOL_VERSION,
+                           params.ring_bits, session_id, len(plan))
+    slots = []
+    for header, parts in zip(headers, shapes):
+        words[pos:pos + _HEADER_WORDS] = header
+        views, pos = _word_views(words, pos + _HEADER_WORDS, parts)
+        slots.append(views)
+    return words, slots
+
+
+def _fill(slots, parts):
+    """Copy a record's parts into its slots (see `_new_stream`)."""
+    for slot, part in zip(slots, parts):
+        if slot is not None:
+            slot[...] = part
+
+
+def _aligned(data) -> memoryview:
+    """`data` as read-only bytes that start on a word boundary: a view of
+    it, or, if it starts off one, of one aligned copy."""
+    view = memoryview(data).cast("B").toreadonly()
+    if np.frombuffer(view, np.uint8).ctypes.data % 8:
+        copy = np.empty(-(-len(view) // 8), np.uint64).view(np.uint8)[:len(view)]
+        copy[...] = np.frombuffer(view, np.uint8)
+        view = memoryview(copy).toreadonly()
+    return view
+
+
+def _read_only(words: np.ndarray, dtype) -> np.ndarray:
+    """A loaded part: the view `words` itself, or its cast to a narrower
+    ring's dtype, read-only either way."""
+    part = words.astype(dtype, copy=False)
+    part.flags.writeable = False
+    return part
+
+
+def serialize_stream(source: MaterializedSource) -> memoryview:
+    """One party's stream, every record in order, taken or not, as
+    read-only CRN1 bytes: the buffer that a dealt or loaded stream lives
+    in, with no copy.  The records of a stream built by appending them, such
+    as an OnDemandSource, are copied once into a new buffer."""
+    if source.buffer is not None:
+        return source.buffer
+    words, slots = _new_stream(source.params, source.session_id,
+                               [(tag, meta) for tag, meta, _ in source.records])
+    for record_slots, (_, _, parts) in zip(slots, source.records):
+        _fill(record_slots, parts)
+    return memoryview(words).cast("B").toreadonly()
 
 
 def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
-    """Load a stream from any bytes-like `data`; every part is copied out of
-    it into an aligned array of its own, wherever in `data` it lies."""
-    if len(data) < _FILE_HEADER.size:
+    """Load a stream from any bytes-like `data`.  Every part is a read-only
+    view into `data`, so `data` must not change while the stream is in use;
+    `data` that starts off a word boundary, such as a TCP frame's payload,
+    is first copied once into an aligned buffer, and the ring parts of a
+    ring narrower than 64 bits are cast copies."""
+    view = _aligned(data)
+    size = len(view)
+    if size < _VERSION.size:
         raise FormatError("randomness stream: truncated header")
-    magic, version, ring_bits, session_id, nrecords = _FILE_HEADER.unpack_from(data)
+    magic, version = _VERSION.unpack_from(view)
     if magic != RANDOMNESS_MAGIC:
         raise FormatError(f"randomness stream: bad magic {magic!r}")
     if version != PROTOCOL_VERSION:
-        raise FormatError(f"randomness stream of protocol version {version}, "
-                          f"this build reads version {PROTOCOL_VERSION}")
+        # before version 8 the ring width followed the magic, so the version
+        # read here may be a ring width: name neither
+        raise FormatError(
+            f"randomness stream dealt by another protocol version than this build's "
+            f"{PROTOCOL_VERSION} (one dealt before version 8 has no version field); "
+            f"deal it again")
+    if size < _FILE_HEADER.size:
+        raise FormatError("randomness stream: truncated header")
+    _, _, ring_bits, session_id, nrecords = _FILE_HEADER.unpack_from(view)
     if ring_bits != params.ring_bits:
         raise FormatError(
             f"randomness stream generated for ring width {ring_bits}, session uses {params.ring_bits}"
         )
     source = MaterializedSource(params, session_id)
-    off = _FILE_HEADER.size
-    size = len(data)
-
-    def take(nbytes) -> int:
-        nonlocal off
-        if off + nbytes > size:
-            raise FormatError("randomness stream: truncated record payload")
-        off += nbytes
-        return off - nbytes
-
-    def take_words(rows, cols, dtype=np.uint64):
-        words = np.frombuffer(data, np.uint64, rows * cols, take(8 * rows * cols))
-        return words.reshape(rows, cols).astype(dtype)
-
-    def take_ring(rows, cols):
-        return take_words(rows, cols, params.dtype)
-
+    words = np.frombuffer(view, np.uint64, size // 8)
+    pos = _FILE_HEADER.size // 8
     for _ in range(nrecords):
-        tag, m0, m1, m2 = _RECORD_HEADER.unpack_from(data, take(_RECORD_HEADER.size))
-        tag, kind = tag & ((1 << _KIND_SHIFT) - 1), tag >> _KIND_SHIFT
-        if kind not in (_MATMUL_KINDS if tag == TAG_MATMUL else (0,)):
-            raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
-        if tag == TAG_SCALAR:
-            source.append(tag, m0, take_ring(3, m0))
-        elif tag == TAG_BIT:
-            source.append(tag, m0, take_words((1 << BIT_TUPLE_INPUTS) - 1, word_count(m0)))
-        elif tag == TAG_CONVERSION:
-            source.append(tag, m0, (take_ring(1, m0)[0], take_words(1, word_count(m0))[0]))
-        elif tag == TAG_MATMUL:
-            dims = MatmulDims(m0, m1, m2, kind)
-            source.append(tag, dims, tuple(None if shape is None else take_ring(*shape)
-                                           for shape in dims.shapes()))
-        elif tag == TAG_PREFIXNET:
-            if not 2 <= m0 <= params.ring_bits:
-                raise FormatError(f"randomness stream: prefix-network width {m0} outside "
-                                  f"2..{params.ring_bits}")
-            plan = cached_plan(m0)
-            nodes, comps = len(plan.masked_nodes), len(plan.compositions)
-            counts = (m0, m0, m0, nodes, nodes, comps, comps)  # the PrefixBlock's rows
-            source.append(tag, (m0, m1), tuple(take_words(c, word_count(m1)) for c in counts))
-        else:
-            raise FormatError(f"randomness stream: unknown record tag {tag}")
-    if off != size:
-        raise FormatError(f"randomness stream: {size - off} bytes after the last record")
+        if pos + _HEADER_WORDS > len(words):
+            raise FormatError("randomness stream: truncated record header")
+        tag, meta = _record_meta(words[pos:pos + _HEADER_WORDS].tolist(), params)
+        shapes = part_shapes(tag, meta, params)
+        views, pos = _word_views(words, pos + _HEADER_WORDS, shapes)
+        source.append(tag, meta, tuple(None if part is None else _read_only(array, part[1])
+                                       for array, part in zip(views, shapes)))
+    if 8 * pos != size:
+        raise FormatError(f"randomness stream: {size - 8 * pos} bytes after the last record")
+    source.buffer = view
     return source
 
 

@@ -212,23 +212,30 @@ def run_tcp_pair(toy_csv, tmp_path, dims, alice_args, bob_args, tamper=None):
 
 
 class TestProtocolErrors:
-    def test_randomness_for_other_dims_exits_6(self, toy_csv, tmp_path):
+    def test_randomness_for_other_dims_exits_4(self, toy_csv, tmp_path):
+        # the stream's records are checked against the run's plan at load,
+        # before any share traffic; the first, X's mask, is 21 x 9 here
         common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
         for rc, err in run_tcp_pair(toy_csv, tmp_path, "21x10", common, common):
-            assert rc == 6, err
-            assert err.strip().splitlines() == [err.strip()]
-            assert err.startswith("error: protocol:") and "mismatch" in err
+            assert rc == 4, err
+            assert err == ("error: randomness stream does not fit this run: record 0 is "
+                           "matmul MatmulDims(i=21, j=9, k=0, kind=1), the run needs "
+                           "matmul MatmulDims(i=20, j=9, k=0, kind=1)\n")
+        assert not (tmp_path / "w.alice.shr").exists()
+        assert not (tmp_path / "w.bob.shr").exists()
 
     def test_randomness_of_another_protocol_version_exits_4(self, toy_csv, tmp_path):
-        def version_7(path):
+        def version_8(path):
             raw = bytearray(path.read_bytes())
-            raw[4:6] = (7).to_bytes(2, "little")  # the version, after the magic
+            raw[4:6] = (8).to_bytes(2, "little")  # the version, after the magic
             path.write_bytes(raw)
 
         common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
-        for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_7):
+        for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_8):
             assert rc == 4, err
-            assert "protocol version 7, this build reads version 8" in err
+            assert err == ("error: randomness stream dealt by another protocol version than "
+                           "this build's 9 (one dealt before version 8 has no version field); "
+                           "deal it again\n")
 
     def test_mismatched_learning_rate_exits_3_at_the_handshake(self, toy_csv, tmp_path):
         # before the handshake pinned it, this trained to weights around -3.9e10

@@ -17,7 +17,10 @@ the stream and frame digests moved and the weight shares did not.
 Protocol version 8 ANDs the OR tree's rows four at a time, against pooled
 tuples of fifteen dealt subset products, and writes the version into the
 CRN1 header: the stream and frame digests moved at both batches, and the
-weight shares and every record of the other tags did not.
+weight shares and every record of the other tags did not.  Protocol version
+9 widens the CRN1 record count to a word and packs each record header into
+three words, so every part starts on a word boundary: only the stream
+digests moved, and every part's bytes stayed as they were.
 """
 
 import hashlib
@@ -35,8 +38,8 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("c04d6848bc8565022ca127c69e96d8124900801c804fb4b3662221999b812348",
-                 "36a7daf70b79b70e388995d1a1b9a50fd8c1dc9c8dbef506507869122ce59724"),
+        "crn1": ("0cfe2ade07b21eaede4bb22fb0f3e333a56410d58af2ddef4abbf3f606143b42",
+                 "d728f721f3675a90d8e62edd4fb71c422f76a2c2b31035afaa4f5a9ebc4cf33b"),
         "sent": ("7d2262a5f74c397934931f799c7ff3326487a0cd3f9abe143daba2ebdda01d7f",
                  "bd9c36e8d314d647379fb084b5ca738e12f0e26c7fb14d24652a3ff8fcaab956"),
         "weights": ([28974219521733, 32862988747754, 26978605660032, 17389233348734,
@@ -45,8 +48,8 @@ GOLDEN = {
                      18446726684476202852, 18446715524692488985]),
     },
     77: {
-        "crn1": ("ce0e5b97573ac0770e181f3b89a57b7b22d0029597ac03068972b27f37816fef",
-                 "ea09e2e95223d04854a5f0b2e9b220f5c3123171b66f0df931ca2ac03d442e31"),
+        "crn1": ("ed6ba3e8604a8c7227c2ad89a8ca979b62bffd293ce67b6fd2ec6e45634443f6",
+                 "86920521cb2976bb3c8387aebf5b8e9e53ff284eb56b0d09184dcdc99d706ead"),
         "sent": ("75654fd8f272a8077b51efcceb0d052b432f12f506bab400529740dca28c03e4",
                  "57f3449dd2438f7ad7f98e65823f3e29b07848285dacd7750dba62f5aa5c601f"),
         "weights": ([37109802231382, 17307203006669, 13562539591937, 36318760248600,

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,11 +34,15 @@ from mpclr.randomness import (
 from mpclr.sharing import random_bit_rows, word_count
 from mpclr.transport import PROTOCOL_VERSION
 
+P8 = FixedPointParams(frac_bits=1, int_bits=2, ring_bits=8)
 P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
 P64 = FixedPointParams(frac_bits=12, int_bits=15, ring_bits=64)
 # bytes of a CRN1 file header (magic, protocol version, ring width, session
 # id, record count): the first record starts here
-HEADER = 20
+HEADER = 24
+# bytes of a record header: three words, the tag byte the top byte of the first
+RECORD = 24
+TAG_BYTE = 7  # offset of the tag byte in a record header
 
 
 class TestTripleGeneration:
@@ -87,7 +94,7 @@ class TestTripleGeneration:
 
     def test_dealt_tuples_hold_the_subset_products(self):
         for n in (1, 64, 77):
-            a, b = TrustedDealer(n, P64).block(TAG_BIT, n)
+            (a,), (b,) = TrustedDealer(n, P64).block(TAG_BIT, n)
             opened = a ^ b
             assert opened.shape == (15, word_count(n))
             for s in range(1, 16):
@@ -158,12 +165,12 @@ class TestStreams:
         assert same_parts(back.take_bit_triples(130), src_a.take_bit_triples(130))
 
     @pytest.mark.parametrize("params", [P16, P64])
-    def test_load_copies_parts_out_of_any_buffer(self, params):
+    def test_load_gives_equal_parts_from_any_buffer(self, params):
         # a TI frame's payload starts 13 bytes into the frame, so every word
         # of the stream lies off its alignment there
         src_a, _ = TrustedDealer(42, params).generate(self.REQUESTS)
         data = serialize_stream(src_a)
-        for given in (bytes(data), bytearray(data), memoryview(bytes(13) + data)[13:]):
+        for given in (bytes(data), bytearray(data), memoryview(bytes(13) + bytes(data))[13:]):
             back = deserialize_stream(given, params)
             for (tag, meta, parts), (btag, bmeta, bparts) in zip(src_a.records, back.records,
                                                                   strict=True):
@@ -171,8 +178,62 @@ class TestStreams:
                 assert same_parts(bparts, parts)
                 loaded = [p for p in bparts if p is not None]
                 assert [p.dtype for p in loaded] == [p.dtype for p in parts if p is not None]
-                assert all(p.flags.aligned for p in loaded)
+                assert all(p.flags.aligned and not p.flags.writeable for p in loaded)
             assert serialize_stream(back) == data
+
+    @pytest.mark.parametrize("given", [bytes, bytearray])
+    def test_parts_are_read_only_views_of_the_buffer(self, given):
+        # dealt parts are views into the dealer's buffer, and parts loaded
+        # from aligned bytes are views into those bytes
+        src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
+        data = serialize_stream(src_a)
+        assert isinstance(data, memoryview) and data.readonly and data.format == "B"
+        loaded = given(data)
+        back = deserialize_stream(loaded, P64)
+        for source, buffer in ((src_a, data), (back, loaded)):
+            words = np.frombuffer(buffer, np.uint8)
+            assert words.ctypes.data % 8 == 0
+            parts = [p for _, _, ps in source.records for p in ps if p is not None]
+            assert len(parts) == 16
+            for part in parts:
+                assert part.flags.aligned and not part.flags.writeable
+                assert np.shares_memory(part, words)
+        assert np.shares_memory(np.frombuffer(serialize_stream(back), np.uint8),
+                                np.frombuffer(loaded, np.uint8))
+
+    def test_serializing_a_dealt_stream_shares_its_memory(self):
+        src_a, src_b = TrustedDealer(42, P64).generate(self.REQUESTS)
+        for source in (src_a, src_b):
+            data = np.frombuffer(serialize_stream(source), np.uint8)
+            u, _, w = source.take_ring_triples(10)
+            assert np.shares_memory(u, data) and np.shares_memory(w, data)
+            assert serialize_stream(source) is serialize_stream(source)
+
+    def test_appended_records_serialize_to_the_dealt_bytes(self):
+        src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
+        built = OnDemandSource(42, Role.ALICE, P64)
+        for tag, meta in self.REQUESTS:
+            take(built, tag, meta)
+        assert serialize_stream(built) == serialize_stream(src_a)
+
+    def test_setup_peaks_near_the_two_streams(self):
+        # dealing writes each record once into its buffer, serializing
+        # returns that buffer and loading views it, so setup holds little
+        # beyond the two streams; a first deal runs the lazy imports
+        cfg = TrainingConfig(eta=0.05, n_iter=4, params=P64, seed=5)
+        requests = training_randomness_requests(2000, 6, cfg)
+        TrustedDealer(5, P64).generate(requests)
+        tracemalloc.start()
+        try:
+            src_a, src_b = TrustedDealer(5, P64).generate(requests)
+            blobs = serialize_stream(src_a), serialize_stream(src_b)
+            del src_a, src_b
+            loaded = [deserialize_stream(blob, P64) for blob in blobs]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded[0].records) == len(requests)
+        assert peak <= 1.3 * sum(len(blob) for blob in blobs)
 
     def test_serializing_ignores_takes(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
@@ -182,6 +243,21 @@ class TestStreams:
         assert serialize_stream(src_a) == data
         back = deserialize_stream(serialize_stream(src_a), P64)
         assert serialize_stream(back) == data
+
+    def test_plan_check_names_the_first_differing_record(self):
+        src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
+        src_a.check_plan(self.REQUESTS)
+        other = list(self.REQUESTS)
+        other[3] = (TAG_BIT, 131)
+        with pytest.raises(FormatError, match="record 3 is bit-mul 130, the run needs bit-mul 131"):
+            src_a.check_plan(other)
+        with pytest.raises(FormatError, match="holds 6 records, the run needs 7"):
+            src_a.check_plan(self.REQUESTS + [(TAG_SCALAR, 1)])
+
+    def test_meta_beyond_56_bits_is_refused_when_writing(self):
+        # a record header keeps m0 below its tag byte
+        with pytest.raises(ValueError, match="56 bits"):
+            TrustedDealer(1, P64).generate([(TAG_SCALAR, 1 << 56)])
 
     def test_tampered_magic(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
@@ -199,24 +275,42 @@ class TestStreams:
     def test_bytes_after_the_last_record(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         with pytest.raises(FormatError, match="24 bytes after the last record"):
-            deserialize_stream(serialize_stream(src_a) + bytes(24), P64)
+            deserialize_stream(bytes(serialize_stream(src_a)) + bytes(24), P64)
 
     def test_stream_of_another_protocol_version_is_refused(self):
-        # the version follows the magic; a version-7 stream laid its bit
-        # pool out as triples, which would read as tuples
+        # the version follows the magic; a version-8 stream had 25-byte
+        # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (8).to_bytes(2, "little")
-        raw[4:6] = (7).to_bytes(2, "little")
-        with pytest.raises(FormatError, match="protocol version 7, this build reads version 8"):
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (9).to_bytes(2, "little")
+        raw[4:6] = (8).to_bytes(2, "little")
+        with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
+
+    @pytest.mark.parametrize("params", [P8, P64])
+    def test_stream_dealt_before_version_8_is_refused(self, params):
+        # up to version 7 the header was magic, ring width, session id and a
+        # u32 record count, so the ring width sits where the version is now:
+        # an 8-bit ring reads as version 8, and the version-8 reader then
+        # took the session id's low bytes, 38162 here, for the ring width
+        header = struct.pack("<4sHQI", b"CRN1", params.ring_bits, 38162, 1)
+        record = struct.pack("<BQQQ", TAG_SCALAR, 1, 0, 0) + bytes(24)
+        for raw in (header, header + record):
+            with pytest.raises(FormatError, match=OLD_VERSION) as err:
+                deserialize_stream(raw, params)
+            assert "ring width" not in str(err.value)
+
+    def test_version_8_header_is_refused(self):
+        header = struct.pack("<4sHHQI", b"CRN1", 8, 64, 1, 0)
+        with pytest.raises(FormatError, match=OLD_VERSION):
+            deserialize_stream(header, P64)
 
     def test_stream_of_the_old_conversion_is_refused(self):
         # tag 4 held the conversion's ring triples, laid out like a scalar
         # record, up to protocol version 4
         src_a, _ = TrustedDealer(42, P64).generate([(TAG_SCALAR, 4)])
         raw = bytearray(serialize_stream(src_a))
-        raw[HEADER] = 4  # first record's tag byte
+        raw[HEADER + TAG_BYTE] = 4  # first record's tag byte
         with pytest.raises(FormatError, match="unknown record tag 4"):
             deserialize_stream(bytes(raw), P64)
 
@@ -224,9 +318,8 @@ class TestStreams:
     def test_prefix_network_width_outside_the_ring(self, width):
         src_a, _ = TrustedDealer(42, P64).generate([(TAG_PREFIXNET, (8, 3))])
         raw = bytearray(serialize_stream(src_a))
-        # the record's width is the first meta word, after the file header and tag byte
-        at = HEADER + 1
-        raw[at:at + 8] = width.to_bytes(8, "little")
+        # the record's width is the low 56 bits of its first header word
+        raw[HEADER:HEADER + TAG_BYTE] = width.to_bytes(TAG_BYTE, "little")
         with pytest.raises(FormatError, match=f"width {width} outside 2..64"):
             deserialize_stream(bytes(raw), P64)
 
@@ -262,6 +355,10 @@ class TestStreams:
         assert same_parts(od_a.take_ring_triples(0), empty)
         assert np.array_equal(od_a.take_ring_triples(6)[0], src_a.take_ring_triples(6)[0])
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
+
+
+OLD_VERSION = ("dealt by another protocol version than this build's 9 \\(one dealt before "
+               "version 8 has no version field\\); deal it again")
 
 
 def take(source, tag, meta):
@@ -304,7 +401,7 @@ def crn1_bytes(requests, params):
             plan = cached_plan(width)
             nodes = 2 * len(plan.masked_nodes) + 2 * len(plan.compositions)
             words += (3 * width + nodes) * packed(batch)
-    return HEADER + 25 * len(requests) + 8 * words  # file header, record headers, words
+    return HEADER + RECORD * len(requests) + 8 * words  # file header, record headers, words
 
 
 class TestMaskedRecords:
@@ -341,13 +438,13 @@ class TestMaskedRecords:
         # protocol version 5, laid out as U, V and W
         src_a, _ = TrustedDealer(8, P64).generate([self.MASK])
         raw = bytearray(serialize_stream(src_a))
-        raw[HEADER] = TAG_MATMUL | 7 << 4  # first record's tag byte
+        raw[HEADER + TAG_BYTE] = TAG_MATMUL | 7 << 4  # first record's tag byte
         with pytest.raises(FormatError, match="kind"):
             deserialize_stream(bytes(raw), P64)
         src_a, _ = TrustedDealer(8, P64).generate([self.OTHER_MASK, self.OTHER_FORWARD])
         raw = bytearray(serialize_stream(src_a))
         # the mask's header and its 2 x 3 words, then the product's tag byte
-        raw[HEADER + 25 + 8 * 6] = TAG_MATMUL
+        raw[HEADER + RECORD + 8 * 6 + TAG_BYTE] = TAG_MATMUL
         with pytest.raises(FormatError, match="unknown record kind 0 of tag 2"):
             deserialize_stream(bytes(raw), P64)
 

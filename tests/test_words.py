@@ -136,7 +136,7 @@ class TestBitPool:
         ref = BigIntPool()
         dealer = TrustedDealer(seed, P64)
         for n in self.RECORDS:
-            ref.append(n, dealer.block(TAG_BIT, n)[0])
+            ref.append(n, dealer.block(TAG_BIT, n)[0][0])
         return ref
 
     def check_takes(self, source, ref, takes):
@@ -161,9 +161,9 @@ class TestBitPool:
         ref = BigIntPool()
         dealer = TrustedDealer(6, P64)
         for n in (70, 33):
-            part = dealer.block(TAG_BIT, n)[0]
-            source.append(TAG_BIT, n, part)
-            ref.append(n, part)
+            parts = dealer.block(TAG_BIT, n)[0]
+            source.append(TAG_BIT, n, parts)
+            ref.append(n, parts[0])
             self.check_takes(source, ref, [n - 9])
         self.check_takes(source, ref, [18])
 
