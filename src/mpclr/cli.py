@@ -256,11 +256,7 @@ def _recv_randomness(channel, cfg) -> MaterializedSource:
     frame = channel.recv_frame()
     if frame.msg_type != MSG_RANDOMNESS:
         raise TransportError(f"expected randomness stream, got message type {frame.msg_type}")
-    source = deserialize_stream(frame.payload, cfg.params)
-    expected = session_id_from_seed(cfg.seed)
-    if source.session_id != expected:
-        raise FormatError("randomness stream session id does not match --seed")
-    return source
+    return deserialize_stream(frame.payload, cfg.params)
 
 
 def _handshake_info(role: str, cfg, rows: int = 0, cols: int = 0) -> HandshakeInfo:
@@ -316,8 +312,8 @@ def _train_party(role_name, listen, peers, data, weights_out, cfg, randomness):
             ti_channel.close()
         else:
             source = read_randomness_file(randomness[5:], cfg.params)
-            if source.session_id != session_id_from_seed(cfg.seed):
-                raise FormatError("randomness file session id does not match --seed")
+        if source.session_id != session_id_from_seed(cfg.seed):
+            raise FormatError("randomness stream session id does not match --seed")
         source.check_plan(training_randomness_requests(n, m1 - 1, cfg))
 
         sess = Session(role, peer_channel, source, cfg.params)

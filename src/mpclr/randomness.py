@@ -5,7 +5,9 @@ All material is derived from one master seed through domain-separated child
 seeds, one counter per consumer tag, so a dealer run is reproducible and the
 two parties' files are always consistent.  Consumption is strict FIFO per tag:
 both parties issue identical requests in identical order, which is what keeps
-their shares aligned without negotiation.
+their shares aligned without negotiation.  A stream holds exactly the records
+of its run's request plan, so a pooled take reads inside one record and never
+gathers units from the next.
 
 Every party stream is a MaterializedSource, a list of CRN1 records.  A dealt
 or loaded stream lives in one CRN1 buffer: the dealer lays both parties'
@@ -136,12 +138,11 @@ def _units(tag: int, meta) -> int:
 @dataclass
 class _Cursor:
     """Read position over the records of one tag: the index in `records` of
-    the record being read, the units of it already taken, and the units
-    left in all of this tag's records."""
+    the record being read, or after the last one used up, and the units of
+    that record already taken."""
 
     index: int = 0
     offset: int = 0
-    left: int = 0
 
 
 def _read_bits(words: np.ndarray, start: int, nbits: int) -> np.ndarray:
@@ -160,33 +161,6 @@ def _read_bits(words: np.ndarray, start: int, nbits: int) -> np.ndarray:
         out[..., :high.shape[-1]] |= high
     out[..., -1] &= tail_mask(nbits)
     return out
-
-
-def _write_bits(words: np.ndarray, start: int, src: np.ndarray):
-    """OR the packed string `src`, or the strings in its rows, into those of
-    `words`, from bit `start` on."""
-    first, shift = divmod(start, 64)
-    stop = first + src.shape[-1]
-    if shift:
-        words[..., first:stop] |= src << np.uint64(shift)
-        words[..., first + 1:stop + 1] |= src >> np.uint64(64 - shift)
-    else:
-        words[..., first:stop] |= src
-
-
-def _gather_bits(segments, nbits: int, rows: tuple, pick) -> np.ndarray:
-    """The `nbits` bits that `segments` (see MaterializedSource._take) cover
-    of the packed strings `pick(parts)` of their records, as one string per
-    row; `rows` is the shape of those rows, () for a single string."""
-    if len(segments) == 1:  # most takes lie within one record
-        _, parts, start, count = segments[0]
-        return _read_bits(pick(parts), start, count)
-    out = np.zeros(rows + (word_count(nbits) + 1,), dtype=np.uint64)
-    pos = 0
-    for _, parts, start, count in segments:
-        _write_bits(out, pos, _read_bits(pick(parts), start, count))
-        pos += count
-    return out[..., :-1]
 
 
 def make_ring_triple(u_vals: np.ndarray, v_vals: np.ndarray, params: FixedPointParams,
@@ -344,7 +318,8 @@ class MaterializedSource:
     prefix-network record, those of its PrefixBlock.  `buffer` is the CRN1
     bytes that a dealt or loaded stream's parts are read-only views into,
     None once a record is appended.  A take only moves a cursor over its
-    tag's records; pooled takes may cross records.
+    tag's records, and reads inside one record: a pooled take that does
+    not fit in what is left of its record underflows.
     """
 
     def __init__(self, params: FixedPointParams, session_id: int = 0):
@@ -359,7 +334,6 @@ class MaterializedSource:
         and (width, batch) for prefix-network."""
         self.records.append((tag, meta, parts))
         self.buffer = None
-        self._cursors[tag].left += _units(tag, meta)
 
     def check_plan(self, requests):
         """Raise FormatError, naming the first record that differs, unless
@@ -376,46 +350,44 @@ class MaterializedSource:
             raise FormatError(f"randomness stream does not fit this run: it holds "
                               f"{len(have)} records, the run needs {len(need)}")
 
-    def _take(self, tag: int, meta) -> list:
-        """(meta, parts, start, count) of every record that the units a
-        request of `tag` needs come from, in order: the next `meta` units of
-        a pool, or the next record, which must have this meta."""
+    def _take(self, tag: int, meta) -> tuple:
+        """(parts, start) of the one record that a request of `tag` reads:
+        the next `meta` units of a pool, from unit `start` on, or the whole
+        next record, which must have this meta.  A pooled take that does not
+        fit in what is left of its record raises RandomnessUnderflowError,
+        whatever a later record holds."""
         n = _units(tag, meta)
         cur = self._cursors[tag]
-        if cur.left < n:
+        while cur.index < len(self.records) and self.records[cur.index][0] != tag:
+            cur.index += 1
+        if cur.index == len(self.records):
+            if n:
+                raise RandomnessUnderflowError(
+                    f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have 0")
+            # an empty take past the last record reads an empty one
+            return tuple(np.zeros(*part) for part in part_shapes(tag, 0, self.params)), 0
+        _, rmeta, parts = self.records[cur.index]
+        left = _units(tag, rmeta) - cur.offset
+        if n > left:
             raise RandomnessUnderflowError(
-                f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have {cur.left}"
-            )
-        cur.left -= n
-        segments = []
-        while n:
-            rtag, rmeta, parts = self.records[cur.index]
-            count = min(n, _units(tag, rmeta) - cur.offset) if rtag == tag else 0
-            if count > 0:
-                segments.append((rmeta, parts, cur.offset, count))
-                cur.offset += count
-                n -= count
-            else:
-                cur.index += 1
-                cur.offset = 0
-        if tag not in _POOLED and segments[0][0] != meta:
+                f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have {left}")
+        if tag not in _POOLED and rmeta != meta:
             raise ProtocolError(
-                f"{_TAG_NAMES[tag]} record mismatch: stream has {segments[0][0]}, requested {meta}"
-            )
-        return segments
+                f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
+        start = cur.offset
+        cur.offset += n
+        if n == left:  # used up: the next take starts after it
+            cur.index, cur.offset = cur.index + 1, 0
+        return parts, start
 
     def take_ring_triples(self, n):
-        pieces = [[part[start:start + count] for part in parts]
-                  for _, parts, start, count in self._take(TAG_SCALAR, n)]
-        if len(pieces) == 1:  # views, as most takes lie within one record
-            return tuple(pieces[0])
-        return tuple(np.concatenate([np.empty(0, self.params.dtype)] + [p[i] for p in pieces])
-                     for i in range(3))
+        parts, start = self._take(TAG_SCALAR, n)
+        return tuple(part[start:start + n] for part in parts)
 
     def take_matmul_triple(self, dims):
         """(U, V, W) parts of the next TAG_MATMUL record, None where the
         record's kind lacks a part; raises ProtocolError if its dims differ."""
-        [(_, parts, _, _)] = self._take(TAG_MATMUL, _meta(TAG_MATMUL, dims))
+        parts, _ = self._take(TAG_MATMUL, _meta(TAG_MATMUL, dims))
         return parts
 
     def take_bit_triples(self, n, k=2):
@@ -424,20 +396,17 @@ class MaterializedSource:
         strings.  At k = 2 they are the triples u, v, w.  The name is that
         of the triple pool before it held tuples, kept because the
         benchmark's tracer wraps the method by name."""
-        strings = (1 << k) - 1
-        return _gather_bits(self._take(TAG_BIT, n), n, (strings,),
-                            lambda parts: parts[0][:strings])
+        (strings,), start = self._take(TAG_BIT, n)
+        return _read_bits(strings[:(1 << k) - 1], start, n)
 
     def take_dabits(self, nbits):
         """Next `nbits` daBits: the ring shares, one word per bit, and the
         Z_2 shares as one packed string."""
-        segments = self._take(TAG_CONVERSION, nbits)
-        ring = [parts[0][start:start + count] for _, parts, start, count in segments]
-        return (np.concatenate([np.empty(0, self.params.dtype), *ring]),
-                _gather_bits(segments, nbits, (), lambda parts: parts[1]))
+        (ring, bits), start = self._take(TAG_CONVERSION, nbits)
+        return ring[start:start + nbits], _read_bits(bits, start, nbits)
 
     def take_prefix_block(self, width, batch) -> PrefixBlock:
-        [(_, parts, _, _)] = self._take(TAG_PREFIXNET, (width, batch))
+        parts, _ = self._take(TAG_PREFIXNET, (width, batch))
         return PrefixBlock(width, batch, *parts)
 
 

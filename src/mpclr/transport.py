@@ -161,16 +161,18 @@ class TcpChannel(Channel):
             raise TransportError(f"send failed: {exc}") from exc
 
     def _recv_exact(self, n: int) -> memoryview:
-        buf = bytearray()
-        while len(buf) < n:
+        """The next `n` bytes, received straight into one buffer of that size."""
+        buf = memoryview(np.empty(n, dtype=np.uint8))
+        got = 0
+        while got < n:
             try:
-                chunk = self._sock.recv(min(n - len(buf), 1 << 20))
+                count = self._sock.recv_into(buf[got:])
             except OSError as exc:
                 raise TransportError(f"recv failed: {exc}") from exc
-            if not chunk:
+            if not count:
                 raise TransportError("peer closed the connection mid-frame")
-            buf.extend(chunk)
-        return memoryview(buf).toreadonly()
+            got += count
+        return buf.toreadonly()
 
     def recv_frame(self) -> Frame:
         msg_type, length = _parse_header(self._recv_exact(FRAME_HEADER.size))

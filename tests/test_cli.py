@@ -237,6 +237,19 @@ class TestProtocolErrors:
                            "this build's 9 (one dealt before version 8 has no version field); "
                            "deal it again\n")
 
+    def test_randomness_of_another_session_exits_4(self, toy_csv, tmp_path):
+        def other_session(path):
+            raw = bytearray(path.read_bytes())
+            raw[8:16] = (int.from_bytes(raw[8:16], "little") ^ 1).to_bytes(8, "little")
+            path.write_bytes(raw)
+
+        common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
+        for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, other_session):
+            assert rc == 4, err
+            assert err == "error: randomness stream session id does not match --seed\n"
+        assert not (tmp_path / "w.alice.shr").exists()
+        assert not (tmp_path / "w.bob.shr").exists()
+
     def test_mismatched_learning_rate_exits_3_at_the_handshake(self, toy_csv, tmp_path):
         # before the handshake pinned it, this trained to weights around -3.9e10
         common = ["--iterations", "2", "--seed", "3"]

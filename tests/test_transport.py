@@ -1,6 +1,7 @@
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from mpclr.transport import (
     HandshakeInfo,
     MSG_CONTROL,
     MSG_OPEN,
+    MSG_RANDOMNESS,
     decode_frame,
     encode_frame,
     memory_channel_pair,
@@ -112,6 +114,39 @@ class TestTcpChannel:
         with pytest.raises(TransportError):
             b.recv_frame()
         b.close()
+
+    def test_peer_close_mid_frame(self):
+        server = tcp_listen("127.0.0.1", 0)
+        raw = socket.create_connection(server.getsockname(), timeout=10.0)
+        channel = tcp_accept(server, timeout=10.0)
+        try:
+            raw.sendall(FRAME_HEADER.pack(FRAME_MAGIC, MSG_OPEN, 100) + bytes(10))
+            raw.close()
+            with pytest.raises(TransportError, match="mid-frame"):
+                channel.recv_frame()
+        finally:
+            channel.close()
+            server.close()
+
+    def test_large_frame_is_received_into_one_buffer(self):
+        # the payload is received into one buffer of its size, not grown chunk by chunk
+        payload = np.frombuffer(np.random.default_rng(5).bytes(32 << 20), dtype=np.uint8)
+        data = encode_frame(Frame(MSG_RANDOMNESS, payload))
+        a, b = _tcp_pair()
+        sender = threading.Thread(target=a.send_bytes, args=(data,))
+        tracemalloc.start()
+        try:
+            sender.start()
+            frame = b.recv_frame()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            sender.join()
+            a.close()
+            b.close()
+        assert frame.msg_type == MSG_RANDOMNESS and frame.payload.readonly
+        assert np.array_equal(np.frombuffer(frame.payload, dtype=np.uint8), payload)
+        assert peak <= 1.05 * payload.nbytes, peak / payload.nbytes
 
     @pytest.mark.parametrize("header, match", [
         (FRAME_HEADER.pack(b"XXXX", MSG_CONTROL, 0), "magic"),

@@ -14,9 +14,11 @@ from mpclr import (
 )
 from mpclr.activation import batch_activate
 from mpclr.bitops import _from_slices, _to_slices
+from mpclr.errors import RandomnessUnderflowError
 from mpclr.randomness import (
     TAG_BIT,
     TAG_CONVERSION,
+    TAG_SCALAR,
     MaterializedSource,
     OnDemandSource,
     TrustedDealer,
@@ -130,7 +132,9 @@ class BigIntPool:
 
 class TestBitPool:
     RECORDS = [130, 7, 64, 1000, 77, 1]
-    TAKES = [5, 64, 59, 3, 200, 1, 128, 63, 700, 48, 8]
+    # the takes from each record in turn: each stays inside its record and
+    # every record of more than one bit is cut off a word boundary
+    TAKES = [[5, 64, 58, 3], [3, 4], [1, 62, 1], [200, 1, 128, 63, 600, 8], [48, 29], [1]]
 
     def reference(self, seed):
         ref = BigIntPool()
@@ -150,11 +154,13 @@ class TestBitPool:
 
     @pytest.mark.parametrize("through_file", [False, True])
     def test_takes_at_unaligned_cursors(self, through_file):
-        assert sum(self.TAKES) == sum(self.RECORDS)
+        assert [sum(takes) for takes in self.TAKES] == self.RECORDS
+        for takes in self.TAKES[:-1]:
+            assert any(cut % 64 for cut in np.cumsum(takes)[:-1])
         src_a, _ = TrustedDealer(4, P64).generate([(TAG_BIT, n) for n in self.RECORDS])
         if through_file:
             src_a = deserialize_stream(serialize_stream(src_a), P64)
-        self.check_takes(src_a, self.reference(4), self.TAKES)
+        self.check_takes(src_a, self.reference(4), sum(self.TAKES, []))
 
     def test_appends_after_takes(self):
         source = MaterializedSource(P64)
@@ -164,8 +170,33 @@ class TestBitPool:
             parts = dealer.block(TAG_BIT, n)[0]
             source.append(TAG_BIT, n, parts)
             ref.append(n, parts[0])
-            self.check_takes(source, ref, [n - 9])
-        self.check_takes(source, ref, [18])
+            self.check_takes(source, ref, [n - 9, 9])
+
+    def test_take_past_its_record_underflows(self):
+        # a later record of the tag holding enough does not help: a take
+        # reads inside one record
+        source, _ = TrustedDealer(5, P64).generate([(TAG_BIT, 100), (TAG_BIT, 300)])
+        source.take_bit_triples(60)
+        with pytest.raises(RandomnessUnderflowError,
+                           match=r"^bit-mul randomness exhausted: requested 41, have 40$"):
+            source.take_bit_triples(41)
+        source.take_bit_triples(40)
+        source.take_bit_triples(300)
+        with pytest.raises(RandomnessUnderflowError,
+                           match=r"^bit-mul randomness exhausted: requested 1, have 0$"):
+            source.take_bit_triples(1)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_empty_takes_are_one_zero_word(self, k):
+        # before, between and after word-multiple records used up, and from
+        # a stream of none
+        source, _ = TrustedDealer(7, P64).generate([(TAG_BIT, 64), (TAG_BIT, 128)])
+        empty = np.zeros(((1 << k) - 1, 1), np.uint64)
+        for n in (0, 64, 0, 128, 0, 0):
+            got = source.take_bit_triples(n, k)
+            if not n:
+                assert np.array_equal(got, empty) and got.dtype == np.uint64
+        assert np.array_equal(MaterializedSource(P64).take_bit_triples(0, k), empty)
 
 
 def bit_list(words, nbits):
@@ -193,7 +224,8 @@ class TestDabitPool:
     # 77 samples for 3 iterations: three records of 154 daBits, then a
     # POOL_SLACK tail of 24
     CFG = TrainingConfig(eta=0.05, n_iter=3, params=P64, seed=8)
-    TAKES = [5, 64, 90, 1, 63, 130, 65, 2, 42, 24]
+    # the takes from each record in turn, each inside its record
+    TAKES = [[5, 64, 85], [1, 63, 90], [65, 2, 87], [24]]
 
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 225])
     def test_ring_shares_sum_to_the_xor_of_bit_shares(self, batch):
@@ -206,7 +238,7 @@ class TestDabitPool:
     def plan_records(self):
         requests = training_randomness_requests(77, 4, self.CFG)
         sizes = [meta for tag, meta in requests if tag == TAG_CONVERSION]
-        assert sizes == [154, 154, 154, 24] and sum(self.TAKES) == sum(sizes)
+        assert sizes == [154, 154, 154, 24] == [sum(takes) for takes in self.TAKES]
         return requests, sizes
 
     def check_takes(self, source, ref, takes):
@@ -219,7 +251,7 @@ class TestDabitPool:
             assert words_to_int(bits, 64 * len(bits)) == sum(b << i for i, (_, b) in enumerate(want))
 
     @pytest.mark.parametrize("through_file", [False, True])
-    def test_takes_cross_the_plan_records(self, through_file):
+    def test_takes_cut_the_plan_records(self, through_file):
         requests, sizes = self.plan_records()
         src_a, _ = TrustedDealer(8, P64).generate(requests)
         if through_file:
@@ -228,14 +260,35 @@ class TestDabitPool:
         dealer = TrustedDealer(8, P64)
         for n in sizes:
             ref.append(n, dealer.block(TAG_CONVERSION, n)[0])
-        self.check_takes(src_a, ref, self.TAKES)
+        self.check_takes(src_a, ref, sum(self.TAKES, []))
+
+    def test_take_past_its_record_underflows(self):
+        requests, _ = self.plan_records()
+        src_a, _ = TrustedDealer(8, P64).generate(requests)
+        src_a.take_dabits(150)
+        with pytest.raises(RandomnessUnderflowError,
+                           match=r"^conversion randomness exhausted: requested 5, have 4$"):
+            src_a.take_dabits(5)
+
+    def test_empty_takes(self):
+        # before, between and after records of 64 used up, ring triples alike
+        source, _ = TrustedDealer(9, P64).generate([(TAG_CONVERSION, 64), (TAG_SCALAR, 64)] * 2)
+        for n in (0, 64, 0, 64, 0, 0):
+            ring, bits = source.take_dabits(n)
+            triples = source.take_ring_triples(n)
+            assert all(part.shape == (n,) and part.dtype == P64.dtype for part in (ring, *triples))
+            assert bits.shape == (word_count(n),)
+            if not n:
+                assert np.array_equal(bits, np.zeros(1, np.uint64))
+        ring, bits = MaterializedSource(P64).take_dabits(0)
+        assert ring.shape == (0,) and np.array_equal(bits, np.zeros(1, np.uint64))
 
     @pytest.mark.parametrize("role", [Role.ALICE, Role.BOB])
     def test_on_demand_takes(self, role):
         source = OnDemandSource(9, role, P64)
         ref = PerBitDabits()
         dealer = TrustedDealer(9, P64)
-        for n in self.TAKES:
+        for n in sum(self.TAKES, []):
             ref.append(n, dealer.block(TAG_CONVERSION, n)[role is Role.BOB])
             self.check_takes(source, ref, [n])
 
