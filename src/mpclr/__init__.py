@@ -8,7 +8,6 @@ from .engine import (
     MaskedMatrix,
     Session,
     Transcript,
-    batch_bit_mul,
     batch_mul,
     matmul,
     mul,

@@ -9,7 +9,7 @@ a single exchange and a few whole-matrix operations no matter how many values
 are being decomposed at once.  `decompose_ripple` and `decompose_opt` take one
 shared value and return its bits as a `BitVectorShare`; they are test
 references, and the ripple route sends each round's ANDs through
-`batch_bit_mul` as one packed row.  Z_2 -> ring conversion is
+`engine.and_gates` as one packed row.  Z_2 -> ring conversion is
 `engine.convert_bits_to_ring`, which opens the bit rows masked by daBits.
 """
 
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Session, and_gates, batch_bit_mul
+from .engine import Session, and_gates
 from .prefixnet import cached_plan
-from .sharing import BitVectorShare, ones_row, pack_rows, string_to_rows, unpack_rows
+from .sharing import BitVectorShare, ones_row, pack_rows, unpack_rows
 
 
 def _own_operand_bits(sess: Session, value: int, width: int):
@@ -40,8 +40,9 @@ def _const_flip(sess: Session, bits, ones):
 def _and_bits(sess: Session, xs: list, ys: list) -> list:
     """ANDs of shared single bits in one round; pair j is bit j of one packed row."""
     x, y = (np.array([[sum(b << j for j, b in enumerate(bits))]], np.uint64) for bits in (xs, ys))
-    z = int(batch_bit_mul(sess, x, y, len(xs))[0, 0])
-    return [(z >> j) & 1 for j in range(len(xs))]
+    rs = sess.randomness.take_bit_triples(len(xs))
+    [z] = and_gates(sess, [((x, y), rs)], len(xs))
+    return [(int(z[0, 0]) >> j) & 1 for j in range(len(xs))]
 
 
 def decompose_ripple(sess: Session, x_share: int) -> BitVectorShare:
@@ -114,8 +115,7 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
 
     # Setup round: every position's generate bit in one batched multiplication.
-    [g_setup] = and_gates(sess, [((a_rows, b_rows),
-                                  (block.setup_u, block.setup_v, block.setup_w))], batch)
+    [g_setup] = and_gates(sess, [((a_rows, b_rows), block.setup)], batch)
     sess.transcript.mask_bits_sent += 2 * width * batch
 
     # Node rows: the setup positions, then one per composition in plan order.
@@ -209,8 +209,7 @@ def or_tree_slices(sess: Session, slices, batch: int) -> np.ndarray:
         for k, count in level:
             # input i of gate j is row start + k·j + i
             xs = cur[start:start + k * count].reshape(count, k, -1).swapaxes(0, 1)
-            rs = sess.randomness.take_bit_triples(count * batch, k)
-            gates.append((xs, string_to_rows(rs, count, batch)))
+            gates.append((xs, sess.randomness.take_bit_triples(count * batch, k, count)))
             start += k * count
         cur = np.concatenate([*and_gates(sess, gates, batch), cur[start:]])
     return _const_flip(sess, cur[0], ones)

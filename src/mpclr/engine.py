@@ -35,7 +35,6 @@ from .randomness import (
 from .sharing import (
     Role,
     random_ring_array,
-    string_to_rows,
     unpack_rows,
 )
 from .transport import MSG_OPEN, Channel, Frame, encode_frame
@@ -50,9 +49,6 @@ class Transcript:
     ring_mults: int = 0
     bit_mults: int = 0
     mask_bits_sent: int = 0
-    capture_opens: bool = False
-    opened_words: list = field(default_factory=list)
-    opened_bits: list = field(default_factory=list)
     _digest: "hashlib._Hash" = field(default_factory=lambda: hashlib.sha256(), repr=False)
 
     def record_send(self, frame_bytes):
@@ -137,9 +133,6 @@ class Session:
         for m in bits:
             out.append(m ^ words[off:off + m.size].reshape(m.shape))
             off += m.size
-        if self.transcript.capture_opens:
-            self.transcript.opened_words.extend(int(x) for a in out[:len(ring)] for x in a.ravel())
-            self.transcript.opened_bits.extend(out[len(ring):])
         return out
 
     def truncate(self, values: np.ndarray) -> np.ndarray:
@@ -242,18 +235,14 @@ def matmul(sess: Session, x: MaskedMatrix, y: np.ndarray) -> np.ndarray:
     return _masked_product(sess, x, y, transpose=False)
 
 
-def _bit_rows(rows) -> np.ndarray:
-    """A matrix of packed bit rows; a 1-d row or a small integer is one row."""
-    return np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-
-
 def and_gates(sess: Session, gates, batch: int) -> list:
     """Bitwise ANDs of Z_2-shared matrices of packed `batch`-bit rows, every
     gate in one round; returns each gate's output matrix.
 
-    A gate (xs, rs) ANDs its k input matrices xs against the dealt matrices
-    rs of the same shape, row S - 1 the shares of r_S, the AND of the masks
-    r_i with bit i set in S (see `randomness.make_bit_triple`).  The parties
+    A gate (xs, rs) ANDs its k input matrices xs against rs, one uint64
+    array of 2^k - 1 matrices of their shape as a take or a prefix block
+    hands it over, matrix S - 1 the shares of r_S, the AND of the masks r_i
+    with bit i set in S (see `randomness.make_bit_triple`).  The parties
     open every m_i = x_i XOR r_i, and then x_0 ... x_{k-1} is local: the XOR
     over all S of r_S AND the m_i outside S, where r_0 is 1 on Alice's side
     and 0 on Bob's (Ohata and Nuida, FC 2020).  The frame carries each
@@ -267,8 +256,8 @@ def and_gates(sess: Session, gates, batch: int) -> list:
         # Input by input from the last, g[U] sums the terms of every S that
         # agrees with U on the inputs still to go: g[U] = g[U + {j}] XOR m_j g[U].
         half = 1 << (len(m) - 1)
-        g = np.array(rs[half - 1:], dtype=np.uint64)
-        g[1:] ^= m[-1] & np.asarray(rs[:half - 1], dtype=np.uint64)
+        g = rs[half - 1:].copy()
+        g[1:] ^= m[-1] & rs[:half - 1]
         if sess.is_alice:
             g[0] ^= m[-1]
         for j in reversed(range(len(m) - 1)):
@@ -276,18 +265,6 @@ def and_gates(sess: Session, gates, batch: int) -> list:
         sess.transcript.bit_mults += (len(m) - 1) * len(g[0]) * batch
         out.append(g[0])
     return out
-
-
-def batch_bit_mul(sess: Session, xs, ys, batch: int) -> np.ndarray:
-    """Bitwise AND of two Z_2-shared matrices of packed `batch`-bit rows.
-
-    One round per call; each AND takes one tuple from the pool, of which
-    the triple u, v, w is split into rows like the operands.
-    """
-    xs, ys = _bit_rows(xs), _bit_rows(ys)
-    triple = string_to_rows(sess.randomness.take_bit_triples(len(xs) * batch), len(xs), batch)
-    [z] = and_gates(sess, [((xs, ys), triple)], batch)
-    return z
 
 
 def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
@@ -298,9 +275,9 @@ def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
     in Z_2 and in the ring.  The parties open the rows c = b XOR r, and
     b = c + r - 2·c·r is local, with the public c added on Alice's side.
     """
-    rows = _bit_rows(rows)
-    r_ring, r_bits = sess.randomness.take_dabits(len(rows) * batch)
-    [c] = sess.open(bits=[rows ^ string_to_rows(r_bits, len(rows), batch)])
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
+    r_ring, r_bits = sess.randomness.take_dabits(len(rows) * batch, len(rows))
+    [c] = sess.open(bits=[rows ^ r_bits])
     c = unpack_rows(c, batch).reshape(-1).astype(sess.params.dtype)
     out = r_ring - sess.params.dtype(2) * c * r_ring
     return out + c if sess.is_alice else out

@@ -98,16 +98,15 @@ class MatmulDims(NamedTuple):
 class PrefixBlock:
     """One party's masks for a single batched bit decomposition.
 
-    Every field is a matrix of packed `batch`-bit rows: the setup triple has
-    one row per bit position, the node masks one row per masked node and
+    Every array field holds packed `batch`-bit rows: `setup` is the AND
+    triple u, v, w of `make_bit_triple`, a (3, width, words) array with one
+    row per bit position, the node masks have one row per masked node and
     the composition products one row per composition, in plan order.
     """
 
     width: int
     batch: int
-    setup_u: np.ndarray
-    setup_v: np.ndarray
-    setup_w: np.ndarray
+    setup: np.ndarray
     mask_p: np.ndarray
     mask_g: np.ndarray
     prod_pp: np.ndarray
@@ -145,20 +144,24 @@ class _Cursor:
     offset: int = 0
 
 
-def _read_bits(words: np.ndarray, start: int, nbits: int) -> np.ndarray:
-    """Copy of the `nbits` bits from bit `start` on of the packed string
-    `words`, or of every string in its rows.
+def _read_rows(words: np.ndarray, start: int, nrows: int, nbits: int) -> np.ndarray:
+    """Copy of the `nrows` strings of `nbits` bits laid end to end from bit
+    `start` on of the packed string `words`, or of every string in its
+    leading axes, as a (..., nrows, word_count(nbits)) matrix of rows with
+    the tail bits zero.
 
-    A start inside a word funnel-shifts each output word from two input
-    words; the word past the last one holding a bit read may be absent.
+    A row that starts inside a word funnel-shifts each output word from two
+    input words; the word past the last one holding a bit read may be absent.
     """
-    first, shift = divmod(start, 64)
     count = word_count(nbits)
-    out = words[..., first:first + count].copy()
-    if shift:
-        out >>= np.uint64(shift)
-        high = words[..., first + 1:first + count + 1] << np.uint64(64 - shift)
-        out[..., :high.shape[-1]] |= high
+    out = np.empty((*words.shape[:-1], nrows, count), dtype=np.uint64)
+    for row in range(nrows):
+        first, shift = divmod(start + row * nbits, 64)
+        out[..., row, :] = words[..., first:first + count]
+        if shift:
+            out[..., row, :] >>= np.uint64(shift)
+            high = words[..., first + 1:first + count + 1] << np.uint64(64 - shift)
+            out[..., row, :high.shape[-1]] |= high
     out[..., -1] &= tail_mask(nbits)
     return out
 
@@ -236,9 +239,9 @@ class TrustedDealer:
         return (None, va, wa), (None, vb, wb)
 
     def _prefix_parts(self, width: int, batch: int, rng):
-        """Both parties' parts of one TAG_PREFIXNET record, seven matrices of
-        packed `batch`-bit rows: the setup triple, one row per bit position,
-        then the node masks and the composition products."""
+        """Both parties' parts of one TAG_PREFIXNET record, five parts of
+        packed `batch`-bit rows: the setup triple as one (3, width, words)
+        array, then the node masks and the composition products."""
         plan = cached_plan(width)
         setup_a, setup_b = make_bit_triple(width, batch, rng)
 
@@ -255,8 +258,8 @@ class TrustedDealer:
         lo, hi = plan.comp_lo, plan.comp_hi
         pp_b = p_val[hi] & p_val[lo] ^ pp_a
         pg_b = p_val[hi] & g_val[lo] ^ pg_a
-        return ((*setup_a, p_a, g_a, pp_a, pg_a),
-                (*setup_b, p_val ^ p_a, g_val ^ g_a, pp_b, pg_b))
+        return ((setup_a, p_a, g_a, pp_a, pg_a),
+                (setup_b, p_val ^ p_a, g_val ^ g_a, pp_b, pg_b))
 
     def block(self, tag: int, meta):
         """Both parties' parts of the next CRN1 record of `tag`, one array
@@ -314,12 +317,14 @@ class MaterializedSource:
     (string S - 1 holding the subset product r_S, see `make_bit_triple`),
     the n ring shares and the n-bit string of Z_2 shares of a pool of n
     daBits, the (U, V, W) parts of a matmul record with None for a part its
-    kind lacks, and the seven matrices of packed `batch`-bit rows of a
+    kind lacks, and the five parts of packed `batch`-bit rows of a
     prefix-network record, those of its PrefixBlock.  `buffer` is the CRN1
     bytes that a dealt or loaded stream's parts are read-only views into,
     None once a record is appended.  A take only moves a cursor over its
     tag's records, and reads inside one record: a pooled take that does
-    not fit in what is left of its record underflows.
+    not fit in what is left of its record underflows.  It hands the bits
+    of a pool back as the rows its gate reads, not as the string that the
+    record holds them in.
     """
 
     def __init__(self, params: FixedPointParams, session_id: int = 0):
@@ -390,20 +395,22 @@ class MaterializedSource:
         parts, _ = self._take(TAG_MATMUL, _meta(TAG_MATMUL, dims))
         return parts
 
-    def take_bit_triples(self, n, k=2):
-        """Next `n` AND tuples, for gates of k inputs: the first 2^k - 1
-        strings of each, as a (2^k - 1, words) matrix of packed n-bit
-        strings.  At k = 2 they are the triples u, v, w.  The name is that
-        of the triple pool before it held tuples, kept because the
-        benchmark's tracer wraps the method by name."""
+    def take_bit_triples(self, n, k=2, rows=1):
+        """Next `n` AND tuples, for gates of k inputs over `rows` rows of
+        n / rows bits: the first 2^k - 1 shares of each, as a (2^k - 1,
+        rows, word_count(n // rows)) array of packed rows, the `rs` of an
+        `engine.and_gates` gate.  At k = 2 they are the triples u, v, w.
+        The name is that of the triple pool before it held tuples, kept
+        because the benchmark's tracer wraps the method by name."""
         (strings,), start = self._take(TAG_BIT, n)
-        return _read_bits(strings[:(1 << k) - 1], start, n)
+        return _read_rows(strings[:(1 << k) - 1], start, rows, n // rows)
 
-    def take_dabits(self, nbits):
+    def take_dabits(self, nbits, rows=1):
         """Next `nbits` daBits: the ring shares, one word per bit, and the
-        Z_2 shares as one packed string."""
+        Z_2 shares as a (rows, word_count(nbits // rows)) matrix of packed
+        rows."""
         (ring, bits), start = self._take(TAG_CONVERSION, nbits)
-        return ring[start:start + nbits], _read_bits(bits, start, nbits)
+        return ring[start:start + nbits], _read_rows(bits, start, rows, nbits // rows)
 
     def take_prefix_block(self, width, batch) -> PrefixBlock:
         parts, _ = self._take(TAG_PREFIXNET, (width, batch))
@@ -463,8 +470,8 @@ def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
         width, batch = meta
         plan = cached_plan(width)
         nodes, comps = len(plan.masked_nodes), len(plan.compositions)
-        return tuple(((rows, word_count(batch)), words)  # the PrefixBlock's fields
-                     for rows in (width, width, width, nodes, nodes, comps, comps))
+        return tuple(((*rows, word_count(batch)), words)  # the PrefixBlock's fields
+                     for rows in ((3, width), (nodes,), (nodes,), (comps,), (comps,)))
     raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 

@@ -12,7 +12,6 @@ single-value references.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -114,9 +113,9 @@ def split_array(values: np.ndarray, params: FixedPointParams, rng: np.random.Gen
 # A bit string is a 1-d array of uint64 words, LSB first, padded with zero
 # bits to a whole word.  A batch of bit strings of one length, such as every
 # bit position of a batch of shared values, is a matrix with one such row per
-# string, and frames and CRN1 files carry it as those word rows.  Only the
-# pooled AND tuples and daBits are contiguous strings, taken by count;
-# `string_to_rows` splits a take into rows.
+# string, and frames and CRN1 files carry it as those word rows.  Contiguous
+# strings live only inside the CRN1 records of the pooled AND tuples and
+# daBits, which are taken by count: a take hands its bits back as rows.
 # ---------------------------------------------------------------------------
 
 
@@ -147,18 +146,6 @@ def unpack_rows(rows: np.ndarray, batch: int) -> np.ndarray:
     """Inverse of `pack_rows`: the low `batch` bits of every row as 0/1 bytes."""
     raw = np.ascontiguousarray(rows, dtype=np.uint64).view(np.uint8)
     return np.unpackbits(raw, axis=-1, count=batch, bitorder="little")
-
-
-def string_to_rows(words: np.ndarray, nrows: int, batch: int) -> np.ndarray:
-    """Split a contiguous string of `nrows` x `batch` bits into rows, or each
-    string in the last axis of `words` into a matrix of rows; one row, or
-    rows of whole words, already are their string laid end to end."""
-    words = np.ascontiguousarray(words, dtype=np.uint64)
-    lead = words.shape[:-1]
-    if nrows == 1 or (nrows > 1 and batch > 0 and batch % 64 == 0):
-        return words[..., :nrows * word_count(batch)].reshape(*lead, nrows, -1)
-    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=nrows * batch, bitorder="little")
-    return pack_rows(bits.reshape(math.prod(lead) * nrows, batch)).reshape(*lead, nrows, -1)
 
 
 def write_share_file(path, values: np.ndarray, params: FixedPointParams):

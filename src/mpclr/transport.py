@@ -45,20 +45,27 @@ class Frame:
     payload: bytes | memoryview | list
 
 
+def _header(msg_type: int, length: int) -> bytes:
+    """The header of a frame of `msg_type` whose payload is `length` bytes;
+    raises FrameError for an unknown type or a payload over the limit."""
+    if msg_type not in _VALID_TYPES:
+        raise FrameError(f"unknown message type {msg_type}")
+    if length > MAX_PAYLOAD:
+        raise FrameError(f"payload of {length} bytes exceeds limit {MAX_PAYLOAD}")
+    return FRAME_HEADER.pack(FRAME_MAGIC, msg_type, length)
+
+
 def encode_frame(frame: Frame) -> memoryview:
     """The frame's bytes, header then payload, as one buffer that the
     payload is copied into once.  The header takes the last 13 bytes of two
     leading words, so the payload starts 64-bit aligned."""
-    if frame.msg_type not in _VALID_TYPES:
-        raise FrameError(f"unknown message type {frame.msg_type}")
     payload = frame.payload
     arrays = isinstance(payload, list)
     length = 8 * sum(a.size for a in payload) if arrays else memoryview(payload).nbytes
-    if length > MAX_PAYLOAD:
-        raise FrameError(f"payload of {length} bytes exceeds limit {MAX_PAYLOAD}")
+    header = _header(frame.msg_type, length)
     buf = np.empty(2 + -(-length // 8), dtype=np.uint64)
     data = buf.view(np.uint8)[16 - FRAME_HEADER.size:16 + length]
-    FRAME_HEADER.pack_into(data, 0, FRAME_MAGIC, frame.msg_type, length)
+    data[:FRAME_HEADER.size] = np.frombuffer(header, dtype=np.uint8)
     if arrays:
         off = 2
         for a in payload:
@@ -154,6 +161,16 @@ class TcpChannel(Channel):
         self._sock = sock
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
+    def send_frame(self, frame: Frame) -> int:
+        """Send one frame; a bytes-like payload, such as a dealt randomness
+        stream, goes out after its header as the buffer it is, uncopied."""
+        if isinstance(frame.payload, list):
+            return super().send_frame(frame)
+        payload = memoryview(frame.payload).cast("B")
+        self.send_bytes(_header(frame.msg_type, len(payload)))
+        self.send_bytes(payload)
+        return FRAME_HEADER.size + len(payload)
+
     def send_bytes(self, data: bytes):
         try:
             self._sock.sendall(data)
@@ -186,14 +203,14 @@ class TcpChannel(Channel):
         self._sock.close()
 
 
-def tcp_listen(host: str, port: int, backlog: int = 2) -> socket.socket:
+def tcp_listen(host: str, port: int) -> socket.socket:
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     try:
         srv.bind((host, port))
     except OSError as exc:
         raise TransportError(f"cannot listen on {host}:{port}: {exc}") from exc
-    srv.listen(backlog)
+    srv.listen(2)  # a party accepts at most its peer and the trusted initializer
     return srv
 
 

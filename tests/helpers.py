@@ -9,7 +9,7 @@ from mpclr.randomness import TAG_SCALAR, MaterializedSource
 
 
 def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
-                  sources=None, trunc_oracle=None, capture_opens: bool = False):
+                  sources=None, trunc_oracle=None):
     """Run a two-party closure pair over an in-memory channel.
 
     Returns (result_a, result_b, session_a, session_b); closures receive the
@@ -19,9 +19,6 @@ def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
     src_a, src_b = sources or (None, None)
     sess_a, sess_b = local_session_pair(params, seed=seed, randomness_a=src_a,
                                         randomness_b=src_b, trunc_oracle=trunc_oracle)
-    if capture_opens:
-        sess_a.transcript.capture_opens = True
-        sess_b.transcript.capture_opens = True
     ra, rb = run_sessions(sess_a, sess_b, fn_a, fn_b)
     return ra, rb, sess_a, sess_b
 

@@ -3,6 +3,7 @@ import pytest
 
 from mpclr import FixedPointParams
 from mpclr.activation import batch_activate, clipped_relu, clipped_relu_fixed
+from mpclr.engine import Session
 from mpclr.fixedpoint import decode, decode_array, encode, encode_array
 from mpclr.sharing import split, split_array, unpack_rows
 
@@ -142,7 +143,7 @@ class TestBatchActivation:
 
 
 class TestOpenedValuesLookUniform:
-    def test_masked_openings_carry_no_signal(self):
+    def test_masked_openings_carry_no_signal(self, monkeypatch):
         """Across many sessions on one fixed input, the ring words that ever
         get opened are indistinguishable from uniform (chi-squared check at
         the eight-bit ring), and so are the two bits c = b XOR r that the
@@ -152,18 +153,31 @@ class TestOpenedValuesLookUniform:
         counts = np.zeros(256, dtype=np.int64)
         c_ones = np.zeros(2, dtype=np.int64)
         runs = 1000
+        # the ring tensors and the bit matrices of each of Alice's openings
+        opened = []
+        session_open = Session.open
+
+        def recording_open(sess, ring=(), bits=()):
+            out = session_open(sess, ring, bits)
+            if sess.is_alice:
+                opened.append((out[:len(ring)], out[len(ring):]))
+            return out
+
+        monkeypatch.setattr(Session, "open", recording_open)
         for seed in range(runs):
-            _, _, sa, sb = protocol_pair(
+            opened.clear()
+            protocol_pair(
                 P8,
                 lambda s: batch_activate(s, np.array([za.value], dtype=P8.dtype)),
                 lambda s: batch_activate(s, np.array([zb.value], dtype=P8.dtype)),
                 seed=seed,
-                capture_opens=True,
             )
-            for word in sa.transcript.opened_words:
-                counts[word & 0xFF] += 1
+            for ring, _ in opened:
+                for a in ring:
+                    for word in a.ravel():
+                        counts[int(word) & 0xFF] += 1
             # the conversion's opening is the last bit matrix, rows c_d and c_e
-            c = sa.transcript.opened_bits[-1]
+            c = [m for _, bits in opened for m in bits][-1]
             assert c.shape == (2, 1)
             c_ones += unpack_rows(c, 1)[:, 0]
         total = counts.sum()

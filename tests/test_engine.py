@@ -12,11 +12,11 @@ from mpclr import (
     local_session_pair,
     run_sessions,
 )
-from mpclr.engine import MaskedMatrix, and_gates, batch_bit_mul, batch_mul, matmul, mul
+from mpclr.engine import MaskedMatrix, and_gates, batch_mul, matmul, mul
 from mpclr.fixedpoint import exact_truncate
 from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
 from mpclr.transport import FRAME_HEADER, MSG_OPEN
-from mpclr.sharing import pack_rows, split, split_array, string_to_rows, unpack_rows, word_count
+from mpclr.sharing import pack_rows, split, split_array, unpack_rows, word_count
 
 from helpers import forced_scalar_source, protocol_pair
 
@@ -238,19 +238,6 @@ class TestBatching:
         )
         assert open_ints(ra[0], rb[0], P8) == 63
 
-    def test_bit_batch_is_bitwise_and(self):
-        # secrets 1010 and 1100 -> 1000, one packed row of a 4-bit batch
-        def row(bits):
-            return np.array([[bits]], dtype=np.uint64)
-
-        ra, rb, sa, _ = protocol_pair(
-            P8,
-            lambda s: batch_bit_mul(s, row(0b1010), row(0b1100), 4),
-            lambda s: batch_bit_mul(s, row(0b0000), row(0b0000), 4),
-        )
-        assert np.array_equal(ra ^ rb, row(0b1000))
-        assert sa.transcript.bit_mults == 4
-
     def test_rounds_independent_of_batch_size(self):
         rng = np.random.default_rng(15)
         for n in (1, 2048):
@@ -278,7 +265,7 @@ class TestAndGate:
 
             def gate(xs):
                 def body(s):
-                    rs = string_to_rows(s.randomness.take_bit_triples(batch, k), 1, batch)
+                    rs = s.randomness.take_bit_triples(batch, k, rows=1)
                     return and_gates(s, [(xs[:, None], rs)], batch)[0]
                 return body
 
@@ -298,8 +285,8 @@ class TestAndGate:
 
         def side(alice):
             def body(s):
-                rs4 = string_to_rows(s.randomness.take_bit_triples(2 * batch, 4), 2, batch)
-                rs2 = string_to_rows(s.randomness.take_bit_triples(batch, 2), 1, batch)
+                rs4 = s.randomness.take_bit_triples(2 * batch, 4, rows=2)
+                rs2 = s.randomness.take_bit_triples(batch, 2, rows=1)
                 zero = np.zeros_like
                 return and_gates(s, [(xs4 if alice else zero(xs4), rs4),
                                      (xs2 if alice else zero(xs2), rs2)], batch)
@@ -351,7 +338,7 @@ class TestBitOpenings:
             bits = bit_masks if idx else [m ^ r for m, r in zip((bit_a, bit_b), bit_masks)]
             return lambda s: s.open(ring=ring, bits=bits)
 
-        ra, rb, sa, _ = protocol_pair(P64, side(0), side(1), capture_opens=True)
+        ra, rb, sa, _ = protocol_pair(P64, side(0), side(1))
         for got in (ra, rb):
             assert len(got) == 4
             assert np.array_equal(got[0], vec) and np.array_equal(got[1], mat)
@@ -359,9 +346,6 @@ class TestBitOpenings:
         assert sa.transcript.rounds == 1
         # 3 + 6 ring words, then 3 rows of 65 bits in 2 words each and one in 2
         assert sa.transcript.bytes_sent == FRAME_HEADER.size + 8 * (9 + 6 + 2)
-        assert sa.transcript.opened_words == [int(v) for v in (*vec, *mat.ravel())]
-        assert [unpack_rows(b, batch).tolist() for b in sa.transcript.opened_bits] == [
-            unpack_rows(bit_a, batch).tolist(), unpack_rows(bit_b, batch).tolist()]
 
 
 class TestOpeningMemory:

@@ -123,10 +123,8 @@ class TestTripleGeneration:
         src_a, src_b = TrustedDealer(7, P16).generate([(TAG_PREFIXNET, (width, batch))])
         blk_a, blk_b = src_a.take_prefix_block(width, batch), src_b.take_prefix_block(width, batch)
         plan = cached_plan(width)
-        su = blk_a.setup_u ^ blk_b.setup_u
-        sv = blk_a.setup_v ^ blk_b.setup_v
-        sw = blk_a.setup_w ^ blk_b.setup_w
-        assert su.shape == (width, 1)
+        su, sv, sw = blk_a.setup ^ blk_b.setup
+        assert blk_a.setup.shape == (3, width, 1)
         assert np.array_equal(sw, su & sv)
         mp = blk_a.mask_p ^ blk_b.mask_p
         mg = blk_a.mask_g ^ blk_b.mask_g
@@ -194,7 +192,7 @@ class TestStreams:
             words = np.frombuffer(buffer, np.uint8)
             assert words.ctypes.data % 8 == 0
             parts = [p for _, _, ps in source.records for p in ps if p is not None]
-            assert len(parts) == 16
+            assert len(parts) == 14
             for part in parts:
                 assert part.flags.aligned and not part.flags.writeable
                 assert np.shares_memory(part, words)
@@ -372,8 +370,7 @@ def take(source, tag, meta):
     if tag == TAG_MATMUL:
         return source.take_matmul_triple(meta)
     block = source.take_prefix_block(*meta)
-    return (block.setup_u, block.setup_v, block.setup_w,
-            block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)
+    return block.setup, block.mask_p, block.mask_g, block.prod_pp, block.prod_pg
 
 
 def same_parts(a, b):

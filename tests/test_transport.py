@@ -1,3 +1,4 @@
+import hashlib
 import socket
 import threading
 import time
@@ -147,6 +148,44 @@ class TestTcpChannel:
         assert frame.msg_type == MSG_RANDOMNESS and frame.payload.readonly
         assert np.array_equal(np.frombuffer(frame.payload, dtype=np.uint8), payload)
         assert peak <= 1.05 * payload.nbytes, peak / payload.nbytes
+
+    def test_bytes_payload_is_sent_uncopied(self):
+        # a bytes-like payload goes out after its header as the buffer it
+        # is, so the sender allocates nothing near its size; a frame of an
+        # unknown type is refused before any byte is sent
+        payload = np.frombuffer(np.random.default_rng(6).bytes(32 << 20), dtype=np.uint8)
+        frame = Frame(MSG_RANDOMNESS, payload)
+        server = tcp_listen("127.0.0.1", 0)
+        raw = socket.create_connection(server.getsockname(), timeout=10.0)
+        channel = tcp_accept(server, timeout=10.0)
+        chunk = memoryview(bytearray(1 << 16))
+        digest = hashlib.sha256()
+        received = []
+
+        def read():
+            while count := raw.recv_into(chunk):
+                digest.update(chunk[:count])
+                received.append(count)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(FrameError, match="unknown message type 99"):
+                channel.send_frame(Frame(99, payload))
+            sent = channel.send_frame(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            channel.close()
+            reader.join(timeout=30.0)
+            raw.close()
+            server.close()
+        assert not reader.is_alive()
+        data = encode_frame(frame)
+        assert sent == len(data) == sum(received)
+        assert digest.digest() == hashlib.sha256(data).digest()
+        assert peak <= 0.05 * payload.nbytes, peak / payload.nbytes
 
     @pytest.mark.parametrize("header, match", [
         (FRAME_HEADER.pack(b"XXXX", MSG_CONTROL, 0), "magic"),

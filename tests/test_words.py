@@ -25,7 +25,7 @@ from mpclr.randomness import (
     deserialize_stream,
     serialize_stream,
 )
-from mpclr.sharing import ones_row, random_bit_rows, random_bits, word_count
+from mpclr.sharing import ones_row, pack_rows, random_bit_rows, random_bits, word_count
 from mpclr.transport import FRAME_HEADER
 
 from helpers import protocol_pair
@@ -130,6 +130,36 @@ class BigIntPool:
         return out
 
 
+def row_reads(tag, seed, role, on_demand, sizes):
+    """A `role` source of `tag` and, for each take of `sizes` units in turn,
+    the parts of the record it reads and where in them it starts: one
+    record of all the takes dealt up front, or one record per take dealt
+    on demand."""
+    dealer = TrustedDealer(seed, P64)
+    side = role is Role.BOB
+    if on_demand:
+        return OnDemandSource(seed, role, P64), [(dealer.block(tag, n)[side], 0) for n in sizes]
+    source = TrustedDealer(seed, P64).generate([(tag, sum(sizes))])[side]
+    parts = dealer.block(tag, sum(sizes))[side]
+    return source, [(parts, start) for start in np.cumsum([0, *sizes[:-1]])]
+
+
+def expected_rows(strings, start, nrows, batch):
+    """`nrows` rows of `batch` bits from bit `start` on of a packed string,
+    or of each string of a matrix, cut out of its unpacked bits and packed
+    again row by row."""
+    bits = np.unpackbits(np.ascontiguousarray(strings).view(np.uint8), axis=-1,
+                         bitorder="little")
+    cut = bits[..., start:start + nrows * batch]
+    return pack_rows(cut.reshape(-1, batch)).reshape(*strings.shape[:-1], nrows, -1)
+
+
+ROW_BATCHES = pytest.mark.parametrize("batch", [1, 63, 64, 65, 225])
+# `rows` rows and then one more from a record of rows + 1: unless the batch
+# is whole words, the second take starts inside a word
+ROW_COUNTS = pytest.mark.parametrize("rows", [1, 2, 4])
+
+
 class TestBitPool:
     RECORDS = [130, 7, 64, 1000, 77, 1]
     # the takes from each record in turn: each stays inside its record and
@@ -148,7 +178,7 @@ class TestBitPool:
         for i, n in enumerate(takes):
             k = 2 + i % 3
             got = source.take_bit_triples(n, k)
-            assert all(len(w) == word_count(n) for w in got)
+            assert got.shape == ((1 << k) - 1, 1, word_count(n))
             expected = ref.take(n)[:(1 << k) - 1]
             assert tuple(int.from_bytes(w.tobytes(), "little") for w in got) == expected
 
@@ -186,12 +216,26 @@ class TestBitPool:
                            match=r"^bit-mul randomness exhausted: requested 1, have 0$"):
             source.take_bit_triples(1)
 
+    @ROW_BATCHES
+    @ROW_COUNTS
+    @pytest.mark.parametrize("on_demand", [False, True])
+    def test_row_takes_are_cut_from_the_record_strings(self, on_demand, rows, batch):
+        for k in (2, 3, 4):
+            for role in Role:
+                source, reads = row_reads(TAG_BIT, 10 * k + rows, role, on_demand,
+                                          [rows * batch, batch])
+                for nrows, ((strings,), start) in zip((rows, 1), reads):
+                    got = source.take_bit_triples(nrows * batch, k, rows=nrows)
+                    assert got.shape == ((1 << k) - 1, nrows, word_count(batch))
+                    want = expected_rows(strings[:(1 << k) - 1], start, nrows, batch)
+                    assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_empty_takes_are_one_zero_word(self, k):
         # before, between and after word-multiple records used up, and from
         # a stream of none
         source, _ = TrustedDealer(7, P64).generate([(TAG_BIT, 64), (TAG_BIT, 128)])
-        empty = np.zeros(((1 << k) - 1, 1), np.uint64)
+        empty = np.zeros(((1 << k) - 1, 1, 1), np.uint64)
         for n in (0, 64, 0, 128, 0, 0):
             got = source.take_bit_triples(n, k)
             if not n:
@@ -244,11 +288,11 @@ class TestDabitPool:
     def check_takes(self, source, ref, takes):
         for n in takes:
             ring, bits = source.take_dabits(n)
-            assert ring.shape == (n,) and bits.shape == (word_count(n),)
+            assert ring.shape == (n,) and bits.shape == (1, word_count(n))
             want = ref.take(n)
             assert [int(v) for v in ring] == [r for r, _ in want]
             # equal as integers, so the tail bits are zero
-            assert words_to_int(bits, 64 * len(bits)) == sum(b << i for i, (_, b) in enumerate(want))
+            assert words_to_int(bits, 64 * bits.size) == sum(b << i for i, (_, b) in enumerate(want))
 
     @pytest.mark.parametrize("through_file", [False, True])
     def test_takes_cut_the_plan_records(self, through_file):
@@ -277,11 +321,24 @@ class TestDabitPool:
             ring, bits = source.take_dabits(n)
             triples = source.take_ring_triples(n)
             assert all(part.shape == (n,) and part.dtype == P64.dtype for part in (ring, *triples))
-            assert bits.shape == (word_count(n),)
+            assert bits.shape == (1, word_count(n))
             if not n:
-                assert np.array_equal(bits, np.zeros(1, np.uint64))
+                assert np.array_equal(bits, np.zeros((1, 1), np.uint64))
         ring, bits = MaterializedSource(P64).take_dabits(0)
-        assert ring.shape == (0,) and np.array_equal(bits, np.zeros(1, np.uint64))
+        assert ring.shape == (0,) and np.array_equal(bits, np.zeros((1, 1), np.uint64))
+
+    @ROW_BATCHES
+    @ROW_COUNTS
+    @pytest.mark.parametrize("on_demand", [False, True])
+    def test_row_takes_are_cut_from_the_record_strings(self, on_demand, rows, batch):
+        for role in Role:
+            source, reads = row_reads(TAG_CONVERSION, rows, role, on_demand,
+                                      [rows * batch, batch])
+            for nrows, ((ring, bits), start) in zip((rows, 1), reads):
+                got_ring, got_bits = source.take_dabits(nrows * batch, rows=nrows)
+                assert np.array_equal(got_ring, ring[start:start + nrows * batch])
+                assert got_bits.shape == (nrows, word_count(batch))
+                assert np.array_equal(got_bits, expected_rows(bits, start, nrows, batch))
 
     @pytest.mark.parametrize("role", [Role.ALICE, Role.BOB])
     def test_on_demand_takes(self, role):
