@@ -4,15 +4,17 @@ Each secure operation is one synchronized exchange: both parties mask their
 operands with pre-distributed triple components, swap the masked differences
 in a single frame per direction, and finish locally.  In Z_2 one exchange
 also ANDs up to four inputs at once (`and_gates`), against dealt shares of
-every subset product of the input masks.  `Session.open` is the
-one opening: ring words and bit matrices, as the padded word rows they are
-held in, travel in the same frame type, and one call may carry both; its
-operands are copied once, into the frame, and the peer's words are read
-where they arrived (`Frame.payload` of a received frame is a read-only
-memoryview).  Role A sends first and role B receives first, which keeps TCP
-deadlock-free without a writer thread; the transcript counters and frame
-bytes are identical on both sides either way.  All ring arithmetic wraps on
-the machine word matching the ring width.
+every subset product of the input masks, and one Z_2 -> ring conversion
+(`convert_bits_to_ring`) can also return a converted row times a shared
+ring vector, a Beaver product whose operands open in the conversion's
+frame.  `Session.open` is the one opening: ring words and bit matrices, as
+the padded word rows they are held in, travel in the same frame type, and
+one call may carry both; its operands are copied once, into the frame, and
+the peer's words are read where they arrived (`Frame.payload` of a received
+frame is a read-only memoryview).  Role A sends first and role B receives
+first, which keeps TCP deadlock-free without a writer thread; the transcript
+counters and frame bytes are identical on both sides either way.  All ring
+arithmetic wraps on the machine word matching the ring width.
 """
 
 from __future__ import annotations
@@ -267,20 +269,43 @@ def and_gates(sess: Session, gates, batch: int) -> list:
     return out
 
 
-def convert_bits_to_ring(sess: Session, rows, batch: int) -> np.ndarray:
+def convert_bits_to_ring(sess: Session, rows, batch: int, factor=None) -> np.ndarray:
     """Z_2 -> Z_{2^ring} share conversion of packed `batch`-bit rows in one
     round; returns the ring shares row after row.
 
     Each bit b takes one daBit, a random bit r that the dealer shares both
     in Z_2 and in the ring.  The parties open the rows c = b XOR r, and
-    b = c + r - 2·c·r is local, with the public c added on Alice's side.
+    b = c + (1 - 2c)·r is local, with the public c added on Alice's side.
+
+    With `factor`, a shared ring vector of `batch` elements, row 0 comes back
+    as b·factor, still in one round.  The daBit r is dealt before the round,
+    so its Beaver product with the factor opens r - u and factor - v in the
+    frame of c, against one ring triple per element, and b·factor =
+    c·factor + (1 - 2c)·(r·factor) is local.
     """
+    dtype = sess.params.dtype
     rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
     r_ring, r_bits = sess.randomness.take_dabits(len(rows) * batch, len(rows))
-    [c] = sess.open(bits=[rows ^ r_bits])
-    c = unpack_rows(c, batch).reshape(-1).astype(sess.params.dtype)
-    out = r_ring - sess.params.dtype(2) * c * r_ring
-    return out + c if sess.is_alice else out
+    ring = []
+    if factor is not None:
+        factor = np.asarray(factor, dtype=dtype)
+        u, v, w = sess.randomness.take_ring_triples(batch)
+        ring = [r_ring[:batch] - u, factor - v]
+    *masked, c = sess.open(ring=ring, bits=[rows ^ r_bits])
+    c = unpack_rows(c, batch).reshape(-1).astype(dtype)
+    flip = dtype(1) - dtype(2) * c
+    out = flip * r_ring
+    if sess.is_alice:
+        out += c
+    if factor is None:
+        return out
+    d, e = masked
+    r_factor = w + e * u + d * v
+    if sess.is_alice:
+        r_factor += d * e
+    out[:batch] = c[:batch] * factor + flip[:batch] * r_factor
+    sess.transcript.ring_mults += batch
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -183,11 +183,13 @@ def predict_and_score(weights: np.ndarray, X: np.ndarray, t: np.ndarray) -> floa
 @dataclass(frozen=True)
 class Step:
     """One round of a training iteration: its phase (the tracer's span name),
-    the randomness record it starts to take or None, the 64-bit words each
-    party sends in its frame, and its ring and Z_2 multiplications."""
+    the (tag, meta) requests of the randomness records it starts to take, in
+    the order it takes them and empty for a round that starts none, the
+    64-bit words each party sends in its frame, and its ring and Z_2
+    multiplications."""
 
     phase: str
-    request: tuple | None
+    requests: tuple
     words: int
     ring: int = 0
     bit: int = 0
@@ -199,28 +201,31 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     width = params.frac_bits + params.int_bits + 2
     row = word_count(n)  # words of one opened bit row, one bit per sample
     steps = [
-        Step("engine.matmul", (TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE)), m1, ring=n * m1),
+        Step("engine.matmul", ((TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE)),), m1,
+             ring=n * m1),
         # setup round: every bit position's generate signal, two operands opened
-        Step("bitops.decompose", (TAG_PREFIXNET, (width, n)), 2 * width * row, bit=width * n),
+        Step("bitops.decompose", ((TAG_PREFIXNET, (width, n)),), 2 * width * row,
+             bit=width * n),
     ]
-    steps += [Step("bitops.decompose", None, 2 * len(layer.pub_masks) * row,
+    steps += [Step("bitops.decompose", (), 2 * len(layer.pub_masks) * row,
                    bit=2 * n * (layer.comps.stop - layer.comps.start))
               for layer in cached_plan(width).rounds]
     # OR of the sign and integer slices, one tree level per round; each gate
     # takes one AND tuple per sample, and the tuples of the whole tree are
     # one record
     levels = or_tree_levels(params.int_bits + 1)
-    request = (TAG_BIT, n * sum(count for level in levels for _, count in level))
+    requests = ((TAG_BIT, n * sum(count for level in levels for _, count in level)),)
     for level in levels:
-        steps.append(Step("bitops.or_tree", request,
+        steps.append(Step("bitops.or_tree", requests,
                           sum(k * count for k, count in level) * row,
                           bit=sum((k - 1) * count for k, count in level) * n))
-        request = None
+        requests = ()
     return steps + [
-        # both bits are converted to ring shares against daBits, opened as two rows
-        Step("activation.convert", (TAG_CONVERSION, 2 * n), 2 * row),
-        Step("activation.mul", (TAG_SCALAR, n), 2 * n, ring=n),
-        Step("engine.gradient", (TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE_T)), n,
+        # both bits are converted to ring shares against daBits, opened as two
+        # rows; the same frame opens the Beaver operands of d's daBit times z'
+        Step("activation.convert", ((TAG_CONVERSION, 2 * n), (TAG_SCALAR, n)), 2 * row + 2 * n,
+             ring=n),
+        Step("engine.gradient", ((TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE_T)),), n,
              ring=n * m1),
     ]
 
@@ -269,7 +274,8 @@ def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingC
     if not cfg.n_iter:
         return []
     n, m1 = n_samples, n_features + 1
-    per_iter = [step.request for step in iteration_steps(n, m1, cfg.params) if step.request]
+    per_iter = [request for step in iteration_steps(n, m1, cfg.params)
+                for request in step.requests]
     requests = [(TAG_MATMUL, MatmulDims(n, m1, 0, MATMUL_MASK))] + per_iter * cfg.n_iter
     for tag in (TAG_BIT, TAG_SCALAR, TAG_CONVERSION):
         total = cfg.n_iter * sum(units for rtag, units in per_iter if rtag == tag)

@@ -120,8 +120,8 @@ class TestBatchActivation:
             lambda s: batch_activate(s, za.values),
             lambda s: batch_activate(s, zb.values),
         )
-        # decomposition 6 + or-tree 2 + conversion 1 + one product
-        assert sa.transcript.rounds == 10
+        # decomposition 6 + or-tree 2 + conversion 1, which also returns the product
+        assert sa.transcript.rounds == 9
 
     def test_ring_mult_budget(self):
         batch = 32
@@ -181,7 +181,7 @@ class TestOpenedValuesLookUniform:
             assert c.shape == (2, 1)
             c_ones += unpack_rows(c, 1)[:, 0]
         total = counts.sum()
-        assert total == 2000  # the output product's two masked openings per run
+        assert total == 2000  # the two masked operands of r·z', opened with c, per run
         expected = total / 256
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 330, chi2

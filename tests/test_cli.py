@@ -146,7 +146,7 @@ class TestTrainLocalAndReconstruct:
         lines = [json.loads(l.split(" ", 1)[1]) for l in out.splitlines()
                  if l.startswith("TRANSCRIPT")]
         assert len(lines) == 2
-        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 12
+        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 11
         assert lines[0]["ring_mults"] == lines[0]["counted_ring_mults"]
 
 
@@ -234,7 +234,7 @@ class TestProtocolErrors:
         for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_8):
             assert rc == 4, err
             assert err == ("error: randomness stream dealt by another protocol version than "
-                           "this build's 9 (one dealt before version 8 has no version field); "
+                           "this build's 10 (one dealt before version 8 has no version field); "
                            "deal it again\n")
 
     def test_randomness_of_another_session_exits_4(self, toy_csv, tmp_path):
@@ -281,7 +281,7 @@ class TestBench:
         assert rc == 0
         payload = [l for l in capsys.readouterr().out.splitlines() if l.startswith("BENCH")][0]
         results = json.loads(payload[6:])["results"]
-        assert results[0]["rounds"] == results[1]["rounds"] == 10
+        assert results[0]["rounds"] == results[1]["rounds"] == 9
 
     def test_warm_up_rep_is_dropped_and_median_reported(self, capsys, monkeypatch):
         import mpclr.cli

@@ -12,15 +12,23 @@ from mpclr import (
     local_session_pair,
     run_sessions,
 )
-from mpclr.engine import MaskedMatrix, and_gates, batch_mul, matmul, mul
+from mpclr.engine import MaskedMatrix, and_gates, batch_mul, convert_bits_to_ring, matmul, mul
 from mpclr.fixedpoint import exact_truncate
 from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
 from mpclr.transport import FRAME_HEADER, MSG_OPEN
-from mpclr.sharing import pack_rows, split, split_array, unpack_rows, word_count
+from mpclr.sharing import (
+    pack_rows,
+    random_ring_array,
+    split,
+    split_array,
+    unpack_rows,
+    word_count,
+)
 
 from helpers import forced_scalar_source, protocol_pair
 
 P8 = FixedPointParams(frac_bits=2, int_bits=2, ring_bits=8)
+P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
 P64 = FixedPointParams()
 
 
@@ -297,6 +305,57 @@ class TestAndGate:
         assert np.array_equal(ra[1] ^ rb[1], xs2[0] & xs2[1])
         assert sa.transcript.rounds == 1
         assert sa.transcript.bit_mults == (3 * 2 + 1) * batch
+
+
+class TestConversionWithFactor:
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65])
+    @pytest.mark.parametrize("params", [P16, P64], ids=["ring16", "ring64"])
+    @pytest.mark.parametrize("bit_a,bit_b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_row_0_comes_back_times_the_factor(self, bit_a, bit_b, params, batch):
+        """Row 0 holds the shares bit_a and bit_b in every position and row 1
+        random bits; the factor is 0, 1, -1 and 2^(ring - 1) in every
+        position, then random values."""
+        rng = np.random.default_rng(1000 * params.ring_bits + 10 * batch + 2 * bit_a + bit_b)
+        row1 = rng.integers(0, 2, batch, dtype=np.uint8)
+        share1 = rng.integers(0, 2, batch, dtype=np.uint8)
+        rows_a = pack_rows(np.stack([np.full(batch, bit_a, np.uint8), share1]))
+        rows_b = pack_rows(np.stack([np.full(batch, bit_b, np.uint8), share1 ^ row1]))
+        edges = [0, 1, params.modulus - 1, params.modulus // 2]
+        factors = [np.full(batch, f, dtype=params.dtype) for f in edges]
+        factors.append(random_ring_array(rng, params, batch))
+        for seed, factor in enumerate(factors):
+            fa, fb = split_array(factor, params, rng)
+            ra, rb, sa, sb = protocol_pair(
+                params,
+                lambda s: convert_bits_to_ring(s, rows_a, batch, fa.values),
+                lambda s: convert_bits_to_ring(s, rows_b, batch, fb.values),
+                seed=seed,
+            )
+            opened = ra + rb
+            assert np.array_equal(opened[:batch], (bit_a ^ bit_b) * factor)
+            assert np.array_equal(opened[batch:], row1.astype(params.dtype))
+            for sess in (sa, sb):
+                assert sess.transcript.rounds == 1
+                assert (sess.transcript.ring_mults, sess.transcript.bit_mults) == (batch, 0)
+            # the masked r - u and factor - v, then both rows of c
+            assert sa.transcript.bytes_sent == (FRAME_HEADER.size
+                                                + 8 * (2 * batch + 2 * word_count(batch)))
+
+    def test_without_factor_sends_a_plain_conversions_frames(self):
+        # digests of a conversion of two 65-bit rows before the factor existed
+        rng = np.random.default_rng(41)
+        bits = rng.integers(0, 2, (2, 65), dtype=np.uint8)
+        share = rng.integers(0, 2, (2, 65), dtype=np.uint8)
+        rows_a, rows_b = pack_rows(share), pack_rows(bits ^ share)
+        ra, rb, sa, sb = protocol_pair(P64, lambda s: convert_bits_to_ring(s, rows_a, 65),
+                                       lambda s: convert_bits_to_ring(s, rows_b, 65), seed=8)
+        assert np.array_equal(ra + rb, bits.reshape(-1).astype(P64.dtype))
+        assert (sa.transcript.rounds, sa.transcript.ring_mults) == (1, 0)
+        assert sa.transcript.bytes_sent == 45
+        assert sa.transcript.sent_digest() == (
+            "7682c57edb0d0e143e260f3870398345acd1967a7adb256fd058a8f5c4a3132c")
+        assert sb.transcript.sent_digest() == (
+            "101ddea519eedf09e4d9331181430401e6d0d95530d4187ee100da783b40c1bd")
 
 
 class TestBitOpenings:

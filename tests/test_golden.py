@@ -20,7 +20,10 @@ CRN1 header: the stream and frame digests moved at both batches, and the
 weight shares and every record of the other tags did not.  Protocol version
 9 widens the CRN1 record count to a word and packs each record header into
 three words, so every part starts on a word boundary: only the stream
-digests moved, and every part's bytes stayed as they were.
+digests moved, and every part's bytes stayed as they were.  Protocol version
+10 opens the activation's product in the conversion's frame, against the
+ring triples already dealt for it: the frame digests moved, and the stream
+digests moved through the version field of the file header alone.
 """
 
 import hashlib
@@ -38,20 +41,20 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("0cfe2ade07b21eaede4bb22fb0f3e333a56410d58af2ddef4abbf3f606143b42",
-                 "d728f721f3675a90d8e62edd4fb71c422f76a2c2b31035afaa4f5a9ebc4cf33b"),
-        "sent": ("7d2262a5f74c397934931f799c7ff3326487a0cd3f9abe143daba2ebdda01d7f",
-                 "bd9c36e8d314d647379fb084b5ca738e12f0e26c7fb14d24652a3ff8fcaab956"),
+        "crn1": ("b71e3c6963821ac8c12313b242617bb24559ae62e35df496b43586f123117242",
+                 "5767c6de9a1943b3b585444dad70a8e669fd4e48813400506a7ee780be2865ed"),
+        "sent": ("70044c58573d30f9a8680246c0d43f905408928dce7471c9e5ed01a14b98c325",
+                 "2534bbb70188b2838ea588a7cf8972b112e74bb5c0471c58332d413ae1a826e4"),
         "weights": ([28974219521733, 32862988747754, 26978605660032, 17389233348734,
                      28549017062738],
                     [18446715099490029812, 18446711210720804777, 18446717095103891915,
                      18446726684476202852, 18446715524692488985]),
     },
     77: {
-        "crn1": ("ed6ba3e8604a8c7227c2ad89a8ca979b62bffd293ce67b6fd2ec6e45634443f6",
-                 "86920521cb2976bb3c8387aebf5b8e9e53ff284eb56b0d09184dcdc99d706ead"),
-        "sent": ("75654fd8f272a8077b51efcceb0d052b432f12f506bab400529740dca28c03e4",
-                 "57f3449dd2438f7ad7f98e65823f3e29b07848285dacd7750dba62f5aa5c601f"),
+        "crn1": ("0b968a8dc3a743bb19f405d7b2c524331862a6789e6de98800285330682aeceb",
+                 "e1ed822663f35c3436871e02a04f4535cf85d795cf8c1786e2e307562f13254b"),
+        "sent": ("3cadb3c58a8b03a9f195ec0ee9bd46011714fd06e5415c39f6b8cf3f3a6ef0d7",
+                 "24f4a4c63ff0bc18d0becb3d41bb50cb7d05dba8ff848ba0b4ad11e3d2cecedd"),
         "weights": ([37109802231382, 17307203006669, 13562539591937, 36318760248600,
                      19894510230177],
                     [18446706963907320185, 18446726766506545925, 18446730511169960164,

@@ -391,7 +391,7 @@ class TestTrafficModel:
             traffic = count_traffic(n, m, iters, P64)
             for tr in (sa.transcript, sb.transcript):
                 assert (tr.rounds, tr.bytes_sent) == (traffic["rounds"], traffic["bytes"])
-            assert traffic["rounds"] == 12 * iters
+            assert traffic["rounds"] == 11 * iters
             assert traffic["open_x_bytes"] == 8 * n * (m + 1)
 
     def test_iterations_after_the_first_send_only_the_linear_term(self):

@@ -252,8 +252,8 @@ class TestHandshake:
                                                           perform_handshake, a, self._info()))
         t.start()
         # a peer of the previous protocol version is refused
-        with pytest.raises(TransportError, match="version: ours 8, peer 9"):
-            perform_handshake(b, self._info(role="B", version=8))
+        with pytest.raises(TransportError, match="version: ours 9, peer 10"):
+            perform_handshake(b, self._info(role="B", version=9))
         t.join()
 
     def test_wildcard_dims_allowed(self):
