@@ -157,8 +157,9 @@ class MaskedMatrix:
     product opens only its vector operand, masked by a fresh V whose record
     carries W = U·V or Uᵀ·V.  This is the reuse of masked data of SecureML
     (Mohassel and Zhang, IEEE S&P 2017).  After the opening a party keeps D
-    and `left`, its share of U plus D on Alice's side, so each product costs
-    two local matrix-vector products.
+    and `u`, its share of U, so each product costs two local matrix-vector
+    products: X·y = W + U·e + D·(V + e), where e = y - V is opened, and
+    Alice adds the public e to her share of V.
     """
 
     def __init__(self, share: np.ndarray):
@@ -167,7 +168,7 @@ class MaskedMatrix:
         self.share = share
         self.shape = share.shape
         self.d = None
-        self.left = None
+        self.u = None
 
 
 def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bool):
@@ -184,14 +185,15 @@ def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bo
     _, v, w = sess.randomness.take_matmul_triple(MatmulDims(n, m, 1, kind))
     if first:
         d, e = sess.open(ring=[np.asarray(x.share, dtype=sess.params.dtype) - u, y - v])
-        x.d, x.left, x.share = d, (u + d if sess.is_alice else u), None
+        x.d, x.u, x.share = d, u, None
     else:
         [e] = sess.open(ring=[y - v])
+    v = v + e if sess.is_alice else v
     if transpose:
-        # for integer dtypes numpy runs this einsum several times faster than x.left.T @ e
-        z = w[:, 0] + np.einsum("ij,i->j", x.left, e[:, 0]) + np.einsum("ij,i->j", x.d, v[:, 0])
+        # for integer dtypes numpy runs this einsum several times faster than x.u.T @ e
+        z = w[:, 0] + np.einsum("ij,i->j", x.u, e[:, 0]) + np.einsum("ij,i->j", x.d, v[:, 0])
     else:
-        z = w + x.left @ e + x.d @ v
+        z = w + x.u @ e + x.d @ v
     sess.transcript.ring_mults += n * m
     return z
 
