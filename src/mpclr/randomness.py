@@ -16,6 +16,13 @@ slots, `serialize_stream` returns that buffer as it is, and
 `deserialize_stream` keeps every part as a read-only view into the bytes it
 is given.  An OnDemandSource holds the same records, dealt one at a time as
 they are taken.
+
+The pure masks of the products over X, the mask U and every fresh V, are
+written as one seed per party (`expand_seed`), so a matmul record's size
+does not grow with X.  A record keeps its seeds as its written parts; the
+masks they stand for are expanded once and kept beside it.  Loading expands
+every seed before it returns, so the expansion is part of setup; the
+streams a dealer returns expand a record at its first take.
 """
 
 from __future__ import annotations
@@ -71,12 +78,15 @@ _KIND_SHIFT = 4
 
 _DOMAIN = 0x6D70636C  # derivation label separating dealer output from other rng users
 
+SEED_WORDS = 2  # a seeded mask's part: one 128-bit seed, two words
+
 
 class MatmulDims(NamedTuple):
     """Shape and kind of one TAG_MATMUL record.
 
     U is always i x j.  The mask record carries U alone (k = 0); the records
-    that reuse it carry only a fresh V and its product W with U or Uᵀ.
+    that reuse it carry only a fresh V and its product W with U or Uᵀ.  U
+    and V are written as a seed each (see `part_shapes`); W is written whole.
     """
 
     i: int
@@ -85,7 +95,8 @@ class MatmulDims(NamedTuple):
     kind: int
 
     def shapes(self) -> tuple:
-        """Shapes of (U, V, W) in the record, None for a part it lacks."""
+        """Shapes of (U, V, W) as a take hands them out, None for a part the
+        record lacks."""
         i, j, k, kind = self
         return {
             MATMUL_MASK: ((i, j), None, None),
@@ -185,6 +196,24 @@ def _share_ring(vals: np.ndarray, params: FixedPointParams, rng: np.random.Gener
     return ra, vals - ra
 
 
+def expand_seed(seed, params: FixedPointParams, shape) -> np.ndarray:
+    """A party's share of a pure mask of `shape` from its seed of SEED_WORDS
+    words, low word first: one PCG64 word per ring element, cast down on a
+    ring narrower than 64 bits.  The generator is seeded through its own
+    SeedSequence, so two seeds' expansions share no generator state."""
+    bits = np.random.PCG64(int(seed[0]) | int(seed[1]) << 64)
+    return bits.random_raw(math.prod(shape)).astype(params.dtype, copy=False).reshape(shape)
+
+
+def _mask_share(seed, shape, params: FixedPointParams):
+    """The read-only expansion of a seeded part, None for a part that is None."""
+    if seed is None:
+        return None
+    share = expand_seed(seed, params, shape)
+    share.flags.writeable = False
+    return share
+
+
 def make_bit_triple(nrows: int, nbits: int, rng: np.random.Generator, k: int = 2, masks=None):
     """Share `nrows` rows of `nbits` tuples for k-input Z_2 AND gates:
     Alice's and Bob's (2^k - 1, nrows, words) arrays of packed rows, row
@@ -219,24 +248,31 @@ class TrustedDealer:
         seq = np.random.SeedSequence([_DOMAIN, self.master_seed & (2 ** 64 - 1), tag, ctr])
         return np.random.default_rng(seq)
 
+    def _seeded_mask(self, rng, shape) -> tuple:
+        """A pure mask of `shape` and both parties' seeds of it: one seed per
+        party drawn from `rng`, the mask the sum of their expansions."""
+        seeds = rng.integers(0, 1 << 64, size=(2, SEED_WORDS), dtype=np.uint64)
+        mask = expand_seed(seeds[0], self.params, shape)
+        mask += expand_seed(seeds[1], self.params, shape)
+        return mask, seeds
+
     def _matmul_parts(self, dims, rng):
         """Both parties' (U, V, W) parts of one TAG_MATMUL record, None for a
-        part its kind lacks (see MatmulDims)."""
+        part its kind lacks (see MatmulDims): U and V as each party's seed,
+        W as its share."""
         dims = MatmulDims(*dims)
         i, j, k, kind = dims
         if kind == MATMUL_MASK:
-            u = random_ring_array(rng, self.params, (i, j))
-            self._masks[(i, j)] = u
-            ua, ub = _share_ring(u, self.params, rng)
-            return (ua, None, None), (ub, None, None)
+            self._masks[(i, j)], seeds = self._seeded_mask(rng, (i, j))
+            return (seeds[0], None, None), (seeds[1], None, None)
         u = self._masks.get((i, j))
         if u is None:
             raise ProtocolError(f"no {i}x{j} mask dealt before the record {dims}")
         _, v_shape, _ = dims.shapes()
-        v = random_ring_array(rng, self.params, v_shape)
+        v, seeds = self._seeded_mask(rng, v_shape)
         w = u @ v if kind == MATMUL_REUSE else np.einsum("ij,ik->jk", u, v)
-        (va, vb), (wa, wb) = _share_ring(v, self.params, rng), _share_ring(w, self.params, rng)
-        return (None, va, wa), (None, vb, wb)
+        wa, wb = _share_ring(w, self.params, rng)
+        return (None, seeds[0], wa), (None, seeds[1], wb)
 
     def _prefix_parts(self, width: int, batch: int, rng):
         """Both parties' parts of one TAG_PREFIXNET record, five parts of
@@ -288,7 +324,9 @@ class TrustedDealer:
     def generate(self, requests):
         """Deal both parties' streams for an explicit request list, each
         record straight into its slots of the two CRN1 buffers; every part
-        of the streams returned is a view into its party's buffer.
+        of the streams returned is a view into its party's buffer.  Their
+        seeds are expanded at a record's first take, not here: the dealer
+        has just drawn those masks.
 
         Each request is (tag, meta): n for pools, MatmulDims for matmul,
         (width, batch) for prefix-network blocks.
@@ -298,7 +336,7 @@ class TrustedDealer:
         for index, (tag, meta) in enumerate(plan):
             for (_, slots), parts in zip(streams, self.block(tag, meta)):
                 _fill(slots[index], parts)
-        return tuple(deserialize_stream(words, self.params) for words, _ in streams)
+        return tuple(_parse_stream(words, self.params) for words, _ in streams)
 
 
 def session_id_from_seed(master_seed: int) -> int:
@@ -317,14 +355,15 @@ class MaterializedSource:
     (string S - 1 holding the subset product r_S, see `make_bit_triple`),
     the n ring shares and the n-bit string of Z_2 shares of a pool of n
     daBits, the (U, V, W) parts of a matmul record with None for a part its
-    kind lacks, and the five parts of packed `batch`-bit rows of a
-    prefix-network record, those of its PrefixBlock.  `buffer` is the CRN1
-    bytes that a dealt or loaded stream's parts are read-only views into,
-    None once a record is appended.  A take only moves a cursor over its
-    tag's records, and reads inside one record: a pooled take that does
-    not fit in what is left of its record underflows.  It hands the bits
-    of a pool back as the rows its gate reads, not as the string that the
-    record holds them in.
+    kind lacks and a seed for U and V, and the five parts of packed
+    `batch`-bit rows of a prefix-network record, those of its PrefixBlock.
+    `buffer` is the CRN1 bytes that a dealt or loaded stream's parts are
+    read-only views into, None once a record is appended.  A take only
+    moves a cursor over its tag's records, and reads inside one record: a
+    pooled take that does not fit in what is left of its record underflows.
+    It hands the bits of a pool back as the rows its gate reads, not as the
+    string that the record holds them in, and a matmul record's U and V as
+    the read-only masks their seeds expand to, expanded once per record.
     """
 
     def __init__(self, params: FixedPointParams, session_id: int = 0):
@@ -333,6 +372,7 @@ class MaterializedSource:
         self.records = []
         self.buffer = None
         self._cursors = {tag: _Cursor() for tag in _TAG_NAMES}
+        self._expanded = {}  # record index -> a matmul record's parts, seeds expanded
 
     def append(self, tag: int, meta, parts):
         """Add one record; `meta` is n for a pool, a MatmulDims for matmul
@@ -371,7 +411,7 @@ class MaterializedSource:
                     f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have 0")
             # an empty take past the last record reads an empty one
             return tuple(np.zeros(*part) for part in part_shapes(tag, 0, self.params)), 0
-        _, rmeta, parts = self.records[cur.index]
+        _, rmeta, _ = self.records[cur.index]
         left = _units(tag, rmeta) - cur.offset
         if n > left:
             raise RandomnessUnderflowError(
@@ -379,11 +419,24 @@ class MaterializedSource:
         if tag not in _POOLED and rmeta != meta:
             raise ProtocolError(
                 f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
-        start = cur.offset
+        index, start = cur.index, cur.offset
         cur.offset += n
         if n == left:  # used up: the next take starts after it
             cur.index, cur.offset = cur.index + 1, 0
-        return parts, start
+        return self._expand(index), start
+
+    def _expand(self, index: int) -> tuple:
+        """The parts of record `index` as a take hands them out: a matmul
+        record's with its seeds expanded into read-only masks, once, and kept
+        beside the record; any other record's as they are written."""
+        tag, meta, parts = self.records[index]
+        if tag != TAG_MATMUL:
+            return parts
+        if index not in self._expanded:
+            (u, v, w), (u_shape, v_shape, _) = parts, meta.shapes()
+            self._expanded[index] = (_mask_share(u, u_shape, self.params),
+                                     _mask_share(v, v_shape, self.params), w)
+        return self._expanded[index]
 
     def take_ring_triples(self, n):
         parts, start = self._take(TAG_SCALAR, n)
@@ -458,14 +511,17 @@ def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
     lacks; every part is written as one u64 word per element.  Dealing lays
     a stream out by it and loading parses one by it."""
     ring, words = params.dtype, np.uint64
+    if tag == TAG_MATMUL:  # U and V are pure masks, each written as a seed
+        u, v, w = meta.shapes()
+        seed = ((SEED_WORDS,), words)
+        return (None if u is None else seed, None if v is None else seed,
+                None if w is None else (w, ring))
     if tag == TAG_SCALAR:
         return (((meta,), ring),) * 3
     if tag == TAG_BIT:
         return ((((1 << BIT_TUPLE_INPUTS) - 1, word_count(meta)), words),)
     if tag == TAG_CONVERSION:
         return ((meta,), ring), ((word_count(meta),), words)
-    if tag == TAG_MATMUL:
-        return tuple(None if shape is None else (shape, ring) for shape in meta.shapes())
     if tag == TAG_PREFIXNET:
         width, batch = meta
         plan = cached_plan(width)
@@ -585,11 +641,23 @@ def serialize_stream(source: MaterializedSource) -> memoryview:
 
 
 def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
-    """Load a stream from any bytes-like `data`.  Every part is a read-only
-    view into `data`, so `data` must not change while the stream is in use;
-    `data` that starts off a word boundary, such as a TCP frame's payload,
-    is first copied once into an aligned buffer, and the ring parts of a
-    ring narrower than 64 bits are cast copies."""
+    """Load a stream from any bytes-like `data`, and expand the seeds of
+    every matmul record into the masks its takes hand out, so no take pays
+    for an expansion.  Every written part is a read-only view into `data`,
+    so `data` must not change while the stream is in use; `data` that starts
+    off a word boundary, such as a TCP frame's payload, is first copied once
+    into an aligned buffer, and the ring parts of a ring narrower than 64
+    bits are cast copies."""
+    source = _parse_stream(data, params)
+    for index, (tag, _, _) in enumerate(source.records):
+        if tag == TAG_MATMUL:
+            source._expand(index)
+    return source
+
+
+def _parse_stream(data, params: FixedPointParams) -> MaterializedSource:
+    """The stream in `data`, as `deserialize_stream` loads it, with no seed
+    expanded yet."""
     view = _aligned(data)
     size = len(view)
     if size < _VERSION.size:

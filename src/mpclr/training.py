@@ -267,9 +267,11 @@ def count_traffic(n_samples: int, n_features: int, n_iter: int,
 def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingConfig) -> list:
     """Request plan the trusted initializer uses to provision one training run.
 
-    One mask record for X, n x m1 words, then every iteration's records in
-    the order its rounds take them; the two that reuse the mask, for X·w and
-    Xᵀ·(t - o), are n + m1 words each.  Pooled tags get a POOL_SLACK tail.
+    One mask record for X, then every iteration's records in the order its
+    rounds take them.  The mask and the fresh V of the two records that reuse
+    it are written as a 2-word seed each, so the mask record is 2 words
+    whatever n x m1, the record for X·w is 2 + n words and the one for
+    Xᵀ·(t - o) 2 + m1.  Pooled tags get a POOL_SLACK tail.
     """
     if not cfg.n_iter:
         return []

@@ -225,16 +225,16 @@ class TestProtocolErrors:
         assert not (tmp_path / "w.bob.shr").exists()
 
     def test_randomness_of_another_protocol_version_exits_4(self, toy_csv, tmp_path):
-        def version_8(path):
+        def version_10(path):
             raw = bytearray(path.read_bytes())
-            raw[4:6] = (8).to_bytes(2, "little")  # the version, after the magic
+            raw[4:6] = (10).to_bytes(2, "little")  # the version, after the magic
             path.write_bytes(raw)
 
         common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
-        for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_8):
+        for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_10):
             assert rc == 4, err
             assert err == ("error: randomness stream dealt by another protocol version than "
-                           "this build's 10 (one dealt before version 8 has no version field); "
+                           "this build's 11 (one dealt before version 8 has no version field); "
                            "deal it again\n")
 
     def test_randomness_of_another_session_exits_4(self, toy_csv, tmp_path):

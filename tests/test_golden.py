@@ -23,7 +23,12 @@ three words, so every part starts on a word boundary: only the stream
 digests moved, and every part's bytes stayed as they were.  Protocol version
 10 opens the activation's product in the conversion's frame, against the
 ring triples already dealt for it: the frame digests moved, and the stream
-digests moved through the version field of the file header alone.
+digests moved through the version field of the file header alone.  Protocol
+version 11 writes the matrix masks U and V as one seed per party, so they
+take new values: the stream and frame digests moved, and so did the weight
+shares, since the local truncation's error of up to one unit in the last
+place per truncation depends on the shares it truncates; the weights they
+reconstruct to moved by at most two such units.
 """
 
 import hashlib
@@ -41,24 +46,24 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("b71e3c6963821ac8c12313b242617bb24559ae62e35df496b43586f123117242",
-                 "5767c6de9a1943b3b585444dad70a8e669fd4e48813400506a7ee780be2865ed"),
-        "sent": ("70044c58573d30f9a8680246c0d43f905408928dce7471c9e5ed01a14b98c325",
-                 "2534bbb70188b2838ea588a7cf8972b112e74bb5c0471c58332d413ae1a826e4"),
-        "weights": ([28974219521733, 32862988747754, 26978605660032, 17389233348734,
-                     28549017062738],
-                    [18446715099490029812, 18446711210720804777, 18446717095103891915,
-                     18446726684476202852, 18446715524692488985]),
+        "crn1": ("7051ebb383ec25135ccac910cccfc26452f3ea103ee48652c97da99fd6c2c744",
+                 "ef4c529a4d7a18c77b07068b6579fd88f2608564c6a95fbf8732bc1d378847cf"),
+        "sent": ("7004b7c0d3d901231ae38eb3cf2f2caf1e319b22cbaf5872197db05da219e1fb",
+                 "e734d77d6769717b3e0514100eb3a5fc727c073abc3b94df0554fa8b69f62bcd"),
+        "weights": ([19138880305724, 24006652041723, 27370254117660, 29159159964231,
+                     20729159496846],
+                    [18446724934829245821, 18446720067057510807, 18446716703455434286,
+                     18446714914549587355, 18446723344550054877]),
     },
     77: {
-        "crn1": ("0b968a8dc3a743bb19f405d7b2c524331862a6789e6de98800285330682aeceb",
-                 "e1ed822663f35c3436871e02a04f4535cf85d795cf8c1786e2e307562f13254b"),
-        "sent": ("3cadb3c58a8b03a9f195ec0ee9bd46011714fd06e5415c39f6b8cf3f3a6ef0d7",
-                 "24f4a4c63ff0bc18d0becb3d41bb50cb7d05dba8ff848ba0b4ad11e3d2cecedd"),
-        "weights": ([37109802231382, 17307203006669, 13562539591937, 36318760248600,
-                     19894510230177],
-                    [18446706963907320185, 18446726766506545925, 18446730511169960164,
-                     18446707754949303034, 18446724179199321197]),
+        "crn1": ("6cf3d64fcac6ab56c45bda51ef4d8a8148204c64e37898e7175394a10f1d980a",
+                 "8c087f0cff18d1e9a5a39131156a969fbbf024d9554c63b026ddf13e52a6dddd"),
+        "sent": ("85846399298ca6145782fdc41429616ef24000d7148f2082ef903f9b782a6292",
+                 "77673e0f8051d65ec5a98112520550f4bb7632498859afeddaca9b7ee84a1e57"),
+        "weights": ([28066745343120, 29264249119107, 33640938008250, 9058849979089,
+                     40782814463658],
+                    [18446716006964208446, 18446714809460433486, 18446710432771543850,
+                     18446735014859572545, 18446703290895087714]),
     },
 }
 

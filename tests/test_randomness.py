@@ -27,6 +27,7 @@ from mpclr.randomness import (
     OnDemandSource,
     TrustedDealer,
     deserialize_stream,
+    expand_seed,
     make_bit_triple,
     make_ring_triple,
     serialize_stream,
@@ -110,11 +111,12 @@ class TestTripleGeneration:
         assert np.array_equal(u * v, w)
 
     def test_matmul_block_reconstructs(self):
+        # a block holds each party's seeds of U and V, and its share of W
         dealer = TrustedDealer(5, P64)
         (ua, _, _), (ub, _, _) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 0, MATMUL_MASK))
         (_, va, wa), (_, vb, wb) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 2, MATMUL_REUSE))
-        u = ua + ub
-        v = va + vb
+        u = expand_seed(ua, P64, (3, 4)) + expand_seed(ub, P64, (3, 4))
+        v = expand_seed(va, P64, (4, 2)) + expand_seed(vb, P64, (4, 2))
         w = wa + wb
         assert np.array_equal(u @ v, w)
 
@@ -280,7 +282,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (10).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (11).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -355,7 +357,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 10 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 11 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -392,7 +394,9 @@ def crn1_bytes(requests, params):
         elif tag == TAG_BIT:
             words += 15 * packed(meta)
         elif tag == TAG_MATMUL:
-            words += sum(r * c for r, c in filter(None, MatmulDims(*meta).shapes()))
+            # U and V are a 2-word seed each, W is written whole
+            u, v, w = MatmulDims(*meta).shapes()
+            words += 2 * ((u is not None) + (v is not None)) + (0 if w is None else w[0] * w[1])
         else:
             width, batch = meta
             plan = cached_plan(width)
@@ -440,8 +444,8 @@ class TestMaskedRecords:
             deserialize_stream(bytes(raw), P64)
         src_a, _ = TrustedDealer(8, P64).generate([self.OTHER_MASK, self.OTHER_FORWARD])
         raw = bytearray(serialize_stream(src_a))
-        # the mask's header and its 2 x 3 words, then the product's tag byte
-        raw[HEADER + RECORD + 8 * 6 + TAG_BYTE] = TAG_MATMUL
+        # the mask's header and its seed's 2 words, then the product's tag byte
+        raw[HEADER + RECORD + 8 * 2 + TAG_BYTE] = TAG_MATMUL
         with pytest.raises(FormatError, match="unknown record kind 0 of tag 2"):
             deserialize_stream(bytes(raw), P64)
 
@@ -480,6 +484,122 @@ class TestMaskedRecords:
         cfg = TrainingConfig(eta=0.001, n_iter=223, params=P64, seed=0)
         requests = training_randomness_requests(225, 12_634, cfg)
         assert crn1_bytes(requests, P64) < 100e6
+
+
+class TestSeededRecords:
+    """The pure masks U and V of a matmul record are written as one 2-word
+    seed per party, and expanded once per record: at load, or at a dealt or
+    on-demand stream's first take."""
+
+    N, M = 5, 3
+    MASK = (TAG_MATMUL, MatmulDims(N, M, 0, MATMUL_MASK))
+    FORWARD = (TAG_MATMUL, MatmulDims(N, M, 1, MATMUL_REUSE))
+    GRADIENT = (TAG_MATMUL, MatmulDims(N, M, 1, MATMUL_REUSE_T))
+    REQUESTS = [MASK, FORWARD, (TAG_SCALAR, 4), GRADIENT, FORWARD]
+
+    @pytest.mark.parametrize("params", [P16, P64])
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (225, 300)])
+    def test_mask_record_is_a_header_and_a_seed(self, params, shape):
+        src_a, src_b = TrustedDealer(8, params).generate(
+            [(TAG_MATMUL, MatmulDims(*shape, 0, MATMUL_MASK))])
+        for source in (src_a, src_b):
+            assert len(serialize_stream(source)) == HEADER + RECORD + 8 * 2
+            (_, _, (seed, v, w)), = source.records
+            assert seed.shape == (2,) and seed.dtype == np.uint64 and v is w is None
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_reuse_record_writes_v_as_2_words(self, k):
+        forward = (TAG_MATMUL, MatmulDims(self.N, self.M, k, MATMUL_REUSE))
+        src_a, _ = TrustedDealer(8, P64).generate([self.MASK, forward])
+        # the mask's header and seed, then the product's header, V's seed and W
+        size = HEADER + 2 * (RECORD + 8 * 2) + 8 * self.N * k
+        assert len(serialize_stream(src_a)) == size
+        _, _, (u, v, w) = src_a.records[1]
+        assert u is None and v.shape == (2,) and w.shape == (self.N, k)
+
+    @pytest.mark.parametrize("params", [P16, P64])
+    def test_loaded_streams_reconstruct_the_products(self, params):
+        streams = TrustedDealer(8, params).generate(self.REQUESTS)
+        loaded = [deserialize_stream(serialize_stream(s), params) for s in streams]
+        parts = [[take(s, *r) for r in self.REQUESTS] for s in loaded]
+        (ua, _, _), (ub, _, _) = parts[0][0], parts[1][0]
+        u = ua + ub
+        assert u.dtype == params.dtype and u.shape == (self.N, self.M)
+        for index, transpose in ((1, False), (3, True), (4, False)):
+            (_, va, wa), (_, vb, wb) = parts[0][index], parts[1][index]
+            v, w = va + vb, wa + wb
+            assert np.array_equal(w, (u.T if transpose else u) @ v)
+            for source, (_, v_part, _) in zip(loaded, (parts[0][index], parts[1][index])):
+                _, meta, (_, seed, _) = source.records[index]
+                assert np.array_equal(v_part, expand_seed(seed, params, meta.shapes()[1]))
+
+    @pytest.mark.parametrize("params", [P16, P64])
+    def test_dealt_loaded_and_on_demand_sources_agree(self, params):
+        cfg = TrainingConfig(eta=0.05, n_iter=2, params=params, seed=21)
+        requests = training_randomness_requests(6, 4, cfg)
+        streams = TrustedDealer(21, params).generate(requests)
+        loaded = [deserialize_stream(serialize_stream(s), params) for s in streams]
+        for role, dealt, back in zip((Role.ALICE, Role.BOB), streams, loaded):
+            on_demand = OnDemandSource(21, role, params)
+            for index, (tag, meta) in enumerate(requests):
+                ours = [take(source, tag, meta) for source in (dealt, back, on_demand)]
+                if tag != TAG_MATMUL:
+                    continue
+                assert same_parts(ours[0], ours[1]) and same_parts(ours[0], ours[2])
+                # every source writes the seeds and hands out the masks
+                for source, parts in zip((dealt, back, on_demand), ours):
+                    for written, mask, shape in zip(source.records[index][2][:2], parts,
+                                                    meta.shapes()):
+                        assert (written is None) == (mask is None) == (shape is None)
+                        assert shape is None or (written.shape, mask.shape) == ((2,), shape)
+
+    def test_expanded_parts_are_read_only(self):
+        streams = TrustedDealer(8, P16).generate(self.REQUESTS)
+        sources = [*streams, deserialize_stream(serialize_stream(streams[0]), P16),
+                   OnDemandSource(8, Role.BOB, P16)]
+        for source in sources:
+            for request in self.REQUESTS:
+                if request[0] != TAG_MATMUL:
+                    take(source, *request)
+                    continue
+                masks = [p for p in source.take_matmul_triple(request[1])[:2] if p is not None]
+                assert masks and all(p.shape != (2,) for p in masks)
+                assert not any(p.flags.writeable for p in masks)
+                with pytest.raises(ValueError):
+                    masks[0][0] = 1
+
+    def test_each_stream_holds_only_its_own_seeds(self):
+        src_a, src_b = TrustedDealer(8, P64).generate(self.REQUESTS)
+        bytes_a, bytes_b = bytes(serialize_stream(src_a)), bytes(serialize_stream(src_b))
+        matmul = [i for i, (tag, _) in enumerate(self.REQUESTS) if tag == TAG_MATMUL]
+        for index in matmul:
+            seed_a, seed_b = (next(p for p in s.records[index][2][:2] if p is not None)
+                              for s in (src_a, src_b))
+            assert seed_a.shape == seed_b.shape == (2,)
+            assert seed_a.tobytes() in bytes_a and seed_b.tobytes() in bytes_b
+            assert seed_a.tobytes() not in bytes_b and seed_b.tobytes() not in bytes_a
+
+    def test_loading_expands_every_seed_and_takes_expand_none(self, monkeypatch):
+        calls = []
+        real = expand_seed
+
+        def counting(seed, params, shape):
+            calls.append(tuple(shape))
+            return real(seed, params, shape)
+
+        import mpclr.randomness
+        monkeypatch.setattr(mpclr.randomness, "expand_seed", counting)
+        src_a, _ = TrustedDealer(8, P64).generate(self.REQUESTS)
+        dealt = len(calls)  # the dealer expands both parties' seeds of each mask
+        assert dealt == 2 * 4
+        back = deserialize_stream(serialize_stream(src_a), P64)
+        assert len(calls) == dealt + 4
+        for request in self.REQUESTS:
+            take(back, *request)
+        assert len(calls) == dealt + 4
+        for request in self.REQUESTS:  # a dealt stream expands at its first take
+            take(src_a, *request)
+        assert len(calls) == dealt + 8
 
 
 class TestMaskCountFormula:
