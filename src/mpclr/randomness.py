@@ -396,9 +396,10 @@ class MaterializedSource:
                               f"{len(have)} records, the run needs {len(need)}")
 
     def _take(self, tag: int, meta) -> tuple:
-        """(parts, start) of the one record that a request of `tag` reads:
-        the next `meta` units of a pool, from unit `start` on, or the whole
-        next record, which must have this meta.  A pooled take that does not
+        """(parts, start) of the one record that a request of `tag` reads,
+        its parts as `_expand` hands them out: the next `meta` units of a
+        pool, from unit `start` on, or the whole next record, which must
+        have this meta.  A pooled take that does not
         fit in what is left of its record raises RandomnessUnderflowError,
         whatever a later record holds."""
         n = _units(tag, meta)

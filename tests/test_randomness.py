@@ -587,8 +587,7 @@ class TestSeededRecords:
             calls.append(tuple(shape))
             return real(seed, params, shape)
 
-        import mpclr.randomness
-        monkeypatch.setattr(mpclr.randomness, "expand_seed", counting)
+        monkeypatch.setattr("mpclr.randomness.expand_seed", counting)
         src_a, _ = TrustedDealer(8, P64).generate(self.REQUESTS)
         dealt = len(calls)  # the dealer expands both parties' seeds of each mask
         assert dealt == 2 * 4
