@@ -189,11 +189,11 @@ def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bo
     else:
         [e] = sess.open(ring=[y - v])
     v = v + e if sess.is_alice else v
+    # for integer dtypes numpy runs these einsums faster than x.u @ e or x.u.T @ e
     if transpose:
-        # for integer dtypes numpy runs this einsum several times faster than x.u.T @ e
         z = w[:, 0] + np.einsum("ij,i->j", x.u, e[:, 0]) + np.einsum("ij,i->j", x.d, v[:, 0])
     else:
-        z = w + x.u @ e + x.d @ v
+        z = w + np.einsum("ij,jk->ik", x.u, e) + np.einsum("ij,jk->ik", x.d, v)
     sess.transcript.ring_mults += n * m
     return z
 
@@ -246,7 +246,7 @@ def and_gates(sess: Session, gates, batch: int) -> list:
     A gate (xs, rs) ANDs its k input matrices xs against rs, one uint64
     array of 2^k - 1 matrices of their shape as a take or a prefix block
     hands it over, matrix S - 1 the shares of r_S, the AND of the masks r_i
-    with bit i set in S (see `randomness.make_bit_triple`).  The parties
+    with bit i set in S (see `randomness.subset_products`).  The parties
     open every m_i = x_i XOR r_i, and then x_0 ... x_{k-1} is local: the XOR
     over all S of r_S AND the m_i outside S, where r_0 is 1 on Alice's side
     and 0 on Bob's (Ohata and Nuida, FC 2020).  The frame carries each

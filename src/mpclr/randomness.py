@@ -17,12 +17,18 @@ slots, `serialize_stream` returns that buffer as it is, and
 is given.  An OnDemandSource holds the same records, dealt one at a time as
 they are taken.
 
-The pure masks of the products over X, the mask U and every fresh V, are
-written as one seed per party (`expand_seed`), so a matmul record's size
-does not grow with X.  A record keeps its seeds as its written parts; the
-masks they stand for are expanded once and kept beside it.  Loading expands
-every seed before it returns, so the expansion is part of setup; the
-streams a dealer returns expand a record at its first take.
+Every record writes its pure masks, those whose shares are uniform in both
+parties' hands, as one seed per party (`expand_seed`): the u and v of a
+pool of ring triples, the four single masks of a pool of AND tuples, the Z_2
+strings of a pool of daBits, the setup u and v and the node masks of a
+prefix-network block, and the U or V of a matrix record.  It writes whole
+only the shares of what depends on them: w = u·v, the subset products of
+two or more masks, the daBits' ring shares, the setup w and the composition
+products, and W.  A record keeps its seed and written parts; the masks its
+seed stands for are expanded once and kept beside it, and a take joins them
+with the written parts.  Loading expands every record before it returns, so
+the expansion is part of setup; the streams a dealer returns expand a record
+at its first take.
 """
 
 from __future__ import annotations
@@ -39,9 +45,6 @@ from .fixedpoint import FixedPointParams
 from .prefixnet import cached_plan
 from .sharing import (
     Role,
-    random_bit_rows,
-    random_bits,
-    random_ring_array,
     tail_mask,
     unpack_rows,
     word_count,
@@ -86,7 +89,8 @@ class MatmulDims(NamedTuple):
 
     U is always i x j.  The mask record carries U alone (k = 0); the records
     that reuse it carry only a fresh V and its product W with U or Uᵀ.  U
-    and V are written as a seed each (see `part_shapes`); W is written whole.
+    or V is written as the record's seed (see `part_shapes`); W is written
+    whole.
     """
 
     i: int
@@ -110,9 +114,10 @@ class PrefixBlock:
     """One party's masks for a single batched bit decomposition.
 
     Every array field holds packed `batch`-bit rows: `setup` is the AND
-    triple u, v, w of `make_bit_triple`, a (3, width, words) array with one
-    row per bit position, the node masks have one row per masked node and
-    the composition products one row per composition, in plan order.
+    triple u, v, w = u AND v (see `subset_products`), a (3, width, words)
+    array with one row per bit position, the node masks have one row per
+    masked node and the composition products one row per composition, in
+    plan order.
     """
 
     width: int
@@ -128,6 +133,11 @@ _POOLED = (TAG_SCALAR, TAG_CONVERSION, TAG_BIT)
 
 # Inputs of a TAG_BIT tuple; a gate of fewer inputs reads its first strings.
 BIT_TUPLE_INPUTS = 4
+# The strings of a TAG_BIT tuple, string S - 1 holding r_S: the single masks
+# r_i (S a power of two) expand from the seed, the other products are written.
+_SINGLES = [(1 << i) - 1 for i in range(BIT_TUPLE_INPUTS)]
+_PRODUCTS = [s for s in range((1 << BIT_TUPLE_INPUTS) - 1) if s not in _SINGLES]
+_RING_MASKED = (TAG_SCALAR, TAG_MATMUL)  # tags whose masks are ring elements, not bits
 
 
 def _meta(tag: int, meta):
@@ -177,59 +187,70 @@ def _read_rows(words: np.ndarray, start: int, nrows: int, nbits: int) -> np.ndar
     return out
 
 
-def make_ring_triple(u_vals: np.ndarray, v_vals: np.ndarray, params: FixedPointParams,
-                     rng: np.random.Generator):
-    """Share elementwise multiplication triples with the given operand
-    values.  Returns ((uA, vA, wA), (uB, vB, wB))."""
-    u_vals = np.asarray(u_vals, dtype=params.dtype)
-    v_vals = np.asarray(v_vals, dtype=params.dtype)
-    w_vals = u_vals * v_vals
-    parts = [_share_ring(vals, params, rng) for vals in (u_vals, v_vals, w_vals)]
-    a = tuple(p[0] for p in parts)
-    b = tuple(p[1] for p in parts)
-    return a, b
-
-
-def _share_ring(vals: np.ndarray, params: FixedPointParams, rng: np.random.Generator):
-    """Split ring values into Alice's uniform share and Bob's remainder."""
-    ra = random_ring_array(rng, params, vals.shape)
-    return ra, vals - ra
-
-
-def expand_seed(seed, params: FixedPointParams, shape) -> np.ndarray:
-    """A party's share of a pure mask of `shape` from its seed of SEED_WORDS
-    words, low word first: one PCG64 word per ring element, cast down on a
-    ring narrower than 64 bits.  The generator is seeded through its own
-    SeedSequence, so two seeds' expansions share no generator state."""
-    bits = np.random.PCG64(int(seed[0]) | int(seed[1]) << 64)
-    return bits.random_raw(math.prod(shape)).astype(params.dtype, copy=False).reshape(shape)
-
-
-def _mask_share(seed, shape, params: FixedPointParams):
-    """The read-only expansion of a seeded part, None for a part that is None."""
-    if seed is None:
-        return None
-    share = expand_seed(seed, params, shape)
-    share.flags.writeable = False
-    return share
-
-
-def make_bit_triple(nrows: int, nbits: int, rng: np.random.Generator, k: int = 2, masks=None):
-    """Share `nrows` rows of `nbits` tuples for k-input Z_2 AND gates:
-    Alice's and Bob's (2^k - 1, nrows, words) arrays of packed rows, row
-    S - 1 holding r_S, the AND of the masks r_i with bit i set in S.  The
-    k = 2 tuple is the triple u, v, w = u AND v.  Every row of the first
-    mask is drawn, then of the next, then Alice's shares of all 2^k - 1
-    products; `masks`, a (k, nrows, words) array, replaces the drawn ones."""
-    if masks is None:
-        masks = random_bit_rows(rng, k * nrows, nbits).reshape(k, nrows, -1)
+def subset_products(masks: np.ndarray) -> np.ndarray:
+    """The 2^k - 1 subset products of k masks of packed rows, given as one
+    (k, ...) array: entry S - 1 holds r_S, the AND of the masks r_i with bit
+    i set in S.  Those of two masks u and v are the AND triple u, v, u AND v."""
     prods = np.empty(((1 << len(masks)) - 1,) + masks.shape[1:], dtype=np.uint64)
     for i, mask in enumerate(masks):
         bit = 1 << i
         prods[bit - 1] = mask
         prods[bit:2 * bit - 1] = prods[:bit - 1] & mask
-    alice = random_bit_rows(rng, len(prods) * nrows, nbits).reshape(prods.shape)
-    return alice, prods ^ alice
+    return prods
+
+
+def expand_seed(seed, count: int) -> np.ndarray:
+    """`count` words of a party's pure masks from its seed of SEED_WORDS
+    words, low word first: the output of a PCG64 seeded with it.  The
+    generator is seeded through its own SeedSequence, so two seeds'
+    expansions share no generator state.  Every seed, the dealer's and the
+    parties', expands here."""
+    return np.random.PCG64(int(seed[0]) | int(seed[1]) << 64).random_raw(count)
+
+
+def _row_bits(tag: int, meta) -> int:
+    """Bits in each packed row of a bit record: its batch, or its n."""
+    return meta[1] if tag == TAG_PREFIXNET else meta
+
+
+def mask_shapes(tag: int, meta) -> tuple:
+    """Shapes of the pure masks that a record's seed expands to, in the order
+    the seed's words fill them: ring elements for a scalar or matmul record,
+    packed rows of `_row_bits` bits for the others."""
+    if tag == TAG_MATMUL:
+        u, v, _ = meta.shapes()
+        return (u or v,)
+    if tag == TAG_SCALAR:
+        return ((2, meta),)  # u, then v
+    if tag == TAG_BIT:
+        return ((BIT_TUPLE_INPUTS, word_count(meta)),)  # the single masks r_i
+    if tag == TAG_CONVERSION:
+        return ((word_count(meta),),)  # the Z_2 shares of r
+    if tag == TAG_PREFIXNET:
+        width, batch = meta
+        nodes = (len(cached_plan(width).masked_nodes), word_count(batch))
+        return (2, width, word_count(batch)), nodes, nodes  # setup u and v, then p and g
+    raise ValueError(f"unknown randomness tag {tag}")
+
+
+def _cut(words: np.ndarray, shapes, params: FixedPointParams, nbits=None) -> list:
+    """Uniform `words` cut into arrays of `shapes`: ring elements, cast down
+    on a ring narrower than 64 bits, or with `nbits` packed rows of that
+    many bits, their tail bits zeroed."""
+    if nbits is None:
+        words = words.astype(params.dtype, copy=False)
+    else:
+        words.reshape(-1, word_count(nbits))[:, -1] &= tail_mask(nbits)
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(words, ends[:-1]), shapes)]
+
+
+def expand_masks(seed, tag: int, meta, params: FixedPointParams) -> list:
+    """A party's pure masks of a record, in the shapes of `mask_shapes`,
+    from its seed."""
+    shapes = mask_shapes(tag, meta)
+    words = expand_seed(seed, sum(math.prod(shape) for shape in shapes))
+    return _cut(words, shapes, params, None if tag in _RING_MASKED else _row_bits(tag, meta))
 
 
 class TrustedDealer:
@@ -248,78 +269,59 @@ class TrustedDealer:
         seq = np.random.SeedSequence([_DOMAIN, self.master_seed & (2 ** 64 - 1), tag, ctr])
         return np.random.default_rng(seq)
 
-    def _seeded_mask(self, rng, shape) -> tuple:
-        """A pure mask of `shape` and both parties' seeds of it: one seed per
-        party drawn from `rng`, the mask the sum of their expansions."""
-        seeds = rng.integers(0, 1 << 64, size=(2, SEED_WORDS), dtype=np.uint64)
-        mask = expand_seed(seeds[0], self.params, shape)
-        mask += expand_seed(seeds[1], self.params, shape)
-        return mask, seeds
-
-    def _matmul_parts(self, dims, rng):
-        """Both parties' (U, V, W) parts of one TAG_MATMUL record, None for a
-        part its kind lacks (see MatmulDims): U and V as each party's seed,
-        W as its share."""
-        dims = MatmulDims(*dims)
-        i, j, k, kind = dims
+    def _products(self, tag: int, meta, masks) -> list:
+        """The plaintext values of a record that depend on its masks, those
+        written as shares after its seed (see `part_shapes`)."""
+        if tag == TAG_SCALAR:
+            (uv,) = masks
+            return [uv[0] * uv[1]]
+        if tag == TAG_BIT:
+            return [subset_products(masks[0])[_PRODUCTS]]
+        if tag == TAG_CONVERSION:
+            (r,) = masks
+            return [unpack_rows(r[None], meta)[0].astype(self.params.dtype)]
+        if tag == TAG_PREFIXNET:
+            (u, v), p, g = masks
+            plan = cached_plan(meta[0])
+            # The higher-position run is the left factor of the matrix product,
+            # so the cross product couples its propagate mask with the lower
+            # run's generate mask.
+            hi, lo = plan.comp_hi, plan.comp_lo
+            return [u & v, p[hi] & p[lo], p[hi] & g[lo]]
+        (mask,) = masks
+        i, j, _, kind = meta
         if kind == MATMUL_MASK:
-            self._masks[(i, j)], seeds = self._seeded_mask(rng, (i, j))
-            return (seeds[0], None, None), (seeds[1], None, None)
+            self._masks[(i, j)] = mask
+            return []
         u = self._masks.get((i, j))
         if u is None:
-            raise ProtocolError(f"no {i}x{j} mask dealt before the record {dims}")
-        _, v_shape, _ = dims.shapes()
-        v, seeds = self._seeded_mask(rng, v_shape)
-        w = u @ v if kind == MATMUL_REUSE else np.einsum("ij,ik->jk", u, v)
-        wa, wb = _share_ring(w, self.params, rng)
-        return (None, seeds[0], wa), (None, seeds[1], wb)
-
-    def _prefix_parts(self, width: int, batch: int, rng):
-        """Both parties' parts of one TAG_PREFIXNET record, five parts of
-        packed `batch`-bit rows: the setup triple as one (3, width, words)
-        array, then the node masks and the composition products."""
-        plan = cached_plan(width)
-        setup_a, setup_b = make_bit_triple(width, batch, rng)
-
-        def draw_rows(per_row: int, nrows: int):
-            rows = random_bit_rows(rng, per_row * nrows, batch).reshape(nrows, per_row, -1)
-            return rows.transpose(1, 0, 2)
-
-        # each masked node draws its p and g masks, then Alice's shares of them
-        p_val, g_val, p_a, g_a = draw_rows(4, len(plan.masked_nodes))
-        # The higher-position run is the left factor of the matrix product, so
-        # the cross product couples its propagate mask with the lower run's
-        # generate mask.
-        pp_a, pg_a = draw_rows(2, len(plan.compositions))
-        lo, hi = plan.comp_lo, plan.comp_hi
-        pp_b = p_val[hi] & p_val[lo] ^ pp_a
-        pg_b = p_val[hi] & g_val[lo] ^ pg_a
-        return ((setup_a, p_a, g_a, pp_a, pg_a),
-                (setup_b, p_val ^ p_a, g_val ^ g_a, pp_b, pg_b))
+            raise ProtocolError(f"no {i}x{j} mask dealt before the record {meta}")
+        # numpy runs einsum faster than @ on integer dtypes
+        return [np.einsum("ij,jk->ik" if kind == MATMUL_REUSE else "ij,ik->jk", u, mask)]
 
     def block(self, tag: int, meta):
-        """Both parties' parts of the next CRN1 record of `tag`, one array
-        per entry of `part_shapes`, None for a part its kind lacks; `meta`
-        is as in `generate`."""
+        """Both parties' parts of the next CRN1 record of `tag`, as
+        `part_shapes` lists them; `meta` is as in `generate`.  The record's
+        generator draws both parties' seeds, then Alice's shares of what
+        depends on the masks, each mask the sum, or for bits the XOR, of the
+        two parties' expansions of it; Bob's shares are the rest.  Alice's
+        are the generator's raw words, cut like masks (see `_cut`)."""
+        meta = _meta(tag, meta)
         rng = self._rng(tag)
-        if tag == TAG_SCALAR:
-            return make_ring_triple(random_ring_array(rng, self.params, (meta,)),
-                                    random_ring_array(rng, self.params, (meta,)),
-                                    self.params, rng)
-        if tag == TAG_BIT:
-            return tuple((half[:, 0],) for half in make_bit_triple(1, meta, rng, BIT_TUPLE_INPUTS))
-        if tag == TAG_CONVERSION:
-            # random bits r, shared in the ring one word each and in Z_2 as one string
-            r = random_bits(rng, meta)
-            ring = _share_ring(unpack_rows(r[None], meta)[0].astype(self.params.dtype),
-                               self.params, rng)
-            bits_a = random_bits(rng, meta)
-            return (ring[0], bits_a), (ring[1], r ^ bits_a)
-        if tag == TAG_MATMUL:
-            return self._matmul_parts(meta, rng)
-        if tag == TAG_PREFIXNET:
-            return self._prefix_parts(*meta, rng)
-        raise ValueError(f"unknown randomness tag {tag}")
+        seeds = rng.integers(0, 1 << 64, size=(2, SEED_WORDS), dtype=np.uint64)
+        masks, other = (expand_masks(seed, tag, meta, self.params) for seed in seeds)
+        for mask, more in zip(masks, other):  # Alice's expansion becomes the mask
+            if tag in _RING_MASKED:
+                mask += more
+            else:
+                mask ^= more
+        values = self._products(tag, meta, masks)
+        bits = tag in (TAG_BIT, TAG_PREFIXNET)  # whether the products are bit rows
+        words = rng.bit_generator.random_raw(sum(value.size for value in values))
+        alice = _cut(words, [value.shape for value in values], self.params,
+                     _row_bits(tag, meta) if bits else None)
+        bob = [value ^ share if bits else value - share for value, share in zip(values, alice)]
+        return (seeds[0], *alice), (seeds[1], *bob)
 
     def generate(self, requests):
         """Deal both parties' streams for an explicit request list, each
@@ -349,21 +351,16 @@ class MaterializedSource:
     contents, TI bytes, or records dealt as they are taken (OnDemandSource).
 
     The stream is `records`, its CRN1 records in order, each (tag, meta,
-    parts) with `parts` the arrays of `part_shapes` in the order they are
-    written in: u, v and w of a pool of n ring triples, n words each, a
-    (15, words) matrix of packed n-bit strings for a pool of n AND tuples
-    (string S - 1 holding the subset product r_S, see `make_bit_triple`),
-    the n ring shares and the n-bit string of Z_2 shares of a pool of n
-    daBits, the (U, V, W) parts of a matmul record with None for a part its
-    kind lacks and a seed for U and V, and the five parts of packed
-    `batch`-bit rows of a prefix-network record, those of its PrefixBlock.
-    `buffer` is the CRN1 bytes that a dealt or loaded stream's parts are
-    read-only views into, None once a record is appended.  A take only
-    moves a cursor over its tag's records, and reads inside one record: a
-    pooled take that does not fit in what is left of its record underflows.
-    It hands the bits of a pool back as the rows its gate reads, not as the
-    string that the record holds them in, and a matmul record's U and V as
-    the read-only masks their seeds expand to, expanded once per record.
+    parts) with `parts` the arrays that the record writes, in the order of
+    `part_shapes`: this party's seed of the record's pure masks, then its
+    shares of what depends on them.  `buffer` is the CRN1 bytes that a dealt
+    or loaded stream's parts are read-only views into, None once a record is
+    appended.  A take only moves a cursor over its tag's records, and reads
+    inside one record: a pooled take that does not fit in what is left of
+    its record underflows.  It reads the masks that the record's seed
+    expands to, expanded once per record and kept read-only beside it, and
+    the record's written parts, and hands the bits of a pool back as the
+    rows its gate reads, not as the strings that the record holds them in.
     """
 
     def __init__(self, params: FixedPointParams, session_id: int = 0):
@@ -372,7 +369,7 @@ class MaterializedSource:
         self.records = []
         self.buffer = None
         self._cursors = {tag: _Cursor() for tag in _TAG_NAMES}
-        self._expanded = {}  # record index -> a matmul record's parts, seeds expanded
+        self._expanded = {}  # record index -> the masks its seed expands to
 
     def append(self, tag: int, meta, parts):
         """Add one record; `meta` is n for a pool, a MatmulDims for matmul
@@ -396,12 +393,11 @@ class MaterializedSource:
                               f"{len(have)} records, the run needs {len(need)}")
 
     def _take(self, tag: int, meta) -> tuple:
-        """(parts, start) of the one record that a request of `tag` reads,
-        its parts as `_expand` hands them out: the next `meta` units of a
-        pool, from unit `start` on, or the whole next record, which must
-        have this meta.  A pooled take that does not
-        fit in what is left of its record raises RandomnessUnderflowError,
-        whatever a later record holds."""
+        """(masks, written, start) of the one record that a request of `tag`
+        reads (see `_expand`): the next `meta` units of a pool, from unit
+        `start` on, or the whole next record, which must have this meta.  A
+        pooled take that does not fit in what is left of its record raises
+        RandomnessUnderflowError, whatever a later record holds."""
         n = _units(tag, meta)
         cur = self._cursors[tag]
         while cur.index < len(self.records) and self.records[cur.index][0] != tag:
@@ -411,7 +407,8 @@ class MaterializedSource:
                 raise RandomnessUnderflowError(
                     f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have 0")
             # an empty take past the last record reads an empty one
-            return tuple(np.zeros(*part) for part in part_shapes(tag, 0, self.params)), 0
+            seed, *written = (np.zeros(*part) for part in part_shapes(tag, 0, self.params))
+            return expand_masks(seed, tag, 0, self.params), written, 0
         _, rmeta, _ = self.records[cur.index]
         left = _units(tag, rmeta) - cur.offset
         if n > left:
@@ -424,51 +421,58 @@ class MaterializedSource:
         cur.offset += n
         if n == left:  # used up: the next take starts after it
             cur.index, cur.offset = cur.index + 1, 0
-        return self._expand(index), start
+        return (*self._expand(index), start)
 
     def _expand(self, index: int) -> tuple:
-        """The parts of record `index` as a take hands them out: a matmul
-        record's with its seeds expanded into read-only masks, once, and kept
-        beside the record; any other record's as they are written."""
-        tag, meta, parts = self.records[index]
-        if tag != TAG_MATMUL:
-            return parts
+        """(masks, written) of record `index`: the masks its seed expands to
+        (see `mask_shapes`), expanded once and kept read-only beside the
+        record, and the parts the record writes after its seed."""
+        tag, meta, (seed, *written) = self.records[index]
         if index not in self._expanded:
-            (u, v, w), (u_shape, v_shape, _) = parts, meta.shapes()
-            self._expanded[index] = (_mask_share(u, u_shape, self.params),
-                                     _mask_share(v, v_shape, self.params), w)
-        return self._expanded[index]
+            masks = expand_masks(seed, tag, meta, self.params)
+            for mask in masks:
+                mask.flags.writeable = False
+            self._expanded[index] = masks
+        return self._expanded[index], written
 
     def take_ring_triples(self, n):
-        parts, start = self._take(TAG_SCALAR, n)
-        return tuple(part[start:start + n] for part in parts)
+        (uv,), (w,), start = self._take(TAG_SCALAR, n)
+        return uv[0, start:start + n], uv[1, start:start + n], w[start:start + n]
 
     def take_matmul_triple(self, dims):
         """(U, V, W) parts of the next TAG_MATMUL record, None where the
         record's kind lacks a part; raises ProtocolError if its dims differ."""
-        parts, _ = self._take(TAG_MATMUL, _meta(TAG_MATMUL, dims))
-        return parts
+        dims = _meta(TAG_MATMUL, dims)
+        (mask,), written, _ = self._take(TAG_MATMUL, dims)
+        return (mask, None, None) if dims.kind == MATMUL_MASK else (None, mask, *written)
 
     def take_bit_triples(self, n, k=2, rows=1):
         """Next `n` AND tuples, for gates of k inputs over `rows` rows of
         n / rows bits: the first 2^k - 1 shares of each, as a (2^k - 1,
         rows, word_count(n // rows)) array of packed rows, the `rs` of an
-        `engine.and_gates` gate.  At k = 2 they are the triples u, v, w.
-        The name is that of the triple pool before it held tuples, kept
-        because the benchmark's tracer wraps the method by name."""
-        (strings,), start = self._take(TAG_BIT, n)
-        return _read_rows(strings[:(1 << k) - 1], start, rows, n // rows)
+        `engine.and_gates` gate, row S - 1 holding r_S (see
+        `subset_products`).  At k = 2 they are the triples u, v, w.  The
+        name is that of the triple pool before it held tuples, kept because
+        the benchmark's tracer wraps the method by name."""
+        (masks,), (products,), start = self._take(TAG_BIT, n)
+        out = np.empty(((1 << k) - 1, rows, word_count(n // rows)), np.uint64)
+        # the strings below 2^k - 1 are the first k masks and 2^k - 1 - k products
+        out[_SINGLES[:k]] = _read_rows(masks[:k], start, rows, n // rows)
+        out[_PRODUCTS[:len(out) - k]] = _read_rows(products[:len(out) - k], start, rows, n // rows)
+        return out
 
     def take_dabits(self, nbits, rows=1):
         """Next `nbits` daBits: the ring shares, one word per bit, and the
         Z_2 shares as a (rows, word_count(nbits // rows)) matrix of packed
         rows."""
-        (ring, bits), start = self._take(TAG_CONVERSION, nbits)
+        (bits,), (ring,), start = self._take(TAG_CONVERSION, nbits)
         return ring[start:start + nbits], _read_rows(bits, start, rows, nbits // rows)
 
     def take_prefix_block(self, width, batch) -> PrefixBlock:
-        parts, _ = self._take(TAG_PREFIXNET, (width, batch))
-        return PrefixBlock(width, batch, *parts)
+        (setup_uv, mask_p, mask_g), (setup_w, prod_pp, prod_pg), _ = self._take(
+            TAG_PREFIXNET, (width, batch))
+        setup = np.concatenate([setup_uv, setup_w[None]])
+        return PrefixBlock(width, batch, setup, mask_p, mask_g, prod_pp, prod_pg)
 
 
 class OnDemandSource(MaterializedSource):
@@ -507,48 +511,41 @@ _TAG_SHIFT = 56
 
 
 def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
-    """(shape, dtype) of each part of a record of `tag` and `meta`, in the
-    order the record holds and writes them, None for a part a matmul kind
-    lacks; every part is written as one u64 word per element.  Dealing lays
-    a stream out by it and loading parses one by it."""
+    """(shape, dtype) of each part that a record of `tag` and `meta` writes,
+    in order: this party's seed of the record's pure masks (see
+    `mask_shapes`), then its shares of what depends on them; every part is
+    written as one u64 word per element.  Dealing lays a stream out by it
+    and loading parses one by it."""
     ring, words = params.dtype, np.uint64
-    if tag == TAG_MATMUL:  # U and V are pure masks, each written as a seed
-        u, v, w = meta.shapes()
-        seed = ((SEED_WORDS,), words)
-        return (None if u is None else seed, None if v is None else seed,
-                None if w is None else (w, ring))
-    if tag == TAG_SCALAR:
-        return (((meta,), ring),) * 3
-    if tag == TAG_BIT:
-        return ((((1 << BIT_TUPLE_INPUTS) - 1, word_count(meta)), words),)
-    if tag == TAG_CONVERSION:
-        return ((meta,), ring), ((word_count(meta),), words)
-    if tag == TAG_PREFIXNET:
+    seed = ((SEED_WORDS,), words)
+    if tag == TAG_MATMUL:  # W, unless the record is U alone
+        _, _, w = meta.shapes()
+        return (seed,) if w is None else (seed, (w, ring))
+    if tag in (TAG_SCALAR, TAG_CONVERSION):  # w = u·v, or the ring shares of r
+        return seed, ((meta,), ring)
+    if tag == TAG_BIT:  # the subset products of two or more masks
+        return seed, ((len(_PRODUCTS), word_count(meta)), words)
+    if tag == TAG_PREFIXNET:  # the setup triple's w, then pp and pg
         width, batch = meta
-        plan = cached_plan(width)
-        nodes, comps = len(plan.masked_nodes), len(plan.compositions)
-        return tuple(((*rows, word_count(batch)), words)  # the PrefixBlock's fields
-                     for rows in ((3, width), (nodes,), (nodes,), (comps,), (comps,)))
+        comps = len(cached_plan(width).compositions)
+        return (seed, *(((rows, word_count(batch)), words) for rows in (width, comps, comps)))
     raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 
 def _size(shapes) -> int:
     """Words of a record's parts, from their `part_shapes`."""
-    return sum(math.prod(part[0]) for part in shapes if part is not None)
+    return sum(math.prod(shape) for shape, _ in shapes)
 
 
 def _word_views(words: np.ndarray, pos: int, shapes) -> tuple:
     """Views of `words` from word `pos` on in the `shapes` of `part_shapes`,
-    None for a part that is None, and the position after them."""
+    and the position after them."""
     if pos + _size(shapes) > len(words):
         raise FormatError("randomness stream: truncated record payload")
     views = []
-    for part in shapes:
-        if part is None:
-            views.append(None)
-            continue
-        size = math.prod(part[0])
-        views.append(words[pos:pos + size].reshape(part[0]))
+    for shape, _ in shapes:
+        size = math.prod(shape)
+        views.append(words[pos:pos + size].reshape(shape))
         pos += size
     return views, pos
 
@@ -603,9 +600,8 @@ def _new_stream(params: FixedPointParams, session_id: int, plan) -> tuple:
 
 def _fill(slots, parts):
     """Copy a record's parts into its slots (see `_new_stream`)."""
-    for slot, part in zip(slots, parts):
-        if slot is not None:
-            slot[...] = part
+    for slot, part in zip(slots, parts, strict=True):
+        slot[...] = part
 
 
 def _aligned(data) -> memoryview:
@@ -642,17 +638,16 @@ def serialize_stream(source: MaterializedSource) -> memoryview:
 
 
 def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
-    """Load a stream from any bytes-like `data`, and expand the seeds of
-    every matmul record into the masks its takes hand out, so no take pays
-    for an expansion.  Every written part is a read-only view into `data`,
-    so `data` must not change while the stream is in use; `data` that starts
-    off a word boundary, such as a TCP frame's payload, is first copied once
-    into an aligned buffer, and the ring parts of a ring narrower than 64
-    bits are cast copies."""
+    """Load a stream from any bytes-like `data`, and expand every record's
+    seed into the masks its takes read, so no take pays for an expansion.
+    Every written part is a read-only view into `data`, so `data` must not
+    change while the stream is in use; `data` that starts off a word
+    boundary, such as a TCP frame's payload, is first copied once into an
+    aligned buffer, and the ring parts of a ring narrower than 64 bits are
+    cast copies."""
     source = _parse_stream(data, params)
-    for index, (tag, _, _) in enumerate(source.records):
-        if tag == TAG_MATMUL:
-            source._expand(index)
+    for index in range(len(source.records)):
+        source._expand(index)
     return source
 
 
@@ -689,8 +684,8 @@ def _parse_stream(data, params: FixedPointParams) -> MaterializedSource:
         tag, meta = _record_meta(words[pos:pos + _HEADER_WORDS].tolist(), params)
         shapes = part_shapes(tag, meta, params)
         views, pos = _word_views(words, pos + _HEADER_WORDS, shapes)
-        source.append(tag, meta, tuple(None if part is None else _read_only(array, part[1])
-                                       for array, part in zip(views, shapes)))
+        source.append(tag, meta, tuple(_read_only(array, dtype)
+                                       for array, (_, dtype) in zip(views, shapes)))
     if 8 * pos != size:
         raise FormatError(f"randomness stream: {size - 8 * pos} bytes after the last record")
     source.buffer = view

@@ -268,10 +268,10 @@ def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingC
     """Request plan the trusted initializer uses to provision one training run.
 
     One mask record for X, then every iteration's records in the order its
-    rounds take them.  The mask and the fresh V of the two records that reuse
-    it are written as a 2-word seed each, so the mask record is 2 words
-    whatever n x m1, the record for X·w is 2 + n words and the one for
-    Xᵀ·(t - o) 2 + m1.  Pooled tags get a POOL_SLACK tail.
+    rounds take them.  Every record writes its pure masks as one 2-word seed
+    (see `randomness.mask_shapes`), so the mask record is 2 words whatever n
+    x m1, the record for X·w is 2 + n words and the one for Xᵀ·(t - o) 2 +
+    m1.  Pooled tags get a POOL_SLACK tail.
     """
     if not cfg.n_iter:
         return []

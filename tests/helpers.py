@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from mpclr import FixedPointParams, local_session_pair, run_sessions
-from mpclr.randomness import TAG_SCALAR, MaterializedSource
+from mpclr.randomness import (
+    SEED_WORDS,
+    TAG_BIT,
+    TAG_CONVERSION,
+    TAG_MATMUL,
+    TAG_SCALAR,
+    MaterializedSource,
+)
 
 
 def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
@@ -25,13 +32,40 @@ def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
 
 def forced_scalar_source(params: FixedPointParams, u: int, v: int, w: int):
     """Sources whose next ring triple is exactly (u, v, w): Alice holds the
-    values and Bob holds zeros, which is a valid additive sharing."""
+    values and Bob holds zeros, which is a valid additive sharing.  A
+    record's u and v expand from its seed, so each source is given the
+    expanded masks of its record instead."""
     dt = params.dtype
-    src_a = MaterializedSource(params)
-    src_b = MaterializedSource(params)
-    src_a.append(TAG_SCALAR, 1, np.array([[u], [v], [w]], dt))
-    src_b.append(TAG_SCALAR, 1, np.zeros((3, 1), dt))
-    return src_a, src_b
+    sources = MaterializedSource(params), MaterializedSource(params)
+    for source, (u_share, v_share, w_share) in zip(sources, ((u, v, w), (0, 0, 0))):
+        source.append(TAG_SCALAR, 1, (np.zeros(SEED_WORDS, np.uint64), np.array([w_share], dt)))
+        source._expanded[0] = [np.array([[u_share], [v_share]], dt)]
+    return sources
+
+
+def whole_record(tag, meta, parts, params):
+    """A record of written `parts`, as one take of all of it reads them: u,
+    v and w of ring triples, the 15 strings of AND tuples (string S - 1
+    holding r_S), the ring shares and the Z_2 string of daBits, or U, V and
+    W of a matrix record."""
+    source = MaterializedSource(params)
+    source.append(tag, meta, parts)
+    if tag == TAG_SCALAR:
+        return source.take_ring_triples(meta)
+    if tag == TAG_BIT:
+        return (source.take_bit_triples(meta, 4)[:, 0],)
+    if tag == TAG_CONVERSION:
+        ring, bits = source.take_dabits(meta)
+        return ring, bits[0]
+    assert tag == TAG_MATMUL
+    return source.take_matmul_triple(meta)
+
+
+def dealt_parts(dealer, tag, meta):
+    """Both parties' parts of the dealer's next record of `tag`, as one take
+    of all of it reads them (see `whole_record`), not as it writes them."""
+    return tuple(whole_record(tag, meta, parts, dealer.params)
+                 for parts in dealer.block(tag, meta))
 
 
 class ForcedBytesRng:

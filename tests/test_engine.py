@@ -185,6 +185,21 @@ class TestMaskedMatrix:
         assert sa.transcript.rounds == sb.transcript.rounds == 3
         assert sa.transcript.ring_mults == 3 * n * m
 
+    @pytest.mark.parametrize("params", [P16, P64], ids=["ring16", "ring64"])
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 3), (225, 300)])
+    def test_einsum_products_equal_matmul(self, params, shape):
+        # the products and the dealer's W = U·V and Uᵀ·V run through einsum,
+        # which wraps around the ring like @ does
+        rng = np.random.default_rng(shape[1])
+        n, m = shape
+        u = random_ring_array(rng, params, (n, m))
+        e, g = random_ring_array(rng, params, (m, 1)), random_ring_array(rng, params, (n, 1))
+        forward, backward = np.einsum("ij,jk->ik", u, e), np.einsum("ij,ik->jk", u, g)
+        assert forward.dtype == backward.dtype == params.dtype
+        assert np.array_equal(forward, u @ e)
+        assert np.array_equal(backward, u.T @ g)
+        assert np.array_equal(np.einsum("ij,i->j", u, g[:, 0]), (u.T @ g)[:, 0])
+
     def test_dimension_mismatch_aborts_before_randomness(self):
         empty = (MaterializedSource(P8), MaterializedSource(P8))
         x = np.zeros((4, 3), dtype=P8.dtype)
@@ -342,7 +357,8 @@ class TestConversionWithFactor:
                                                 + 8 * (2 * batch + 2 * word_count(batch)))
 
     def test_without_factor_sends_a_plain_conversions_frames(self):
-        # digests of a conversion of two 65-bit rows before the factor existed
+        # digests of a conversion of two 65-bit rows before the factor existed,
+        # moved since only by the daBits' new values of protocol version 12
         rng = np.random.default_rng(41)
         bits = rng.integers(0, 2, (2, 65), dtype=np.uint8)
         share = rng.integers(0, 2, (2, 65), dtype=np.uint8)
@@ -353,9 +369,9 @@ class TestConversionWithFactor:
         assert (sa.transcript.rounds, sa.transcript.ring_mults) == (1, 0)
         assert sa.transcript.bytes_sent == 45
         assert sa.transcript.sent_digest() == (
-            "7682c57edb0d0e143e260f3870398345acd1967a7adb256fd058a8f5c4a3132c")
+            "2c7980c301d2f2a3492349e47f7a3c9f2da51bdc0f9c9f600ea7783bd84aeb80")
         assert sb.transcript.sent_digest() == (
-            "101ddea519eedf09e4d9331181430401e6d0d95530d4187ee100da783b40c1bd")
+            "02d7b5d70c457aa80953044dd8927f7c5788cfec4e95d0c1d07f3975c1f84a99")
 
 
 class TestBitOpenings:

@@ -28,7 +28,11 @@ version 11 writes the matrix masks U and V as one seed per party, so they
 take new values: the stream and frame digests moved, and so did the weight
 shares, since the local truncation's error of up to one unit in the last
 place per truncation depends on the shares it truncates; the weights they
-reconstruct to moved by at most two such units.
+reconstruct to moved by at most two such units.  Protocol version 12 writes
+the pure masks of every other record as one seed per party too, so those
+masks take new values: the stream and frame digests moved, and the weight
+shares, which depend only on the matrix records and the opened values, did
+not.
 """
 
 import hashlib
@@ -46,20 +50,20 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("7051ebb383ec25135ccac910cccfc26452f3ea103ee48652c97da99fd6c2c744",
-                 "ef4c529a4d7a18c77b07068b6579fd88f2608564c6a95fbf8732bc1d378847cf"),
-        "sent": ("7004b7c0d3d901231ae38eb3cf2f2caf1e319b22cbaf5872197db05da219e1fb",
-                 "e734d77d6769717b3e0514100eb3a5fc727c073abc3b94df0554fa8b69f62bcd"),
+        "crn1": ("c21bf771d47e3bc9b1e70945301c72d4f791a6ad75b4d8736958a0acb8b89754",
+                 "be513381854a5df548b9eb27134439736564b447ca0bb4dcc1ba509660ab3302"),
+        "sent": ("5dbce34056c734d9cf830f674676f0d8b6b8441e498098df98baa46dffe9632d",
+                 "eea5a88453cff9f3fd3dd9cc12b90dbfa5e9f5a2bd4d86b70128d61bac5e47bb"),
         "weights": ([19138880305724, 24006652041723, 27370254117660, 29159159964231,
                      20729159496846],
                     [18446724934829245821, 18446720067057510807, 18446716703455434286,
                      18446714914549587355, 18446723344550054877]),
     },
     77: {
-        "crn1": ("6cf3d64fcac6ab56c45bda51ef4d8a8148204c64e37898e7175394a10f1d980a",
-                 "8c087f0cff18d1e9a5a39131156a969fbbf024d9554c63b026ddf13e52a6dddd"),
-        "sent": ("85846399298ca6145782fdc41429616ef24000d7148f2082ef903f9b782a6292",
-                 "77673e0f8051d65ec5a98112520550f4bb7632498859afeddaca9b7ee84a1e57"),
+        "crn1": ("2f5ae220ed46586997a6625618bafc2ccf64999bb3711e4bb074a14346d09f71",
+                 "e064a844dbddf9ef7757e6646b962293536c13618f8b20cda274f3ffd538cfff"),
+        "sent": ("2394853f4afefb4f703494576647ba865f1fed2159c5eb0aefd748a96a4720fd",
+                 "c34ae60f1b631c598ebcef36e822a7f98f831b949a39fa6fe3b921279f59cdb3"),
         "weights": ([28066745343120, 29264249119107, 33640938008250, 9058849979089,
                      40782814463658],
                     [18446716006964208446, 18446714809460433486, 18446710432771543850,

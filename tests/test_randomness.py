@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 
@@ -28,12 +29,14 @@ from mpclr.randomness import (
     TrustedDealer,
     deserialize_stream,
     expand_seed,
-    make_bit_triple,
-    make_ring_triple,
+    mask_shapes,
     serialize_stream,
+    subset_products,
 )
-from mpclr.sharing import random_bit_rows, word_count
+from mpclr.sharing import tail_mask, unpack_rows, word_count
 from mpclr.transport import PROTOCOL_VERSION
+
+from helpers import dealt_parts
 
 P8 = FixedPointParams(frac_bits=1, int_bits=2, ring_bits=8)
 P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
@@ -47,55 +50,48 @@ TAG_BYTE = 7  # offset of the tag byte in a record header
 
 
 class TestTripleGeneration:
-    def test_forced_scalar(self):
-        rng = np.random.default_rng(0)
-        a, b = make_ring_triple(np.array([2]), np.array([7]), P16, rng)
-        w = (int(a[2][0]) + int(b[2][0])) % P16.modulus
-        assert w == 14
-        assert (int(a[0][0]) + int(b[0][0])) % P16.modulus == 2
-        assert (int(a[1][0]) + int(b[1][0])) % P16.modulus == 7
-
     def test_bit_triple_ones(self):
         one = np.array([[[1]], [[1]]], dtype=np.uint64)
-        a, b = make_bit_triple(1, 1, np.random.default_rng(0), masks=one)
-        assert np.array_equal(a[2] ^ b[2], one[0])
+        assert np.array_equal(subset_products(one)[2], one[0])
 
     def test_exhaustive_bit_triples(self):
-        rng = np.random.default_rng(2)
         for u in (0, 1):
             for v in (0, 1):
                 masks = np.array([[[u]], [[v]]], dtype=np.uint64)
-                a, b = make_bit_triple(1, 1, rng, masks=masks)
-                opened = [x ^ y for x, y in zip(a, b)]
-                assert [int(x[0, 0]) for x in opened] == [u, v, u & v]
+                assert [int(x[0, 0]) for x in subset_products(masks)] == [u, v, u & v]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_exhaustive_subset_products(self, k):
         # one row per mask pattern: row S - 1 of a tuple is the AND of the
         # masks with bit i set in S
-        rng = np.random.default_rng(k)
         patterns = np.arange(1 << k)
         masks = (patterns >> np.arange(k)[:, None] & 1).astype(np.uint64)[:, :, None]
-        a, b = make_bit_triple(1 << k, 1, rng, k, masks)
-        opened = (a ^ b)[:, :, 0]
+        opened = subset_products(masks)[:, :, 0]
         for s in range(1, 1 << k):
             expect = np.all(masks[[i for i in range(k) if s >> i & 1], :, 0] == 1, axis=0)
             assert opened[s - 1].tolist() == expect.astype(int).tolist()
 
-    def test_two_input_draws_are_the_triple_draws(self):
-        # every u row, then every v row, then Alice's shares of u, v, w: the
-        # draws of the prefix network's setup triple since protocol version 5
-        nrows, nbits = 3, 77
-        a, b = make_bit_triple(nrows, nbits, np.random.default_rng(4))
-        rng = np.random.default_rng(4)
-        u, v = random_bit_rows(rng, nrows, nbits), random_bit_rows(rng, nrows, nbits)
-        alice = random_bit_rows(rng, 3 * nrows, nbits).reshape(3, nrows, -1)
-        assert np.array_equal(a, alice)
-        assert np.array_equal(b, np.stack([u, v, u & v]) ^ alice)
+    def test_records_draw_both_seeds_then_alices_shares(self):
+        # since protocol version 12 a record's generator draws the two
+        # parties' seeds, then Alice's shares of the products as raw words,
+        # cast down in the ring or with the tail bits of each row zeroed
+        for tag, meta in [(TAG_SCALAR, 5), (TAG_BIT, 77), (TAG_CONVERSION, 77),
+                          (TAG_PREFIXNET, (8, 77))]:
+            a, b = TrustedDealer(4, P16).block(tag, meta)
+            rng = TrustedDealer(4, P16)._rng(tag)
+            seeds = rng.integers(0, 1 << 64, size=(2, 2), dtype=np.uint64)
+            assert np.array_equal(a[0], seeds[0]) and np.array_equal(b[0], seeds[1])
+            shares = np.concatenate(a[1:])
+            words = rng.bit_generator.random_raw(shares.size).reshape(shares.shape)
+            if tag in (TAG_SCALAR, TAG_CONVERSION):
+                assert np.array_equal(shares, words.astype(P16.dtype))
+            else:
+                words[:, -1] &= tail_mask(meta[1] if tag == TAG_PREFIXNET else meta)
+                assert np.array_equal(shares, words)
 
     def test_dealt_tuples_hold_the_subset_products(self):
         for n in (1, 64, 77):
-            (a,), (b,) = TrustedDealer(n, P64).block(TAG_BIT, n)
+            (a,), (b,) = dealt_parts(TrustedDealer(n, P64), TAG_BIT, n)
             opened = a ^ b
             assert opened.shape == (15, word_count(n))
             for s in range(1, 16):
@@ -103,22 +99,21 @@ class TestTripleGeneration:
                 assert np.array_equal(opened[s - 1], np.bitwise_and.reduce(singles))
 
     def test_random_ring_triples_reconstruct(self):
-        dealer = TrustedDealer(31337, P64)
-        a, b = dealer.block(TAG_SCALAR, 10_000)
+        a, b = dealt_parts(TrustedDealer(31337, P64), TAG_SCALAR, 10_000)
         u = a[0] + b[0]
         v = a[1] + b[1]
         w = a[2] + b[2]
         assert np.array_equal(u * v, w)
 
     def test_matmul_block_reconstructs(self):
-        # a block holds each party's seeds of U and V, and its share of W
+        # a block holds each party's seed of U or V, and its share of W
         dealer = TrustedDealer(5, P64)
-        (ua, _, _), (ub, _, _) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 0, MATMUL_MASK))
-        (_, va, wa), (_, vb, wb) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 2, MATMUL_REUSE))
-        u = expand_seed(ua, P64, (3, 4)) + expand_seed(ub, P64, (3, 4))
-        v = expand_seed(va, P64, (4, 2)) + expand_seed(vb, P64, (4, 2))
+        (ua,), (ub,) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 0, MATMUL_MASK))
+        (va, wa), (vb, wb) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 2, MATMUL_REUSE))
+        u = expand_seed(ua, 12) + expand_seed(ub, 12)
+        v = expand_seed(va, 8) + expand_seed(vb, 8)
         w = wa + wb
-        assert np.array_equal(u @ v, w)
+        assert np.array_equal(u.reshape(3, 4) @ v.reshape(4, 2), w)
 
     def test_prefix_block_consistency(self):
         width, batch = 8, 5
@@ -193,8 +188,8 @@ class TestStreams:
         for source, buffer in ((src_a, data), (back, loaded)):
             words = np.frombuffer(buffer, np.uint8)
             assert words.ctypes.data % 8 == 0
-            parts = [p for _, _, ps in source.records for p in ps if p is not None]
-            assert len(parts) == 14
+            parts = [p for _, _, ps in source.records for p in ps]
+            assert len(parts) == 13
             for part in parts:
                 assert part.flags.aligned and not part.flags.writeable
                 assert np.shares_memory(part, words)
@@ -202,11 +197,12 @@ class TestStreams:
                                 np.frombuffer(loaded, np.uint8))
 
     def test_serializing_a_dealt_stream_shares_its_memory(self):
+        # w is written, u expands from the record's seed
         src_a, src_b = TrustedDealer(42, P64).generate(self.REQUESTS)
         for source in (src_a, src_b):
             data = np.frombuffer(serialize_stream(source), np.uint8)
             u, _, w = source.take_ring_triples(10)
-            assert np.shares_memory(u, data) and np.shares_memory(w, data)
+            assert np.shares_memory(w, data) and not np.shares_memory(u, data)
             assert serialize_stream(source) is serialize_stream(source)
 
     def test_appended_records_serialize_to_the_dealt_bytes(self):
@@ -218,8 +214,9 @@ class TestStreams:
 
     def test_setup_peaks_near_the_two_streams(self):
         # dealing writes each record once into its buffer, serializing
-        # returns that buffer and loading views it, so setup holds little
-        # beyond the two streams; a first deal runs the lazy imports
+        # returns that buffer and loading views it and expands its seeds, so
+        # setup holds little beyond the two streams and their expanded
+        # masks; a first deal runs the lazy imports
         cfg = TrainingConfig(eta=0.05, n_iter=4, params=P64, seed=5)
         requests = training_randomness_requests(2000, 6, cfg)
         TrustedDealer(5, P64).generate(requests)
@@ -233,7 +230,8 @@ class TestStreams:
         finally:
             tracemalloc.stop()
         assert len(loaded[0].records) == len(requests)
-        assert peak <= 1.3 * sum(len(blob) for blob in blobs)
+        masks = sum(math.prod(shape) for tag, meta in requests for shape in mask_shapes(tag, meta))
+        assert peak <= 1.3 * (sum(len(blob) for blob in blobs) + 2 * 8 * masks)
 
     def test_serializing_ignores_takes(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
@@ -282,7 +280,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (11).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (12).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -357,7 +355,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 11 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 12 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -387,21 +385,17 @@ def crn1_bytes(requests, params):
 
     words = 0
     for tag, meta in requests:
-        if tag == TAG_SCALAR:
-            words += 3 * meta
-        elif tag == TAG_CONVERSION:
-            words += meta + packed(meta)
+        words += 2  # every record's seed of its pure masks
+        if tag in (TAG_SCALAR, TAG_CONVERSION):
+            words += meta  # w, or the ring shares of the daBits
         elif tag == TAG_BIT:
-            words += 15 * packed(meta)
+            words += 11 * packed(meta)  # the subset products of two or more masks
         elif tag == TAG_MATMUL:
-            # U and V are a 2-word seed each, W is written whole
-            u, v, w = MatmulDims(*meta).shapes()
-            words += 2 * ((u is not None) + (v is not None)) + (0 if w is None else w[0] * w[1])
+            _, _, w = MatmulDims(*meta).shapes()
+            words += 0 if w is None else w[0] * w[1]
         else:
             width, batch = meta
-            plan = cached_plan(width)
-            nodes = 2 * len(plan.masked_nodes) + 2 * len(plan.compositions)
-            words += (3 * width + nodes) * packed(batch)
+            words += (width + 2 * len(cached_plan(width).compositions)) * packed(batch)
     return HEADER + RECORD * len(requests) + 8 * words  # file header, record headers, words
 
 
@@ -487,7 +481,7 @@ class TestMaskedRecords:
 
 
 class TestSeededRecords:
-    """The pure masks U and V of a matmul record are written as one 2-word
+    """The pure mask U or V of a matmul record is written as one 2-word
     seed per party, and expanded once per record: at load, or at a dealt or
     on-demand stream's first take."""
 
@@ -504,8 +498,8 @@ class TestSeededRecords:
             [(TAG_MATMUL, MatmulDims(*shape, 0, MATMUL_MASK))])
         for source in (src_a, src_b):
             assert len(serialize_stream(source)) == HEADER + RECORD + 8 * 2
-            (_, _, (seed, v, w)), = source.records
-            assert seed.shape == (2,) and seed.dtype == np.uint64 and v is w is None
+            (_, _, (seed,)), = source.records
+            assert seed.shape == (2,) and seed.dtype == np.uint64
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_reuse_record_writes_v_as_2_words(self, k):
@@ -514,8 +508,8 @@ class TestSeededRecords:
         # the mask's header and seed, then the product's header, V's seed and W
         size = HEADER + 2 * (RECORD + 8 * 2) + 8 * self.N * k
         assert len(serialize_stream(src_a)) == size
-        _, _, (u, v, w) = src_a.records[1]
-        assert u is None and v.shape == (2,) and w.shape == (self.N, k)
+        _, _, (seed, w) = src_a.records[1]
+        assert seed.shape == (2,) and w.shape == (self.N, k)
 
     @pytest.mark.parametrize("params", [P16, P64])
     def test_loaded_streams_reconstruct_the_products(self, params):
@@ -530,8 +524,10 @@ class TestSeededRecords:
             v, w = va + vb, wa + wb
             assert np.array_equal(w, (u.T if transpose else u) @ v)
             for source, (_, v_part, _) in zip(loaded, (parts[0][index], parts[1][index])):
-                _, meta, (_, seed, _) = source.records[index]
-                assert np.array_equal(v_part, expand_seed(seed, params, meta.shapes()[1]))
+                _, meta, (seed, _) = source.records[index]
+                shape = meta.shapes()[1]
+                words = expand_seed(seed, math.prod(shape))
+                assert np.array_equal(v_part, words.astype(params.dtype).reshape(shape))
 
     @pytest.mark.parametrize("params", [P16, P64])
     def test_dealt_loaded_and_on_demand_sources_agree(self, params):
@@ -543,15 +539,13 @@ class TestSeededRecords:
             on_demand = OnDemandSource(21, role, params)
             for index, (tag, meta) in enumerate(requests):
                 ours = [take(source, tag, meta) for source in (dealt, back, on_demand)]
-                if tag != TAG_MATMUL:
-                    continue
                 assert same_parts(ours[0], ours[1]) and same_parts(ours[0], ours[2])
-                # every source writes the seeds and hands out the masks
+                # every source writes the seed and hands out the masks
                 for source, parts in zip((dealt, back, on_demand), ours):
-                    for written, mask, shape in zip(source.records[index][2][:2], parts,
-                                                    meta.shapes()):
-                        assert (written is None) == (mask is None) == (shape is None)
-                        assert shape is None or (written.shape, mask.shape) == ((2,), shape)
+                    assert source.records[index][2][0].shape == (2,)
+                    if tag == TAG_MATMUL:
+                        assert ([p.shape for p in parts[:2] if p is not None]
+                                == [shape for shape in meta.shapes()[:2] if shape is not None])
 
     def test_expanded_parts_are_read_only(self):
         streams = TrustedDealer(8, P16).generate(self.REQUESTS)
@@ -571,10 +565,8 @@ class TestSeededRecords:
     def test_each_stream_holds_only_its_own_seeds(self):
         src_a, src_b = TrustedDealer(8, P64).generate(self.REQUESTS)
         bytes_a, bytes_b = bytes(serialize_stream(src_a)), bytes(serialize_stream(src_b))
-        matmul = [i for i, (tag, _) in enumerate(self.REQUESTS) if tag == TAG_MATMUL]
-        for index in matmul:
-            seed_a, seed_b = (next(p for p in s.records[index][2][:2] if p is not None)
-                              for s in (src_a, src_b))
+        for index in range(len(self.REQUESTS)):
+            seed_a, seed_b = (s.records[index][2][0] for s in (src_a, src_b))
             assert seed_a.shape == seed_b.shape == (2,)
             assert seed_a.tobytes() in bytes_a and seed_b.tobytes() in bytes_b
             assert seed_a.tobytes() not in bytes_b and seed_b.tobytes() not in bytes_a
@@ -583,22 +575,122 @@ class TestSeededRecords:
         calls = []
         real = expand_seed
 
-        def counting(seed, params, shape):
-            calls.append(tuple(shape))
-            return real(seed, params, shape)
+        def counting(seed, count):
+            calls.append(count)
+            return real(seed, count)
 
         monkeypatch.setattr("mpclr.randomness.expand_seed", counting)
         src_a, _ = TrustedDealer(8, P64).generate(self.REQUESTS)
-        dealt = len(calls)  # the dealer expands both parties' seeds of each mask
-        assert dealt == 2 * 4
+        dealt = len(calls)  # the dealer expands both parties' seeds of each record
+        assert dealt == 2 * 5
         back = deserialize_stream(serialize_stream(src_a), P64)
-        assert len(calls) == dealt + 4
+        assert len(calls) == dealt + 5
         for request in self.REQUESTS:
             take(back, *request)
-        assert len(calls) == dealt + 4
+        assert len(calls) == dealt + 5
         for request in self.REQUESTS:  # a dealt stream expands at its first take
             take(src_a, *request)
-        assert len(calls) == dealt + 8
+        assert len(calls) == dealt + 10
+
+
+class TestSeededPools:
+    """Every pooled record (ring triples, AND tuples, daBits, prefix-network
+    blocks) writes its pure masks as one 2-word seed per party and only the
+    shares that depend on them in full; expanding the seed rebuilds the
+    correlations."""
+
+    @staticmethod
+    def pools(params, batch):
+        return [(TAG_SCALAR, batch), (TAG_BIT, batch), (TAG_CONVERSION, batch),
+                (TAG_PREFIXNET, (params.ring_bits // 2 + 1, batch))]
+
+    @pytest.mark.parametrize("params", [P16, P64])
+    @pytest.mark.parametrize("batch", [1, 64, 225])
+    def test_record_writes_a_seed_and_the_products(self, params, batch):
+        words = word_count(batch)
+        width = params.ring_bits // 2 + 1
+        comps = len(cached_plan(width).compositions)
+        written = {TAG_SCALAR: batch, TAG_BIT: 11 * words, TAG_CONVERSION: batch,
+                   TAG_PREFIXNET: (width + 2 * comps) * words}
+        for tag, meta in self.pools(params, batch):
+            for source in TrustedDealer(3, params).generate([(tag, meta)]):
+                assert len(serialize_stream(source)) == HEADER + RECORD + 8 * (2 + written[tag])
+                (_, _, (seed, *rest)), = source.records
+                assert seed.shape == (2,) and seed.dtype == np.uint64
+                assert sum(part.size for part in rest) == written[tag]
+
+    @pytest.mark.parametrize("shape", [(64, 9, 2), (8, 299, 2)])  # tall and wide, toy size
+    def test_both_parties_streams_are_the_same_length(self, shape):
+        n, features, iters = shape
+        cfg = TrainingConfig(eta=2.0 ** -12, n_iter=iters, params=P64, seed=4)
+        requests = training_randomness_requests(n, features, cfg)
+        src_a, src_b = TrustedDealer(4, P64).generate(requests)
+        sizes = len(serialize_stream(src_a)), len(serialize_stream(src_b))
+        assert sizes[0] == sizes[1] == crn1_bytes(requests, P64)
+
+    def test_tall_plan_takes_0_973_mb_per_iteration(self):
+        # 16,000 x 10 for 20 iterations, the benchmark's tall workload: 1.692 MB
+        # per iteration when every mask but X's was written whole
+        cfg = TrainingConfig(eta=2.0 ** -12, n_iter=20, params=P64, seed=0)
+        requests = training_randomness_requests(16_000, 9, cfg)
+        assert crn1_bytes(requests, P64) == 19_460_584 == 20 * 973_029.2
+
+    @staticmethod
+    def whole_records(source, requests):
+        """Every record of `requests` taken whole, all 15 strings of a tuple."""
+        out = []
+        for tag, meta in requests:
+            if tag == TAG_SCALAR:
+                out.append(source.take_ring_triples(meta))
+            elif tag == TAG_BIT:
+                out.append(source.take_bit_triples(meta, 4))
+            elif tag == TAG_CONVERSION:
+                out.append(source.take_dabits(meta))
+            else:
+                out.append(take(source, tag, meta))
+        return out
+
+    @pytest.mark.parametrize("params", [P16, P64])
+    @pytest.mark.parametrize("batch", [64, 225])
+    def test_correlations_survive_expansion(self, params, batch):
+        requests = self.pools(params, batch) * 2
+        dealt = TrustedDealer(9, params).generate(requests)
+        loaded = [deserialize_stream(serialize_stream(s), params) for s in dealt]
+        on_demand = [OnDemandSource(9, role, params) for role in Role]
+        (a, b), *others = [[self.whole_records(s, requests) for s in sources]
+                           for sources in (loaded, dealt, on_demand)]
+        for other in others:  # every kind of source hands out the same parts
+            for ours, theirs in zip((a, b), other):
+                assert all(same_parts(x, y) for x, y in zip(ours, theirs, strict=True))
+        unused = ~tail_mask(batch)
+        for (tag, meta), pa, pb in zip(requests, a, b):
+            bits = {TAG_SCALAR: [], TAG_BIT: [pa, pb], TAG_CONVERSION: [pa[1], pb[1]],
+                    TAG_PREFIXNET: [*pa, *pb]}[tag]
+            assert not any((part[..., -1] & unused).any() for part in bits)  # tail bits zero
+            if tag in (TAG_SCALAR, TAG_CONVERSION):
+                assert all(p.dtype == params.dtype for p in (pa[0], pb[0]))
+            if tag == TAG_SCALAR:
+                (ua, va, wa), (ub, vb, wb) = pa, pb
+                assert np.array_equal((ua + ub) * (va + vb), wa + wb)
+                assert not any(p.flags.writeable for p in (*pa, *pb))
+            elif tag == TAG_BIT:
+                opened = pa ^ pb
+                for subset in range(1, 16):
+                    singles = [opened[(1 << i) - 1] for i in range(4) if subset >> i & 1]
+                    assert np.array_equal(opened[subset - 1], np.bitwise_and.reduce(singles))
+            elif tag == TAG_CONVERSION:
+                (ring_a, bits_a), (ring_b, bits_b) = pa, pb
+                r = unpack_rows(bits_a ^ bits_b, batch)[0].astype(params.dtype)
+                assert np.array_equal(ring_a + ring_b, r)
+            else:
+                setup, mask_p, mask_g, prod_pp, prod_pg = (x ^ y for x, y in zip(pa, pb))
+                assert np.array_equal(setup[2], setup[0] & setup[1])
+                plan = cached_plan(meta[0])
+                hi, lo = plan.comp_hi, plan.comp_lo
+                assert np.array_equal(prod_pp, mask_p[hi] & mask_p[lo])
+                assert np.array_equal(prod_pg, mask_p[hi] & mask_g[lo])
+                # a take's setup triple is a new array; the other fields are the record's
+                assert not any(p.flags.writeable for p in (*pa[1:], *pb[1:]))
 
 
 class TestMaskCountFormula:

@@ -28,7 +28,7 @@ from mpclr.randomness import (
 from mpclr.sharing import ones_row, pack_rows, random_bit_rows, random_bits, word_count
 from mpclr.transport import FRAME_HEADER
 
-from helpers import protocol_pair
+from helpers import dealt_parts, protocol_pair, whole_record
 
 P64 = FixedPointParams()
 
@@ -138,9 +138,10 @@ def row_reads(tag, seed, role, on_demand, sizes):
     dealer = TrustedDealer(seed, P64)
     side = role is Role.BOB
     if on_demand:
-        return OnDemandSource(seed, role, P64), [(dealer.block(tag, n)[side], 0) for n in sizes]
+        return OnDemandSource(seed, role, P64), [(dealt_parts(dealer, tag, n)[side], 0)
+                                                 for n in sizes]
     source = TrustedDealer(seed, P64).generate([(tag, sum(sizes))])[side]
-    parts = dealer.block(tag, sum(sizes))[side]
+    parts = dealt_parts(dealer, tag, sum(sizes))[side]
     return source, [(parts, start) for start in np.cumsum([0, *sizes[:-1]])]
 
 
@@ -170,7 +171,7 @@ class TestBitPool:
         ref = BigIntPool()
         dealer = TrustedDealer(seed, P64)
         for n in self.RECORDS:
-            ref.append(n, dealer.block(TAG_BIT, n)[0][0])
+            ref.append(n, dealt_parts(dealer, TAG_BIT, n)[0][0])
         return ref
 
     def check_takes(self, source, ref, takes):
@@ -199,7 +200,7 @@ class TestBitPool:
         for n in (70, 33):
             parts = dealer.block(TAG_BIT, n)[0]
             source.append(TAG_BIT, n, parts)
-            ref.append(n, parts[0])
+            ref.append(n, whole_record(TAG_BIT, n, parts, P64)[0])
             self.check_takes(source, ref, [n - 9, 9])
 
     def test_take_past_its_record_underflows(self):
@@ -273,7 +274,8 @@ class TestDabitPool:
 
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 225])
     def test_ring_shares_sum_to_the_xor_of_bit_shares(self, batch):
-        (ring_a, bits_a), (ring_b, bits_b) = TrustedDealer(batch, P64).block(TAG_CONVERSION, batch)
+        (ring_a, bits_a), (ring_b, bits_b) = dealt_parts(TrustedDealer(batch, P64),
+                                                         TAG_CONVERSION, batch)
         assert ring_a.shape == (batch,) and bits_a.shape == (word_count(batch),)
         r = bits_a ^ bits_b
         assert words_to_int(r, 64 * len(r)) < 1 << batch  # tail bits are zero
@@ -303,7 +305,7 @@ class TestDabitPool:
         ref = PerBitDabits()
         dealer = TrustedDealer(8, P64)
         for n in sizes:
-            ref.append(n, dealer.block(TAG_CONVERSION, n)[0])
+            ref.append(n, dealt_parts(dealer, TAG_CONVERSION, n)[0])
         self.check_takes(src_a, ref, sum(self.TAKES, []))
 
     def test_take_past_its_record_underflows(self):
@@ -346,7 +348,7 @@ class TestDabitPool:
         ref = PerBitDabits()
         dealer = TrustedDealer(9, P64)
         for n in sum(self.TAKES, []):
-            ref.append(n, dealer.block(TAG_CONVERSION, n)[role is Role.BOB])
+            ref.append(n, dealt_parts(dealer, TAG_CONVERSION, n)[role is Role.BOB])
             self.check_takes(source, ref, [n])
 
 
