@@ -14,6 +14,7 @@ bit-identical with a networked run under the same seed.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import statistics
 import sys
@@ -34,7 +35,6 @@ from .errors import (
 from .fixedpoint import FixedPointParams, decode_array, encode, encode_array
 from .local import local_session_pair, run_sessions
 from .randomness import (
-    MaterializedSource,
     TrustedDealer,
     deserialize_stream,
     read_randomness_file,
@@ -42,7 +42,7 @@ from .randomness import (
     session_id_from_seed,
     write_randomness_file,
 )
-from .sharing import Role, read_share_file, split_array, write_share_file
+from .sharing import Role, read_input, read_share_file, split_array, write_share_file
 from .training import (
     TrainingConfig,
     count_multiplications,
@@ -128,32 +128,31 @@ def read_training_csv(path):
     """Parse a training CSV: header row, numeric features, final column the
     class label in {0,1}.  Errors name the offending row and column."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty file") from None
-        width = len(header)
-        if width < 2:
-            raise IngestionError(f"{path}: need at least one feature column plus the label")
-        for rowno, row in enumerate(reader, 2):
-            if len(row) != width:
-                raise IngestionError(f"{path}:{rowno}: expected {width} cells, got {len(row)}")
-            values = []
-            for colno, cell in enumerate(row, 1):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise IngestionError(
-                        f"{path}:{rowno}: column {colno} ({header[colno - 1]!r}) "
-                        f"is not numeric: {cell!r}"
-                    ) from None
-            if values[-1] not in (0.0, 1.0):
+    reader = csv.reader(io.StringIO(read_input(path).decode(), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty file") from None
+    width = len(header)
+    if width < 2:
+        raise IngestionError(f"{path}: need at least one feature column plus the label")
+    for rowno, row in enumerate(reader, 2):
+        if len(row) != width:
+            raise IngestionError(f"{path}:{rowno}: expected {width} cells, got {len(row)}")
+        values = []
+        for colno, cell in enumerate(row, 1):
+            try:
+                values.append(float(cell))
+            except ValueError:
                 raise IngestionError(
-                    f"{path}:{rowno}: label must be 0 or 1, got {row[-1]!r}"
-                )
-            rows.append(values)
+                    f"{path}:{rowno}: column {colno} ({header[colno - 1]!r}) "
+                    f"is not numeric: {cell!r}"
+                ) from None
+        if values[-1] not in (0.0, 1.0):
+            raise IngestionError(
+                f"{path}:{rowno}: label must be 0 or 1, got {row[-1]!r}"
+            )
+        rows.append(values)
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     data = np.asarray(rows, dtype=np.float64)
@@ -183,13 +182,10 @@ def cmd_split(data, shares_out, seed, frac_bits, int_bits, ring_bits):
     except MpcError as exc:
         raise IngestionError(f"{data}: {exc}") from exc
     share_a, share_b = split_array(encoded, params, _split_rng(seed))
-    paths = {}
     for suffix, share in (("alice", share_a), ("bob", share_b)):
-        path = f"{shares_out}.{suffix}.shr"
-        write_share_file(path, share.values, params)
-        paths[suffix] = path
+        write_share_file(f"{shares_out}.{suffix}.shr", share.values, params)
     click.echo(f"split {n} samples x {features.shape[1]} features "
-               f"(+dummy, +label) -> {paths['alice']}, {paths['bob']}")
+               f"(+dummy, +label) -> {shares_out}.alice.shr, {shares_out}.bob.shr")
 
 
 # ---------------------------------------------------------------------------
@@ -209,54 +205,58 @@ def _load_party_shares(path, params):
     return values[:, :-1], values[:, -1]
 
 
-def _print_transcript(role_name, sess, wall, counted):
+def _write_csv(path, prefix, rows):
+    """Write decoded values as CSV: a header of PREFIX_i names, one line per row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"{prefix}_{i}" for i in range(rows.shape[1])])
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
+
+
+def _deal(cfg, rows, cols):
+    """Both parties' randomness streams for a rows x cols share matrix:
+    dummy column, features and label."""
+    return TrustedDealer(cfg.seed, cfg.params).generate(
+        training_randomness_requests(rows, cols - 2, cfg))
+
+
+def _train(sess, x_share, t_share, cfg):
+    """One party's run: check its randomness stream against --seed and the
+    run's plan, train, and return its weight share, as one row, and its
+    TRANSCRIPT line."""
+    n, m1 = x_share.shape
+    if sess.randomness.session_id != session_id_from_seed(cfg.seed):
+        raise FormatError("randomness stream session id does not match --seed")
+    sess.randomness.check_plan(training_randomness_requests(n, m1 - 1, cfg))
+    t0 = time.perf_counter()
+    w_share = train_secure(sess, x_share, t_share, cfg).reshape(1, -1)
+    wall = time.perf_counter() - t0
+    counted = count_multiplications(n, m1 - 1, cfg.n_iter, cfg.params)
     info = {
-        "role": role_name,
+        "role": sess.role.value,
         "wall_seconds": round(wall, 6),
         **sess.transcript.summary(),
         "counted_ring_mults": counted["ring"],
         "counted_bit_mults": counted["bit"],
     }
-    click.echo(f"TRANSCRIPT {json.dumps(info, sort_keys=True)}")
-
-
-def _weights_csv(path, weights):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"w_{i}" for i in range(len(weights))])
-        writer.writerow([repr(float(w)) for w in weights])
+    return w_share, f"TRANSCRIPT {json.dumps(info, sort_keys=True)}"
 
 
 def _train_local(data, weights_out, shares_out, cfg):
-    xa, ta = _load_party_shares(f"{data}.alice.shr", cfg.params)
-    xb, tb = _load_party_shares(f"{data}.bob.shr", cfg.params)
+    (xa, ta), (xb, tb) = [_load_party_shares(f"{data}.{party}.shr", cfg.params)
+                          for party in ("alice", "bob")]
     if xa.shape != xb.shape:
         raise FormatError(f"share files disagree on shape: {xa.shape} vs {xb.shape}")
-    n, m1 = xa.shape
-    dealer = TrustedDealer(cfg.seed, cfg.params)
-    src_a, src_b = dealer.generate(training_randomness_requests(n, m1 - 1, cfg))
-    sess_a, sess_b = local_session_pair(cfg.params, seed=cfg.seed,
-                                        randomness_a=src_a, randomness_b=src_b)
-    t0 = time.perf_counter()
-    wa, wb = run_sessions(sess_a, sess_b, lambda s: train_secure(s, xa, ta, cfg),
-                          lambda s: train_secure(s, xb, tb, cfg))
-    wall = time.perf_counter() - t0
-    weights = decode_array(wa + wb, cfg.params)
-    _weights_csv(weights_out, weights)
+    sessions = local_session_pair(cfg.params, cfg.seed, *_deal(cfg, len(xa), xa.shape[1] + 1))
+    (wa, line_a), (wb, line_b) = run_sessions(*sessions, lambda s: _train(s, xa, ta, cfg),
+                                              lambda s: _train(s, xb, tb, cfg))
+    _write_csv(weights_out, "w", decode_array(wa + wb, cfg.params))
     if shares_out:
-        write_share_file(f"{shares_out}.alice.shr", wa.reshape(1, -1), cfg.params)
-        write_share_file(f"{shares_out}.bob.shr", wb.reshape(1, -1), cfg.params)
-    counted = count_multiplications(n, m1 - 1, cfg.n_iter, cfg.params)
-    _print_transcript("A", sess_a, wall, counted)
-    _print_transcript("B", sess_b, wall, counted)
+        write_share_file(f"{shares_out}.alice.shr", wa, cfg.params)
+        write_share_file(f"{shares_out}.bob.shr", wb, cfg.params)
+    click.echo(line_a)
+    click.echo(line_b)
     click.echo(f"weights -> {weights_out}")
-
-
-def _recv_randomness(channel, cfg) -> MaterializedSource:
-    frame = channel.recv_frame()
-    if frame.msg_type != MSG_RANDOMNESS:
-        raise TransportError(f"expected randomness stream, got message type {frame.msg_type}")
-    return deserialize_stream(frame.payload, cfg.params)
 
 
 def _handshake_info(role: str, cfg, rows: int = 0, cols: int = 0) -> HandshakeInfo:
@@ -274,60 +274,38 @@ def _train_party(role_name, listen, peers, data, weights_out, cfg, randomness):
     n, m1 = x_share.shape
     own = _handshake_info(role.value, cfg, rows=n, cols=m1 + 1)
     online = randomness == "online"
-    ti_channel = None
-    peer_channel = None
-    server = None
+    # alice expects bob; in online mode each party also expects the TI
+    expected = ({"B"} if role is Role.ALICE else set()) | ({"TI"} if online else set())
+    server = tcp_listen(*_parse_endpoint(listen, "--listen")) if expected else None
+    channels = {}  # by the peer's announced role
     try:
-        if role is Role.ALICE:
-            host, port = _parse_endpoint(listen, "--listen")
-            server = tcp_listen(host, port)
-            wanted = {"B", "TI"} if online else {"B"}
-            got = {}
-            while wanted - set(got):
-                ch = tcp_accept(server)
-                peer = perform_handshake(ch, own)
-                if peer.role not in wanted or peer.role in got:
-                    ch.close()
-                    raise TransportError(f"unexpected connection from role {peer.role}")
-                got[peer.role] = ch
-            peer_channel = got["B"]
-            ti_channel = got.get("TI")
-        else:
-            if online:
-                host, port = _parse_endpoint(listen, "--listen")
-                server = tcp_listen(host, port)
-            if not peers:
-                raise click.UsageError("bob needs --peer pointing at alice")
-            host, port = _parse_endpoint(peers[0], "--peer")
-            peer_channel = tcp_connect(host, port, retry_window=5.0)
-            perform_handshake(peer_channel, own)
-            if online:
-                ti_channel = tcp_accept(server)
-                peer = perform_handshake(ti_channel, own)
-                if peer.role != "TI":
-                    raise TransportError(f"expected the trusted initializer, got role {peer.role}")
-
+        if role is Role.BOB:
+            channels["A"] = tcp_connect(*_parse_endpoint(peers[0], "--peer"), retry_window=5.0)
+            perform_handshake(channels["A"], own)
+        while expected - set(channels):
+            ch = tcp_accept(server)
+            peer = perform_handshake(ch, own)
+            if peer.role not in expected - set(channels):
+                ch.close()
+                raise TransportError(f"unexpected connection from role {peer.role}")
+            channels[peer.role] = ch
         if online:
-            source = _recv_randomness(ti_channel, cfg)
-            ti_channel.close()
+            frame = channels["TI"].recv_frame()
+            channels.pop("TI").close()
+            if frame.msg_type != MSG_RANDOMNESS:
+                raise TransportError(f"expected randomness stream, got message type "
+                                     f"{frame.msg_type}")
+            source = deserialize_stream(frame.payload, cfg.params)
         else:
             source = read_randomness_file(randomness[5:], cfg.params)
-        if source.session_id != session_id_from_seed(cfg.seed):
-            raise FormatError("randomness stream session id does not match --seed")
-        source.check_plan(training_randomness_requests(n, m1 - 1, cfg))
-
-        sess = Session(role, peer_channel, source, cfg.params)
-        t0 = time.perf_counter()
-        w_share = train_secure(sess, x_share, t_share, cfg)
-        wall = time.perf_counter() - t0
-        write_share_file(weights_out, w_share.reshape(1, -1), cfg.params)
-        counted = count_multiplications(n, m1 - 1, cfg.n_iter, cfg.params)
-        _print_transcript(role.value, sess, wall, counted)
+        sess = Session(role, channels["B" if role is Role.ALICE else "A"], source, cfg.params)
+        w_share, line = _train(sess, x_share, t_share, cfg)
+        write_share_file(weights_out, w_share, cfg.params)
+        click.echo(line)
         click.echo(f"weight shares -> {weights_out}")
     finally:
-        for ch in (peer_channel, ti_channel):
-            if ch is not None:
-                ch.close()
+        for ch in channels.values():
+            ch.close()
         if server is not None:
             server.close()
 
@@ -336,12 +314,9 @@ def _train_ti(peers, cfg, randomness, dims):
     if randomness.startswith("file:"):
         if not dims:
             raise click.UsageError("file-mode TI needs --dims ROWSxCOLS of the share matrix")
-        rows, cols = _parse_dims(dims)
-        dealer = TrustedDealer(cfg.seed, cfg.params)
-        src_a, src_b = dealer.generate(training_randomness_requests(rows, cols - 2, cfg))
         prefix = randomness[5:]
-        write_randomness_file(f"{prefix}.alice.crn", src_a)
-        write_randomness_file(f"{prefix}.bob.crn", src_b)
+        for party, source in zip(("alice", "bob"), _deal(cfg, *_parse_dims(dims))):
+            write_randomness_file(f"{prefix}.{party}.crn", source)
         click.echo(f"randomness -> {prefix}.alice.crn, {prefix}.bob.crn")
         return
     if len(peers) != 2:
@@ -351,25 +326,19 @@ def _train_ti(peers, cfg, randomness, dims):
     infos = []
     try:
         for endpoint in peers:
-            host, port = _parse_endpoint(endpoint, "--peer")
-            ch = tcp_connect(host, port, retry_window=10.0)
-            infos.append(perform_handshake(ch, own))
-            channels.append(ch)
-        if (infos[0].rows, infos[0].cols) != (infos[1].rows, infos[1].cols):
-            raise TransportError(
-                f"data processors disagree on dataset dims: "
-                f"{(infos[0].rows, infos[0].cols)} vs {(infos[1].rows, infos[1].cols)}"
-            )
-        rows, cols = infos[0].rows, infos[0].cols
-        dealer = TrustedDealer(cfg.seed, cfg.params)
-        src_a, src_b = dealer.generate(training_randomness_requests(rows, cols - 2, cfg))
+            channels.append(tcp_connect(*_parse_endpoint(endpoint, "--peer"), retry_window=10.0))
+            infos.append(perform_handshake(channels[-1], own))
+        roles = sorted(info.role for info in infos)
+        if roles != ["A", "B"]:
+            raise TransportError(f"expected roles A and B, got {roles}")
+        dims_a, dims_b = [(info.rows, info.cols) for info in infos]
+        if dims_a != dims_b:
+            raise TransportError(f"data processors disagree on dataset dims: {dims_a} vs {dims_b}")
         # deliver by announced role, not by connection order
-        by_role = {infos[i].role: channels[i] for i in range(2)}
-        if set(by_role) != {"A", "B"}:
-            raise TransportError(f"expected roles A and B, got {sorted(by_role)}")
-        by_role["A"].send_frame(Frame(MSG_RANDOMNESS, serialize_stream(src_a)))
-        by_role["B"].send_frame(Frame(MSG_RANDOMNESS, serialize_stream(src_b)))
-        click.echo(f"streamed randomness for {rows} x {cols} shares, "
+        by_role = {info.role: ch for info, ch in zip(infos, channels)}
+        for role, source in zip(("A", "B"), _deal(cfg, *dims_a)):
+            by_role[role].send_frame(Frame(MSG_RANDOMNESS, serialize_stream(source)))
+        click.echo(f"streamed randomness for {dims_a[0]} x {dims_a[1]} shares, "
                    f"{cfg.n_iter} iterations; leaving")
     finally:
         for ch in channels:
@@ -439,6 +408,8 @@ def cmd_train(role, listen, peer, data, weights_out, shares_out, lr, iterations,
         return
     if role == "alice" and not listen:
         raise click.UsageError("alice needs --listen")
+    if role == "bob" and not peer:
+        raise click.UsageError("bob needs --peer pointing at alice")
     _train_party(role, listen, list(peer), data, weights_out, cfg, randomness)
 
 
@@ -461,14 +432,7 @@ def cmd_reconstruct(share_a, share_b, weights_out):
     if va.shape != vb.shape:
         raise FormatError(f"share shapes differ: {va.shape} vs {vb.shape}")
     opened = decode_array(va + vb, pa)
-    if opened.shape[0] == 1:
-        _weights_csv(weights_out, opened[0])
-    else:
-        with open(weights_out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"c_{i}" for i in range(opened.shape[1])])
-            for row in opened:
-                writer.writerow([repr(float(v)) for v in row])
+    _write_csv(weights_out, "w" if opened.shape[0] == 1 else "c", opened)
     click.echo(f"reconstructed {opened.shape[0]} x {opened.shape[1]} values -> {weights_out}")
 
 
@@ -562,6 +526,17 @@ def cmd_bench(kind, batch_sizes, reps, seed, frac_bits, int_bits, ring_bits):
 # ---------------------------------------------------------------------------
 
 
+# the first entry whose class the error is an instance of gives its exit
+# code and the prefix of its one stderr line
+_EXITS = [
+    (RandomnessUnderflowError, EXIT_RANDOMNESS, "randomness underflow: "),
+    (FormatError, EXIT_FORMAT, ""),
+    (TransportError, EXIT_TRANSPORT, "transport: "),
+    (ProtocolError, EXIT_PROTOCOL, "protocol: "),
+    (MpcError, EXIT_PROTOCOL, ""),
+]
+
+
 def main(argv=None):
     try:
         cli(args=argv, standalone_mode=False)
@@ -569,27 +544,14 @@ def main(argv=None):
     except click.exceptions.Abort:
         click.echo("aborted", err=True)
         return 130
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.ClickException as exc:
+    except click.ClickException as exc:  # a UsageError's exit code is EXIT_USAGE
         exc.show()
         return exc.exit_code
-    except RandomnessUnderflowError as exc:
-        click.echo(f"error: randomness underflow: {exc}", err=True)
-        return EXIT_RANDOMNESS
-    except (FormatError, IngestionError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_FORMAT
-    except TransportError as exc:
-        click.echo(f"error: transport: {exc}", err=True)
-        return EXIT_TRANSPORT
-    except ProtocolError as exc:
-        click.echo(f"error: protocol: {exc}", err=True)
-        return EXIT_PROTOCOL
     except MpcError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_PROTOCOL
+        code, prefix = next((code, prefix) for cls, code, prefix in _EXITS
+                            if isinstance(exc, cls))
+        click.echo(f"error: {prefix}{exc}", err=True)
+        return code
 
 
 if __name__ == "__main__":

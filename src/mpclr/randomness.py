@@ -45,6 +45,7 @@ from .fixedpoint import FixedPointParams
 from .prefixnet import cached_plan
 from .sharing import (
     Role,
+    read_input,
     tail_mask,
     unpack_rows,
     word_count,
@@ -642,9 +643,8 @@ def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
     seed into the masks its takes read, so no take pays for an expansion.
     Every written part is a read-only view into `data`, so `data` must not
     change while the stream is in use; `data` that starts off a word
-    boundary, such as a TCP frame's payload, is first copied once into an
-    aligned buffer, and the ring parts of a ring narrower than 64 bits are
-    cast copies."""
+    boundary is first copied once into an aligned buffer, and the ring parts
+    of a ring narrower than 64 bits are cast copies."""
     source = _parse_stream(data, params)
     for index in range(len(source.records)):
         source._expand(index)
@@ -698,5 +698,4 @@ def write_randomness_file(path, source: MaterializedSource):
 
 
 def read_randomness_file(path, params: FixedPointParams) -> MaterializedSource:
-    with open(path, "rb") as fh:
-        return deserialize_stream(fh.read(), params)
+    return deserialize_stream(read_input(path), params)

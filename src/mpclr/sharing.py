@@ -160,10 +160,19 @@ def write_share_file(path, values: np.ndarray, params: FixedPointParams):
         fh.write(values.astype(np.uint64).tobytes())
 
 
+def read_input(path) -> bytes:
+    """The bytes of the input file `path`; one that cannot be read is a
+    FormatError that names it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def read_share_file(path):
     """Read a share file back as (values, params); verifies magic and size."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = read_input(path)
     if len(raw) < _SHARE_HEADER.size:
         raise FormatError(f"{path}: truncated share file header")
     magic, ring_bits, frac_bits, int_bits, rows, cols = _SHARE_HEADER.unpack_from(raw)

@@ -3,15 +3,18 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mpclr import FixedPointParams, TrainingConfig
+import mpclr.cli
+from mpclr import FixedPointParams, TrainingConfig, errors
 from mpclr.cli import main
-from mpclr.fixedpoint import encode_array
+from mpclr.fixedpoint import encode, encode_array
 from mpclr.sharing import read_share_file, write_share_file
 from mpclr.training import Dataset, train_plain_fixed
+from mpclr.transport import HandshakeInfo, perform_handshake, tcp_accept, tcp_connect, tcp_listen
 
 from helpers import separable_toy
 
@@ -166,11 +169,13 @@ class TestNetworkErrors:
                    "--randomness", "file:nope"])
         assert rc == 3
 
-    def test_missing_randomness_file(self, tmp_path):
-        # file errors surface as exit 4 before any connection is attempted
+    def test_file_mode_ti_deals_offline_and_bad_mode_is_usage(self, tmp_path):
+        # a file-mode TI writes both files without touching the network; a
+        # --randomness that is neither 'online' nor 'file:PATH' exits 2
         rc = main(["train", "--role", "ti", "--randomness", "file:" + str(tmp_path / "out"),
                    "--dims", "4x4", "--iterations", "1"])
         assert rc == 0
+        assert (tmp_path / "out.alice.crn").exists() and (tmp_path / "out.bob.crn").exists()
         rc = main(["train", "--role", "ti", "--randomness", "badmode"])
         assert rc == 2
 
@@ -260,6 +265,169 @@ class TestProtocolErrors:
             assert err.startswith("error: transport: handshake") and "lr_encoded" in err
         assert not (tmp_path / "w.alice.shr").exists()
         assert not (tmp_path / "w.bob.shr").exists()
+
+
+TRAIN_ARGS = ["--lr", "0.05", "--iterations", "2"]
+
+
+class FakePeer(threading.Thread):
+    """A peer that opens a channel with `connect()`, handshakes as `role`
+    with the parameters of TRAIN_ARGS and closes the channel again."""
+
+    def __init__(self, connect, role, rows=0, cols=0):
+        super().__init__(daemon=True)
+        self.connect = connect
+        self.info = HandshakeInfo(role=role, ring_bits=64, frac_bits=12, int_bits=15,
+                                  lr_encoded=encode(0.05, P64), n_iter=2, rows=rows, cols=cols)
+        self.error = None
+        self.start()
+
+    def run(self):
+        try:
+            channel = self.connect()
+            try:
+                perform_handshake(channel, self.info)
+            finally:
+                channel.close()
+        except Exception as exc:  # noqa: BLE001 - re-raised by finish()
+            self.error = exc
+
+    def finish(self):
+        self.join(timeout=10)
+        assert not self.is_alive(), "fake peer did not finish its handshake"
+        if self.error is not None:
+            raise self.error
+
+
+class TestRefusals:
+    def online_ti(self, capsys, *announced):
+        """Exit code and stderr of an online TI whose two processors
+        announce `announced`, one (role, rows, cols) each."""
+        servers = [tcp_listen("127.0.0.1", 0) for _ in announced]
+        try:
+            peers = [FakePeer(lambda srv=srv: tcp_accept(srv, timeout=10), *info)
+                     for srv, info in zip(servers, announced)]
+            rc = main(["train", "--role", "ti", "--randomness", "online", *TRAIN_ARGS,
+                       *(arg for srv in servers
+                         for arg in ("--peer", f"127.0.0.1:{srv.getsockname()[1]}"))])
+            for peer in peers:
+                peer.finish()
+        finally:
+            for srv in servers:
+                srv.close()
+        return rc, capsys.readouterr().err
+
+    def test_online_ti_refuses_processors_of_different_dims(self, capsys):
+        rc, err = self.online_ti(capsys, ("A", 20, 10), ("B", 21, 10))
+        assert rc == 3
+        assert err == ("error: transport: data processors disagree on dataset dims: "
+                       "(20, 10) vs (21, 10)\n")
+
+    def test_online_ti_refuses_two_processors_announcing_a(self, capsys):
+        rc, err = self.online_ti(capsys, ("A", 20, 10), ("A", 20, 10))
+        assert rc == 3
+        assert err.startswith("error: transport: expected roles A and B, got ")
+
+    def test_file_mode_alice_refuses_a_ti_connection(self, tmp_path, capsys):
+        write_share_file(tmp_path / "a.shr", np.zeros((20, 10), dtype=P64.dtype), P64)
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        ti = FakePeer(lambda: tcp_connect("127.0.0.1", port, timeout=10, retry_window=10), "TI")
+        rc = main(["train", "--role", "alice", "--listen", f"127.0.0.1:{port}",
+                   "--data", str(tmp_path / "a.shr"), "--weights-out", str(tmp_path / "w.shr"),
+                   "--randomness", f"file:{tmp_path / 'nope'}", *TRAIN_ARGS])
+        ti.finish()
+        assert rc == 3
+        assert capsys.readouterr().err == "error: transport: unexpected connection from role TI\n"
+
+    def test_file_mode_ti_needs_dims(self, tmp_path):
+        assert main(["train", "--role", "ti", "--randomness", f"file:{tmp_path / 'crn'}",
+                     *TRAIN_ARGS]) == 2
+        assert not list(tmp_path.iterdir())
+
+    def test_bob_needs_peer(self, tmp_path):
+        write_share_file(tmp_path / "b.shr", np.zeros((20, 10), dtype=P64.dtype), P64)
+        assert main(["train", "--role", "bob", "--data", str(tmp_path / "b.shr"),
+                     "--weights-out", str(tmp_path / "w.shr"),
+                     "--randomness", f"file:{tmp_path / 'crn'}", *TRAIN_ARGS]) == 2
+
+    def test_local_refuses_share_files_of_different_shapes(self, tmp_path, capsys):
+        write_share_file(tmp_path / "t.alice.shr", np.zeros((20, 10), dtype=P64.dtype), P64)
+        write_share_file(tmp_path / "t.bob.shr", np.zeros((21, 10), dtype=P64.dtype), P64)
+        rc = main(["train", "--role", "local", "--data", str(tmp_path / "t"),
+                   "--weights-out", str(tmp_path / "w.csv"), *TRAIN_ARGS])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "error: share files disagree on shape: (20, 9) vs (21, 9)\n")
+        assert not (tmp_path / "w.csv").exists()
+
+
+class TestUnreadableInput:
+    """An input file that cannot be read exits 4 with one line naming it."""
+
+    def test_split(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["split", "--data", str(missing), "--shares-out", str(tmp_path / "t")]) == 4
+        assert capsys.readouterr().err == (
+            f"error: cannot read {missing}: No such file or directory\n")
+
+    def test_train_local(self, tmp_path, capsys):
+        rc = main(["train", "--role", "local", "--data", str(tmp_path / "missing"),
+                   "--weights-out", str(tmp_path / "w.csv")])
+        assert rc == 4
+        assert capsys.readouterr().err == (f"error: cannot read {tmp_path / 'missing'}.alice.shr: "
+                                           "No such file or directory\n")
+
+    def test_reconstruct(self, tmp_path, capsys):
+        write_share_file(tmp_path / "a.shr", np.zeros((1, 3), dtype=P64.dtype), P64)
+        missing = tmp_path / "missing.shr"
+        rc = main(["reconstruct", str(tmp_path / "a.shr"), str(missing),
+                   "--weights-out", str(tmp_path / "w.csv")])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            f"error: cannot read {missing}: No such file or directory\n")
+
+    def test_tcp_pair_without_randomness_files(self, toy_csv, tmp_path):
+        common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
+        for party, (rc, err) in zip(("alice", "bob"), run_tcp_pair(
+                toy_csv, tmp_path, "20x10", common, common, lambda path: path.unlink())):
+            assert rc == 4, err
+            assert err == (f"error: cannot read {tmp_path / f'crn.{party}.crn'}: "
+                           "No such file or directory\n")
+        assert not (tmp_path / "w.alice.shr").exists()
+        assert not (tmp_path / "w.bob.shr").exists()
+
+
+# the exit code that README lists for each error class: 3 transport,
+# 4 file format, 5 randomness underflow, 6 any other protocol failure
+README_EXIT_CODES = {
+    errors.MpcError: 6,
+    errors.RangeError: 6,
+    errors.ProtocolError: 6,
+    errors.TransportError: 3,
+    errors.FrameError: 3,
+    errors.FormatError: 4,
+    errors.IngestionError: 4,
+    errors.RandomnessUnderflowError: 5,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_exits_with_its_readme_code(self, monkeypatch, capsys):
+        classes = {value for value in vars(errors).values()
+                   if isinstance(value, type) and issubclass(value, errors.MpcError)}
+        assert classes == set(README_EXIT_CODES)
+        for cls, code in README_EXIT_CODES.items():
+            def fail(**_):
+                raise cls("boom")
+
+            monkeypatch.setattr(mpclr.cli, "cli", fail)
+            assert main([]) == code, cls.__name__
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.endswith(" boom\n"), err
+            assert err.count("\n") == 1, err
 
 
 class TestBench:
