@@ -1,24 +1,26 @@
-"""Bit decomposition and logarithmic OR over packed bit rows.
+"""Bit decomposition, its zero test and logarithmic OR over packed bit rows.
 
 Two decomposition routes are kept deliberately: a ripple-carry reference with
 linear round count, and the optimized route that evaluates the carry-prefix
-network in ceil(log2(p-1)) + 1 rounds.  The optimized route works on vertical
-bit slices: a matrix with one packed row per bit position or network node,
-each row holding that bit of every batched element, so each network layer is
-a single exchange and a few whole-matrix operations no matter how many values
-are being decomposed at once.  `decompose_ripple` and `decompose_opt` take one
-shared value and return its bits as a `BitVectorShare`; they are test
-references, and the ripple route sends each round's ANDs through
-`engine.and_gates` as one packed row.  Z_2 -> ring conversion is
-`engine.convert_bits_to_ring`, which opens the bit rows masked by daBits.
+network in ceil(log2(p-1)) + 1 rounds.  The optimized route works on
+vertical bit slices: a matrix with one packed row per bit position or network
+node, each row holding that bit of every batched element, so each network
+layer is a single exchange and a few whole-matrix operations no matter how
+many values are being decomposed at once.  It also runs the activation's zero
+test, which needs only two of the network's carries (see `prefixnet`).
+`decompose_ripple` and `decompose_opt` take one shared value and return its
+bits as a `BitVectorShare`; they are test references, and the ripple route
+sends each round's ANDs through `engine.and_gates` as one packed row.  Z_2 ->
+ring conversion is `engine.convert_bits_to_ring`, which opens the bit rows
+masked by daBits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import Session, and_gates
-from .prefixnet import cached_plan
+from .engine import Session, and_gates, finish_and_gates, mask_gate_inputs
+from .prefixnet import cached_plan, or_tree_levels
 from .sharing import BitVectorShare, ones_row, pack_rows, unpack_rows
 
 
@@ -92,14 +94,32 @@ def _from_slices(slices, batch: int) -> np.ndarray:
     return np.packbits(per_value, axis=1, bitorder="little").view(np.uint64).reshape(batch)
 
 
+def _level_gates(sess: Session, rows, level, batch: int) -> tuple:
+    """The AND gates of one level of a tree over the packed `rows` (see
+    `or_tree_levels`), each with its dealt tuples, and how many rows they
+    take; the rows after those pass to the next level as they are."""
+    gates, used = [], 0
+    for k, count in level:
+        # input i of gate j is row used + k·j + i
+        xs = rows[used:used + k * count].reshape(count, k, -1).swapaxes(0, 1)
+        gates.append((xs, sess.randomness.take_bit_triples(count * batch, k, count)))
+        used += k * count
+    return gates, used
+
+
 def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
-                           collect_nodes: dict | None = None) -> np.ndarray:
+                           collect_nodes: dict | None = None, zero_start: int = 0) -> np.ndarray:
     """Decompose the low `width` bits of a batch of shared values.
 
     Returns this party's shares of the `width` sum bits as a matrix of
     packed rows, LSB first, one bit per batch element.  `collect_nodes`,
     when given, receives this party's (p, g) row shares for every network
     node, keyed by node, for oracle-mode inspection.
+
+    With `zero_start` a in 1..width-1, it runs the zero-test plan of
+    `prefixnet` instead and returns two rows: d = [x < 2^a] for x the low
+    `width` bits of each value, and x's top bit.  The zero test's AND
+    gates ride the network's rounds, so it takes no round of its own.
     """
     if width > sess.params.ring_bits:
         raise ValueError(f"cannot decompose {width} bits of a {sess.params.ring_bits}-bit ring")
@@ -107,15 +127,15 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
         raise ValueError("bit width must be >= 2")
     shares = np.atleast_1d(np.asarray(shares, dtype=sess.params.dtype))
     batch = shares.size
-    plan = cached_plan(width)
-    block = sess.randomness.take_prefix_block(width, batch)
+    plan = cached_plan(width, zero_start)
+    block = sess.randomness.take_prefix_block(width, batch, zero_start)
 
     own = _to_slices(shares, width)
     zero = np.zeros_like(own)
     a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
 
     # Setup round: every position's generate bit in one batched multiplication.
-    [g_setup] = and_gates(sess, [((a_rows, b_rows), block.setup)], batch)
+    [g_setup] = and_gates(sess, [((a_rows, b_rows), block.setup[:, :width])], batch)
     sess.transcript.mask_bits_sent += 2 * width * batch
 
     # Node rows: the setup positions, then one per composition in plan order.
@@ -127,12 +147,23 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     dp = np.empty_like(block.mask_p)
     dg = np.empty_like(block.mask_g)
 
+    ones = ones_row(batch)
+    a = zero_start
+    # the zero test's terms: bit j > a of x is zero, given the bits below it
+    # are, iff its term is 1
+    tree = _const_flip(sess, own[a + 1:] ^ own[a:-1] ^ g_setup[a:-1], ones) if a else None
+
     for layer in plan.rounds:
         masks = layer.pub_masks
         masked = np.empty((2 * len(masks), own.shape[1]), dtype=np.uint64)
         masked[0::2] = p_rows[layer.pub_rows] ^ block.mask_p[masks]
         masked[1::2] = g_rows[layer.pub_rows] ^ block.mask_g[masks]
-        [opened] = sess.open(bits=[masked])
+        # this round's level of the zero test's AND tree, then its final AND
+        gates, used = _level_gates(sess, tree, layer.gates, batch)
+        if layer.final:
+            low = _const_flip(sess, own[a] ^ g_rows[plan.carry_rows[0]], ones)
+            gates.append(((tree, low[None]), block.setup[:, width:]))
+        opened, *gate_inputs = sess.open(bits=[masked, *mask_gate_inputs(gates)])
         sess.transcript.mask_bits_sent += 2 * batch * len(masks)
         dp[masks], dg[masks] = opened[0::2], opened[1::2]
 
@@ -153,15 +184,23 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
         out = slice(width + layer.comps.start, width + layer.comps.stop)
         p_rows[out], g_rows[out] = p_out, g_out
         sess.transcript.bit_mults += 2 * batch * len(lo)
+        if gates:
+            tree = np.concatenate([*finish_and_gates(sess, gates, gate_inputs, batch),
+                                   tree[used:]])
 
     if collect_nodes is not None:
         collect_nodes.update({node: (p_rows[row], g_rows[row])
                               for node, row in plan.node_rows.items()})
         collect_nodes["__plan__"] = plan
 
-    sums = own.copy()
-    sums[1:] ^= g_rows[plan.carry_rows]
-    return sums
+    if not a:
+        sums = own.copy()
+        sums[1:] ^= g_rows[plan.carry_rows]
+        return sums
+    top = own[-1] ^ g_rows[plan.carry_rows[-1]]
+    # with no bit above a, d is the first term alone
+    d = tree[0] if plan.final_round else _const_flip(sess, top, ones)
+    return np.stack([d, top])
 
 
 def decompose_opt(sess: Session, x_share: int, width: int | None = None) -> BitVectorShare:
@@ -176,40 +215,20 @@ def decompose_opt(sess: Session, x_share: int, width: int | None = None) -> BitV
 # ---------------------------------------------------------------------------
 
 
-def or_tree_levels(k: int) -> list:
-    """The AND gates of each level of the OR tree over k rows, as (inputs,
-    gates) pairs: the rows in order, in groups of four, and the rows left
-    over as one smaller group.  A group of one row passes to the next level
-    as it is, so there are ceil(log4(k)) levels and k - 1 ANDs in all."""
-    levels = []
-    while k > 1:
-        full, rest = divmod(k, 4)
-        level = [(4, full)] if full else []
-        if rest > 1:
-            level.append((rest, 1))
-        levels.append(level)
-        k = full + (rest > 0)
-    return levels
-
-
 def or_tree_slices(sess: Session, slices, batch: int) -> np.ndarray:
     """OR over the rows of a packed bit matrix, elementwise across the batch.
 
     NOT(AND(NOT ...)) evaluated as a tree of AND gates of up to four inputs
     (see `or_tree_levels`); each level is one round, whatever its gates'
     inputs, and each gate takes one dealt tuple per element.  Returns one
-    packed row.
+    packed row.  Training does not call it: the activation's zero test runs
+    its AND tree inside the decomposition's rounds.
     """
     if len(slices) == 0:
         raise ValueError("or_tree_slices needs at least one row")
     ones = ones_row(batch)
     cur = _const_flip(sess, np.asarray(slices, dtype=np.uint64), ones)
     for level in or_tree_levels(len(cur)):
-        gates, start = [], 0
-        for k, count in level:
-            # input i of gate j is row start + k·j + i
-            xs = cur[start:start + k * count].reshape(count, k, -1).swapaxes(0, 1)
-            gates.append((xs, sess.randomness.take_bit_triples(count * batch, k, count)))
-            start += k * count
-        cur = np.concatenate([*and_gates(sess, gates, batch), cur[start:]])
+        gates, used = _level_gates(sess, cur, level, batch)
+        cur = np.concatenate([*and_gates(sess, gates, batch), cur[used:]])
     return _const_flip(sess, cur[0], ones)

@@ -128,7 +128,12 @@ def read_training_csv(path):
     """Parse a training CSV: header row, numeric features, final column the
     class label in {0,1}.  Errors name the offending row and column."""
     rows = []
-    reader = csv.reader(io.StringIO(read_input(path).decode(), newline=""))
+    try:
+        text = read_input(path).decode()
+    except UnicodeDecodeError as exc:
+        raise IngestionError(f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                             f"at offset {exc.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:

@@ -247,13 +247,26 @@ def and_gates(sess: Session, gates, batch: int) -> list:
     array of 2^k - 1 matrices of their shape as a take or a prefix block
     hands it over, matrix S - 1 the shares of r_S, the AND of the masks r_i
     with bit i set in S (see `randomness.subset_products`).  The parties
-    open every m_i = x_i XOR r_i, and then x_0 ... x_{k-1} is local: the XOR
-    over all S of r_S AND the m_i outside S, where r_0 is 1 on Alice's side
-    and 0 on Bob's (Ohata and Nuida, FC 2020).  The frame carries each
-    gate's masked inputs in order; k = 2 is the Beaver triple u, v, w.
+    open every m_i = x_i XOR r_i (`mask_gate_inputs`), and then x_0 ...
+    x_{k-1} is local (`finish_and_gates`): the XOR over all S of r_S AND
+    the m_i outside S, where r_0 is 1 on Alice's side and 0 on Bob's (Ohata
+    and Nuida, FC 2020).  The frame carries each gate's masked inputs in
+    order; k = 2 is the Beaver triple u, v, w.  A round that opens other
+    matrices too opens the masked inputs in its own frame and finishes the
+    gates after it.
     """
-    opened = iter(sess.open(bits=[x ^ rs[(1 << i) - 1]
-                                  for xs, rs in gates for i, x in enumerate(xs)]))
+    return finish_and_gates(sess, gates, sess.open(bits=mask_gate_inputs(gates)), batch)
+
+
+def mask_gate_inputs(gates) -> list:
+    """The masked inputs m_i = x_i XOR r_i of every gate, in order: what
+    `and_gates` opens."""
+    return [x ^ rs[(1 << i) - 1] for xs, rs in gates for i, x in enumerate(xs)]
+
+
+def finish_and_gates(sess: Session, gates, opened, batch: int) -> list:
+    """Each gate's output matrix, local from the opened `mask_gate_inputs`."""
+    opened = iter(opened)
     out = []
     for xs, rs in gates:
         m = [next(opened) for _ in xs]

@@ -115,10 +115,11 @@ class PrefixBlock:
     """One party's masks for a single batched bit decomposition.
 
     Every array field holds packed `batch`-bit rows: `setup` is the AND
-    triple u, v, w = u AND v (see `subset_products`), a (3, width, words)
-    array with one row per bit position, the node masks have one row per
-    masked node and the composition products one row per composition, in
-    plan order.
+    triple u, v, w = u AND v (see `subset_products`), a (3, and_triples,
+    words) array with one row per bit position, then, for a zero-test plan,
+    one for the test's final AND; the node masks have one row per masked
+    node and the composition products one row per composition, in plan
+    order.
     """
 
     width: int
@@ -143,11 +144,12 @@ _RING_MASKED = (TAG_SCALAR, TAG_MATMUL)  # tags whose masks are ring elements, n
 
 def _meta(tag: int, meta):
     """A request's meta as records keep it: n for a pool, a MatmulDims for
-    matmul, (width, batch) for prefix-network."""
+    matmul, (width, batch, zero_start) for prefix-network, where a request
+    of (width, batch) is the full decomposition, zero_start 0."""
     if tag == TAG_MATMUL:
         return MatmulDims(*meta)
     if tag == TAG_PREFIXNET:
-        return tuple(meta)
+        return (*meta, 0)[:3]
     return meta
 
 
@@ -228,9 +230,11 @@ def mask_shapes(tag: int, meta) -> tuple:
     if tag == TAG_CONVERSION:
         return ((word_count(meta),),)  # the Z_2 shares of r
     if tag == TAG_PREFIXNET:
-        width, batch = meta
-        nodes = (len(cached_plan(width).masked_nodes), word_count(batch))
-        return (2, width, word_count(batch)), nodes, nodes  # setup u and v, then p and g
+        width, batch, zero_start = meta
+        plan = cached_plan(width, zero_start)
+        nodes = (len(plan.masked_nodes), word_count(batch))
+        # the setup and final ANDs' u and v, then p and g
+        return (2, plan.and_triples, word_count(batch)), nodes, nodes
     raise ValueError(f"unknown randomness tag {tag}")
 
 
@@ -283,7 +287,7 @@ class TrustedDealer:
             return [unpack_rows(r[None], meta)[0].astype(self.params.dtype)]
         if tag == TAG_PREFIXNET:
             (u, v), p, g = masks
-            plan = cached_plan(meta[0])
+            plan = cached_plan(meta[0], meta[2])
             # The higher-position run is the left factor of the matrix product,
             # so the cross product couples its propagate mask with the lower
             # run's generate mask.
@@ -332,7 +336,8 @@ class TrustedDealer:
         has just drawn those masks.
 
         Each request is (tag, meta): n for pools, MatmulDims for matmul,
-        (width, batch) for prefix-network blocks.
+        (width, batch) or (width, batch, zero_start) for prefix-network
+        blocks.
         """
         plan = [(tag, _meta(tag, meta)) for tag, meta in requests]
         streams = [_new_stream(self.params, self.session_id, plan) for _ in range(2)]
@@ -374,7 +379,7 @@ class MaterializedSource:
 
     def append(self, tag: int, meta, parts):
         """Add one record; `meta` is n for a pool, a MatmulDims for matmul
-        and (width, batch) for prefix-network."""
+        and (width, batch, zero_start) for prefix-network."""
         self.records.append((tag, meta, parts))
         self.buffer = None
 
@@ -469,9 +474,9 @@ class MaterializedSource:
         (bits,), (ring,), start = self._take(TAG_CONVERSION, nbits)
         return ring[start:start + nbits], _read_rows(bits, start, rows, nbits // rows)
 
-    def take_prefix_block(self, width, batch) -> PrefixBlock:
+    def take_prefix_block(self, width, batch, zero_start=0) -> PrefixBlock:
         (setup_uv, mask_p, mask_g), (setup_w, prod_pp, prod_pg), _ = self._take(
-            TAG_PREFIXNET, (width, batch))
+            TAG_PREFIXNET, (width, batch, zero_start))
         setup = np.concatenate([setup_uv, setup_w[None]])
         return PrefixBlock(width, batch, setup, mask_p, mask_g, prod_pp, prod_pg)
 
@@ -526,10 +531,11 @@ def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
         return seed, ((meta,), ring)
     if tag == TAG_BIT:  # the subset products of two or more masks
         return seed, ((len(_PRODUCTS), word_count(meta)), words)
-    if tag == TAG_PREFIXNET:  # the setup triple's w, then pp and pg
-        width, batch = meta
-        comps = len(cached_plan(width).compositions)
-        return (seed, *(((rows, word_count(batch)), words) for rows in (width, comps, comps)))
+    if tag == TAG_PREFIXNET:  # the setup and final ANDs' w, then pp and pg
+        width, batch, zero_start = meta
+        plan = cached_plan(width, zero_start)
+        rows = (plan.and_triples, *[len(plan.compositions)] * 2)
+        return (seed, *(((count, word_count(batch)), words) for count in rows))
     raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 
@@ -557,7 +563,7 @@ def _record_header(tag: int, meta) -> tuple:
     if tag == TAG_MATMUL:
         tag_byte, m = tag | meta.kind << _KIND_SHIFT, meta[:3]
     elif tag == TAG_PREFIXNET:
-        m = (*meta, 0)
+        m = meta
     if not 0 <= m[0] < 1 << _TAG_SHIFT:
         raise ValueError(f"{_TAG_NAMES[tag]} record meta {m[0]} does not fit in "
                          f"{_TAG_SHIFT} bits")
@@ -577,7 +583,10 @@ def _record_meta(header, params: FixedPointParams) -> tuple:
         if not 2 <= m0 <= params.ring_bits:
             raise FormatError(f"randomness stream: prefix-network width {m0} outside "
                               f"2..{params.ring_bits}")
-        return tag, (m0, m1)
+        if m2 and not 1 <= m2 < m0:
+            raise FormatError(f"randomness stream: prefix-network zero-test start {m2} "
+                              f"outside 1..{m0 - 1}")
+        return tag, (m0, m1, m2)
     return tag, m0
 
 

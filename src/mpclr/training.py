@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import batch_activate, clipped_relu, clipped_relu_fixed
-from .bitops import or_tree_levels
 from .engine import MaskedMatrix, Session, batch_mul, matmul
 from .errors import ProtocolError
 from .fixedpoint import FixedPointParams, decode_array, encode, encode_array, exact_truncate
@@ -197,30 +196,28 @@ class Step:
 
 def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     """The rounds of one :func:`train_secure` iteration over n samples and m1
-    weights, in order; every iteration runs the same rounds."""
-    width = params.frac_bits + params.int_bits + 2
+    weights, in order; every iteration runs the same rounds.  At the default
+    12/15 precision they are 9: the forward product, 6 of the decomposition
+    with its zero test (the setup round and 5 network rounds), the
+    conversion and the gradient."""
+    a = params.frac_bits
+    width = a + params.int_bits + 1  # the fractional, integer and sign bits of z'
+    plan = cached_plan(width, a)
     row = word_count(n)  # words of one opened bit row, one bit per sample
-    steps = [
+    # The zero test's AND tree starts in the first network round; each of
+    # its gates takes one AND tuple per sample, and the tuples of the whole
+    # tree are one record.
+    tuples = ((TAG_BIT, n * plan.gate_tuples),) if plan.gate_tuples else ()
+    return [
         Step("engine.matmul", ((TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE)),), m1,
              ring=n * m1),
         # setup round: every bit position's generate signal, two operands opened
-        Step("bitops.decompose", ((TAG_PREFIXNET, (width, n)),), 2 * width * row,
+        Step("bitops.decompose", ((TAG_PREFIXNET, (width, n, a)),), 2 * width * row,
              bit=width * n),
-    ]
-    steps += [Step("bitops.decompose", (), 2 * len(layer.pub_masks) * row,
-                   bit=2 * n * (layer.comps.stop - layer.comps.start))
-              for layer in cached_plan(width).rounds]
-    # OR of the sign and integer slices, one tree level per round; each gate
-    # takes one AND tuple per sample, and the tuples of the whole tree are
-    # one record
-    levels = or_tree_levels(params.int_bits + 1)
-    requests = ((TAG_BIT, n * sum(count for level in levels for _, count in level)),)
-    for level in levels:
-        steps.append(Step("bitops.or_tree", requests,
-                          sum(k * count for k, count in level) * row,
-                          bit=sum((k - 1) * count for k, count in level) * n))
-        requests = ()
-    return steps + [
+        # the network's rounds, which also carry the zero test's gates
+        *(Step("bitops.decompose", tuples if i == 0 else (), layer.opened_rows * row,
+               bit=layer.and_count * n)
+          for i, layer in enumerate(plan.rounds)),
         # both bits are converted to ring shares against daBits, opened as two
         # rows; the same frame opens the Beaver operands of d's daBit times z'
         Step("activation.convert", ((TAG_CONVERSION, 2 * n), (TAG_SCALAR, n)), 2 * row + 2 * n,

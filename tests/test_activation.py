@@ -57,10 +57,11 @@ class TestSingleActivation:
     def test_exhaustive_grid_small_params(self):
         """Every representable input inside the valid domain against the
         independently computed fixed-point rho; exercises all three branch
-        behaviors.  With one integer bit the OR tree over the sign and
-        integer bits is a single level."""
+        behaviors.  With one integer bit the zero test's conjunction has one
+        term and no gate of its own."""
         for params in (P16, FixedPointParams(frac_bits=2, int_bits=1, ring_bits=8),
-                       FixedPointParams(frac_bits=4, int_bits=1, ring_bits=16)):
+                       FixedPointParams(frac_bits=4, int_bits=1, ring_bits=16),
+                       FixedPointParams(frac_bits=8, int_bits=1, ring_bits=64)):
             a, b = params.frac_bits, params.int_bits
             lo, hi = -(1 << (a + b - 1)) + 1, 1 << (a + b - 1)
             branches = {"low": 0, "mid": 0, "high": 0}
@@ -110,18 +111,21 @@ class TestBatchActivation:
         expect = encode_array(clipped_relu(grid_inputs), P64)
         assert np.array_equal(opened, expect)
 
-    @pytest.mark.parametrize("batch", [1, 64, 512])
+    @pytest.mark.parametrize("batch", [1, 64, 65, 512])
     def test_rounds_independent_of_batch(self, batch):
+        # 65 puts the last element of every bit row in a word of its own
         rng = np.random.default_rng(33)
         zs = encode_array(rng.uniform(-2, 2, batch), P64)
         za, zb = split_array(zs, P64, rng)
-        _, _, sa, _ = protocol_pair(
+        ra, rb, sa, _ = protocol_pair(
             P64,
             lambda s: batch_activate(s, za.values),
             lambda s: batch_activate(s, zb.values),
         )
-        # decomposition 6 + or-tree 2 + conversion 1, which also returns the product
-        assert sa.transcript.rounds == 9
+        # decomposition with its zero test 6 + conversion 1, which also
+        # returns the product
+        assert sa.transcript.rounds == 7
+        assert np.array_equal(ra + rb, clipped_relu_fixed(zs, P64))
 
     def test_ring_mult_budget(self):
         batch = 32
@@ -135,10 +139,13 @@ class TestBatchActivation:
         )
         # the output product, per element; the conversion opens daBit-masked bits
         assert sa.transcript.ring_mults == batch
-        width = P64.frac_bits + P64.int_bits + 2
+        width = P64.frac_bits + P64.int_bits + 1
         from mpclr.prefixnet import cached_plan
 
-        per_elem = width + 2 * len(cached_plan(width).compositions) + P64.int_bits
+        # the setup, the network, and the zero test's int_bits - 1 tree ANDs
+        # and final AND
+        per_elem = (width + 2 * len(cached_plan(width, P64.frac_bits).compositions)
+                    + P64.int_bits)
         assert sa.transcript.bit_mults == per_elem * batch
 
 

@@ -221,6 +221,36 @@ class TestBatchDecompose:
         assert _from_slices(la ^ lb, 256).tolist() == [int(v) for v in vals]
 
 
+class TestZeroTest:
+    """`decompose_batch_slices` with a zero-test start a returns d = [x <
+    2^a] and the top bit of x, the low `width` bits of the shared value."""
+
+    @pytest.mark.parametrize("width,start", [
+        (28, 12), (8, 4), (4, 2), (10, 8), (33, 31), (17, 1), (8, 7), (3, 1), (2, 1)])
+    def test_against_plaintext(self, width, start):
+        rng = np.random.default_rng(width * 100 + start)
+        low = np.array([0, 1, (1 << start) - 1, 1 << start, (1 << width) - 1,
+                        1 << (width - 1), (1 << (width - 1)) - 1], dtype=np.uint64)
+        # a whole word of random values, then the edges of both bits
+        vals = np.concatenate([np.frombuffer(rng.bytes(8 * 64), dtype=np.uint64), low])
+        va, vb = split_array(vals, P64, rng)
+        ra, rb, sa, sb = protocol_pair(
+            P64,
+            lambda s: decompose_batch_slices(s, va.values, width, zero_start=start),
+            lambda s: decompose_batch_slices(s, vb.values, width, zero_start=start),
+        )
+        x = vals & np.uint64((1 << width) - 1)
+        d, top = unpack_rows(ra ^ rb, len(vals))
+        assert d.tolist() == (x < (1 << start)).astype(int).tolist()
+        assert top.tolist() == (x >> np.uint64(width - 1)).astype(int).tolist()
+        plan = cached_plan(width, start)
+        for sess in (sa, sb):
+            assert sess.transcript.rounds == 1 + len(plan.rounds)
+            assert sess.transcript.bit_mults == len(vals) * (
+                width + sum(layer.and_count for layer in plan.rounds))
+            assert sess.transcript.mask_bits_sent == len(vals) * plan.mask_bits_per_element()
+
+
 class TestOrTree:
     @staticmethod
     def run(value_a, value_b, k, seed=0):

@@ -149,7 +149,7 @@ class TestTrainLocalAndReconstruct:
         lines = [json.loads(l.split(" ", 1)[1]) for l in out.splitlines()
                  if l.startswith("TRANSCRIPT")]
         assert len(lines) == 2
-        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 11
+        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 9
         assert lines[0]["ring_mults"] == lines[0]["counted_ring_mults"]
 
 
@@ -239,7 +239,7 @@ class TestProtocolErrors:
         for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_11):
             assert rc == 4, err
             assert err == ("error: randomness stream dealt by another protocol version than "
-                           "this build's 12 (one dealt before version 8 has no version field); "
+                           "this build's 13 (one dealt before version 8 has no version field); "
                            "deal it again\n")
 
     def test_randomness_of_another_session_exits_4(self, toy_csv, tmp_path):
@@ -373,6 +373,12 @@ class TestUnreadableInput:
         assert capsys.readouterr().err == (
             f"error: cannot read {missing}: No such file or directory\n")
 
+    def test_split_of_a_file_that_is_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"f0,label\n0.5\xe9,1\n")  # a Latin-1 e acute
+        assert main(["split", "--data", str(data), "--shares-out", str(tmp_path / "t")]) == 4
+        assert capsys.readouterr().err == f"error: {data}: not UTF-8: byte 0xe9 at offset 12\n"
+
     def test_train_local(self, tmp_path, capsys):
         rc = main(["train", "--role", "local", "--data", str(tmp_path / "missing"),
                    "--weights-out", str(tmp_path / "w.csv")])
@@ -449,7 +455,7 @@ class TestBench:
         assert rc == 0
         payload = [l for l in capsys.readouterr().out.splitlines() if l.startswith("BENCH")][0]
         results = json.loads(payload[6:])["results"]
-        assert results[0]["rounds"] == results[1]["rounds"] == 9
+        assert results[0]["rounds"] == results[1]["rounds"] == 7
 
     def test_warm_up_rep_is_dropped_and_median_reported(self, capsys, monkeypatch):
         import mpclr.cli

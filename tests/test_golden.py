@@ -32,7 +32,10 @@ reconstruct to moved by at most two such units.  Protocol version 12 writes
 the pure masks of every other record as one seed per party too, so those
 masks take new values: the stream and frame digests moved, and the weight
 shares, which depend only on the matrix records and the opened values, did
-not.
+not.  Protocol version 13 tests the activation's integer field for zero
+inside a prefix network pruned to the two carries it needs, on 28 bits
+instead of 29, and drops the OR tree: the stream and frame digests moved,
+and the weight shares did not.
 """
 
 import hashlib
@@ -50,20 +53,20 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("c21bf771d47e3bc9b1e70945301c72d4f791a6ad75b4d8736958a0acb8b89754",
-                 "be513381854a5df548b9eb27134439736564b447ca0bb4dcc1ba509660ab3302"),
-        "sent": ("5dbce34056c734d9cf830f674676f0d8b6b8441e498098df98baa46dffe9632d",
-                 "eea5a88453cff9f3fd3dd9cc12b90dbfa5e9f5a2bd4d86b70128d61bac5e47bb"),
+        "crn1": ("6d54874491cb1ee411999ee788e3ad5dc81448369fc873ad1fb267e6c7b74494",
+                 "6a785ceb8dc88e6851fe803ae24a9cc8c20da410f26a5377b17fd8e0bf0a8354"),
+        "sent": ("89fd06d08c037d248755546adbc0613714998f835c5b510bc4449b6f2bf93198",
+                 "35c48469ae1e44eef1b7918562173df1045b9a039e192f3e06557e2f7c5316ff"),
         "weights": ([19138880305724, 24006652041723, 27370254117660, 29159159964231,
                      20729159496846],
                     [18446724934829245821, 18446720067057510807, 18446716703455434286,
                      18446714914549587355, 18446723344550054877]),
     },
     77: {
-        "crn1": ("2f5ae220ed46586997a6625618bafc2ccf64999bb3711e4bb074a14346d09f71",
-                 "e064a844dbddf9ef7757e6646b962293536c13618f8b20cda274f3ffd538cfff"),
-        "sent": ("2394853f4afefb4f703494576647ba865f1fed2159c5eb0aefd748a96a4720fd",
-                 "c34ae60f1b631c598ebcef36e822a7f98f831b949a39fa6fe3b921279f59cdb3"),
+        "crn1": ("345c5576b6c9cb492762489110dfe925befe3d2e3ba9847cdcbd92600324a841",
+                 "8a8654e59963dce7099042417eb6df2ea2ee265d4cc81db5797d9fc20c4402f1"),
+        "sent": ("a8d521f8c8509dd59a0e8dcc36457dc3aad8d60006e6971ed534f65ddea51203",
+                 "bbea6c066ae6cb0d3d46cf422a6d8875f7b8eb0034705104d9d046c7a5085945"),
         "weights": ([28066745343120, 29264249119107, 33640938008250, 9058849979089,
                      40782814463658],
                     [18446716006964208446, 18446714809460433486, 18446710432771543850,

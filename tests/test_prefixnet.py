@@ -99,3 +99,62 @@ class TestMaskAccounting:
         plan = plan_prefix_network(29)
         assert plan.mask_bits_per_element() == 2 * 29 + 2 * len(plan.masked_nodes)
         assert plan.mask_bits_per_element() <= closed_form_mask_bits(29)
+
+
+class TestZeroTestPlan:
+    # (compositions, masked nodes, (published, composed) per round) of the
+    # full decomposition, as the plan had them before the zero test existed
+    FULL = {
+        8: (12, 15, [(8, 4), (4, 4), (3, 4)]),
+        29: (67, 72, [(29, 14), (14, 14), (10, 13), (9, 13), (10, 13)]),
+        64: (192, 198, [(64, 32), (32, 32), (24, 32), (24, 32), (26, 32), (28, 32)]),
+    }
+
+    @staticmethod
+    def shape(plan):
+        return (len(plan.compositions), len(plan.masked_nodes),
+                [(len(r.pub_masks), r.comps.stop - r.comps.start) for r in plan.rounds])
+
+    @pytest.mark.parametrize("p", sorted(FULL))
+    def test_full_plan_is_unchanged(self, p):
+        plan = plan_prefix_network(p)
+        assert self.shape(plan) == self.FULL[p]
+        assert all(r.gates == () and not r.final for r in plan.rounds)
+        assert plan.and_triples == p and plan.gate_tuples == 0
+
+    def test_default_precision_builds_two_carries(self):
+        # 12/15: the fractional, integer and sign bits of z' are 28
+        plan = plan_prefix_network(28, 12)
+        assert plan.solution_nodes == [(1, 12), (1, 27)]
+        assert (len(plan.compositions), len(plan.masked_nodes), plan.depth) == (27, 52, 5)
+        assert plan.creation_layer[(1, 12)] == 4
+        # 15 terms: gates of 4, 4, 4 and 3 inputs, then one of 4, then the
+        # final AND with the first term once c_12 is known
+        assert [(r.gates, r.final) for r in plan.rounds] == [
+            (((4, 3), (3, 1)), False), (((4, 1),), False), ((), False), ((), False), ((), True)]
+        assert plan.gate_tuples == 5 and plan.and_triples == 29
+        assert (28, 28) not in plan.masked_nodes  # the top bit is never composed
+        assert sum(r.opened_rows for r in plan.rounds) == 2 * 52 + 15 + 4 + 2
+        assert sum(r.and_count for r in plan.rounds) == 2 * 27 + 14 + 1
+
+    def test_p16_precision(self):
+        # 4/3: three terms in one gate, and the final AND at layer 3
+        plan = plan_prefix_network(8, 4)
+        assert plan.solution_nodes == [(1, 4), (1, 7)]
+        assert (len(plan.compositions), len(plan.masked_nodes), plan.depth) == (6, 12, 3)
+        assert [(r.gates, r.final) for r in plan.rounds] == [
+            (((3, 1),), False), ((), False), ((), True)]
+
+    def test_final_and_after_the_network(self):
+        # 31/1: one term and no gate, but c_31 is ready only at the last
+        # layer, so the final AND takes a round of its own
+        plan = plan_prefix_network(33, 31)
+        assert plan.depth == 5 and plan.final_round == 6
+        last = plan.rounds[-1]
+        assert len(plan.rounds) == 6 and last.final
+        assert last.comps.start == last.comps.stop and last.opened_rows == 2
+
+    @pytest.mark.parametrize("start", [-1, 8, 9])
+    def test_start_validation(self, start):
+        with pytest.raises(ValueError, match="zero-test start"):
+            plan_prefix_network(8, start)

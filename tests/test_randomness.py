@@ -131,6 +131,25 @@ class TestTripleGeneration:
             assert np.array_equal(blk_a.prod_pg[idx] ^ blk_b.prod_pg[idx], mp[hi] & mg[lo])
 
 
+    def test_zero_test_block_consistency(self):
+        # the setup triple gains one row, the zero test's final AND
+        width, batch, start = 8, 5, 4
+        src_a, src_b = (deserialize_stream(serialize_stream(s), P16) for s in
+                        TrustedDealer(7, P16).generate([(TAG_PREFIXNET, (width, batch, start))]))
+        assert src_a.records[0][1] == (width, batch, start)
+        blk_a = src_a.take_prefix_block(width, batch, start)
+        blk_b = src_b.take_prefix_block(width, batch, start)
+        plan = cached_plan(width, start)
+        su, sv, sw = blk_a.setup ^ blk_b.setup
+        assert blk_a.setup.shape == (3, width + 1, 1)
+        assert np.array_equal(sw, su & sv)
+        mp, mg = blk_a.mask_p ^ blk_b.mask_p, blk_a.mask_g ^ blk_b.mask_g
+        assert len(mp) == len(plan.masked_nodes) == 12
+        hi, lo = plan.comp_hi, plan.comp_lo
+        assert np.array_equal(blk_a.prod_pp ^ blk_b.prod_pp, mp[hi] & mp[lo])
+        assert np.array_equal(blk_a.prod_pg ^ blk_b.prod_pg, mp[hi] & mg[lo])
+
+
 class TestStreams:
     REQUESTS = [
         (TAG_SCALAR, 10),
@@ -280,7 +299,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (12).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (13).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -321,6 +340,16 @@ class TestStreams:
         with pytest.raises(FormatError, match=f"width {width} outside 2..64"):
             deserialize_stream(bytes(raw), P64)
 
+    @pytest.mark.parametrize("start", [8, 9, 1 << 63])
+    def test_prefix_network_zero_test_start_outside_the_width(self, start):
+        src_a, _ = TrustedDealer(42, P64).generate([(TAG_PREFIXNET, (8, 3))])
+        raw = bytearray(serialize_stream(src_a))
+        # the zero-test start is the record's third header word; 0 is the
+        # full decomposition
+        raw[HEADER + 16:HEADER + 24] = start.to_bytes(8, "little")
+        with pytest.raises(FormatError, match=f"zero-test start {start} outside 1..7"):
+            deserialize_stream(bytes(raw), P64)
+
     def test_cross_party_reconstruction(self):
         src_a, src_b = TrustedDealer(9, P64).generate([(TAG_SCALAR, 64)])
         ua, va, wa = src_a.take_ring_triples(64)
@@ -355,7 +384,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 12 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 13 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -394,8 +423,11 @@ def crn1_bytes(requests, params):
             _, _, w = MatmulDims(*meta).shapes()
             words += 0 if w is None else w[0] * w[1]
         else:
-            width, batch = meta
-            words += (width + 2 * len(cached_plan(width).compositions)) * packed(batch)
+            # one setup triple per bit, then the zero test's final AND if it
+            # has bits above its start, then two products per composition
+            width, batch, start = (*meta, 0)[:3]
+            triples = width + (0 < start < width - 1)
+            words += (triples + 2 * len(cached_plan(width, start).compositions)) * packed(batch)
     return HEADER + RECORD * len(requests) + 8 * words  # file header, record headers, words
 
 
@@ -628,12 +660,13 @@ class TestSeededPools:
         sizes = len(serialize_stream(src_a)), len(serialize_stream(src_b))
         assert sizes[0] == sizes[1] == crn1_bytes(requests, P64)
 
-    def test_tall_plan_takes_0_973_mb_per_iteration(self):
+    def test_tall_plan_takes_0_813_mb_per_iteration(self):
         # 16,000 x 10 for 20 iterations, the benchmark's tall workload: 1.692 MB
-        # per iteration when every mask but X's was written whole
+        # per iteration when every mask but X's was written whole, 0.973 MB
+        # when the prefix network built every carry of 29 bits
         cfg = TrainingConfig(eta=2.0 ** -12, n_iter=20, params=P64, seed=0)
         requests = training_randomness_requests(16_000, 9, cfg)
-        assert crn1_bytes(requests, P64) == 19_460_584 == 20 * 973_029.2
+        assert crn1_bytes(requests, P64) == 16_260_584 == 20 * 813_029.2
 
     @staticmethod
     def whole_records(source, requests):

@@ -383,15 +383,25 @@ class TestTrafficModel:
         assert sum(call[1] for call in calls) == sa.transcript.rounds
 
     def test_matches_both_transcripts_on_criterion_9_shapes(self):
-        # 64 and 65 samples put the opened bit rows on each side of a word boundary
-        for n, m, iters in [(5, 3, 2), (8, 1, 3), (4, 6, 5), (64, 2, 1), (65, 2, 1)]:
+        # 64 and 65 samples put the opened bit rows on each side of a word
+        # boundary.  An iteration is the forward product, the
+        # decomposition's setup and network rounds, the conversion and the
+        # gradient; 16/16 is the widest field a 64-bit ring allows, and at
+        # 31/1 the zero test's final AND takes a round after the network's.
+        p16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
+        wide = FixedPointParams(frac_bits=16, int_bits=16, ring_bits=64)
+        late = FixedPointParams(frac_bits=31, int_bits=1, ring_bits=64)
+        for n, m, iters, params, rounds in [
+                (5, 3, 2, P64, 9), (8, 1, 3, P64, 9), (4, 6, 5, P64, 9), (64, 2, 1, P64, 9),
+                (65, 2, 1, P64, 9), (6, 2, 2, p16, 7), (6, 2, 2, wide, 9), (6, 2, 2, late, 10)]:
             feats, labels = separable_toy(n, m, seed=n + m)
-            cfg = TrainingConfig(eta=0.05, n_iter=iters, params=P64, seed=17)
+            feats = 0.25 * feats  # inside the one integer bit of 31/1
+            cfg = TrainingConfig(eta=0.05, n_iter=iters, params=params, seed=17)
             _, _, (sa, sb), _ = secure_run(feats, labels, cfg)
-            traffic = count_traffic(n, m, iters, P64)
+            traffic = count_traffic(n, m, iters, params)
             for tr in (sa.transcript, sb.transcript):
                 assert (tr.rounds, tr.bytes_sent) == (traffic["rounds"], traffic["bytes"])
-            assert traffic["rounds"] == 11 * iters
+            assert traffic["rounds"] == rounds * iters
             assert traffic["open_x_bytes"] == 8 * n * (m + 1)
 
     def test_iterations_after_the_first_send_only_the_linear_term(self):

@@ -359,6 +359,6 @@ def test_empty_batch_sends_the_same_frames():
     ra, _, sa, sb = protocol_pair(P64, lambda s: batch_activate(s, empty),
                                   lambda s: batch_activate(s, empty))
     assert ra.shape == (0,)
-    assert sa.transcript.bytes_sent == 1909
-    expected = "6d992b1af76f42c3ee5e116fc3796b24fdb0bb1cb7345100e2bde1ce2c50fc51"
+    assert sa.transcript.bytes_sent == 1555
+    expected = "7bdcd8224f90cf7bd94f4e141328998154caf60e1e9b1613bf657ef31055379e"
     assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
