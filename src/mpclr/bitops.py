@@ -7,12 +7,14 @@ vertical bit slices: a matrix with one packed row per bit position or network
 node, each row holding that bit of every batched element, so each network
 layer is a single exchange and a few whole-matrix operations no matter how
 many values are being decomposed at once.  It also runs the activation's zero
-test, which needs only two of the network's carries (see `prefixnet`).
-`decompose_ripple` and `decompose_opt` take one shared value and return its
-bits as a `BitVectorShare`; they are test references, and the ripple route
-sends each round's ANDs through `engine.and_gates` as one packed row.  Z_2 ->
-ring conversion is `engine.convert_bits_to_ring`, which opens the bit rows
-masked by daBits.
+test, which needs only two of the network's carries (see `prefixnet`).  Every
+AND gate of the optimized route takes its tuples from the one prefix-network
+record of its plan; only the ripple route and `or_tree_slices` take pooled
+`TAG_BIT` tuples.  `decompose_ripple` and `decompose_opt` take one shared
+value and return its bits as a `BitVectorShare`; they are test references,
+and the ripple route sends each round's ANDs through `engine.and_gates` as
+one packed row.  Z_2 -> ring conversion is `engine.convert_bits_to_ring`,
+which opens the bit rows masked by daBits.
 """
 
 from __future__ import annotations
@@ -94,15 +96,16 @@ def _from_slices(slices, batch: int) -> np.ndarray:
     return np.packbits(per_value, axis=1, bitorder="little").view(np.uint64).reshape(batch)
 
 
-def _level_gates(sess: Session, rows, level, batch: int) -> tuple:
+def _level_gates(rows, level, tuples) -> tuple:
     """The AND gates of one level of a tree over the packed `rows` (see
-    `or_tree_levels`), each with its dealt tuples, and how many rows they
-    take; the rows after those pass to the next level as they are."""
+    `or_tree_levels`), each group with the next of `tuples`, its dealt
+    tuples, and how many rows they take; the rows after those pass to the
+    next level as they are."""
     gates, used = [], 0
-    for k, count in level:
+    for (k, count), rs in zip(level, tuples):
         # input i of gate j is row used + k·j + i
         xs = rows[used:used + k * count].reshape(count, k, -1).swapaxes(0, 1)
-        gates.append((xs, sess.randomness.take_bit_triples(count * batch, k, count)))
+        gates.append((xs, rs))
         used += k * count
     return gates, used
 
@@ -120,6 +123,7 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     `prefixnet` instead and returns two rows: d = [x < 2^a] for x the low
     `width` bits of each value, and x's top bit.  The zero test's AND
     gates ride the network's rounds, so it takes no round of its own.
+    The prefix block holds every gate's tuples, in `gate_groups` order.
     """
     if width > sess.params.ring_bits:
         raise ValueError(f"cannot decompose {width} bits of a {sess.params.ring_bits}-bit ring")
@@ -129,20 +133,23 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     batch = shares.size
     plan = cached_plan(width, zero_start)
     block = sess.randomness.take_prefix_block(width, batch, zero_start)
+    tuples = iter(block.gates)
 
     own = _to_slices(shares, width)
     zero = np.zeros_like(own)
     a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
 
-    # Setup round: every position's generate bit in one batched multiplication.
-    [g_setup] = and_gates(sess, [((a_rows, b_rows), block.setup[:, :width])], batch)
-    sess.transcript.mask_bits_sent += 2 * width * batch
+    # Setup round: the generate bit of every position that the plan reads, in
+    # one batched multiplication.
+    setup = plan.setup_ands
+    [g_setup] = and_gates(sess, [((a_rows[:setup], b_rows[:setup]), next(tuples))], batch)
+    sess.transcript.mask_bits_sent += 2 * setup * batch
 
     # Node rows: the setup positions, then one per composition in plan order.
     nodes = len(plan.node_rows)
     p_rows = np.empty((nodes, own.shape[1]), dtype=np.uint64)
     g_rows = np.empty_like(p_rows)
-    p_rows[:width], g_rows[:width] = own, g_setup
+    p_rows[:width], g_rows[:setup] = own, g_setup
     # opened masked signals, by mask row
     dp = np.empty_like(block.mask_p)
     dg = np.empty_like(block.mask_g)
@@ -151,18 +158,18 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     a = zero_start
     # the zero test's terms: bit j > a of x is zero, given the bits below it
     # are, iff its term is 1
-    tree = _const_flip(sess, own[a + 1:] ^ own[a:-1] ^ g_setup[a:-1], ones) if a else None
+    tree = _const_flip(sess, own[a + 1:] ^ own[a:-1] ^ g_setup[a:], ones) if a else own[:0]
 
     for layer in plan.rounds:
         masks = layer.pub_masks
         masked = np.empty((2 * len(masks), own.shape[1]), dtype=np.uint64)
         masked[0::2] = p_rows[layer.pub_rows] ^ block.mask_p[masks]
         masked[1::2] = g_rows[layer.pub_rows] ^ block.mask_g[masks]
-        # this round's level of the zero test's AND tree, then its final AND
-        gates, used = _level_gates(sess, tree, layer.gates, batch)
-        if layer.final:
+        if layer.gate_inputs > len(tree):
+            # the final AND, of the tree's one row and the first term, once c_a is known
             low = _const_flip(sess, own[a] ^ g_rows[plan.carry_rows[0]], ones)
-            gates.append(((tree, low[None]), block.setup[:, width:]))
+            tree = np.concatenate([tree, low[None]])
+        gates, used = _level_gates(tree, layer.gates, tuples)
         opened, *gate_inputs = sess.open(bits=[masked, *mask_gate_inputs(gates)])
         sess.transcript.mask_bits_sent += 2 * batch * len(masks)
         dp[masks], dg[masks] = opened[0::2], opened[1::2]
@@ -199,7 +206,7 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
         return sums
     top = own[-1] ^ g_rows[plan.carry_rows[-1]]
     # with no bit above a, d is the first term alone
-    d = tree[0] if plan.final_round else _const_flip(sess, top, ones)
+    d = tree[0] if len(tree) else _const_flip(sess, top, ones)
     return np.stack([d, top])
 
 
@@ -229,6 +236,7 @@ def or_tree_slices(sess: Session, slices, batch: int) -> np.ndarray:
     ones = ones_row(batch)
     cur = _const_flip(sess, np.asarray(slices, dtype=np.uint64), ones)
     for level in or_tree_levels(len(cur)):
-        gates, used = _level_gates(sess, cur, level, batch)
+        gates, used = _level_gates(cur, level, (
+            sess.randomness.take_bit_triples(count * batch, k, count) for k, count in level))
         cur = np.concatenate([*and_gates(sess, gates, batch), cur[used:]])
     return _const_flip(sess, cur[0], ones)

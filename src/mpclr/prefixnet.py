@@ -26,6 +26,10 @@ their AND runs as the levels of `or_tree_levels`, one per round from the
 first network round on, and the final 2-input AND with the first term rides
 the round after both are known.
 
+`PrefixNetworkPlan.gate_groups` lists every AND gate a plan runs, the setup
+round's and the zero test's, and the prefix-network record deals exactly
+those gates' tuples.
+
 Because every node's signal pair never changes once created, a node is masked
 once for its whole lifetime: its masked (p, g) values are published in the
 first round that needs them and reused by every later composition.  Only the
@@ -62,21 +66,24 @@ class LayerIndex:
     pub_masks: np.ndarray   # their mask rows
     comps: slice            # this round's compositions; their outputs are node rows width + comps
     hi_rows: np.ndarray     # node row of each composition's higher run
-    gates: tuple = ()       # this round's level of the zero test's AND tree (`or_tree_levels`)
-    final: bool = False     # whether the zero test's final 2-input AND rides this round
+    gates: tuple = ()       # the zero test's AND gates in this round, as (inputs, gates) groups
+
+    @property
+    def gate_inputs(self) -> int:
+        """Rows that this round's AND gates read."""
+        return sum(k * count for k, count in self.gates)
 
     @property
     def opened_rows(self) -> int:
         """Packed rows each party opens in this round: the (p, g) pair of
         every published node, then every gate input."""
-        return (2 * len(self.pub_masks) + sum(k * count for k, count in self.gates)
-                + 2 * self.final)
+        return 2 * len(self.pub_masks) + self.gate_inputs
 
     @property
     def and_count(self) -> int:
         """Z_2 multiplications per element that this round finishes."""
         return (2 * (self.comps.stop - self.comps.start)
-                + sum((k - 1) * count for k, count in self.gates) + self.final)
+                + sum((k - 1) * count for k, count in self.gates))
 
 
 @dataclass
@@ -88,8 +95,8 @@ class PrefixNetworkPlan:
     creation_layer: dict = field(default_factory=dict)  # node -> layer it is created (0 = setup)
     masked_nodes: list = field(default_factory=list)    # nodes holding a lifetime mask, canonical order
     publish_at: dict = field(default_factory=dict)      # layer -> nodes whose masked values ride that round
-    gate_levels: list = field(default_factory=list)     # the zero test's AND tree by round
-    final_round: int = 0                                # round of the zero test's final AND, or 0
+    setup_ands: int = 0                                 # positions whose generate bit is read
+    round_gates: dict = field(default_factory=dict)     # round -> the zero test's gates in it
 
     @property
     def compositions(self):
@@ -100,15 +107,12 @@ class PrefixNetworkPlan:
         return [(1, j) for j in self.ends]
 
     @property
-    def and_triples(self) -> int:
-        """AND triples dealt with the plan: one per bit position for the
-        setup round, then one for the zero test's final AND."""
-        return self.width + (self.final_round > 0)
-
-    @property
-    def gate_tuples(self) -> int:
-        """Pooled AND tuples per element that the zero test's tree takes."""
-        return sum(count for level in self.gate_levels for _, count in level)
+    def gate_groups(self) -> list:
+        """Every AND gate the plan runs, as (inputs, gates) groups in run
+        order: the setup round's 2-input ANDs, then each round's `gates`.
+        A group of k inputs takes one tuple of 2^k - 1 subset products per
+        gate and element."""
+        return [(2, self.setup_ands), *(group for layer in self.rounds for group in layer.gates)]
 
     def fresh_mask_counts(self):
         """Masks newly allocated per layer, indexed 0..depth (0 = setup)."""
@@ -120,10 +124,7 @@ class PrefixNetworkPlan:
     def mask_bits_per_element(self) -> int:
         """Online transfer per decomposed element: setup openings plus one
         2-bit masked publication per masked node."""
-        return 2 * self.width + 2 * len(self.masked_nodes)
-
-    def mask_index(self, node: Node) -> int:
-        return self._mask_lookup[node]
+        return 2 * self.setup_ands + 2 * len(self.masked_nodes)
 
     def finalize(self):
         self._mask_lookup = {n: i for i, n in enumerate(self.masked_nodes)}
@@ -138,20 +139,18 @@ class PrefixNetworkPlan:
                                    dtype=np.intp)
         self.rounds = []  # one LayerIndex per round that opens or composes anything
         start = 0
-        for round_no in range(1, max(self.depth, self.final_round) + 1):
+        for round_no in range(1, max([self.depth, *self.round_gates]) + 1):
             pubs = self.publish_at.get(round_no, [])
             stop = start + len(self.layers[round_no - 1]) if round_no <= self.depth else start
-            level = self.gate_levels[round_no - 1] if round_no <= len(self.gate_levels) else ()
-            final = round_no == self.final_round
-            if pubs or stop > start or level or final:
+            gates = self.round_gates.get(round_no, ())
+            if pubs or stop > start or gates:
                 self.rounds.append(LayerIndex(
                     pub_rows=np.array([self.node_rows[n] for n in pubs], dtype=np.intp),
                     pub_masks=self._mask_rows(pubs),
                     comps=slice(start, stop),
                     hi_rows=np.array([self.node_rows[c.right] for c in comps[start:stop]],
                                      dtype=np.intp),
-                    gates=tuple(level),
-                    final=final,
+                    gates=gates,
                 ))
             start = stop
         return self
@@ -188,9 +187,10 @@ def plan_prefix_network(p: int, zero_start: int = 0) -> PrefixNetworkPlan:
     with `zero_start` a in 1..p-1, for the zero test of bits a..p-1.
 
     Returns one layer of composition index pairs per round, the canonical
-    ordering of lifetime masks, per-round publication lists and the zero
-    test's gates.  Both parties and the randomness dealer derive identical
-    plans from `p` and `zero_start` alone.
+    ordering of lifetime masks, per-round publication lists and every AND
+    gate, the setup round's and the zero test's (see `gate_groups`).  Both
+    parties and the randomness dealer derive identical plans from `p` and
+    `zero_start` alone.
     """
     if p < 2:
         raise ValueError(f"bit width must be >= 2, got {p}")
@@ -249,10 +249,12 @@ def plan_prefix_network(p: int, zero_start: int = 0) -> PrefixNetworkPlan:
     for nodes in publish_at.values():
         nodes.sort()
 
-    levels, final_round = [], 0
+    round_gates: dict = {}
     if zero_start and zero_start < p - 1:
         levels = or_tree_levels(p - 1 - zero_start)
-        final_round = max(len(levels), creation[(1, zero_start)]) + 1
+        round_gates = {i + 1: tuple(level) for i, level in enumerate(levels)}
+        # the final AND with the first term, once both it and the tree are known
+        round_gates[max(len(levels), creation[(1, zero_start)]) + 1] = ((2, 1),)
 
     plan = PrefixNetworkPlan(
         width=p,
@@ -262,8 +264,9 @@ def plan_prefix_network(p: int, zero_start: int = 0) -> PrefixNetworkPlan:
         creation_layer=creation,
         masked_nodes=masked,
         publish_at=publish_at,
-        gate_levels=levels,
-        final_round=final_round,
+        # the zero test reads no generate bit of the top position
+        setup_ands=p - 1 if zero_start else p,
+        round_gates=round_gates,
     )
     return plan.finalize()
 

@@ -20,10 +20,10 @@ they are taken.
 Every record writes its pure masks, those whose shares are uniform in both
 parties' hands, as one seed per party (`expand_seed`): the u and v of a
 pool of ring triples, the four single masks of a pool of AND tuples, the Z_2
-strings of a pool of daBits, the setup u and v and the node masks of a
-prefix-network block, and the U or V of a matrix record.  It writes whole
-only the shares of what depends on them: w = u·v, the subset products of
-two or more masks, the daBits' ring shares, the setup w and the composition
+strings of a pool of daBits, the single masks of every AND gate and the node
+masks of a prefix-network block, and the U or V of a matrix record.  It
+writes whole only the shares of what depends on them: w = u·v, the subset
+products of two or more masks, the daBits' ring shares, the composition
 products, and W.  A record keeps its seed and written parts; the masks its
 seed stands for are expanded once and kept beside it, and a take joins them
 with the written parts.  Loading expands every record before it returns, so
@@ -50,7 +50,7 @@ from .sharing import (
     unpack_rows,
     word_count,
 )
-from .transport import PROTOCOL_VERSION
+from .transport import MAX_PAYLOAD, PROTOCOL_VERSION
 
 RANDOMNESS_MAGIC = b"CRN1"
 
@@ -114,17 +114,14 @@ class MatmulDims(NamedTuple):
 class PrefixBlock:
     """One party's masks for a single batched bit decomposition.
 
-    Every array field holds packed `batch`-bit rows: `setup` is the AND
-    triple u, v, w = u AND v (see `subset_products`), a (3, and_triples,
-    words) array with one row per bit position, then, for a zero-test plan,
-    one for the test's final AND; the node masks have one row per masked
-    node and the composition products one row per composition, in plan
-    order.
+    Every array field holds packed `batch`-bit rows: `gates` holds, for
+    each (k, count) group of the plan's `gate_groups`, its AND tuples as a
+    (2^k - 1, count, words) array, the `rs` of an `engine.and_gates` gate
+    (see `subset_products`); the node masks have one row per masked node and
+    the composition products one row per composition, in plan order.
     """
 
-    width: int
-    batch: int
-    setup: np.ndarray
+    gates: list
     mask_p: np.ndarray
     mask_g: np.ndarray
     prod_pp: np.ndarray
@@ -135,8 +132,9 @@ _POOLED = (TAG_SCALAR, TAG_CONVERSION, TAG_BIT)
 
 # Inputs of a TAG_BIT tuple; a gate of fewer inputs reads its first strings.
 BIT_TUPLE_INPUTS = 4
-# The strings of a TAG_BIT tuple, string S - 1 holding r_S: the single masks
-# r_i (S a power of two) expand from the seed, the other products are written.
+# The strings of an AND tuple, string S - 1 holding r_S: the single masks r_i
+# (S a power of two) expand from the seed, the other products are written.  A
+# tuple of k inputs holds the first 2^k - 1 strings, k of them single masks.
 _SINGLES = [(1 << i) - 1 for i in range(BIT_TUPLE_INPUTS)]
 _PRODUCTS = [s for s in range((1 << BIT_TUPLE_INPUTS) - 1) if s not in _SINGLES]
 _RING_MASKED = (TAG_SCALAR, TAG_MATMUL)  # tags whose masks are ring elements, not bits
@@ -190,6 +188,16 @@ def _read_rows(words: np.ndarray, start: int, nrows: int, nbits: int) -> np.ndar
     return out
 
 
+def _tuples(singles: np.ndarray, products: np.ndarray) -> np.ndarray:
+    """AND tuples of k inputs, all 2^k - 1 strings (see `subset_products`),
+    from their k single masks and their products of two or more masks."""
+    k = len(singles)
+    out = np.empty(((1 << k) - 1, *singles.shape[1:]), np.uint64)
+    out[_SINGLES[:k]] = singles
+    out[_PRODUCTS[:len(out) - k]] = products
+    return out
+
+
 def subset_products(masks: np.ndarray) -> np.ndarray:
     """The 2^k - 1 subset products of k masks of packed rows, given as one
     (k, ...) array: entry S - 1 holds r_S, the AND of the masks r_i with bit
@@ -232,9 +240,10 @@ def mask_shapes(tag: int, meta) -> tuple:
     if tag == TAG_PREFIXNET:
         width, batch, zero_start = meta
         plan = cached_plan(width, zero_start)
-        nodes = (len(plan.masked_nodes), word_count(batch))
-        # the setup and final ANDs' u and v, then p and g
-        return (2, plan.and_triples, word_count(batch)), nodes, nodes
+        words = word_count(batch)
+        nodes = (len(plan.masked_nodes), words)
+        # the single masks of every gate group, then p and g
+        return (*((k, count, words) for k, count in plan.gate_groups), nodes, nodes)
     raise ValueError(f"unknown randomness tag {tag}")
 
 
@@ -286,13 +295,14 @@ class TrustedDealer:
             (r,) = masks
             return [unpack_rows(r[None], meta)[0].astype(self.params.dtype)]
         if tag == TAG_PREFIXNET:
-            (u, v), p, g = masks
+            *singles, p, g = masks
             plan = cached_plan(meta[0], meta[2])
             # The higher-position run is the left factor of the matrix product,
             # so the cross product couples its propagate mask with the lower
             # run's generate mask.
             hi, lo = plan.comp_hi, plan.comp_lo
-            return [u & v, p[hi] & p[lo], p[hi] & g[lo]]
+            return [*(np.delete(subset_products(r), _SINGLES[:len(r)], 0) for r in singles),
+                    p[hi] & p[lo], p[hi] & g[lo]]
         (mask,) = masks
         i, j, _, kind = meta
         if kind == MATMUL_MASK:
@@ -461,11 +471,8 @@ class MaterializedSource:
         name is that of the triple pool before it held tuples, kept because
         the benchmark's tracer wraps the method by name."""
         (masks,), (products,), start = self._take(TAG_BIT, n)
-        out = np.empty(((1 << k) - 1, rows, word_count(n // rows)), np.uint64)
-        # the strings below 2^k - 1 are the first k masks and 2^k - 1 - k products
-        out[_SINGLES[:k]] = _read_rows(masks[:k], start, rows, n // rows)
-        out[_PRODUCTS[:len(out) - k]] = _read_rows(products[:len(out) - k], start, rows, n // rows)
-        return out
+        return _tuples(_read_rows(masks[:k], start, rows, n // rows),
+                       _read_rows(products[:(1 << k) - 1 - k], start, rows, n // rows))
 
     def take_dabits(self, nbits, rows=1):
         """Next `nbits` daBits: the ring shares, one word per bit, and the
@@ -475,10 +482,10 @@ class MaterializedSource:
         return ring[start:start + nbits], _read_rows(bits, start, rows, nbits // rows)
 
     def take_prefix_block(self, width, batch, zero_start=0) -> PrefixBlock:
-        (setup_uv, mask_p, mask_g), (setup_w, prod_pp, prod_pg), _ = self._take(
+        (*singles, mask_p, mask_g), (*products, prod_pp, prod_pg), _ = self._take(
             TAG_PREFIXNET, (width, batch, zero_start))
-        setup = np.concatenate([setup_uv, setup_w[None]])
-        return PrefixBlock(width, batch, setup, mask_p, mask_g, prod_pp, prod_pg)
+        gates = [_tuples(r, w) for r, w in zip(singles, products)]
+        return PrefixBlock(gates, mask_p, mask_g, prod_pp, prod_pg)
 
 
 class OnDemandSource(MaterializedSource):
@@ -531,11 +538,12 @@ def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
         return seed, ((meta,), ring)
     if tag == TAG_BIT:  # the subset products of two or more masks
         return seed, ((len(_PRODUCTS), word_count(meta)), words)
-    if tag == TAG_PREFIXNET:  # the setup and final ANDs' w, then pp and pg
+    if tag == TAG_PREFIXNET:  # every gate group's subset products, then pp and pg
         width, batch, zero_start = meta
         plan = cached_plan(width, zero_start)
-        rows = (plan.and_triples, *[len(plan.compositions)] * 2)
-        return (seed, *(((count, word_count(batch)), words) for count in rows))
+        rows = [((1 << k) - 1 - k, count) for k, count in plan.gate_groups]
+        rows += [(len(plan.compositions),)] * 2
+        return (seed, *(((*shape, word_count(batch)), words) for shape in rows))
     raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 
@@ -578,7 +586,12 @@ def _record_meta(header, params: FixedPointParams) -> tuple:
     if kind not in (_MATMUL_KINDS if tag == TAG_MATMUL else (0,)):
         raise FormatError(f"randomness stream: unknown record kind {kind} of tag {tag}")
     if tag == TAG_MATMUL:
-        return tag, MatmulDims(m0, m1, m2, kind)
+        dims = MatmulDims(m0, m1, m2, kind)
+        # the first product opens X - U in one frame, so no run needs a bigger part
+        if any(math.prod(shape) > MAX_PAYLOAD // 8 for shape in dims.shapes() if shape):
+            raise FormatError(f"randomness stream: matrix record {tuple(dims[:3])} has a "
+                              f"part over {MAX_PAYLOAD // 8} words")
+        return tag, dims
     if tag == TAG_PREFIXNET:
         if not 2 <= m0 <= params.ring_bits:
             raise FormatError(f"randomness stream: prefix-network width {m0} outside "

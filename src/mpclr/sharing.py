@@ -53,40 +53,15 @@ class VectorShare:
     role: Role
 
 
-def _random_words(rng: np.random.Generator, shape, nbytes: int) -> np.ndarray:
-    """The uint32 words of one `rng.bytes(nbytes)` call per element of
-    `shape`, drawn in one call: `Generator.bytes(n)` is the little-endian
-    bytes of ceil(n / 4) uint32 draws cut to n, and the bit generator keeps
-    the unused half of a 64-bit output for the next uint32 draw."""
-    return rng.integers(0, 1 << 32, size=(*shape, -(-nbytes // 4)), dtype=np.uint32)
-
-
 def random_ring_array(rng: np.random.Generator, params: FixedPointParams, shape) -> np.ndarray:
     """Uniform ring elements drawn from a seeded generator; the same values
-    as `np.frombuffer(rng.bytes(...))` over all of them."""
+    as `np.frombuffer(rng.bytes(...))` over all of them, since
+    `Generator.bytes(n)` is the little-endian bytes of ceil(n / 4) uint32
+    draws cut to n."""
     dtype = params.dtype
     n = int(np.prod(shape)) if shape else 1
-    words = _random_words(rng, (), n * np.dtype(dtype).itemsize)
+    words = rng.integers(0, 1 << 32, size=-(-n * np.dtype(dtype).itemsize // 4), dtype=np.uint32)
     return words.view(dtype)[:n].reshape(shape)
-
-
-def random_bit_rows(rng: np.random.Generator, nrows: int, nbits: int) -> np.ndarray:
-    """`nrows` uniform `nbits`-bit strings as rows of LSB-first uint64 words,
-    tail bits zero: the strings that `nrows` successive `random_bits` calls
-    return, drawn in one call."""
-    out = np.zeros((nrows, 2 * word_count(nbits)), dtype=np.uint32)
-    if nbits > 0:
-        words = _random_words(rng, (nrows,), (nbits + 7) // 8)
-        out[:, :words.shape[1]] = words
-    out = out.view(np.uint64)
-    out[:, -1] &= tail_mask(nbits)
-    return out
-
-
-def random_bits(rng: np.random.Generator, nbits: int) -> np.ndarray:
-    """Uniform `nbits`-bit string as LSB-first uint64 words, tail bits zero:
-    the bytes of one `rng.bytes(ceil(nbits / 8))` call."""
-    return random_bit_rows(rng, 1, nbits)[0]
 
 
 def split(x: int, params: FixedPointParams, rng: np.random.Generator):

@@ -39,7 +39,6 @@ from .randomness import (
     MATMUL_MASK,
     MATMUL_REUSE,
     MATMUL_REUSE_T,
-    TAG_BIT,
     TAG_CONVERSION,
     TAG_MATMUL,
     TAG_PREFIXNET,
@@ -204,20 +203,18 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     width = a + params.int_bits + 1  # the fractional, integer and sign bits of z'
     plan = cached_plan(width, a)
     row = word_count(n)  # words of one opened bit row, one bit per sample
-    # The zero test's AND tree starts in the first network round; each of
-    # its gates takes one AND tuple per sample, and the tuples of the whole
-    # tree are one record.
-    tuples = ((TAG_BIT, n * plan.gate_tuples),) if plan.gate_tuples else ()
+    # one prefix-network record deals the tuples of every AND gate below
+    setup = plan.setup_ands
     return [
         Step("engine.matmul", ((TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE)),), m1,
              ring=n * m1),
-        # setup round: every bit position's generate signal, two operands opened
-        Step("bitops.decompose", ((TAG_PREFIXNET, (width, n, a)),), 2 * width * row,
-             bit=width * n),
+        # setup round: the generate signal of every bit position the network
+        # reads, two operands opened
+        Step("bitops.decompose", ((TAG_PREFIXNET, (width, n, a)),), 2 * setup * row,
+             bit=setup * n),
         # the network's rounds, which also carry the zero test's gates
-        *(Step("bitops.decompose", tuples if i == 0 else (), layer.opened_rows * row,
-               bit=layer.and_count * n)
-          for i, layer in enumerate(plan.rounds)),
+        *(Step("bitops.decompose", (), layer.opened_rows * row, bit=layer.and_count * n)
+          for layer in plan.rounds),
         # both bits are converted to ring shares against daBits, opened as two
         # rows; the same frame opens the Beaver operands of d's daBit times z'
         Step("activation.convert", ((TAG_CONVERSION, 2 * n), (TAG_SCALAR, n)), 2 * row + 2 * n,
@@ -276,8 +273,7 @@ def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingC
     per_iter = [request for step in iteration_steps(n, m1, cfg.params)
                 for request in step.requests]
     requests = [(TAG_MATMUL, MatmulDims(n, m1, 0, MATMUL_MASK))] + per_iter * cfg.n_iter
-    for tag in (TAG_BIT, TAG_SCALAR, TAG_CONVERSION):
+    for tag in (TAG_SCALAR, TAG_CONVERSION):
         total = cfg.n_iter * sum(units for rtag, units in per_iter if rtag == tag)
-        if total or tag != TAG_BIT:  # an empty bit tail is left out of the stream
-            requests.append((tag, int(np.ceil(total * POOL_SLACK))))
+        requests.append((tag, int(np.ceil(total * POOL_SLACK))))
     return requests

@@ -142,9 +142,9 @@ class TestBatchActivation:
         width = P64.frac_bits + P64.int_bits + 1
         from mpclr.prefixnet import cached_plan
 
-        # the setup, the network, and the zero test's int_bits - 1 tree ANDs
-        # and final AND
-        per_elem = (width + 2 * len(cached_plan(width, P64.frac_bits).compositions)
+        # the setup of every position but the top one, the network, and the
+        # zero test's int_bits - 1 tree ANDs and final AND
+        per_elem = (width - 1 + 2 * len(cached_plan(width, P64.frac_bits).compositions)
                     + P64.int_bits)
         assert sa.transcript.bit_mults == per_elem * batch
 

@@ -35,7 +35,9 @@ shares, which depend only on the matrix records and the opened values, did
 not.  Protocol version 13 tests the activation's integer field for zero
 inside a prefix network pruned to the two carries it needs, on 28 bits
 instead of 29, and drops the OR tree: the stream and frame digests moved,
-and the weight shares did not.
+and the weight shares did not.  Protocol version 14 deals every AND gate of
+the decomposition, and no unread one, in its prefix-network record: the
+stream and frame digests moved, and the weight shares did not.
 """
 
 import hashlib
@@ -53,20 +55,20 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("6d54874491cb1ee411999ee788e3ad5dc81448369fc873ad1fb267e6c7b74494",
-                 "6a785ceb8dc88e6851fe803ae24a9cc8c20da410f26a5377b17fd8e0bf0a8354"),
-        "sent": ("89fd06d08c037d248755546adbc0613714998f835c5b510bc4449b6f2bf93198",
-                 "35c48469ae1e44eef1b7918562173df1045b9a039e192f3e06557e2f7c5316ff"),
+        "crn1": ("5b78bd370495a91f6e0500ada5394a58abb2c92f266e7f73c340e498fb8c4480",
+                 "19dea4b0a562271c9841323224a355eb5f6bd38e43f595c4155d255a7aab0f10"),
+        "sent": ("f5ccb5ec807b39cfb3431043488f415da3e9500275be5251042b1b00a181f62f",
+                 "6b80694d6af139153671295056c4681ac08fbc43231a19cb930ce2f45b480dbc"),
         "weights": ([19138880305724, 24006652041723, 27370254117660, 29159159964231,
                      20729159496846],
                     [18446724934829245821, 18446720067057510807, 18446716703455434286,
                      18446714914549587355, 18446723344550054877]),
     },
     77: {
-        "crn1": ("345c5576b6c9cb492762489110dfe925befe3d2e3ba9847cdcbd92600324a841",
-                 "8a8654e59963dce7099042417eb6df2ea2ee265d4cc81db5797d9fc20c4402f1"),
-        "sent": ("a8d521f8c8509dd59a0e8dcc36457dc3aad8d60006e6971ed534f65ddea51203",
-                 "bbea6c066ae6cb0d3d46cf422a6d8875f7b8eb0034705104d9d046c7a5085945"),
+        "crn1": ("eca8519ff526a267f6ca3e91780100125d02a3671e865f270b71a40df9b8a078",
+                 "db1d6049549c2df3730ec9b15484c652c3df06f44daf09e543c27aab44549df6"),
+        "sent": ("3559e10832de4e5bafc423bd9aedfde519aa2371c32e3a00b79bfbcffce02a67",
+                 "57352ee7c391f559474a196c7533a15c95ae0ec7eff9fa35298a4ef3715bd4d7"),
         "weights": ([28066745343120, 29264249119107, 33640938008250, 9058849979089,
                      40782814463658],
                     [18446716006964208446, 18446714809460433486, 18446710432771543850,

@@ -119,8 +119,8 @@ class TestZeroTestPlan:
     def test_full_plan_is_unchanged(self, p):
         plan = plan_prefix_network(p)
         assert self.shape(plan) == self.FULL[p]
-        assert all(r.gates == () and not r.final for r in plan.rounds)
-        assert plan.and_triples == p and plan.gate_tuples == 0
+        assert all(r.gates == () for r in plan.rounds)
+        assert plan.gate_groups == [(2, p)]  # the setup ANDs every position
 
     def test_default_precision_builds_two_carries(self):
         # 12/15: the fractional, integer and sign bits of z' are 28
@@ -130,9 +130,10 @@ class TestZeroTestPlan:
         assert plan.creation_layer[(1, 12)] == 4
         # 15 terms: gates of 4, 4, 4 and 3 inputs, then one of 4, then the
         # final AND with the first term once c_12 is known
-        assert [(r.gates, r.final) for r in plan.rounds] == [
-            (((4, 3), (3, 1)), False), (((4, 1),), False), ((), False), ((), False), ((), True)]
-        assert plan.gate_tuples == 5 and plan.and_triples == 29
+        assert [r.gates for r in plan.rounds] == [
+            ((4, 3), (3, 1)), ((4, 1),), (), (), ((2, 1),)]
+        # the setup ANDs positions 1..27 first
+        assert plan.gate_groups == [(2, 27), (4, 3), (3, 1), (4, 1), (2, 1)]
         assert (28, 28) not in plan.masked_nodes  # the top bit is never composed
         assert sum(r.opened_rows for r in plan.rounds) == 2 * 52 + 15 + 4 + 2
         assert sum(r.and_count for r in plan.rounds) == 2 * 27 + 14 + 1
@@ -142,16 +143,16 @@ class TestZeroTestPlan:
         plan = plan_prefix_network(8, 4)
         assert plan.solution_nodes == [(1, 4), (1, 7)]
         assert (len(plan.compositions), len(plan.masked_nodes), plan.depth) == (6, 12, 3)
-        assert [(r.gates, r.final) for r in plan.rounds] == [
-            (((3, 1),), False), ((), False), ((), True)]
+        assert [r.gates for r in plan.rounds] == [((3, 1),), (), ((2, 1),)]
+        assert plan.gate_groups == [(2, 7), (3, 1), (2, 1)]
 
     def test_final_and_after_the_network(self):
         # 31/1: one term and no gate, but c_31 is ready only at the last
         # layer, so the final AND takes a round of its own
         plan = plan_prefix_network(33, 31)
-        assert plan.depth == 5 and plan.final_round == 6
+        assert plan.depth == 5 and plan.gate_groups == [(2, 32), (2, 1)]
         last = plan.rounds[-1]
-        assert len(plan.rounds) == 6 and last.final
+        assert len(plan.rounds) == 6 and last.gates == ((2, 1),)
         assert last.comps.start == last.comps.stop and last.opened_rows == 2
 
     @pytest.mark.parametrize("start", [-1, 8, 9])

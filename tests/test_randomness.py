@@ -27,9 +27,11 @@ from mpclr.randomness import (
     MatmulDims,
     OnDemandSource,
     TrustedDealer,
+    _parse_stream,
     deserialize_stream,
     expand_seed,
     mask_shapes,
+    part_shapes,
     serialize_stream,
     subset_products,
 )
@@ -81,7 +83,7 @@ class TestTripleGeneration:
             rng = TrustedDealer(4, P16)._rng(tag)
             seeds = rng.integers(0, 1 << 64, size=(2, 2), dtype=np.uint64)
             assert np.array_equal(a[0], seeds[0]) and np.array_equal(b[0], seeds[1])
-            shares = np.concatenate(a[1:])
+            shares = np.concatenate([part.reshape(-1, part.shape[-1]) for part in a[1:]])
             words = rng.bit_generator.random_raw(shares.size).reshape(shares.shape)
             if tag in (TAG_SCALAR, TAG_CONVERSION):
                 assert np.array_equal(shares, words.astype(P16.dtype))
@@ -120,19 +122,21 @@ class TestTripleGeneration:
         src_a, src_b = TrustedDealer(7, P16).generate([(TAG_PREFIXNET, (width, batch))])
         blk_a, blk_b = src_a.take_prefix_block(width, batch), src_b.take_prefix_block(width, batch)
         plan = cached_plan(width)
-        su, sv, sw = blk_a.setup ^ blk_b.setup
-        assert blk_a.setup.shape == (3, width, 1)
+        [setup_a], [setup_b] = blk_a.gates, blk_b.gates  # the setup ANDs alone
+        su, sv, sw = setup_a ^ setup_b
+        assert setup_a.shape == (3, width, 1)
         assert np.array_equal(sw, su & sv)
         mp = blk_a.mask_p ^ blk_b.mask_p
         mg = blk_a.mask_g ^ blk_b.mask_g
         for idx, comp in enumerate(plan.compositions):
-            lo, hi = plan.mask_index(comp.left), plan.mask_index(comp.right)
+            lo, hi = plan.masked_nodes.index(comp.left), plan.masked_nodes.index(comp.right)
             assert np.array_equal(blk_a.prod_pp[idx] ^ blk_b.prod_pp[idx], mp[hi] & mp[lo])
             assert np.array_equal(blk_a.prod_pg[idx] ^ blk_b.prod_pg[idx], mp[hi] & mg[lo])
 
 
     def test_zero_test_block_consistency(self):
-        # the setup triple gains one row, the zero test's final AND
+        # one tuple group per gate group: the setup ANDs of positions 1..7,
+        # the 3-input gate over the terms, and the final AND
         width, batch, start = 8, 5, 4
         src_a, src_b = (deserialize_stream(serialize_stream(s), P16) for s in
                         TrustedDealer(7, P16).generate([(TAG_PREFIXNET, (width, batch, start))]))
@@ -140,9 +144,12 @@ class TestTripleGeneration:
         blk_a = src_a.take_prefix_block(width, batch, start)
         blk_b = src_b.take_prefix_block(width, batch, start)
         plan = cached_plan(width, start)
-        su, sv, sw = blk_a.setup ^ blk_b.setup
-        assert blk_a.setup.shape == (3, width + 1, 1)
-        assert np.array_equal(sw, su & sv)
+        assert plan.gate_groups == [(2, width - 1), (3, 1), (2, 1)]
+        assert [g.shape for g in blk_a.gates] == [(3, width - 1, 1), (7, 1, 1), (3, 1, 1)]
+        for ga, gb in zip(blk_a.gates, blk_b.gates):
+            opened = ga ^ gb
+            k = (len(opened) + 1).bit_length() - 1
+            assert np.array_equal(opened, subset_products(opened[[(1 << i) - 1 for i in range(k)]]))
         mp, mg = blk_a.mask_p ^ blk_b.mask_p, blk_a.mask_g ^ blk_b.mask_g
         assert len(mp) == len(plan.masked_nodes) == 12
         hi, lo = plan.comp_hi, plan.comp_lo
@@ -299,7 +306,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (13).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (14).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -350,6 +357,29 @@ class TestStreams:
         with pytest.raises(FormatError, match=f"zero-test start {start} outside 1..7"):
             deserialize_stream(bytes(raw), P64)
 
+    @pytest.mark.parametrize("rows,cols", [(1 << 20, 1 << 20), ((1 << 27) + 1, 1), (1, 1 << 28)])
+    def test_matrix_record_larger_than_a_frame(self, rows, cols):
+        # a 64-byte stream whose mask record claims an n x m U: loading would
+        # expand U from the 2-word seed, so a claim above the 2^27 words that
+        # one frame can open as X - U is refused before anything is allocated
+        src_a, _ = TrustedDealer(42, P64).generate([(TAG_MATMUL, MatmulDims(2, 3, 0, MATMUL_MASK))])
+        raw = bytearray(serialize_stream(src_a))
+        assert len(raw) == 64
+        raw[HEADER:HEADER + TAG_BYTE] = rows.to_bytes(TAG_BYTE, "little")
+        raw[HEADER + 8:HEADER + 16] = cols.to_bytes(8, "little")
+        with pytest.raises(FormatError, match=f"matrix record \\({rows}, {cols}, 0\\) has a "
+                                              f"part over {1 << 27} words"):
+            deserialize_stream(bytes(raw), P64)
+
+    def test_matrix_record_of_one_frame_parses(self):
+        # the bound itself passes; parsing alone expands no seed
+        src_a, _ = TrustedDealer(42, P64).generate([(TAG_MATMUL, MatmulDims(2, 3, 0, MATMUL_MASK))])
+        raw = bytearray(serialize_stream(src_a))
+        raw[HEADER:HEADER + TAG_BYTE] = (1 << 27).to_bytes(TAG_BYTE, "little")
+        raw[HEADER + 8:HEADER + 16] = (1).to_bytes(8, "little")
+        [(_, dims, _)] = _parse_stream(bytes(raw), P64).records
+        assert dims == MatmulDims(1 << 27, 1, 0, MATMUL_MASK)
+
     def test_cross_party_reconstruction(self):
         src_a, src_b = TrustedDealer(9, P64).generate([(TAG_SCALAR, 64)])
         ua, va, wa = src_a.take_ring_triples(64)
@@ -384,7 +414,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 13 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 14 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -399,7 +429,7 @@ def take(source, tag, meta):
     if tag == TAG_MATMUL:
         return source.take_matmul_triple(meta)
     block = source.take_prefix_block(*meta)
-    return block.setup, block.mask_p, block.mask_g, block.prod_pp, block.prod_pg
+    return (*block.gates, block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)
 
 
 def same_parts(a, b):
@@ -423,11 +453,15 @@ def crn1_bytes(requests, params):
             _, _, w = MatmulDims(*meta).shapes()
             words += 0 if w is None else w[0] * w[1]
         else:
-            # one setup triple per bit, then the zero test's final AND if it
-            # has bits above its start, then two products per composition
+            # a setup triple per bit that the plan reads (all but the top
+            # one of a zero test), the 11 or 4 products of each 4- or
+            # 3-input gate of the zero test and its final AND's one, then
+            # two products per composition
             width, batch, start = (*meta, 0)[:3]
-            triples = width + (0 < start < width - 1)
-            words += (triples + 2 * len(cached_plan(width, start).compositions)) * packed(batch)
+            plan = cached_plan(width, start)
+            products = width - (start > 0) + sum({4: 11, 3: 4, 2: 1}[k] * count
+                                                 for k, count in plan.gate_groups[1:])
+            words += (products + 2 * len(plan.compositions)) * packed(batch)
     return HEADER + RECORD * len(requests) + 8 * words  # file header, record headers, words
 
 
@@ -660,13 +694,14 @@ class TestSeededPools:
         sizes = len(serialize_stream(src_a)), len(serialize_stream(src_b))
         assert sizes[0] == sizes[1] == crn1_bytes(requests, P64)
 
-    def test_tall_plan_takes_0_813_mb_per_iteration(self):
+    def test_tall_plan_takes_0_791_mb_per_iteration(self):
         # 16,000 x 10 for 20 iterations, the benchmark's tall workload: 1.692 MB
         # per iteration when every mask but X's was written whole, 0.973 MB
-        # when the prefix network built every carry of 29 bits
+        # when the prefix network built every carry of 29 bits, 0.813 MB when
+        # the zero test's gates took whole 4-input tuples from a bit pool
         cfg = TrainingConfig(eta=2.0 ** -12, n_iter=20, params=P64, seed=0)
         requests = training_randomness_requests(16_000, 9, cfg)
-        assert crn1_bytes(requests, P64) == 16_260_584 == 20 * 813_029.2
+        assert crn1_bytes(requests, P64) == 15_829_744 == 20 * 791_487.2
 
     @staticmethod
     def whole_records(source, requests):
@@ -724,6 +759,63 @@ class TestSeededPools:
                 assert np.array_equal(prod_pg, mask_p[hi] & mask_g[lo])
                 # a take's setup triple is a new array; the other fields are the record's
                 assert not any(p.flags.writeable for p in (*pa[1:], *pb[1:]))
+
+
+class TestGateGroupRecords:
+    """A prefix-network record deals exactly the AND gates of its plan's
+    `gate_groups`: each group's k single masks expand from the seed, its
+    2^k - 1 - k products of two or more masks are written, and every tuple
+    XORs to the subset products r_S of its masks."""
+
+    # full decompositions, then zero tests: the default 12/15, P16's 4/3, a
+    # final AND in a round of its own, and a test with no term but the first
+    PLANS = [(8, 0), (29, 0), (64, 0), (28, 12), (8, 4), (33, 31), (2, 1)]
+    BATCH = 77
+
+    @pytest.mark.parametrize("width,start", PLANS)
+    def test_shapes_follow_the_gate_groups(self, width, start):
+        plan = cached_plan(width, start)
+        groups = plan.gate_groups
+        # the setup reads every position of a full decomposition, and all
+        # but the top one of a zero test; the rounds' gates follow in order
+        assert groups[0] == (2, width - (start > 0))
+        assert groups[1:] == [group for layer in plan.rounds for group in layer.gates]
+        assert sum((k - 1) * count for k, count in groups) + 2 * len(plan.compositions) == (
+            groups[0][1] + sum(layer.and_count for layer in plan.rounds))
+        words = word_count(self.BATCH)
+        meta = (width, self.BATCH, start)
+        nodes, comps = (len(plan.masked_nodes), words), (len(plan.compositions), words)
+        assert mask_shapes(TAG_PREFIXNET, meta) == (
+            *((k, count, words) for k, count in groups), nodes, nodes)
+        assert [shape for shape, _ in part_shapes(TAG_PREFIXNET, meta, P64)] == [
+            (2,), *(((1 << k) - 1 - k, count, words) for k, count in groups), comps, comps]
+
+    @pytest.mark.parametrize("width,start", PLANS)
+    def test_every_dealt_tuple_opens_to_its_subset_products(self, width, start):
+        meta = (width, self.BATCH, start)
+        src_a, src_b = (deserialize_stream(serialize_stream(s), P64) for s in
+                        TrustedDealer(width + start, P64).generate([(TAG_PREFIXNET, meta)]))
+        blk_a, blk_b = src_a.take_prefix_block(*meta), src_b.take_prefix_block(*meta)
+        groups = cached_plan(width, start).gate_groups
+        assert len(blk_a.gates) == len(blk_b.gates) == len(groups)
+        for (k, count), ga, gb in zip(groups, blk_a.gates, blk_b.gates):
+            opened = ga ^ gb
+            assert opened.shape == ((1 << k) - 1, count, word_count(self.BATCH))
+            assert not (opened[..., -1] & ~tail_mask(self.BATCH)).any()
+            for subset in range(1, 1 << k):
+                singles = [opened[(1 << i) - 1] for i in range(k) if subset >> i & 1]
+                assert np.array_equal(opened[subset - 1], np.bitwise_and.reduce(singles))
+
+    @pytest.mark.parametrize("n,features,params", [
+        (16_000, 9, P64),     # tall
+        (225, 12_633, P64),   # wide
+        (64, 9, P16),         # criterion 4's precision
+    ])
+    def test_training_deals_no_bit_pool(self, n, features, params):
+        cfg = TrainingConfig(eta=0.25, n_iter=3, params=params)
+        requests = training_randomness_requests(n, features, cfg)
+        assert TAG_PREFIXNET in {tag for tag, _ in requests}
+        assert TAG_BIT not in {tag for tag, _ in requests}
 
 
 class TestMaskCountFormula:

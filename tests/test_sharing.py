@@ -7,15 +7,11 @@ from mpclr import FixedPointParams, ProtocolError, Role
 from mpclr.errors import FormatError
 from mpclr.sharing import (
     pack_rows,
-    random_bit_rows,
-    random_bits,
     random_ring_array,
     read_share_file,
     split,
     split_array,
-    tail_mask,
     unpack_rows,
-    word_count,
     write_share_file,
 )
 
@@ -113,7 +109,7 @@ class TestBits:
         rng = np.random.default_rng(0)
         for bits in (0b0, 0b1011, (1 << 64) - 1, 0b1 << 127):
             row = np.frombuffer(bits.to_bytes(16, "little"), dtype=np.uint64).reshape(1, 2)
-            mask = random_bits(rng, 128).reshape(1, 2)
+            mask = rng.integers(0, 1 << 64, (1, 2), dtype=np.uint64)
             ra, rb, *_ = protocol_pair(
                 P8,
                 lambda s: s.open(bits=[mask])[0],
@@ -144,27 +140,7 @@ class TestBits:
             )
 
 
-def bytes_bits(rng, nbits):
-    """Reference for random_bits: one `rng.bytes` call per string."""
-    nbytes = (nbits + 7) // 8
-    raw = rng.bytes(nbytes) + bytes(8 * word_count(nbits) - nbytes)
-    out = np.frombuffer(raw, dtype=np.uint64).copy()
-    out[-1] &= tail_mask(nbits)
-    return out
-
-
 class TestDraws:
-    @pytest.mark.parametrize("nbits", [1, 29, 225, 8, 16_000])
-    def test_batched_bits_equal_successive_draws(self, nbits):
-        # a single string before and after the batch, so a draw that ends
-        # inside a 64-bit generator output hands its other half on
-        rng, ref = np.random.default_rng(nbits), np.random.default_rng(nbits)
-        got = [random_bits(rng, nbits)[None], random_bit_rows(rng, 7, nbits),
-               random_bits(rng, 3)[None]]
-        want = [bytes_bits(ref, nbits) for _ in range(8)] + [bytes_bits(ref, 3)]
-        assert np.array_equal(np.vstack(got[:2]), np.array(want[:8]))
-        assert np.array_equal(got[2][0], want[8])
-
     @pytest.mark.parametrize("ring_bits", [8, 16, 32, 64])
     def test_ring_array_equals_bytes_draw(self, ring_bits):
         params = FixedPointParams(frac_bits=2, int_bits=2, ring_bits=ring_bits)

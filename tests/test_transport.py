@@ -252,8 +252,8 @@ class TestHandshake:
                                                           perform_handshake, a, self._info()))
         t.start()
         # a peer of the previous protocol version is refused
-        with pytest.raises(TransportError, match="version: ours 12, peer 13"):
-            perform_handshake(b, self._info(role="B", version=12))
+        with pytest.raises(TransportError, match="version: ours 13, peer 14"):
+            perform_handshake(b, self._info(role="B", version=13))
         t.join()
 
     def test_wildcard_dims_allowed(self):
