@@ -53,11 +53,11 @@ def batch_activate(sess: Session, zs: np.ndarray) -> np.ndarray:
     a, b = params.frac_bits, params.int_bits
     width = a + b + 1
 
-    shifted = zs + params.dtype(params.scale // 2) if sess.is_alice else zs.copy()
-    masked = shifted & params.dtype(((1 << width) - 1) & params.mask)
+    shifted = zs + params.dtype(params.scale // 2) if sess.is_alice else zs
 
-    # rows d, 1 iff 0 <= z' < 1 (the sign and integer bits all zero), and the sign
-    bits = decompose_batch_slices(sess, masked, width, zero_start=a)
+    # rows d, 1 iff 0 <= z' < 1 (the sign and integer bits all zero), and the
+    # sign, from the low `width` bits alone
+    bits = decompose_batch_slices(sess, shifted, width, zero_start=a)
     # e = pos AND NOT d = NOT sign XOR d, since d = 1 implies pos = 1
     bits[1] ^= bits[0]
     if sess.is_alice:

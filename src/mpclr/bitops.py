@@ -9,12 +9,13 @@ layer is a single exchange and a few whole-matrix operations no matter how
 many values are being decomposed at once.  It also runs the activation's zero
 test, which needs only two of the network's carries (see `prefixnet`).  Every
 AND gate of the optimized route takes its tuples from the one prefix-network
-record of its plan; only the ripple route and `or_tree_slices` take pooled
-`TAG_BIT` tuples.  `decompose_ripple` and `decompose_opt` take one shared
-value and return its bits as a `BitVectorShare`; they are test references,
-and the ripple route sends each round's ANDs through `engine.and_gates` as
-one packed row.  Z_2 -> ring conversion is `engine.convert_bits_to_ring`,
-which opens the bit rows masked by daBits.
+record of its plan; only the ripple route and `or_tree_slices`, whose gates
+all have two inputs, take pooled `TAG_BIT` triples.  `decompose_ripple` and
+`decompose_opt` take one shared value and return its bits as a
+`BitVectorShare`; they are test references, and the ripple route sends each
+round's ANDs through `engine.and_gates` as one packed row.  Z_2 -> ring
+conversion is `engine.convert_bits_to_ring`, which opens the bit rows masked
+by daBits.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import Session, and_gates, finish_and_gates, mask_gate_inputs
-from .prefixnet import cached_plan, or_tree_levels
+from .prefixnet import cached_plan
 from .sharing import BitVectorShare, ones_row, pack_rows, unpack_rows
 
 
@@ -225,18 +226,20 @@ def decompose_opt(sess: Session, x_share: int, width: int | None = None) -> BitV
 def or_tree_slices(sess: Session, slices, batch: int) -> np.ndarray:
     """OR over the rows of a packed bit matrix, elementwise across the batch.
 
-    NOT(AND(NOT ...)) evaluated as a tree of AND gates of up to four inputs
-    (see `or_tree_levels`); each level is one round, whatever its gates'
-    inputs, and each gate takes one dealt tuple per element.  Returns one
-    packed row.  Training does not call it: the activation's zero test runs
-    its AND tree inside the decomposition's rounds.
+    NOT(AND(NOT ...)) over k rows evaluated as a tree of 2-input AND gates:
+    each round ANDs the rows in pairs, against one pooled triple per gate
+    and element, and passes an odd last row on, so k - 1 ANDs take
+    ceil(log2 k) rounds.  Returns one packed row.  Training does not call
+    it: the activation's zero test runs its AND tree inside the
+    decomposition's rounds.
     """
     if len(slices) == 0:
         raise ValueError("or_tree_slices needs at least one row")
     ones = ones_row(batch)
     cur = _const_flip(sess, np.asarray(slices, dtype=np.uint64), ones)
-    for level in or_tree_levels(len(cur)):
-        gates, used = _level_gates(cur, level, (
-            sess.randomness.take_bit_triples(count * batch, k, count) for k, count in level))
+    while len(cur) > 1:
+        half = len(cur) // 2
+        gates, used = _level_gates(cur, [(2, half)],
+                                   [sess.randomness.take_bit_triples(half * batch, half)])
         cur = np.concatenate([*and_gates(sess, gates, batch), cur[used:]])
     return _const_flip(sess, cur[0], ones)

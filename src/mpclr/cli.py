@@ -362,10 +362,13 @@ def _parse_endpoint(value, flag):
 
 def _parse_dims(value):
     try:
-        rows, cols = value.lower().split("x")
-        return int(rows), int(cols)
+        rows, cols = map(int, value.lower().split("x"))
     except ValueError:
         raise click.UsageError(f"--dims must be ROWSxCOLS, got {value!r}") from None
+    if rows < 1 or cols < 3:
+        # what `_load_party_shares` accepts: dummy, feature and label columns
+        raise click.UsageError(f"--dims {value}: a share file has at least 1 row and 3 columns")
+    return rows, cols
 
 
 @cli.command("train")

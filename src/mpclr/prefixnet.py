@@ -103,10 +103,6 @@ class PrefixNetworkPlan:
         return [c for layer in self.layers for c in layer]
 
     @property
-    def solution_nodes(self):
-        return [(1, j) for j in self.ends]
-
-    @property
     def gate_groups(self) -> list:
         """Every AND gate the plan runs, as (inputs, gates) groups in run
         order: the setup round's 2-input ANDs, then each round's `gates`.

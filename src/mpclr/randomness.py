@@ -19,16 +19,17 @@ they are taken.
 
 Every record writes its pure masks, those whose shares are uniform in both
 parties' hands, as one seed per party (`expand_seed`): the u and v of a
-pool of ring triples, the four single masks of a pool of AND tuples, the Z_2
-strings of a pool of daBits, the single masks of every AND gate and the node
-masks of a prefix-network block, and the U or V of a matrix record.  It
-writes whole only the shares of what depends on them: w = u·v, the subset
-products of two or more masks, the daBits' ring shares, the composition
-products, and W.  A record keeps its seed and written parts; the masks its
-seed stands for are expanded once and kept beside it, and a take joins them
-with the written parts.  Loading expands every record before it returns, so
-the expansion is part of setup; the streams a dealer returns expand a record
-at its first take.
+pool of triples, over the ring or over Z_2, the Z_2 strings of a pool of
+daBits, the single masks of every AND gate and the node masks of a
+prefix-network block, and the U or V of a matrix record.  It writes whole
+only the shares of what depends on them: w = u·v or u AND v, the daBits'
+ring shares, each gate's products of two or more masks, the composition
+products, and W.  `layout` states both lists for every kind of record.  A
+record keeps its seed and written parts; the masks its seed stands for are
+expanded once and kept beside it, and a take joins them with the written
+parts.  Loading expands every record before it returns, so the expansion is
+part of setup; the streams a dealer returns expand a record at its first
+take.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ RANDOMNESS_MAGIC = b"CRN1"
 
 TAG_SCALAR = 1      # pooled ring triples for elementwise multiplication
 TAG_MATMUL = 2      # matrix masks and their products, one block per record
-TAG_BIT = 3         # pooled AND tuples: dealt subset products of 4 random bits
+TAG_BIT = 3         # pooled AND triples for 2-input gates over Z_2
 TAG_PREFIXNET = 5   # per-decomposition mask schedule blocks
 TAG_CONVERSION = 6  # pooled daBits for bit-to-ring conversion
 # Tag 4 held the conversion's ring triples up to protocol version 4.  It stays
@@ -90,7 +91,7 @@ class MatmulDims(NamedTuple):
 
     U is always i x j.  The mask record carries U alone (k = 0); the records
     that reuse it carry only a fresh V and its product W with U or Uᵀ.  U
-    or V is written as the record's seed (see `part_shapes`); W is written
+    or V is written as the record's seed (see `layout`); W is written
     whole.
     """
 
@@ -130,14 +131,12 @@ class PrefixBlock:
 
 _POOLED = (TAG_SCALAR, TAG_CONVERSION, TAG_BIT)
 
-# Inputs of a TAG_BIT tuple; a gate of fewer inputs reads its first strings.
-BIT_TUPLE_INPUTS = 4
-# The strings of an AND tuple, string S - 1 holding r_S: the single masks r_i
-# (S a power of two) expand from the seed, the other products are written.  A
-# tuple of k inputs holds the first 2^k - 1 strings, k of them single masks.
-_SINGLES = [(1 << i) - 1 for i in range(BIT_TUPLE_INPUTS)]
-_PRODUCTS = [s for s in range((1 << BIT_TUPLE_INPUTS) - 1) if s not in _SINGLES]
-_RING_MASKED = (TAG_SCALAR, TAG_MATMUL)  # tags whose masks are ring elements, not bits
+# The strings of an AND tuple of up to four inputs, string S - 1 holding r_S:
+# the single masks r_i (S a power of two) expand from the seed, the other
+# products are written.  A tuple of k inputs holds the first 2^k - 1 strings,
+# k of them single masks.
+_SINGLES = [(1 << i) - 1 for i in range(4)]
+_PRODUCTS = [s for s in range(15) if s not in _SINGLES]
 
 
 def _meta(tag: int, meta):
@@ -219,52 +218,57 @@ def expand_seed(seed, count: int) -> np.ndarray:
     return np.random.PCG64(int(seed[0]) | int(seed[1]) << 64).random_raw(count)
 
 
-def _row_bits(tag: int, meta) -> int:
-    """Bits in each packed row of a bit record: its batch, or its n."""
-    return meta[1] if tag == TAG_PREFIXNET else meta
-
-
-def mask_shapes(tag: int, meta) -> tuple:
-    """Shapes of the pure masks that a record's seed expands to, in the order
-    the seed's words fill them: ring elements for a scalar or matmul record,
-    packed rows of `_row_bits` bits for the others."""
-    if tag == TAG_MATMUL:
-        u, v, _ = meta.shapes()
-        return (u or v,)
-    if tag == TAG_SCALAR:
-        return ((2, meta),)  # u, then v
-    if tag == TAG_BIT:
-        return ((BIT_TUPLE_INPUTS, word_count(meta)),)  # the single masks r_i
-    if tag == TAG_CONVERSION:
-        return ((word_count(meta),),)  # the Z_2 shares of r
+def layout(tag: int, meta) -> tuple:
+    """What a record of `tag` and `meta` holds, as two tuples of (shape,
+    bits) parts: the pure masks that its seed expands to, in the order the
+    seed's words fill them, then the shares of what depends on them that it
+    writes after the seed.  `bits` is None for ring elements, one word each,
+    and otherwise the bits of each packed row, whose words the last axis of
+    `shape` holds."""
+    if tag in (TAG_SCALAR, TAG_BIT):  # u and v, then w = u·v over the ring or over Z_2
+        size, bits = (meta, None) if tag == TAG_SCALAR else (word_count(meta), meta)
+        return (((2, size), bits),), (((size,), bits),)
+    if tag == TAG_CONVERSION:  # the Z_2 shares of r, then its ring shares
+        return (((word_count(meta),), meta),), (((meta,), None),)
+    if tag == TAG_MATMUL:  # U or V, then W unless the record is U alone
+        u, v, w = meta.shapes()
+        return ((u or v, None),), (() if w is None else ((w, None),))
     if tag == TAG_PREFIXNET:
         width, batch, zero_start = meta
         plan = cached_plan(width, zero_start)
-        words = word_count(batch)
-        nodes = (len(plan.masked_nodes), words)
-        # the single masks of every gate group, then p and g
-        return (*((k, count, words) for k, count in plan.gate_groups), nodes, nodes)
-    raise ValueError(f"unknown randomness tag {tag}")
+
+        def rows(*shape):
+            return (*shape, word_count(batch)), batch
+
+        nodes, comps = rows(len(plan.masked_nodes)), rows(len(plan.compositions))
+        # every gate group's single masks, then p and g; every group's
+        # products of two or more masks, then pp and pg
+        return ((*(rows(k, count) for k, count in plan.gate_groups), nodes, nodes),
+                (*(rows((1 << k) - 1 - k, count) for k, count in plan.gate_groups),
+                 comps, comps))
+    raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 
-def _cut(words: np.ndarray, shapes, params: FixedPointParams, nbits=None) -> list:
-    """Uniform `words` cut into arrays of `shapes`: ring elements, cast down
-    on a ring narrower than 64 bits, or with `nbits` packed rows of that
-    many bits, their tail bits zeroed."""
-    if nbits is None:
-        words = words.astype(params.dtype, copy=False)
-    else:
-        words.reshape(-1, word_count(nbits))[:, -1] &= tail_mask(nbits)
-    ends = np.cumsum([math.prod(shape) for shape in shapes])
-    return [part.reshape(shape) for part, shape in zip(np.split(words, ends[:-1]), shapes)]
+def _cut(words: np.ndarray, parts, params: FixedPointParams) -> list:
+    """Uniform `words` cut into the (shape, bits) `parts` of `layout`: ring
+    elements, cast down on a ring narrower than 64 bits, or packed rows,
+    their tail bits zeroed."""
+    out = []
+    ends = np.cumsum([math.prod(shape) for shape, _ in parts])
+    for part, (shape, bits) in zip(np.split(words, ends[:-1]), parts):
+        if bits is None:
+            part = part.astype(params.dtype, copy=False)
+        else:
+            part.reshape(-1, word_count(bits))[:, -1] &= tail_mask(bits)
+        out.append(part.reshape(shape))
+    return out
 
 
 def expand_masks(seed, tag: int, meta, params: FixedPointParams) -> list:
-    """A party's pure masks of a record, in the shapes of `mask_shapes`,
-    from its seed."""
-    shapes = mask_shapes(tag, meta)
-    words = expand_seed(seed, sum(math.prod(shape) for shape in shapes))
-    return _cut(words, shapes, params, None if tag in _RING_MASKED else _row_bits(tag, meta))
+    """A party's pure masks of a record, as `layout` lists them, from its
+    seed."""
+    masks, _ = layout(tag, meta)
+    return _cut(expand_seed(seed, _size(masks)), masks, params)
 
 
 class TrustedDealer:
@@ -285,12 +289,10 @@ class TrustedDealer:
 
     def _products(self, tag: int, meta, masks) -> list:
         """The plaintext values of a record that depend on its masks, those
-        written as shares after its seed (see `part_shapes`)."""
-        if tag == TAG_SCALAR:
+        written as shares after its seed (see `layout`)."""
+        if tag in (TAG_SCALAR, TAG_BIT):
             (uv,) = masks
-            return [uv[0] * uv[1]]
-        if tag == TAG_BIT:
-            return [subset_products(masks[0])[_PRODUCTS]]
+            return [uv[0] * uv[1] if tag == TAG_SCALAR else uv[0] & uv[1]]
         if tag == TAG_CONVERSION:
             (r,) = masks
             return [unpack_rows(r[None], meta)[0].astype(self.params.dtype)]
@@ -324,18 +326,17 @@ class TrustedDealer:
         meta = _meta(tag, meta)
         rng = self._rng(tag)
         seeds = rng.integers(0, 1 << 64, size=(2, SEED_WORDS), dtype=np.uint64)
+        mask_parts, written = layout(tag, meta)
         masks, other = (expand_masks(seed, tag, meta, self.params) for seed in seeds)
-        for mask, more in zip(masks, other):  # Alice's expansion becomes the mask
-            if tag in _RING_MASKED:
+        for mask, more, (_, bits) in zip(masks, other, mask_parts):  # Alice's becomes the mask
+            if bits is None:
                 mask += more
             else:
                 mask ^= more
         values = self._products(tag, meta, masks)
-        bits = tag in (TAG_BIT, TAG_PREFIXNET)  # whether the products are bit rows
-        words = rng.bit_generator.random_raw(sum(value.size for value in values))
-        alice = _cut(words, [value.shape for value in values], self.params,
-                     _row_bits(tag, meta) if bits else None)
-        bob = [value ^ share if bits else value - share for value, share in zip(values, alice)]
+        alice = _cut(rng.bit_generator.random_raw(_size(written)), written, self.params)
+        bob = [value - share if bits is None else value ^ share
+               for value, share, (_, bits) in zip(values, alice, written)]
         return (seeds[0], *alice), (seeds[1], *bob)
 
     def generate(self, requests):
@@ -441,7 +442,7 @@ class MaterializedSource:
 
     def _expand(self, index: int) -> tuple:
         """(masks, written) of record `index`: the masks its seed expands to
-        (see `mask_shapes`), expanded once and kept read-only beside the
+        (see `layout`), expanded once and kept read-only beside the
         record, and the parts the record writes after its seed."""
         tag, meta, (seed, *written) = self.records[index]
         if index not in self._expanded:
@@ -462,17 +463,14 @@ class MaterializedSource:
         (mask,), written, _ = self._take(TAG_MATMUL, dims)
         return (mask, None, None) if dims.kind == MATMUL_MASK else (None, mask, *written)
 
-    def take_bit_triples(self, n, k=2, rows=1):
-        """Next `n` AND tuples, for gates of k inputs over `rows` rows of
-        n / rows bits: the first 2^k - 1 shares of each, as a (2^k - 1,
-        rows, word_count(n // rows)) array of packed rows, the `rs` of an
-        `engine.and_gates` gate, row S - 1 holding r_S (see
-        `subset_products`).  At k = 2 they are the triples u, v, w.  The
-        name is that of the triple pool before it held tuples, kept because
-        the benchmark's tracer wraps the method by name."""
-        (masks,), (products,), start = self._take(TAG_BIT, n)
-        return _tuples(_read_rows(masks[:k], start, rows, n // rows),
-                       _read_rows(products[:(1 << k) - 1 - k], start, rows, n // rows))
+    def take_bit_triples(self, n, rows=1):
+        """Next `n` AND triples over `rows` rows of n / rows bits: u, v and
+        w = u AND v as a (3, rows, word_count(n // rows)) array of packed
+        rows, the `rs` of a 2-input `engine.and_gates` gate.  The benchmark's
+        tracer wraps the method by name and reads n as its first argument."""
+        (uv,), (w,), start = self._take(TAG_BIT, n)
+        return _tuples(_read_rows(uv, start, rows, n // rows),
+                       _read_rows(w, start, rows, n // rows)[None])
 
     def take_dabits(self, nbits, rows=1):
         """Next `nbits` daBits: the ring shares, one word per bit, and the
@@ -525,31 +523,18 @@ _TAG_SHIFT = 56
 
 def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
     """(shape, dtype) of each part that a record of `tag` and `meta` writes,
-    in order: this party's seed of the record's pure masks (see
-    `mask_shapes`), then its shares of what depends on them; every part is
-    written as one u64 word per element.  Dealing lays a stream out by it
-    and loading parses one by it."""
-    ring, words = params.dtype, np.uint64
-    seed = ((SEED_WORDS,), words)
-    if tag == TAG_MATMUL:  # W, unless the record is U alone
-        _, _, w = meta.shapes()
-        return (seed,) if w is None else (seed, (w, ring))
-    if tag in (TAG_SCALAR, TAG_CONVERSION):  # w = u·v, or the ring shares of r
-        return seed, ((meta,), ring)
-    if tag == TAG_BIT:  # the subset products of two or more masks
-        return seed, ((len(_PRODUCTS), word_count(meta)), words)
-    if tag == TAG_PREFIXNET:  # every gate group's subset products, then pp and pg
-        width, batch, zero_start = meta
-        plan = cached_plan(width, zero_start)
-        rows = [((1 << k) - 1 - k, count) for k, count in plan.gate_groups]
-        rows += [(len(plan.compositions),)] * 2
-        return (seed, *(((*shape, word_count(batch)), words) for shape in rows))
-    raise FormatError(f"randomness stream: unknown record tag {tag}")
+    in order: this party's seed of the record's pure masks, then its shares
+    of what depends on them (see `layout`); every part is written as one u64
+    word per element.  Dealing lays a stream out by it and loading parses
+    one by it."""
+    _, written = layout(tag, meta)
+    return (((SEED_WORDS,), np.uint64),
+            *((shape, params.dtype if bits is None else np.uint64) for shape, bits in written))
 
 
-def _size(shapes) -> int:
-    """Words of a record's parts, from their `part_shapes`."""
-    return sum(math.prod(shape) for shape, _ in shapes)
+def _size(parts) -> int:
+    """Words of a record's parts, from their `part_shapes` or `layout`."""
+    return sum(math.prod(shape) for shape, _ in parts)
 
 
 def _word_views(words: np.ndarray, pos: int, shapes) -> tuple:

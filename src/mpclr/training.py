@@ -263,7 +263,7 @@ def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingC
 
     One mask record for X, then every iteration's records in the order its
     rounds take them.  Every record writes its pure masks as one 2-word seed
-    (see `randomness.mask_shapes`), so the mask record is 2 words whatever n
+    (see `randomness.layout`), so the mask record is 2 words whatever n
     x m1, the record for X·w is 2 + n words and the one for Xᵀ·(t - o) 2 +
     m1.  Pooled tags get a POOL_SLACK tail.
     """

@@ -45,15 +45,14 @@ def forced_scalar_source(params: FixedPointParams, u: int, v: int, w: int):
 
 def whole_record(tag, meta, parts, params):
     """A record of written `parts`, as one take of all of it reads them: u,
-    v and w of ring triples, the 15 strings of AND tuples (string S - 1
-    holding r_S), the ring shares and the Z_2 string of daBits, or U, V and
-    W of a matrix record."""
+    v and w of ring triples or of AND triples, the ring shares and the Z_2
+    string of daBits, or U, V and W of a matrix record."""
     source = MaterializedSource(params)
     source.append(tag, meta, parts)
     if tag == TAG_SCALAR:
         return source.take_ring_triples(meta)
     if tag == TAG_BIT:
-        return (source.take_bit_triples(meta, 4)[:, 0],)
+        return (source.take_bit_triples(meta)[:, 0],)
     if tag == TAG_CONVERSION:
         ring, bits = source.take_dabits(meta)
         return ring, bits[0]

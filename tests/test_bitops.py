@@ -7,11 +7,10 @@ from mpclr.bitops import (
     decompose_batch_slices,
     decompose_opt,
     decompose_ripple,
-    or_tree_levels,
     or_tree_slices,
 )
 from mpclr.engine import convert_bits_to_ring
-from mpclr.prefixnet import cached_plan
+from mpclr.prefixnet import cached_plan, or_tree_levels
 from mpclr.randomness import TAG_BIT, TrustedDealer
 from mpclr.sharing import pack_rows, split_array, unpack_rows
 
@@ -278,7 +277,7 @@ class TestOrTree:
             mask_a = int(rng.integers(0, 16))
             opened, sa = self.run(pattern ^ mask_a, mask_a, 4, seed=pattern)
             assert opened == (1 if pattern else 0)
-            assert sa.transcript.rounds == 1  # one 4-input gate
+            assert sa.transcript.rounds == 2  # two ANDs, then one
             assert sa.transcript.bit_mults == 3
 
     def test_single_bit_is_free(self):
@@ -290,7 +289,7 @@ class TestOrTree:
         with pytest.raises(ValueError):
             protocol_pair(P8, lambda s: or_tree_slices(s, [], 1), lambda s: or_tree_slices(s, [], 1))
 
-    @pytest.mark.parametrize("k,rounds", [(2, 1), (3, 1), (8, 2), (15, 2)])
+    @pytest.mark.parametrize("k,rounds", [(2, 1), (3, 2), (8, 3), (15, 4)])
     def test_round_count(self, k, rounds):
         _, sa = self.run(0, 0, k)
         assert sa.transcript.rounds == rounds
@@ -299,7 +298,7 @@ class TestOrTree:
     @pytest.mark.parametrize("k", range(1, 18))
     def test_every_row_count(self, k):
         """k rows of a 70-element batch, sparse enough that some columns OR
-        to 0, in ceil(log4 k) rounds and k - 1 ANDs per element."""
+        to 0, in ceil(log2 k) rounds and k - 1 ANDs per element."""
         batch = 70
         rng = np.random.default_rng(k)
         secret = (rng.random((k, batch)) < 0.6 / k).astype(np.uint8)
@@ -313,12 +312,12 @@ class TestOrTree:
             seed=k,
         )
         assert unpack_rows((ra ^ rb)[None], batch)[0].tolist() == secret.any(axis=0).tolist()
-        rounds = next(r for r in range(4) if 4 ** r >= k)  # ceil(log4 k)
-        assert sa.transcript.rounds == len(or_tree_levels(k)) == rounds
+        assert sa.transcript.rounds == (k - 1).bit_length()  # ceil(log2 k)
         assert sa.transcript.bit_mults == (k - 1) * batch
 
     def test_levels(self):
-        # rows in groups of four, the rest as one smaller gate or passed on
+        # the zero test's tree: rows in groups of four, the rest as one
+        # smaller gate or passed on
         assert or_tree_levels(1) == []
         assert or_tree_levels(16) == [[(4, 4)], [(4, 1)]]
         assert or_tree_levels(15) == [[(4, 3), (3, 1)], [(4, 1)]]

@@ -239,7 +239,7 @@ class TestProtocolErrors:
         for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_11):
             assert rc == 4, err
             assert err == ("error: randomness stream dealt by another protocol version than "
-                           "this build's 14 (one dealt before version 8 has no version field); "
+                           "this build's 15 (one dealt before version 8 has no version field); "
                            "deal it again\n")
 
     def test_randomness_of_another_session_exits_4(self, toy_csv, tmp_path):
@@ -345,6 +345,16 @@ class TestRefusals:
     def test_file_mode_ti_needs_dims(self, tmp_path):
         assert main(["train", "--role", "ti", "--randomness", f"file:{tmp_path / 'crn'}",
                      *TRAIN_ARGS]) == 2
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("dims", ["-5x3", "5x-2", "0x3", "5x1", "5x2"])
+    def test_file_mode_ti_refuses_dims_no_share_file_has(self, tmp_path, capsys, dims):
+        # a share file holds at least one row and the dummy, a feature and
+        # the label column
+        assert main(["train", "--role", "ti", "--randomness", f"file:{tmp_path / 'crn'}",
+                     "--dims", dims, *TRAIN_ARGS]) == 2
+        assert f"--dims {dims}: a share file has at least 1 row and 3 columns" in (
+            capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
 
     def test_bob_needs_peer(self, tmp_path):

@@ -14,7 +14,7 @@ from mpclr import (
 )
 from mpclr.engine import MaskedMatrix, and_gates, batch_mul, convert_bits_to_ring, matmul, mul
 from mpclr.fixedpoint import exact_truncate
-from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR
+from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR, subset_products
 from mpclr.transport import FRAME_HEADER, MSG_OPEN
 from mpclr.sharing import (
     pack_rows,
@@ -274,25 +274,36 @@ class TestBatching:
             assert sa.transcript.rounds == sb.transcript.rounds == 1
 
 
+def dealt_tuples(rng, k, rows, batch):
+    """Both parties' AND tuples of k inputs over `rows` rows of `batch`
+    bits: the subset products of random masks, XOR-split at random."""
+    tuples = subset_products(random_rows(rng, k * rows, batch).reshape(k, rows, -1))
+    share_b = random_rows(rng, len(tuples) * rows, batch).reshape(tuples.shape)
+    return tuples ^ share_b, share_b
+
+
+def random_rows(rng, nrows, batch):
+    return pack_rows(rng.integers(0, 2, (nrows, batch), dtype=np.uint8))
+
+
 class TestAndGate:
     @pytest.mark.parametrize("batch", [1, 63, 64, 65])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_exhaustive_inputs(self, k, batch):
         """Element j of run p holds input pattern p + j (mod 2^k), so every
-        pattern meets every bit position; the shares are split at random."""
+        pattern meets every bit position; the shares are split and the
+        tuples dealt at random."""
         rng = np.random.default_rng(100 * k + batch)
         for p in range(1 << k):
             patterns = (p + np.arange(batch)) % (1 << k)
             secret = pack_rows((patterns >> np.arange(k)[:, None] & 1).astype(np.uint8))
-            share_b = pack_rows(rng.integers(0, 2, (k, batch), dtype=np.uint8))
+            share_b = random_rows(rng, k, batch)
+            rs_a, rs_b = dealt_tuples(rng, k, 1, batch)
 
-            def gate(xs):
-                def body(s):
-                    rs = s.randomness.take_bit_triples(batch, k, rows=1)
-                    return and_gates(s, [(xs[:, None], rs)], batch)[0]
-                return body
+            def gate(xs, rs):
+                return lambda s: and_gates(s, [(xs[:, None], rs)], batch)[0]
 
-            ra, rb, sa, _ = protocol_pair(P8, gate(secret ^ share_b), gate(share_b), seed=p)
+            ra, rb, sa, _ = protocol_pair(P8, gate(secret ^ share_b, rs_a), gate(share_b, rs_b))
             expect = (patterns == (1 << k) - 1).astype(np.uint8)
             assert unpack_rows(ra ^ rb, batch)[0].tolist() == expect.tolist()
             assert sa.transcript.rounds == 1
@@ -300,18 +311,19 @@ class TestAndGate:
             assert sa.transcript.bit_mults == (k - 1) * batch
 
     def test_gates_of_mixed_inputs_share_one_round(self):
-        # a 4-input gate over two rows and a 2-input gate over one row
+        # a 4-input gate over two rows, its tuples dealt here, and a 2-input
+        # gate over one row, against a pooled triple
         batch = 5
         rng = np.random.default_rng(8)
-        xs4 = pack_rows(rng.integers(0, 2, (8, batch), dtype=np.uint8)).reshape(4, 2, 1)
-        xs2 = pack_rows(rng.integers(0, 2, (2, batch), dtype=np.uint8)).reshape(2, 1, 1)
+        xs4 = random_rows(rng, 8, batch).reshape(4, 2, 1)
+        xs2 = random_rows(rng, 2, batch).reshape(2, 1, 1)
+        rs4 = dealt_tuples(rng, 4, 2, batch)
 
         def side(alice):
             def body(s):
-                rs4 = s.randomness.take_bit_triples(2 * batch, 4, rows=2)
-                rs2 = s.randomness.take_bit_triples(batch, 2, rows=1)
+                rs2 = s.randomness.take_bit_triples(batch)
                 zero = np.zeros_like
-                return and_gates(s, [(xs4 if alice else zero(xs4), rs4),
+                return and_gates(s, [(xs4 if alice else zero(xs4), rs4[0 if alice else 1]),
                                      (xs2 if alice else zero(xs2), rs2)], batch)
             return body
 

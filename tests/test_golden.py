@@ -37,7 +37,10 @@ inside a prefix network pruned to the two carries it needs, on 28 bits
 instead of 29, and drops the OR tree: the stream and frame digests moved,
 and the weight shares did not.  Protocol version 14 deals every AND gate of
 the decomposition, and no unread one, in its prefix-network record: the
-stream and frame digests moved, and the weight shares did not.
+stream and frame digests moved, and the weight shares did not.  Protocol
+version 15 deals a bit-pool record as AND triples, u and v from the seed and
+w written, instead of 4-input tuples; training deals no such record, so the
+stream digests moved through the version field of the file header alone.
 """
 
 import hashlib
@@ -55,8 +58,8 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("5b78bd370495a91f6e0500ada5394a58abb2c92f266e7f73c340e498fb8c4480",
-                 "19dea4b0a562271c9841323224a355eb5f6bd38e43f595c4155d255a7aab0f10"),
+        "crn1": ("67f0f94f2f0073d826e4360a40537d211c28f965347006cecae1b2b945d634a7",
+                 "a6067f2fc2f2afbc4e44dc12c13e140806ff4f84eacbf1a4bc9b6208377ef58a"),
         "sent": ("f5ccb5ec807b39cfb3431043488f415da3e9500275be5251042b1b00a181f62f",
                  "6b80694d6af139153671295056c4681ac08fbc43231a19cb930ce2f45b480dbc"),
         "weights": ([19138880305724, 24006652041723, 27370254117660, 29159159964231,
@@ -65,8 +68,8 @@ GOLDEN = {
                      18446714914549587355, 18446723344550054877]),
     },
     77: {
-        "crn1": ("eca8519ff526a267f6ca3e91780100125d02a3671e865f270b71a40df9b8a078",
-                 "db1d6049549c2df3730ec9b15484c652c3df06f44daf09e543c27aab44549df6"),
+        "crn1": ("42c7f5158deb25f61f01fdaaa2cfa3d6382647652e2d6a94af5769473f6db6d8",
+                 "8812d1b2671c31b025ee3dc56b5f7ad8097aaa8bfa5d50a2170ca6b0dc0788c3"),
         "sent": ("3559e10832de4e5bafc423bd9aedfde519aa2371c32e3a00b79bfbcffce02a67",
                  "57352ee7c391f559474a196c7533a15c95ae0ec7eff9fa35298a4ef3715bd4d7"),
         "weights": ([28066745343120, 29264249119107, 33640938008250, 9058849979089,

@@ -19,7 +19,7 @@ class TestPlanShape:
     def test_depth_17(self):
         plan = plan_prefix_network(17)
         assert plan.depth == 4
-        assert plan.solution_nodes == [(1, j) for j in range(1, 17)]
+        assert plan.ends == tuple(range(1, 17))
 
     def test_depth_64(self):
         assert plan_prefix_network(64).depth == 6
@@ -125,7 +125,7 @@ class TestZeroTestPlan:
     def test_default_precision_builds_two_carries(self):
         # 12/15: the fractional, integer and sign bits of z' are 28
         plan = plan_prefix_network(28, 12)
-        assert plan.solution_nodes == [(1, 12), (1, 27)]
+        assert plan.ends == (12, 27)
         assert (len(plan.compositions), len(plan.masked_nodes), plan.depth) == (27, 52, 5)
         assert plan.creation_layer[(1, 12)] == 4
         # 15 terms: gates of 4, 4, 4 and 3 inputs, then one of 4, then the
@@ -141,7 +141,7 @@ class TestZeroTestPlan:
     def test_p16_precision(self):
         # 4/3: three terms in one gate, and the final AND at layer 3
         plan = plan_prefix_network(8, 4)
-        assert plan.solution_nodes == [(1, 4), (1, 7)]
+        assert plan.ends == (4, 7)
         assert (len(plan.compositions), len(plan.masked_nodes), plan.depth) == (6, 12, 3)
         assert [r.gates for r in plan.rounds] == [((3, 1),), (), ((2, 1),)]
         assert plan.gate_groups == [(2, 7), (3, 1), (2, 1)]

@@ -30,7 +30,7 @@ from mpclr.randomness import (
     _parse_stream,
     deserialize_stream,
     expand_seed,
-    mask_shapes,
+    layout,
     part_shapes,
     serialize_stream,
     subset_products,
@@ -92,13 +92,12 @@ class TestTripleGeneration:
                 assert np.array_equal(shares, words)
 
     def test_dealt_tuples_hold_the_subset_products(self):
+        # a bit-pool record deals AND triples: u, v and w = u AND v
         for n in (1, 64, 77):
             (a,), (b,) = dealt_parts(TrustedDealer(n, P64), TAG_BIT, n)
             opened = a ^ b
-            assert opened.shape == (15, word_count(n))
-            for s in range(1, 16):
-                singles = [opened[(1 << i) - 1] for i in range(4) if s >> i & 1]
-                assert np.array_equal(opened[s - 1], np.bitwise_and.reduce(singles))
+            assert opened.shape == (3, word_count(n))
+            assert np.array_equal(opened, subset_products(opened[:2]))
 
     def test_random_ring_triples_reconstruct(self):
         a, b = dealt_parts(TrustedDealer(31337, P64), TAG_SCALAR, 10_000)
@@ -256,7 +255,8 @@ class TestStreams:
         finally:
             tracemalloc.stop()
         assert len(loaded[0].records) == len(requests)
-        masks = sum(math.prod(shape) for tag, meta in requests for shape in mask_shapes(tag, meta))
+        masks = sum(math.prod(shape) for tag, meta in requests
+                    for shape, _ in layout(tag, meta)[0])
         assert peak <= 1.3 * (sum(len(blob) for blob in blobs) + 2 * 8 * masks)
 
     def test_serializing_ignores_takes(self):
@@ -306,7 +306,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (14).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (15).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -414,7 +414,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 14 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 15 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -448,7 +448,7 @@ def crn1_bytes(requests, params):
         if tag in (TAG_SCALAR, TAG_CONVERSION):
             words += meta  # w, or the ring shares of the daBits
         elif tag == TAG_BIT:
-            words += 11 * packed(meta)  # the subset products of two or more masks
+            words += packed(meta)  # w = u AND v
         elif tag == TAG_MATMUL:
             _, _, w = MatmulDims(*meta).shapes()
             words += 0 if w is None else w[0] * w[1]
@@ -676,7 +676,7 @@ class TestSeededPools:
         words = word_count(batch)
         width = params.ring_bits // 2 + 1
         comps = len(cached_plan(width).compositions)
-        written = {TAG_SCALAR: batch, TAG_BIT: 11 * words, TAG_CONVERSION: batch,
+        written = {TAG_SCALAR: batch, TAG_BIT: words, TAG_CONVERSION: batch,
                    TAG_PREFIXNET: (width + 2 * comps) * words}
         for tag, meta in self.pools(params, batch):
             for source in TrustedDealer(3, params).generate([(tag, meta)]):
@@ -703,21 +703,6 @@ class TestSeededPools:
         requests = training_randomness_requests(16_000, 9, cfg)
         assert crn1_bytes(requests, P64) == 15_829_744 == 20 * 791_487.2
 
-    @staticmethod
-    def whole_records(source, requests):
-        """Every record of `requests` taken whole, all 15 strings of a tuple."""
-        out = []
-        for tag, meta in requests:
-            if tag == TAG_SCALAR:
-                out.append(source.take_ring_triples(meta))
-            elif tag == TAG_BIT:
-                out.append(source.take_bit_triples(meta, 4))
-            elif tag == TAG_CONVERSION:
-                out.append(source.take_dabits(meta))
-            else:
-                out.append(take(source, tag, meta))
-        return out
-
     @pytest.mark.parametrize("params", [P16, P64])
     @pytest.mark.parametrize("batch", [64, 225])
     def test_correlations_survive_expansion(self, params, batch):
@@ -725,7 +710,8 @@ class TestSeededPools:
         dealt = TrustedDealer(9, params).generate(requests)
         loaded = [deserialize_stream(serialize_stream(s), params) for s in dealt]
         on_demand = [OnDemandSource(9, role, params) for role in Role]
-        (a, b), *others = [[self.whole_records(s, requests) for s in sources]
+        # every record taken whole
+        (a, b), *others = [[[take(s, *request) for request in requests] for s in sources]
                            for sources in (loaded, dealt, on_demand)]
         for other in others:  # every kind of source hands out the same parts
             for ours, theirs in zip((a, b), other):
@@ -742,10 +728,8 @@ class TestSeededPools:
                 assert np.array_equal((ua + ub) * (va + vb), wa + wb)
                 assert not any(p.flags.writeable for p in (*pa, *pb))
             elif tag == TAG_BIT:
-                opened = pa ^ pb
-                for subset in range(1, 16):
-                    singles = [opened[(1 << i) - 1] for i in range(4) if subset >> i & 1]
-                    assert np.array_equal(opened[subset - 1], np.bitwise_and.reduce(singles))
+                u, v, w = pa ^ pb
+                assert np.array_equal(w, u & v)
             elif tag == TAG_CONVERSION:
                 (ring_a, bits_a), (ring_b, bits_b) = pa, pb
                 r = unpack_rows(bits_a ^ bits_b, batch)[0].astype(params.dtype)
@@ -785,8 +769,10 @@ class TestGateGroupRecords:
         words = word_count(self.BATCH)
         meta = (width, self.BATCH, start)
         nodes, comps = (len(plan.masked_nodes), words), (len(plan.compositions), words)
-        assert mask_shapes(TAG_PREFIXNET, meta) == (
-            *((k, count, words) for k, count in groups), nodes, nodes)
+        masks, written = layout(TAG_PREFIXNET, meta)
+        assert {bits for _, bits in masks + written} == {self.BATCH}
+        assert [shape for shape, _ in masks] == [
+            *((k, count, words) for k, count in groups), nodes, nodes]
         assert [shape for shape, _ in part_shapes(TAG_PREFIXNET, meta, P64)] == [
             (2,), *(((1 << k) - 1 - k, count, words) for k, count in groups), comps, comps]
 

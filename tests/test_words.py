@@ -104,10 +104,10 @@ class TestWireLayout:
 
 
 class BigIntPool:
-    """The bit pool before word rows: one integer per string of a tuple,
+    """The bit pool before word rows: one integer per string of a triple,
     shifted on every take."""
 
-    def __init__(self, nparts=15):
+    def __init__(self, nparts=3):
         self.parts = [0] * nparts
         self.nbits = 0
 
@@ -168,13 +168,11 @@ class TestBitPool:
         return ref
 
     def check_takes(self, source, ref, takes):
-        # gates of 2, 3 and 4 inputs in turn read the first 3, 7 or 15 strings
-        for i, n in enumerate(takes):
-            k = 2 + i % 3
-            got = source.take_bit_triples(n, k)
-            assert got.shape == ((1 << k) - 1, 1, word_count(n))
-            expected = ref.take(n)[:(1 << k) - 1]
-            assert tuple(int.from_bytes(w.tobytes(), "little") for w in got) == expected
+        # each take is u, v and w of its triples
+        for n in takes:
+            got = source.take_bit_triples(n)
+            assert got.shape == (3, 1, word_count(n))
+            assert tuple(int.from_bytes(w.tobytes(), "little") for w in got) == ref.take(n)
 
     @pytest.mark.parametrize("through_file", [False, True])
     def test_takes_at_unaligned_cursors(self, through_file):
@@ -214,27 +212,32 @@ class TestBitPool:
     @ROW_COUNTS
     @pytest.mark.parametrize("on_demand", [False, True])
     def test_row_takes_are_cut_from_the_record_strings(self, on_demand, rows, batch):
-        for k in (2, 3, 4):
-            for role in Role:
-                source, reads = row_reads(TAG_BIT, 10 * k + rows, role, on_demand,
-                                          [rows * batch, batch])
-                for nrows, ((strings,), start) in zip((rows, 1), reads):
-                    got = source.take_bit_triples(nrows * batch, k, rows=nrows)
-                    assert got.shape == ((1 << k) - 1, nrows, word_count(batch))
-                    want = expected_rows(strings[:(1 << k) - 1], start, nrows, batch)
-                    assert np.array_equal(got, want)
+        for role in Role:
+            source, reads = row_reads(TAG_BIT, 20 + rows, role, on_demand, [rows * batch, batch])
+            for nrows, ((strings,), start) in zip((rows, 1), reads):
+                got = source.take_bit_triples(nrows * batch, rows=nrows)
+                assert got.shape == (3, nrows, word_count(batch))
+                assert np.array_equal(got, expected_rows(strings, start, nrows, batch))
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_empty_takes_are_one_zero_word(self, k):
+    def test_empty_takes_are_one_zero_word(self):
         # before, between and after word-multiple records used up, and from
         # a stream of none
         source, _ = TrustedDealer(7, P64).generate([(TAG_BIT, 64), (TAG_BIT, 128)])
-        empty = np.zeros(((1 << k) - 1, 1, 1), np.uint64)
+        empty = np.zeros((3, 1, 1), np.uint64)
         for n in (0, 64, 0, 128, 0, 0):
-            got = source.take_bit_triples(n, k)
+            got = source.take_bit_triples(n)
             if not n:
                 assert np.array_equal(got, empty) and got.dtype == np.uint64
-        assert np.array_equal(MaterializedSource(P64).take_bit_triples(0, k), empty)
+        assert np.array_equal(MaterializedSource(P64).take_bit_triples(0), empty)
+
+    # the last record is criterion 2's pool of 22 x 4096 triples
+    @pytest.mark.parametrize("n,size", [(1, 72), (64, 72), (65, 80), (22 * 4096, 11_328)])
+    def test_record_is_a_seed_and_w(self, n, size):
+        # the file and record headers, the 2-word seed of u and v, then w = u AND v
+        for source in TrustedDealer(8, P64).generate([(TAG_BIT, n)]):
+            assert len(serialize_stream(source)) == size == 24 + 24 + 8 * (2 + word_count(n))
+            (_, _, (seed, w)), = source.records
+            assert seed.shape == (2,) and w.shape == (word_count(n),)
 
 
 def bit_list(words, nbits):
