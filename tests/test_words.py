@@ -219,16 +219,17 @@ class TestBitPool:
                 assert got.shape == (3, nrows, word_count(batch))
                 assert np.array_equal(got, expected_rows(strings, start, nrows, batch))
 
-    def test_empty_takes_are_one_zero_word(self):
-        # before, between and after word-multiple records used up, and from
-        # a stream of none
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_empty_takes_are_one_zero_word(self, rows):
+        # one zero word a row: before, between and after word-multiple
+        # records used up, and from a stream of none
         source, _ = TrustedDealer(7, P64).generate([(TAG_BIT, 64), (TAG_BIT, 128)])
-        empty = np.zeros((3, 1, 1), np.uint64)
+        empty = np.zeros((3, rows, 1), np.uint64)
         for n in (0, 64, 0, 128, 0, 0):
-            got = source.take_bit_triples(n)
+            got = source.take_bit_triples(n, rows=rows if not n else 1)
             if not n:
                 assert np.array_equal(got, empty) and got.dtype == np.uint64
-        assert np.array_equal(MaterializedSource(P64).take_bit_triples(0), empty)
+        assert np.array_equal(MaterializedSource(P64).take_bit_triples(0, rows=rows), empty)
 
     # the last record is criterion 2's pool of 22 x 4096 triples
     @pytest.mark.parametrize("n,size", [(1, 72), (64, 72), (65, 80), (22 * 4096, 11_328)])
