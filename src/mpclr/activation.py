@@ -7,8 +7,10 @@ sign bits, a + b + 1 of them: d = 1 iff 0 <= z' < 1, which the
 decomposition's zero test gives without computing any sum bit, and e = 1
 iff z' >= 1, from d and the sign bit.  Then rho = e * 2^a + d * z'.  The
 decomposition with its zero test takes 6 rounds at the default 12/15
-precision.  One more round converts both bits to ring shares and also
-returns the product d * z', which rides in the conversion's frame.  Inputs
+precision; its setup round opens one row per bit position and party.  One
+more round converts both bits to ring shares and also returns the product
+d * z', which runs against d's own daBits: the conversion's frame opens z'
+masked once beside the two bit rows.  Inputs
 must satisfy |decode(z)| < 2^(int_bits - 1) so the shifted value never
 spills past the masked field.  `batch_activate` is the only secure entry
 point; a single value is a batch of one.

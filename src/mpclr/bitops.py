@@ -123,8 +123,9 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     With `zero_start` a in 1..width-1, it runs the zero-test plan of
     `prefixnet` instead and returns two rows: d = [x < 2^a] for x the low
     `width` bits of each value, and x's top bit.  The zero test's AND
-    gates ride the network's rounds, so it takes no round of its own.
-    The prefix block holds every gate's tuples, in `gate_groups` order.
+    gates ride the network's rounds, so it takes no round of its own, and
+    its setup ANDs open one operand row per party instead of two.  The
+    prefix block holds every gate's tuples, in `gate_groups` order.
     """
     if width > sess.params.ring_bits:
         raise ValueError(f"cannot decompose {width} bits of a {sess.params.ring_bits}-bit ring")
@@ -137,14 +138,28 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     tuples = iter(block.gates)
 
     own = _to_slices(shares, width)
-    zero = np.zeros_like(own)
-    a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
 
-    # Setup round: the generate bit of every position that the plan reads, in
-    # one batched multiplication.
+    # Setup round: the generate bit g_i = a_i AND b_i of every position that
+    # the plan reads, in one batched multiplication, where Alice's share
+    # string is a and Bob's is b.
     setup = plan.setup_ands
-    [g_setup] = and_gates(sess, [((a_rows[:setup], b_rows[:setup]), next(tuples))], batch)
-    sess.transcript.mask_bits_sent += 2 * setup * batch
+    if zero_start:
+        # One-sided: each party holds the whole mask of its own operand and
+        # none of its peer's, so it sends its own operand masked, and the
+        # rows are swapped, not summed.  Alice's tuple is (u, 0, w_A) and
+        # Bob's (0, v, w_B).
+        mask, w = next(tuples)
+        mine = own[:setup] ^ mask
+        theirs = sess.swap([mine]).reshape(mine.shape)
+        zero = np.zeros_like(mask)
+        rs, opened = (((mask, zero, w), (mine, theirs)) if sess.is_alice
+                      else ((zero, mask, w), (theirs, mine)))
+        [g_setup] = finish_and_gates(sess, [(opened, np.stack(rs))], opened, batch)
+    else:
+        zero = np.zeros_like(own)
+        a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
+        [g_setup] = and_gates(sess, [((a_rows[:setup], b_rows[:setup]), next(tuples))], batch)
+    sess.transcript.mask_bits_sent += plan.setup_rows * setup * batch
 
     # Node rows: the setup positions, then one per composition in plan order.
     nodes = len(plan.node_rows)

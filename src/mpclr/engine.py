@@ -6,15 +6,18 @@ in a single frame per direction, and finish locally.  In Z_2 one exchange
 also ANDs up to four inputs at once (`and_gates`), against dealt shares of
 every subset product of the input masks, and one Z_2 -> ring conversion
 (`convert_bits_to_ring`) can also return a converted row times a shared
-ring vector, a Beaver product whose operands open in the conversion's
-frame.  `Session.open` is the one opening: ring words and bit matrices, as
-the padded word rows they are held in, travel in the same frame type, and
-one call may carry both; its operands are copied once, into the frame, and
-the peer's words are read where they arrived (`Frame.payload` of a received
-frame is a read-only memoryview).  Role A sends first and role B receives
-first, which keeps TCP deadlock-free without a writer thread; the transcript
-counters and frame bytes are identical on both sides either way.  All ring
-arithmetic wraps on the machine word matching the ring width.
+ring vector, a product against the row's own daBits whose one masked
+operand opens in the conversion's frame.  `Session.open` is the one
+opening of shared values: ring words and bit matrices, as the padded word
+rows they are held in, travel in the same frame type, and one call may
+carry both; its operands are copied once, into the frame, and the peer's
+words are read where they arrived (`Frame.payload` of a received frame is
+a read-only memoryview).  `Session.swap` is the same round without the
+sum: it opens a value that its sender masked with a mask only it holds.
+Role A sends first and role B receives first, which keeps TCP
+deadlock-free without a writer thread; the transcript counters and frame
+bytes are identical on both sides either way.  All ring arithmetic wraps
+on the machine word matching the ring width.
 """
 
 from __future__ import annotations
@@ -113,6 +116,17 @@ class Session:
 
     # -- openings ---------------------------------------------------------------
 
+    def swap(self, arrays) -> np.ndarray:
+        """Send the elements of `arrays` in order, one 64-bit word each, in
+        a single round, and return the peer's words, as many as were sent.
+        Alone it opens values masked by masks that only their sender holds:
+        the receiver's word is the sender's masked value itself."""
+        words = np.frombuffer(self.exchange(MSG_OPEN, arrays), dtype=np.uint64)
+        expected = sum(np.size(a) for a in arrays)
+        if len(words) != expected:
+            raise ProtocolError(f"opening has {len(words)} words, expected {expected}")
+        return words
+
     def open(self, ring=(), bits=()) -> list:
         """Open masked ring tensors and masked matrices of packed bit rows in
         a single round; returns the opened tensors, then the matrices.
@@ -123,10 +137,7 @@ class Session:
         """
         ring = [np.asarray(a, dtype=self.params.dtype) for a in ring]
         bits = [np.asarray(m, dtype=np.uint64) for m in bits]
-        words = np.frombuffer(self.exchange(MSG_OPEN, ring + bits), dtype=np.uint64)
-        expected = sum(a.size for a in ring + bits)
-        if len(words) != expected:
-            raise ProtocolError(f"opening has {len(words)} words, expected {expected}")
+        words = self.swap(ring + bits)
         out = []
         off = 0
         for a in ring:
@@ -293,19 +304,20 @@ def convert_bits_to_ring(sess: Session, rows, batch: int, factor=None) -> np.nda
     b = c + (1 - 2c)·r is local, with the public c added on Alice's side.
 
     With `factor`, a shared ring vector of `batch` elements, row 0 comes back
-    as b·factor, still in one round.  The daBit r is dealt before the round,
-    so its Beaver product with the factor opens r - u and factor - v in the
-    frame of c, against one ring triple per element, and b·factor =
-    c·factor + (1 - 2c)·(r·factor) is local.
+    as b·factor, still in one round.  The daBit r is a dealt secret, so
+    nothing needs to hide it: the dealer deals row 0's daBits with a ring
+    mask v and shares of rho = r·v (Rotaru and Wood, INDOCRYPT 2019).  The
+    frame of c opens e = factor - v alone, r·factor = e·r + rho is local,
+    and so is b·factor = c·factor + (1 - 2c)·(r·factor).
     """
     dtype = sess.params.dtype
     rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-    r_ring, r_bits = sess.randomness.take_dabits(len(rows) * batch, len(rows))
+    factored = 0 if factor is None else batch
+    r_ring, r_bits, v, rho = sess.randomness.take_dabits(len(rows) * batch, len(rows), factored)
     ring = []
     if factor is not None:
         factor = np.asarray(factor, dtype=dtype)
-        u, v, w = sess.randomness.take_ring_triples(batch)
-        ring = [r_ring[:batch] - u, factor - v]
+        ring = [factor - v]
     *masked, c = sess.open(ring=ring, bits=[rows ^ r_bits])
     c = unpack_rows(c, batch).reshape(-1).astype(dtype)
     flip = dtype(1) - dtype(2) * c
@@ -314,11 +326,8 @@ def convert_bits_to_ring(sess: Session, rows, batch: int, factor=None) -> np.nda
         out += c
     if factor is None:
         return out
-    d, e = masked
-    r_factor = w + e * u + d * v
-    if sess.is_alice:
-        r_factor += d * e
-    out[:batch] = c[:batch] * factor + flip[:batch] * r_factor
+    [e] = masked
+    out[:batch] = c[:batch] * factor + flip[:batch] * (e * r_ring[:batch] + rho)
     sess.transcript.ring_mults += batch
     return out
 

@@ -28,7 +28,10 @@ the round after both are known.
 
 `PrefixNetworkPlan.gate_groups` lists every AND gate a plan runs, the setup
 round's and the zero test's, and the prefix-network record deals exactly
-those gates' tuples.
+those gates' tuples.  A zero test's setup ANDs are one-sided: the dealer
+masks Alice's operand with a mask only she holds and Bob's with one only he
+holds, so each party opens one row per position instead of two.  The full
+decomposition keeps the two-sided setup.
 
 Because every node's signal pair never changes once created, a node is masked
 once for its whole lifetime: its masked (p, g) values are published in the
@@ -96,6 +99,7 @@ class PrefixNetworkPlan:
     masked_nodes: list = field(default_factory=list)    # nodes holding a lifetime mask, canonical order
     publish_at: dict = field(default_factory=dict)      # layer -> nodes whose masked values ride that round
     setup_ands: int = 0                                 # positions whose generate bit is read
+    setup_rows: int = 2                                 # operand rows a party opens per setup AND
     round_gates: dict = field(default_factory=dict)     # round -> the zero test's gates in it
 
     @property
@@ -120,7 +124,7 @@ class PrefixNetworkPlan:
     def mask_bits_per_element(self) -> int:
         """Online transfer per decomposed element: setup openings plus one
         2-bit masked publication per masked node."""
-        return 2 * self.setup_ands + 2 * len(self.masked_nodes)
+        return self.setup_rows * self.setup_ands + 2 * len(self.masked_nodes)
 
     def finalize(self):
         self._mask_lookup = {n: i for i, n in enumerate(self.masked_nodes)}
@@ -260,8 +264,10 @@ def plan_prefix_network(p: int, zero_start: int = 0) -> PrefixNetworkPlan:
         creation_layer=creation,
         masked_nodes=masked,
         publish_at=publish_at,
-        # the zero test reads no generate bit of the top position
+        # the zero test reads no generate bit of the top position, and its
+        # setup ANDs are one-sided: each party opens its own operand alone
         setup_ands=p - 1 if zero_start else p,
+        setup_rows=1 if zero_start else 2,
         round_gates=round_gates,
     )
     return plan.finalize()

@@ -20,11 +20,14 @@ they are taken.
 Every record writes its pure masks, those whose shares are uniform in both
 parties' hands, as one seed per party (`expand_seed`): the u and v of a
 pool of triples, over the ring or over Z_2, the Z_2 strings of a pool of
-daBits, the single masks of every AND gate and the node masks of a
-prefix-network block, and the U or V of a matrix record.  It writes whole
-only the shares of what depends on them: w = u·v or u AND v, the daBits'
-ring shares, each gate's products of two or more masks, the composition
-products, and W.  `layout` states both lists for every kind of record.  A
+daBits and the ring masks v of its factored ones, the single masks of every
+AND gate and the node masks of a prefix-network block, and the U or V of a
+matrix record.  The one-sided setup ANDs of a zero test are masked by a
+mask that one party holds whole: each party's seed expands to the mask of
+its own operand.  A record writes whole only the shares of what depends on
+the masks: w = u·v or u AND v, the daBits' ring shares and rho = r·v, each
+gate's products of two or more masks, the composition products, and W.
+`layout` states both lists for every kind of record.  A
 record keeps its seed and written parts; the masks its seed stands for are
 expanded once and kept beside it, and a take joins them with the written
 parts.  Loading expands every record before it returns, so the expansion is
@@ -59,7 +62,7 @@ TAG_SCALAR = 1      # pooled ring triples for elementwise multiplication
 TAG_MATMUL = 2      # matrix masks and their products, one block per record
 TAG_BIT = 3         # pooled AND triples for 2-input gates over Z_2
 TAG_PREFIXNET = 5   # per-decomposition mask schedule blocks
-TAG_CONVERSION = 6  # pooled daBits for bit-to-ring conversion
+TAG_CONVERSION = 6  # pooled daBits for bit-to-ring conversion, some with a product mask
 # Tag 4 held the conversion's ring triples up to protocol version 4.  It stays
 # unassigned, so a stream dealt for that conversion fails at load.
 
@@ -111,6 +114,33 @@ class MatmulDims(NamedTuple):
         }[kind]
 
 
+class DaBits(NamedTuple):
+    """Meta of one TAG_CONVERSION record: `bits` daBits, random bits r
+    shared both in Z_2 and in the ring, the first `factored` of which also
+    come with a ring mask v and the shares of rho = r·v, so that the product
+    of a converted bit with a ring factor opens only the factor's masked
+    value (see `engine.convert_bits_to_ring`).  Its int is `bits`, the
+    units a pool counts; a record of `factored` 0 is a plain daBit pool."""
+
+    bits: int
+    factored: int = 0
+
+    def __int__(self) -> int:
+        return self.bits
+
+
+class Part(NamedTuple):
+    """One part of a record as `layout` lists it: its shape, and `bits`,
+    None for ring elements, one word each, or the bits of each packed row,
+    whose words the last axis of `shape` holds.  A mask part that is `own`
+    is not shared: each party's seed expands to the whole mask of that
+    party's own operand, and the peer holds none of it."""
+
+    shape: tuple
+    bits: int | None
+    own: bool = False
+
+
 @dataclass
 class PrefixBlock:
     """One party's masks for a single batched bit decomposition.
@@ -119,7 +149,10 @@ class PrefixBlock:
     each (k, count) group of the plan's `gate_groups`, its AND tuples as a
     (2^k - 1, count, words) array, the `rs` of an `engine.and_gates` gate
     (see `subset_products`); the node masks have one row per masked node and
-    the composition products one row per composition, in plan order.
+    the composition products one row per composition, in plan order.  A
+    zero test's setup ANDs are one-sided (see `layout`), so their entry is
+    a (2, count, words) array: the whole mask of this party's own operand,
+    then its share of the product of the two operands' masks.
     """
 
     gates: list
@@ -140,19 +173,23 @@ _PRODUCTS = [s for s in range(15) if s not in _SINGLES]
 
 
 def _meta(tag: int, meta):
-    """A request's meta as records keep it: n for a pool, a MatmulDims for
-    matmul, (width, batch, zero_start) for prefix-network, where a request
-    of (width, batch) is the full decomposition, zero_start 0."""
+    """A request's meta as records keep it: n for a pool of triples, a
+    DaBits for daBits, where a request of n is n plain daBits, a MatmulDims
+    for matmul, (width, batch, zero_start) for prefix-network, where a
+    request of (width, batch) is the full decomposition, zero_start 0."""
     if tag == TAG_MATMUL:
         return MatmulDims(*meta)
     if tag == TAG_PREFIXNET:
         return (*meta, 0)[:3]
+    if tag == TAG_CONVERSION:
+        return DaBits(*meta) if isinstance(meta, tuple) else DaBits(int(meta))
     return meta
 
 
 def _units(tag: int, meta) -> int:
-    """Units a record holds: n for a pool of n triples, one block otherwise."""
-    return meta if tag in _POOLED else 1
+    """Units a record holds: n for a pool of n triples or daBits, one block
+    otherwise."""
+    return int(meta) if tag in _POOLED else 1
 
 
 @dataclass
@@ -219,48 +256,56 @@ def expand_seed(seed, count: int) -> np.ndarray:
 
 
 def layout(tag: int, meta) -> tuple:
-    """What a record of `tag` and `meta` holds, as two tuples of (shape,
-    bits) parts: the pure masks that its seed expands to, in the order the
-    seed's words fill them, then the shares of what depends on them that it
-    writes after the seed.  `bits` is None for ring elements, one word each,
-    and otherwise the bits of each packed row, whose words the last axis of
-    `shape` holds."""
+    """What a record of `tag` and `meta` holds, as two tuples of `Part`s:
+    the pure masks that its seed expands to, in the order the seed's words
+    fill them, then the shares of what depends on them that it writes after
+    the seed."""
     if tag in (TAG_SCALAR, TAG_BIT):  # u and v, then w = u·v over the ring or over Z_2
         size, bits = (meta, None) if tag == TAG_SCALAR else (word_count(meta), meta)
-        return (((2, size), bits),), (((size,), bits),)
-    if tag == TAG_CONVERSION:  # the Z_2 shares of r, then its ring shares
-        return (((word_count(meta),), meta),), (((meta,), None),)
+        return (Part((2, size), bits),), (Part((size,), bits),)
+    if tag == TAG_CONVERSION:
+        # the Z_2 shares of r and the ring masks v, then the ring shares of r
+        # and those of rho = r·v for the first `factored` daBits
+        bits, factored = meta
+        return ((Part((word_count(bits),), bits), Part((factored,), None)),
+                (Part((bits,), None), Part((factored,), None)))
     if tag == TAG_MATMUL:  # U or V, then W unless the record is U alone
         u, v, w = meta.shapes()
-        return ((u or v, None),), (() if w is None else ((w, None),))
+        return (Part(u or v, None),), (() if w is None else (Part(w, None),))
     if tag == TAG_PREFIXNET:
         width, batch, zero_start = meta
         plan = cached_plan(width, zero_start)
 
-        def rows(*shape):
-            return (*shape, word_count(batch)), batch
+        def rows(*shape, own=False):
+            return Part((*shape, word_count(batch)), batch, own)
 
         nodes, comps = rows(len(plan.masked_nodes)), rows(len(plan.compositions))
         # every gate group's single masks, then p and g; every group's
         # products of two or more masks, then pp and pg
-        return ((*(rows(k, count) for k, count in plan.gate_groups), nodes, nodes),
+        masks = [rows(k, count) for k, count in plan.gate_groups]
+        if zero_start:
+            # the setup ANDs a_i AND b_i are one-sided: Alice's seed expands
+            # to the whole mask u of her operand a, Bob's to the whole mask v
+            # of his b
+            masks[0] = rows(1, plan.setup_ands, own=True)
+        return ((*masks, nodes, nodes),
                 (*(rows((1 << k) - 1 - k, count) for k, count in plan.gate_groups),
                  comps, comps))
     raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 
 def _cut(words: np.ndarray, parts, params: FixedPointParams) -> list:
-    """Uniform `words` cut into the (shape, bits) `parts` of `layout`: ring
-    elements, cast down on a ring narrower than 64 bits, or packed rows,
-    their tail bits zeroed."""
+    """Uniform `words` cut into the `parts` of `layout`: ring elements,
+    cast down on a ring narrower than 64 bits, or packed rows, their tail
+    bits zeroed."""
     out = []
-    ends = np.cumsum([math.prod(shape) for shape, _ in parts])
-    for part, (shape, bits) in zip(np.split(words, ends[:-1]), parts):
-        if bits is None:
+    ends = np.cumsum([math.prod(spec.shape) for spec in parts])
+    for part, spec in zip(np.split(words, ends[:-1]), parts):
+        if spec.bits is None:
             part = part.astype(params.dtype, copy=False)
         else:
-            part.reshape(-1, word_count(bits))[:, -1] &= tail_mask(bits)
-        out.append(part.reshape(shape))
+            part.reshape(-1, word_count(spec.bits))[:, -1] &= tail_mask(spec.bits)
+        out.append(part.reshape(spec.shape))
     return out
 
 
@@ -294,8 +339,9 @@ class TrustedDealer:
             (uv,) = masks
             return [uv[0] * uv[1] if tag == TAG_SCALAR else uv[0] & uv[1]]
         if tag == TAG_CONVERSION:
-            (r,) = masks
-            return [unpack_rows(r[None], meta)[0].astype(self.params.dtype)]
+            r, v = masks
+            ring = unpack_rows(r[None], meta.bits)[0].astype(self.params.dtype)
+            return [ring, ring[:meta.factored] * v]
         if tag == TAG_PREFIXNET:
             *singles, p, g = masks
             plan = cached_plan(meta[0], meta[2])
@@ -321,22 +367,26 @@ class TrustedDealer:
         `part_shapes` lists them; `meta` is as in `generate`.  The record's
         generator draws both parties' seeds, then Alice's shares of what
         depends on the masks, each mask the sum, or for bits the XOR, of the
-        two parties' expansions of it; Bob's shares are the rest.  Alice's
-        are the generator's raw words, cut like masks (see `_cut`)."""
+        two parties' expansions of it, or for an `own` part the two
+        expansions one after the other, Alice's first; Bob's shares are the
+        rest.  Alice's are the generator's raw words, cut like masks (see
+        `_cut`)."""
         meta = _meta(tag, meta)
         rng = self._rng(tag)
         seeds = rng.integers(0, 1 << 64, size=(2, SEED_WORDS), dtype=np.uint64)
         mask_parts, written = layout(tag, meta)
         masks, other = (expand_masks(seed, tag, meta, self.params) for seed in seeds)
-        for mask, more, (_, bits) in zip(masks, other, mask_parts):  # Alice's becomes the mask
-            if bits is None:
+        for i, (mask, more, spec) in enumerate(zip(masks, other, mask_parts)):
+            if spec.own:
+                masks[i] = np.concatenate([mask, more])
+            elif spec.bits is None:  # Alice's becomes the mask
                 mask += more
             else:
                 mask ^= more
         values = self._products(tag, meta, masks)
         alice = _cut(rng.bit_generator.random_raw(_size(written)), written, self.params)
-        bob = [value - share if bits is None else value ^ share
-               for value, share, (_, bits) in zip(values, alice, written)]
+        bob = [value - share if spec.bits is None else value ^ share
+               for value, share, spec in zip(values, alice, written)]
         return (seeds[0], *alice), (seeds[1], *bob)
 
     def generate(self, requests):
@@ -389,9 +439,8 @@ class MaterializedSource:
         self._expanded = {}  # record index -> the masks its seed expands to
 
     def append(self, tag: int, meta, parts):
-        """Add one record; `meta` is n for a pool, a MatmulDims for matmul
-        and (width, batch, zero_start) for prefix-network."""
-        self.records.append((tag, meta, parts))
+        """Add one record; `meta` is as a request gives it (see `_meta`)."""
+        self.records.append((tag, _meta(tag, meta), parts))
         self.buffer = None
 
     def check_plan(self, requests):
@@ -414,7 +463,9 @@ class MaterializedSource:
         reads (see `_expand`): the next `meta` units of a pool, from unit
         `start` on, or the whole next record, which must have this meta.  A
         pooled take that does not fit in what is left of its record raises
-        RandomnessUnderflowError, whatever a later record holds."""
+        RandomnessUnderflowError, whatever a later record holds, and so does a
+        take of more factored daBits than its record deals; one that does not
+        start at its record's first daBit raises ProtocolError."""
         n = _units(tag, meta)
         cur = self._cursors[tag]
         while cur.index < len(self.records) and self.records[cur.index][0] != tag:
@@ -424,13 +475,22 @@ class MaterializedSource:
                 raise RandomnessUnderflowError(
                     f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have 0")
             # an empty take past the last record reads an empty one
-            seed, *written = (np.zeros(*part) for part in part_shapes(tag, 0, self.params))
-            return expand_masks(seed, tag, 0, self.params), written, 0
+            empty = _meta(tag, 0)
+            seed, *written = (np.zeros(*part) for part in part_shapes(tag, empty, self.params))
+            return expand_masks(seed, tag, empty, self.params), written, 0
         _, rmeta, _ = self.records[cur.index]
         left = _units(tag, rmeta) - cur.offset
         if n > left:
             raise RandomnessUnderflowError(
                 f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have {left}")
+        if tag == TAG_CONVERSION and meta.factored:
+            if cur.offset:
+                raise ProtocolError(f"a take of factored daBits starts at daBit {cur.offset} "
+                                    f"of its record, not at its first")
+            if meta.factored > rmeta.factored:
+                raise RandomnessUnderflowError(
+                    f"conversion randomness exhausted: requested {meta.factored} factored "
+                    f"daBits, have {rmeta.factored}")
         if tag not in _POOLED and rmeta != meta:
             raise ProtocolError(
                 f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
@@ -472,17 +532,22 @@ class MaterializedSource:
         return _tuples(_read_rows(uv, start, rows, n // rows),
                        _read_rows(w, start, rows, n // rows)[None])
 
-    def take_dabits(self, nbits, rows=1):
-        """Next `nbits` daBits: the ring shares, one word per bit, and the
-        Z_2 shares as a (rows, word_count(nbits // rows)) matrix of packed
-        rows."""
-        (bits,), (ring,), start = self._take(TAG_CONVERSION, nbits)
-        return ring[start:start + nbits], _read_rows(bits, start, rows, nbits // rows)
+    def take_dabits(self, nbits, rows=1, factored=0):
+        """Next `nbits` daBits: the ring shares, one word per bit, the Z_2
+        shares as a (rows, word_count(nbits // rows)) matrix of packed rows,
+        and the ring masks v and shares of rho = r·v of the first `factored`
+        of them (see `DaBits`).  A factored take starts at its record's
+        first daBit."""
+        (bits, v), (ring, rho), start = self._take(TAG_CONVERSION, DaBits(nbits, factored))
+        return (ring[start:start + nbits], _read_rows(bits, start, rows, nbits // rows),
+                v[:factored], rho[:factored])
 
     def take_prefix_block(self, width, batch, zero_start=0) -> PrefixBlock:
         (*singles, mask_p, mask_g), (*products, prod_pp, prod_pg), _ = self._take(
             TAG_PREFIXNET, (width, batch, zero_start))
         gates = [_tuples(r, w) for r, w in zip(singles, products)]
+        if zero_start:  # one-sided setup ANDs: the own operand's mask, then w
+            gates[0] = np.concatenate([singles[0], products[0]])
         return PrefixBlock(gates, mask_p, mask_g, prod_pp, prod_pg)
 
 
@@ -529,12 +594,12 @@ def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
     one by it."""
     _, written = layout(tag, meta)
     return (((SEED_WORDS,), np.uint64),
-            *((shape, params.dtype if bits is None else np.uint64) for shape, bits in written))
+            *((spec.shape, params.dtype if spec.bits is None else np.uint64) for spec in written))
 
 
 def _size(parts) -> int:
     """Words of a record's parts, from their `part_shapes` or `layout`."""
-    return sum(math.prod(shape) for shape, _ in parts)
+    return sum(math.prod(part[0]) for part in parts)
 
 
 def _word_views(words: np.ndarray, pos: int, shapes) -> tuple:
@@ -555,8 +620,8 @@ def _record_header(tag: int, meta) -> tuple:
     tag_byte, m = tag, (meta, 0, 0)
     if tag == TAG_MATMUL:
         tag_byte, m = tag | meta.kind << _KIND_SHIFT, meta[:3]
-    elif tag == TAG_PREFIXNET:
-        m = meta
+    elif isinstance(meta, tuple):  # a prefix-network or daBit record
+        m = (*meta, 0)[:3]
     if not 0 <= m[0] < 1 << _TAG_SHIFT:
         raise ValueError(f"{_TAG_NAMES[tag]} record meta {m[0]} does not fit in "
                          f"{_TAG_SHIFT} bits")
@@ -585,6 +650,10 @@ def _record_meta(header, params: FixedPointParams) -> tuple:
             raise FormatError(f"randomness stream: prefix-network zero-test start {m2} "
                               f"outside 1..{m0 - 1}")
         return tag, (m0, m1, m2)
+    if tag == TAG_CONVERSION:
+        if m1 > m0:
+            raise FormatError(f"randomness stream: {m1} factored daBits in a record of {m0}")
+        return tag, DaBits(m0, m1)
     return tag, m0
 
 

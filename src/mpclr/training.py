@@ -14,7 +14,10 @@ encode(0.001) with 12 fractional bits is 4, an effective rate of about
 
 `iteration_steps` lists the rounds of one iteration once; the trusted
 initializer's request plan, `count_multiplications` and `count_traffic` are
-all sums and filters over that list.
+all sums and filters over that list.  The plan deals exactly the records a
+run takes, with no tail: one matrix record per product, one prefix-network
+record per decomposition, and one daBit record per conversion, which also
+deals the activation product's mask and its product with the daBits.
 
 The two plaintext trainers bracket the secure one: `train_plain_float` is
 textbook full gradient descent on reals, while `train_plain_fixed` replays
@@ -42,15 +45,11 @@ from .randomness import (
     TAG_CONVERSION,
     TAG_MATMUL,
     TAG_PREFIXNET,
-    TAG_SCALAR,
+    DaBits,
     MatmulDims,
 )
 from .sharing import word_count
 from .transport import FRAME_HEADER
-
-# Share of each pooled tag's planned use that the dealer adds as a tail, so
-# statistical paths never starve mid-run.
-POOL_SLACK = 0.05
 
 
 @dataclass(frozen=True)
@@ -209,16 +208,16 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
         Step("engine.matmul", ((TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE)),), m1,
              ring=n * m1),
         # setup round: the generate signal of every bit position the network
-        # reads, two operands opened
-        Step("bitops.decompose", ((TAG_PREFIXNET, (width, n, a)),), 2 * setup * row,
-             bit=setup * n),
+        # reads, each party's own operand opened alone
+        Step("bitops.decompose", ((TAG_PREFIXNET, (width, n, a)),),
+             plan.setup_rows * setup * row, bit=setup * n),
         # the network's rounds, which also carry the zero test's gates
         *(Step("bitops.decompose", (), layer.opened_rows * row, bit=layer.and_count * n)
           for layer in plan.rounds),
         # both bits are converted to ring shares against daBits, opened as two
-        # rows; the same frame opens the Beaver operands of d's daBit times z'
-        Step("activation.convert", ((TAG_CONVERSION, 2 * n), (TAG_SCALAR, n)), 2 * row + 2 * n,
-             ring=n),
+        # rows; the same frame opens z' - v for d's daBit times z', against
+        # the mask v and rho = r·v dealt with d's daBits
+        Step("activation.convert", ((TAG_CONVERSION, DaBits(2 * n, n)),), 2 * row + n, ring=n),
         Step("engine.gradient", ((TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE_T)),), n,
              ring=n * m1),
     ]
@@ -262,18 +261,14 @@ def training_randomness_requests(n_samples: int, n_features: int, cfg: TrainingC
     """Request plan the trusted initializer uses to provision one training run.
 
     One mask record for X, then every iteration's records in the order its
-    rounds take them.  Every record writes its pure masks as one 2-word seed
-    (see `randomness.layout`), so the mask record is 2 words whatever n
-    x m1, the record for X·w is 2 + n words and the one for Xᵀ·(t - o) 2 +
-    m1.  Pooled tags get a POOL_SLACK tail.
+    rounds take them, and nothing more: a run takes every unit it is dealt.
+    Every record writes its pure masks as one 2-word seed (see
+    `randomness.layout`), so the mask record is 2 words whatever n x m1,
+    the record for X·w is 2 + n words and the one for Xᵀ·(t - o) 2 + m1.
     """
     if not cfg.n_iter:
         return []
     n, m1 = n_samples, n_features + 1
     per_iter = [request for step in iteration_steps(n, m1, cfg.params)
                 for request in step.requests]
-    requests = [(TAG_MATMUL, MatmulDims(n, m1, 0, MATMUL_MASK))] + per_iter * cfg.n_iter
-    for tag in (TAG_SCALAR, TAG_CONVERSION):
-        total = cfg.n_iter * sum(units for rtag, units in per_iter if rtag == tag)
-        requests.append((tag, int(np.ceil(total * POOL_SLACK))))
-    return requests
+    return [(TAG_MATMUL, MatmulDims(n, m1, 0, MATMUL_MASK))] + per_iter * cfg.n_iter

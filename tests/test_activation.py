@@ -188,7 +188,7 @@ class TestOpenedValuesLookUniform:
             assert c.shape == (2, 1)
             c_ones += unpack_rows(c, 1)[:, 0]
         total = counts.sum()
-        assert total == 2000  # the two masked operands of r·z', opened with c, per run
+        assert total == 1000  # the masked z' - v of r·z', opened with c, per run
         expected = total / 256
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 330, chi2

@@ -364,9 +364,9 @@ class TestConversionWithFactor:
             for sess in (sa, sb):
                 assert sess.transcript.rounds == 1
                 assert (sess.transcript.ring_mults, sess.transcript.bit_mults) == (batch, 0)
-            # the masked r - u and factor - v, then both rows of c
+            # the masked factor - v alone, then both rows of c
             assert sa.transcript.bytes_sent == (FRAME_HEADER.size
-                                                + 8 * (2 * batch + 2 * word_count(batch)))
+                                                + 8 * (batch + 2 * word_count(batch)))
 
     def test_without_factor_sends_a_plain_conversions_frames(self):
         # digests of a conversion of two 65-bit rows before the factor existed,

@@ -41,6 +41,11 @@ stream and frame digests moved, and the weight shares did not.  Protocol
 version 15 deals a bit-pool record as AND triples, u and v from the seed and
 w written, instead of 4-input tuples; training deals no such record, so the
 stream digests moved through the version field of the file header alone.
+Protocol version 16 opens only what needs opening: the conversion's product
+runs against its own daBits, with rho = r·v dealt in their record in place
+of a ring triple, and the zero test's setup ANDs are one-sided, each
+party's operand masked by a mask only it holds; the pools lost their 5%
+tail.  The stream and frame digests moved, and the weight shares did not.
 """
 
 import hashlib
@@ -58,20 +63,20 @@ from helpers import protocol_pair, separable_toy
 
 GOLDEN = {
     64: {
-        "crn1": ("67f0f94f2f0073d826e4360a40537d211c28f965347006cecae1b2b945d634a7",
-                 "a6067f2fc2f2afbc4e44dc12c13e140806ff4f84eacbf1a4bc9b6208377ef58a"),
-        "sent": ("f5ccb5ec807b39cfb3431043488f415da3e9500275be5251042b1b00a181f62f",
-                 "6b80694d6af139153671295056c4681ac08fbc43231a19cb930ce2f45b480dbc"),
+        "crn1": ("855076b13bc13427fa7b9457f7dd851136ff84103d13b8faf8eba416f26df582",
+                 "75db5043acb8e479bb01a16581118d16b749569f86f84905a02f093e22016111"),
+        "sent": ("84c8550fa0c1b48f736670c594993ad2f34e576ea3b4e64446c0501349defe47",
+                 "02574ed07f863cf3896cf1ca586d99f59b31262bb2d0ae4804be7e6873d1c297"),
         "weights": ([19138880305724, 24006652041723, 27370254117660, 29159159964231,
                      20729159496846],
                     [18446724934829245821, 18446720067057510807, 18446716703455434286,
                      18446714914549587355, 18446723344550054877]),
     },
     77: {
-        "crn1": ("42c7f5158deb25f61f01fdaaa2cfa3d6382647652e2d6a94af5769473f6db6d8",
-                 "8812d1b2671c31b025ee3dc56b5f7ad8097aaa8bfa5d50a2170ca6b0dc0788c3"),
-        "sent": ("3559e10832de4e5bafc423bd9aedfde519aa2371c32e3a00b79bfbcffce02a67",
-                 "57352ee7c391f559474a196c7533a15c95ae0ec7eff9fa35298a4ef3715bd4d7"),
+        "crn1": ("77ef134da3964ffcf73e556fcba96be3972a87148aa1fc97b48dcd852fb92396",
+                 "19e67e93ab2fc8747e84d569129f87127869cc8bbcfa541ccacaf3e4e8ffa277"),
+        "sent": ("20295c74b8b86b6eeb98b7b65a534d8345cc52e5e2134cd25cfb71d23f759368",
+                 "096e5453c38c94b3aff74cebaa26b46f25634088643a6f1d4b34141b5c55a7e9"),
         "weights": ([28066745343120, 29264249119107, 33640938008250, 9058849979089,
                      40782814463658],
                     [18446716006964208446, 18446714809460433486, 18446710432771543850,

@@ -24,6 +24,7 @@ from mpclr.randomness import (
     TAG_MATMUL,
     TAG_PREFIXNET,
     TAG_SCALAR,
+    DaBits,
     MatmulDims,
     OnDemandSource,
     TrustedDealer,
@@ -77,17 +78,19 @@ class TestTripleGeneration:
         # since protocol version 12 a record's generator draws the two
         # parties' seeds, then Alice's shares of the products as raw words,
         # cast down in the ring or with the tail bits of each row zeroed
-        for tag, meta in [(TAG_SCALAR, 5), (TAG_BIT, 77), (TAG_CONVERSION, 77),
-                          (TAG_PREFIXNET, (8, 77))]:
+        for tag, meta in [(TAG_SCALAR, 5), (TAG_BIT, 77), (TAG_CONVERSION, DaBits(77, 30)),
+                          (TAG_PREFIXNET, (8, 77)), (TAG_PREFIXNET, (8, 77, 4))]:
             a, b = TrustedDealer(4, P16).block(tag, meta)
             rng = TrustedDealer(4, P16)._rng(tag)
             seeds = rng.integers(0, 1 << 64, size=(2, 2), dtype=np.uint64)
             assert np.array_equal(a[0], seeds[0]) and np.array_equal(b[0], seeds[1])
-            shares = np.concatenate([part.reshape(-1, part.shape[-1]) for part in a[1:]])
-            words = rng.bit_generator.random_raw(shares.size).reshape(shares.shape)
             if tag in (TAG_SCALAR, TAG_CONVERSION):
+                shares = np.concatenate([part.ravel() for part in a[1:]])
+                words = rng.bit_generator.random_raw(shares.size)
                 assert np.array_equal(shares, words.astype(P16.dtype))
             else:
+                shares = np.concatenate([part.reshape(-1, part.shape[-1]) for part in a[1:]])
+                words = rng.bit_generator.random_raw(shares.size).reshape(shares.shape)
                 words[:, -1] &= tail_mask(meta[1] if tag == TAG_PREFIXNET else meta)
                 assert np.array_equal(shares, words)
 
@@ -134,8 +137,9 @@ class TestTripleGeneration:
 
 
     def test_zero_test_block_consistency(self):
-        # one tuple group per gate group: the setup ANDs of positions 1..7,
-        # the 3-input gate over the terms, and the final AND
+        # one tuple group per gate group: the one-sided setup ANDs of
+        # positions 1..7, each party's whole operand mask and its share of
+        # their product, the 3-input gate over the terms, and the final AND
         width, batch, start = 8, 5, 4
         src_a, src_b = (deserialize_stream(serialize_stream(s), P16) for s in
                         TrustedDealer(7, P16).generate([(TAG_PREFIXNET, (width, batch, start))]))
@@ -144,8 +148,10 @@ class TestTripleGeneration:
         blk_b = src_b.take_prefix_block(width, batch, start)
         plan = cached_plan(width, start)
         assert plan.gate_groups == [(2, width - 1), (3, 1), (2, 1)]
-        assert [g.shape for g in blk_a.gates] == [(3, width - 1, 1), (7, 1, 1), (3, 1, 1)]
-        for ga, gb in zip(blk_a.gates, blk_b.gates):
+        assert [g.shape for g in blk_a.gates] == [(2, width - 1, 1), (7, 1, 1), (3, 1, 1)]
+        (u, wa), (v, wb) = blk_a.gates[0], blk_b.gates[0]
+        assert np.array_equal(wa ^ wb, u & v)
+        for ga, gb in zip(blk_a.gates[1:], blk_b.gates[1:]):
             opened = ga ^ gb
             k = (len(opened) + 1).bit_length() - 1
             assert np.array_equal(opened, subset_products(opened[[(1 << i) - 1 for i in range(k)]]))
@@ -162,7 +168,7 @@ class TestStreams:
         (TAG_MATMUL, MatmulDims(2, 3, 0, MATMUL_MASK)),
         (TAG_MATMUL, MatmulDims(2, 3, 1, MATMUL_REUSE)),
         (TAG_BIT, 130),
-        (TAG_CONVERSION, 4),
+        (TAG_CONVERSION, DaBits(4, 2)),
         (TAG_PREFIXNET, (8, 3)),
     ]
 
@@ -214,7 +220,7 @@ class TestStreams:
             words = np.frombuffer(buffer, np.uint8)
             assert words.ctypes.data % 8 == 0
             parts = [p for _, _, ps in source.records for p in ps]
-            assert len(parts) == 13
+            assert len(parts) == 14
             for part in parts:
                 assert part.flags.aligned and not part.flags.writeable
                 assert np.shares_memory(part, words)
@@ -255,8 +261,8 @@ class TestStreams:
         finally:
             tracemalloc.stop()
         assert len(loaded[0].records) == len(requests)
-        masks = sum(math.prod(shape) for tag, meta in requests
-                    for shape, _ in layout(tag, meta)[0])
+        masks = sum(math.prod(part.shape) for tag, meta in requests
+                    for part in layout(tag, meta)[0])
         assert peak <= 1.3 * (sum(len(blob) for blob in blobs) + 2 * 8 * masks)
 
     def test_serializing_ignores_takes(self):
@@ -306,7 +312,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (15).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (16).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -414,7 +420,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 15 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 16 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -423,7 +429,8 @@ def take(source, tag, meta):
     if tag == TAG_SCALAR:
         return source.take_ring_triples(meta)
     if tag == TAG_CONVERSION:
-        return source.take_dabits(meta)
+        bits, factored = meta if isinstance(meta, tuple) else (meta, 0)
+        return source.take_dabits(bits, 1, factored)
     if tag == TAG_BIT:
         return source.take_bit_triples(meta)
     if tag == TAG_MATMUL:
@@ -445,8 +452,10 @@ def crn1_bytes(requests, params):
     words = 0
     for tag, meta in requests:
         words += 2  # every record's seed of its pure masks
-        if tag in (TAG_SCALAR, TAG_CONVERSION):
-            words += meta  # w, or the ring shares of the daBits
+        if tag == TAG_SCALAR:
+            words += meta  # w
+        elif tag == TAG_CONVERSION:
+            words += sum(meta)  # the ring shares of the daBits, then rho of the factored ones
         elif tag == TAG_BIT:
             words += packed(meta)  # w = u AND v
         elif tag == TAG_MATMUL:
@@ -667,7 +676,8 @@ class TestSeededPools:
 
     @staticmethod
     def pools(params, batch):
-        return [(TAG_SCALAR, batch), (TAG_BIT, batch), (TAG_CONVERSION, batch),
+        # the daBits of two rows, the first row's factored, as training deals them
+        return [(TAG_SCALAR, batch), (TAG_BIT, batch), (TAG_CONVERSION, DaBits(2 * batch, batch)),
                 (TAG_PREFIXNET, (params.ring_bits // 2 + 1, batch))]
 
     @pytest.mark.parametrize("params", [P16, P64])
@@ -676,7 +686,7 @@ class TestSeededPools:
         words = word_count(batch)
         width = params.ring_bits // 2 + 1
         comps = len(cached_plan(width).compositions)
-        written = {TAG_SCALAR: batch, TAG_BIT: words, TAG_CONVERSION: batch,
+        written = {TAG_SCALAR: batch, TAG_BIT: words, TAG_CONVERSION: 3 * batch,
                    TAG_PREFIXNET: (width + 2 * comps) * words}
         for tag, meta in self.pools(params, batch):
             for source in TrustedDealer(3, params).generate([(tag, meta)]):
@@ -694,14 +704,16 @@ class TestSeededPools:
         sizes = len(serialize_stream(src_a)), len(serialize_stream(src_b))
         assert sizes[0] == sizes[1] == crn1_bytes(requests, P64)
 
-    def test_tall_plan_takes_0_791_mb_per_iteration(self):
+    def test_tall_plan_takes_0_772_mb_per_iteration(self):
         # 16,000 x 10 for 20 iterations, the benchmark's tall workload: 1.692 MB
         # per iteration when every mask but X's was written whole, 0.973 MB
         # when the prefix network built every carry of 29 bits, 0.813 MB when
-        # the zero test's gates took whole 4-input tuples from a bit pool
+        # the zero test's gates took whole 4-input tuples from a bit pool,
+        # 0.791 MB when the conversion's product took a ring triple and the
+        # pools had a 5% tail
         cfg = TrainingConfig(eta=2.0 ** -12, n_iter=20, params=P64, seed=0)
         requests = training_randomness_requests(16_000, 9, cfg)
-        assert crn1_bytes(requests, P64) == 15_829_744 == 20 * 791_487.2
+        assert crn1_bytes(requests, P64) == 15_444_864 == 20 * 772_243.2
 
     @pytest.mark.parametrize("params", [P16, P64])
     @pytest.mark.parametrize("batch", [64, 225])
@@ -722,7 +734,7 @@ class TestSeededPools:
                     TAG_PREFIXNET: [*pa, *pb]}[tag]
             assert not any((part[..., -1] & unused).any() for part in bits)  # tail bits zero
             if tag in (TAG_SCALAR, TAG_CONVERSION):
-                assert all(p.dtype == params.dtype for p in (pa[0], pb[0]))
+                assert all(p.dtype == params.dtype for p in (pa[0], pb[0], pa[-1], pb[-1]))
             if tag == TAG_SCALAR:
                 (ua, va, wa), (ub, vb, wb) = pa, pb
                 assert np.array_equal((ua + ub) * (va + vb), wa + wb)
@@ -731,9 +743,11 @@ class TestSeededPools:
                 u, v, w = pa ^ pb
                 assert np.array_equal(w, u & v)
             elif tag == TAG_CONVERSION:
-                (ring_a, bits_a), (ring_b, bits_b) = pa, pb
-                r = unpack_rows(bits_a ^ bits_b, batch)[0].astype(params.dtype)
+                (ring_a, bits_a, va, rho_a), (ring_b, bits_b, vb, rho_b) = pa, pb
+                r = unpack_rows(bits_a ^ bits_b, 2 * batch)[0].astype(params.dtype)
                 assert np.array_equal(ring_a + ring_b, r)
+                assert va.shape == rho_a.shape == (batch,)
+                assert np.array_equal(rho_a + rho_b, r[:batch] * (va + vb))
             else:
                 setup, mask_p, mask_g, prod_pp, prod_pg = (x ^ y for x, y in zip(pa, pb))
                 assert np.array_equal(setup[2], setup[0] & setup[1])
@@ -770,9 +784,13 @@ class TestGateGroupRecords:
         meta = (width, self.BATCH, start)
         nodes, comps = (len(plan.masked_nodes), words), (len(plan.compositions), words)
         masks, written = layout(TAG_PREFIXNET, meta)
-        assert {bits for _, bits in masks + written} == {self.BATCH}
-        assert [shape for shape, _ in masks] == [
-            *((k, count, words) for k, count in groups), nodes, nodes]
+        assert {part.bits for part in masks + written} == {self.BATCH}
+        # a zero test's setup ANDs are one-sided: each party's seed expands
+        # to the whole mask of its own operand, one row per gate
+        assert [part.own for part in masks] == [start > 0] + [False] * (len(masks) - 1)
+        assert [part.shape for part in masks] == [
+            (1 if start else 2, groups[0][1], words),
+            *((k, count, words) for k, count in groups[1:]), nodes, nodes]
         assert [shape for shape, _ in part_shapes(TAG_PREFIXNET, meta, P64)] == [
             (2,), *(((1 << k) - 1 - k, count, words) for k, count in groups), comps, comps]
 
@@ -784,7 +802,13 @@ class TestGateGroupRecords:
         blk_a, blk_b = src_a.take_prefix_block(*meta), src_b.take_prefix_block(*meta)
         groups = cached_plan(width, start).gate_groups
         assert len(blk_a.gates) == len(blk_b.gates) == len(groups)
-        for (k, count), ga, gb in zip(groups, blk_a.gates, blk_b.gates):
+        gates = list(zip(groups, blk_a.gates, blk_b.gates))
+        if start:
+            # one-sided: Alice's whole mask u and Bob's v open the tuple
+            (_, (u, wa), (v, wb)), *gates = gates
+            gates.insert(0, (groups[0], np.stack([u, np.zeros_like(u), wa]),
+                             np.stack([np.zeros_like(v), v, wb])))
+        for (k, count), ga, gb in gates:
             opened = ga ^ gb
             assert opened.shape == ((1 << k) - 1, count, word_count(self.BATCH))
             assert not (opened[..., -1] & ~tail_mask(self.BATCH)).any()

@@ -1,5 +1,4 @@
 import itertools
-import math
 from collections import Counter
 
 import numpy as np
@@ -30,9 +29,9 @@ from mpclr.randomness import (
     deserialize_stream,
     serialize_stream,
 )
-from mpclr.training import POOL_SLACK, iteration_steps
+from mpclr.training import iteration_steps
 from mpclr.transport import FRAME_HEADER
-from mpclr.sharing import split_array
+from mpclr.sharing import split_array, word_count
 
 from helpers import protocol_pair, separable_toy
 
@@ -273,13 +272,8 @@ class TestSecureTraining:
         )
         plan = training_randomness_requests(ds.n_samples, ds.n_weights - 1, cfg)
         for sess in (sa, sb):
-            taken = [(tag, meta) for tag, meta, _ in sess.randomness.records]
-            blocks = (TAG_MATMUL, TAG_PREFIXNET)
-            assert [r for r in taken if r[0] in blocks] == [r for r in plan if r[0] in blocks]
-            for tag in (TAG_SCALAR, TAG_BIT, TAG_CONVERSION):
-                used = sum(meta for rtag, meta in taken if rtag == tag)
-                *body, tail = [meta for rtag, meta in plan if rtag == tag] or [0]
-                assert (sum(body), tail) == (used, math.ceil(used * POOL_SLACK)), tag
+            # record for record, with no tail: every pooled request is taken whole
+            assert [(tag, meta) for tag, meta, _ in sess.randomness.records] == plan
 
     def test_dimension_mismatch_aborts(self):
         from mpclr.errors import ProtocolError
@@ -315,6 +309,32 @@ class TestScoring:
         w = rng.normal(0, 1, 4)
         score = predict_and_score(w, X, t)
         assert abs(score - 0.5) < 0.05
+
+
+class TestRequestPlanContract:
+    """What the benchmark reads of a request plan: it names each request's
+    tag, counts a pooled request as int(meta) units, and deals each tag's
+    requests on their own."""
+
+    TAGS = {TAG_SCALAR, TAG_MATMUL, TAG_BIT, TAG_PREFIXNET, TAG_CONVERSION}
+
+    @pytest.mark.parametrize("n,features,params", [
+        (64, 9, P64),    # tall, toy size
+        (8, 299, P64),   # wide, toy size
+        (9, 3, FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)),
+    ])
+    def test_requests_use_assigned_tags_and_int_units(self, n, features, params):
+        cfg = TrainingConfig(eta=0.25, n_iter=2, params=params, seed=3)
+        requests = training_randomness_requests(n, features, cfg)
+        assert {tag for tag, _ in requests} <= self.TAGS
+        for tag in self.TAGS:
+            mine = [request for request in requests if request[0] == tag]
+            source, _ = TrustedDealer(3, params).generate(mine)
+            for (_, meta), (_, _, parts) in zip(mine, source.records, strict=True):
+                if tag in (TAG_SCALAR, TAG_CONVERSION):  # one ring word per triple or daBit
+                    assert int(meta) == len(parts[1])
+                elif tag == TAG_BIT:
+                    assert parts[1].shape == (word_count(int(meta)),)
 
 
 class TestCostAccounting:

@@ -14,22 +14,24 @@ from mpclr import (
 )
 from mpclr.activation import batch_activate
 from mpclr.bitops import _from_slices, _to_slices
-from mpclr.errors import RandomnessUnderflowError
+from mpclr.errors import FormatError, ProtocolError, RandomnessUnderflowError
 from mpclr.randomness import (
     TAG_BIT,
     TAG_CONVERSION,
     TAG_SCALAR,
+    DaBits,
     MaterializedSource,
     OnDemandSource,
     TrustedDealer,
     deserialize_stream,
     serialize_stream,
 )
-from mpclr.sharing import ones_row, pack_rows, tail_mask, word_count
+from mpclr.sharing import ones_row, pack_rows, tail_mask, unpack_rows, word_count
 from mpclr.transport import FRAME_HEADER
 
 from helpers import dealt_parts, protocol_pair, whole_record
 
+P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
 P64 = FixedPointParams()
 
 BATCHES = [1, 63, 64, 65, 225, 16_000]
@@ -254,7 +256,7 @@ class PerBitDabits:
         self.pairs = []
 
     def append(self, nbits, parts):
-        ring, bits = parts
+        ring, bits, *_ = parts
         self.pairs += zip((int(v) for v in ring), bit_list(bits, nbits), strict=True)
 
     def take(self, nbits):
@@ -263,16 +265,16 @@ class PerBitDabits:
 
 
 class TestDabitPool:
-    # 77 samples for 3 iterations: three records of 154 daBits, then a
-    # POOL_SLACK tail of 24
+    # 77 samples for 3 iterations: three records of 154 daBits, the first
+    # 77 of each factored, and no tail
     CFG = TrainingConfig(eta=0.05, n_iter=3, params=P64, seed=8)
     # the takes from each record in turn, each inside its record
-    TAKES = [[5, 64, 85], [1, 63, 90], [65, 2, 87], [24]]
+    TAKES = [[5, 64, 85], [1, 63, 90], [65, 2, 87]]
 
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 225])
     def test_ring_shares_sum_to_the_xor_of_bit_shares(self, batch):
-        (ring_a, bits_a), (ring_b, bits_b) = dealt_parts(TrustedDealer(batch, P64),
-                                                         TAG_CONVERSION, batch)
+        (ring_a, bits_a, *_), (ring_b, bits_b, *_) = dealt_parts(TrustedDealer(batch, P64),
+                                                                 TAG_CONVERSION, batch)
         assert ring_a.shape == (batch,) and bits_a.shape == (word_count(batch),)
         r = bits_a ^ bits_b
         assert words_to_int(r, 64 * len(r)) < 1 << batch  # tail bits are zero
@@ -280,13 +282,14 @@ class TestDabitPool:
 
     def plan_records(self):
         requests = training_randomness_requests(77, 4, self.CFG)
-        sizes = [meta for tag, meta in requests if tag == TAG_CONVERSION]
-        assert sizes == [154, 154, 154, 24] == [sum(takes) for takes in self.TAKES]
-        return requests, sizes
+        metas = [meta for tag, meta in requests if tag == TAG_CONVERSION]
+        assert metas == [DaBits(154, 77)] * 3
+        assert [int(meta) for meta in metas] == [sum(takes) for takes in self.TAKES]
+        return requests, metas
 
     def check_takes(self, source, ref, takes):
         for n in takes:
-            ring, bits = source.take_dabits(n)
+            ring, bits, *_ = source.take_dabits(n)
             assert ring.shape == (n,) and bits.shape == (1, word_count(n))
             want = ref.take(n)
             assert [int(v) for v in ring] == [r for r, _ in want]
@@ -295,14 +298,14 @@ class TestDabitPool:
 
     @pytest.mark.parametrize("through_file", [False, True])
     def test_takes_cut_the_plan_records(self, through_file):
-        requests, sizes = self.plan_records()
+        requests, metas = self.plan_records()
         src_a, _ = TrustedDealer(8, P64).generate(requests)
         if through_file:
             src_a = deserialize_stream(serialize_stream(src_a), P64)
         ref = PerBitDabits()
         dealer = TrustedDealer(8, P64)
-        for n in sizes:
-            ref.append(n, dealt_parts(dealer, TAG_CONVERSION, n)[0])
+        for meta in metas:
+            ref.append(int(meta), dealt_parts(dealer, TAG_CONVERSION, meta)[0])
         self.check_takes(src_a, ref, sum(self.TAKES, []))
 
     def test_take_past_its_record_underflows(self):
@@ -317,14 +320,16 @@ class TestDabitPool:
         # before, between and after records of 64 used up, ring triples alike
         source, _ = TrustedDealer(9, P64).generate([(TAG_CONVERSION, 64), (TAG_SCALAR, 64)] * 2)
         for n in (0, 64, 0, 64, 0, 0):
-            ring, bits = source.take_dabits(n)
+            ring, bits, v, rho = source.take_dabits(n)
             triples = source.take_ring_triples(n)
             assert all(part.shape == (n,) and part.dtype == P64.dtype for part in (ring, *triples))
             assert bits.shape == (1, word_count(n))
+            assert v.shape == rho.shape == (0,)
             if not n:
                 assert np.array_equal(bits, np.zeros((1, 1), np.uint64))
-        ring, bits = MaterializedSource(P64).take_dabits(0)
-        assert ring.shape == (0,) and np.array_equal(bits, np.zeros((1, 1), np.uint64))
+        ring, bits, v, rho = MaterializedSource(P64).take_dabits(0)
+        assert ring.shape == v.shape == rho.shape == (0,)
+        assert np.array_equal(bits, np.zeros((1, 1), np.uint64))
 
     @ROW_BATCHES
     @ROW_COUNTS
@@ -333,8 +338,8 @@ class TestDabitPool:
         for role in Role:
             source, reads = row_reads(TAG_CONVERSION, rows, role, on_demand,
                                       [rows * batch, batch])
-            for nrows, ((ring, bits), start) in zip((rows, 1), reads):
-                got_ring, got_bits = source.take_dabits(nrows * batch, rows=nrows)
+            for nrows, ((ring, bits, *_), start) in zip((rows, 1), reads):
+                got_ring, got_bits, *_ = source.take_dabits(nrows * batch, rows=nrows)
                 assert np.array_equal(got_ring, ring[start:start + nrows * batch])
                 assert got_bits.shape == (nrows, word_count(batch))
                 assert np.array_equal(got_bits, expected_rows(bits, start, nrows, batch))
@@ -349,13 +354,79 @@ class TestDabitPool:
             self.check_takes(source, ref, [n])
 
 
+class TestFactoredDabits:
+    """A daBit record of DaBits(bits, factored) also deals, with its first
+    `factored` daBits r, a ring mask v from its seed and the written shares
+    of rho = r·v: the conversion's product of row 0 with a ring factor."""
+
+    @pytest.mark.parametrize("params", [P16, P64], ids=["ring16", "ring64"])
+    @pytest.mark.parametrize("batch", [1, 64, 65, 225])
+    def test_loaded_and_on_demand_takes_agree_and_rho_is_r_times_v(self, params, batch):
+        # the takes of a conversion of two rows, the first factored
+        cfg = TrainingConfig(eta=0.05, n_iter=2, params=params, seed=batch)
+        requests = training_randomness_requests(batch, 2, cfg)
+        metas = [meta for tag, meta in requests if tag == TAG_CONVERSION]
+        assert metas == [DaBits(2 * batch, batch)] * 2
+        dealt = TrustedDealer(batch, params).generate(requests)
+        takes = []
+        for role, source in zip(Role, dealt):
+            loaded = deserialize_stream(serialize_stream(source), params)
+            on_demand = OnDemandSource(batch, role, params)
+            parts = [[s.take_dabits(2 * batch, 2, batch) for _ in metas]
+                     for s in (loaded, on_demand)]
+            for ours, theirs in zip(*parts):
+                assert all(np.array_equal(x, y) for x, y in zip(ours, theirs, strict=True))
+            takes.append(parts[0])
+        for (ring_a, bits_a, va, rho_a), (ring_b, bits_b, vb, rho_b) in zip(*takes):
+            assert va.shape == rho_a.shape == (batch,) and rho_a.dtype == params.dtype
+            r = unpack_rows(bits_a ^ bits_b, batch).reshape(-1).astype(params.dtype)
+            assert np.array_equal(ring_a + ring_b, r)
+            assert np.array_equal(rho_a + rho_b, r[:batch] * (va + vb))
+
+    @pytest.mark.parametrize("factored", [0, 1, 37, 100])
+    def test_record_writes_rho_after_the_ring_shares(self, factored):
+        # the header's second word is the factored count; a plain record's
+        # bytes are those of the daBit pool before factored daBits existed
+        for source in TrustedDealer(3, P64).generate([(TAG_CONVERSION, DaBits(100, factored))]):
+            data = serialize_stream(source)
+            assert len(data) == 24 + 24 + 8 * (2 + 100 + factored)
+            header = np.frombuffer(data, np.uint64)[3:6]
+            assert header.tolist() == [TAG_CONVERSION << 56 | 100, factored, 0]
+            (_, meta, (seed, ring, rho)), = deserialize_stream(data, P64).records
+            assert meta == DaBits(100, factored) and int(meta) == 100
+            assert (seed.shape, ring.shape, rho.shape) == ((2,), (100,), (factored,))
+
+    def test_more_factored_than_daBits_is_refused_at_load(self):
+        source, _ = TrustedDealer(3, P64).generate([(TAG_CONVERSION, DaBits(100, 37))])
+        words = np.frombuffer(serialize_stream(source), np.uint64).copy()
+        words[4] = 101
+        with pytest.raises(FormatError, match="101 factored daBits in a record of 100"):
+            deserialize_stream(words.tobytes(), P64)
+
+    def test_factored_take_starts_its_record(self):
+        source, _ = TrustedDealer(4, P64).generate([(TAG_CONVERSION, DaBits(10, 4))])
+        source.take_dabits(3)
+        with pytest.raises(ProtocolError, match="starts at daBit 3 of its record"):
+            source.take_dabits(7, 1, 4)
+
+    def test_factored_take_past_its_record_underflows(self):
+        source, _ = TrustedDealer(4, P64).generate([(TAG_CONVERSION, DaBits(10, 4))])
+        with pytest.raises(RandomnessUnderflowError,
+                           match="^conversion randomness exhausted: requested 5 factored "
+                                 "daBits, have 4$"):
+            source.take_dabits(10, 1, 5)
+        with pytest.raises(RandomnessUnderflowError, match="requested 11, have 10$"):
+            source.take_dabits(11, 1, 4)
+
+
 def test_empty_batch_sends_the_same_frames():
     # sent-frame digest of an activation over no values: every opened bit
-    # row, the conversion's two daBit-masked rows among them, is one zero word
+    # row, the conversion's two daBit-masked rows among them, is one zero
+    # word; each party opens one setup row per position of the zero test
     empty = np.zeros(0, dtype=np.uint64)
     ra, _, sa, sb = protocol_pair(P64, lambda s: batch_activate(s, empty),
                                   lambda s: batch_activate(s, empty))
     assert ra.shape == (0,)
-    assert sa.transcript.bytes_sent == 1539
-    expected = "0abb471868727c644422ac3458546ba2f55126c11f0e09da0aacce75dcd3cfcc"
+    assert sa.transcript.bytes_sent == 1323
+    expected = "33b39f64d3ae7b84307c7e4ac2b6a3cc34d8202aab912fa9866670a032d61488"
     assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
