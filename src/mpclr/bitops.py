@@ -146,15 +146,13 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     if zero_start:
         # One-sided: each party holds the whole mask of its own operand and
         # none of its peer's, so it sends its own operand masked, and the
-        # rows are swapped, not summed.  Alice's tuple is (u, 0, w_A) and
-        # Bob's (0, v, w_B).
+        # rows are swapped, not summed.  Alice holds a and its mask u, Bob b
+        # and its mask v, and w_A XOR w_B = u AND v, so a AND b is the XOR
+        # of Alice's a AND (b XOR v) XOR w_A and Bob's v AND (a XOR u) XOR w_B.
         mask, w = next(tuples)
-        mine = own[:setup] ^ mask
-        theirs = sess.swap([mine]).reshape(mine.shape)
-        zero = np.zeros_like(mask)
-        rs, opened = (((mask, zero, w), (mine, theirs)) if sess.is_alice
-                      else ((zero, mask, w), (theirs, mine)))
-        [g_setup] = finish_and_gates(sess, [(opened, np.stack(rs))], opened, batch)
+        theirs = sess.swap([own[:setup] ^ mask]).reshape(mask.shape)
+        g_setup = (own[:setup] if sess.is_alice else mask) & theirs ^ w
+        sess.transcript.bit_mults += setup * batch
     else:
         zero = np.zeros_like(own)
         a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)

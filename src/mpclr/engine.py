@@ -312,8 +312,7 @@ def convert_bits_to_ring(sess: Session, rows, batch: int, factor=None) -> np.nda
     """
     dtype = sess.params.dtype
     rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
-    factored = 0 if factor is None else batch
-    r_ring, r_bits, v, rho = sess.randomness.take_dabits(len(rows) * batch, len(rows), factored)
+    r_ring, r_bits, v, rho = sess.randomness.take_dabits(len(rows), batch, factor is not None)
     ring = []
     if factor is not None:
         factor = np.asarray(factor, dtype=dtype)

@@ -48,8 +48,6 @@ class FixedPointParams:
                 f"ring_bits must be at least 2*(frac_bits+int_bits)="
                 f"{2 * (self.frac_bits + self.int_bits)}, got {self.ring_bits}"
             )
-        if self.frac_bits + self.int_bits + 2 > self.ring_bits:
-            raise ValueError("need frac_bits + int_bits + 2 <= ring_bits")
 
     @property
     def modulus(self) -> int:

@@ -7,7 +7,7 @@ two parties' files are always consistent.  Consumption is strict FIFO per tag:
 both parties issue identical requests in identical order, which is what keeps
 their shares aligned without negotiation.  A stream holds exactly the records
 of its run's request plan, so a pooled take reads inside one record and never
-gathers units from the next.
+gathers units from the next, and every other take reads one whole record.
 
 Every party stream is a MaterializedSource, a list of CRN1 records.  A dealt
 or loaded stream lives in one CRN1 buffer: the dealer lays both parties'
@@ -19,8 +19,8 @@ they are taken.
 
 Every record writes its pure masks, those whose shares are uniform in both
 parties' hands, as one seed per party (`expand_seed`): the u and v of a
-pool of triples, over the ring or over Z_2, the Z_2 strings of a pool of
-daBits and the ring masks v of its factored ones, the single masks of every
+pool of triples, over the ring or over Z_2, the Z_2 rows of a conversion's
+daBits and the ring masks v of its factored row, the single masks of every
 AND gate and the node masks of a prefix-network block, and the U or V of a
 matrix record.  The one-sided setup ANDs of a zero test are masked by a
 mask that one party holds whole: each party's seed expands to the mask of
@@ -62,7 +62,7 @@ TAG_SCALAR = 1      # pooled ring triples for elementwise multiplication
 TAG_MATMUL = 2      # matrix masks and their products, one block per record
 TAG_BIT = 3         # pooled AND triples for 2-input gates over Z_2
 TAG_PREFIXNET = 5   # per-decomposition mask schedule blocks
-TAG_CONVERSION = 6  # pooled daBits for bit-to-ring conversion, some with a product mask
+TAG_CONVERSION = 6  # the daBits of one bit-to-ring conversion, one block per record
 # Tag 4 held the conversion's ring triples up to protocol version 4.  It stays
 # unassigned, so a stream dealt for that conversion fails at load.
 
@@ -115,18 +115,20 @@ class MatmulDims(NamedTuple):
 
 
 class DaBits(NamedTuple):
-    """Meta of one TAG_CONVERSION record: `bits` daBits, random bits r
-    shared both in Z_2 and in the ring, the first `factored` of which also
-    come with a ring mask v and the shares of rho = r·v, so that the product
-    of a converted bit with a ring factor opens only the factor's masked
-    value (see `engine.convert_bits_to_ring`).  Its int is `bits`, the
-    units a pool counts; a record of `factored` 0 is a plain daBit pool."""
+    """Meta of one TAG_CONVERSION record: the daBits of one conversion of
+    `rows` packed rows of `batch` bits, random bits r shared both in Z_2
+    and in the ring.  With `factored` 1, row 0's daBits also come with a
+    ring mask v and the shares of rho = r·v, so that the product of a
+    converted bit with a ring factor opens only the factor's masked value
+    (see `engine.convert_bits_to_ring`).  Its int is `rows·batch`, the
+    daBits it deals."""
 
-    bits: int
+    rows: int
+    batch: int
     factored: int = 0
 
     def __int__(self) -> int:
-        return self.bits
+        return self.rows * self.batch
 
 
 class Part(NamedTuple):
@@ -162,7 +164,7 @@ class PrefixBlock:
     prod_pg: np.ndarray
 
 
-_POOLED = (TAG_SCALAR, TAG_CONVERSION, TAG_BIT)
+_POOLED = (TAG_SCALAR, TAG_BIT)
 
 # The strings of an AND tuple of up to four inputs, string S - 1 holding r_S:
 # the single masks r_i (S a power of two) expand from the seed, the other
@@ -174,21 +176,20 @@ _PRODUCTS = [s for s in range(15) if s not in _SINGLES]
 
 def _meta(tag: int, meta):
     """A request's meta as records keep it: n for a pool of triples, a
-    DaBits for daBits, where a request of n is n plain daBits, a MatmulDims
-    for matmul, (width, batch, zero_start) for prefix-network, where a
-    request of (width, batch) is the full decomposition, zero_start 0."""
+    DaBits for daBits, a MatmulDims for matmul, (width, batch, zero_start)
+    for prefix-network, where a request of (width, batch) is the full
+    decomposition, zero_start 0."""
     if tag == TAG_MATMUL:
         return MatmulDims(*meta)
     if tag == TAG_PREFIXNET:
         return (*meta, 0)[:3]
     if tag == TAG_CONVERSION:
-        return DaBits(*meta) if isinstance(meta, tuple) else DaBits(int(meta))
+        return DaBits(*meta)
     return meta
 
 
 def _units(tag: int, meta) -> int:
-    """Units a record holds: n for a pool of n triples or daBits, one block
-    otherwise."""
+    """Units a record holds: n for a pool of n triples, one block otherwise."""
     return int(meta) if tag in _POOLED else 1
 
 
@@ -264,11 +265,12 @@ def layout(tag: int, meta) -> tuple:
         size, bits = (meta, None) if tag == TAG_SCALAR else (word_count(meta), meta)
         return (Part((2, size), bits),), (Part((size,), bits),)
     if tag == TAG_CONVERSION:
-        # the Z_2 shares of r and the ring masks v, then the ring shares of r
-        # and those of rho = r·v for the first `factored` daBits
-        bits, factored = meta
-        return ((Part((word_count(bits),), bits), Part((factored,), None)),
-                (Part((bits,), None), Part((factored,), None)))
+        # the Z_2 rows of r and, if factored, row 0's ring masks v, then the
+        # ring shares of r and those of rho = r·v
+        rows, batch, factored = meta
+        factors = Part((factored * batch,), None)
+        return ((Part((rows, word_count(batch)), batch), factors),
+                (Part((rows * batch,), None), factors))
     if tag == TAG_MATMUL:  # U or V, then W unless the record is U alone
         u, v, w = meta.shapes()
         return (Part(u or v, None),), (() if w is None else (Part(w, None),))
@@ -340,8 +342,8 @@ class TrustedDealer:
             return [uv[0] * uv[1] if tag == TAG_SCALAR else uv[0] & uv[1]]
         if tag == TAG_CONVERSION:
             r, v = masks
-            ring = unpack_rows(r[None], meta.bits)[0].astype(self.params.dtype)
-            return [ring, ring[:meta.factored] * v]
+            ring = unpack_rows(r, meta.batch).reshape(-1).astype(self.params.dtype)
+            return [ring, ring[:len(v)] * v]
         if tag == TAG_PREFIXNET:
             *singles, p, g = masks
             plan = cached_plan(meta[0], meta[2])
@@ -396,9 +398,9 @@ class TrustedDealer:
         seeds are expanded at a record's first take, not here: the dealer
         has just drawn those masks.
 
-        Each request is (tag, meta): n for pools, MatmulDims for matmul,
-        (width, batch) or (width, batch, zero_start) for prefix-network
-        blocks.
+        Each request is (tag, meta): n for pools, DaBits for daBits,
+        MatmulDims for matmul, (width, batch) or (width, batch, zero_start)
+        for prefix-network blocks.
         """
         plan = [(tag, _meta(tag, meta)) for tag, meta in requests]
         streams = [_new_stream(self.params, self.session_id, plan) for _ in range(2)]
@@ -424,10 +426,11 @@ class MaterializedSource:
     or loaded stream's parts are read-only views into, None once a record is
     appended.  A take only moves a cursor over its tag's records, and reads
     inside one record: a pooled take that does not fit in what is left of
-    its record underflows.  It reads the masks that the record's seed
-    expands to, expanded once per record and kept read-only beside it, and
-    the record's written parts, and hands the bits of a pool back as the
-    rows its gate reads, not as the strings that the record holds them in.
+    its record underflows, and any other take reads one whole record.  It
+    reads the masks that the record's seed expands to, expanded once per
+    record and kept read-only beside it, and the record's written parts, and
+    hands the bits of a pool back as the rows its gate reads, not as the
+    strings that the record holds them in.
     """
 
     def __init__(self, params: FixedPointParams, session_id: int = 0):
@@ -463,9 +466,7 @@ class MaterializedSource:
         reads (see `_expand`): the next `meta` units of a pool, from unit
         `start` on, or the whole next record, which must have this meta.  A
         pooled take that does not fit in what is left of its record raises
-        RandomnessUnderflowError, whatever a later record holds, and so does a
-        take of more factored daBits than its record deals; one that does not
-        start at its record's first daBit raises ProtocolError."""
+        RandomnessUnderflowError, whatever a later record holds."""
         n = _units(tag, meta)
         cur = self._cursors[tag]
         while cur.index < len(self.records) and self.records[cur.index][0] != tag:
@@ -483,14 +484,6 @@ class MaterializedSource:
         if n > left:
             raise RandomnessUnderflowError(
                 f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have {left}")
-        if tag == TAG_CONVERSION and meta.factored:
-            if cur.offset:
-                raise ProtocolError(f"a take of factored daBits starts at daBit {cur.offset} "
-                                    f"of its record, not at its first")
-            if meta.factored > rmeta.factored:
-                raise RandomnessUnderflowError(
-                    f"conversion randomness exhausted: requested {meta.factored} factored "
-                    f"daBits, have {rmeta.factored}")
         if tag not in _POOLED and rmeta != meta:
             raise ProtocolError(
                 f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
@@ -532,15 +525,14 @@ class MaterializedSource:
         return _tuples(_read_rows(uv, start, rows, n // rows),
                        _read_rows(w, start, rows, n // rows)[None])
 
-    def take_dabits(self, nbits, rows=1, factored=0):
-        """Next `nbits` daBits: the ring shares, one word per bit, the Z_2
-        shares as a (rows, word_count(nbits // rows)) matrix of packed rows,
-        and the ring masks v and shares of rho = r·v of the first `factored`
-        of them (see `DaBits`).  A factored take starts at its record's
-        first daBit."""
-        (bits, v), (ring, rho), start = self._take(TAG_CONVERSION, DaBits(nbits, factored))
-        return (ring[start:start + nbits], _read_rows(bits, start, rows, nbits // rows),
-                v[:factored], rho[:factored])
+    def take_dabits(self, rows, batch, factored=0):
+        """The next TAG_CONVERSION record, which must be DaBits(rows, batch,
+        factored): the ring shares of its daBits, one word each, row after
+        row, their Z_2 shares as a (rows, word_count(batch)) matrix of
+        packed rows, and row 0's ring masks v and shares of rho = r·v, both
+        empty unless `factored`."""
+        (bits, v), (ring, rho), _ = self._take(TAG_CONVERSION, DaBits(rows, batch, factored))
+        return ring, bits, v, rho
 
     def take_prefix_block(self, width, batch, zero_start=0) -> PrefixBlock:
         (*singles, mask_p, mask_g), (*products, prod_pp, prod_pg), _ = self._take(
@@ -651,9 +643,16 @@ def _record_meta(header, params: FixedPointParams) -> tuple:
                               f"outside 1..{m0 - 1}")
         return tag, (m0, m1, m2)
     if tag == TAG_CONVERSION:
-        if m1 > m0:
-            raise FormatError(f"randomness stream: {m1} factored daBits in a record of {m0}")
-        return tag, DaBits(m0, m1)
+        if m2 not in (0, 1):
+            raise FormatError(f"randomness stream: daBit record flag {m2} is not 0 or 1")
+        # the conversion opens its rows in one frame, so no run needs more
+        if m0 * word_count(m1) > MAX_PAYLOAD // 8:
+            raise FormatError(f"randomness stream: daBit record of {m0} rows of {m1} bits "
+                              f"is over {MAX_PAYLOAD // 8} words")
+        return tag, DaBits(m0, m1, m2)
+    if m1 or m2:
+        raise FormatError(f"randomness stream: tag {tag} record with header words "
+                          f"{m1} and {m2}, not 0")
     return tag, m0
 
 

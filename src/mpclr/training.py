@@ -217,7 +217,7 @@ def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
         # both bits are converted to ring shares against daBits, opened as two
         # rows; the same frame opens z' - v for d's daBit times z', against
         # the mask v and rho = r·v dealt with d's daBits
-        Step("activation.convert", ((TAG_CONVERSION, DaBits(2 * n, n)),), 2 * row + n, ring=n),
+        Step("activation.convert", ((TAG_CONVERSION, DaBits(2, n, 1)),), 2 * row + n, ring=n),
         Step("engine.gradient", ((TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE_T)),), n,
              ring=n * m1),
     ]

@@ -46,7 +46,7 @@ def forced_scalar_source(params: FixedPointParams, u: int, v: int, w: int):
 def whole_record(tag, meta, parts, params):
     """A record of written `parts`, as one take of all of it reads them: u,
     v and w of ring triples or of AND triples, the ring shares, the Z_2
-    string, the ring masks v and the shares of rho = r·v of daBits, or U, V
+    rows, the ring masks v and the shares of rho = r·v of daBits, or U, V
     and W of a matrix record."""
     source = MaterializedSource(params)
     source.append(tag, meta, parts)
@@ -55,9 +55,7 @@ def whole_record(tag, meta, parts, params):
     if tag == TAG_BIT:
         return (source.take_bit_triples(meta)[:, 0],)
     if tag == TAG_CONVERSION:
-        _, meta, _ = source.records[0]
-        ring, bits, v, rho = source.take_dabits(meta.bits, 1, meta.factored)
-        return ring, bits[0], v, rho
+        return source.take_dabits(*meta)
     assert tag == TAG_MATMUL
     return source.take_matmul_triple(meta)
 

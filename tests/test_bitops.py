@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import mpclr.bitops
 from mpclr import FixedPointParams, local_session_pair, run_sessions
 from mpclr.bitops import (
     _from_slices,
@@ -13,7 +12,13 @@ from mpclr.bitops import (
 )
 from mpclr.engine import convert_bits_to_ring
 from mpclr.prefixnet import cached_plan, or_tree_levels
-from mpclr.randomness import TAG_BIT, TAG_PREFIXNET, TrustedDealer
+from mpclr.randomness import (
+    TAG_BIT,
+    TAG_PREFIXNET,
+    TrustedDealer,
+    expand_masks,
+    serialize_stream,
+)
 from mpclr.sharing import pack_rows, split_array, unpack_rows, word_count
 from mpclr.transport import FRAME_HEADER
 
@@ -262,54 +267,54 @@ class TestOneSidedSetup:
     alone.  The full decomposition keeps two rows per position."""
 
     @staticmethod
-    def setup_round(monkeypatch, width, start, batch):
-        """Each party's share strings, its setup frame's payload words and,
-        for a zero test, the tuples its setup ANDs finish against, from one
-        decomposition."""
+    def setup_round(width, start, batch):
+        """Each party's share strings, its setup frame's payload words and
+        its stream, from one decomposition."""
         rng = np.random.default_rng(1000 * width + batch)
         vals = np.frombuffer(rng.bytes(8 * batch), dtype=np.uint64)
         va, vb = split_array(vals, P64, rng)
         sources = TrustedDealer(batch, P64).generate([(TAG_PREFIXNET, (width, batch, start))])
         sessions = local_session_pair(P64, randomness_a=sources[0], randomness_b=sources[1])
-        frames, tuples = ([], []), ([], [])
+        frames = ([], [])
         for sess, sent in zip(sessions, frames):
             send = sess.channel.send_bytes
             sess.channel.send_bytes = lambda data, send=send, sent=sent: (
                 send(data) or sent.append(np.frombuffer(data[FRAME_HEADER.size:], np.uint64)))
-        finish = mpclr.bitops.finish_and_gates
-
-        def recording_finish(sess, gates, opened, batch):
-            tuples[not sess.is_alice].append([rs for _, rs in gates])
-            return finish(sess, gates, opened, batch)
-
-        monkeypatch.setattr(mpclr.bitops, "finish_and_gates", recording_finish)
         run_sessions(*sessions,
                      lambda s: decompose_batch_slices(s, va.values, width, zero_start=start),
                      lambda s: decompose_batch_slices(s, vb.values, width, zero_start=start))
         strings = [_to_slices(v.values, width) for v in (va, vb)]
-        return strings, [sent[0] for sent in frames], [calls[0][0] for calls in tuples if calls]
+        return strings, [sent[0] for sent in frames], sources
 
     @pytest.mark.parametrize("batch", [1, 64, 65, 225])
     @pytest.mark.parametrize("width,start", [(28, 12), (8, 4), (2, 1)])
-    def test_each_party_sends_its_own_operand_alone(self, monkeypatch, width, start, batch):
-        strings, frames, (rs_a, rs_b) = self.setup_round(monkeypatch, width, start, batch)
+    def test_each_party_sends_its_own_operand_alone(self, width, start, batch):
+        strings, frames, sources = self.setup_round(width, start, batch)
         setup = cached_plan(width, start).setup_ands
         for frame in frames:
             assert len(frame) == setup * word_count(batch)
-        # Alice's tuple is (u, 0, w_A) and Bob's (0, v, w_B): each holds a
-        # zero share of the mask of the row it receives
-        u, v = rs_a[0], rs_b[1]
-        assert not rs_a[1].any() and not rs_b[0].any()
-        assert np.array_equal(rs_a[2] ^ rs_b[2], u & v)
+        # each party's block holds the whole mask of its own operand and its
+        # share of the product of the two masks, nothing of its peer's mask
+        blocks = [s.take_prefix_block(width, batch, start) for s in TrustedDealer(
+            batch, P64).generate([(TAG_PREFIXNET, (width, batch, start))])]
+        (u, w_a), (v, w_b) = (block.gates[0] for block in blocks)
+        assert np.array_equal(w_a ^ w_b, u & v)
+        # and each mask expands from its party's seed alone, which the
+        # peer's stream does not hold
+        streams = [bytes(serialize_stream(s)) for s in sources]
+        for source, mask, theirs in zip(sources, (u, v), streams[::-1]):
+            (_, meta, (seed, *_)), = source.records
+            assert np.array_equal(expand_masks(seed, TAG_PREFIXNET, meta, P64)[0][0], mask)
+            assert seed.tobytes() not in theirs
         # so each frame is masked by a mask its receiver never holds
         assert np.array_equal(frames[0], (strings[0][:setup] ^ u).reshape(-1))
         assert np.array_equal(frames[1], (strings[1][:setup] ^ v).reshape(-1))
 
     @pytest.mark.parametrize("width", [64, 29])
-    def test_full_decomposition_sends_two_rows_per_position(self, monkeypatch, width):
+    def test_full_decomposition_sends_two_rows_per_position(self, width):
         # criterion 3's 64-bit decomposition counts both setup rows
         batch = 65
-        _, frames, _ = self.setup_round(monkeypatch, width, 0, batch)
+        _, frames, _ = self.setup_round(width, 0, batch)
         for frame in frames:
             assert len(frame) == 2 * width * word_count(batch)
 

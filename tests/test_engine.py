@@ -370,7 +370,9 @@ class TestConversionWithFactor:
 
     def test_without_factor_sends_a_plain_conversions_frames(self):
         # digests of a conversion of two 65-bit rows before the factor existed,
-        # moved since only by the daBits' new values of protocol version 12
+        # moved since only by the daBits' new values of protocol version 12,
+        # and of version 17, whose row 1 starts on a word of the seed's
+        # expansion
         rng = np.random.default_rng(41)
         bits = rng.integers(0, 2, (2, 65), dtype=np.uint8)
         share = rng.integers(0, 2, (2, 65), dtype=np.uint8)
@@ -381,9 +383,9 @@ class TestConversionWithFactor:
         assert (sa.transcript.rounds, sa.transcript.ring_mults) == (1, 0)
         assert sa.transcript.bytes_sent == 45
         assert sa.transcript.sent_digest() == (
-            "2c7980c301d2f2a3492349e47f7a3c9f2da51bdc0f9c9f600ea7783bd84aeb80")
+            "fd3f5951243a1da9962cc1a8569e6eb58789f6663ae595b6c15151a484e197ee")
         assert sb.transcript.sent_digest() == (
-            "02d7b5d70c457aa80953044dd8927f7c5788cfec4e95d0c1d07f3975c1f84a99")
+            "2548559d9f76e953a1b66eee6069eb31e214f7836b48168db2eb7adf326fdc3d")
 
 
 class TestBitOpenings:

@@ -78,7 +78,7 @@ class TestTripleGeneration:
         # since protocol version 12 a record's generator draws the two
         # parties' seeds, then Alice's shares of the products as raw words,
         # cast down in the ring or with the tail bits of each row zeroed
-        for tag, meta in [(TAG_SCALAR, 5), (TAG_BIT, 77), (TAG_CONVERSION, DaBits(77, 30)),
+        for tag, meta in [(TAG_SCALAR, 5), (TAG_BIT, 77), (TAG_CONVERSION, DaBits(2, 77, 1)),
                           (TAG_PREFIXNET, (8, 77)), (TAG_PREFIXNET, (8, 77, 4))]:
             a, b = TrustedDealer(4, P16).block(tag, meta)
             rng = TrustedDealer(4, P16)._rng(tag)
@@ -168,7 +168,7 @@ class TestStreams:
         (TAG_MATMUL, MatmulDims(2, 3, 0, MATMUL_MASK)),
         (TAG_MATMUL, MatmulDims(2, 3, 1, MATMUL_REUSE)),
         (TAG_BIT, 130),
-        (TAG_CONVERSION, DaBits(4, 2)),
+        (TAG_CONVERSION, DaBits(2, 2, 1)),
         (TAG_PREFIXNET, (8, 3)),
     ]
 
@@ -312,7 +312,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (16).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (17).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -361,6 +361,37 @@ class TestStreams:
         # full decomposition
         raw[HEADER + 16:HEADER + 24] = start.to_bytes(8, "little")
         with pytest.raises(FormatError, match=f"zero-test start {start} outside 1..7"):
+            deserialize_stream(bytes(raw), P64)
+
+    @pytest.mark.parametrize("tag,spare", [(TAG_BIT, (12345, 999)), (TAG_BIT, (1, 0)),
+                                           (TAG_SCALAR, (0, 1))])
+    def test_pool_header_with_spare_words_is_refused(self, tag, spare):
+        # a pool's record header holds its count in the first word and
+        # nothing in the other two
+        src_a, _ = TrustedDealer(42, P64).generate([(tag, 100)])
+        raw = bytearray(serialize_stream(src_a))
+        raw[HEADER + 8:HEADER + 24] = struct.pack("<QQ", *spare)
+        with pytest.raises(FormatError, match=f"tag {tag} record with header words "
+                                              f"{spare[0]} and {spare[1]}, not 0"):
+            deserialize_stream(bytes(raw), P64)
+
+    @pytest.mark.parametrize("flag", [2, 1 << 63])
+    def test_dabit_flag_other_than_0_or_1_is_refused(self, flag):
+        # a daBit record's third header word says whether row 0 is factored
+        src_a, _ = TrustedDealer(42, P64).generate([(TAG_CONVERSION, DaBits(2, 5, 1))])
+        raw = bytearray(serialize_stream(src_a))
+        raw[HEADER + 16:HEADER + 24] = flag.to_bytes(8, "little")
+        with pytest.raises(FormatError, match=f"daBit record flag {flag} is not 0 or 1"):
+            deserialize_stream(bytes(raw), P64)
+
+    def test_dabit_record_larger_than_a_frame(self):
+        # rows of no bits write no ring share, yet each expands one word from
+        # the seed, so a claim above what one frame can open is refused
+        src_a, _ = TrustedDealer(42, P64).generate([(TAG_CONVERSION, DaBits(2, 0))])
+        raw = bytearray(serialize_stream(src_a))
+        raw[HEADER:HEADER + TAG_BYTE] = ((1 << 27) + 1).to_bytes(TAG_BYTE, "little")
+        with pytest.raises(FormatError, match=f"daBit record of {(1 << 27) + 1} rows of 0 "
+                                              f"bits is over {1 << 27} words"):
             deserialize_stream(bytes(raw), P64)
 
     @pytest.mark.parametrize("rows,cols", [(1 << 20, 1 << 20), ((1 << 27) + 1, 1), (1, 1 << 28)])
@@ -420,7 +451,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 16 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 17 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -429,8 +460,7 @@ def take(source, tag, meta):
     if tag == TAG_SCALAR:
         return source.take_ring_triples(meta)
     if tag == TAG_CONVERSION:
-        bits, factored = meta if isinstance(meta, tuple) else (meta, 0)
-        return source.take_dabits(bits, 1, factored)
+        return source.take_dabits(*meta)
     if tag == TAG_BIT:
         return source.take_bit_triples(meta)
     if tag == TAG_MATMUL:
@@ -455,7 +485,8 @@ def crn1_bytes(requests, params):
         if tag == TAG_SCALAR:
             words += meta  # w
         elif tag == TAG_CONVERSION:
-            words += sum(meta)  # the ring shares of the daBits, then rho of the factored ones
+            rows, batch, factored = meta
+            words += (rows + factored) * batch  # the ring shares of r, then rho of row 0
         elif tag == TAG_BIT:
             words += packed(meta)  # w = u AND v
         elif tag == TAG_MATMUL:
@@ -669,15 +700,15 @@ class TestSeededRecords:
 
 
 class TestSeededPools:
-    """Every pooled record (ring triples, AND tuples, daBits, prefix-network
-    blocks) writes its pure masks as one 2-word seed per party and only the
+    """Every record but a matrix one (ring triples, AND triples, daBits,
+    prefix-network blocks) writes its pure masks as one 2-word seed per party and only the
     shares that depend on them in full; expanding the seed rebuilds the
     correlations."""
 
     @staticmethod
     def pools(params, batch):
         # the daBits of two rows, the first row's factored, as training deals them
-        return [(TAG_SCALAR, batch), (TAG_BIT, batch), (TAG_CONVERSION, DaBits(2 * batch, batch)),
+        return [(TAG_SCALAR, batch), (TAG_BIT, batch), (TAG_CONVERSION, DaBits(2, batch, 1)),
                 (TAG_PREFIXNET, (params.ring_bits // 2 + 1, batch))]
 
     @pytest.mark.parametrize("params", [P16, P64])
@@ -744,7 +775,7 @@ class TestSeededPools:
                 assert np.array_equal(w, u & v)
             elif tag == TAG_CONVERSION:
                 (ring_a, bits_a, va, rho_a), (ring_b, bits_b, vb, rho_b) = pa, pb
-                r = unpack_rows(bits_a ^ bits_b, 2 * batch)[0].astype(params.dtype)
+                r = unpack_rows(bits_a ^ bits_b, batch).reshape(-1).astype(params.dtype)
                 assert np.array_equal(ring_a + ring_b, r)
                 assert va.shape == rho_a.shape == (batch,)
                 assert np.array_equal(rho_a + rho_b, r[:batch] * (va + vb))

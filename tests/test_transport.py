@@ -252,8 +252,8 @@ class TestHandshake:
                                                           perform_handshake, a, self._info()))
         t.start()
         # a peer of the previous protocol version is refused
-        with pytest.raises(TransportError, match="version: ours 15, peer 16"):
-            perform_handshake(b, self._info(role="B", version=15))
+        with pytest.raises(TransportError, match="version: ours 16, peer 17"):
+            perform_handshake(b, self._info(role="B", version=16))
         t.join()
 
     def test_wildcard_dims_allowed(self):

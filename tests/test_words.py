@@ -1,6 +1,8 @@
 """Packed bit strings: uint64 word rows against per-bit and big-integer
 references."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,16 +16,16 @@ from mpclr import (
 )
 from mpclr.activation import batch_activate
 from mpclr.bitops import _from_slices, _to_slices
-from mpclr.errors import FormatError, ProtocolError, RandomnessUnderflowError
+from mpclr.errors import ProtocolError, RandomnessUnderflowError
 from mpclr.randomness import (
     TAG_BIT,
     TAG_CONVERSION,
-    TAG_SCALAR,
     DaBits,
     MaterializedSource,
     OnDemandSource,
     TrustedDealer,
     deserialize_stream,
+    expand_seed,
     serialize_stream,
 )
 from mpclr.sharing import ones_row, pack_rows, tail_mask, unpack_rows, word_count
@@ -243,121 +245,80 @@ class TestBitPool:
             assert seed.shape == (2,) and w.shape == (word_count(n),)
 
 
-def bit_list(words, nbits):
-    """Bits 0 .. nbits - 1 of a packed string, one at a time."""
-    return [int(words[i // 64]) >> (i % 64) & 1 for i in range(nbits)]
-
-
-class PerBitDabits:
-    """The daBit pool as a list of (ring share, bit share) pairs, one per
-    daBit, cut off the front on every take."""
-
-    def __init__(self):
-        self.pairs = []
-
-    def append(self, nbits, parts):
-        ring, bits, *_ = parts
-        self.pairs += zip((int(v) for v in ring), bit_list(bits, nbits), strict=True)
-
-    def take(self, nbits):
-        out, self.pairs = self.pairs[:nbits], self.pairs[nbits:]
-        return out
-
-
 class TestDabitPool:
-    # 77 samples for 3 iterations: three records of 154 daBits, the first
-    # 77 of each factored, and no tail
-    CFG = TrainingConfig(eta=0.05, n_iter=3, params=P64, seed=8)
-    # the takes from each record in turn, each inside its record
-    TAKES = [[5, 64, 85], [1, 63, 90], [65, 2, 87]]
+    """A daBit record deals the daBits of one conversion, random bits r
+    shared both in Z_2 and in the ring, as the packed rows it opens, and a
+    take reads the whole record."""
 
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 225])
     def test_ring_shares_sum_to_the_xor_of_bit_shares(self, batch):
-        (ring_a, bits_a, *_), (ring_b, bits_b, *_) = dealt_parts(TrustedDealer(batch, P64),
-                                                                 TAG_CONVERSION, batch)
-        assert ring_a.shape == (batch,) and bits_a.shape == (word_count(batch),)
-        r = bits_a ^ bits_b
-        assert words_to_int(r, 64 * len(r)) < 1 << batch  # tail bits are zero
-        assert [int(v) for v in ring_a + ring_b] == bit_list(r, batch)
-
-    def plan_records(self):
-        requests = training_randomness_requests(77, 4, self.CFG)
-        metas = [meta for tag, meta in requests if tag == TAG_CONVERSION]
-        assert metas == [DaBits(154, 77)] * 3
-        assert [int(meta) for meta in metas] == [sum(takes) for takes in self.TAKES]
-        return requests, metas
-
-    def check_takes(self, source, ref, takes):
-        for n in takes:
-            ring, bits, *_ = source.take_dabits(n)
-            assert ring.shape == (n,) and bits.shape == (1, word_count(n))
-            want = ref.take(n)
-            assert [int(v) for v in ring] == [r for r, _ in want]
-            # equal as integers, so the tail bits are zero
-            assert words_to_int(bits, 64 * bits.size) == sum(b << i for i, (_, b) in enumerate(want))
-
-    @pytest.mark.parametrize("through_file", [False, True])
-    def test_takes_cut_the_plan_records(self, through_file):
-        requests, metas = self.plan_records()
-        src_a, _ = TrustedDealer(8, P64).generate(requests)
-        if through_file:
-            src_a = deserialize_stream(serialize_stream(src_a), P64)
-        ref = PerBitDabits()
-        dealer = TrustedDealer(8, P64)
-        for meta in metas:
-            ref.append(int(meta), dealt_parts(dealer, TAG_CONVERSION, meta)[0])
-        self.check_takes(src_a, ref, sum(self.TAKES, []))
+        dealer = TrustedDealer(batch, P64)
+        for rows in (1, 2):
+            (ring_a, bits_a, *_), (ring_b, bits_b, *_) = dealt_parts(
+                dealer, TAG_CONVERSION, DaBits(rows, batch))
+            assert ring_a.shape == (rows * batch,) and bits_a.shape == (rows, word_count(batch))
+            r = bits_a ^ bits_b
+            assert not (r[:, -1] & ~tail_mask(batch)).any()  # tail bits are zero
+            assert [int(v) for v in ring_a + ring_b] == unpack_rows(r, batch).ravel().tolist()
 
     def test_take_past_its_record_underflows(self):
-        requests, _ = self.plan_records()
-        src_a, _ = TrustedDealer(8, P64).generate(requests)
-        src_a.take_dabits(150)
+        source, _ = TrustedDealer(8, P64).generate([(TAG_CONVERSION, DaBits(2, 77, 1))])
+        source.take_dabits(2, 77, 1)
         with pytest.raises(RandomnessUnderflowError,
-                           match=r"^conversion randomness exhausted: requested 5, have 4$"):
-            src_a.take_dabits(5)
+                           match=r"^conversion randomness exhausted: requested 1, have 0$"):
+            source.take_dabits(2, 77, 1)
 
     def test_empty_takes(self):
-        # before, between and after records of 64 used up, ring triples alike
-        source, _ = TrustedDealer(9, P64).generate([(TAG_CONVERSION, 64), (TAG_SCALAR, 64)] * 2)
-        for n in (0, 64, 0, 64, 0, 0):
-            ring, bits, v, rho = source.take_dabits(n)
-            triples = source.take_ring_triples(n)
-            assert all(part.shape == (n,) and part.dtype == P64.dtype for part in (ring, *triples))
-            assert bits.shape == (1, word_count(n))
-            assert v.shape == rho.shape == (0,)
-            if not n:
-                assert np.array_equal(bits, np.zeros((1, 1), np.uint64))
-        ring, bits, v, rho = MaterializedSource(P64).take_dabits(0)
-        assert ring.shape == v.shape == rho.shape == (0,)
-        assert np.array_equal(bits, np.zeros((1, 1), np.uint64))
+        # a conversion of no values reads a record of rows of no bits: one
+        # zero word a row, and no ring share
+        for factored in (0, 1):
+            meta = DaBits(2, 0, factored)
+            for source in TrustedDealer(9, P64).generate([(TAG_CONVERSION, meta)]):
+                ring, bits, v, rho = source.take_dabits(*meta)
+                assert ring.shape == v.shape == rho.shape == (0,) and ring.dtype == P64.dtype
+                assert np.array_equal(bits, np.zeros((2, 1), np.uint64))
 
     @ROW_BATCHES
     @ROW_COUNTS
     @pytest.mark.parametrize("on_demand", [False, True])
     def test_row_takes_are_cut_from_the_record_strings(self, on_demand, rows, batch):
+        # a record's seed expands to one string of words, cut into its Z_2
+        # rows of word_count(batch) words, the tail bits zeroed, and then row
+        # 0's ring masks v if it is factored; a conversion of `rows` rows,
+        # then a factored one of a single row, each reads its own record
+        metas = [DaBits(rows, batch), DaBits(1, batch, 1)]
+        words = word_count(batch)
         for role in Role:
-            source, reads = row_reads(TAG_CONVERSION, rows, role, on_demand,
-                                      [rows * batch, batch])
-            for nrows, ((ring, bits, *_), start) in zip((rows, 1), reads):
-                got_ring, got_bits, *_ = source.take_dabits(nrows * batch, rows=nrows)
-                assert np.array_equal(got_ring, ring[start:start + nrows * batch])
-                assert got_bits.shape == (nrows, word_count(batch))
-                assert np.array_equal(got_bits, expected_rows(bits, start, nrows, batch))
+            side = role is Role.BOB
+            source = (OnDemandSource(rows, role, P64) if on_demand else TrustedDealer(
+                rows, P64).generate([(TAG_CONVERSION, meta) for meta in metas])[side])
+            dealer = TrustedDealer(rows, P64)
+            for meta in metas:
+                seed, ring, rho = dealer.block(TAG_CONVERSION, meta)[side]
+                got_ring, got_bits, got_v, got_rho = source.take_dabits(*meta)
+                string = expand_seed(seed, meta.rows * words + meta.factored * batch)
+                want = string[:meta.rows * words].reshape(meta.rows, words)
+                want[:, -1] &= tail_mask(batch)
+                assert np.array_equal(got_bits, want)
+                assert np.array_equal(got_v, string[meta.rows * words:])
+                assert np.array_equal(got_ring, ring) and np.array_equal(got_rho, rho)
 
     @pytest.mark.parametrize("role", [Role.ALICE, Role.BOB])
     def test_on_demand_takes(self, role):
+        # each take deals the record of exactly its conversion
         source = OnDemandSource(9, role, P64)
-        ref = PerBitDabits()
         dealer = TrustedDealer(9, P64)
-        for n in sum(self.TAKES, []):
-            ref.append(n, dealt_parts(dealer, TAG_CONVERSION, n)[role is Role.BOB])
-            self.check_takes(source, ref, [n])
+        for meta in (DaBits(2, 77, 1), DaBits(1, 64), DaBits(3, 5, 1)):
+            want = dealt_parts(dealer, TAG_CONVERSION, meta)[role is Role.BOB]
+            got = source.take_dabits(*meta)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
+            assert source.records[-1][1] == meta
 
 
 class TestFactoredDabits:
-    """A daBit record of DaBits(bits, factored) also deals, with its first
-    `factored` daBits r, a ring mask v from its seed and the written shares
-    of rho = r·v: the conversion's product of row 0 with a ring factor."""
+    """A daBit record of DaBits(rows, batch, 1) also deals, with row 0's
+    daBits r, a ring mask v from its seed and the written shares of
+    rho = r·v: the conversion's product of row 0 with a ring factor."""
 
     @pytest.mark.parametrize("params", [P16, P64], ids=["ring16", "ring64"])
     @pytest.mark.parametrize("batch", [1, 64, 65, 225])
@@ -366,14 +327,13 @@ class TestFactoredDabits:
         cfg = TrainingConfig(eta=0.05, n_iter=2, params=params, seed=batch)
         requests = training_randomness_requests(batch, 2, cfg)
         metas = [meta for tag, meta in requests if tag == TAG_CONVERSION]
-        assert metas == [DaBits(2 * batch, batch)] * 2
+        assert metas == [DaBits(2, batch, 1)] * 2
         dealt = TrustedDealer(batch, params).generate(requests)
         takes = []
         for role, source in zip(Role, dealt):
             loaded = deserialize_stream(serialize_stream(source), params)
             on_demand = OnDemandSource(batch, role, params)
-            parts = [[s.take_dabits(2 * batch, 2, batch) for _ in metas]
-                     for s in (loaded, on_demand)]
+            parts = [[s.take_dabits(*meta) for meta in metas] for s in (loaded, on_demand)]
             for ours, theirs in zip(*parts):
                 assert all(np.array_equal(x, y) for x, y in zip(ours, theirs, strict=True))
             takes.append(parts[0])
@@ -383,40 +343,31 @@ class TestFactoredDabits:
             assert np.array_equal(ring_a + ring_b, r)
             assert np.array_equal(rho_a + rho_b, r[:batch] * (va + vb))
 
-    @pytest.mark.parametrize("factored", [0, 1, 37, 100])
-    def test_record_writes_rho_after_the_ring_shares(self, factored):
-        # the header's second word is the factored count; a plain record's
-        # bytes are those of the daBit pool before factored daBits existed
-        for source in TrustedDealer(3, P64).generate([(TAG_CONVERSION, DaBits(100, factored))]):
-            data = serialize_stream(source)
-            assert len(data) == 24 + 24 + 8 * (2 + 100 + factored)
-            header = np.frombuffer(data, np.uint64)[3:6]
-            assert header.tolist() == [TAG_CONVERSION << 56 | 100, factored, 0]
-            (_, meta, (seed, ring, rho)), = deserialize_stream(data, P64).records
-            assert meta == DaBits(100, factored) and int(meta) == 100
-            assert (seed.shape, ring.shape, rho.shape) == ((2,), (100,), (factored,))
+    @pytest.mark.parametrize("batch", [0, 1, 37, 100])
+    def test_record_writes_rho_after_the_ring_shares(self, batch):
+        # the header words are the rows, the batch and the factored flag; a
+        # factored record writes row 0's rho after the ring shares of both
+        # rows
+        for factored in (0, 1):
+            meta = DaBits(2, batch, factored)
+            for source in TrustedDealer(3, P64).generate([(TAG_CONVERSION, meta)]):
+                data = serialize_stream(source)
+                assert len(data) == 24 + 24 + 8 * (2 + (2 + factored) * batch)
+                header = np.frombuffer(data, np.uint64)[3:6]
+                assert header.tolist() == [TAG_CONVERSION << 56 | 2, batch, factored]
+                (_, loaded, (seed, ring, rho)), = deserialize_stream(data, P64).records
+                assert loaded == meta and int(loaded) == 2 * batch
+                assert (seed.shape, ring.shape, rho.shape) == (
+                    (2,), (2 * batch,), (factored * batch,))
 
-    def test_more_factored_than_daBits_is_refused_at_load(self):
-        source, _ = TrustedDealer(3, P64).generate([(TAG_CONVERSION, DaBits(100, 37))])
-        words = np.frombuffer(serialize_stream(source), np.uint64).copy()
-        words[4] = 101
-        with pytest.raises(FormatError, match="101 factored daBits in a record of 100"):
-            deserialize_stream(words.tobytes(), P64)
-
-    def test_factored_take_starts_its_record(self):
-        source, _ = TrustedDealer(4, P64).generate([(TAG_CONVERSION, DaBits(10, 4))])
-        source.take_dabits(3)
-        with pytest.raises(ProtocolError, match="starts at daBit 3 of its record"):
-            source.take_dabits(7, 1, 4)
-
-    def test_factored_take_past_its_record_underflows(self):
-        source, _ = TrustedDealer(4, P64).generate([(TAG_CONVERSION, DaBits(10, 4))])
-        with pytest.raises(RandomnessUnderflowError,
-                           match="^conversion randomness exhausted: requested 5 factored "
-                                 "daBits, have 4$"):
-            source.take_dabits(10, 1, 5)
-        with pytest.raises(RandomnessUnderflowError, match="requested 11, have 10$"):
-            source.take_dabits(11, 1, 4)
+    def test_take_of_another_record_is_a_protocol_error(self):
+        source, _ = TrustedDealer(4, P64).generate([(TAG_CONVERSION, DaBits(2, 10, 1))])
+        for meta in (DaBits(2, 10), DaBits(1, 10, 1), DaBits(2, 11, 1)):
+            with pytest.raises(ProtocolError, match=re.escape(
+                    f"conversion record mismatch: stream has {DaBits(2, 10, 1)}, "
+                    f"requested {meta}")):
+                source.take_dabits(*meta)
+        source.take_dabits(2, 10, 1)
 
 
 def test_empty_batch_sends_the_same_frames():
