@@ -232,6 +232,9 @@ def _train(sess, x_share, t_share, cfg):
     n, m1 = x_share.shape
     if sess.randomness.session_id != session_id_from_seed(cfg.seed):
         raise FormatError("randomness stream session id does not match --seed")
+    if sess.randomness.role is not sess.role:
+        raise FormatError(f"randomness stream was dealt for {sess.randomness.role.name.lower()}, "
+                          f"not for {sess.role.name.lower()}")
     sess.randomness.check_plan(training_randomness_requests(n, m1 - 1, cfg))
     t0 = time.perf_counter()
     w_share = train_secure(sess, x_share, t_share, cfg).reshape(1, -1)
@@ -320,9 +323,11 @@ def _train_ti(peers, cfg, randomness, dims):
         if not dims:
             raise click.UsageError("file-mode TI needs --dims ROWSxCOLS of the share matrix")
         prefix = randomness[5:]
+        written = []
         for party, source in zip(("alice", "bob"), _deal(cfg, *_parse_dims(dims))):
             write_randomness_file(f"{prefix}.{party}.crn", source)
-        click.echo(f"randomness -> {prefix}.alice.crn, {prefix}.bob.crn")
+            written.append(f"{prefix}.{party}.crn ({len(serialize_stream(source))} B)")
+        click.echo(f"randomness -> {', '.join(written)}")
         return
     if len(peers) != 2:
         raise click.UsageError("online TI needs --peer alice_host:port --peer bob_host:port")
@@ -341,10 +346,13 @@ def _train_ti(peers, cfg, randomness, dims):
             raise TransportError(f"data processors disagree on dataset dims: {dims_a} vs {dims_b}")
         # deliver by announced role, not by connection order
         by_role = {info.role: ch for info, ch in zip(infos, channels)}
+        sizes = []
         for role, source in zip(("A", "B"), _deal(cfg, *dims_a)):
-            by_role[role].send_frame(Frame(MSG_RANDOMNESS, serialize_stream(source)))
+            stream = serialize_stream(source)
+            by_role[role].send_frame(Frame(MSG_RANDOMNESS, stream))
+            sizes.append(len(stream))
         click.echo(f"streamed randomness for {dims_a[0]} x {dims_a[1]} shares, "
-                   f"{cfg.n_iter} iterations; leaving")
+                   f"{cfg.n_iter} iterations: alice {sizes[0]} B, bob {sizes[1]} B; leaving")
     finally:
         for ch in channels:
             ch.close()

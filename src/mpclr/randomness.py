@@ -24,19 +24,23 @@ daBits and the ring masks v of its factored row, the single masks of every
 AND gate and the node masks of a prefix-network block, and the U or V of a
 matrix record.  The one-sided setup ANDs of a zero test are masked by a
 mask that one party holds whole: each party's seed expands to the mask of
-its own operand.  A record writes whole only the shares of what depends on
-the masks: w = u·v or u AND v, the daBits' ring shares and rho = r·v, each
-gate's products of two or more masks, the composition products, and W.
-`layout` states both lists for every kind of record.  A
-record keeps its seed and written parts; the masks its seed stands for are
-expanded once and kept beside it, and a take joins them with the written
-parts.  Loading expands every record before it returns, so the expansion is
-part of setup; the streams a dealer returns expand a record at its first
-take.
+its own operand.  What depends on the masks (w = u·v or u AND v, the
+daBits' ring shares and rho = r·v, each gate's products of two or more
+masks, the composition products, and W) is dealt in balanced halves: a
+party's seed also expands to its shares of one half of each such part,
+Alice's the first and Bob's the last, and each party writes only its
+shares of the rest.  So both parties' streams are the same size, half what
+writing both shares whole takes.  `layout` states both lists for every
+kind of record.  A record keeps its seed and written parts; the masks and
+seeded halves its seed stands for are expanded once and kept beside it,
+and a take joins each written part with its seeded half.  Loading expands
+every record before it returns, so the expansion is part of setup; the
+streams a dealer returns expand a record at its first take.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -94,8 +98,8 @@ class MatmulDims(NamedTuple):
 
     U is always i x j.  The mask record carries U alone (k = 0); the records
     that reuse it carry only a fresh V and its product W with U or Uᵀ.  U
-    or V is written as the record's seed (see `layout`); W is written
-    whole.
+    or V, and one half of W, are written as the record's seed (see
+    `layout`); the rest of W is written.
     """
 
     i: int
@@ -136,11 +140,15 @@ class Part(NamedTuple):
     None for ring elements, one word each, or the bits of each packed row,
     whose words the last axis of `shape` holds.  A mask part that is `own`
     is not shared: each party's seed expands to the whole mask of that
-    party's own operand, and the peer holds none of it."""
+    party's own operand, and the peer holds none of it.  A seeded half of
+    a written part of s elements has `half` s: Alice's seed expands to her
+    shares of the part's first s // 2 elements, Bob's to his of its last
+    s // 2."""
 
     shape: tuple
     bits: int | None
     own: bool = False
+    half: int = 0
 
 
 @dataclass
@@ -256,11 +264,26 @@ def expand_seed(seed, count: int) -> np.ndarray:
     return np.random.PCG64(int(seed[0]) | int(seed[1]) << 64).random_raw(count)
 
 
+@functools.lru_cache(maxsize=256)
 def layout(tag: int, meta) -> tuple:
-    """What a record of `tag` and `meta` holds, as two tuples of `Part`s:
-    the pure masks that its seed expands to, in the order the seed's words
-    fill them, then the shares of what depends on them that it writes after
-    the seed."""
+    """What a record of `tag` and `meta` holds, as two tuples of `Part`s.
+
+    The second lists, whole, the parts that depend on the masks.  Each is
+    held in two halves: for a part of s elements and h = s // 2, Alice's
+    shares of its first h elements and Bob's of its last h expand from
+    their seeds, and each party writes its shares of the other s - h, so
+    both write the middle element of an odd s.  The first tuple lists what
+    a seed expands to, in the order its words fill them: the record's pure
+    masks, then the seeded half of every written part."""
+    masks, written = _parts(tag, meta)
+    halves = (Part((math.prod(spec.shape) // 2,), spec.bits, half=math.prod(spec.shape))
+              for spec in written)
+    return (*masks, *halves), written
+
+
+def _parts(tag: int, meta) -> tuple:
+    """The pure masks of a record, and the parts that depend on them,
+    whole (see `layout`)."""
     if tag in (TAG_SCALAR, TAG_BIT):  # u and v, then w = u·v over the ring or over Z_2
         size, bits = (meta, None) if tag == TAG_SCALAR else (word_count(meta), meta)
         return (Part((2, size), bits),), (Part((size,), bits),)
@@ -296,26 +319,43 @@ def layout(tag: int, meta) -> tuple:
     raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 
-def _cut(words: np.ndarray, parts, params: FixedPointParams) -> list:
-    """Uniform `words` cut into the `parts` of `layout`: ring elements,
-    cast down on a ring narrower than 64 bits, or packed rows, their tail
-    bits zeroed."""
-    out = []
-    ends = np.cumsum([math.prod(spec.shape) for spec in parts])
-    for part, spec in zip(np.split(words, ends[:-1]), parts):
+def _rest(size: int) -> int:
+    """Elements that a party writes of a part of `size` that depends on the
+    masks: all but its peer's seeded half (see `layout`)."""
+    return size - size // 2
+
+
+def _zero_tails(words: np.ndarray, bits: int, skip: int = 0):
+    """Zero, in place, the unused tail bits of every row's last word in the
+    flat `words` of packed rows of `bits` bits, `skip` words into those rows."""
+    count = word_count(bits)
+    words[(count - 1 - skip) % count::count] &= tail_mask(bits)
+
+
+def _cut(words: np.ndarray, parts, params: FixedPointParams, role: Role) -> list:
+    """Uniform `words` cut into the `parts` that `role`'s seed expands to
+    (see `layout`): ring elements, cast down on a ring narrower than 64
+    bits, or packed rows, their tail bits zeroed."""
+    out, end = [], 0
+    for spec in parts:
+        start, end = end, end + math.prod(spec.shape)
+        part = words[start:end]
         if spec.bits is None:
             part = part.astype(params.dtype, copy=False)
-        else:
-            part.reshape(-1, word_count(spec.bits))[:, -1] &= tail_mask(spec.bits)
+        else:  # Bob's half starts after the words that Alice's leaves
+            _zero_tails(part, spec.bits, _rest(spec.half) if role is Role.BOB else 0)
         out.append(part.reshape(spec.shape))
     return out
 
 
-def expand_masks(seed, tag: int, meta, params: FixedPointParams) -> list:
-    """A party's pure masks of a record, as `layout` lists them, from its
-    seed."""
-    masks, _ = layout(tag, meta)
-    return _cut(expand_seed(seed, _size(masks)), masks, params)
+def expand_masks(seed, tag: int, meta, params: FixedPointParams, role: Role) -> tuple:
+    """What `role`'s seed of a record expands to, as `layout` lists it, in
+    one `expand_seed` call: the list of its pure masks, and that of its
+    seeded halves of the written parts."""
+    seeded, written = layout(tag, meta)
+    parts = _cut(expand_seed(seed, _size(seeded)), seeded, params, role)
+    count = len(seeded) - len(written)
+    return parts[:count], parts[count:]
 
 
 class TrustedDealer:
@@ -364,21 +404,28 @@ class TrustedDealer:
         # numpy runs einsum faster than @ on integer dtypes
         return [np.einsum("ij,jk->ik" if kind == MATMUL_REUSE else "ij,ik->jk", u, mask)]
 
-    def block(self, tag: int, meta):
+    def block(self, tag: int, meta, slots=None):
         """Both parties' parts of the next CRN1 record of `tag`, as
-        `part_shapes` lists them; `meta` is as in `generate`.  The record's
-        generator draws both parties' seeds, then Alice's shares of what
-        depends on the masks, each mask the sum, or for bits the XOR, of the
-        two parties' expansions of it, or for an `own` part the two
-        expansions one after the other, Alice's first; Bob's shares are the
-        rest.  Alice's are the generator's raw words, cut like masks (see
-        `_cut`)."""
+        `part_shapes` lists them; `meta` is as in `generate`.  They are
+        written into `slots`, if given, each party's list of writable
+        arrays of those shapes (see `_new_stream`), or else into new ones.
+
+        The record's generator draws both parties' seeds, and each seed
+        expands to its party's masks and seeded halves (see `layout`).  Each
+        mask is the sum, or for bits the XOR, of the two expansions of it,
+        or for an `own` part the two expansions one after the other, Alice's
+        first.  Of each part that depends on the masks, each party writes
+        the rest of what its peer's seeded half leaves, and, for an odd
+        size, its share of the middle element: the generator then draws
+        Alice's share of each such middle, one raw word cut like masks (see
+        `_cut`), in part order, and Bob's is the rest."""
         meta = _meta(tag, meta)
         rng = self._rng(tag)
         seeds = rng.integers(0, 1 << 64, size=(2, SEED_WORDS), dtype=np.uint64)
-        mask_parts, written = layout(tag, meta)
-        masks, other = (expand_masks(seed, tag, meta, self.params) for seed in seeds)
-        for i, (mask, more, spec) in enumerate(zip(masks, other, mask_parts)):
+        seeded, written = layout(tag, meta)
+        (masks, halves_a), (other, halves_b) = (expand_masks(seed, tag, meta, self.params, role)
+                                                for seed, role in zip(seeds, Role))
+        for i, (mask, more, spec) in enumerate(zip(masks, other, seeded)):
             if spec.own:
                 masks[i] = np.concatenate([mask, more])
             elif spec.bits is None:  # Alice's becomes the mask
@@ -386,10 +433,27 @@ class TrustedDealer:
             else:
                 mask ^= more
         values = self._products(tag, meta, masks)
-        alice = _cut(rng.bit_generator.random_raw(_size(written)), written, self.params)
-        bob = [value - share if spec.bits is None else value ^ share
-               for value, share, spec in zip(values, alice, written)]
-        return (seeds[0], *alice), (seeds[1], *bob)
+        if slots is None:
+            slots = [[np.empty(*part) for part in part_shapes(tag, meta, self.params)]
+                     for _ in Role]
+        (seed_a, *alice), (seed_b, *bob) = slots
+        seed_a[...], seed_b[...] = seeds
+        odd = np.cumsum([0, *(value.size % 2 for value in values)])
+        middles = rng.bit_generator.random_raw(odd[-1])
+        for i, (value, half_a, half_b, spec) in enumerate(zip(values, halves_a, halves_b, written)):
+            value, h = value.reshape(-1), len(half_a)
+            minus = np.subtract if spec.bits is None else np.bitwise_xor
+            middle = middles[odd[i]:odd[i + 1]]
+            if spec.bits is None:
+                middle = middle.astype(self.params.dtype)
+            else:
+                _zero_tails(middle, spec.bits, h)
+            # in the ring's dtype, whatever the slot's
+            minus(value[value.size - h:], half_b, out=alice[i][len(middle):], dtype=value.dtype)
+            minus(value[:h], half_a, out=bob[i][:h], dtype=value.dtype)
+            alice[i][:len(middle)] = middle
+            bob[i][h:] = minus(value[h:value.size - h], middle)
+        return slots
 
     def generate(self, requests):
         """Deal both parties' streams for an explicit request list, each
@@ -403,10 +467,9 @@ class TrustedDealer:
         for prefix-network blocks.
         """
         plan = [(tag, _meta(tag, meta)) for tag, meta in requests]
-        streams = [_new_stream(self.params, self.session_id, plan) for _ in range(2)]
+        streams = [_new_stream(self.params, self.session_id, plan, role) for role in Role]
         for index, (tag, meta) in enumerate(plan):
-            for (_, slots), parts in zip(streams, self.block(tag, meta)):
-                _fill(slots[index], parts)
+            self.block(tag, meta, [slots[index] for _, slots in streams])
         return tuple(_parse_stream(words, self.params) for words, _ in streams)
 
 
@@ -419,27 +482,29 @@ class MaterializedSource:
     """A party's stream of correlated randomness: dealer output, file
     contents, TI bytes, or records dealt as they are taken (OnDemandSource).
 
-    The stream is `records`, its CRN1 records in order, each (tag, meta,
-    parts) with `parts` the arrays that the record writes, in the order of
-    `part_shapes`: this party's seed of the record's pure masks, then its
-    shares of what depends on them.  `buffer` is the CRN1 bytes that a dealt
-    or loaded stream's parts are read-only views into, None once a record is
-    appended.  A take only moves a cursor over its tag's records, and reads
-    inside one record: a pooled take that does not fit in what is left of
-    its record underflows, and any other take reads one whole record.  It
-    reads the masks that the record's seed expands to, expanded once per
-    record and kept read-only beside it, and the record's written parts, and
-    hands the bits of a pool back as the rows its gate reads, not as the
-    strings that the record holds them in.
+    The stream is `role`'s, and `records`, its CRN1 records in order, each
+    (tag, meta, parts) with `parts` the arrays that the record writes, in
+    the order of `part_shapes`: this party's seed, then its shares of what
+    the seed leaves of what depends on the masks.  `buffer` is the CRN1
+    bytes that a dealt or loaded stream's parts are read-only views into,
+    None once a record is appended.  A take only moves a cursor over its
+    tag's records, and reads inside one record: a pooled take that does not
+    fit in what is left of its record underflows, and any other take reads
+    one whole record.  It reads the masks and seeded halves that the
+    record's seed expands to, expanded once per record and kept read-only
+    beside it, joins each written part with its half, and hands the bits of
+    a pool back as the rows its gate reads, not as the strings that the
+    record holds them in.
     """
 
-    def __init__(self, params: FixedPointParams, session_id: int = 0):
+    def __init__(self, params: FixedPointParams, role: Role, session_id: int = 0):
         self.params = params
+        self.role = role
         self.session_id = session_id
         self.records = []
         self.buffer = None
         self._cursors = {tag: _Cursor() for tag in _TAG_NAMES}
-        self._expanded = {}  # record index -> the masks its seed expands to
+        self._expanded = {}  # record index -> its masks, seeded halves and whole parts
 
     def append(self, tag: int, meta, parts):
         """Add one record; `meta` is as a request gives it (see `_meta`)."""
@@ -461,10 +526,13 @@ class MaterializedSource:
             raise FormatError(f"randomness stream does not fit this run: it holds "
                               f"{len(have)} records, the run needs {len(need)}")
 
-    def _take(self, tag: int, meta) -> tuple:
-        """(masks, written, start) of the one record that a request of `tag`
-        reads (see `_expand`): the next `meta` units of a pool, from unit
-        `start` on, or the whole next record, which must have this meta.  A
+    def _take(self, tag: int, meta, span=None) -> tuple:
+        """(masks, products, start) of the one record that a request of
+        `tag` reads: the next `meta` units of a pool, from unit `start` on,
+        or the whole next record, which must have this meta.  `masks` are
+        the pure masks that the record's seed expands to, and `products`
+        this party's shares of what depends on them (see `_join`): whole, or
+        those of the flat elements lo..hi that `span(start)` gives.  A
         pooled take that does not fit in what is left of its record raises
         RandomnessUnderflowError, whatever a later record holds."""
         n = _units(tag, meta)
@@ -478,36 +546,57 @@ class MaterializedSource:
             # an empty take past the last record reads an empty one
             empty = _meta(tag, 0)
             seed, *written = (np.zeros(*part) for part in part_shapes(tag, empty, self.params))
-            return expand_masks(seed, tag, empty, self.params), written, 0
-        _, rmeta, _ = self.records[cur.index]
-        left = _units(tag, rmeta) - cur.offset
-        if n > left:
-            raise RandomnessUnderflowError(
-                f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have {left}")
-        if tag not in _POOLED and rmeta != meta:
-            raise ProtocolError(
-                f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
-        index, start = cur.index, cur.offset
-        cur.offset += n
-        if n == left:  # used up: the next take starts after it
-            cur.index, cur.offset = cur.index + 1, 0
-        return (*self._expand(index), start)
+            (masks, halves, wholes), start = self._expansion(seed, tag, empty), 0
+        else:
+            _, rmeta, (_, *written) = self.records[cur.index]
+            left = _units(tag, rmeta) - cur.offset
+            if n > left:
+                raise RandomnessUnderflowError(
+                    f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have {left}")
+            if tag not in _POOLED and rmeta != meta:
+                raise ProtocolError(
+                    f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
+            index, start = cur.index, cur.offset
+            cur.offset += n
+            if n == left:  # used up: the next take starts after it
+                cur.index, cur.offset = cur.index + 1, 0
+            masks, halves, wholes = self._expand(index)
+        return masks, self._join(halves, written, wholes, span and span(start)), start
 
     def _expand(self, index: int) -> tuple:
-        """(masks, written) of record `index`: the masks its seed expands to
-        (see `layout`), expanded once and kept read-only beside the
-        record, and the parts the record writes after its seed."""
-        tag, meta, (seed, *written) = self.records[index]
+        """`_expansion` of record `index`, expanded once and kept beside it."""
         if index not in self._expanded:
-            masks = expand_masks(seed, tag, meta, self.params)
-            for mask in masks:
-                mask.flags.writeable = False
-            self._expanded[index] = masks
-        return self._expanded[index], written
+            tag, meta, (seed, *_) = self.records[index]
+            self._expanded[index] = self._expansion(seed, tag, meta)
+        return self._expanded[index]
+
+    def _expansion(self, seed, tag: int, meta) -> tuple:
+        """(masks, halves, wholes) of a record of this party's `seed`: the
+        masks and seeded halves the seed expands to (see `layout`),
+        read-only, and the whole shapes of its written parts."""
+        masks, halves = expand_masks(seed, tag, meta, self.params, self.role)
+        for part in (*masks, *halves):
+            part.flags.writeable = False
+        return masks, halves, layout(tag, meta)[1]
+
+    def _join(self, halves, written, wholes, span=None) -> list:
+        """This party's shares of a record's parts that depend on its
+        masks, each a read-only join of its seeded half and its written
+        rest, Alice's half first and Bob's last: whole and of the part's
+        shape, or, given `span` (lo, hi), only the flat elements lo..hi."""
+        out = []
+        for half, part, spec in zip(halves, written, wholes):
+            first, second = (half, part) if self.role is Role.ALICE else (part, half)
+            lo, hi = span or (0, len(half) + len(part))
+            cut = len(first)
+            joined = np.concatenate([first[lo:hi], second[max(lo - cut, 0):max(hi - cut, 0)]])
+            joined.flags.writeable = False
+            out.append(joined if span else joined.reshape(spec.shape))
+        return out
 
     def take_ring_triples(self, n):
-        (uv,), (w,), start = self._take(TAG_SCALAR, n)
-        return uv[0, start:start + n], uv[1, start:start + n], w[start:start + n]
+        (uv,), (w,), start = self._take(TAG_SCALAR, n, lambda start: (start, start + n))
+        return uv[0, start:start + n], uv[1, start:start + n], w
 
     def take_matmul_triple(self, dims):
         """(U, V, W) parts of the next TAG_MATMUL record, None where the
@@ -519,11 +608,15 @@ class MaterializedSource:
     def take_bit_triples(self, n, rows=1):
         """Next `n` AND triples over `rows` rows of n / rows bits: u, v and
         w = u AND v as a (3, rows, word_count(n // rows)) array of packed
-        rows, the `rs` of a 2-input `engine.and_gates` gate.  The benchmark's
-        tracer wraps the method by name and reads n as its first argument."""
-        (uv,), (w,), start = self._take(TAG_BIT, n)
+        rows, the `rs` of a 2-input `engine.and_gates` gate.  Of w's string
+        only the words the take reads are joined.  The benchmark's tracer
+        wraps the method by name and reads n as its first argument."""
+        def words(start):  # the take's bits, from inside its first word on
+            return start // 64, start // 64 + word_count(n) + 1
+
+        (uv,), (w,), start = self._take(TAG_BIT, n, words)
         return _tuples(_read_rows(uv, start, rows, n // rows),
-                       _read_rows(w, start, rows, n // rows)[None])
+                       _read_rows(w, start % 64, rows, n // rows)[None])
 
     def take_dabits(self, rows, batch, factored=0):
         """The next TAG_CONVERSION record, which must be DaBits(rows, batch,
@@ -548,20 +641,19 @@ class OnDemandSource(MaterializedSource):
 
     Before each take, the record that a TrustedDealer deals for exactly that
     request is appended, and the take then reads it like any other.  Both
-    parties build one with the same seed and keep their own half of each
+    parties build one with the same seed and keep their own parts of each
     record, so the two streams stay consistent without any communication.
     The records stay in memory; meant for tests and `mpclr bench`.
     """
 
     def __init__(self, master_seed: int, role: Role, params: FixedPointParams):
         self._dealer = TrustedDealer(master_seed, params)
-        super().__init__(params, self._dealer.session_id)
-        self.role = role
+        super().__init__(params, role, self._dealer.session_id)
 
-    def _take(self, tag, meta):
+    def _take(self, tag, meta, span=None):
         a, b = self._dealer.block(tag, meta)
         self.append(tag, meta, a if self.role is Role.ALICE else b)
-        return super()._take(tag, meta)
+        return super()._take(tag, meta, span)
 
 
 # ---------------------------------------------------------------------------
@@ -572,21 +664,25 @@ class OnDemandSource(MaterializedSource):
 # its parts, each a run of little-endian u64 words, so every part starts on a
 # word boundary.  A record header's first word holds the tag byte (tag, and
 # a matmul record's kind above _KIND_SHIFT) in its top 8 bits, above m0.
-_FILE_HEADER = struct.Struct("<4sHHQQ")  # magic, protocol version, ring width, session id, records
+# magic, protocol version, ring width, party, session id, records
+_FILE_HEADER = struct.Struct("<4sHBcQQ")
 _VERSION = struct.Struct("<4sH")         # the fields that identify a stream of any version
 _HEADER_WORDS = 3                        # tag byte << _TAG_SHIFT | m0, m1, m2
 _TAG_SHIFT = 56
+_PARTIES = {role.value.encode(): role for role in Role}  # a header's party byte
 
 
 def part_shapes(tag: int, meta, params: FixedPointParams) -> tuple:
     """(shape, dtype) of each part that a record of `tag` and `meta` writes,
-    in order: this party's seed of the record's pure masks, then its shares
-    of what depends on them (see `layout`); every part is written as one u64
-    word per element.  Dealing lays a stream out by it and loading parses
-    one by it."""
+    in order: this party's seed, then, of each part that depends on the
+    masks, its shares of the s - s // 2 elements that its seed leaves, flat
+    (see `layout`).  Both parties' records are the same size; every part is
+    written as one u64 word per element.  Dealing lays a stream out by it
+    and loading parses one by it."""
     _, written = layout(tag, meta)
     return (((SEED_WORDS,), np.uint64),
-            *((spec.shape, params.dtype if spec.bits is None else np.uint64) for spec in written))
+            *(((_rest(math.prod(spec.shape)),), params.dtype if spec.bits is None else np.uint64)
+              for spec in written))
 
 
 def _size(parts) -> int:
@@ -656,16 +752,17 @@ def _record_meta(header, params: FixedPointParams) -> tuple:
     return tag, m0
 
 
-def _new_stream(params: FixedPointParams, session_id: int, plan) -> tuple:
-    """An unfilled CRN1 stream of the records that `plan` lists as (tag,
-    meta): its buffer of words, allocated once with every header written,
-    and the writable slots of each record's parts (see `_word_views`)."""
+def _new_stream(params: FixedPointParams, session_id: int, plan, role: Role) -> tuple:
+    """An unfilled CRN1 stream of `role` of the records that `plan` lists as
+    (tag, meta): its buffer of words, allocated once with every header
+    written, and the writable slots of each record's parts (see
+    `_word_views`)."""
     headers = [_record_header(tag, meta) for tag, meta in plan]
     shapes = [part_shapes(tag, meta, params) for tag, meta in plan]
     pos = _FILE_HEADER.size // 8
     words = np.empty(pos + _HEADER_WORDS * len(plan) + sum(map(_size, shapes)), np.uint64)
     _FILE_HEADER.pack_into(words.view(np.uint8), 0, RANDOMNESS_MAGIC, PROTOCOL_VERSION,
-                           params.ring_bits, session_id, len(plan))
+                           params.ring_bits, role.value.encode(), session_id, len(plan))
     slots = []
     for header, parts in zip(headers, shapes):
         words[pos:pos + _HEADER_WORDS] = header
@@ -707,7 +804,7 @@ def serialize_stream(source: MaterializedSource) -> memoryview:
     if source.buffer is not None:
         return source.buffer
     words, slots = _new_stream(source.params, source.session_id,
-                               [(tag, meta) for tag, meta, _ in source.records])
+                               [(tag, meta) for tag, meta, _ in source.records], source.role)
     for record_slots, (_, _, parts) in zip(slots, source.records):
         _fill(record_slots, parts)
     return memoryview(words).cast("B").toreadonly()
@@ -715,7 +812,8 @@ def serialize_stream(source: MaterializedSource) -> memoryview:
 
 def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
     """Load a stream from any bytes-like `data`, and expand every record's
-    seed into the masks its takes read, so no take pays for an expansion.
+    seed into the masks and seeded halves its takes read, so no take pays
+    for an expansion.
     Every written part is a read-only view into `data`, so `data` must not
     change while the stream is in use; `data` that starts off a word
     boundary is first copied once into an aligned buffer, and the ring parts
@@ -745,12 +843,14 @@ def _parse_stream(data, params: FixedPointParams) -> MaterializedSource:
             f"deal it again")
     if size < _FILE_HEADER.size:
         raise FormatError("randomness stream: truncated header")
-    _, _, ring_bits, session_id, nrecords = _FILE_HEADER.unpack_from(view)
+    _, _, ring_bits, party, session_id, nrecords = _FILE_HEADER.unpack_from(view)
     if ring_bits != params.ring_bits:
         raise FormatError(
             f"randomness stream generated for ring width {ring_bits}, session uses {params.ring_bits}"
         )
-    source = MaterializedSource(params, session_id)
+    if party not in _PARTIES:
+        raise FormatError(f"randomness stream: unknown party {party!r}")
+    source = MaterializedSource(params, _PARTIES[party], session_id)
     words = np.frombuffer(view, np.uint64, size // 8)
     pos = _FILE_HEADER.size // 8
     for _ in range(nrecords):

@@ -31,7 +31,7 @@ MSG_RANDOMNESS = 5
 
 _VALID_TYPES = {MSG_OPEN, MSG_CONTROL, MSG_RANDOMNESS}
 
-PROTOCOL_VERSION = 17
+PROTOCOL_VERSION = 18
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ from mpclr.randomness import (
     TAG_MATMUL,
     TAG_SCALAR,
     MaterializedSource,
+    layout,
 )
+from mpclr.sharing import Role
 
 
 def protocol_pair(params: FixedPointParams, fn_a, fn_b, seed: int = 0,
@@ -34,21 +36,23 @@ def forced_scalar_source(params: FixedPointParams, u: int, v: int, w: int):
     """Sources whose next ring triple is exactly (u, v, w): Alice holds the
     values and Bob holds zeros, which is a valid additive sharing.  A
     record's u and v expand from its seed, so each source is given the
-    expanded masks of its record instead."""
+    expanded masks of its record instead; the seeded halves of a single
+    triple's w are empty, so both parties write their share of it."""
     dt = params.dtype
-    sources = MaterializedSource(params), MaterializedSource(params)
+    sources = MaterializedSource(params, Role.ALICE), MaterializedSource(params, Role.BOB)
     for source, (u_share, v_share, w_share) in zip(sources, ((u, v, w), (0, 0, 0))):
         source.append(TAG_SCALAR, 1, (np.zeros(SEED_WORDS, np.uint64), np.array([w_share], dt)))
-        source._expanded[0] = [np.array([[u_share], [v_share]], dt)]
+        source._expanded[0] = ([np.array([[u_share], [v_share]], dt)], [np.zeros(0, dt)],
+                               layout(TAG_SCALAR, 1)[1])
     return sources
 
 
-def whole_record(tag, meta, parts, params):
-    """A record of written `parts`, as one take of all of it reads them: u,
-    v and w of ring triples or of AND triples, the ring shares, the Z_2
-    rows, the ring masks v and the shares of rho = r·v of daBits, or U, V
-    and W of a matrix record."""
-    source = MaterializedSource(params)
+def whole_record(tag, meta, parts, params, role):
+    """A record of `role`'s written `parts`, as one take of all of it reads
+    them: u, v and w of ring triples or of AND triples, the ring shares,
+    the Z_2 rows, the ring masks v and the shares of rho = r·v of daBits,
+    or U, V and W of a matrix record."""
+    source = MaterializedSource(params, role)
     source.append(tag, meta, parts)
     if tag == TAG_SCALAR:
         return source.take_ring_triples(meta)
@@ -63,8 +67,8 @@ def whole_record(tag, meta, parts, params):
 def dealt_parts(dealer, tag, meta):
     """Both parties' parts of the dealer's next record of `tag`, as one take
     of all of it reads them (see `whole_record`), not as it writes them."""
-    return tuple(whole_record(tag, meta, parts, dealer.params)
-                 for parts in dealer.block(tag, meta))
+    return tuple(whole_record(tag, meta, parts, dealer.params, role)
+                 for role, parts in zip(Role, dealer.block(tag, meta)))
 
 
 class ForcedBytesRng:

@@ -19,7 +19,7 @@ from mpclr.randomness import (
     expand_masks,
     serialize_stream,
 )
-from mpclr.sharing import pack_rows, split_array, unpack_rows, word_count
+from mpclr.sharing import Role, pack_rows, split_array, unpack_rows, word_count
 from mpclr.transport import FRAME_HEADER
 
 from helpers import protocol_pair
@@ -302,9 +302,10 @@ class TestOneSidedSetup:
         # and each mask expands from its party's seed alone, which the
         # peer's stream does not hold
         streams = [bytes(serialize_stream(s)) for s in sources]
-        for source, mask, theirs in zip(sources, (u, v), streams[::-1]):
+        for role, source, mask, theirs in zip(Role, sources, (u, v), streams[::-1]):
             (_, meta, (seed, *_)), = source.records
-            assert np.array_equal(expand_masks(seed, TAG_PREFIXNET, meta, P64)[0][0], mask)
+            masks, _ = expand_masks(seed, TAG_PREFIXNET, meta, P64, role)
+            assert np.array_equal(masks[0][0], mask)
             assert seed.tobytes() not in theirs
         # so each frame is masked by a mask its receiver never holds
         assert np.array_equal(frames[0], (strings[0][:setup] ^ u).reshape(-1))

@@ -239,8 +239,24 @@ class TestProtocolErrors:
         for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_11):
             assert rc == 4, err
             assert err == ("error: randomness stream dealt by another protocol version than "
-                           "this build's 17 (one dealt before version 8 has no version field); "
+                           "this build's 18 (one dealt before version 8 has no version field); "
                            "deal it again\n")
+
+    def test_randomness_of_the_other_party_exits_4(self, toy_csv, tmp_path):
+        # each stream's header names its party, whose order a take joins
+        # each part's halves in
+        def swap(path):  # given alice's file first
+            if path.name == "crn.alice.crn":
+                bob = path.with_name("crn.bob.crn")
+                ours, theirs = path.read_bytes(), bob.read_bytes()
+                path.write_bytes(theirs)
+                bob.write_bytes(ours)
+
+        common = ["--iterations", "2", "--lr", "0.05", "--seed", "3"]
+        results = run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, swap)
+        for (rc, err), (party, other) in zip(results, [("alice", "bob"), ("bob", "alice")]):
+            assert rc == 4, err
+            assert err == f"error: randomness stream was dealt for {other}, not for {party}\n"
 
     def test_randomness_of_another_session_exits_4(self, toy_csv, tmp_path):
         def other_session(path):
@@ -272,13 +288,16 @@ TRAIN_ARGS = ["--lr", "0.05", "--iterations", "2"]
 
 class FakePeer(threading.Thread):
     """A peer that opens a channel with `connect()`, handshakes as `role`
-    with the parameters of TRAIN_ARGS and closes the channel again."""
+    with the parameters of TRAIN_ARGS, keeps the payload of one frame if it
+    is to `receive` one, and closes the channel again."""
 
-    def __init__(self, connect, role, rows=0, cols=0):
+    def __init__(self, connect, role, rows=0, cols=0, receive=False):
         super().__init__(daemon=True)
         self.connect = connect
         self.info = HandshakeInfo(role=role, ring_bits=64, frac_bits=12, int_bits=15,
                                   lr_encoded=encode(0.05, P64), n_iter=2, rows=rows, cols=cols)
+        self.receive = receive
+        self.payload = None
         self.error = None
         self.start()
 
@@ -287,6 +306,8 @@ class FakePeer(threading.Thread):
             channel = self.connect()
             try:
                 perform_handshake(channel, self.info)
+                if self.receive:
+                    self.payload = bytes(channel.recv_frame().payload)
             finally:
                 channel.close()
         except Exception as exc:  # noqa: BLE001 - re-raised by finish()
@@ -297,6 +318,39 @@ class FakePeer(threading.Thread):
         assert not self.is_alive(), "fake peer did not finish its handshake"
         if self.error is not None:
             raise self.error
+
+
+class TestStreamSizes:
+    """The TI names the size of each party's stream; the two are the same."""
+
+    def test_file_mode_names_both_files_and_their_sizes(self, tmp_path, capsys):
+        prefix = tmp_path / "out"
+        assert main(["train", "--role", "ti", "--randomness", f"file:{prefix}",
+                     "--dims", "20x10", *TRAIN_ARGS]) == 0
+        sizes = [(prefix.parent / f"out.{party}.crn").stat().st_size for party in ("alice", "bob")]
+        assert sizes[0] == sizes[1] > 0
+        assert capsys.readouterr().out == (f"randomness -> {prefix}.alice.crn ({sizes[0]} B), "
+                                           f"{prefix}.bob.crn ({sizes[1]} B)\n")
+
+    def test_online_mode_names_both_streams_sizes(self, capsys):
+        servers = [tcp_listen("127.0.0.1", 0) for _ in range(2)]
+        try:
+            peers = [FakePeer(lambda srv=srv: tcp_accept(srv, timeout=10), role, 20, 10,
+                              receive=True) for srv, role in zip(servers, "AB")]
+            rc = main(["train", "--role", "ti", "--randomness", "online", *TRAIN_ARGS,
+                       *(arg for srv in servers
+                         for arg in ("--peer", f"127.0.0.1:{srv.getsockname()[1]}"))])
+            for peer in peers:
+                peer.finish()
+        finally:
+            for srv in servers:
+                srv.close()
+        assert rc == 0
+        sizes = [len(peer.payload) for peer in peers]
+        assert sizes[0] == sizes[1] > 0
+        assert capsys.readouterr().out == (
+            f"streamed randomness for 20 x 10 shares, 2 iterations: alice {sizes[0]} B, "
+            f"bob {sizes[1]} B; leaving\n")
 
 
 class TestRefusals:

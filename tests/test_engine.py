@@ -133,7 +133,7 @@ class TestMatmul:
                           lambda s: matmul(s, MaskedMatrix(x), y))
 
     def test_plain_operand_refused_before_randomness(self):
-        empty = (MaterializedSource(P8), MaterializedSource(P8))
+        empty = (MaterializedSource(P8, Role.ALICE), MaterializedSource(P8, Role.BOB))
         x = np.zeros((1, 2), dtype=P8.dtype)
         y = np.zeros((2, 1), dtype=P8.dtype)
         with pytest.raises(ProtocolError, match="MaskedMatrix"):
@@ -201,7 +201,7 @@ class TestMaskedMatrix:
         assert np.array_equal(np.einsum("ij,i->j", u, g[:, 0]), (u.T @ g)[:, 0])
 
     def test_dimension_mismatch_aborts_before_randomness(self):
-        empty = (MaterializedSource(P8), MaterializedSource(P8))
+        empty = (MaterializedSource(P8, Role.ALICE), MaterializedSource(P8, Role.BOB))
         x = np.zeros((4, 3), dtype=P8.dtype)
         with pytest.raises(ProtocolError, match="dimension"):
             protocol_pair(P8, lambda s: matmul(s, MaskedMatrix(x), np.zeros((4, 1), P8.dtype)),
@@ -468,7 +468,7 @@ class TestRandomnessDiscipline:
                           sources=(src_a, src_b))
 
     def test_empty_source(self):
-        src = MaterializedSource(P8)
+        src = MaterializedSource(P8, Role.ALICE)
         with pytest.raises(RandomnessUnderflowError):
             src.take_bit_triples(1)
 

@@ -28,6 +28,7 @@ from mpclr.randomness import (
     MatmulDims,
     OnDemandSource,
     TrustedDealer,
+    _meta,
     _parse_stream,
     deserialize_stream,
     expand_seed,
@@ -36,7 +37,7 @@ from mpclr.randomness import (
     serialize_stream,
     subset_products,
 )
-from mpclr.sharing import tail_mask, unpack_rows, word_count
+from mpclr.sharing import pack_rows, tail_mask, unpack_rows, word_count
 from mpclr.transport import PROTOCOL_VERSION
 
 from helpers import dealt_parts
@@ -44,8 +45,8 @@ from helpers import dealt_parts
 P8 = FixedPointParams(frac_bits=1, int_bits=2, ring_bits=8)
 P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
 P64 = FixedPointParams(frac_bits=12, int_bits=15, ring_bits=64)
-# bytes of a CRN1 file header (magic, protocol version, ring width, session
-# id, record count): the first record starts here
+# bytes of a CRN1 file header (magic, protocol version, ring width, party,
+# session id, record count): the first record starts here
 HEADER = 24
 # bytes of a record header: three words, the tag byte the top byte of the first
 RECORD = 24
@@ -75,24 +76,30 @@ class TestTripleGeneration:
             assert opened[s - 1].tolist() == expect.astype(int).tolist()
 
     def test_records_draw_both_seeds_then_alices_shares(self):
-        # since protocol version 12 a record's generator draws the two
-        # parties' seeds, then Alice's shares of the products as raw words,
-        # cast down in the ring or with the tail bits of each row zeroed
-        for tag, meta in [(TAG_SCALAR, 5), (TAG_BIT, 77), (TAG_CONVERSION, DaBits(2, 77, 1)),
-                          (TAG_PREFIXNET, (8, 77)), (TAG_PREFIXNET, (8, 77, 4))]:
+        # since protocol version 18 a record's generator draws the two
+        # parties' seeds, then Alice's share of the middle element of each
+        # written part of odd size, in part order, as raw words cast down in
+        # the ring or with a row's tail bits zeroed when the middle ends its
+        # row; every other share comes from a seed or is the rest.  A row of
+        # 5 bits ends in every word; the middle of rows of 129 bits is the
+        # second of a row's three words.
+        for tag, meta in [(TAG_SCALAR, 5), (TAG_BIT, 5), (TAG_BIT, 129),
+                          (TAG_CONVERSION, DaBits(3, 5, 1)), (TAG_PREFIXNET, (9, 129, 0)),
+                          (TAG_PREFIXNET, (8, 129, 4)), (TAG_PREFIXNET, (8, 5, 4))]:
             a, b = TrustedDealer(4, P16).block(tag, meta)
             rng = TrustedDealer(4, P16)._rng(tag)
             seeds = rng.integers(0, 1 << 64, size=(2, 2), dtype=np.uint64)
             assert np.array_equal(a[0], seeds[0]) and np.array_equal(b[0], seeds[1])
-            if tag in (TAG_SCALAR, TAG_CONVERSION):
-                shares = np.concatenate([part.ravel() for part in a[1:]])
-                words = rng.bit_generator.random_raw(shares.size)
-                assert np.array_equal(shares, words.astype(P16.dtype))
-            else:
-                shares = np.concatenate([part.reshape(-1, part.shape[-1]) for part in a[1:]])
-                words = rng.bit_generator.random_raw(shares.size).reshape(shares.shape)
-                words[:, -1] &= tail_mask(meta[1] if tag == TAG_PREFIXNET else meta)
-                assert np.array_equal(shares, words)
+            odd = [(part, spec) for part, spec in zip(a[1:], layout(tag, meta)[1], strict=True)
+                   if math.prod(spec.shape) % 2]
+            assert odd
+            for word, (part, spec) in zip(rng.bit_generator.random_raw(len(odd)), odd):
+                if spec.bits is None:
+                    assert part[0] == word.astype(P16.dtype)
+                    continue
+                row = word_count(spec.bits)
+                ends_row = math.prod(spec.shape) // 2 % row == row - 1
+                assert part[0] == (word & tail_mask(spec.bits) if ends_row else word)
 
     def test_dealt_tuples_hold_the_subset_products(self):
         # a bit-pool record deals AND triples: u, v and w = u AND v
@@ -110,14 +117,18 @@ class TestTripleGeneration:
         assert np.array_equal(u * v, w)
 
     def test_matmul_block_reconstructs(self):
-        # a block holds each party's seed of U or V, and its share of W
+        # a block holds each party's seed of U or V and of its half of W,
+        # Alice's the first 3 of W's 6 elements and Bob's the last 3, and
+        # its shares of the other half of W
         dealer = TrustedDealer(5, P64)
         (ua,), (ub,) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 0, MATMUL_MASK))
         (va, wa), (vb, wb) = dealer.block(TAG_MATMUL, MatmulDims(3, 4, 2, MATMUL_REUSE))
         u = expand_seed(ua, 12) + expand_seed(ub, 12)
-        v = expand_seed(va, 8) + expand_seed(vb, 8)
-        w = wa + wb
-        assert np.array_equal(u.reshape(3, 4) @ v.reshape(4, 2), w)
+        sa, sb = expand_seed(va, 8 + 3), expand_seed(vb, 8 + 3)
+        v = sa[:8] + sb[:8]
+        w = np.concatenate([sa[8:], wa]) + np.concatenate([wb, sb[8:]])
+        assert wa.shape == wb.shape == (3,)
+        assert np.array_equal(u.reshape(3, 4) @ v.reshape(4, 2), w.reshape(3, 2))
 
     def test_prefix_block_consistency(self):
         width, batch = 8, 5
@@ -228,12 +239,15 @@ class TestStreams:
                                 np.frombuffer(loaded, np.uint8))
 
     def test_serializing_a_dealt_stream_shares_its_memory(self):
-        # w is written, u expands from the record's seed
+        # half of w is written, u expands from the record's seed, and a
+        # take joins w's halves into a new array
         src_a, src_b = TrustedDealer(42, P64).generate(self.REQUESTS)
         for source in (src_a, src_b):
             data = np.frombuffer(serialize_stream(source), np.uint8)
+            _, _, (_, written) = source.records[0]
             u, _, w = source.take_ring_triples(10)
-            assert np.shares_memory(w, data) and not np.shares_memory(u, data)
+            assert np.shares_memory(written, data)
+            assert not np.shares_memory(u, data) and not np.shares_memory(w, data)
             assert serialize_stream(source) is serialize_stream(source)
 
     def test_appended_records_serialize_to_the_dealt_bytes(self):
@@ -296,6 +310,17 @@ class TestStreams:
         with pytest.raises(FormatError, match="magic"):
             deserialize_stream(bytes(raw), P64)
 
+    def test_stream_names_its_party_and_an_unknown_one_is_refused(self):
+        # the header's party byte follows the ring width: a take joins each
+        # part's halves in that party's order
+        for source, party in zip(TrustedDealer(42, P64).generate(self.REQUESTS), (b"A", b"B")):
+            raw = bytearray(serialize_stream(source))
+            assert raw[6:8] == bytes([64]) + party
+            assert deserialize_stream(bytes(raw), P64).role is source.role
+            raw[7:8] = b"C"
+            with pytest.raises(FormatError, match="unknown party b'C'"):
+                deserialize_stream(bytes(raw), P64)
+
     def test_truncated_stream(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = serialize_stream(src_a)
@@ -312,7 +337,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (17).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (18).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -451,7 +476,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 17 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 18 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -475,33 +500,39 @@ def same_parts(a, b):
 
 
 def crn1_bytes(requests, params):
-    """Size of one party's CRN1 stream, from the request metadata alone."""
+    """Size of one party's CRN1 stream, from the request metadata alone:
+    of each part of s elements that depends on the masks, a party writes
+    the s - s // 2 that its seed leaves."""
     def packed(nbits):
         return max(1, -(-nbits // 64))
 
+    def half(size):
+        return size - size // 2
+
     words = 0
     for tag, meta in requests:
-        words += 2  # every record's seed of its pure masks
+        words += 2  # every record's seed of its pure masks and seeded halves
         if tag == TAG_SCALAR:
-            words += meta  # w
+            words += half(meta)  # w
         elif tag == TAG_CONVERSION:
             rows, batch, factored = meta
-            words += (rows + factored) * batch  # the ring shares of r, then rho of row 0
+            words += half(rows * batch) + half(factored * batch)  # r's ring shares, row 0's rho
         elif tag == TAG_BIT:
-            words += packed(meta)  # w = u AND v
+            words += half(packed(meta))  # w = u AND v
         elif tag == TAG_MATMUL:
             _, _, w = MatmulDims(*meta).shapes()
-            words += 0 if w is None else w[0] * w[1]
+            words += 0 if w is None else half(w[0] * w[1])
         else:
             # a setup triple per bit that the plan reads (all but the top
             # one of a zero test), the 11 or 4 products of each 4- or
-            # 3-input gate of the zero test and its final AND's one, then
-            # two products per composition
+            # 3-input gate of the zero test and its final AND's one, each
+            # gate group's one part, then two products per composition
             width, batch, start = (*meta, 0)[:3]
             plan = cached_plan(width, start)
-            products = width - (start > 0) + sum({4: 11, 3: 4, 2: 1}[k] * count
-                                                 for k, count in plan.gate_groups[1:])
-            words += (products + 2 * len(plan.compositions)) * packed(batch)
+            groups = [width - (start > 0)] + [{4: 11, 3: 4, 2: 1}[k] * count
+                                              for k, count in plan.gate_groups[1:]]
+            words += sum(half(rows * packed(batch)) for rows in groups)
+            words += 2 * half(len(plan.compositions) * packed(batch))
     return HEADER + RECORD * len(requests) + 8 * words  # file header, record headers, words
 
 
@@ -585,6 +616,13 @@ class TestMaskedRecords:
         requests = training_randomness_requests(225, 12_634, cfg)
         assert crn1_bytes(requests, P64) < 100e6
 
+    def test_paper_run_provisions_12_58_mb_per_party(self):
+        # the same run: 25,109,864 B when both parties' shares of every
+        # product were written whole
+        cfg = TrainingConfig(eta=0.001, n_iter=223, params=P64, seed=0)
+        requests = training_randomness_requests(225, 12_634, cfg)
+        assert crn1_bytes(requests, P64) == 12_575_480
+
 
 class TestSeededRecords:
     """The pure mask U or V of a matmul record is written as one 2-word
@@ -611,11 +649,13 @@ class TestSeededRecords:
     def test_reuse_record_writes_v_as_2_words(self, k):
         forward = (TAG_MATMUL, MatmulDims(self.N, self.M, k, MATMUL_REUSE))
         src_a, _ = TrustedDealer(8, P64).generate([self.MASK, forward])
-        # the mask's header and seed, then the product's header, V's seed and W
-        size = HEADER + 2 * (RECORD + 8 * 2) + 8 * self.N * k
+        # the mask's header and seed, then the product's header, the seed of
+        # V and of half of W, and the rest of W
+        rest = self.N * k - self.N * k // 2
+        size = HEADER + 2 * (RECORD + 8 * 2) + 8 * rest
         assert len(serialize_stream(src_a)) == size
         _, _, (seed, w) = src_a.records[1]
-        assert seed.shape == (2,) and w.shape == (self.N, k)
+        assert seed.shape == (2,) and w.shape == (rest,)
 
     @pytest.mark.parametrize("params", [P16, P64])
     def test_loaded_streams_reconstruct_the_products(self, params):
@@ -717,8 +757,13 @@ class TestSeededPools:
         words = word_count(batch)
         width = params.ring_bits // 2 + 1
         comps = len(cached_plan(width).compositions)
-        written = {TAG_SCALAR: batch, TAG_BIT: words, TAG_CONVERSION: 3 * batch,
-                   TAG_PREFIXNET: (width + 2 * comps) * words}
+
+        def half(size):  # what a seeded half of a part leaves written
+            return size - size // 2
+
+        written = {TAG_SCALAR: half(batch), TAG_BIT: half(words),
+                   TAG_CONVERSION: half(2 * batch) + half(batch),
+                   TAG_PREFIXNET: half(width * words) + 2 * half(comps * words)}
         for tag, meta in self.pools(params, batch):
             for source in TrustedDealer(3, params).generate([(tag, meta)]):
                 assert len(serialize_stream(source)) == HEADER + RECORD + 8 * (2 + written[tag])
@@ -735,16 +780,19 @@ class TestSeededPools:
         sizes = len(serialize_stream(src_a)), len(serialize_stream(src_b))
         assert sizes[0] == sizes[1] == crn1_bytes(requests, P64)
 
-    def test_tall_plan_takes_0_772_mb_per_iteration(self):
+    def test_tall_plan_takes_0_386_mb_per_iteration(self):
         # 16,000 x 10 for 20 iterations, the benchmark's tall workload: 1.692 MB
         # per iteration when every mask but X's was written whole, 0.973 MB
         # when the prefix network built every carry of 29 bits, 0.813 MB when
         # the zero test's gates took whole 4-input tuples from a bit pool,
         # 0.791 MB when the conversion's product took a ring triple and the
-        # pools had a 5% tail
+        # pools had a 5% tail, 0.772 MB when both parties' shares of every
+        # product were written whole
         cfg = TrainingConfig(eta=2.0 ** -12, n_iter=20, params=P64, seed=0)
         requests = training_randomness_requests(16_000, 9, cfg)
-        assert crn1_bytes(requests, P64) == 15_444_864 == 20 * 772_243.2
+        assert crn1_bytes(requests, P64) == 7_724_064 == 20 * 386_203.2
+        src_a, src_b = TrustedDealer(0, P64).generate(requests)
+        assert len(serialize_stream(src_a)) == len(serialize_stream(src_b)) == 7_724_064
 
     @pytest.mark.parametrize("params", [P16, P64])
     @pytest.mark.parametrize("batch", [64, 225])
@@ -786,7 +834,7 @@ class TestSeededPools:
                 hi, lo = plan.comp_hi, plan.comp_lo
                 assert np.array_equal(prod_pp, mask_p[hi] & mask_p[lo])
                 assert np.array_equal(prod_pg, mask_p[hi] & mask_g[lo])
-                # a take's setup triple is a new array; the other fields are the record's
+                # a take's setup triple is a new array; its masks and joined products are read-only
                 assert not any(p.flags.writeable for p in (*pa[1:], *pb[1:]))
 
 
@@ -814,16 +862,22 @@ class TestGateGroupRecords:
         words = word_count(self.BATCH)
         meta = (width, self.BATCH, start)
         nodes, comps = (len(plan.masked_nodes), words), (len(plan.compositions), words)
-        masks, written = layout(TAG_PREFIXNET, meta)
-        assert {part.bits for part in masks + written} == {self.BATCH}
+        seeded, written = layout(TAG_PREFIXNET, meta)
+        assert {part.bits for part in seeded + written} == {self.BATCH}
         # a zero test's setup ANDs are one-sided: each party's seed expands
         # to the whole mask of its own operand, one row per gate
-        assert [part.own for part in masks] == [start > 0] + [False] * (len(masks) - 1)
-        assert [part.shape for part in masks] == [
-            (1 if start else 2, groups[0][1], words),
-            *((k, count, words) for k, count in groups[1:]), nodes, nodes]
+        assert [part.own for part in seeded] == [start > 0] + [False] * (len(seeded) - 1)
+        masks = [(1 if start else 2, groups[0][1], words),
+                 *((k, count, words) for k, count in groups[1:]), nodes, nodes]
+        products = [*(((1 << k) - 1 - k, count, words) for k, count in groups), comps, comps]
+        assert [part.shape for part in written] == products
+        # after the masks, a seed expands to its half of every written part,
+        # and the record writes the rest of each, flat
+        sizes = [math.prod(shape) for shape in products]
+        assert [part.shape for part in seeded] == masks + [(size // 2,) for size in sizes]
+        assert [part.half for part in seeded] == [0] * len(masks) + sizes
         assert [shape for shape, _ in part_shapes(TAG_PREFIXNET, meta, P64)] == [
-            (2,), *(((1 << k) - 1 - k, count, words) for k, count in groups), comps, comps]
+            (2,), *((size - size // 2,) for size in sizes)]
 
     @pytest.mark.parametrize("width,start", PLANS)
     def test_every_dealt_tuple_opens_to_its_subset_products(self, width, start):
@@ -871,3 +925,202 @@ class TestMaskCountFormula:
         blk_a = src_a.take_prefix_block(width, batch)
         assert len(blk_a.mask_p) == len(plan.masked_nodes)
         assert len(blk_a.prod_pp) == len(plan.compositions)
+
+
+def opens(tag, meta, pa, pb, masks):
+    """Whether two parties' takes of a record reconstruct its products;
+    `masks` maps a matrix shape to the U last opened at it."""
+    if tag == TAG_SCALAR:
+        (ua, va, wa), (ub, vb, wb) = pa, pb
+        return np.array_equal((ua + ub) * (va + vb), wa + wb)
+    if tag == TAG_BIT:
+        u, v, w = pa ^ pb
+        return np.array_equal(u & v, w)
+    if tag == TAG_CONVERSION:
+        (ring_a, bits_a, va, rho_a), (ring_b, bits_b, vb, rho_b) = pa, pb
+        r = unpack_rows(bits_a ^ bits_b, meta.batch).reshape(-1).astype(ring_a.dtype)
+        return (np.array_equal(ring_a + ring_b, r)
+                and np.array_equal(rho_a + rho_b, r[:len(va)] * (va + vb)))
+    if tag == TAG_MATMUL:
+        (ua, va, wa), (ub, vb, wb) = pa, pb
+        if meta.kind == MATMUL_MASK:
+            masks[meta[:2]] = ua + ub
+            return wa is wb is None
+        u = masks[meta[:2]]
+        return np.array_equal((u if meta.kind == MATMUL_REUSE else u.T) @ (va + vb), wa + wb)
+    width, _, start = meta
+    plan = cached_plan(width, start)
+    groups = len(plan.gate_groups)
+    gates, (mask_p, mask_g, prod_pp, prod_pg) = (
+        list(zip(pa[:groups], pb[:groups])), [x ^ y for x, y in zip(pa[groups:], pb[groups:])])
+    if start:  # one-sided: Alice's whole mask u, Bob's v, and their shares of u AND v
+        ((u, wa), (v, wb)), *gates = gates
+        if not np.array_equal(wa ^ wb, u & v):
+            return False
+    for ga, gb in gates:
+        opened = ga ^ gb
+        k = len(opened).bit_length()
+        if not np.array_equal(opened, subset_products(opened[[(1 << i) - 1 for i in range(k)]])):
+            return False
+    hi, lo = plan.comp_hi, plan.comp_lo
+    return (np.array_equal(prod_pp, mask_p[hi] & mask_p[lo])
+            and np.array_equal(prod_pg, mask_p[hi] & mask_g[lo]))
+
+
+def every_kind(params, batch):
+    """One record of every kind, at `batch`: pools of ring and AND triples,
+    factored and plain daBits, a full decomposition and a zero test, whose
+    setup group is one-sided, and the three matrix kinds, the mask writing
+    nothing."""
+    width = params.ring_bits // 2 + 1
+    return [(TAG_SCALAR, batch), (TAG_BIT, batch), (TAG_CONVERSION, DaBits(2, batch, 1)),
+            (TAG_CONVERSION, DaBits(1, batch, 0)), (TAG_PREFIXNET, (width, batch, 0)),
+            (TAG_PREFIXNET, (width, batch, width // 2)),
+            (TAG_MATMUL, MatmulDims(batch, 3, 0, MATMUL_MASK)),
+            (TAG_MATMUL, MatmulDims(batch, 3, 1, MATMUL_REUSE)),
+            (TAG_MATMUL, MatmulDims(batch, 3, 2, MATMUL_REUSE_T))]
+
+
+class TestBalancedHalves:
+    """Of every part of s elements that depends on a record's masks, Alice's
+    seed expands to her shares of the first s // 2 and Bob's to his of the
+    last s // 2; each party writes the rest, and a take joins the two.  At
+    every batch some part is odd, with a middle element that both parties
+    write, and at 225 a half ends inside a packed row of four words."""
+
+    @pytest.mark.parametrize("params", [P16, P64], ids=["ring16", "ring64"])
+    @pytest.mark.parametrize("batch", [1, 77, 225])
+    def test_dealt_loaded_and_on_demand_takes_agree_and_reconstruct(self, params, batch):
+        requests = every_kind(params, batch)
+        written = [spec for tag, meta in requests for spec in layout(tag, _meta(tag, meta))[1]]
+        assert any(math.prod(spec.shape) % 2 for spec in written)
+        if batch == 225:  # some half ends inside a packed row
+            assert any(spec.bits and math.prod(spec.shape) // 2 % 4 for spec in written)
+        dealt = TrustedDealer(batch, params).generate(requests)
+        loaded = [deserialize_stream(serialize_stream(s), params) for s in dealt]
+        on_demand = [OnDemandSource(batch, role, params) for role in Role]
+        (a, b), *others = [[[take(s, *request) for request in requests] for s in sources]
+                           for sources in (dealt, loaded, on_demand)]
+        for other in others:
+            for ours, theirs in zip((a, b), other):
+                assert all(same_parts(x, y) for x, y in zip(ours, theirs, strict=True))
+        masks = {}
+        for (tag, meta), pa, pb in zip(requests, a, b):
+            assert opens(tag, _meta(tag, meta), pa, pb, masks), (tag, meta)
+
+    @pytest.mark.parametrize("params", [P16, P64], ids=["ring16", "ring64"])
+    def test_ring_takes_across_the_halves(self, params):
+        # 77 triples: Alice's seed gives w's first 38, Bob's its last 38, and
+        # both write the middle one, so the third take crosses both cuts;
+        # the last take is past the used-up record
+        for side in (0, 1):
+            dealt = TrustedDealer(3, params).generate([(TAG_SCALAR, 77)])[side]
+            loaded = deserialize_stream(serialize_stream(dealt), params)
+            whole = TrustedDealer(3, params).generate([(TAG_SCALAR, 77)])[side]
+            whole = whole.take_ring_triples(77)
+            for source in (dealt, loaded):
+                start = 0
+                for n in (30, 0, 10, 37, 0):
+                    got = source.take_ring_triples(n)
+                    assert same_parts(got, [part[start:start + n] for part in whole])
+                    start += n
+
+    def test_bit_takes_across_the_halves(self):
+        # 1,064 triples in 17 words: Alice's seed gives words 0..7 of w, Bob's
+        # words 9..16, and both write word 8, so w's cuts lie at bits 512 and
+        # 576; the second take, of three rows of 30 bits, starts at bit 500
+        n, takes = 1064, [(500, 1), (90, 3), (0, 2), (474, 6)]
+        for side in (0, 1):
+            dealt = TrustedDealer(8, P64).generate([(TAG_BIT, n)])[side]
+            loaded = deserialize_stream(serialize_stream(dealt), P64)
+            whole = TrustedDealer(8, P64).generate([(TAG_BIT, n)])[side].take_bit_triples(n)
+            bits = unpack_rows(whole[:, 0], n)
+            for source in (dealt, loaded):
+                start = 0
+                for count, rows in takes:
+                    got = source.take_bit_triples(count, rows=rows)
+                    cut = bits[:, start:start + count].reshape(3 * rows, -1)
+                    want = pack_rows(cut).reshape(3, rows, -1)
+                    assert np.array_equal(got, want), (side, count)
+                    start += count
+                # an empty take past every record
+                assert np.array_equal(source.take_bit_triples(0, rows=2),
+                                      np.zeros((3, 2, 1), np.uint64))
+
+
+class TestSeededHalvesSecurity:
+    """A party's seeded halves are its own: they come from its seed alone,
+    its peer's stream holds none of them, and a change of its seed moves
+    only them (aim 3)."""
+
+    REQUESTS = [request for request in every_kind(P64, 225)
+                if request[1] != MatmulDims(225, 3, 0, MATMUL_MASK)]
+
+    @staticmethod
+    def products(source):
+        """Every record's parts that depend on its masks, joined, whole."""
+        return [source._take(tag, _meta(tag, meta))[1] for tag, meta in
+                TestSeededHalvesSecurity.REQUESTS]
+
+    def streams(self):
+        requests = [(TAG_MATMUL, MatmulDims(225, 3, 0, MATMUL_MASK)), *self.REQUESTS]
+        return TrustedDealer(12, P64).generate(requests)
+
+    def test_each_half_is_the_own_seeds_expansion_past_the_masks(self):
+        for side, source in enumerate(self.streams()):
+            source.take_matmul_triple(MatmulDims(225, 3, 0, MATMUL_MASK))
+            for (tag, meta), parts, (_, _, (seed, *_)) in zip(
+                    self.REQUESTS, self.products(source), source.records[1:]):
+                masks, written = layout(tag, _meta(tag, meta))
+                words = expand_seed(seed, sum(math.prod(spec.shape) for spec in masks))
+                seeded = words[sum(math.prod(spec.shape) for spec in masks[:-len(written)]):]
+                for part, spec in zip(parts, written):
+                    size = math.prod(spec.shape)
+                    half, seeded = seeded[:size // 2], seeded[size // 2:]
+                    first = size - size // 2 if side else 0
+                    if spec.bits is not None:  # each row's tail bits are zeroed
+                        count = word_count(spec.bits)
+                        ends = np.arange(first, first + len(half)) % count == count - 1
+                        half = np.where(ends, half & tail_mask(spec.bits), half)
+                    got = part.reshape(-1)[first:first + size // 2]
+                    assert np.array_equal(got, half.astype(got.dtype)), (tag, meta)
+
+    def test_no_stream_holds_its_peers_seeded_halves(self):
+        # where a product is 0, as an AND of four masks often is in a word
+        # of a row's 33 tail bits, the peer's share of it equals the own one
+        # by the sharing itself, so only words of nonzero products count
+        sources = self.streams()
+        words = [np.frombuffer(serialize_stream(s), np.uint64) for s in sources]
+        for source in sources:
+            source.take_matmul_triple(MatmulDims(225, 3, 0, MATMUL_MASK))
+        products = [self.products(source) for source in sources]
+        for (tag, meta), parts_a, parts_b in zip(self.REQUESTS, *products):
+            for spec, pa, pb in zip(layout(tag, _meta(tag, meta))[1], parts_a, parts_b):
+                value = (pa + pb if spec.bits is None else pa ^ pb).reshape(-1)
+                size = len(value)
+                for side, (own, peer) in enumerate(((pa, words[1]), (pb, words[0]))):
+                    cut = slice(size - size // 2, None) if side else slice(None, size // 2)
+                    half = own.reshape(-1)[cut][value[cut] != 0]
+                    assert not np.isin(half, peer).any(), (tag, meta)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_a_changed_seed_moves_only_its_partys_halves(self, side):
+        dealt, changed = self.streams(), list(self.streams())
+        raw = bytearray(serialize_stream(changed[side]))
+        for _, _, (seed, *_) in changed[side].records[1:]:
+            at = raw.find(seed.tobytes())
+            raw[at:at + 16] = (~seed).tobytes()
+        changed[side] = deserialize_stream(bytes(raw), P64)
+        opened = []
+        for sources in (dealt, changed):
+            for source in sources:
+                source.take_matmul_triple(MatmulDims(225, 3, 0, MATMUL_MASK))
+            opened.append([self.products(source) for source in sources])
+        for index, (tag, meta) in enumerate(self.REQUESTS):
+            for part, spec in enumerate(layout(tag, _meta(tag, meta))[1]):
+                plus = np.add if spec.bits is None else np.bitwise_xor
+                was, now = (plus(a[index][part], b[index][part]).reshape(-1) for a, b in opened)
+                size = len(was)
+                moved = np.zeros(size, bool)
+                moved[slice(size - size // 2, None) if side else slice(None, size // 2)] = True
+                assert np.array_equal(was != now, moved), (tag, meta)

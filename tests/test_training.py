@@ -331,10 +331,12 @@ class TestRequestPlanContract:
             mine = [request for request in requests if request[0] == tag]
             source, _ = TrustedDealer(3, params).generate(mine)
             for (_, meta), (_, _, parts) in zip(mine, source.records, strict=True):
-                if tag in (TAG_SCALAR, TAG_CONVERSION):  # one ring word per triple or daBit
-                    assert int(meta) == len(parts[1])
+                # one ring word per triple or daBit, or one packed word per 64
+                # triples, of which each party's seed gives half, rounded down
+                if tag in (TAG_SCALAR, TAG_CONVERSION):
+                    assert len(parts[1]) == -(-int(meta) // 2)
                 elif tag == TAG_BIT:
-                    assert parts[1].shape == (word_count(int(meta)),)
+                    assert parts[1].shape == (-(-word_count(int(meta)) // 2),)
 
 
 class TestCostAccounting:

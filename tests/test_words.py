@@ -189,13 +189,13 @@ class TestBitPool:
         self.check_takes(src_a, self.reference(4), sum(self.TAKES, []))
 
     def test_appends_after_takes(self):
-        source = MaterializedSource(P64)
+        source = MaterializedSource(P64, Role.ALICE)
         ref = BigIntPool()
         dealer = TrustedDealer(6, P64)
         for n in (70, 33):
             parts = dealer.block(TAG_BIT, n)[0]
             source.append(TAG_BIT, n, parts)
-            ref.append(n, whole_record(TAG_BIT, n, parts, P64)[0])
+            ref.append(n, whole_record(TAG_BIT, n, parts, P64, Role.ALICE)[0])
             self.check_takes(source, ref, [n - 9, 9])
 
     def test_take_past_its_record_underflows(self):
@@ -233,16 +233,20 @@ class TestBitPool:
             got = source.take_bit_triples(n, rows=rows if not n else 1)
             if not n:
                 assert np.array_equal(got, empty) and got.dtype == np.uint64
-        assert np.array_equal(MaterializedSource(P64).take_bit_triples(0, rows=rows), empty)
+        for role in Role:
+            assert np.array_equal(MaterializedSource(P64, role).take_bit_triples(0, rows=rows),
+                                  empty)
 
     # the last record is criterion 2's pool of 22 x 4096 triples
-    @pytest.mark.parametrize("n,size", [(1, 72), (64, 72), (65, 80), (22 * 4096, 11_328)])
+    @pytest.mark.parametrize("n,size", [(1, 72), (64, 72), (65, 72), (22 * 4096, 5_696)])
     def test_record_is_a_seed_and_w(self, n, size):
-        # the file and record headers, the 2-word seed of u and v, then w = u AND v
+        # the file and record headers, the 2-word seed of u, v and one half
+        # of w = u AND v, then the other half of w, odd middle word included
+        rest = -(-word_count(n) // 2)
         for source in TrustedDealer(8, P64).generate([(TAG_BIT, n)]):
-            assert len(serialize_stream(source)) == size == 24 + 24 + 8 * (2 + word_count(n))
+            assert len(serialize_stream(source)) == size == 24 + 24 + 8 * (2 + rest)
             (_, _, (seed, w)), = source.records
-            assert seed.shape == (2,) and w.shape == (word_count(n),)
+            assert seed.shape == (2,) and w.shape == (rest,)
 
 
 class TestDabitPool:
@@ -283,9 +287,11 @@ class TestDabitPool:
     @pytest.mark.parametrize("on_demand", [False, True])
     def test_row_takes_are_cut_from_the_record_strings(self, on_demand, rows, batch):
         # a record's seed expands to one string of words, cut into its Z_2
-        # rows of word_count(batch) words, the tail bits zeroed, and then row
-        # 0's ring masks v if it is factored; a conversion of `rows` rows,
-        # then a factored one of a single row, each reads its own record
+        # rows of word_count(batch) words, the tail bits zeroed, row 0's ring
+        # masks v if it is factored, then the party's seeded halves of the
+        # ring shares and of rho, joined with the written rest of each:
+        # Alice's half first, Bob's last; a conversion of `rows` rows, then a
+        # factored one of a single row, each reads its own record
         metas = [DaBits(rows, batch), DaBits(1, batch, 1)]
         words = word_count(batch)
         for role in Role:
@@ -296,12 +302,17 @@ class TestDabitPool:
             for meta in metas:
                 seed, ring, rho = dealer.block(TAG_CONVERSION, meta)[side]
                 got_ring, got_bits, got_v, got_rho = source.take_dabits(*meta)
-                string = expand_seed(seed, meta.rows * words + meta.factored * batch)
+                masks = meta.rows * words + meta.factored * batch
+                halves = [int(meta) // 2, meta.factored * batch // 2]
+                string = expand_seed(seed, masks + sum(halves))
                 want = string[:meta.rows * words].reshape(meta.rows, words)
                 want[:, -1] &= tail_mask(batch)
                 assert np.array_equal(got_bits, want)
-                assert np.array_equal(got_v, string[meta.rows * words:])
-                assert np.array_equal(got_ring, ring) and np.array_equal(got_rho, rho)
+                assert np.array_equal(got_v, string[meta.rows * words:masks])
+                ring_half, rho_half = np.split(string[masks:], halves[:1])
+                for got, half, rest in ((got_ring, ring_half, ring), (got_rho, rho_half, rho)):
+                    assert np.array_equal(got, np.concatenate([rest, half] if side else
+                                                              [half, rest]))
 
     @pytest.mark.parametrize("role", [Role.ALICE, Role.BOB])
     def test_on_demand_takes(self, role):
@@ -346,19 +357,20 @@ class TestFactoredDabits:
     @pytest.mark.parametrize("batch", [0, 1, 37, 100])
     def test_record_writes_rho_after_the_ring_shares(self, batch):
         # the header words are the rows, the batch and the factored flag; a
-        # factored record writes row 0's rho after the ring shares of both
-        # rows
+        # factored record writes what the seed leaves of row 0's rho after
+        # what it leaves of the ring shares of both rows: half of each,
+        # rounded up
         for factored in (0, 1):
             meta = DaBits(2, batch, factored)
+            rest = batch, -(-factored * batch // 2)
             for source in TrustedDealer(3, P64).generate([(TAG_CONVERSION, meta)]):
                 data = serialize_stream(source)
-                assert len(data) == 24 + 24 + 8 * (2 + (2 + factored) * batch)
+                assert len(data) == 24 + 24 + 8 * (2 + sum(rest))
                 header = np.frombuffer(data, np.uint64)[3:6]
                 assert header.tolist() == [TAG_CONVERSION << 56 | 2, batch, factored]
                 (_, loaded, (seed, ring, rho)), = deserialize_stream(data, P64).records
                 assert loaded == meta and int(loaded) == 2 * batch
-                assert (seed.shape, ring.shape, rho.shape) == (
-                    (2,), (2 * batch,), (factored * batch,))
+                assert (seed.shape, ring.shape, rho.shape) == ((2,), (rest[0],), (rest[1],))
 
     def test_take_of_another_record_is_a_protocol_error(self):
         source, _ = TrustedDealer(4, P64).generate([(TAG_CONVERSION, DaBits(2, 10, 1))])
