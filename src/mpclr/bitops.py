@@ -150,7 +150,7 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
         # and its mask v, and w_A XOR w_B = u AND v, so a AND b is the XOR
         # of Alice's a AND (b XOR v) XOR w_A and Bob's v AND (a XOR u) XOR w_B.
         mask, w = next(tuples)
-        theirs = sess.swap([own[:setup] ^ mask]).reshape(mask.shape)
+        [theirs] = sess.swap(bits=[(own[:setup], mask)])
         g_setup = (own[:setup] if sess.is_alice else mask) & theirs ^ w
         sess.transcript.bit_mults += setup * batch
     else:
@@ -176,17 +176,19 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
 
     for layer in plan.rounds:
         masks = layer.pub_masks
-        masked = np.empty((2 * len(masks), own.shape[1]), dtype=np.uint64)
-        masked[0::2] = p_rows[layer.pub_rows] ^ block.mask_p[masks]
-        masked[1::2] = g_rows[layer.pub_rows] ^ block.mask_g[masks]
+        # each opened node's p row, then its g row
+        signals = np.empty((len(masks), 2, own.shape[1]), dtype=np.uint64)
+        signal_masks = np.empty_like(signals)
+        signals[:, 0], signals[:, 1] = p_rows[layer.pub_rows], g_rows[layer.pub_rows]
+        signal_masks[:, 0], signal_masks[:, 1] = block.mask_p[masks], block.mask_g[masks]
         if layer.gate_inputs > len(tree):
             # the final AND, of the tree's one row and the first term, once c_a is known
             low = _const_flip(sess, own[a] ^ g_rows[plan.carry_rows[0]], ones)
             tree = np.concatenate([tree, low[None]])
         gates, used = _level_gates(tree, layer.gates, tuples)
-        opened, *gate_inputs = sess.open(bits=[masked, *mask_gate_inputs(gates)])
+        opened, *gate_inputs = sess.open(bits=[(signals, signal_masks), *mask_gate_inputs(gates)])
         sess.transcript.mask_bits_sent += 2 * batch * len(masks)
-        dp[masks], dg[masks] = opened[0::2], opened[1::2]
+        dp[masks], dg[masks] = opened[:, 0], opened[:, 1]
 
         # comp.left covers the lower positions, comp.right the higher; the
         # higher run is the left factor of the matrix composition

@@ -10,10 +10,12 @@ ring vector, a product against the row's own daBits whose one masked
 operand opens in the conversion's frame.  `Session.open` is the one
 opening of shared values: ring words and bit matrices, as the padded word
 rows they are held in, travel in the same frame type, and one call may
-carry both; its operands are copied once, into the frame, and the peer's
-words are read where they arrived (`Frame.payload` of a received frame is
-a read-only memoryview).  `Session.swap` is the same round without the
-sum: it opens a value that its sender masked with a mask only it holds.
+carry both.  Each operand is a (value, mask) pair, masked straight into the
+frame as value - mask in the ring or value XOR mask in Z_2, so no caller
+builds a masked copy; a party reads its own masked words back from its
+frame and the peer's where they arrived (`Frame.payload` of a received
+frame is a read-only memoryview).  `Session.swap` is the same round without
+the sum: it opens a value that its sender masked with a mask only it holds.
 Role A sends first and role B receives first, which keeps TCP
 deadlock-free without a writer thread; the transcript counters and frame
 bytes are identical on both sides either way.  All ring arithmetic wraps
@@ -42,7 +44,7 @@ from .sharing import (
     random_ring_array,
     unpack_rows,
 )
-from .transport import MSG_OPEN, Channel, Frame, encode_frame
+from .transport import FRAME_HEADER, MSG_OPEN, Channel, Frame, encode_frame
 
 
 @dataclass
@@ -92,11 +94,13 @@ class Session:
 
     # -- round primitive -----------------------------------------------------
 
-    def exchange(self, msg_type: int, payload) -> memoryview:
+    def exchange(self, msg_type: int, payload) -> tuple:
         """One protocol round: both parties send one frame and receive one.
 
-        `payload` is as in `Frame`; the reply's payload is a read-only view
-        into the peer's frame."""
+        `payload` is as in `Frame`.  Returns the payload of the frame sent,
+        which the peer may be reading where it lies and so must not be
+        written, and the reply's payload, a read-only view into the peer's
+        frame."""
         data = encode_frame(Frame(msg_type, payload))
         if self.is_alice:
             self.channel.send_bytes(data)
@@ -112,47 +116,72 @@ class Session:
             raise ProtocolError(f"payload of {len(reply.payload)} bytes is not whole 64-bit words")
         self.transcript.rounds += 1
         self.transcript.record_send(data)
-        return reply.payload
+        return data[FRAME_HEADER.size:], reply.payload
 
     # -- openings ---------------------------------------------------------------
 
-    def swap(self, arrays) -> np.ndarray:
-        """Send the elements of `arrays` in order, one 64-bit word each, in
-        a single round, and return the peer's words, as many as were sent.
-        Alone it opens values masked by masks that only their sender holds:
-        the receiver's word is the sender's masked value itself."""
-        words = np.frombuffer(self.exchange(MSG_OPEN, arrays), dtype=np.uint64)
-        expected = sum(np.size(a) for a in arrays)
-        if len(words) != expected:
-            raise ProtocolError(f"opening has {len(words)} words, expected {expected}")
-        return words
+    def _masked_round(self, ring, bits) -> tuple:
+        """Send every (value, mask) pair of `ring`, then of `bits`, masked
+        straight into one frame, in a single round.  Returns the masked
+        operands (op, value, mask) as the frame took them, this party's
+        masked words, read back from its frame, and the peer's."""
+        operands = []
+        for op, pairs, dtype in ((np.subtract, ring, self.params.dtype),
+                                 (np.bitwise_xor, bits, np.uint64)):
+            for value, mask in pairs:
+                value, mask = np.asarray(value, dtype), np.asarray(mask, dtype)
+                if value.shape != mask.shape:
+                    raise ProtocolError(
+                        f"mask of shape {mask.shape} for an operand of shape {value.shape}")
+                operands.append((op, value, mask))
+        sent, reply = self.exchange(MSG_OPEN, operands)
+        ours, theirs = (np.frombuffer(p, dtype=np.uint64) for p in (sent, reply))
+        if len(theirs) != len(ours):
+            raise ProtocolError(f"opening has {len(theirs)} words, expected {len(ours)}")
+        return operands, ours, theirs
+
+    def swap(self, ring=(), bits=()) -> list:
+        """Send every (value, mask) pair masked, as `open` does, in a single
+        round, and return the peer's masked operands in 64-bit words.  Alone
+        it opens values masked by masks that only their sender holds: the
+        receiver's word is the sender's masked value itself."""
+        operands, _, theirs = self._masked_round(ring, bits)
+        return list(_cut(theirs, operands))
 
     def open(self, ring=(), bits=()) -> list:
-        """Open masked ring tensors and masked matrices of packed bit rows in
-        a single round; returns the opened tensors, then the matrices.
+        """Open shared ring tensors and matrices of packed bit rows in a
+        single round; returns the opened tensors, then the matrices.
 
-        The frame carries each tensor, then each matrix, as its elements in
-        order, one 64-bit word each: a bit matrix goes out as the padded
-        word rows it is held in.
+        Each operand is a (value, mask) pair of this party's shares, masked
+        into the frame as value - mask in the ring, and value XOR mask for a
+        bit matrix; a plain share opens against a zero mask.  The frame
+        carries each tensor, then each matrix, as its elements in order, one
+        64-bit word each: a bit matrix goes out as the padded word rows it
+        is held in.  A mask whose shape differs from its value's raises
+        ProtocolError before anything is sent.  The opened values are new
+        arrays: the sum, or XOR, of this party's masked words and the peer's.
         """
-        ring = [np.asarray(a, dtype=self.params.dtype) for a in ring]
-        bits = [np.asarray(m, dtype=np.uint64) for m in bits]
-        words = self.swap(ring + bits)
-        out = []
-        off = 0
-        for a in ring:
-            out.append(a + words[off:off + a.size].reshape(a.shape).astype(a.dtype, copy=False))
-            off += a.size
-        for m in bits:
-            out.append(m ^ words[off:off + m.size].reshape(m.shape))
-            off += m.size
-        return out
+        operands, ours, theirs = self._masked_round(ring, bits)
+        n = len(ring)
+        k = sum(value.size for _, value, _ in operands[:n])
+        # every tensor, then every matrix, in one pass each
+        return (list(_cut(np.add(ours[:k], theirs[:k], dtype=self.params.dtype), operands[:n]))
+                + list(_cut(ours[k:] ^ theirs[k:], operands[n:])))
 
     def truncate(self, values: np.ndarray) -> np.ndarray:
         """Scale a shared tensor down by the fractional scale (local rule)."""
         if self.trunc_oracle is not None:
             return self.trunc_oracle.truncate(values, self.role, self.params)
         return truncate_share_local(values, self.role, self.params)
+
+
+def _cut(words: np.ndarray, operands):
+    """The `words` of each masked operand (op, value, mask) in turn, as a
+    view of value's shape."""
+    off = 0
+    for _, value, _ in operands:
+        yield words[off:off + value.size].reshape(value.shape)
+        off += value.size
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +200,11 @@ class MaskedMatrix:
     and `u`, its share of U, so each product costs two local matrix-vector
     products: X·y = W + U·e + D·(V + e), where e = y - V is opened, and
     Alice adds the public e to her share of V.
+
+    At the first product a party holds, beside its share of X, three
+    matrices of X's size: `u`, its frame, into which its share of X is
+    masked as it is written, and D, a new array, because the peer may
+    still be reading the frame.  The frame is freed after the round.
     """
 
     def __init__(self, share: np.ndarray):
@@ -195,10 +229,10 @@ def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bo
     kind = MATMUL_REUSE_T if transpose else MATMUL_REUSE
     _, v, w = sess.randomness.take_matmul_triple(MatmulDims(n, m, 1, kind))
     if first:
-        d, e = sess.open(ring=[np.asarray(x.share, dtype=sess.params.dtype) - u, y - v])
+        d, e = sess.open(ring=[(x.share, u), (y, v)])
         x.d, x.u, x.share = d, u, None
     else:
-        [e] = sess.open(ring=[y - v])
+        [e] = sess.open(ring=[(y, v)])
     v = v + e if sess.is_alice else v
     # for integer dtypes numpy runs these einsums faster than x.u @ e or x.u.T @ e
     if transpose:
@@ -227,7 +261,7 @@ def batch_mul(sess: Session, xs, ys: np.ndarray) -> np.ndarray:
     u = u.reshape(xs.shape)
     v = v.reshape(xs.shape)
     w = w.reshape(xs.shape)
-    d, e = sess.open(ring=[xs - u, ys - v])
+    d, e = sess.open(ring=[(xs, u), (ys, v)])
     z = w + e * u + d * v
     if sess.is_alice:
         z = z + d * e
@@ -270,9 +304,9 @@ def and_gates(sess: Session, gates, batch: int) -> list:
 
 
 def mask_gate_inputs(gates) -> list:
-    """The masked inputs m_i = x_i XOR r_i of every gate, in order: what
-    `and_gates` opens."""
-    return [x ^ rs[(1 << i) - 1] for xs, rs in gates for i, x in enumerate(xs)]
+    """The pairs (x_i, r_i) of every gate's inputs and their masks, in
+    order: what `and_gates` opens as the masked inputs m_i = x_i XOR r_i."""
+    return [(x, rs[(1 << i) - 1]) for xs, rs in gates for i, x in enumerate(xs)]
 
 
 def finish_and_gates(sess: Session, gates, opened, batch: int) -> list:
@@ -316,8 +350,8 @@ def convert_bits_to_ring(sess: Session, rows, batch: int, factor=None) -> np.nda
     ring = []
     if factor is not None:
         factor = np.asarray(factor, dtype=dtype)
-        ring = [factor - v]
-    *masked, c = sess.open(ring=ring, bits=[rows ^ r_bits])
+        ring = [(factor, v)]
+    *masked, c = sess.open(ring=ring, bits=[(rows, r_bits)])
     c = unpack_rows(c, batch).reshape(-1).astype(dtype)
     flip = dtype(1) - dtype(2) * c
     out = flip * r_ring

@@ -3,8 +3,9 @@
 Every message is one frame: 4-byte magic, 1-byte message type, 8-byte
 little-endian payload length, payload.  An opening (type MSG_OPEN) carries
 its ring values as unsigned 64-bit little-endian words, then each bit matrix
-as its rows of LSB-first packed words, each row padded to a whole word.  The
-same byte stream is produced whether the parties talk over TCP or over the
+as its rows of LSB-first packed words, each row padded to a whole word,
+and its operands are masked straight into the frame's buffer.  The same
+byte stream is produced whether the parties talk over TCP or over the
 in-process channel used by local mode and tests.  A dead peer kills the session; there is no retry logic.
 """
 
@@ -37,9 +38,11 @@ PROTOCOL_VERSION = 18
 @dataclass(frozen=True)
 class Frame:
     """One message.  The payload is any bytes-like object, or, for an
-    opening being sent, a list of numpy arrays of unsigned integers, which
-    go out as their elements in order, one 64-bit word each.  A received
-    frame's payload is a read-only memoryview."""
+    opening being sent, a list of masked operands (op, value, mask), each
+    the array op(value, mask) of unsigned integers, computed in value's
+    dtype: `np.subtract` masks a ring value, `np.bitwise_xor` a bit matrix.
+    Each operand goes out as its elements in order, one 64-bit word each.
+    A received frame's payload is a read-only memoryview."""
 
     msg_type: int
     payload: bytes | memoryview | list
@@ -57,20 +60,24 @@ def _header(msg_type: int, length: int) -> bytes:
 
 def encode_frame(frame: Frame) -> memoryview:
     """The frame's bytes, header then payload, as one buffer that the
-    payload is copied into once.  The header takes the last 13 bytes of two
-    leading words, so the payload starts 64-bit aligned."""
+    payload is written into once: a masked operand is masked straight into
+    it, with no masked copy of its own.  The header takes the last 13 bytes
+    of two leading words, so the payload starts 64-bit aligned."""
     payload = frame.payload
-    arrays = isinstance(payload, list)
-    length = 8 * sum(a.size for a in payload) if arrays else memoryview(payload).nbytes
+    operands = isinstance(payload, list)
+    length = (8 * sum(value.size for _, value, _ in payload) if operands
+              else memoryview(payload).nbytes)
     header = _header(frame.msg_type, length)
     buf = np.empty(2 + -(-length // 8), dtype=np.uint64)
     data = buf.view(np.uint8)[16 - FRAME_HEADER.size:16 + length]
     data[:FRAME_HEADER.size] = np.frombuffer(header, dtype=np.uint8)
-    if arrays:
+    if operands:
         off = 2
-        for a in payload:
-            buf[off:off + a.size] = a.reshape(-1)
-            off += a.size
+        for op, value, mask in payload:
+            # in value's dtype, so a narrow ring's difference wraps in its
+            # ring, then widens to the frame's words
+            op(value, mask, out=buf[off:off + value.size].reshape(value.shape), dtype=value.dtype)
+            off += value.size
     else:
         data[FRAME_HEADER.size:] = np.frombuffer(payload, dtype=np.uint8)
     return memoryview(data)

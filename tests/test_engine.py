@@ -14,8 +14,19 @@ from mpclr import (
 )
 from mpclr.engine import MaskedMatrix, and_gates, batch_mul, convert_bits_to_ring, matmul, mul
 from mpclr.fixedpoint import exact_truncate
-from mpclr.randomness import MaterializedSource, TrustedDealer, TAG_SCALAR, subset_products
-from mpclr.transport import FRAME_HEADER, MSG_OPEN
+from mpclr.randomness import (
+    MATMUL_MASK,
+    MATMUL_REUSE,
+    TAG_MATMUL,
+    TAG_SCALAR,
+    MaterializedSource,
+    MatmulDims,
+    TrustedDealer,
+    deserialize_stream,
+    serialize_stream,
+    subset_products,
+)
+from mpclr.transport import FRAME_HEADER, MSG_OPEN, Frame, encode_frame
 from mpclr.sharing import (
     pack_rows,
     random_ring_array,
@@ -393,10 +404,10 @@ class TestBitOpenings:
         # the peer answers a one-word opening with four words, with one word
         # and three bytes, or with nothing; a mixed opening of two ring words
         # and a 65-bit row (two words) with three words, five, or four and a half
-        ring = lambda s: s.open(ring=[np.zeros(1, dtype=P8.dtype)])
-        bits = lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)])
-        mixed = lambda s: s.open(ring=[np.zeros(2, dtype=P8.dtype)],
-                                 bits=[np.zeros((1, 2), dtype=np.uint64)])
+        zero = lambda *shape: (np.zeros(shape, dtype=np.uint64),) * 2
+        ring = lambda s: s.open(ring=[zero(1)])
+        bits = lambda s: s.open(bits=[zero(1, 1)])
+        mixed = lambda s: s.open(ring=[zero(2)], bits=[zero(1, 2)])
         for opening, reply, error in [
             (bits, bytes(32), "opening has 4 words, expected 1"),
             (bits, bytes(11), "11 bytes is not whole 64-bit words"),
@@ -423,8 +434,9 @@ class TestBitOpenings:
                      for m in (bit_a, bit_b)]
 
         def side(idx):
-            ring = [pair[idx].values for pair in ring_shares]
-            bits = bit_masks if idx else [m ^ r for m, r in zip((bit_a, bit_b), bit_masks)]
+            ring = [(pair[idx].values, np.zeros_like(pair[idx].values)) for pair in ring_shares]
+            bits = [(m, np.zeros_like(m)) for m in bit_masks] if idx else [
+                (m, r) for m, r in zip((bit_a, bit_b), bit_masks)]
             return lambda s: s.open(ring=ring, bits=bits)
 
         ra, rb, sa, _ = protocol_pair(P64, side(0), side(1))
@@ -437,6 +449,64 @@ class TestBitOpenings:
         assert sa.transcript.bytes_sent == FRAME_HEADER.size + 8 * (9 + 6 + 2)
 
 
+class TestMaskedOperands:
+    @pytest.mark.parametrize("params", [P8, P16], ids=["P8", "P16"])
+    def test_narrow_ring_masks_into_the_frame_it_would_copy(self, params):
+        # each party's frame holds x - u, wrapped in the narrow ring and
+        # widened to 64-bit words, then rows XOR r
+        rng = np.random.default_rng(params.ring_bits)
+        batch = 70
+
+        def operands():
+            x, u = (random_ring_array(rng, params, (2, 3)) for _ in range(2))
+            rows, r = rng.integers(0, 1 << 64, (2, 3, word_count(batch)), dtype=np.uint64)
+            for a in (x, u, rows, r):
+                a.flags.writeable = False
+            return x, u, rows, r
+
+        sides = {Role.ALICE: operands(), Role.BOB: operands()}
+        before = {role: [a.copy() for a in side] for role, side in sides.items()}
+        sent = {}
+
+        def party(sess):
+            x, u, rows, r = sides[sess.role]
+            send = sess.channel.send_bytes
+            sess.channel.send_bytes = lambda data: send(data) or sent.setdefault(sess.role,
+                                                                                 bytes(data))
+            return sess.open(ring=[(x, u)], bits=[(rows, r)])
+
+        opened = run_sessions(*local_session_pair(params), party, party)
+        for role, (x, u, rows, r) in sides.items():
+            words = (x - u).astype(np.uint64).tobytes() + (rows ^ r).tobytes()
+            assert sent[role] == bytes(encode_frame(Frame(MSG_OPEN, words)))
+        (xa, ua, rows_a, ra), (xb, ub, rows_b, rb) = sides.values()
+        for ring, bits in opened:
+            assert ring.dtype == params.dtype
+            assert np.array_equal(ring, (xa - ua) + (xb - ub))
+            assert np.array_equal(bits, rows_a ^ ra ^ rows_b ^ rb)
+        for role, side in sides.items():
+            assert all(np.array_equal(a, c) for a, c in zip(side, before[role]))
+
+    @pytest.mark.parametrize("ring, bits", [
+        ([(np.zeros(3, np.uint64), np.zeros(1, np.uint64))], []),
+        ([(np.zeros(3, np.uint64), np.uint64(0))], []),
+        ([(np.zeros((2, 3), np.uint64), np.zeros(3, np.uint64))], []),
+        ([], [(np.zeros((4, 2), np.uint64), np.zeros((1, 2), np.uint64))]),
+        ([(np.zeros(2, np.uint64),) * 2], [(np.zeros((2, 1), np.uint64), np.zeros(2, np.uint64))]),
+    ], ids=["ring-broadcast", "ring-scalar", "ring-rows", "bits-broadcast", "second-operand"])
+    def test_mask_of_another_shape_is_refused_before_sending(self, ring, bits):
+        # numpy would broadcast most of these masks into the frame and send
+        # wrong words
+        sess, peer = local_session_pair(P64)
+        peer.channel.close()  # a round that got past the check fails at once
+        sent = []
+        sess.channel.send_bytes = sent.append
+        for call in (sess.open, sess.swap):
+            with pytest.raises(ProtocolError, match="mask of shape"):
+                call(ring=ring, bits=bits)
+        assert sent == [] and sess.transcript.rounds == 0
+
+
 class TestOpeningMemory:
     def test_each_party_copies_its_payload_once(self):
         # each party allocates its frame and its opened matrix and reads the
@@ -446,15 +516,45 @@ class TestOpeningMemory:
         rng = np.random.default_rng(3)
         xa, xb = (np.frombuffer(rng.bytes(payload), dtype=np.uint64).reshape(shape)
                   for _ in range(2))
+        zero = np.zeros(shape, dtype=np.uint64)
         sess_a, sess_b = local_session_pair(P64, seed=0)
         tracemalloc.start()
         try:
-            ra, rb = run_sessions(sess_a, sess_b, lambda s: s.open(ring=[xa])[0],
-                                  lambda s: s.open(ring=[xb])[0])
+            ra, rb = run_sessions(sess_a, sess_b, lambda s: s.open(ring=[(xa, zero)])[0],
+                                  lambda s: s.open(ring=[(xb, zero)])[0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert np.array_equal(ra, xa + xb) and np.array_equal(rb, ra)
+        assert peak <= 4.1 * payload, f"allocations peaked at {peak / payload:.2f}x the payload"
+
+    def test_first_product_masks_x_straight_into_its_frame(self):
+        # each party masks its share of X into its frame as it writes it and
+        # allocates D, so the two peak at four payloads; a masked copy of X
+        # made before the frame would add one payload per party
+        n, m = 1024, 2048
+        payload = 8 * n * m  # 16 MB
+        rng = np.random.default_rng(5)
+        x = np.frombuffer(rng.bytes(payload), dtype=np.uint64).reshape(n, m)
+        xa, xb = split_array(x, P64, rng)
+        y = rng.integers(0, 1 << 20, (m, 1), dtype=np.uint64)
+        ya, yb = split_array(y, P64, rng)
+        dealt = TrustedDealer(9, P64).generate([(TAG_MATMUL, MatmulDims(n, m, 0, MATMUL_MASK)),
+                                                (TAG_MATMUL, MatmulDims(n, m, 1, MATMUL_REUSE))])
+        sources = [deserialize_stream(serialize_stream(s), P64) for s in dealt]
+        del dealt
+        sess_a, sess_b = local_session_pair(P64, randomness_a=sources[0],
+                                            randomness_b=sources[1])
+        mats = MaskedMatrix(xa.values), MaskedMatrix(xb.values)
+        del xa, xb
+        tracemalloc.start()
+        try:
+            za, zb = run_sessions(sess_a, sess_b, lambda s: matmul(s, mats[0], ya.values),
+                                  lambda s: matmul(s, mats[1], yb.values))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(za + zb, x @ y)
         assert peak <= 4.1 * payload, f"allocations peaked at {peak / payload:.2f}x the payload"
 
 

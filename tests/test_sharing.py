@@ -23,11 +23,11 @@ P64 = FixedPointParams(frac_bits=12, int_bits=15, ring_bits=64)
 
 def open_ring(a, b, params=P8):
     """Open the ring shares a and b through one `Session.open` round."""
-    [ra], [rb], *_ = protocol_pair(
-        params,
-        lambda s: s.open(ring=[np.atleast_1d(np.asarray(a, dtype=params.dtype))]),
-        lambda s: s.open(ring=[np.atleast_1d(np.asarray(b, dtype=params.dtype))]),
-    )
+    def side(share):
+        share = np.atleast_1d(np.asarray(share, dtype=params.dtype))
+        return lambda s: s.open(ring=[(share, np.zeros_like(share))])
+
+    [ra], [rb], *_ = protocol_pair(params, side(a), side(b))
     assert ra == rb
     return int(ra[0])
 
@@ -112,8 +112,8 @@ class TestBits:
             mask = rng.integers(0, 1 << 64, (1, 2), dtype=np.uint64)
             ra, rb, *_ = protocol_pair(
                 P8,
-                lambda s: s.open(bits=[mask])[0],
-                lambda s: s.open(bits=[row ^ mask])[0],
+                lambda s: s.open(bits=[(mask, np.zeros_like(mask))])[0],
+                lambda s: s.open(bits=[(row, mask)])[0],
             )
             assert np.array_equal(ra, row) and np.array_equal(rb, row)
 
@@ -135,8 +135,8 @@ class TestBits:
         with pytest.raises(ProtocolError):
             protocol_pair(
                 P8,
-                lambda s: s.open(bits=[np.zeros((1, 1), dtype=np.uint64)]),
-                lambda s: s.open(bits=[np.zeros((1, 2), dtype=np.uint64)]),
+                lambda s: s.open(bits=[(np.zeros((1, 1), dtype=np.uint64),) * 2]),
+                lambda s: s.open(bits=[(np.zeros((1, 2), dtype=np.uint64),) * 2]),
             )
 
 

@@ -320,7 +320,7 @@ class TestRunPair:
         # Bob receives first, so he is blocked on Alice's first frame
         with pytest.raises(ValueError, match="alice failed"):
             run_sessions(sess_a, sess_b, self._fail("alice failed"),
-                         lambda s: s.open(ring=[np.zeros(3, P64.dtype)]), timeout=10.0)
+                         lambda s: s.open(ring=[(np.zeros(3, P64.dtype),) * 2]), timeout=10.0)
         assert time.monotonic() - start < 2.0
 
     def test_the_earliest_failure_is_raised_not_the_peers_closed_channel(self):
@@ -331,7 +331,7 @@ class TestRunPair:
 
         def alice(sess):
             try:
-                sess.open(ring=[np.zeros(3, P64.dtype)])
+                sess.open(ring=[(np.zeros(3, P64.dtype),) * 2])
             except TransportError as exc:
                 peer_errors.append(exc)
                 raise
@@ -351,7 +351,7 @@ class TestTranscriptCounters:
         payload = np.arange(1024, dtype=np.uint64)
 
         def party(sess):
-            sess.open(ring=[payload.astype(P64.dtype)])
+            sess.open(ring=[(payload, np.zeros_like(payload))])
             return sess.transcript
 
         ta, tb = run_pair(lambda: party(sess_a), lambda: party(sess_b))

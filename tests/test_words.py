@@ -95,8 +95,10 @@ class TestWireLayout:
         sent = []
         send = sess_a.channel.send_bytes
         sess_a.channel.send_bytes = lambda data: send(data) or sent.append(bytes(data))
-        opened = run_sessions(sess_a, sess_b, lambda s: s.open(ring=[ring], bits=[rows]),
-                              lambda s: s.open(ring=[ring], bits=[mask]))
+        zero_ring, zero_rows = np.zeros_like(ring), np.zeros_like(rows)
+        opened = run_sessions(sess_a, sess_b,
+                              lambda s: s.open(ring=[(ring, zero_ring)], bits=[(rows, zero_rows)]),
+                              lambda s: s.open(ring=[(ring, zero_ring)], bits=[(mask, zero_rows)]))
         [frame] = sent
         assert frame[FRAME_HEADER.size:] == ring.tobytes() + rows.tobytes()
         for _, bits in opened:
