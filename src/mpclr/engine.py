@@ -216,6 +216,16 @@ class MaskedMatrix:
         self.u = None
 
 
+def _piecewise(op, values: np.ndarray, pieces, out: np.ndarray) -> np.ndarray:
+    """op(values, part) into `out`, where a take hands the flat `part` out
+    as its two pieces (see `MaterializedSource._take`): each piece with its
+    slice of the flat `values`, into its slice of the flat `out`."""
+    cut = len(pieces[0])
+    op(values[:cut], pieces[0], out=out[:cut])
+    op(values[cut:], pieces[1], out=out[cut:])
+    return out
+
+
 def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bool):
     """X·y, or Xᵀ·y with `transpose`, for a shared column y; one round."""
     n, m = x.shape
@@ -236,9 +246,11 @@ def _masked_product(sess: Session, x: MaskedMatrix, y: np.ndarray, transpose: bo
     v = v + e if sess.is_alice else v
     # for integer dtypes numpy runs these einsums faster than x.u @ e or x.u.T @ e
     if transpose:
-        z = w[:, 0] + np.einsum("ij,i->j", x.u, e[:, 0]) + np.einsum("ij,i->j", x.d, v[:, 0])
+        z = np.einsum("ij,i->j", x.u, e[:, 0]) + np.einsum("ij,i->j", x.d, v[:, 0])
     else:
-        z = w + np.einsum("ij,jk->ik", x.u, e) + np.einsum("ij,jk->ik", x.d, v)
+        z = np.einsum("ij,jk->ik", x.u, e) + np.einsum("ij,jk->ik", x.d, v)
+    flat = z.reshape(-1)  # W's pieces are added where z lies
+    _piecewise(np.add, flat, w, flat)
     sess.transcript.ring_mults += n * m
     return z
 
@@ -342,7 +354,8 @@ def convert_bits_to_ring(sess: Session, rows, batch: int, factor=None) -> np.nda
     nothing needs to hide it: the dealer deals row 0's daBits with a ring
     mask v and shares of rho = r·v (Rotaru and Wood, INDOCRYPT 2019).  The
     frame of c opens e = factor - v alone, r·factor = e·r + rho is local,
-    and so is b·factor = c·factor + (1 - 2c)·(r·factor).
+    and so is b·factor = c·factor + (1 - 2c)·(r·factor).  The ring shares
+    of r and rho are read as the two pieces a take hands them out in.
     """
     dtype = sess.params.dtype
     rows = np.atleast_2d(np.asarray(rows, dtype=np.uint64))
@@ -354,13 +367,17 @@ def convert_bits_to_ring(sess: Session, rows, batch: int, factor=None) -> np.nda
     *masked, c = sess.open(ring=ring, bits=[(rows, r_bits)])
     c = unpack_rows(c, batch).reshape(-1).astype(dtype)
     flip = dtype(1) - dtype(2) * c
-    out = flip * r_ring
+    out = _piecewise(np.multiply, flip, r_ring, np.empty_like(flip))  # (1 - 2c)·r
+    if factor is not None:
+        # c·factor + (1 - 2c)·(e·r + rho), the (1 - 2c)·r read from out
+        [e] = masked
+        head = c[:batch] * factor + e * out[:batch]
+        head += _piecewise(np.multiply, flip[:batch], rho, np.empty(batch, dtype))
     if sess.is_alice:
         out += c
     if factor is None:
         return out
-    [e] = masked
-    out[:batch] = c[:batch] * factor + flip[:batch] * (e * r_ring[:batch] + rho)
+    out[:batch] = head
     sess.transcript.ring_mults += batch
     return out
 

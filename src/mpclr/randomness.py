@@ -31,11 +31,16 @@ party's seed also expands to its shares of one half of each such part,
 Alice's the first and Bob's the last, and each party writes only its
 shares of the rest.  So both parties' streams are the same size, half what
 writing both shares whole takes.  `layout` states both lists for every
-kind of record.  A record keeps its seed and written parts; the masks and
-seeded halves its seed stands for are expanded once and kept beside it,
-and a take joins each written part with its seeded half.  Loading expands
-every record before it returns, so the expansion is part of setup; the
-streams a dealer returns expand a record at its first take.
+kind of record.  A record keeps its seed and written parts.  Its seed
+expands, in one `expand_seed` call, at the record's first take, and the
+expansion is kept only while a pool has units left, so a party holds the
+expansion of the records it is reading and not of the whole run.  The one
+exception is the mask U of a matrix X (`MATMUL_MASK`), which every product
+over X reads: loading expands it.  A take hands out each written part as
+its two flat pieces, Alice's first, where they lie: the seeded half and
+the written rest.  Its reader consumes them in an operation it runs
+anyway, and only the pooled takes and a prefix block's composition
+products join them into one array.
 """
 
 from __future__ import annotations
@@ -179,7 +184,6 @@ _POOLED = (TAG_SCALAR, TAG_BIT)
 # products are written.  A tuple of k inputs holds the first 2^k - 1 strings,
 # k of them single masks.
 _SINGLES = [(1 << i) - 1 for i in range(4)]
-_PRODUCTS = [s for s in range(15) if s not in _SINGLES]
 
 
 def _meta(tag: int, meta):
@@ -233,13 +237,40 @@ def _read_rows(words: np.ndarray, start: int, nrows: int, nbits: int) -> np.ndar
     return out
 
 
-def _tuples(singles: np.ndarray, products: np.ndarray) -> np.ndarray:
+def _join(pieces, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """A read-only copy of the flat elements lo..hi of a part's two
+    `pieces` laid end to end, or of all of them."""
+    first, second = pieces
+    hi = len(first) + len(second) if hi is None else hi
+    cut = len(first)
+    joined = np.concatenate([first[lo:hi], second[max(lo - cut, 0):max(hi - cut, 0)]])
+    joined.flags.writeable = False
+    return joined
+
+
+def _read_into(pieces, outs):
+    """Copy a part's two flat `pieces`, laid end to end, into the
+    C-contiguous arrays `outs`, filling one after the other."""
+    first, second = pieces
+    cut, lo = len(first), 0
+    for out in outs:
+        flat = out.reshape(-1)
+        hi = lo + len(flat)
+        head = min(max(cut - lo, 0), len(flat))
+        flat[:head] = first[lo:hi]
+        flat[head:] = second[max(lo - cut, 0):max(hi - cut, 0)]
+        lo = hi
+
+
+def _tuples(singles: np.ndarray, products) -> np.ndarray:
     """AND tuples of k inputs, all 2^k - 1 strings (see `subset_products`),
-    from their k single masks and their products of two or more masks."""
+    from their k single masks and the two flat pieces of their products of
+    two or more masks, which are copied straight into place."""
     k = len(singles)
     out = np.empty(((1 << k) - 1, *singles.shape[1:]), np.uint64)
     out[_SINGLES[:k]] = singles
-    out[_PRODUCTS[:len(out) - k]] = products
+    # the products between the singles 2^j and 2^(j+1) are strings 2^j..2^(j+1) - 2
+    _read_into(products, [out[1 << j:(2 << j) - 1] for j in range(1, k)])
     return out
 
 
@@ -328,8 +359,9 @@ def _rest(size: int) -> int:
 def _zero_tails(words: np.ndarray, bits: int, skip: int = 0):
     """Zero, in place, the unused tail bits of every row's last word in the
     flat `words` of packed rows of `bits` bits, `skip` words into those rows."""
-    count = word_count(bits)
-    words[(count - 1 - skip) % count::count] &= tail_mask(bits)
+    if bits % 64 or not bits:  # a row of whole words has no tail bits
+        count = word_count(bits)
+        words[(count - 1 - skip) % count::count] &= tail_mask(bits)
 
 
 def _cut(words: np.ndarray, parts, params: FixedPointParams, role: Role) -> list:
@@ -458,9 +490,9 @@ class TrustedDealer:
     def generate(self, requests):
         """Deal both parties' streams for an explicit request list, each
         record straight into its slots of the two CRN1 buffers; every part
-        of the streams returned is a view into its party's buffer.  Their
-        seeds are expanded at a record's first take, not here: the dealer
-        has just drawn those masks.
+        of the streams returned is a view into its party's buffer.  No seed
+        of theirs is expanded here, not even X's mask, which loading
+        expands: every record of a dealt stream expands at its first take.
 
         Each request is (tag, meta): n for pools, DaBits for daBits,
         MatmulDims for matmul, (width, batch) or (width, batch, zero_start)
@@ -491,10 +523,12 @@ class MaterializedSource:
     tag's records, and reads inside one record: a pooled take that does not
     fit in what is left of its record underflows, and any other take reads
     one whole record.  It reads the masks and seeded halves that the
-    record's seed expands to, expanded once per record and kept read-only
-    beside it, joins each written part with its half, and hands the bits of
-    a pool back as the rows its gate reads, not as the strings that the
-    record holds them in.
+    record's seed expands to, read-only, and hands out each written part
+    as its two flat pieces, Alice's first (see `_take`).  A pooled take
+    joins the words it reads, and hands the bits of a pool back as the
+    rows its gate reads, not as the strings that the record holds them in.
+    `_expanded` holds the expansions kept between takes: those of X's mask
+    records from loading, and that of a pool with units left.
     """
 
     def __init__(self, params: FixedPointParams, role: Role, session_id: int = 0):
@@ -504,7 +538,7 @@ class MaterializedSource:
         self.records = []
         self.buffer = None
         self._cursors = {tag: _Cursor() for tag in _TAG_NAMES}
-        self._expanded = {}  # record index -> its masks, seeded halves and whole parts
+        self._expanded = {}  # record index -> its masks and seeded halves, until used up
 
     def append(self, tag: int, meta, parts):
         """Add one record; `meta` is as a request gives it (see `_meta`)."""
@@ -526,14 +560,18 @@ class MaterializedSource:
             raise FormatError(f"randomness stream does not fit this run: it holds "
                               f"{len(have)} records, the run needs {len(need)}")
 
-    def _take(self, tag: int, meta, span=None) -> tuple:
+    def _take(self, tag: int, meta) -> tuple:
         """(masks, products, start) of the one record that a request of
         `tag` reads: the next `meta` units of a pool, from unit `start` on,
         or the whole next record, which must have this meta.  `masks` are
         the pure masks that the record's seed expands to, and `products`
-        this party's shares of what depends on them (see `_join`): whole, or
-        those of the flat elements lo..hi that `span(start)` gives.  A
-        pooled take that does not fit in what is left of its record raises
+        this party's shares of each part that depends on them, whole, as
+        its two flat pieces, Alice's first (see `layout`): its seeded half
+        and its written rest, where they lie.  The seed expands in one
+        `expand_seed` call at the record's first take, unless loading kept
+        its expansion; a pool's expansion is kept across its takes and
+        dropped with the take that uses the record up.  A pooled take that
+        does not fit in what is left of its record raises
         RandomnessUnderflowError, whatever a later record holds."""
         n = _units(tag, meta)
         cur = self._cursors[tag]
@@ -546,7 +584,7 @@ class MaterializedSource:
             # an empty take past the last record reads an empty one
             empty = _meta(tag, 0)
             seed, *written = (np.zeros(*part) for part in part_shapes(tag, empty, self.params))
-            (masks, halves, wholes), start = self._expansion(seed, tag, empty), 0
+            (masks, halves), start = expand_masks(seed, tag, empty, self.params, self.role), 0
         else:
             _, rmeta, (_, *written) = self.records[cur.index]
             left = _units(tag, rmeta) - cur.offset
@@ -558,49 +596,33 @@ class MaterializedSource:
                     f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
             index, start = cur.index, cur.offset
             cur.offset += n
+            expansion = self._expanded.pop(index, None) or self._expand(index)
             if n == left:  # used up: the next take starts after it
                 cur.index, cur.offset = cur.index + 1, 0
-            masks, halves, wholes = self._expand(index)
-        return masks, self._join(halves, written, wholes, span and span(start)), start
+            else:
+                self._expanded[index] = expansion
+            masks, halves = expansion
+        alice = self.role is Role.ALICE
+        return masks, [(half, part) if alice else (part, half)
+                       for half, part in zip(halves, written)], start
 
     def _expand(self, index: int) -> tuple:
-        """`_expansion` of record `index`, expanded once and kept beside it."""
-        if index not in self._expanded:
-            tag, meta, (seed, *_) = self.records[index]
-            self._expanded[index] = self._expansion(seed, tag, meta)
-        return self._expanded[index]
-
-    def _expansion(self, seed, tag: int, meta) -> tuple:
-        """(masks, halves, wholes) of a record of this party's `seed`: the
-        masks and seeded halves the seed expands to (see `layout`),
-        read-only, and the whole shapes of its written parts."""
+        """The masks and seeded halves that this party's seed of record
+        `index` expands to (see `layout`), read-only."""
+        tag, meta, (seed, *_) = self.records[index]
         masks, halves = expand_masks(seed, tag, meta, self.params, self.role)
         for part in (*masks, *halves):
             part.flags.writeable = False
-        return masks, halves, layout(tag, meta)[1]
-
-    def _join(self, halves, written, wholes, span=None) -> list:
-        """This party's shares of a record's parts that depend on its
-        masks, each a read-only join of its seeded half and its written
-        rest, Alice's half first and Bob's last: whole and of the part's
-        shape, or, given `span` (lo, hi), only the flat elements lo..hi."""
-        out = []
-        for half, part, spec in zip(halves, written, wholes):
-            first, second = (half, part) if self.role is Role.ALICE else (part, half)
-            lo, hi = span or (0, len(half) + len(part))
-            cut = len(first)
-            joined = np.concatenate([first[lo:hi], second[max(lo - cut, 0):max(hi - cut, 0)]])
-            joined.flags.writeable = False
-            out.append(joined if span else joined.reshape(spec.shape))
-        return out
+        return masks, halves
 
     def take_ring_triples(self, n):
-        (uv,), (w,), start = self._take(TAG_SCALAR, n, lambda start: (start, start + n))
-        return uv[0, start:start + n], uv[1, start:start + n], w
+        (uv,), (w,), start = self._take(TAG_SCALAR, n)
+        return uv[0, start:start + n], uv[1, start:start + n], _join(w, start, start + n)
 
     def take_matmul_triple(self, dims):
         """(U, V, W) parts of the next TAG_MATMUL record, None where the
-        record's kind lacks a part; raises ProtocolError if its dims differ."""
+        record's kind lacks a part, W as its two flat pieces, Alice's
+        first; raises ProtocolError if its dims differ."""
         dims = _meta(TAG_MATMUL, dims)
         (mask,), written, _ = self._take(TAG_MATMUL, dims)
         return (mask, None, None) if dims.kind == MATMUL_MASK else (None, mask, *written)
@@ -611,29 +633,35 @@ class MaterializedSource:
         rows, the `rs` of a 2-input `engine.and_gates` gate.  Of w's string
         only the words the take reads are joined.  The benchmark's tracer
         wraps the method by name and reads n as its first argument."""
-        def words(start):  # the take's bits, from inside its first word on
-            return start // 64, start // 64 + word_count(n) + 1
-
-        (uv,), (w,), start = self._take(TAG_BIT, n, words)
-        return _tuples(_read_rows(uv, start, rows, n // rows),
-                       _read_rows(w, start % 64, rows, n // rows)[None])
+        (uv,), (w,), start = self._take(TAG_BIT, n)
+        first = start // 64  # the take's bits, from inside this word on
+        w = _join(w, first, first + word_count(n) + 1)
+        return np.concatenate([_read_rows(uv, start, rows, n // rows),
+                               _read_rows(w, start % 64, rows, n // rows)[None]])
 
     def take_dabits(self, rows, batch, factored=0):
         """The next TAG_CONVERSION record, which must be DaBits(rows, batch,
         factored): the ring shares of its daBits, one word each, row after
         row, their Z_2 shares as a (rows, word_count(batch)) matrix of
         packed rows, and row 0's ring masks v and shares of rho = r·v, both
-        empty unless `factored`."""
+        empty unless `factored`.  The ring shares and rho come as the two
+        flat pieces of their parts, Alice's first."""
         (bits, v), (ring, rho), _ = self._take(TAG_CONVERSION, DaBits(rows, batch, factored))
         return ring, bits, v, rho
 
     def take_prefix_block(self, width, batch, zero_start=0) -> PrefixBlock:
-        (*singles, mask_p, mask_g), (*products, prod_pp, prod_pg), _ = self._take(
+        (*singles, mask_p, mask_g), (*products, pp, pg), _ = self._take(
             TAG_PREFIXNET, (width, batch, zero_start))
-        gates = [_tuples(r, w) for r, w in zip(singles, products)]
+        setup = []
         if zero_start:  # one-sided setup ANDs: the own operand's mask, then w
-            gates[0] = np.concatenate([singles[0], products[0]])
-        return PrefixBlock(gates, mask_p, mask_g, prod_pp, prod_pg)
+            (own, *singles), (w, *products) = singles, products
+            setup = [np.empty((2, *own.shape[1:]), np.uint64)]
+            setup[0][0] = own[0]
+            _read_into(w, setup[0][1:])
+        gates = setup + [_tuples(r, w) for r, w in zip(singles, products)]
+        rows = (-1, *mask_p.shape[1:])
+        return PrefixBlock(gates, mask_p, mask_g, _join(pp).reshape(rows),
+                           _join(pg).reshape(rows))
 
 
 class OnDemandSource(MaterializedSource):
@@ -650,10 +678,10 @@ class OnDemandSource(MaterializedSource):
         self._dealer = TrustedDealer(master_seed, params)
         super().__init__(params, role, self._dealer.session_id)
 
-    def _take(self, tag, meta, span=None):
+    def _take(self, tag, meta):
         a, b = self._dealer.block(tag, meta)
         self.append(tag, meta, a if self.role is Role.ALICE else b)
-        return super()._take(tag, meta, span)
+        return super()._take(tag, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -811,16 +839,18 @@ def serialize_stream(source: MaterializedSource) -> memoryview:
 
 
 def deserialize_stream(data, params: FixedPointParams) -> MaterializedSource:
-    """Load a stream from any bytes-like `data`, and expand every record's
-    seed into the masks and seeded halves its takes read, so no take pays
-    for an expansion.
+    """Load a stream from any bytes-like `data`, and expand the seed of
+    each mask U of a matrix X (`MATMUL_MASK`), which the first product over
+    X reads; every other record expands at its first take, so what a
+    loaded stream holds beyond `data` does not grow with the iterations.
     Every written part is a read-only view into `data`, so `data` must not
     change while the stream is in use; `data` that starts off a word
     boundary is first copied once into an aligned buffer, and the ring parts
     of a ring narrower than 64 bits are cast copies."""
     source = _parse_stream(data, params)
-    for index in range(len(source.records)):
-        source._expand(index)
+    for index, (tag, meta, _) in enumerate(source.records):
+        if tag == TAG_MATMUL and meta.kind == MATMUL_MASK:
+            source._expanded[index] = source._expand(index)
     return source
 
 

@@ -11,8 +11,8 @@ from mpclr.randomness import (
     TAG_CONVERSION,
     TAG_MATMUL,
     TAG_SCALAR,
+    MatmulDims,
     MaterializedSource,
-    layout,
 )
 from mpclr.sharing import Role
 
@@ -36,15 +36,34 @@ def forced_scalar_source(params: FixedPointParams, u: int, v: int, w: int):
     """Sources whose next ring triple is exactly (u, v, w): Alice holds the
     values and Bob holds zeros, which is a valid additive sharing.  A
     record's u and v expand from its seed, so each source is given the
-    expanded masks of its record instead; the seeded halves of a single
+    expanded masks of its record instead, kept as loading keeps an
+    expansion until its record's first take; the seeded halves of a single
     triple's w are empty, so both parties write their share of it."""
     dt = params.dtype
     sources = MaterializedSource(params, Role.ALICE), MaterializedSource(params, Role.BOB)
     for source, (u_share, v_share, w_share) in zip(sources, ((u, v, w), (0, 0, 0))):
         source.append(TAG_SCALAR, 1, (np.zeros(SEED_WORDS, np.uint64), np.array([w_share], dt)))
-        source._expanded[0] = ([np.array([[u_share], [v_share]], dt)], [np.zeros(0, dt)],
-                               layout(TAG_SCALAR, 1)[1])
+        source._expanded[0] = ([np.array([[u_share], [v_share]], dt)], [np.zeros(0, dt)])
     return sources
+
+
+def whole(pieces, shape=(-1,)):
+    """A part that a take hands out as its two flat pieces, Alice's first,
+    joined and of `shape`."""
+    return np.concatenate(pieces).reshape(shape)
+
+
+def take_dabits(source, rows, batch, factored=0):
+    """`source.take_dabits`, with the ring shares and rho whole."""
+    ring, bits, v, rho = source.take_dabits(rows, batch, factored)
+    return whole(ring), bits, v, whole(rho)
+
+
+def take_matmul_triple(source, dims):
+    """`source.take_matmul_triple`, with W whole and of its shape."""
+    dims = MatmulDims(*dims)
+    u, v, w = source.take_matmul_triple(dims)
+    return u, v, None if w is None else whole(w, dims.shapes()[2])
 
 
 def whole_record(tag, meta, parts, params, role):
@@ -59,9 +78,9 @@ def whole_record(tag, meta, parts, params, role):
     if tag == TAG_BIT:
         return (source.take_bit_triples(meta)[:, 0],)
     if tag == TAG_CONVERSION:
-        return source.take_dabits(*meta)
+        return take_dabits(source, *meta)
     assert tag == TAG_MATMUL
-    return source.take_matmul_triple(meta)
+    return take_matmul_triple(source, meta)
 
 
 def dealt_parts(dealer, tag, meta):

@@ -243,8 +243,8 @@ class TestProtocolErrors:
                            "deal it again\n")
 
     def test_randomness_of_the_other_party_exits_4(self, toy_csv, tmp_path):
-        # each stream's header names its party, whose order a take joins
-        # each part's halves in
+        # each stream's header names its party, in whose order a take hands
+        # out each part's halves
         def swap(path):  # given alice's file first
             if path.name == "crn.alice.crn":
                 bob = path.with_name("crn.bob.crn")

@@ -11,6 +11,7 @@ from mpclr import (
     RandomnessUnderflowError,
     Role,
     TrainingConfig,
+    encode_array,
     training_randomness_requests,
 )
 from mpclr.errors import FormatError
@@ -30,6 +31,7 @@ from mpclr.randomness import (
     TrustedDealer,
     _meta,
     _parse_stream,
+    _size,
     deserialize_stream,
     expand_seed,
     layout,
@@ -37,10 +39,18 @@ from mpclr.randomness import (
     serialize_stream,
     subset_products,
 )
-from mpclr.sharing import pack_rows, tail_mask, unpack_rows, word_count
+from mpclr.sharing import pack_rows, split_array, tail_mask, unpack_rows, word_count
+from mpclr.training import Dataset, train_secure
 from mpclr.transport import PROTOCOL_VERSION
 
-from helpers import dealt_parts
+from helpers import (
+    dealt_parts,
+    protocol_pair,
+    separable_toy,
+    take_dabits,
+    take_matmul_triple,
+    whole,
+)
 
 P8 = FixedPointParams(frac_bits=1, int_bits=2, ring_bits=8)
 P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
@@ -259,9 +269,9 @@ class TestStreams:
 
     def test_setup_peaks_near_the_two_streams(self):
         # dealing writes each record once into its buffer, serializing
-        # returns that buffer and loading views it and expands its seeds, so
-        # setup holds little beyond the two streams and their expanded
-        # masks; a first deal runs the lazy imports
+        # returns that buffer and loading views it and expands X's masks
+        # alone, so setup holds little beyond the two streams and, at most,
+        # their expanded masks; a first deal runs the lazy imports
         cfg = TrainingConfig(eta=0.05, n_iter=4, params=P64, seed=5)
         requests = training_randomness_requests(2000, 6, cfg)
         TrustedDealer(5, P64).generate(requests)
@@ -311,8 +321,8 @@ class TestStreams:
             deserialize_stream(bytes(raw), P64)
 
     def test_stream_names_its_party_and_an_unknown_one_is_refused(self):
-        # the header's party byte follows the ring width: a take joins each
-        # part's halves in that party's order
+        # the header's party byte follows the ring width: a take hands out
+        # each part's halves in that party's order
         for source, party in zip(TrustedDealer(42, P64).generate(self.REQUESTS), (b"A", b"B")):
             raw = bytearray(serialize_stream(source))
             assert raw[6:8] == bytes([64]) + party
@@ -485,11 +495,11 @@ def take(source, tag, meta):
     if tag == TAG_SCALAR:
         return source.take_ring_triples(meta)
     if tag == TAG_CONVERSION:
-        return source.take_dabits(*meta)
+        return take_dabits(source, *meta)
     if tag == TAG_BIT:
         return source.take_bit_triples(meta)
     if tag == TAG_MATMUL:
-        return source.take_matmul_triple(meta)
+        return take_matmul_triple(source, meta)
     block = source.take_prefix_block(*meta)
     return (*block.gates, block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)
 
@@ -626,8 +636,9 @@ class TestMaskedRecords:
 
 class TestSeededRecords:
     """The pure mask U or V of a matmul record is written as one 2-word
-    seed per party, and expanded once per record: at load, or at a dealt or
-    on-demand stream's first take."""
+    seed per party, and expanded once per record: U at load, and every
+    other record, or any record of a dealt or on-demand stream, at its
+    first take."""
 
     N, M = 5, 3
     MASK = (TAG_MATMUL, MatmulDims(N, M, 0, MATMUL_MASK))
@@ -717,26 +728,130 @@ class TestSeededRecords:
             assert seed_a.tobytes() in bytes_a and seed_b.tobytes() in bytes_b
             assert seed_a.tobytes() not in bytes_b and seed_b.tobytes() not in bytes_a
 
-    def test_loading_expands_every_seed_and_takes_expand_none(self, monkeypatch):
+    def test_loading_expands_x_masks_and_a_take_its_own_record_once(self, monkeypatch):
+        # loading expands X's mask alone; every other record expands at its
+        # first take, a pool once across its takes, and a record's expansion
+        # is dropped with the take that uses it up
         calls = []
         real = expand_seed
 
-        def counting(seed, count):
-            calls.append(count)
+        def recording(seed, count):
+            calls.append(seed.tobytes())
             return real(seed, count)
 
-        monkeypatch.setattr("mpclr.randomness.expand_seed", counting)
+        monkeypatch.setattr("mpclr.randomness.expand_seed", recording)
         src_a, _ = TrustedDealer(8, P64).generate(self.REQUESTS)
-        dealt = len(calls)  # the dealer expands both parties' seeds of each record
-        assert dealt == 2 * 5
+        assert len(calls) == 2 * 5  # the dealer expands both parties' seeds of each record
+        calls.clear()
         back = deserialize_stream(serialize_stream(src_a), P64)
-        assert len(calls) == dealt + 5
-        for request in self.REQUESTS:
-            take(back, *request)
-        assert len(calls) == dealt + 5
-        for request in self.REQUESTS:  # a dealt stream expands at its first take
-            take(src_a, *request)
-        assert len(calls) == dealt + 10
+        seeds = [parts[0].tobytes() for _, _, parts in back.records]
+        assert calls == seeds[:1] and list(back._expanded) == [0]
+        # each take, the index of the record it reads, and the records
+        # whose expansion is kept after it
+        takes = [(self.MASK, 0, set()), (self.FORWARD, 1, set()), ((TAG_SCALAR, 1), 2, {2}),
+                 ((TAG_SCALAR, 0), 2, {2}), ((TAG_SCALAR, 3), 2, set()),
+                 (self.GRADIENT, 3, set()), (self.FORWARD, 4, set())]
+        for source, at_load in ((back, 1), (src_a, 0)):  # a dealt stream expands none early
+            calls[:] = seeds[:at_load]
+            assert len(source._expanded) == at_load
+            for request, index, kept in takes:
+                take(source, *request)
+                assert calls == seeds[:max(index + 1, at_load)], request
+                assert set(source._expanded) == kept, request
+
+
+class TestLoadedMemory:
+    """What a loaded stream holds beyond its CRN1 buffer does not grow with
+    the iteration count: loading expands X's mask alone, and the takes keep
+    no expansion of a record they have used up."""
+
+    N, FEATURES = 1000, 9
+
+    def blobs(self, iterations):
+        cfg = TrainingConfig(eta=0.05, n_iter=iterations, params=P64, seed=4)
+        requests = training_randomness_requests(self.N, self.FEATURES, cfg)
+        return cfg, [serialize_stream(s) for s in TrustedDealer(4, P64).generate(requests)]
+
+    @staticmethod
+    def traced(load, blob):
+        """Bytes that `load(blob)` leaves allocated, and its result."""
+        tracemalloc.start()
+        try:
+            source = load(blob, P64)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held, source
+
+    def test_loading_holds_x_mask_alone_at_any_iteration_count(self):
+        mask = 8 * self.N * (self.FEATURES + 1)
+        expanded = []
+        for iterations in (20, 160):
+            _, (blob, _) = self.blobs(iterations)
+            deserialize_stream(blob, P64)  # fills the caches of record layouts first
+            parsed, _ = self.traced(_parse_stream, blob)
+            loaded, source = self.traced(deserialize_stream, blob)
+            assert list(source._expanded) == [0]
+            expanded.append(loaded - parsed)
+        # within what numpy's own bookkeeping of the parsed views moves by;
+        # eager expansion held 2.5 to 3 times the stream here, and more with
+        # every iteration
+        assert all(abs(held - mask) <= 4096 for held in expanded), expanded
+
+    def test_training_leaves_no_expansion_behind(self):
+        cfg, blobs = self.blobs(20)
+        feats, labels = separable_toy(self.N, self.FEATURES, seed=4)
+        ds = Dataset.from_features(feats, labels)
+        rng = np.random.default_rng(4)
+        xa, xb = split_array(encode_array(ds.X, P64), P64, rng)
+        ta, tb = split_array(encode_array(ds.t.astype(np.float64), P64), P64, rng)
+        tracemalloc.start()
+        try:
+            sources = [deserialize_stream(blob, P64) for blob in blobs]
+            loaded, _ = tracemalloc.get_traced_memory()
+            run = protocol_pair(P64, lambda s: train_secure(s, xa.values, ta.values, cfg),
+                                lambda s: train_secure(s, xb.values, tb.values, cfg),
+                                sources=sources)
+            del run
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # X's mask went to the masked matrix at the first product, and every
+        # record is used up
+        assert all(not source._expanded for source in sources)
+        assert left <= loaded + 64 * 1024, f"{left - loaded} B more than after loading"
+
+
+class TestTakesInPlace:
+    """A take hands out each written part as its seeded half and its written
+    rest, where they lie, so on a loaded stream it allocates the record's
+    expansion and no array of a written part's size."""
+
+    BATCH, COLUMNS = 16_000, 10  # the benchmark's tall shape
+    DABITS = (TAG_CONVERSION, DaBits(2, BATCH, 1))
+    MASK = (TAG_MATMUL, MatmulDims(BATCH, COLUMNS, 0, MATMUL_MASK))
+    FORWARD = (TAG_MATMUL, MatmulDims(BATCH, COLUMNS, 1, MATMUL_REUSE))
+
+    def test_each_take_peaks_at_its_records_expansion(self):
+        streams = TrustedDealer(6, P64).generate([self.DABITS, self.MASK, self.FORWARD])
+        for side, dealt in enumerate(streams):
+            source = deserialize_stream(serialize_stream(dealt), P64)
+            source.take_matmul_triple(self.MASK[1])
+            for (tag, meta), take_it in ((self.DABITS, lambda: source.take_dabits(*meta)),
+                                         (self.FORWARD, lambda: source.take_matmul_triple(meta))):
+                expansion = 8 * _size(layout(tag, meta)[0])
+                tracemalloc.start()
+                try:
+                    parts = take_it()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                # a joined copy of the written parts would add 384 KiB to the
+                # daBits' 324 KiB, and 128 KiB to the product's 64 KiB
+                assert expansion <= peak <= expansion + 4096, (side, meta, peak)
+                written = [pieces[1 - side] for pieces in parts if isinstance(pieces, tuple)]
+                assert written and all(np.shares_memory(part, np.frombuffer(
+                    source.buffer, np.uint8)) for part in written)
 
 
 class TestSeededPools:
@@ -984,7 +1099,7 @@ def every_kind(params, batch):
 class TestBalancedHalves:
     """Of every part of s elements that depends on a record's masks, Alice's
     seed expands to her shares of the first s // 2 and Bob's to his of the
-    last s // 2; each party writes the rest, and a take joins the two.  At
+    last s // 2; each party writes the rest, and a take hands out the two.  At
     every batch some part is odd, with a middle element that both parties
     write, and at 225 a half ends inside a packed row of four words."""
 
@@ -1058,9 +1173,10 @@ class TestSeededHalvesSecurity:
 
     @staticmethod
     def products(source):
-        """Every record's parts that depend on its masks, joined, whole."""
-        return [source._take(tag, _meta(tag, meta))[1] for tag, meta in
-                TestSeededHalvesSecurity.REQUESTS]
+        """Every record's parts that depend on its masks, each its two
+        pieces joined, flat."""
+        return [[whole(pieces) for pieces in source._take(tag, _meta(tag, meta))[1]]
+                for tag, meta in TestSeededHalvesSecurity.REQUESTS]
 
     def streams(self):
         requests = [(TAG_MATMUL, MatmulDims(225, 3, 0, MATMUL_MASK)), *self.REQUESTS]

@@ -31,7 +31,7 @@ from mpclr.randomness import (
 from mpclr.sharing import ones_row, pack_rows, tail_mask, unpack_rows, word_count
 from mpclr.transport import FRAME_HEADER
 
-from helpers import dealt_parts, protocol_pair, whole_record
+from helpers import dealt_parts, protocol_pair, take_dabits, whole_record
 
 P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
 P64 = FixedPointParams()
@@ -280,7 +280,7 @@ class TestDabitPool:
         for factored in (0, 1):
             meta = DaBits(2, 0, factored)
             for source in TrustedDealer(9, P64).generate([(TAG_CONVERSION, meta)]):
-                ring, bits, v, rho = source.take_dabits(*meta)
+                ring, bits, v, rho = take_dabits(source, *meta)
                 assert ring.shape == v.shape == rho.shape == (0,) and ring.dtype == P64.dtype
                 assert np.array_equal(bits, np.zeros((2, 1), np.uint64))
 
@@ -291,9 +291,10 @@ class TestDabitPool:
         # a record's seed expands to one string of words, cut into its Z_2
         # rows of word_count(batch) words, the tail bits zeroed, row 0's ring
         # masks v if it is factored, then the party's seeded halves of the
-        # ring shares and of rho, joined with the written rest of each:
-        # Alice's half first, Bob's last; a conversion of `rows` rows, then a
-        # factored one of a single row, each reads its own record
+        # ring shares and of rho, handed out with the written rest of each
+        # as two pieces: Alice's half first, Bob's last; a conversion of
+        # `rows` rows, then a factored one of a single row, each reads its
+        # own record
         metas = [DaBits(rows, batch), DaBits(1, batch, 1)]
         words = word_count(batch)
         for role in Role:
@@ -313,8 +314,8 @@ class TestDabitPool:
                 assert np.array_equal(got_v, string[meta.rows * words:masks])
                 ring_half, rho_half = np.split(string[masks:], halves[:1])
                 for got, half, rest in ((got_ring, ring_half, ring), (got_rho, rho_half, rho)):
-                    assert np.array_equal(got, np.concatenate([rest, half] if side else
-                                                              [half, rest]))
+                    want = (rest, half) if side else (half, rest)
+                    assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
 
     @pytest.mark.parametrize("role", [Role.ALICE, Role.BOB])
     def test_on_demand_takes(self, role):
@@ -323,7 +324,7 @@ class TestDabitPool:
         dealer = TrustedDealer(9, P64)
         for meta in (DaBits(2, 77, 1), DaBits(1, 64), DaBits(3, 5, 1)):
             want = dealt_parts(dealer, TAG_CONVERSION, meta)[role is Role.BOB]
-            got = source.take_dabits(*meta)
+            got = take_dabits(source, *meta)
             assert all(np.array_equal(x, y) for x, y in zip(got, want, strict=True))
             assert source.records[-1][1] == meta
 
@@ -346,7 +347,7 @@ class TestFactoredDabits:
         for role, source in zip(Role, dealt):
             loaded = deserialize_stream(serialize_stream(source), params)
             on_demand = OnDemandSource(batch, role, params)
-            parts = [[s.take_dabits(*meta) for meta in metas] for s in (loaded, on_demand)]
+            parts = [[take_dabits(s, *meta) for meta in metas] for s in (loaded, on_demand)]
             for ours, theirs in zip(*parts):
                 assert all(np.array_equal(x, y) for x, y in zip(ours, theirs, strict=True))
             takes.append(parts[0])
