@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Session, and_gates, finish_and_gates, mask_gate_inputs
-from .prefixnet import cached_plan
+from .engine import Session, and_gates, finish_and_gates
+from .prefixnet import cached_plan, level_inputs
 from .sharing import BitVectorShare, ones_row, pack_rows, unpack_rows
 
 
@@ -99,16 +99,10 @@ def _from_slices(slices, batch: int) -> np.ndarray:
 
 def _level_gates(rows, level, tuples) -> tuple:
     """The AND gates of one level of a tree over the packed `rows` (see
-    `or_tree_levels`), each group with the next of `tuples`, its dealt
-    tuples, and how many rows they take; the rows after those pass to the
-    next level as they are."""
-    gates, used = [], 0
-    for (k, count), rs in zip(level, tuples):
-        # input i of gate j is row used + k·j + i
-        xs = rows[used:used + k * count].reshape(count, k, -1).swapaxes(0, 1)
-        gates.append((xs, rs))
-        used += k * count
-    return gates, used
+    `level_inputs`), each group with the next of `tuples`, its dealt
+    tuples, and how many rows they take."""
+    groups, used = level_inputs(rows, level)
+    return list(zip(groups, tuples)), used
 
 
 def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
@@ -124,8 +118,10 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     `prefixnet` instead and returns two rows: d = [x < 2^a] for x the low
     `width` bits of each value, and x's top bit.  The zero test's AND
     gates ride the network's rounds, so it takes no round of its own, and
-    its setup ANDs open one operand row per party instead of two.  The
-    prefix block holds every gate's tuples, in `gate_groups` order.
+    its setup ANDs open one operand row per party instead of two.  Its
+    first network round opens no leaf's p, which the setup has opened, and
+    of its first-level gate inputs only the top term (see `prefixnet`).
+    The prefix block holds every gate's tuples, in `gate_groups` order.
     """
     if width > sess.params.ring_bits:
         raise ValueError(f"cannot decompose {width} bits of a {sess.params.ring_bits}-bit ring")
@@ -135,9 +131,12 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     batch = shares.size
     plan = cached_plan(width, zero_start)
     block = sess.randomness.take_prefix_block(width, batch, zero_start)
-    tuples = iter(block.gates)
+    tuples, input_masks = iter(block.gates), iter(block.inputs)
 
     own = _to_slices(shares, width)
+    # opened masked signals, by mask row
+    dp = np.empty_like(block.mask_p)
+    dg = np.empty_like(block.mask_g)
 
     # Setup round: the generate bit g_i = a_i AND b_i of every position that
     # the plan reads, in one batched multiplication, where Alice's share
@@ -153,6 +152,10 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
         [theirs] = sess.swap(bits=[(own[:setup], mask)])
         g_setup = (own[:setup] if sess.is_alice else mask) & theirs ^ w
         sess.transcript.bit_mults += setup * batch
+        # so p = a XOR b of every leaf is open, masked by u XOR v, whose
+        # shares are the parties' own masks (see `prefixnet`)
+        leaves = plan.derived_p
+        dp[:leaves] = own[:leaves] ^ mask[:leaves] ^ theirs[:leaves]
     else:
         zero = np.zeros_like(own)
         a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
@@ -164,9 +167,6 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     p_rows = np.empty((nodes, own.shape[1]), dtype=np.uint64)
     g_rows = np.empty_like(p_rows)
     p_rows[:width], g_rows[:setup] = own, g_setup
-    # opened masked signals, by mask row
-    dp = np.empty_like(block.mask_p)
-    dg = np.empty_like(block.mask_g)
 
     ones = ones_row(batch)
     a = zero_start
@@ -176,19 +176,30 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
 
     for layer in plan.rounds:
         masks = layer.pub_masks
-        # each opened node's p row, then its g row
-        signals = np.empty((len(masks), 2, own.shape[1]), dtype=np.uint64)
-        signal_masks = np.empty_like(signals)
-        signals[:, 0], signals[:, 1] = p_rows[layer.pub_rows], g_rows[layer.pub_rows]
-        signal_masks[:, 0], signal_masks[:, 1] = block.mask_p[masks], block.mask_g[masks]
+        if layer.open_p:
+            # each opened node's p row, then its g row
+            signals = np.empty((len(masks), 2, own.shape[1]), dtype=np.uint64)
+            signal_masks = np.empty_like(signals)
+            signals[:, 0], signals[:, 1] = p_rows[layer.pub_rows], g_rows[layer.pub_rows]
+            signal_masks[:, 0], signal_masks[:, 1] = block.mask_p[masks], block.mask_g[masks]
+        else:  # the leaves, whose p the setup swap opened
+            signals, signal_masks = g_rows[layer.pub_rows], block.mask_g[masks]
         if layer.gate_inputs > len(tree):
             # the final AND, of the tree's one row and the first term, once c_a is known
             low = _const_flip(sess, own[a] ^ g_rows[plan.carry_rows[0]], ones)
             tree = np.concatenate([tree, low[None]])
         gates, used = _level_gates(tree, layer.gates, tuples)
-        opened, *gate_inputs = sess.open(bits=[(signals, signal_masks), *mask_gate_inputs(gates)])
-        sess.transcript.mask_bits_sent += 2 * batch * len(masks)
-        dp[masks], dg[masks] = opened[:, 0], opened[:, 1]
+        # the gate inputs that are not derived, in row order
+        derived = layer.derived_inputs
+        operands = [(signals, signal_masks)]
+        if gates:
+            operands.append((tree[derived:used], next(input_masks)))
+        opened, *inputs = sess.open(bits=operands)
+        sess.transcript.mask_bits_sent += (1 + layer.open_p) * batch * len(masks)
+        if layer.open_p:
+            dp[masks], dg[masks] = opened[:, 0], opened[:, 1]
+        else:
+            dg[masks] = opened
 
         # comp.left covers the lower positions, comp.right the higher; the
         # higher run is the left factor of the matrix composition
@@ -208,8 +219,14 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
         p_rows[out], g_rows[out] = p_out, g_out
         sess.transcript.bit_mults += 2 * batch * len(lo)
         if gates:
-            tree = np.concatenate([*finish_and_gates(sess, gates, gate_inputs, batch),
-                                   tree[used:]])
+            if derived:
+                # term j's mask is that of p_j XOR p_{j-1} XOR g_{j-1}, so
+                # its masked input is the NOT of their opened values' XOR
+                inputs.insert(0, plan.derived_xors(dp, dg) ^ ones)
+            groups, _ = level_inputs(np.concatenate(inputs), layer.gates)
+            tree = np.concatenate([
+                *finish_and_gates(sess, gates, [m for xs in groups for m in xs], batch),
+                tree[used:]])
 
     if collect_nodes is not None:
         collect_nodes.update({node: (p_rows[row], g_rows[row])

@@ -322,7 +322,10 @@ def mask_gate_inputs(gates) -> list:
 
 
 def finish_and_gates(sess: Session, gates, opened, batch: int) -> list:
-    """Each gate's output matrix, local from the opened `mask_gate_inputs`."""
+    """Each gate's output matrix, local from the masked inputs m_i =
+    x_i XOR r_i of every gate, in `mask_gate_inputs` order: opened, or
+    computed from values already opened where a mask is derived from
+    theirs."""
     opened = iter(opened)
     out = []
     for xs, rs in gates:
@@ -330,10 +333,13 @@ def finish_and_gates(sess: Session, gates, opened, batch: int) -> list:
         # Input by input from the last, g[U] sums the terms of every S that
         # agrees with U on the inputs still to go: g[U] = g[U + {j}] XOR m_j g[U].
         half = 1 << (len(m) - 1)
-        g = rs[half - 1:].copy()
-        g[1:] ^= m[-1] & rs[:half - 1]
-        if sess.is_alice:
-            g[0] ^= m[-1]
+        g = np.empty_like(rs[half - 1:])
+        np.bitwise_and(m[-1], rs[:half - 1], out=g[1:])
+        g[1:] ^= rs[half:]
+        if sess.is_alice:  # r_0 is 1 on her side
+            np.bitwise_xor(rs[half - 1], m[-1], out=g[0])
+        else:
+            g[0] = rs[half - 1]
         for j in reversed(range(len(m) - 1)):
             g = g[1 << j:] ^ (m[j] & g[:1 << j])
         sess.transcript.bit_mults += (len(m) - 1) * len(g[0]) * batch

@@ -29,9 +29,23 @@ the round after both are known.
 `PrefixNetworkPlan.gate_groups` lists every AND gate a plan runs, the setup
 round's and the zero test's, and the prefix-network record deals exactly
 those gates' tuples.  A zero test's setup ANDs are one-sided: the dealer
-masks Alice's operand with a mask only she holds and Bob's with one only he
-holds, so each party opens one row per position instead of two.  The full
-decomposition keeps the two-sided setup.
+masks Alice's operand a with a mask u only she holds and Bob's b with a v
+only he holds, so each party opens one row per position instead of two.
+
+That swap opens a XOR u and b XOR v, so it has already opened every leaf's
+propagate bit p = a XOR b, masked by u XOR v.  A zero test therefore masks
+each leaf's p with u XOR v itself, Alice's share u and Bob's v, and its
+first network round opens only the leaves' g.  Each first-level term but
+the top one, NOT(p_j XOR p_{j-1} XOR g_{j-1}), is then masked by the XOR
+of its three signals' masks, and its masked input is the NOT of the XOR of
+their opened values, so round 1 does not open it either (`derived_inputs`).
+The top term reads p of the top position, which the swap does not open, and
+keeps a fresh mask.  Every value no longer sent is an XOR of values already
+opened, and a party's share of a derived mask is the XOR of its own shares,
+so no party's view gains anything.  The AND gates work for any input masks
+whose subset products are dealt, and the dealer deals those of the derived
+masks.  The full decomposition keeps the two-sided setup and opens every
+leaf's p in round 1: acceptance criterion 3 pins its 524 mask bits.
 
 Because every node's signal pair never changes once created, a node is masked
 once for its whole lifetime: its masked (p, g) values are published in the
@@ -70,6 +84,8 @@ class LayerIndex:
     comps: slice            # this round's compositions; their outputs are node rows width + comps
     hi_rows: np.ndarray     # node row of each composition's higher run
     gates: tuple = ()       # the zero test's AND gates in this round, as (inputs, gates) groups
+    open_p: bool = True     # False: the setup swap opened the published nodes' p, so only g rides
+    derived_inputs: int = 0  # leading gate input rows masked by XORs of node masks, not opened
 
     @property
     def gate_inputs(self) -> int:
@@ -78,9 +94,11 @@ class LayerIndex:
 
     @property
     def opened_rows(self) -> int:
-        """Packed rows each party opens in this round: the (p, g) pair of
-        every published node, then every gate input."""
-        return 2 * len(self.pub_masks) + self.gate_inputs
+        """Packed rows each party opens in this round: the (p, g) pair, or
+        g alone, of every published node, then every gate input that is
+        not derived."""
+        return ((1 + self.open_p) * len(self.pub_masks)
+                + self.gate_inputs - self.derived_inputs)
 
     @property
     def and_count(self) -> int:
@@ -101,6 +119,9 @@ class PrefixNetworkPlan:
     setup_ands: int = 0                                 # positions whose generate bit is read
     setup_rows: int = 2                                 # operand rows a party opens per setup AND
     round_gates: dict = field(default_factory=dict)     # round -> the zero test's gates in it
+    zero_start: int = 0                                 # a of a zero test, 0 for a full one
+    derived_p: int = 0                                  # leaves (mask rows 0..) masked by u XOR v
+    derived_terms: int = 0                              # first-level terms whose masks are derived
 
     @property
     def compositions(self):
@@ -123,8 +144,17 @@ class PrefixNetworkPlan:
 
     def mask_bits_per_element(self) -> int:
         """Online transfer per decomposed element: setup openings plus one
-        2-bit masked publication per masked node."""
-        return self.setup_rows * self.setup_ands + 2 * len(self.masked_nodes)
+        2-bit masked publication per masked node, less the p bit of each
+        leaf that the setup swap opened."""
+        return self.setup_rows * self.setup_ands + 2 * len(self.masked_nodes) - self.derived_p
+
+    def derived_xors(self, p, g) -> np.ndarray:
+        """p_j XOR p_{j-1} XOR g_{j-1} of each first-level term j whose mask
+        is derived, from matrices `p` and `g` of one row per mask row: its
+        mask from the node masks, or its masked value, before the public
+        NOT, from the opened signals."""
+        a, count = self.zero_start, self.derived_terms
+        return p[a + 1:a + 1 + count] ^ p[a:a + count] ^ g[a:a + count]
 
     def finalize(self):
         self._mask_lookup = {n: i for i, n in enumerate(self.masked_nodes)}
@@ -144,6 +174,7 @@ class PrefixNetworkPlan:
             stop = start + len(self.layers[round_no - 1]) if round_no <= self.depth else start
             gates = self.round_gates.get(round_no, ())
             if pubs or stop > start or gates:
+                first = round_no == 1
                 self.rounds.append(LayerIndex(
                     pub_rows=np.array([self.node_rows[n] for n in pubs], dtype=np.intp),
                     pub_masks=self._mask_rows(pubs),
@@ -151,6 +182,9 @@ class PrefixNetworkPlan:
                     hi_rows=np.array([self.node_rows[c.right] for c in comps[start:stop]],
                                      dtype=np.intp),
                     gates=gates,
+                    # round 1 publishes the leaves alone
+                    open_p=not (first and self.derived_p),
+                    derived_inputs=self.derived_terms if first else 0,
                 ))
             start = stop
         return self
@@ -180,6 +214,19 @@ def or_tree_levels(k: int) -> list:
         levels.append(level)
         k = full + (rest > 0)
     return levels
+
+
+def level_inputs(rows, level) -> tuple:
+    """Views of the `rows` that one level of `or_tree_levels` ANDs, one
+    (k, count, ...) array per (k, count) group of `level`, input i of gate
+    j being row used + k·j + i, and how many rows they take; the rows after
+    those pass to the next level as they are.  Writing into the views
+    writes `rows`."""
+    groups, used = [], 0
+    for k, count in level:
+        groups.append(rows[used:used + k * count].reshape(count, k, -1).swapaxes(0, 1))
+        used += k * count
+    return groups, used
 
 
 def plan_prefix_network(p: int, zero_start: int = 0) -> PrefixNetworkPlan:
@@ -250,11 +297,15 @@ def plan_prefix_network(p: int, zero_start: int = 0) -> PrefixNetworkPlan:
         nodes.sort()
 
     round_gates: dict = {}
+    derived_terms = 0
     if zero_start and zero_start < p - 1:
-        levels = or_tree_levels(p - 1 - zero_start)
+        terms = p - 1 - zero_start
+        levels = or_tree_levels(terms)
         round_gates = {i + 1: tuple(level) for i, level in enumerate(levels)}
         # the final AND with the first term, once both it and the tree are known
         round_gates[max(len(levels), creation[(1, zero_start)]) + 1] = ((2, 1),)
+        if levels:  # every first-level term but the top one reads leaf signals alone
+            derived_terms = min(sum(k * count for k, count in levels[0]), terms - 1)
 
     plan = PrefixNetworkPlan(
         width=p,
@@ -269,6 +320,10 @@ def plan_prefix_network(p: int, zero_start: int = 0) -> PrefixNetworkPlan:
         setup_ands=p - 1 if zero_start else p,
         setup_rows=1 if zero_start else 2,
         round_gates=round_gates,
+        zero_start=zero_start,
+        # the one-sided swap opens p of every leaf a zero test masks
+        derived_p=len(setup) if zero_start else 0,
+        derived_terms=derived_terms,
     )
     return plan.finalize()
 

@@ -24,7 +24,10 @@ daBits and the ring masks v of its factored row, the single masks of every
 AND gate and the node masks of a prefix-network block, and the U or V of a
 matrix record.  The one-sided setup ANDs of a zero test are masked by a
 mask that one party holds whole: each party's seed expands to the mask of
-its own operand.  What depends on the masks (w = u·v or u AND v, the
+its own operand.  The masks that a zero test derives from others, each
+leaf's p mask and the masks of the first-level terms it does not open, are
+not seeded: a party XORs its shares of them from its own (see `prefixnet`).
+What depends on the masks (w = u·v or u AND v, the
 daBits' ring shares and rho = r·v, each gate's products of two or more
 masks, the composition products, and W) is dealt in balanced halves: a
 party's seed also expands to its shares of one half of each such part,
@@ -48,14 +51,14 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError, ProtocolError, RandomnessUnderflowError
 from .fixedpoint import FixedPointParams
-from .prefixnet import cached_plan
+from .prefixnet import cached_plan, level_inputs
 from .sharing import (
     Role,
     read_input,
@@ -167,7 +170,13 @@ class PrefixBlock:
     the composition products one row per composition, in plan order.  A
     zero test's setup ANDs are one-sided (see `layout`), so their entry is
     a (2, count, words) array: the whole mask of this party's own operand,
-    then its share of the product of the two operands' masks.
+    then its share of the product of the two operands' masks.  Its leaves'
+    p masks are those operand masks, and its first-level terms but the top
+    one are masked by the XOR of their signals' masks, which `gates` holds
+    like any other single masks.  `inputs` holds, for each round of a zero
+    test that runs gates, the masks of the gate inputs that it opens, one
+    row each in the order of the rows they mask; it is empty for a full
+    decomposition.
     """
 
     gates: list
@@ -175,6 +184,7 @@ class PrefixBlock:
     mask_g: np.ndarray
     prod_pp: np.ndarray
     prod_pg: np.ndarray
+    inputs: list = field(default_factory=list)
 
 
 _POOLED = (TAG_SCALAR, TAG_BIT)
@@ -339,15 +349,45 @@ def _parts(tag: int, meta) -> tuple:
         # every gate group's single masks, then p and g; every group's
         # products of two or more masks, then pp and pg
         masks = [rows(k, count) for k, count in plan.gate_groups]
+        p_masks = nodes
         if zero_start:
-            # the setup ANDs a_i AND b_i are one-sided: Alice's seed expands
+            # The setup ANDs a_i AND b_i are one-sided: Alice's seed expands
             # to the whole mask u of her operand a, Bob's to the whole mask v
-            # of his b
-            masks[0] = rows(1, plan.setup_ands, own=True)
-        return ((*masks, nodes, nodes),
+            # of his b.  Each round's gates have one part, the masks of the
+            # inputs it opens, one row each in the order of the rows they
+            # mask.  The masks derived from the setup's and the leaves' g
+            # masks are not seeded (see `_zero_test_masks`), so p covers
+            # the created nodes alone.
+            masks = [rows(1, plan.setup_ands, own=True),
+                     *(rows(layer.gate_inputs - layer.derived_inputs)
+                       for layer in plan.rounds if layer.gates)]
+            p_masks = rows(len(plan.masked_nodes) - plan.derived_p)
+        return ((*masks, p_masks, nodes),
                 (*(rows((1 << k) - 1 - k, count) for k, count in plan.gate_groups),
                  comps, comps))
     raise FormatError(f"randomness stream: unknown record tag {tag}")
+
+
+def _zero_test_masks(plan, leaf_p, masks) -> tuple:
+    """A zero-test record's masks, from `masks`, what its seed stands for
+    after the setup's masks (see `_parts`), and `leaf_p`, the p masks of the
+    leaves that the plan masks: u XOR v, or a party's own setup mask, its
+    share of that.  Returns the single masks of every gate group after the
+    setup's, one (k, count, words) array each, the masks of each round's
+    opened gate inputs, and the node masks p and g.  A leaf's p mask is u
+    XOR v, and the mask of a first-level term that round 1 does not open
+    is the XOR of its three signals' masks (see `prefixnet`); so the dealer
+    derives each mask from the plain masks, and a party its share from its
+    shares, alike."""
+    *inputs, p, g = masks
+    mask_p = np.concatenate([leaf_p, p])
+    rows = list(inputs)
+    if plan.derived_terms:  # round 1 runs the first gates
+        rows[0] = np.concatenate([plan.derived_xors(mask_p, g), rows[0]])
+    levels = [layer.gates for layer in plan.rounds if layer.gates]
+    singles = [group for level, level_rows in zip(levels, rows)
+               for group in level_inputs(level_rows, level)[0]]
+    return singles, inputs, mask_p, g
 
 
 def _rest(size: int) -> int:
@@ -417,8 +457,14 @@ class TrustedDealer:
             ring = unpack_rows(r, meta.batch).reshape(-1).astype(self.params.dtype)
             return [ring, ring[:len(v)] * v]
         if tag == TAG_PREFIXNET:
-            *singles, p, g = masks
             plan = cached_plan(meta[0], meta[2])
+            if plan.zero_start:  # the setup's u and v, then the masks they leave
+                uv, *masks = masks
+                singles, _, p, g = _zero_test_masks(plan, (uv[0] ^ uv[1])[:plan.derived_p],
+                                                    masks)
+                singles.insert(0, uv)
+            else:
+                *singles, p, g = masks
             # The higher-position run is the left factor of the matrix product,
             # so the cross product couples its propagate mask with the lower
             # run's generate mask.
@@ -650,18 +696,23 @@ class MaterializedSource:
         return ring, bits, v, rho
 
     def take_prefix_block(self, width, batch, zero_start=0) -> PrefixBlock:
-        (*singles, mask_p, mask_g), (*products, pp, pg), _ = self._take(
-            TAG_PREFIXNET, (width, batch, zero_start))
-        setup = []
+        masks, (*products, pp, pg), _ = self._take(TAG_PREFIXNET, (width, batch, zero_start))
+        setup, inputs = [], []
         if zero_start:  # one-sided setup ANDs: the own operand's mask, then w
-            (own, *singles), (w, *products) = singles, products
+            (own, *masks), (w, *products) = masks, products
+            plan = cached_plan(width, zero_start)
+            singles, inputs, mask_p, mask_g = _zero_test_masks(
+                plan, own[0, :plan.derived_p], masks)
+            mask_p.flags.writeable = False
             setup = [np.empty((2, *own.shape[1:]), np.uint64)]
             setup[0][0] = own[0]
             _read_into(w, setup[0][1:])
+        else:
+            *singles, mask_p, mask_g = masks
         gates = setup + [_tuples(r, w) for r, w in zip(singles, products)]
         rows = (-1, *mask_p.shape[1:])
         return PrefixBlock(gates, mask_p, mask_g, _join(pp).reshape(rows),
-                           _join(pg).reshape(rows))
+                           _join(pg).reshape(rows), inputs)
 
 
 class OnDemandSource(MaterializedSource):
@@ -820,7 +871,10 @@ def _read_only(words: np.ndarray, dtype) -> np.ndarray:
     """A loaded part: the view `words` itself, or its cast to a narrower
     ring's dtype, read-only either way."""
     part = words.astype(dtype, copy=False)
-    part.flags.writeable = False
+    # a view of read-only bytes is read-only already, and clearing its flag
+    # again would keep a varying number of small objects alive
+    if part.flags.writeable:
+        part.flags.writeable = False
     return part
 
 

@@ -11,7 +11,7 @@ from mpclr.bitops import (
     or_tree_slices,
 )
 from mpclr.engine import convert_bits_to_ring
-from mpclr.prefixnet import cached_plan, or_tree_levels
+from mpclr.prefixnet import cached_plan, level_inputs, or_tree_levels
 from mpclr.randomness import (
     TAG_BIT,
     TAG_PREFIXNET,
@@ -233,7 +233,7 @@ class TestZeroTest:
     2^a] and the top bit of x, the low `width` bits of the shared value."""
 
     @pytest.mark.parametrize("width,start", [
-        (28, 12), (8, 4), (4, 2), (10, 8), (33, 31), (17, 1), (8, 7), (3, 1), (2, 1)])
+        (28, 12), (8, 4), (4, 2), (10, 8), (33, 31), (17, 1), (8, 7), (3, 1), (2, 1), (10, 4)])
     def test_against_plaintext(self, width, start):
         rng = np.random.default_rng(width * 100 + start)
         low = np.array([0, 1, (1 << start) - 1, 1 << start, (1 << width) - 1,
@@ -318,6 +318,85 @@ class TestOneSidedSetup:
         _, frames, _ = self.setup_round(width, 0, batch)
         for frame in frames:
             assert len(frame) == 2 * width * word_count(batch)
+
+
+class TestRoundOneReuse:
+    """The zero test's first network round reuses the setup swap's
+    openings.  The swap opened a XOR u and b XOR v, so every leaf's p is
+    masked by u XOR v, Alice's share u and Bob's v, and is not opened
+    again; each first-level term but the top one is masked by the XOR of
+    its three signals' masks, so its masked input is computed from the
+    opened signals instead of opened."""
+
+    @staticmethod
+    def run(width, start, batch):
+        """The opened values, d and the top bit, each party's sent frames
+        and each party's prefix block, from one decomposition of `batch`
+        values of which every third one has bits start..width-1 zero."""
+        rng = np.random.default_rng(100 * width + batch)
+        vals = np.frombuffer(rng.bytes(8 * batch), dtype=np.uint64).copy()
+        vals[::3] &= np.uint64((1 << start) - 1)
+        va, vb = split_array(vals, P64, rng)
+        meta = (width, batch, start)
+        sources = TrustedDealer(batch, P64).generate([(TAG_PREFIXNET, meta)])
+        blocks = [s.take_prefix_block(*meta)
+                  for s in TrustedDealer(batch, P64).generate([(TAG_PREFIXNET, meta)])]
+        sessions = local_session_pair(P64, randomness_a=sources[0], randomness_b=sources[1])
+        frames = ([], [])
+        for sess, sent in zip(sessions, frames):
+            send = sess.channel.send_bytes
+            sess.channel.send_bytes = lambda data, send=send, sent=sent: (
+                send(data) or sent.append(len(data) - FRAME_HEADER.size))
+        ra, rb = run_sessions(
+            *sessions,
+            lambda s: decompose_batch_slices(s, va.values, width, zero_start=start),
+            lambda s: decompose_batch_slices(s, vb.values, width, zero_start=start))
+        return vals, unpack_rows(ra ^ rb, batch), frames, blocks
+
+    @pytest.mark.parametrize("batch", [1, 63, 64, 65, 225])
+    @pytest.mark.parametrize("width,start,derived", [(8, 4, 2), (28, 12, 14), (33, 31, 0)])
+    def test_round_one_opens_only_what_is_not_yet_open(self, width, start, derived, batch):
+        vals, (d, top), frames, (blk_a, blk_b) = self.run(width, start, batch)
+        plan = cached_plan(width, start)
+        words = word_count(batch)
+        # each round's frame is the plan's rows: the setup's one row per
+        # position, then round 1's g of every leaf and the gate inputs that
+        # are not derived
+        rows = [plan.setup_ands, *(layer.opened_rows for layer in plan.rounds)]
+        assert rows[1] == width - 1 + (start < width - 2)  # the top term, if round 1 has gates
+        for sent in frames:
+            assert sent == [8 * words * count for count in rows]
+        # every leaf's p mask is u XOR v, the setup's own masks
+        leaves = plan.derived_p
+        assert leaves == width - 1
+        (u, _), (v, _) = blk_a.gates[0], blk_b.gates[0]
+        mp, mg = blk_a.mask_p ^ blk_b.mask_p, blk_a.mask_g ^ blk_b.mask_g
+        assert np.array_equal(mp[:leaves], u ^ v)
+        # each first-level term j but the top one is masked by the masks of
+        # p_j, p_{j-1} and g_{j-1}; the top one's mask rides the opening
+        level = plan.round_gates.get(1, ()) if derived else ()
+        assert plan.derived_terms == derived
+        inputs = np.empty((sum(k * count for k, count in level), words), np.uint64)
+        for (k, _), ga, gb, view in zip(level, blk_a.gates[1:], blk_b.gates[1:],
+                                        level_inputs(inputs, level)[0]):
+            view[...] = (ga ^ gb)[[(1 << i) - 1 for i in range(k)]]
+        for r in range(derived):
+            j = start + 1 + r
+            assert np.array_equal(inputs[r], mp[j] ^ mp[j - 1] ^ mg[j - 1]), r
+        if derived:
+            assert len(inputs) == derived + 1
+            assert np.array_equal(inputs[derived:], blk_a.inputs[0] ^ blk_b.inputs[0])
+        # and the test stays exact
+        x = vals & np.uint64((1 << width) - 1)
+        assert d.tolist() == (x < (1 << start)).astype(int).tolist()
+        assert top.tolist() == (x >> np.uint64(width - 1)).astype(int).tolist()
+
+    @pytest.mark.parametrize("width", [8, 29, 64])
+    def test_full_decomposition_opens_every_leaf(self, width):
+        # criterion 3 pins the full decomposition's 524 mask bits at 64
+        plan = cached_plan(width)
+        assert (plan.derived_p, plan.derived_terms) == (0, 0)
+        assert all(layer.open_p and not layer.derived_inputs for layer in plan.rounds)
 
 
 class TestOrTree:

@@ -239,7 +239,7 @@ class TestProtocolErrors:
         for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_11):
             assert rc == 4, err
             assert err == ("error: randomness stream dealt by another protocol version than "
-                           "this build's 18 (one dealt before version 8 has no version field); "
+                           "this build's 19 (one dealt before version 8 has no version field); "
                            "deal it again\n")
 
     def test_randomness_of_the_other_party_exits_4(self, toy_csv, tmp_path):

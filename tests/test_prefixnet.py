@@ -135,7 +135,10 @@ class TestZeroTestPlan:
         # the setup ANDs positions 1..27 first
         assert plan.gate_groups == [(2, 27), (4, 3), (3, 1), (4, 1), (2, 1)]
         assert (28, 28) not in plan.masked_nodes  # the top bit is never composed
-        assert sum(r.opened_rows for r in plan.rounds) == 2 * 52 + 15 + 4 + 2
+        # the setup swap opened every leaf's p, and round 1 opens of its 15
+        # terms only the top one, whose p the swap leaves out
+        assert plan.derived_p == 27 and plan.derived_terms == 14
+        assert sum(r.opened_rows for r in plan.rounds) == 2 * 52 - 27 + 1 + 4 + 2
         assert sum(r.and_count for r in plan.rounds) == 2 * 27 + 14 + 1
 
     def test_p16_precision(self):

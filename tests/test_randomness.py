@@ -347,7 +347,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (18).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (19).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -486,7 +486,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 18 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 19 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -984,6 +984,16 @@ class TestGateGroupRecords:
         assert [part.own for part in seeded] == [start > 0] + [False] * (len(seeded) - 1)
         masks = [(1 if start else 2, groups[0][1], words),
                  *((k, count, words) for k, count in groups[1:]), nodes, nodes]
+        if start:
+            # Each round's gates have one part, the masks of the inputs it
+            # opens, one row each.  The masks that a zero test derives are
+            # not seeded: the leaves' p masks are the setup's, and of round
+            # 1's 15 or 3 inputs only the top term, which reads p of the top
+            # position, has a mask of its own.
+            opened, leaves = {(28, 12): ([1, 4, 2], 27), (8, 4): ([1, 2], 7),
+                              (33, 31): ([2], 32), (2, 1): ([], 0)}[width, start]
+            masks = [masks[0], *((rows, words) for rows in opened),
+                     (len(plan.masked_nodes) - leaves, words), nodes]
         products = [*(((1 << k) - 1 - k, count, words) for k, count in groups), comps, comps]
         assert [part.shape for part in written] == products
         # after the masks, a seed expands to its half of every written part,

@@ -388,11 +388,13 @@ class TestFactoredDabits:
 def test_empty_batch_sends_the_same_frames():
     # sent-frame digest of an activation over no values: every opened bit
     # row, the conversion's two daBit-masked rows among them, is one zero
-    # word; each party opens one setup row per position of the zero test
+    # word; each party opens one setup row per position of the zero test,
+    # and its first network round opens no leaf's p and of the 15 terms
+    # only the top one
     empty = np.zeros(0, dtype=np.uint64)
     ra, _, sa, sb = protocol_pair(P64, lambda s: batch_activate(s, empty),
                                   lambda s: batch_activate(s, empty))
     assert ra.shape == (0,)
-    assert sa.transcript.bytes_sent == 1323
-    expected = "33b39f64d3ae7b84307c7e4ac2b6a3cc34d8202aab912fa9866670a032d61488"
+    assert sa.transcript.bytes_sent == 995
+    expected = "ab853794fcca91444a6f1842d76f99b0d36a7ef3ae5ec380dd8c6ff9bdaa3834"
     assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
