@@ -6,8 +6,10 @@ partially bit-decomposed.  Two bits follow from its fractional, integer and
 sign bits, a + b + 1 of them: d = 1 iff 0 <= z' < 1, which the
 decomposition's zero test gives without computing any sum bit, and e = 1
 iff z' >= 1, from d and the sign bit.  Then rho = e * 2^a + d * z'.  The
-decomposition with its zero test takes 6 rounds at the default 12/15
-precision; its setup round opens one row per bit position and party.  One
+decomposition with its zero test takes 5 rounds at the default 12/15
+precision: its setup round opens each party's own bits and the AND of each
+pair of them, and finishes the carry network's first layer from one-sided
+products, and 4 network rounds follow.  One
 more round converts both bits to ring shares and also returns the product
 d * z', which runs against d's own daBits: the conversion's frame opens z'
 masked once beside the two bit rows.  Inputs

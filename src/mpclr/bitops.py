@@ -7,7 +7,8 @@ vertical bit slices: a matrix with one packed row per bit position or network
 node, each row holding that bit of every batched element, so each network
 layer is a single exchange and a few whole-matrix operations no matter how
 many values are being decomposed at once.  It also runs the activation's zero
-test, which needs only two of the network's carries (see `prefixnet`).  Every
+test, which needs only two of the network's carries and whose one-sided
+setup finishes the network's first layer (see `prefixnet`).  Every
 AND gate of the optimized route takes its tuples from the one prefix-network
 record of its plan; only the ripple route and `or_tree_slices`, whose gates
 all have two inputs, take pooled `TAG_BIT` triples.  `decompose_ripple` and
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import Session, and_gates, finish_and_gates
+from .engine import Session, _piecewise, and_gates, finish_and_gates
 from .prefixnet import cached_plan, level_inputs
 from .sharing import BitVectorShare, ones_row, pack_rows, unpack_rows
 
@@ -117,11 +118,15 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     With `zero_start` a in 1..width-1, it runs the zero-test plan of
     `prefixnet` instead and returns two rows: d = [x < 2^a] for x the low
     `width` bits of each value, and x's top bit.  The zero test's AND
-    gates ride the network's rounds, so it takes no round of its own, and
-    its setup ANDs open one operand row per party instead of two.  Its
+    gates ride the network's rounds, so it takes no round of its own.  Its
+    setup is one-sided and finishes the network's first layer, so each
+    party opens three rows per first-layer pair and one per other position
+    below the top one, and the network starts at its second layer.  Its
     first network round opens no leaf's p, which the setup has opened, and
-    of its first-level gate inputs only the top term (see `prefixnet`).
-    The prefix block holds every gate's tuples, in `gate_groups` order.
+    of its first-level gate inputs none, and no round opens the p of a
+    prefix (1, j) (see `prefixnet`).  The prefix block holds every gate's
+    tuples, in `gate_groups` order.  A zero test's `collect_nodes` holds no
+    p of a prefix (1, j): its rows are left as they were allocated.
     """
     if width > sess.params.ring_bits:
         raise ValueError(f"cannot decompose {width} bits of a {sess.params.ring_bits}-bit ring")
@@ -134,90 +139,93 @@ def decompose_batch_slices(sess: Session, shares: np.ndarray, width: int,
     tuples, input_masks = iter(block.gates), iter(block.inputs)
 
     own = _to_slices(shares, width)
-    # opened masked signals, by mask row
+    # Node rows: the setup positions, then one per composition in plan order.
+    p_rows = np.empty((len(plan.node_rows), own.shape[1]), dtype=np.uint64)
+    g_rows = np.empty_like(p_rows)
+    p_rows[:width] = own
+    # opened masked signals, by p and by g mask row
     dp = np.empty_like(block.mask_p)
     dg = np.empty_like(block.mask_g)
 
-    # Setup round: the generate bit g_i = a_i AND b_i of every position that
-    # the plan reads, in one batched multiplication, where Alice's share
-    # string is a and Bob's is b.
-    setup = plan.setup_ands
+    # Setup round, where Alice's share string is a and Bob's is b.
     if zero_start:
-        # One-sided: each party holds the whole mask of its own operand and
-        # none of its peer's, so it sends its own operand masked, and the
-        # rows are swapped, not summed.  Alice holds a and its mask u, Bob b
-        # and its mask v, and w_A XOR w_B = u AND v, so a AND b is the XOR
-        # of Alice's a AND (b XOR v) XOR w_A and Bob's v AND (a XOR u) XOR w_B.
-        mask, w = next(tuples)
-        [theirs] = sess.swap(bits=[(own[:setup], mask)])
-        g_setup = (own[:setup] if sess.is_alice else mask) & theirs ^ w
-        sess.transcript.bit_mults += setup * batch
-        # so p = a XOR b of every leaf is open, masked by u XOR v, whose
-        # shares are the parties' own masks (see `prefixnet`)
-        leaves = plan.derived_p
+        # One-sided: each party holds the whole masks of its own operand
+        # rows and none of its peer's, so it sends its own rows masked, and
+        # the rows are swapped, not summed.  For a product x AND y of
+        # Alice's row x, masked by u, and Bob's y, masked by v, w_A XOR w_B
+        # = u AND v, and x AND y is the XOR of Alice's x AND (y XOR v) XOR
+        # w_A and Bob's v AND (x XOR u) XOR w_B.
+        fold, leaves = plan.fold, width - 1
+        lo, hi = fold.pairs.T
+        operands = np.concatenate([own[:leaves], own[lo] & own[hi]])
+        mask, w = block.setup
+        [theirs] = sess.swap(bits=[(operands, mask)])
+        mine, peer = fold.products.T if sess.is_alice else fold.products.T[::-1]
+        prods = (operands if sess.is_alice else mask)[mine] & theirs[peer]
+        flat = prods.reshape(-1)
+        _piecewise(np.bitwise_xor, flat, w, flat)
+        sess.transcript.bit_mults += len(prods) * batch
+        # p = a XOR b of every leaf is open, masked by u XOR v, whose shares
+        # are the parties' own masks (see `prefixnet`)
         dp[:leaves] = own[:leaves] ^ mask[:leaves] ^ theirs[:leaves]
+        g_rows[fold.leaves] = prods[fold.leaf_g]
+        # the first layer: G and P of each pair (lo, hi), P from the party's
+        # own AND of its two bits
+        first, (g0, g1, g2) = slice(width, width + len(lo)), fold.g.T
+        g_rows[first] = prods[g0] ^ prods[g1] ^ prods[g2]
+        p_rows[width + fold.p_pairs] = (operands[leaves + fold.p_pairs]
+                                        ^ prods[fold.p[:, 0]] ^ prods[fold.p[:, 1]])
     else:
         zero = np.zeros_like(own)
         a_rows, b_rows = (own, zero) if sess.is_alice else (zero, own)
-        [g_setup] = and_gates(sess, [((a_rows[:setup], b_rows[:setup]), next(tuples))], batch)
-    sess.transcript.mask_bits_sent += plan.setup_rows * setup * batch
-
-    # Node rows: the setup positions, then one per composition in plan order.
-    nodes = len(plan.node_rows)
-    p_rows = np.empty((nodes, own.shape[1]), dtype=np.uint64)
-    g_rows = np.empty_like(p_rows)
-    p_rows[:width], g_rows[:setup] = own, g_setup
+        g_rows[:width] = and_gates(sess, [((a_rows, b_rows), next(tuples))], batch)[0]
+    sess.transcript.mask_bits_sent += plan.setup_rows * batch
 
     ones = ones_row(batch)
     a = zero_start
     # the zero test's terms: bit j > a of x is zero, given the bits below it
     # are, iff its term is 1
-    tree = _const_flip(sess, own[a + 1:] ^ own[a:-1] ^ g_setup[a:], ones) if a else own[:0]
+    tree = _const_flip(sess, own[a + 1:] ^ own[a:-1] ^ g_rows[a:width - 1], ones) if a else own[:0]
 
     for layer in plan.rounds:
-        masks = layer.pub_masks
-        if layer.open_p:
-            # each opened node's p row, then its g row
-            signals = np.empty((len(masks), 2, own.shape[1]), dtype=np.uint64)
-            signal_masks = np.empty_like(signals)
-            signals[:, 0], signals[:, 1] = p_rows[layer.pub_rows], g_rows[layer.pub_rows]
-            signal_masks[:, 0], signal_masks[:, 1] = block.mask_p[masks], block.mask_g[masks]
-        else:  # the leaves, whose p the setup swap opened
-            signals, signal_masks = g_rows[layer.pub_rows], block.mask_g[masks]
+        # each node's p row, then its g row, then the g rows opened alone
+        signals = np.empty((len(layer.pub_rows), 2, own.shape[1]), dtype=np.uint64)
+        signal_masks = np.empty_like(signals)
+        signals[:, 0], signals[:, 1] = p_rows[layer.pub_rows], g_rows[layer.pub_rows]
+        signal_masks[:, 0] = block.mask_p[layer.pub_p]
+        signal_masks[:, 1] = block.mask_g[layer.pub_g]
+        operands = [(signals, signal_masks), (g_rows[layer.g_rows], block.mask_g[layer.g_masks])]
         if layer.gate_inputs > len(tree):
-            # the final AND, of the tree's one row and the first term, once c_a is known
+            # the final AND, of the tree's last rows and the first term, once c_a is known
             low = _const_flip(sess, own[a] ^ g_rows[plan.carry_rows[0]], ones)
             tree = np.concatenate([tree, low[None]])
         gates, used = _level_gates(tree, layer.gates, tuples)
         # the gate inputs that are not derived, in row order
         derived = layer.derived_inputs
-        operands = [(signals, signal_masks)]
         if gates:
             operands.append((tree[derived:used], next(input_masks)))
-        opened, *inputs = sess.open(bits=operands)
-        sess.transcript.mask_bits_sent += (1 + layer.open_p) * batch * len(masks)
-        if layer.open_p:
-            dp[masks], dg[masks] = opened[:, 0], opened[:, 1]
-        else:
-            dg[masks] = opened
+        both, alone, *inputs = sess.open(bits=operands)
+        sess.transcript.mask_bits_sent += batch * (2 * len(layer.pub_rows) + len(layer.g_rows))
+        dp[layer.pub_p], dg[layer.pub_g] = both[:, 0], both[:, 1]
+        dg[layer.g_masks] = alone
 
         # comp.left covers the lower positions, comp.right the higher; the
         # higher run is the left factor of the matrix composition
-        lo, hi = plan.comp_lo[layer.comps], plan.comp_hi[layer.comps]
-        dp_lo, dg_lo, dp_hi = dp[lo], dg[lo], dp[hi]
-        p_out = (block.prod_pp[layer.comps]
-                 ^ (dp_hi & block.mask_p[lo])
-                 ^ (dp_lo & block.mask_p[hi]))
-        g_out = (block.prod_pg[layer.comps]
-                 ^ (dp_hi & block.mask_g[lo])
-                 ^ (dg_lo & block.mask_p[hi]))
+        hi, lo = plan.comp_hi[layer.net], plan.comp_lo[layer.net]
+        dp_hi, dg_lo = dp[hi], dg[lo]
+        g_out = (block.prod_pg[layer.net] ^ (dp_hi & block.mask_g[lo])
+                 ^ (dg_lo & block.mask_p[hi]) ^ g_rows[layer.hi_rows])
+        # p of the compositions that build it, with the p mask rows of both runs
+        p_hi, p_lo = plan.pp_hi[layer.pp], plan.pp_lo[layer.pp]
+        dp_phi, dp_plo = dp[p_hi], dp[p_lo]
+        p_out = (block.prod_pp[layer.pp] ^ (dp_phi & block.mask_p[p_lo])
+                 ^ (dp_plo & block.mask_p[p_hi]))
         if sess.is_alice:
-            p_out ^= dp_hi & dp_lo
             g_out ^= dp_hi & dg_lo
-        g_out ^= g_rows[layer.hi_rows]
-        out = slice(width + layer.comps.start, width + layer.comps.stop)
-        p_rows[out], g_rows[out] = p_out, g_out
-        sess.transcript.bit_mults += 2 * batch * len(lo)
+            p_out ^= dp_phi & dp_plo
+        g_rows[width + layer.comps.start:width + layer.comps.stop] = g_out
+        p_rows[plan.pp_rows[layer.pp]] = p_out
+        sess.transcript.bit_mults += batch * (len(g_out) + len(p_out))
         if gates:
             if derived:
                 # term j's mask is that of p_j XOR p_{j-1} XOR g_{j-1}, so

@@ -22,11 +22,11 @@ parties' hands, as one seed per party (`expand_seed`): the u and v of a
 pool of triples, over the ring or over Z_2, the Z_2 rows of a conversion's
 daBits and the ring masks v of its factored row, the single masks of every
 AND gate and the node masks of a prefix-network block, and the U or V of a
-matrix record.  The one-sided setup ANDs of a zero test are masked by a
-mask that one party holds whole: each party's seed expands to the mask of
-its own operand.  The masks that a zero test derives from others, each
-leaf's p mask and the masks of the first-level terms it does not open, are
-not seeded: a party XORs its shares of them from its own (see `prefixnet`).
+matrix record.  The one-sided setup products of a zero test are masked by
+masks that one party holds whole: each party's seed expands to the masks
+of its own operand rows.  The masks that a zero test derives from others, each
+leaf's p mask and the masks of the first-level terms, which it does not
+open, are not seeded: a party XORs its shares of them from its own (see `prefixnet`).
 What depends on the masks (w = u·v or u AND v, the
 daBits' ring shares and rho = r·v, each gate's products of two or more
 masks, the composition products, and W) is dealt in balanced halves: a
@@ -166,17 +166,19 @@ class PrefixBlock:
     Every array field holds packed `batch`-bit rows: `gates` holds, for
     each (k, count) group of the plan's `gate_groups`, its AND tuples as a
     (2^k - 1, count, words) array, the `rs` of an `engine.and_gates` gate
-    (see `subset_products`); the node masks have one row per masked node and
-    the composition products one row per composition, in plan order.  A
-    zero test's setup ANDs are one-sided (see `layout`), so their entry is
-    a (2, count, words) array: the whole mask of this party's own operand,
-    then its share of the product of the two operands' masks.  Its leaves'
-    p masks are those operand masks, and its first-level terms but the top
-    one are masked by the XOR of their signals' masks, which `gates` holds
-    like any other single masks.  `inputs` holds, for each round of a zero
-    test that runs gates, the masks of the gate inputs that it opens, one
-    row each in the order of the rows they mask; it is empty for a full
-    decomposition.
+    (see `subset_products`); the node masks have one row per p or g mask
+    row of the plan, and the composition products one row per network
+    composition, or per one that builds p, in plan order.  A zero test's
+    setup is one-sided (see `prefixnet`): `setup` is the whole mask of each
+    of this party's own operand rows, one row each, and its shares of the
+    setup's products of two operands' masks, as the two flat pieces a take
+    hands out (see `MaterializedSource._take`); it is None for a full
+    decomposition.  A zero test's leaves' p masks are its operand masks, and
+    its first-level terms are masked by the XOR of their signals' masks,
+    which `gates` holds like any other single masks.
+    `inputs` holds, for each round of a zero test that runs gates, the masks
+    of the gate inputs that it opens, one row each in the order of the rows
+    they mask; it is empty for a full decomposition.
     """
 
     gates: list
@@ -185,6 +187,7 @@ class PrefixBlock:
     prod_pp: np.ndarray
     prod_pg: np.ndarray
     inputs: list = field(default_factory=list)
+    setup: tuple | None = None
 
 
 _POOLED = (TAG_SCALAR, TAG_BIT)
@@ -345,38 +348,37 @@ def _parts(tag: int, meta) -> tuple:
         def rows(*shape, own=False):
             return Part((*shape, word_count(batch)), batch, own)
 
-        nodes, comps = rows(len(plan.masked_nodes)), rows(len(plan.compositions))
-        # every gate group's single masks, then p and g; every group's
-        # products of two or more masks, then pp and pg
-        masks = [rows(k, count) for k, count in plan.gate_groups]
-        p_masks = nodes
-        if zero_start:
-            # The setup ANDs a_i AND b_i are one-sided: Alice's seed expands
-            # to the whole mask u of her operand a, Bob's to the whole mask v
-            # of his b.  Each round's gates have one part, the masks of the
-            # inputs it opens, one row each in the order of the rows they
-            # mask.  The masks derived from the setup's and the leaves' g
-            # masks are not seeded (see `_zero_test_masks`), so p covers
-            # the created nodes alone.
-            masks = [rows(1, plan.setup_ands, own=True),
-                     *(rows(layer.gate_inputs - layer.derived_inputs)
-                       for layer in plan.rounds if layer.gates)]
-            p_masks = rows(len(plan.masked_nodes) - plan.derived_p)
-        return ((*masks, p_masks, nodes),
-                (*(rows((1 << k) - 1 - k, count) for k, count in plan.gate_groups),
-                 comps, comps))
+        # every gate group's products of two or more masks, then pp and pg
+        written = (*(rows((1 << k) - 1 - k, count) for k, count in plan.gate_groups),
+                   rows(len(plan.pp_rows)), rows(len(plan.compositions) - plan.folded))
+        g_masks = rows(len(plan.masked_nodes))
+        if not zero_start:  # every gate group's single masks, then p and g
+            return ((*(rows(k, count) for k, count in plan.gate_groups),
+                     rows(len(plan.p_nodes)), g_masks), written)
+        # The setup is one-sided: Alice's seed expands to the whole masks u
+        # of her operand rows, Bob's to the masks v of his, and each party
+        # writes its share of u AND v of every product of the setup.  Each
+        # round's gates have one part, the masks of the inputs it opens, one
+        # row each in the order of the rows they mask.  The masks derived
+        # from the setup's and the leaves' g masks are not seeded (see
+        # `_zero_test_masks`), so p covers the created nodes alone.
+        inputs = (rows(layer.gate_inputs - layer.derived_inputs)
+                  for layer in plan.rounds if layer.gates)
+        return ((rows(1, plan.setup_rows, own=True), *inputs,
+                 rows(len(plan.p_nodes) - width + 1), g_masks),
+                (rows(plan.setup_ands), *written))
     raise FormatError(f"randomness stream: unknown record tag {tag}")
 
 
 def _zero_test_masks(plan, leaf_p, masks) -> tuple:
     """A zero-test record's masks, from `masks`, what its seed stands for
-    after the setup's masks (see `_parts`), and `leaf_p`, the p masks of the
-    leaves that the plan masks: u XOR v, or a party's own setup mask, its
-    share of that.  Returns the single masks of every gate group after the
-    setup's, one (k, count, words) array each, the masks of each round's
-    opened gate inputs, and the node masks p and g.  A leaf's p mask is u
-    XOR v, and the mask of a first-level term that round 1 does not open
-    is the XOR of its three signals' masks (see `prefixnet`); so the dealer
+    after the setup's masks (see `_parts`), and `leaf_p`, the p masks of
+    positions 1..width-1: u XOR v, or a party's own setup masks, its share
+    of that.  Returns the single masks of every gate group, one (k, count,
+    words) array each, the masks of each round's opened gate inputs, and
+    the node masks p and g.  A leaf's p mask is u XOR v, and the mask of a
+    first-level term is the XOR of its three signals' masks (see
+    `prefixnet`); so the dealer
     derives each mask from the plain masks, and a party its share from its
     shares, alike."""
     *inputs, p, g = masks
@@ -458,19 +460,20 @@ class TrustedDealer:
             return [ring, ring[:len(v)] * v]
         if tag == TAG_PREFIXNET:
             plan = cached_plan(meta[0], meta[2])
+            setup = []
             if plan.zero_start:  # the setup's u and v, then the masks they leave
-                uv, *masks = masks
-                singles, _, p, g = _zero_test_masks(plan, (uv[0] ^ uv[1])[:plan.derived_p],
-                                                    masks)
-                singles.insert(0, uv)
+                (u, v), *masks = masks
+                alice, bob = plan.fold.products.T
+                setup = [u[alice] & v[bob]]
+                singles, _, p, g = _zero_test_masks(plan, (u ^ v)[:plan.width - 1], masks)
             else:
                 *singles, p, g = masks
             # The higher-position run is the left factor of the matrix product,
             # so the cross product couples its propagate mask with the lower
             # run's generate mask.
-            hi, lo = plan.comp_hi, plan.comp_lo
-            return [*(np.delete(subset_products(r), _SINGLES[:len(r)], 0) for r in singles),
-                    p[hi] & p[lo], p[hi] & g[lo]]
+            return [*setup,
+                    *(np.delete(subset_products(r), _SINGLES[:len(r)], 0) for r in singles),
+                    p[plan.pp_hi] & p[plan.pp_lo], p[plan.comp_hi] & g[plan.comp_lo]]
         (mask,) = masks
         i, j, _, kind = meta
         if kind == MATMUL_MASK:
@@ -697,22 +700,19 @@ class MaterializedSource:
 
     def take_prefix_block(self, width, batch, zero_start=0) -> PrefixBlock:
         masks, (*products, pp, pg), _ = self._take(TAG_PREFIXNET, (width, batch, zero_start))
-        setup, inputs = [], []
-        if zero_start:  # one-sided setup ANDs: the own operand's mask, then w
+        setup, inputs = None, []
+        if zero_start:  # one-sided setup: the own operand rows' masks, then w where it lies
             (own, *masks), (w, *products) = masks, products
-            plan = cached_plan(width, zero_start)
             singles, inputs, mask_p, mask_g = _zero_test_masks(
-                plan, own[0, :plan.derived_p], masks)
+                cached_plan(width, zero_start), own[0, :width - 1], masks)
             mask_p.flags.writeable = False
-            setup = [np.empty((2, *own.shape[1:]), np.uint64)]
-            setup[0][0] = own[0]
-            _read_into(w, setup[0][1:])
+            setup = own[0], w
         else:
             *singles, mask_p, mask_g = masks
-        gates = setup + [_tuples(r, w) for r, w in zip(singles, products)]
+        gates = [_tuples(r, w) for r, w in zip(singles, products)]
         rows = (-1, *mask_p.shape[1:])
         return PrefixBlock(gates, mask_p, mask_g, _join(pp).reshape(rows),
-                           _join(pg).reshape(rows), inputs)
+                           _join(pg).reshape(rows), inputs, setup)
 
 
 class OnDemandSource(MaterializedSource):

@@ -195,22 +195,22 @@ class Step:
 def iteration_steps(n: int, m1: int, params: FixedPointParams) -> list:
     """The rounds of one :func:`train_secure` iteration over n samples and m1
     weights, in order; every iteration runs the same rounds.  At the default
-    12/15 precision they are 9: the forward product, 6 of the decomposition
-    with its zero test (the setup round and 5 network rounds), the
-    conversion and the gradient."""
+    12/15 precision they are 8: the forward product, 5 of the decomposition
+    with its zero test (the setup round, which also finishes the network's
+    first layer, and 4 network rounds), the conversion and the gradient."""
     a = params.frac_bits
     width = a + params.int_bits + 1  # the fractional, integer and sign bits of z'
     plan = cached_plan(width, a)
     row = word_count(n)  # words of one opened bit row, one bit per sample
-    # one prefix-network record deals the tuples of every AND gate below
-    setup = plan.setup_ands
+    # one prefix-network record deals every product and AND gate below
     return [
         Step("engine.matmul", ((TAG_MATMUL, MatmulDims(n, m1, 1, MATMUL_REUSE)),), m1,
              ring=n * m1),
-        # setup round: the generate signal of every bit position the network
-        # reads, each party's own operand opened alone
+        # setup round: each party's own operand rows opened alone, from
+        # which it finishes the network's first layer and the generate
+        # signal of every other position that the test reads
         Step("bitops.decompose", ((TAG_PREFIXNET, (width, n, a)),),
-             plan.setup_rows * setup * row, bit=setup * n),
+             plan.setup_rows * row, bit=plan.setup_ands * n),
         # the network's rounds, which also carry the zero test's gates
         *(Step("bitops.decompose", (), layer.opened_rows * row, bit=layer.and_count * n)
           for layer in plan.rounds),

@@ -32,7 +32,7 @@ MSG_RANDOMNESS = 5
 
 _VALID_TYPES = {MSG_OPEN, MSG_CONTROL, MSG_RANDOMNESS}
 
-PROTOCOL_VERSION = 19
+PROTOCOL_VERSION = 20
 
 
 @dataclass(frozen=True)

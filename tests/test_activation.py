@@ -122,9 +122,9 @@ class TestBatchActivation:
             lambda s: batch_activate(s, za.values),
             lambda s: batch_activate(s, zb.values),
         )
-        # decomposition with its zero test 6 + conversion 1, which also
+        # decomposition with its zero test 5 + conversion 1, which also
         # returns the product
-        assert sa.transcript.rounds == 7
+        assert sa.transcript.rounds == 6
         assert np.array_equal(ra + rb, clipped_relu_fixed(zs, P64))
 
     def test_ring_mult_budget(self):
@@ -142,10 +142,14 @@ class TestBatchActivation:
         width = P64.frac_bits + P64.int_bits + 1
         from mpclr.prefixnet import cached_plan
 
-        # the setup of every position but the top one, the network, and the
-        # zero test's int_bits - 1 tree ANDs and final AND
-        per_elem = (width - 1 + 2 * len(cached_plan(width, P64.frac_bits).compositions)
+        # the setup's one-sided products, 71 at 12/15, then the network's
+        # two products per composition after the first layer, less the p
+        # product of each prefix (1, j), and the zero test's int_bits ANDs
+        plan = cached_plan(width, P64.frac_bits)
+        per_elem = (plan.setup_ands + 2 * (len(plan.compositions) - plan.folded)
+                    - sum(c.out[0] == 1 for c in plan.compositions[plan.folded:])
                     + P64.int_bits)
+        assert per_elem == 71 + 14 + 9 + 15
         assert sa.transcript.bit_mults == per_elem * batch
 
 

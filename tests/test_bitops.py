@@ -11,7 +11,7 @@ from mpclr.bitops import (
     or_tree_slices,
 )
 from mpclr.engine import convert_bits_to_ring
-from mpclr.prefixnet import cached_plan, level_inputs, or_tree_levels
+from mpclr.prefixnet import and_tree_level, cached_plan, level_inputs
 from mpclr.randomness import (
     TAG_BIT,
     TAG_PREFIXNET,
@@ -252,19 +252,20 @@ class TestZeroTest:
         assert top.tolist() == (x >> np.uint64(width - 1)).astype(int).tolist()
         plan = cached_plan(width, start)
         for sess in (sa, sb):
-            # the setup ANDs every position but the top one, whose generate
-            # bit the test never reads
+            # the setup's one-sided products, then each round's
             assert sess.transcript.rounds == 1 + len(plan.rounds)
             assert sess.transcript.bit_mults == len(vals) * (
-                width - 1 + sum(layer.and_count for layer in plan.rounds))
+                plan.setup_ands + sum(layer.and_count for layer in plan.rounds))
             assert sess.transcript.mask_bits_sent == len(vals) * plan.mask_bits_per_element()
 
 
 class TestOneSidedSetup:
-    """The zero test's setup ANDs g_i = a_i AND b_i are one-sided: Alice
-    masks her operand a with a mask u only she holds and Bob his b with a v
-    only he holds, so each party's setup frame is its own masked operand
-    alone.  The full decomposition keeps two rows per position."""
+    """The zero test's setup products are one-sided: Alice masks her
+    operand rows with masks u only she holds and Bob his with masks v only
+    he holds, so each party's setup frame is its own masked operand rows
+    alone: its bits of every position but the top one, then the AND of its
+    two bits of each first-layer pair.  The full decomposition keeps two
+    rows per position."""
 
     @staticmethod
     def setup_round(width, start, batch):
@@ -283,22 +284,29 @@ class TestOneSidedSetup:
         run_sessions(*sessions,
                      lambda s: decompose_batch_slices(s, va.values, width, zero_start=start),
                      lambda s: decompose_batch_slices(s, vb.values, width, zero_start=start))
+        plan = cached_plan(width, start)
+        lo, hi = plan.fold.pairs.T if start else ((), ())
         strings = [_to_slices(v.values, width) for v in (va, vb)]
-        return strings, [sent[0] for sent in frames], sources
+        operands = [np.concatenate([rows[:width - 1], rows[lo] & rows[hi]]) if start else rows
+                    for rows in strings]
+        return operands, [sent[0] for sent in frames], sources
 
     @pytest.mark.parametrize("batch", [1, 64, 65, 225])
     @pytest.mark.parametrize("width,start", [(28, 12), (8, 4), (2, 1)])
     def test_each_party_sends_its_own_operand_alone(self, width, start, batch):
-        strings, frames, sources = self.setup_round(width, start, batch)
-        setup = cached_plan(width, start).setup_ands
-        for frame in frames:
-            assert len(frame) == setup * word_count(batch)
-        # each party's block holds the whole mask of its own operand and its
-        # share of the product of the two masks, nothing of its peer's mask
+        operands, frames, sources = self.setup_round(width, start, batch)
+        plan = cached_plan(width, start)
+        for frame, rows in zip(frames, operands):
+            assert len(frame) == plan.setup_rows * word_count(batch) == rows.size
+        # each party's block holds the whole masks of its own operand rows
+        # and its shares of the products of the two parties' masks, nothing
+        # of its peer's masks
         blocks = [s.take_prefix_block(width, batch, start) for s in TrustedDealer(
             batch, P64).generate([(TAG_PREFIXNET, (width, batch, start))])]
-        (u, w_a), (v, w_b) = (block.gates[0] for block in blocks)
-        assert np.array_equal(w_a ^ w_b, u & v)
+        (u, w_a), (v, w_b) = (block.setup for block in blocks)
+        alice, bob = plan.fold.products.T
+        assert np.array_equal(np.concatenate(w_a) ^ np.concatenate(w_b),
+                              (u[alice] & v[bob]).reshape(-1))
         # and each mask expands from its party's seed alone, which the
         # peer's stream does not hold
         streams = [bytes(serialize_stream(s)) for s in sources]
@@ -307,9 +315,9 @@ class TestOneSidedSetup:
             masks, _ = expand_masks(seed, TAG_PREFIXNET, meta, P64, role)
             assert np.array_equal(masks[0][0], mask)
             assert seed.tobytes() not in theirs
-        # so each frame is masked by a mask its receiver never holds
-        assert np.array_equal(frames[0], (strings[0][:setup] ^ u).reshape(-1))
-        assert np.array_equal(frames[1], (strings[1][:setup] ^ v).reshape(-1))
+        # so each frame is masked by masks its receiver never holds
+        assert np.array_equal(frames[0], (operands[0] ^ u).reshape(-1))
+        assert np.array_equal(frames[1], (operands[1] ^ v).reshape(-1))
 
     @pytest.mark.parametrize("width", [64, 29])
     def test_full_decomposition_sends_two_rows_per_position(self, width):
@@ -324,9 +332,20 @@ class TestRoundOneReuse:
     """The zero test's first network round reuses the setup swap's
     openings.  The swap opened a XOR u and b XOR v, so every leaf's p is
     masked by u XOR v, Alice's share u and Bob's v, and is not opened
-    again; each first-level term but the top one is masked by the XOR of
-    its three signals' masks, so its masked input is computed from the
-    opened signals instead of opened."""
+    again; each first-level term is masked by the XOR of its three signals'
+    masks, so its masked input is computed from the opened signals instead
+    of opened.  The plans are criterion 4's P16 (8, 4), the default 12/15
+    (28, 12), 16/16 (33, 16) and 31/1 (33, 31)."""
+
+    # per plan: each frame's rows, the setup's first, and the rows of
+    # products its record deals per element: the setup's, the tree gates',
+    # pg and pp
+    ROWS = {
+        (8, 4): ([10, 8, 6], (15, 5, 3, 1)),
+        (28, 12): ([40, 40, 17, 7, 6], (71, 29, 14, 9)),
+        (33, 16): ([48, 46, 21, 7, 6], (86, 32, 15, 11)),
+        (33, 31): ([48, 32, 17, 9, 5, 2], (79, 1, 19, 14)),
+    }
 
     @staticmethod
     def run(width, start, batch):
@@ -354,38 +373,53 @@ class TestRoundOneReuse:
         return vals, unpack_rows(ra ^ rb, batch), frames, blocks
 
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 225])
-    @pytest.mark.parametrize("width,start,derived", [(8, 4, 2), (28, 12, 14), (33, 31, 0)])
+    @pytest.mark.parametrize("width,start,derived", [
+        (8, 4, 2), (28, 12, 14), (33, 31, 0), (33, 16, 15)])
     def test_round_one_opens_only_what_is_not_yet_open(self, width, start, derived, batch):
         vals, (d, top), frames, (blk_a, blk_b) = self.run(width, start, batch)
         plan = cached_plan(width, start)
         words = word_count(batch)
-        # each round's frame is the plan's rows: the setup's one row per
-        # position, then round 1's g of every leaf and the gate inputs that
-        # are not derived
-        rows = [plan.setup_ands, *(layer.opened_rows for layer in plan.rounds)]
-        assert rows[1] == width - 1 + (start < width - 2)  # the top term, if round 1 has gates
+        opened, written = self.ROWS[width, start]
+        # each round's frame is the plan's rows: the setup's operand rows,
+        # then round 1's g of the leaves and of (1, 2), p and g of the other
+        # first-layer pairs, and the gate inputs that are not derived
+        assert [plan.setup_rows, *(layer.opened_rows for layer in plan.rounds)] == opened
         for sent in frames:
-            assert sent == [8 * words * count for count in rows]
-        # every leaf's p mask is u XOR v, the setup's own masks
-        leaves = plan.derived_p
-        assert leaves == width - 1
-        (u, _), (v, _) = blk_a.gates[0], blk_b.gates[0]
+            assert sent == [8 * words * count for count in opened]
+        # the record deals the plan's products and no p product of a
+        # prefix (1, j)
+        tree = sum(((1 << k) - 1 - k) * count for k, count in plan.gate_groups)
+        assert (plan.setup_ands, tree, len(plan.compositions) - plan.folded,
+                len(plan.pp_rows)) == written
+        prefixes = {row for node, row in plan.node_rows.items() if node[0] == 1}
+        assert not prefixes & set(plan.pp_rows.tolist())
+        for blk in (blk_a, blk_b):
+            assert sum(map(len, blk.setup[1])) == written[0] * words
+            # a gate group's tuples hold its 2^k - 1 - k products after its k masks
+            assert sum((len(g) - (len(g) + 1).bit_length() + 1) * g.shape[1]
+                       for g in blk.gates) == tree
+            assert (len(blk.prod_pg), len(blk.prod_pp)) == written[2:]
         mp, mg = blk_a.mask_p ^ blk_b.mask_p, blk_a.mask_g ^ blk_b.mask_g
-        assert np.array_equal(mp[:leaves], u ^ v)
-        # each first-level term j but the top one is masked by the masks of
-        # p_j, p_{j-1} and g_{j-1}; the top one's mask rides the opening
+        assert np.array_equal(blk_a.prod_pp ^ blk_b.prod_pp, mp[plan.pp_hi] & mp[plan.pp_lo])
+        # every leaf's p mask is u XOR v, the setup's own masks
+        leaves = width - 1
+        u, v = blk_a.setup[0], blk_b.setup[0]
+        assert np.array_equal(mp[:leaves], u[:leaves] ^ v[:leaves])
+        # each first-level term j is masked by the masks of p_j, p_{j-1}
+        # and g_{j-1}, and round 1 opens none of them
         level = plan.round_gates.get(1, ()) if derived else ()
         assert plan.derived_terms == derived
         inputs = np.empty((sum(k * count for k, count in level), words), np.uint64)
-        for (k, _), ga, gb, view in zip(level, blk_a.gates[1:], blk_b.gates[1:],
+        for (k, _), ga, gb, view in zip(level, blk_a.gates, blk_b.gates,
                                         level_inputs(inputs, level)[0]):
             view[...] = (ga ^ gb)[[(1 << i) - 1 for i in range(k)]]
+        assert len(inputs) == derived
         for r in range(derived):
             j = start + 1 + r
-            assert np.array_equal(inputs[r], mp[j] ^ mp[j - 1] ^ mg[j - 1]), r
+            assert np.array_equal(inputs[r], mp[j] ^ mp[j - 1]
+                                  ^ mg[plan.masked_nodes.index((j, j))]), r
         if derived:
-            assert len(inputs) == derived + 1
-            assert np.array_equal(inputs[derived:], blk_a.inputs[0] ^ blk_b.inputs[0])
+            assert len(blk_a.inputs[0]) == len(blk_b.inputs[0]) == 0
         # and the test stays exact
         x = vals & np.uint64((1 << width) - 1)
         assert d.tolist() == (x < (1 << start)).astype(int).tolist()
@@ -395,8 +429,40 @@ class TestRoundOneReuse:
     def test_full_decomposition_opens_every_leaf(self, width):
         # criterion 3 pins the full decomposition's 524 mask bits at 64
         plan = cached_plan(width)
-        assert (plan.derived_p, plan.derived_terms) == (0, 0)
-        assert all(layer.open_p and not layer.derived_inputs for layer in plan.rounds)
+        assert (plan.folded, plan.derived_terms) == (0, 0)
+        assert all(not len(layer.g_rows) and not layer.derived_inputs for layer in plan.rounds)
+
+
+class TestSetupFold:
+    """A zero test's setup finishes the network's first layer: each pair's
+    G and P are XORs of one-sided products of Alice's bits a_lo, a_hi and
+    a_lo AND a_hi with Bob's b_lo, b_hi and b_lo AND b_hi, and of the
+    party's own AND of its two bits."""
+
+    def test_truth_table(self):
+        # element e of the batch holds case e of (a_lo, a_hi, b_lo, b_hi) in
+        # every first-layer pair of P16's plan: (1, 2), (3, 4) and (5, 6)
+        width, start = 8, 4
+        plan = cached_plan(width, start)
+        assert plan.fold.pairs.tolist() == [[0, 1], [2, 3], [4, 5]]
+        a_lo, a_hi, b_lo, b_hi = (np.arange(16, dtype=np.uint64) >> np.uint64(i) & np.uint64(1)
+                                  for i in range(4))
+        shares = [sum((lo | hi << np.uint64(1)) << np.uint64(2 * k) for k in range(3))
+                  for lo, hi in ((a_lo, a_hi), (b_lo, b_hi))]
+        nodes = ({}, {})
+        protocol_pair(
+            P64,
+            lambda s: decompose_batch_slices(s, shares[0], width, nodes[0], zero_start=start),
+            lambda s: decompose_batch_slices(s, shares[1], width, nodes[1], zero_start=start))
+        # the composition of the two leaves: P = p_hi p_lo, G = p_hi g_lo XOR g_hi
+        p_lo, g_lo, p_hi, g_hi = a_lo ^ b_lo, a_lo & b_lo, a_hi ^ b_hi, a_hi & b_hi
+        for pair in ((1, 2), (3, 4), (5, 6)):
+            (pa, ga), (pb, gb) = nodes[0][pair], nodes[1][pair]
+            assert unpack_rows((ga ^ gb)[None], 16)[0].tolist() == (
+                p_hi & g_lo ^ g_hi).tolist(), pair
+            if pair != (1, 2):  # no carry reads p of a prefix
+                assert unpack_rows((pa ^ pb)[None], 16)[0].tolist() == (
+                    p_hi & p_lo).tolist(), pair
 
 
 class TestOrTree:
@@ -463,12 +529,19 @@ class TestOrTree:
         assert sa.transcript.bit_mults == (k - 1) * batch
 
     def test_levels(self):
-        # the zero test's tree: rows in groups of four, the rest as one
-        # smaller gate or passed on
-        assert or_tree_levels(1) == []
-        assert or_tree_levels(16) == [[(4, 4)], [(4, 1)]]
-        assert or_tree_levels(15) == [[(4, 3), (3, 1)], [(4, 1)]]
-        assert or_tree_levels(17) == [[(4, 4)], [(4, 1)], [(2, 1)]]
+        # the zero test's tree: rows in groups of three, the rest as 2-input
+        # gates, two of them in place of a 3-input gate and a row alone; a
+        # row alone passes on
+        assert and_tree_level(1) == []
+        assert and_tree_level(2) == [(2, 1)]
+        assert and_tree_level(4) == [(2, 2)]
+        assert and_tree_level(14) == [(3, 4), (2, 1)]
+        assert and_tree_level(15) == [(3, 5)]
+        assert and_tree_level(16) == [(3, 4), (2, 2)]
+        for k in range(2, 40):
+            level = and_tree_level(k)
+            assert sum(i * count for i, count in level) == k
+            assert k - sum((i - 1) * count for i, count in level) == -(-k // 3)
 
 
 class TestConversion:

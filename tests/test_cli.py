@@ -149,7 +149,7 @@ class TestTrainLocalAndReconstruct:
         lines = [json.loads(l.split(" ", 1)[1]) for l in out.splitlines()
                  if l.startswith("TRANSCRIPT")]
         assert len(lines) == 2
-        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 9
+        assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 8
         assert lines[0]["ring_mults"] == lines[0]["counted_ring_mults"]
 
 
@@ -239,7 +239,7 @@ class TestProtocolErrors:
         for rc, err in run_tcp_pair(toy_csv, tmp_path, "20x10", common, common, version_11):
             assert rc == 4, err
             assert err == ("error: randomness stream dealt by another protocol version than "
-                           "this build's 19 (one dealt before version 8 has no version field); "
+                           "this build's 20 (one dealt before version 8 has no version field); "
                            "deal it again\n")
 
     def test_randomness_of_the_other_party_exits_4(self, toy_csv, tmp_path):
@@ -519,7 +519,7 @@ class TestBench:
         assert rc == 0
         payload = [l for l in capsys.readouterr().out.splitlines() if l.startswith("BENCH")][0]
         results = json.loads(payload[6:])["results"]
-        assert results[0]["rounds"] == results[1]["rounds"] == 7
+        assert results[0]["rounds"] == results[1]["rounds"] == 6
 
     def test_warm_up_rep_is_dropped_and_median_reported(self, capsys, monkeypatch):
         import mpclr.cli

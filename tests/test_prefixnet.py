@@ -113,7 +113,16 @@ class TestZeroTestPlan:
     @staticmethod
     def shape(plan):
         return (len(plan.compositions), len(plan.masked_nodes),
-                [(len(r.pub_masks), r.comps.stop - r.comps.start) for r in plan.rounds])
+                [(len(r.pub_rows) + len(r.g_rows), r.comps.stop - r.comps.start)
+                 for r in plan.rounds])
+
+    @staticmethod
+    def written_rows(plan):
+        """Rows of products a record deals per element: the setup's, the
+        tree's gates', pg and pp."""
+        tree = sum(((1 << k) - 1 - k) * count for k, count in plan.gate_groups)
+        return (plan.setup_ands if plan.zero_start else 0, tree,
+                len(plan.compositions) - plan.folded, len(plan.pp_rows))
 
     @pytest.mark.parametrize("p", sorted(FULL))
     def test_full_plan_is_unchanged(self, p):
@@ -121,41 +130,64 @@ class TestZeroTestPlan:
         assert self.shape(plan) == self.FULL[p]
         assert all(r.gates == () for r in plan.rounds)
         assert plan.gate_groups == [(2, p)]  # the setup ANDs every position
+        # the setup's two rows per position, then p and g of every node
+        assert plan.p_nodes == plan.masked_nodes and plan.fold is None
+        assert all(len(r.g_rows) == 0 for r in plan.rounds)
+        assert (plan.setup_rows, plan.setup_ands) == (2 * p, p)
 
     def test_default_precision_builds_two_carries(self):
         # 12/15: the fractional, integer and sign bits of z' are 28
         plan = plan_prefix_network(28, 12)
         assert plan.ends == (12, 27)
-        assert (len(plan.compositions), len(plan.masked_nodes), plan.depth) == (27, 52, 5)
+        assert (len(plan.compositions), plan.depth) == (27, 5)
+        # the setup finishes the 13 pairs of the first layer, (1, 2) ...
+        # (25, 26), and the network runs layers 2..5 in 4 rounds
+        assert plan.folded == 13 and len(plan.rounds) == 4
         assert plan.creation_layer[(1, 12)] == 4
-        # 15 terms: gates of 4, 4, 4 and 3 inputs, then one of 4, then the
-        # final AND with the first term once c_12 is known
-        assert [r.gates for r in plan.rounds] == [
-            ((4, 3), (3, 1)), ((4, 1),), (), (), ((2, 1),)]
-        # the setup ANDs positions 1..27 first
-        assert plan.gate_groups == [(2, 27), (4, 3), (3, 1), (4, 1), (2, 1)]
+        # 15 terms: the 14 below the top one in four 3-input gates and one
+        # 2-input gate, the top one joins the 5 rows they leave in two
+        # 3-input gates, and the final gate takes those and the first term
+        # once c_12 is known
+        assert [r.gates for r in plan.rounds] == [((3, 4), (2, 1)), ((3, 2),), (), ((3, 1),)]
+        assert plan.gate_groups == [(3, 4), (2, 1), (3, 2), (3, 1)]
         assert (28, 28) not in plan.masked_nodes  # the top bit is never composed
-        # the setup swap opened every leaf's p, and round 1 opens of its 15
-        # terms only the top one, whose p the swap leaves out
-        assert plan.derived_p == 27 and plan.derived_terms == 14
-        assert sum(r.opened_rows for r in plan.rounds) == 2 * 52 - 27 + 1 + 4 + 2
-        assert sum(r.and_count for r in plan.rounds) == 2 * 27 + 14 + 1
+        # each party opens a, or b, of positions 1..27 and the AND of each
+        # pair's two bits; the setup deals 5 products per pair but (1, 2),
+        # which builds no p, 3, and a_i·b_i of the odd leaves 13..25 and of
+        # 27, whose g the terms read
+        assert (plan.setup_rows, plan.setup_ands) == (27 + 13, 12 * 5 + 3 + 8)
+        assert plan.fold.leaves.tolist() == list(range(12, 27))
+        # round 1 opens g alone of (1, 2) and of the leaves 13..27, and p and
+        # g of the other 12 pairs; of the 15 terms, whose first level is
+        # derived, it opens none; no p of (1, 2), (1, 4), (1, 8) or (1, 16)
+        # is ever opened
+        assert plan.derived_terms == 14
+        assert [(len(r.pub_rows), len(r.g_rows)) for r in plan.rounds] == [
+            (12, 16), (5, 1), (3, 1), (1, 1)]
+        assert [plan.setup_rows] + [r.opened_rows for r in plan.rounds] == [40, 40, 17, 7, 6]
+        assert plan.mask_bits_per_element() == 40 + 2 * 21 + 19
+        # 71 setup products, 29 tree products, 14 pg and 9 pp
+        assert self.written_rows(plan) == (71, 29, 14, 9)
+        assert plan.setup_ands + sum(r.and_count for r in plan.rounds) == 71 + 14 + 9 + 15
 
     def test_p16_precision(self):
-        # 4/3: three terms in one gate, and the final AND at layer 3
+        # 4/3: the two terms below the top one in one gate, and the final
+        # AND of three inputs at layer 3, the second network round
         plan = plan_prefix_network(8, 4)
         assert plan.ends == (4, 7)
-        assert (len(plan.compositions), len(plan.masked_nodes), plan.depth) == (6, 12, 3)
-        assert [r.gates for r in plan.rounds] == [((3, 1),), (), ((2, 1),)]
-        assert plan.gate_groups == [(2, 7), (3, 1), (2, 1)]
+        assert (len(plan.compositions), plan.depth, plan.folded) == (6, 3, 3)
+        assert [r.gates for r in plan.rounds] == [((2, 1),), ((3, 1),)]
+        assert plan.gate_groups == [(2, 1), (3, 1)]
+        assert [plan.setup_rows] + [r.opened_rows for r in plan.rounds] == [10, 8, 6]
+        assert self.written_rows(plan) == (15, 5, 3, 1)
 
     def test_final_and_after_the_network(self):
         # 31/1: one term and no gate, but c_31 is ready only at the last
         # layer, so the final AND takes a round of its own
         plan = plan_prefix_network(33, 31)
-        assert plan.depth == 5 and plan.gate_groups == [(2, 32), (2, 1)]
+        assert plan.depth == 5 and plan.gate_groups == [(2, 1)]
         last = plan.rounds[-1]
-        assert len(plan.rounds) == 6 and last.gates == ((2, 1),)
+        assert len(plan.rounds) == 5 and last.gates == ((2, 1),)
         assert last.comps.start == last.comps.stop and last.opened_rows == 2
 
     @pytest.mark.parametrize("start", [-1, 8, 9])

@@ -158,9 +158,11 @@ class TestTripleGeneration:
 
 
     def test_zero_test_block_consistency(self):
-        # one tuple group per gate group: the one-sided setup ANDs of
-        # positions 1..7, each party's whole operand mask and its share of
-        # their product, the 3-input gate over the terms, and the final AND
+        # the one-sided setup: each party's whole masks of its 10 operand
+        # rows (positions 1..7, then the AND row of each of the 3 pairs) and
+        # its shares of the 15 products; then one tuple group per gate
+        # group: the 2-input gate over the terms below the top one, and the
+        # final 3-input gate
         width, batch, start = 8, 5, 4
         src_a, src_b = (deserialize_stream(serialize_stream(s), P16) for s in
                         TrustedDealer(7, P16).generate([(TAG_PREFIXNET, (width, batch, start))]))
@@ -168,19 +170,30 @@ class TestTripleGeneration:
         blk_a = src_a.take_prefix_block(width, batch, start)
         blk_b = src_b.take_prefix_block(width, batch, start)
         plan = cached_plan(width, start)
-        assert plan.gate_groups == [(2, width - 1), (3, 1), (2, 1)]
-        assert [g.shape for g in blk_a.gates] == [(2, width - 1, 1), (7, 1, 1), (3, 1, 1)]
-        (u, wa), (v, wb) = blk_a.gates[0], blk_b.gates[0]
-        assert np.array_equal(wa ^ wb, u & v)
-        for ga, gb in zip(blk_a.gates[1:], blk_b.gates[1:]):
+        assert plan.gate_groups == [(2, 1), (3, 1)]
+        assert [g.shape for g in blk_a.gates] == [(3, 1, 1), (7, 1, 1)]
+        (u, wa), (v, wb) = blk_a.setup, blk_b.setup
+        assert u.shape == v.shape == (10, 1) and len(plan.fold.products) == 15
+        alice, bob = plan.fold.products.T
+        assert np.array_equal(whole(wa) ^ whole(wb), (u[alice] & v[bob]).reshape(-1))
+        for ga, gb in zip(blk_a.gates, blk_b.gates):
             opened = ga ^ gb
             k = (len(opened) + 1).bit_length() - 1
             assert np.array_equal(opened, subset_products(opened[[(1 << i) - 1 for i in range(k)]]))
         mp, mg = blk_a.mask_p ^ blk_b.mask_p, blk_a.mask_g ^ blk_b.mask_g
-        assert len(mp) == len(plan.masked_nodes) == 12
-        hi, lo = plan.comp_hi, plan.comp_lo
-        assert np.array_equal(blk_a.prod_pp ^ blk_b.prod_pp, mp[hi] & mp[lo])
-        assert np.array_equal(blk_a.prod_pg ^ blk_b.prod_pg, mp[hi] & mg[lo])
+        # the p masks of positions 1..7 and of (3, 4), (5, 6) and (5, 7), no
+        # prefix's; the g masks of the leaves 5 and 6, which the terms read,
+        # and 7, which the network composes, and of every node composed
+        # after the first layer
+        assert len(mp) == len(plan.p_nodes) == 7 + 3
+        assert plan.p_nodes[7:] == [(3, 4), (5, 6), (5, 7)]
+        assert len(mg) == len(plan.masked_nodes) == 8
+        assert plan.masked_nodes == [(5, 5), (6, 6), (7, 7), (1, 2), (3, 4), (5, 6),
+                                     (1, 4), (5, 7)]
+        assert np.array_equal(mp[:7], u[:7] ^ v[:7])
+        assert np.array_equal(blk_a.prod_pp ^ blk_b.prod_pp, mp[plan.pp_hi] & mp[plan.pp_lo])
+        assert np.array_equal(blk_a.prod_pg ^ blk_b.prod_pg,
+                              mp[plan.comp_hi] & mg[plan.comp_lo])
 
 
 class TestStreams:
@@ -347,7 +360,7 @@ class TestStreams:
         # record headers, which would read as misaligned parts
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         raw = bytearray(serialize_stream(src_a))
-        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (19).to_bytes(2, "little")
+        assert raw[4:6] == PROTOCOL_VERSION.to_bytes(2, "little") == (20).to_bytes(2, "little")
         raw[4:6] = (8).to_bytes(2, "little")
         with pytest.raises(FormatError, match=OLD_VERSION):
             deserialize_stream(bytes(raw), P64)
@@ -486,7 +499,7 @@ class TestStreams:
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
 
 
-OLD_VERSION = ("dealt by another protocol version than this build's 19 \\(one dealt before "
+OLD_VERSION = ("dealt by another protocol version than this build's 20 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
 
 
@@ -501,7 +514,10 @@ def take(source, tag, meta):
     if tag == TAG_MATMUL:
         return take_matmul_triple(source, meta)
     block = source.take_prefix_block(*meta)
-    return (*block.gates, block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)
+    # a zero test's one-sided setup: the own operand rows' masks, then the
+    # shares of the setup's products, whole
+    setup = () if block.setup is None else (block.setup[0], whole(block.setup[1]))
+    return (*setup, *block.gates, block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)
 
 
 def same_parts(a, b):
@@ -533,16 +549,17 @@ def crn1_bytes(requests, params):
             _, _, w = MatmulDims(*meta).shapes()
             words += 0 if w is None else half(w[0] * w[1])
         else:
-            # a setup triple per bit that the plan reads (all but the top
-            # one of a zero test), the 11 or 4 products of each 4- or
-            # 3-input gate of the zero test and its final AND's one, each
-            # gate group's one part, then two products per composition
+            # the setup's products, one AND per position of a full
+            # decomposition or a zero test's one-sided products, then the 4
+            # or 1 products of each 3- or 2-input gate of the zero test, each
+            # gate group's one part, then one pg product per composition of
+            # the network and one pp per one that builds p
             width, batch, start = (*meta, 0)[:3]
             plan = cached_plan(width, start)
-            groups = [width - (start > 0)] + [{4: 11, 3: 4, 2: 1}[k] * count
-                                              for k, count in plan.gate_groups[1:]]
+            groups = [plan.setup_ands] + [{3: 4, 2: 1}[k] * count
+                                          for k, count in plan.gate_groups if start]
+            groups += [len(plan.compositions) - plan.folded, len(plan.pp_rows)]
             words += sum(half(rows * packed(batch)) for rows in groups)
-            words += 2 * half(len(plan.compositions) * packed(batch))
     return HEADER + RECORD * len(requests) + 8 * words  # file header, record headers, words
 
 
@@ -626,12 +643,13 @@ class TestMaskedRecords:
         requests = training_randomness_requests(225, 12_634, cfg)
         assert crn1_bytes(requests, P64) < 100e6
 
-    def test_paper_run_provisions_12_58_mb_per_party(self):
+    def test_paper_run_provisions_12_55_mb_per_party(self):
         # the same run: 25,109,864 B when both parties' shares of every
-        # product were written whole
+        # product were written whole, 12,575,480 B when the zero test's
+        # setup left the network's first layer to the network
         cfg = TrainingConfig(eta=0.001, n_iter=223, params=P64, seed=0)
         requests = training_randomness_requests(225, 12_634, cfg)
-        assert crn1_bytes(requests, P64) == 12_575_480
+        assert crn1_bytes(requests, P64) == 12_550_504
 
 
 class TestSeededRecords:
@@ -853,6 +871,34 @@ class TestTakesInPlace:
                 assert written and all(np.shares_memory(part, np.frombuffer(
                     source.buffer, np.uint8)) for part in written)
 
+    def test_zero_test_take_reads_the_setup_products_in_place(self):
+        # the activation's zero test at 12/15: its setup's 71 product rows
+        # are handed out as their two pieces, where they lie; a joined copy
+        # of them would add 142 KB, and one of the setup's masks 80 KB more
+        meta = (28, self.BATCH, 12)
+        plan = cached_plan(28, 12)
+        words = word_count(self.BATCH)
+        # what the take builds beside the expansion: the p masks of the
+        # leaves joined to those of the created nodes, the first-level
+        # terms' derived masks, every gate group's tuples, and pp and pg
+        tuples = sum(((1 << k) - 1) * count for k, count in plan.gate_groups)
+        built = 8 * words * (len(plan.p_nodes) + plan.derived_terms + tuples
+                             + len(plan.pp_rows) + len(plan.compositions) - plan.folded)
+        expansion = 8 * _size(layout(TAG_PREFIXNET, meta)[0])
+        for side, dealt in enumerate(TrustedDealer(6, P64).generate([(TAG_PREFIXNET, meta)])):
+            source = deserialize_stream(serialize_stream(dealt), P64)
+            tracemalloc.start()
+            try:
+                block = source.take_prefix_block(*meta)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert expansion + built <= peak <= expansion + built + 16384, (side, peak)
+            mask, pieces = block.setup
+            assert mask.shape == (plan.setup_rows, words)
+            assert sum(map(len, pieces)) == plan.setup_ands * words
+            assert np.shares_memory(pieces[1 - side], np.frombuffer(source.buffer, np.uint8))
+
 
 class TestSeededPools:
     """Every record but a matrix one (ring triples, AND triples, daBits,
@@ -895,19 +941,20 @@ class TestSeededPools:
         sizes = len(serialize_stream(src_a)), len(serialize_stream(src_b))
         assert sizes[0] == sizes[1] == crn1_bytes(requests, P64)
 
-    def test_tall_plan_takes_0_386_mb_per_iteration(self):
+    def test_tall_plan_takes_0_379_mb_per_iteration(self):
         # 16,000 x 10 for 20 iterations, the benchmark's tall workload: 1.692 MB
         # per iteration when every mask but X's was written whole, 0.973 MB
         # when the prefix network built every carry of 29 bits, 0.813 MB when
         # the zero test's gates took whole 4-input tuples from a bit pool,
         # 0.791 MB when the conversion's product took a ring triple and the
         # pools had a 5% tail, 0.772 MB when both parties' shares of every
-        # product were written whole
+        # product were written whole, 0.386 MB when the network composed its
+        # first layer and the prefixes' p and the tree had 4-input gates
         cfg = TrainingConfig(eta=2.0 ** -12, n_iter=20, params=P64, seed=0)
         requests = training_randomness_requests(16_000, 9, cfg)
-        assert crn1_bytes(requests, P64) == 7_724_064 == 20 * 386_203.2
+        assert crn1_bytes(requests, P64) == 7_584_064 == 20 * 379_203.2
         src_a, src_b = TrustedDealer(0, P64).generate(requests)
-        assert len(serialize_stream(src_a)) == len(serialize_stream(src_b)) == 7_724_064
+        assert len(serialize_stream(src_a)) == len(serialize_stream(src_b)) == 7_584_064
 
     @pytest.mark.parametrize("params", [P16, P64])
     @pytest.mark.parametrize("batch", [64, 225])
@@ -957,7 +1004,8 @@ class TestGateGroupRecords:
     """A prefix-network record deals exactly the AND gates of its plan's
     `gate_groups`: each group's k single masks expand from the seed, its
     2^k - 1 - k products of two or more masks are written, and every tuple
-    XORs to the subset products r_S of its masks."""
+    XORs to the subset products r_S of its masks.  A zero test's record
+    also deals its one-sided setup's products."""
 
     # full decompositions, then zero tests: the default 12/15, P16's 4/3, a
     # final AND in a round of its own, and a test with no term but the first
@@ -968,33 +1016,36 @@ class TestGateGroupRecords:
     def test_shapes_follow_the_gate_groups(self, width, start):
         plan = cached_plan(width, start)
         groups = plan.gate_groups
-        # the setup reads every position of a full decomposition, and all
-        # but the top one of a zero test; the rounds' gates follow in order
-        assert groups[0] == (2, width - (start > 0))
-        assert groups[1:] == [group for layer in plan.rounds for group in layer.gates]
-        assert sum((k - 1) * count for k, count in groups) + 2 * len(plan.compositions) == (
-            groups[0][1] + sum(layer.and_count for layer in plan.rounds))
+        # a full decomposition's gates are its setup's ANDs, one per
+        # position; a zero test's are its rounds' gates, in order
+        assert groups == ([(2, width)] if not start else
+                          [group for layer in plan.rounds for group in layer.gates])
+        assert ((plan.setup_ands if start else 0) + sum((k - 1) * count for k, count in groups)
+                + len(plan.compositions) - plan.folded + len(plan.pp_rows)) == (
+            plan.setup_ands + sum(layer.and_count for layer in plan.rounds))
         words = word_count(self.BATCH)
         meta = (width, self.BATCH, start)
-        nodes, comps = (len(plan.masked_nodes), words), (len(plan.compositions), words)
+        g_nodes = (len(plan.masked_nodes), words)
+        comps, pps = (len(plan.compositions) - plan.folded, words), (len(plan.pp_rows), words)
         seeded, written = layout(TAG_PREFIXNET, meta)
         assert {part.bits for part in seeded + written} == {self.BATCH}
-        # a zero test's setup ANDs are one-sided: each party's seed expands
-        # to the whole mask of its own operand, one row per gate
+        # a zero test's setup is one-sided: each party's seed expands to
+        # the whole masks of its own operand rows
         assert [part.own for part in seeded] == [start > 0] + [False] * (len(seeded) - 1)
-        masks = [(1 if start else 2, groups[0][1], words),
-                 *((k, count, words) for k, count in groups[1:]), nodes, nodes]
+        tree = [((1 << k) - 1 - k, count, words) for k, count in groups]
         if start:
-            # Each round's gates have one part, the masks of the inputs it
-            # opens, one row each.  The masks that a zero test derives are
-            # not seeded: the leaves' p masks are the setup's, and of round
-            # 1's 15 or 3 inputs only the top term, which reads p of the top
-            # position, has a mask of its own.
-            opened, leaves = {(28, 12): ([1, 4, 2], 27), (8, 4): ([1, 2], 7),
-                              (33, 31): ([2], 32), (2, 1): ([], 0)}[width, start]
-            masks = [masks[0], *((rows, words) for rows in opened),
-                     (len(plan.masked_nodes) - leaves, words), nodes]
-        products = [*(((1 << k) - 1 - k, count, words) for k, count in groups), comps, comps]
+            # The operand rows, each round's opened gate inputs, one row
+            # each, and the created nodes' p masks.  The masks that a zero
+            # test derives are not seeded: the leaves' p masks are the
+            # setup's, and round 1 opens no first-level term.
+            rows, opened, created = {(28, 12): (40, [0, 6, 3], 21), (8, 4): (10, [0, 3], 3),
+                                     (33, 31): (48, [2], 29), (2, 1): (1, [], 0)}[width, start]
+            masks = [(1, rows, words), *((count, words) for count in opened),
+                     (created, words), g_nodes]
+            products = [(plan.setup_ands, words), *tree, pps, comps]
+        else:
+            masks = [(2, width, words), (len(plan.p_nodes), words), g_nodes]
+            products = [*tree, pps, comps]
         assert [part.shape for part in written] == products
         # after the masks, a seed expands to its half of every written part,
         # and the record writes the rest of each, flat
@@ -1010,15 +1061,18 @@ class TestGateGroupRecords:
         src_a, src_b = (deserialize_stream(serialize_stream(s), P64) for s in
                         TrustedDealer(width + start, P64).generate([(TAG_PREFIXNET, meta)]))
         blk_a, blk_b = src_a.take_prefix_block(*meta), src_b.take_prefix_block(*meta)
-        groups = cached_plan(width, start).gate_groups
+        plan = cached_plan(width, start)
+        groups = plan.gate_groups
         assert len(blk_a.gates) == len(blk_b.gates) == len(groups)
-        gates = list(zip(groups, blk_a.gates, blk_b.gates))
         if start:
-            # one-sided: Alice's whole mask u and Bob's v open the tuple
-            (_, (u, wa), (v, wb)), *gates = gates
-            gates.insert(0, (groups[0], np.stack([u, np.zeros_like(u), wa]),
-                             np.stack([np.zeros_like(v), v, wb])))
-        for (k, count), ga, gb in gates:
+            # one-sided: Alice's whole masks u and Bob's v, and their shares
+            # of each product of an Alice row's mask and a Bob row's
+            (u, wa), (v, wb) = blk_a.setup, blk_b.setup
+            alice, bob = plan.fold.products.T
+            opened = whole(wa) ^ whole(wb)
+            assert np.array_equal(opened, (u[alice] & v[bob]).reshape(-1))
+            assert not (opened.reshape(len(alice), -1)[:, -1] & ~tail_mask(self.BATCH)).any()
+        for (k, count), ga, gb in zip(groups, blk_a.gates, blk_b.gates):
             opened = ga ^ gb
             assert opened.shape == ((1 << k) - 1, count, word_count(self.BATCH))
             assert not (opened[..., -1] & ~tail_mask(self.BATCH)).any()
@@ -1075,21 +1129,21 @@ def opens(tag, meta, pa, pb, masks):
         return np.array_equal((u if meta.kind == MATMUL_REUSE else u.T) @ (va + vb), wa + wb)
     width, _, start = meta
     plan = cached_plan(width, start)
+    if start:  # one-sided: Alice's whole masks u, Bob's v, and their shares of the products
+        (u, wa, *pa), (v, wb, *pb) = pa, pb
+        alice, bob = plan.fold.products.T
+        if not np.array_equal(wa ^ wb, (u[alice] & v[bob]).reshape(-1)):
+            return False
     groups = len(plan.gate_groups)
     gates, (mask_p, mask_g, prod_pp, prod_pg) = (
         list(zip(pa[:groups], pb[:groups])), [x ^ y for x, y in zip(pa[groups:], pb[groups:])])
-    if start:  # one-sided: Alice's whole mask u, Bob's v, and their shares of u AND v
-        ((u, wa), (v, wb)), *gates = gates
-        if not np.array_equal(wa ^ wb, u & v):
-            return False
     for ga, gb in gates:
         opened = ga ^ gb
         k = len(opened).bit_length()
         if not np.array_equal(opened, subset_products(opened[[(1 << i) - 1 for i in range(k)]])):
             return False
-    hi, lo = plan.comp_hi, plan.comp_lo
-    return (np.array_equal(prod_pp, mask_p[hi] & mask_p[lo])
-            and np.array_equal(prod_pg, mask_p[hi] & mask_g[lo]))
+    return (np.array_equal(prod_pp, mask_p[plan.pp_hi] & mask_p[plan.pp_lo])
+            and np.array_equal(prod_pg, mask_p[plan.comp_hi] & mask_g[plan.comp_lo]))
 
 
 def every_kind(params, batch):

@@ -414,8 +414,8 @@ class TestTrafficModel:
         wide = FixedPointParams(frac_bits=16, int_bits=16, ring_bits=64)
         late = FixedPointParams(frac_bits=31, int_bits=1, ring_bits=64)
         for n, m, iters, params, rounds in [
-                (5, 3, 2, P64, 9), (8, 1, 3, P64, 9), (4, 6, 5, P64, 9), (64, 2, 1, P64, 9),
-                (65, 2, 1, P64, 9), (6, 2, 2, p16, 7), (6, 2, 2, wide, 9), (6, 2, 2, late, 10)]:
+                (5, 3, 2, P64, 8), (8, 1, 3, P64, 8), (4, 6, 5, P64, 8), (64, 2, 1, P64, 8),
+                (65, 2, 1, P64, 8), (6, 2, 2, p16, 6), (6, 2, 2, wide, 8), (6, 2, 2, late, 9)]:
             feats, labels = separable_toy(n, m, seed=n + m)
             feats = 0.25 * feats  # inside the one integer bit of 31/1
             cfg = TrainingConfig(eta=0.05, n_iter=iters, params=params, seed=17)

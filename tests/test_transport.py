@@ -252,8 +252,8 @@ class TestHandshake:
                                                           perform_handshake, a, self._info()))
         t.start()
         # a peer of the previous protocol version is refused
-        with pytest.raises(TransportError, match="version: ours 18, peer 19"):
-            perform_handshake(b, self._info(role="B", version=18))
+        with pytest.raises(TransportError, match="version: ours 19, peer 20"):
+            perform_handshake(b, self._info(role="B", version=19))
         t.join()
 
     def test_wildcard_dims_allowed(self):

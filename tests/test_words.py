@@ -388,13 +388,13 @@ class TestFactoredDabits:
 def test_empty_batch_sends_the_same_frames():
     # sent-frame digest of an activation over no values: every opened bit
     # row, the conversion's two daBit-masked rows among them, is one zero
-    # word; each party opens one setup row per position of the zero test,
-    # and its first network round opens no leaf's p and of the 15 terms
-    # only the top one
+    # word; each party opens 40 setup rows for the zero test, one per
+    # position below the top one and one per first-layer pair, then 40, 17,
+    # 7 and 6 rows in the network's four rounds
     empty = np.zeros(0, dtype=np.uint64)
     ra, _, sa, sb = protocol_pair(P64, lambda s: batch_activate(s, empty),
                                   lambda s: batch_activate(s, empty))
     assert ra.shape == (0,)
-    assert sa.transcript.bytes_sent == 995
-    expected = "ab853794fcca91444a6f1842d76f99b0d36a7ef3ae5ec380dd8c6ff9bdaa3834"
+    assert sa.transcript.bytes_sent == 974
+    expected = "be9a99e8db7d1a5e74c74fadc918adb5d92445b9bdfb74e4af2b7d819d524777"
     assert sa.transcript.sent_digest() == sb.transcript.sent_digest() == expected
