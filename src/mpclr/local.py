@@ -2,13 +2,15 @@
 
 Local mode wires the two protocol threads together with an in-memory channel
 pair that speaks the exact wire format, so transcripts are interchangeable
-with networked runs.
+with networked runs.  A run has no overall deadline, so it may take as long
+as its iterations need: every wait inside a party is bounded on its own
+(a channel's receive, the truncation oracle's rendezvous), and a failing
+party closes its channel, so a stuck or failed peer still ends the run.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from .engine import Session
 from .fixedpoint import FixedPointParams
@@ -32,16 +34,16 @@ def local_session_pair(params: FixedPointParams, seed: int = 0,
     return sess_a, sess_b
 
 
-def run_pair(fn_a, fn_b, timeout: float = 120.0):
+def run_pair(fn_a, fn_b):
     """Run the two party closures on two threads; re-raise the earliest failure."""
-    return run_sessions(None, None, lambda _: fn_a(), lambda _: fn_b(), timeout)
+    return run_sessions(None, None, lambda _: fn_a(), lambda _: fn_b())
 
 
-def run_sessions(sess_a: Session | None, sess_b: Session | None, fn_a, fn_b,
-                 timeout: float = 120.0):
-    """Run fn_a(sess_a) and fn_b(sess_b) on two threads; re-raise the earliest
-    failure.  A failing party closes its channel once its failure is recorded,
-    so its peer fails next, at its next receive, not at the channel's timeout."""
+def run_sessions(sess_a: Session | None, sess_b: Session | None, fn_a, fn_b):
+    """Run fn_a(sess_a) and fn_b(sess_b) on two threads until both end, with
+    no deadline; re-raise the earliest failure.  A failing party closes its
+    channel once its failure is recorded, so its peer fails next, at its
+    next receive, not at the channel's timeout."""
     results = [None, None]
     failures = []  # in the order the parties failed
 
@@ -57,11 +59,8 @@ def run_sessions(sess_a: Session | None, sess_b: Session | None, fn_a, fn_b,
                threading.Thread(target=runner, args=(1, sess_b, fn_b), daemon=True)]
     for thread in threads:
         thread.start()
-    deadline = time.monotonic() + timeout
     for thread in threads:
-        thread.join(max(0.0, deadline - time.monotonic()))
-    if any(thread.is_alive() for thread in threads):
-        raise TimeoutError("party thread did not finish; protocol deadlock?")
+        thread.join()
     if failures:
         raise failures[0]
     return tuple(results)

@@ -3,11 +3,14 @@ streams, and the on-disk randomness-file format.
 
 All material is derived from one master seed through domain-separated child
 seeds, one counter per consumer tag, so a dealer run is reproducible and the
-two parties' files are always consistent.  Consumption is strict FIFO per tag:
-both parties issue identical requests in identical order, which is what keeps
-their shares aligned without negotiation.  A stream holds exactly the records
-of its run's request plan, so a pooled take reads inside one record and never
-gathers units from the next, and every other take reads one whole record.
+two parties' files are always consistent.  A stream holds exactly the
+records of its run's request plan, in plan order, and is read in that
+order: both parties issue identical requests in identical order, which is
+what keeps their shares aligned without negotiation.  Every take reads the
+stream's next record whole, and refuses a record of another kind or size,
+except a take of AND triples (TAG_BIT), which reads the next triples of the
+pool that the next record holds and never gathers them from the record
+after it.
 
 Every party stream is a MaterializedSource, a list of CRN1 records.  A dealt
 or loaded stream lives in one CRN1 buffer: the dealer lays both parties'
@@ -18,8 +21,8 @@ is given.  An OnDemandSource holds the same records, dealt one at a time as
 they are taken.
 
 Every record writes its pure masks, those whose shares are uniform in both
-parties' hands, as one seed per party (`expand_seed`): the u and v of a
-pool of triples, over the ring or over Z_2, the Z_2 rows of a conversion's
+parties' hands, as one seed per party (`expand_seed`): the u and v of
+triples, over the ring or over Z_2, the Z_2 rows of a conversion's
 daBits and the ring masks v of its factored row, the single masks of every
 AND gate and the node masks of a prefix-network block, and the U or V of a
 matrix record.  The one-sided setup products of a zero test are masked by
@@ -36,14 +39,14 @@ shares of the rest.  So both parties' streams are the same size, half what
 writing both shares whole takes.  `layout` states both lists for every
 kind of record.  A record keeps its seed and written parts.  Its seed
 expands, in one `expand_seed` call, at the record's first take, and the
-expansion is kept only while a pool has units left, so a party holds the
-expansion of the records it is reading and not of the whole run.  The one
-exception is the mask U of a matrix X (`MATMUL_MASK`), which every product
-over X reads: loading expands it.  A take hands out each written part as
-its two flat pieces, Alice's first, where they lie: the seeded half and
-the written rest.  Its reader consumes them in an operation it runs
-anyway, and only the pooled takes and a prefix block's composition
-products join them into one array.
+expansion is kept only while the AND-triple pool has triples left, so a
+party holds the expansion of the record it is reading and not of the whole
+run.  The one exception is the mask U of a matrix X (`MATMUL_MASK`), which
+every product over X reads: loading expands it.  A take hands out each
+written part as its two flat pieces, Alice's first, where they lie: the
+seeded half and the written rest.  Its reader consumes them in an
+operation it runs anyway, and only the triple takes and a prefix block's
+composition products join them into one array.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from .transport import MAX_PAYLOAD, PROTOCOL_VERSION
 
 RANDOMNESS_MAGIC = b"CRN1"
 
-TAG_SCALAR = 1      # pooled ring triples for elementwise multiplication
+TAG_SCALAR = 1      # the ring triples of one elementwise product, one record each
 TAG_MATMUL = 2      # matrix masks and their products, one block per record
 TAG_BIT = 3         # pooled AND triples for 2-input gates over Z_2
 TAG_PREFIXNET = 5   # per-decomposition mask schedule blocks
@@ -190,8 +193,6 @@ class PrefixBlock:
     setup: tuple | None = None
 
 
-_POOLED = (TAG_SCALAR, TAG_BIT)
-
 # The strings of an AND tuple of up to four inputs, string S - 1 holding r_S:
 # the single masks r_i (S a power of two) expand from the seed, the other
 # products are written.  A tuple of k inputs holds the first 2^k - 1 strings,
@@ -200,7 +201,7 @@ _SINGLES = [(1 << i) - 1 for i in range(4)]
 
 
 def _meta(tag: int, meta):
-    """A request's meta as records keep it: n for a pool of triples, a
+    """A request's meta as records keep it: n for n triples, a
     DaBits for daBits, a MatmulDims for matmul, (width, batch, zero_start)
     for prefix-network, where a request of (width, batch) is the full
     decomposition, zero_start 0."""
@@ -211,21 +212,6 @@ def _meta(tag: int, meta):
     if tag == TAG_CONVERSION:
         return DaBits(*meta)
     return meta
-
-
-def _units(tag: int, meta) -> int:
-    """Units a record holds: n for a pool of n triples, one block otherwise."""
-    return int(meta) if tag in _POOLED else 1
-
-
-@dataclass
-class _Cursor:
-    """Read position over the records of one tag: the index in `records` of
-    the record being read, or after the last one used up, and the units of
-    that record already taken."""
-
-    index: int = 0
-    offset: int = 0
 
 
 def _read_rows(words: np.ndarray, start: int, nrows: int, nbits: int) -> np.ndarray:
@@ -543,7 +529,7 @@ class TrustedDealer:
         of theirs is expanded here, not even X's mask, which loading
         expands: every record of a dealt stream expands at its first take.
 
-        Each request is (tag, meta): n for pools, DaBits for daBits,
+        Each request is (tag, meta): n for triples, DaBits for daBits,
         MatmulDims for matmul, (width, batch) or (width, batch, zero_start)
         for prefix-network blocks.
         """
@@ -568,16 +554,16 @@ class MaterializedSource:
     the order of `part_shapes`: this party's seed, then its shares of what
     the seed leaves of what depends on the masks.  `buffer` is the CRN1
     bytes that a dealt or loaded stream's parts are read-only views into,
-    None once a record is appended.  A take only moves a cursor over its
-    tag's records, and reads inside one record: a pooled take that does not
-    fit in what is left of its record underflows, and any other take reads
-    one whole record.  It reads the masks and seeded halves that the
-    record's seed expands to, read-only, and hands out each written part
-    as its two flat pieces, Alice's first (see `_take`).  A pooled take
-    joins the words it reads, and hands the bits of a pool back as the
-    rows its gate reads, not as the strings that the record holds them in.
-    `_expanded` holds the expansions kept between takes: those of X's mask
-    records from loading, and that of a pool with units left.
+    None once a record is appended.  The records are read in order from
+    one read position, `_next`: a take reads the record there whole, or, of
+    an AND-triple pool, its next triples from triple `_taken` on (see
+    `_take`).  A take reads the masks and seeded halves that the record's
+    seed expands to, read-only, and hands out each written part as its two
+    flat pieces, Alice's first.  A triple take joins the words of w it
+    reads, and hands the bits of a pool back as the rows its gate reads,
+    not as the string that the record holds them in.  `_expanded` holds
+    the expansions kept between takes: those of X's mask records from
+    loading, and that of a pool with triples left.
     """
 
     def __init__(self, params: FixedPointParams, role: Role, session_id: int = 0):
@@ -586,7 +572,8 @@ class MaterializedSource:
         self.session_id = session_id
         self.records = []
         self.buffer = None
-        self._cursors = {tag: _Cursor() for tag in _TAG_NAMES}
+        self._next = 0   # index of the record that the next take reads
+        self._taken = 0  # triples already taken of that record, if it is a pool
         self._expanded = {}  # record index -> its masks and seeded halves, until used up
 
     def append(self, tag: int, meta, parts):
@@ -610,47 +597,42 @@ class MaterializedSource:
                               f"{len(have)} records, the run needs {len(need)}")
 
     def _take(self, tag: int, meta) -> tuple:
-        """(masks, products, start) of the one record that a request of
-        `tag` reads: the next `meta` units of a pool, from unit `start` on,
-        or the whole next record, which must have this meta.  `masks` are
-        the pure masks that the record's seed expands to, and `products`
-        this party's shares of each part that depends on them, whole, as
-        its two flat pieces, Alice's first (see `layout`): its seeded half
-        and its written rest, where they lie.  The seed expands in one
-        `expand_seed` call at the record's first take, unless loading kept
-        its expansion; a pool's expansion is kept across its takes and
-        dropped with the take that uses the record up.  A pooled take that
-        does not fit in what is left of its record raises
+        """(masks, products, start) of the stream's next record, which a
+        request of `tag` and `meta` reads: the next `meta` triples of an
+        AND-triple pool, from triple `start` on, or else the whole record,
+        which must have this meta.  `masks` are the pure masks that the
+        record's seed expands to, and `products` this party's shares of
+        each part that depends on them, whole, as its two flat pieces,
+        Alice's first (see `layout`): its seeded half and its written rest,
+        where they lie.  The seed expands in one `expand_seed` call at the
+        record's first take, unless loading kept its expansion; a pool's
+        expansion is kept across its takes and dropped with the take that
+        uses the pool up.  A next record of another tag or meta raises
+        ProtocolError; a take past the last record, or a pool take that
+        does not fit in what is left of its pool, raises
         RandomnessUnderflowError, whatever a later record holds."""
-        n = _units(tag, meta)
-        cur = self._cursors[tag]
-        while cur.index < len(self.records) and self.records[cur.index][0] != tag:
-            cur.index += 1
-        if cur.index == len(self.records):
-            if n:
-                raise RandomnessUnderflowError(
-                    f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have 0")
-            # an empty take past the last record reads an empty one
-            empty = _meta(tag, 0)
-            seed, *written = (np.zeros(*part) for part in part_shapes(tag, empty, self.params))
-            (masks, halves), start = expand_masks(seed, tag, empty, self.params, self.role), 0
-        else:
-            _, rmeta, (_, *written) = self.records[cur.index]
-            left = _units(tag, rmeta) - cur.offset
-            if n > left:
-                raise RandomnessUnderflowError(
-                    f"{_TAG_NAMES[tag]} randomness exhausted: requested {n}, have {left}")
-            if tag not in _POOLED and rmeta != meta:
-                raise ProtocolError(
-                    f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
-            index, start = cur.index, cur.offset
-            cur.offset += n
-            expansion = self._expanded.pop(index, None) or self._expand(index)
-            if n == left:  # used up: the next take starts after it
-                cur.index, cur.offset = cur.index + 1, 0
-            else:
-                self._expanded[index] = expansion
-            masks, halves = expansion
+        index, start = self._next, self._taken
+        if index == len(self.records):
+            raise RandomnessUnderflowError(f"{_TAG_NAMES[tag]} randomness exhausted: "
+                                           f"requested {meta if tag == TAG_BIT else 1}, have 0")
+        rtag, rmeta, (_, *written) = self.records[index]
+        if rtag != tag:
+            raise ProtocolError(f"randomness record {index} is {_TAG_NAMES[rtag]} {rmeta}, "
+                                f"requested {_TAG_NAMES[tag]} {meta}")
+        pool = tag == TAG_BIT
+        if not pool and rmeta != meta:
+            raise ProtocolError(
+                f"{_TAG_NAMES[tag]} record mismatch: stream has {rmeta}, requested {meta}")
+        if pool and meta > rmeta - start:
+            raise RandomnessUnderflowError(f"{_TAG_NAMES[tag]} randomness exhausted: "
+                                           f"requested {meta}, have {rmeta - start}")
+        expansion = self._expanded.pop(index, None) or self._expand(index)
+        if pool and start + meta < rmeta:  # the pool has triples left
+            self._taken += meta
+            self._expanded[index] = expansion
+        else:  # used up: the next take reads the next record
+            self._next, self._taken = index + 1, 0
+        masks, halves = expansion
         alice = self.role is Role.ALICE
         return masks, [(half, part) if alice else (part, half)
                        for half, part in zip(halves, written)], start
@@ -665,8 +647,10 @@ class MaterializedSource:
         return masks, halves
 
     def take_ring_triples(self, n):
-        (uv,), (w,), start = self._take(TAG_SCALAR, n)
-        return uv[0, start:start + n], uv[1, start:start + n], _join(w, start, start + n)
+        """The next TAG_SCALAR record, which must hold `n` ring triples: u,
+        v and w = u·v, w joined from its two pieces."""
+        (uv,), (w,), _ = self._take(TAG_SCALAR, n)
+        return uv[0], uv[1], _join(w)
 
     def take_matmul_triple(self, dims):
         """(U, V, W) parts of the next TAG_MATMUL record, None where the

@@ -89,8 +89,8 @@ def split_array(values: np.ndarray, params: FixedPointParams, rng: np.random.Gen
 # bits to a whole word.  A batch of bit strings of one length, such as every
 # bit position of a batch of shared values, is a matrix with one such row per
 # string, and frames and CRN1 files carry it as those word rows.  Contiguous
-# strings live only inside the CRN1 records of the pooled AND tuples and
-# daBits, which are taken by count: a take hands its bits back as rows.
+# strings live only inside the CRN1 records of the AND-triple pool, which is
+# taken by count: a take hands its bits back as rows.
 # ---------------------------------------------------------------------------
 
 

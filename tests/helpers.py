@@ -66,6 +66,23 @@ def take_matmul_triple(source, dims):
     return u, v, None if w is None else whole(w, dims.shapes()[2])
 
 
+def take(source, tag, meta):
+    """Consume one request's worth of randomness, whatever its tag."""
+    if tag == TAG_SCALAR:
+        return source.take_ring_triples(meta)
+    if tag == TAG_CONVERSION:
+        return take_dabits(source, *meta)
+    if tag == TAG_BIT:
+        return source.take_bit_triples(meta)
+    if tag == TAG_MATMUL:
+        return take_matmul_triple(source, meta)
+    block = source.take_prefix_block(*meta)
+    # a zero test's one-sided setup: the own operand rows' masks, then the
+    # shares of the setup's products, whole
+    setup = () if block.setup is None else (block.setup[0], whole(block.setup[1]))
+    return (*setup, *block.gates, block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)
+
+
 def whole_record(tag, meta, parts, params, role):
     """A record of `role`'s written `parts`, as one take of all of it reads
     them: u, v and w of ring triples or of AND triples, the ring shares,

@@ -4,6 +4,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -151,6 +152,31 @@ class TestTrainLocalAndReconstruct:
         assert len(lines) == 2
         assert lines[0]["rounds"] == lines[1]["rounds"] == 2 * 8
         assert lines[0]["ring_mults"] == lines[0]["counted_ring_mults"]
+
+    def test_a_run_longer_than_two_minutes_is_not_cut_off(self, toy_csv, tmp_path,
+                                                          monkeypatch):
+        # once the party threads start, every read of the monotonic clock is
+        # 121 s later than the one before: to any deadline the run takes longer
+        # than two minutes
+        path, *_ = toy_csv
+        main(["split", "--data", str(path), "--shares-out", str(tmp_path / "t"), "--seed", "1"])
+        real, skew = time.monotonic, []
+        start = threading.Thread.start
+
+        def starting(thread):
+            skew.append(0.0)
+            start(thread)
+
+        def later():
+            if skew:
+                skew[0] += 121.0
+            return real() + (skew[0] if skew else 0.0)
+
+        monkeypatch.setattr(threading.Thread, "start", starting)
+        monkeypatch.setattr(time, "monotonic", later)
+        rc = main(["train", "--role", "local", "--data", str(tmp_path / "t"),
+                   "--weights-out", str(tmp_path / "w.csv"), "--iterations", "2"])
+        assert rc == 0 and skew
 
 
 class TestNetworkErrors:

@@ -560,12 +560,17 @@ class TestOpeningMemory:
 
 class TestRandomnessDiscipline:
     def test_exhaustion_is_fatal(self):
+        # the record of one product of two: the second product finds none
         dealer = TrustedDealer(1, P8)
-        src_a, src_b = dealer.generate([(TAG_SCALAR, 1)])
+        src_a, src_b = dealer.generate([(TAG_SCALAR, 2)])
         xa = np.array([1, 2], dtype=P8.dtype)
-        with pytest.raises(RandomnessUnderflowError):
-            protocol_pair(P8, lambda s: batch_mul(s, xa, xa), lambda s: batch_mul(s, xa, xa),
-                          sources=(src_a, src_b))
+
+        def twice(s):
+            batch_mul(s, xa, xa)
+            return batch_mul(s, xa, xa)
+
+        with pytest.raises(RandomnessUnderflowError, match="requested 1, have 0$"):
+            protocol_pair(P8, twice, twice, sources=(src_a, src_b))
 
     def test_empty_source(self):
         src = MaterializedSource(P8, Role.ALICE)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import tracemalloc
 
@@ -47,8 +48,7 @@ from helpers import (
     dealt_parts,
     protocol_pair,
     separable_toy,
-    take_dabits,
-    take_matmul_triple,
+    take,
     whole,
 )
 
@@ -222,6 +222,8 @@ class TestStreams:
         u, v, w = back.take_ring_triples(10)
         ou, ov, ow = src_a.take_ring_triples(10)
         assert np.array_equal(u, ou) and np.array_equal(v, ov) and np.array_equal(w, ow)
+        for request in self.REQUESTS[1:3]:  # the matrix records come before the pool
+            assert same_parts(take(back, *request), take(src_a, *request))
         assert same_parts(back.take_bit_triples(130), src_a.take_bit_triples(130))
 
     @pytest.mark.parametrize("params", [P16, P64])
@@ -305,8 +307,9 @@ class TestStreams:
     def test_serializing_ignores_takes(self):
         src_a, _ = TrustedDealer(42, P64).generate(self.REQUESTS)
         data = serialize_stream(src_a)
-        for tag, meta in self.REQUESTS:
-            take(src_a, tag, meta // 2 if tag in (TAG_SCALAR, TAG_BIT) else meta)
+        for tag, meta in self.REQUESTS:  # the pool in two takes, every other record whole
+            for part in ((meta // 2, meta - meta // 2) if tag == TAG_BIT else (meta,)):
+                take(src_a, tag, part)
         assert serialize_stream(src_a) == data
         back = deserialize_stream(serialize_stream(src_a), P64)
         assert serialize_stream(back) == data
@@ -472,10 +475,14 @@ class TestStreams:
         assert np.array_equal((ua + ub) * (va + vb), wa + wb)
 
     def test_underflow(self):
-        src_a, _ = TrustedDealer(1, P64).generate([(TAG_SCALAR, 4)])
-        src_a.take_ring_triples(3)
-        with pytest.raises(RandomnessUnderflowError):
-            src_a.take_ring_triples(2)
+        src_a, _ = TrustedDealer(1, P64).generate([(TAG_BIT, 4), (TAG_SCALAR, 4)])
+        src_a.take_bit_triples(3)
+        with pytest.raises(RandomnessUnderflowError, match="requested 2, have 1$"):
+            src_a.take_bit_triples(2)
+        src_a.take_bit_triples(1)
+        src_a.take_ring_triples(4)
+        with pytest.raises(RandomnessUnderflowError, match="requested 1, have 0$"):
+            src_a.take_ring_triples(4)
 
     def test_matmul_dims_checked(self):
         src_a, _ = TrustedDealer(1, P64).generate([(TAG_MATMUL, MatmulDims(2, 2, 0, MATMUL_MASK))])
@@ -496,28 +503,65 @@ class TestStreams:
         assert [part.shape for part in empty] == [(0,)] * 3
         assert same_parts(od_a.take_ring_triples(0), empty)
         assert np.array_equal(od_a.take_ring_triples(6)[0], src_a.take_ring_triples(6)[0])
+        src_b.take_ring_triples(0)  # the records before the pool, in plan order
+        src_b.take_ring_triples(6)
         assert same_parts(od_b.take_bit_triples(40), src_b.take_bit_triples(40))
+
+
+class TestPlanOrder:
+    """A stream is read in plan order from one read position: a take reads
+    the next record whole, of the kind and meta it requests, except a take
+    of AND triples, which reads the next triples of the pool it is in."""
+
+    def test_take_of_another_kind_names_the_next_record(self):
+        # a take does not skip ahead to a later record of its kind, and a
+        # refused take moves nothing
+        mask = MatmulDims(2, 3, 0, MATMUL_MASK)
+        requests = [(TAG_SCALAR, 4), (TAG_CONVERSION, DaBits(2, 5, 1)), (TAG_MATMUL, mask)]
+        src_a, _ = TrustedDealer(5, P64).generate(requests)
+        with pytest.raises(ProtocolError, match=re.escape(
+                "randomness record 0 is scalar-mul 4, requested conversion DaBits(rows=2, "
+                "batch=5, factored=1)")):
+            take(src_a, *requests[1])
+        take(src_a, *requests[0])
+        with pytest.raises(ProtocolError, match=re.escape(
+                f"randomness record 1 is conversion {DaBits(2, 5, 1)}, requested matmul {mask}")):
+            take(src_a, *requests[2])
+        for request in requests[1:]:
+            take(src_a, *request)
+
+    @pytest.mark.parametrize("n", [0, 3, 5])
+    def test_ring_take_of_another_size_is_refused(self, n):
+        # a record of ring triples is the triples of one product, taken whole
+        src_a, _ = TrustedDealer(5, P64).generate([(TAG_SCALAR, 4)])
+        with pytest.raises(ProtocolError,
+                           match=f"^scalar-mul record mismatch: stream has 4, requested {n}$"):
+            src_a.take_ring_triples(n)
+        u, v, w = src_a.take_ring_triples(4)
+        assert u.shape == v.shape == w.shape == (4,)
+
+    def test_and_triple_takes_read_two_pools_in_order(self):
+        # each pool in parts, its expansion kept until it is used up, and
+        # the second pool read only after the first
+        sizes, takes = (100, 70), ((30, 0, 70), (50, 20))
+        for side in (0, 1):
+            dealt = TrustedDealer(6, P64).generate([(TAG_BIT, n) for n in sizes])[side]
+            fresh = TrustedDealer(6, P64).generate([(TAG_BIT, n) for n in sizes])[side]
+            for index, (n, parts) in enumerate(zip(sizes, takes)):
+                bits = unpack_rows(fresh.take_bit_triples(n)[:, 0], n)
+                start = 0
+                for count in parts:
+                    got = dealt.take_bit_triples(count)
+                    assert np.array_equal(got[:, 0], pack_rows(bits[:, start:start + count]))
+                    start += count
+                    assert list(dealt._expanded) == ([index] if start < n else [])
+            with pytest.raises(RandomnessUnderflowError,
+                               match=r"^bit-mul randomness exhausted: requested 1, have 0$"):
+                dealt.take_bit_triples(1)
 
 
 OLD_VERSION = ("dealt by another protocol version than this build's 20 \\(one dealt before "
                "version 8 has no version field\\); deal it again")
-
-
-def take(source, tag, meta):
-    """Consume one request's worth of randomness, whatever its tag."""
-    if tag == TAG_SCALAR:
-        return source.take_ring_triples(meta)
-    if tag == TAG_CONVERSION:
-        return take_dabits(source, *meta)
-    if tag == TAG_BIT:
-        return source.take_bit_triples(meta)
-    if tag == TAG_MATMUL:
-        return take_matmul_triple(source, meta)
-    block = source.take_prefix_block(*meta)
-    # a zero test's one-sided setup: the own operand rows' masks, then the
-    # shares of the setup's products, whole
-    setup = () if block.setup is None else (block.setup[0], whole(block.setup[1]))
-    return (*setup, *block.gates, block.mask_p, block.mask_g, block.prod_pp, block.prod_pg)
 
 
 def same_parts(a, b):
@@ -748,8 +792,9 @@ class TestSeededRecords:
 
     def test_loading_expands_x_masks_and_a_take_its_own_record_once(self, monkeypatch):
         # loading expands X's mask alone; every other record expands at its
-        # first take, a pool once across its takes, and a record's expansion
-        # is dropped with the take that uses it up
+        # first take, the AND-triple pool once across its takes, and a
+        # record's expansion is dropped with the take that uses it up
+        requests = [self.MASK, self.FORWARD, (TAG_BIT, 4), self.GRADIENT, self.FORWARD]
         calls = []
         real = expand_seed
 
@@ -758,7 +803,7 @@ class TestSeededRecords:
             return real(seed, count)
 
         monkeypatch.setattr("mpclr.randomness.expand_seed", recording)
-        src_a, _ = TrustedDealer(8, P64).generate(self.REQUESTS)
+        src_a, _ = TrustedDealer(8, P64).generate(requests)
         assert len(calls) == 2 * 5  # the dealer expands both parties' seeds of each record
         calls.clear()
         back = deserialize_stream(serialize_stream(src_a), P64)
@@ -766,8 +811,8 @@ class TestSeededRecords:
         assert calls == seeds[:1] and list(back._expanded) == [0]
         # each take, the index of the record it reads, and the records
         # whose expansion is kept after it
-        takes = [(self.MASK, 0, set()), (self.FORWARD, 1, set()), ((TAG_SCALAR, 1), 2, {2}),
-                 ((TAG_SCALAR, 0), 2, {2}), ((TAG_SCALAR, 3), 2, set()),
+        takes = [(self.MASK, 0, set()), (self.FORWARD, 1, set()), ((TAG_BIT, 1), 2, {2}),
+                 ((TAG_BIT, 0), 2, {2}), ((TAG_BIT, 3), 2, set()),
                  (self.GRADIENT, 3, set()), (self.FORWARD, 4, set())]
         for source, at_load in ((back, 1), (src_a, 0)):  # a dealt stream expands none early
             calls[:] = seeds[:at_load]
@@ -851,7 +896,7 @@ class TestTakesInPlace:
     FORWARD = (TAG_MATMUL, MatmulDims(BATCH, COLUMNS, 1, MATMUL_REUSE))
 
     def test_each_take_peaks_at_its_records_expansion(self):
-        streams = TrustedDealer(6, P64).generate([self.DABITS, self.MASK, self.FORWARD])
+        streams = TrustedDealer(6, P64).generate([self.MASK, self.DABITS, self.FORWARD])
         for side, dealt in enumerate(streams):
             source = deserialize_stream(serialize_stream(dealt), P64)
             source.take_matmul_triple(self.MASK[1])
@@ -1189,20 +1234,20 @@ class TestBalancedHalves:
 
     @pytest.mark.parametrize("params", [P16, P64], ids=["ring16", "ring64"])
     def test_ring_takes_across_the_halves(self, params):
-        # 77 triples: Alice's seed gives w's first 38, Bob's its last 38, and
-        # both write the middle one, so the third take crosses both cuts;
-        # the last take is past the used-up record
-        for side in (0, 1):
-            dealt = TrustedDealer(3, params).generate([(TAG_SCALAR, 77)])[side]
-            loaded = deserialize_stream(serialize_stream(dealt), params)
-            whole = TrustedDealer(3, params).generate([(TAG_SCALAR, 77)])[side]
-            whole = whole.take_ring_triples(77)
-            for source in (dealt, loaded):
-                start = 0
-                for n in (30, 0, 10, 37, 0):
-                    got = source.take_ring_triples(n)
-                    assert same_parts(got, [part[start:start + n] for part in whole])
-                    start += n
+        # a record of 77 triples: Alice's seed gives w's first 38, Bob's its
+        # last 38, and both write the middle one; records of 0, 1 and 2
+        # triples have no seeded half, one a middle alone, and no middle
+        sizes = (77, 0, 1, 2)
+        dealt = TrustedDealer(3, params).generate([(TAG_SCALAR, n) for n in sizes])
+        loaded = [deserialize_stream(serialize_stream(s), params) for s in dealt]
+        for sources in (dealt, loaded):
+            for index, n in enumerate(sizes):
+                (ua, va, wa), (ub, vb, wb) = (s.take_ring_triples(n) for s in sources)
+                assert np.array_equal((ua + ub) * (va + vb), wa + wb)
+                (_, _, (_, rest_a)), (_, _, (_, rest_b)) = (s.records[index] for s in sources)
+                assert len(rest_a) == len(rest_b) == n - n // 2
+                assert np.array_equal(wa[n // 2:], rest_a)
+                assert np.array_equal(wb[:n - n // 2], rest_b)
 
     def test_bit_takes_across_the_halves(self):
         # 1,064 triples in 17 words: Alice's seed gives words 0..7 of w, Bob's
@@ -1222,9 +1267,6 @@ class TestBalancedHalves:
                     want = pack_rows(cut).reshape(3, rows, -1)
                     assert np.array_equal(got, want), (side, count)
                     start += count
-                # an empty take past every record
-                assert np.array_equal(source.take_bit_triples(0, rows=2),
-                                      np.zeros((3, 2, 1), np.uint64))
 
 
 class TestSeededHalvesSecurity:

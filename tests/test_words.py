@@ -31,7 +31,7 @@ from mpclr.randomness import (
 from mpclr.sharing import ones_row, pack_rows, tail_mask, unpack_rows, word_count
 from mpclr.transport import FRAME_HEADER
 
-from helpers import dealt_parts, protocol_pair, take_dabits, whole_record
+from helpers import dealt_parts, protocol_pair, take, take_dabits, whole_record
 
 P16 = FixedPointParams(frac_bits=4, int_bits=3, ring_bits=16)
 P64 = FixedPointParams()
@@ -225,20 +225,6 @@ class TestBitPool:
                 assert got.shape == (3, nrows, word_count(batch))
                 assert np.array_equal(got, expected_rows(strings, start, nrows, batch))
 
-    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
-    def test_empty_takes_are_one_zero_word(self, rows):
-        # one zero word a row: before, between and after word-multiple
-        # records used up, and from a stream of none
-        source, _ = TrustedDealer(7, P64).generate([(TAG_BIT, 64), (TAG_BIT, 128)])
-        empty = np.zeros((3, rows, 1), np.uint64)
-        for n in (0, 64, 0, 128, 0, 0):
-            got = source.take_bit_triples(n, rows=rows if not n else 1)
-            if not n:
-                assert np.array_equal(got, empty) and got.dtype == np.uint64
-        for role in Role:
-            assert np.array_equal(MaterializedSource(P64, role).take_bit_triples(0, rows=rows),
-                                  empty)
-
     # the last record is criterion 2's pool of 22 x 4096 triples
     @pytest.mark.parametrize("n,size", [(1, 72), (64, 72), (65, 72), (22 * 4096, 5_696)])
     def test_record_is_a_seed_and_w(self, n, size):
@@ -337,7 +323,8 @@ class TestFactoredDabits:
     @pytest.mark.parametrize("params", [P16, P64], ids=["ring16", "ring64"])
     @pytest.mark.parametrize("batch", [1, 64, 65, 225])
     def test_loaded_and_on_demand_takes_agree_and_rho_is_r_times_v(self, params, batch):
-        # the takes of a conversion of two rows, the first factored
+        # the takes of a conversion of two rows, the first factored, among
+        # every take of the plan, in plan order
         cfg = TrainingConfig(eta=0.05, n_iter=2, params=params, seed=batch)
         requests = training_randomness_requests(batch, 2, cfg)
         metas = [meta for tag, meta in requests if tag == TAG_CONVERSION]
@@ -347,7 +334,8 @@ class TestFactoredDabits:
         for role, source in zip(Role, dealt):
             loaded = deserialize_stream(serialize_stream(source), params)
             on_demand = OnDemandSource(batch, role, params)
-            parts = [[take_dabits(s, *meta) for meta in metas] for s in (loaded, on_demand)]
+            parts = [[got for (tag, _), got in zip(requests, (take(s, *r) for r in requests))
+                      if tag == TAG_CONVERSION] for s in (loaded, on_demand)]
             for ours, theirs in zip(*parts):
                 assert all(np.array_equal(x, y) for x, y in zip(ours, theirs, strict=True))
             takes.append(parts[0])
